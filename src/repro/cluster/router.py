@@ -60,28 +60,18 @@ from ..service.server import (
     parse_ip,
 )
 from ..service.wire import (
-    FT_BATCH_REP,
-    FT_BATCH_REP6,
+    CODECS,
     FT_MSG,
     MAX_FRAME_BYTES,
+    BinaryCodec,
     WireError,
     decode_binary_frame,
     decode_frame,
     decode_msg_payload,
-    decode_record,
-    decode_record6,
-    encode_batch_request,
-    encode_batch_request6,
     encode_frame,
     encode_msg_frame,
-    pack_degraded,
-    pack_degraded6,
-    pack_verdict_wire,
-    pack_verdict_wire6,
     recv_frame,
     send_frame,
-    split_batch_reply,
-    split_batch_reply6,
 )
 from .partition import PartitionMap, ShardRange
 
@@ -126,7 +116,7 @@ class _Sub:
     """
 
     __slots__ = ("kind", "request", "pairs", "rid", "candidates",
-                 "failed", "shard_slot", "deadline", "finish", "v6")
+                 "failed", "shard_slot", "deadline", "finish", "codec")
 
     def __init__(
         self,
@@ -136,12 +126,12 @@ class _Sub:
         *,
         request: Optional[Dict[str, Any]] = None,
         pairs: Optional[List[Tuple[int, Optional[int]]]] = None,
-        v6: bool = False,
+        codec: Optional[BinaryCodec] = None,
     ) -> None:
         self.kind = kind  # "batch" (packed pairs) or "msg" (request)
         self.request = request
         self.pairs = pairs
-        self.v6 = v6  # batch subs: which packed record layout applies
+        self.codec = codec  # batch subs: the pairs' family codec
         self.rid = 0
         self.candidates: Deque["Backend"] = deque(
             shard_slot.ordered_backends()
@@ -290,23 +280,18 @@ class Router:
             )
         if backend_codec not in ("json", "binary"):
             raise ValueError(f"unknown backend codec {backend_codec!r}")
-        self.partition = partition
         self._family = partition.family
         self.connection_timeout = connection_timeout
         self._backend_timeout = backend_timeout
         self._backend_codec = backend_codec
-        self._slots = [
-            ShardSlot(
-                shard_id,
-                list(addresses),
-                timeout=backend_timeout,
-                shard_range=partition.range_of(shard_id),
-            )
-            for shard_id, addresses in enumerate(backends)
-        ]
+        #: Routing planes, primary first: family → (partition, slots).
+        #: Replaced per family in one assignment on the loop thread.
+        self._planes: Dict[
+            AddressFamily, Tuple[PartitionMap, List[ShardSlot]]
+        ] = {
+            self._family: (partition, self._make_slots(partition, backends))
+        }
         # Optional second routing plane for IPv6 next to a v4 primary.
-        self.partition6 = v6_partition
-        self._slots6: List[ShardSlot] = []
         if v6_partition is not None:
             if self._family is not V4 or v6_partition.family is not V6:
                 raise ValueError(
@@ -319,15 +304,9 @@ class Router:
                     f"{len(v6_partition)} backend lists, got "
                     f"{0 if v6_backends is None else len(v6_backends)}"
                 )
-            self._slots6 = [
-                ShardSlot(
-                    shard_id,
-                    list(addresses),
-                    timeout=backend_timeout,
-                    shard_range=v6_partition.range_of(shard_id),
-                )
-                for shard_id, addresses in enumerate(v6_backends)
-            ]
+            self._planes[V6] = (
+                v6_partition, self._make_slots(v6_partition, v6_backends)
+            )
         elif v6_backends:
             raise ValueError("v6_backends given without v6_partition")
         #: Bumped on every apply_partition, so a load observer can
@@ -360,25 +339,37 @@ class Router:
 
     # -- routing planes ------------------------------------------------
 
+    def _make_slots(
+        self,
+        partition: PartitionMap,
+        backends: Sequence[Sequence[Tuple[str, int]]],
+    ) -> List[ShardSlot]:
+        return [
+            ShardSlot(
+                shard_id,
+                list(addresses),
+                timeout=self._backend_timeout,
+                shard_range=partition.range_of(shard_id),
+            )
+            for shard_id, addresses in enumerate(backends)
+        ]
+
     def _all_slots(self) -> List[ShardSlot]:
-        """Every shard slot across both planes (primary first)."""
-        return self._slots + self._slots6
+        """Every shard slot across all planes (primary first)."""
+        return [
+            shard_slot
+            for _partition, slots in self._planes.values()
+            for shard_slot in slots
+        ]
 
     def _plane(
         self, family: AddressFamily
     ) -> Optional[Tuple[PartitionMap, List[ShardSlot]]]:
         """The ``(partition, slots)`` plane answering ``family``."""
-        if family is self._family:
-            return self.partition, self._slots
-        if family is V6 and self.partition6 is not None:
-            return self.partition6, self._slots6
-        return None
+        return self._planes.get(family)
 
     def _served_families(self) -> str:
-        names = [self._family.name]
-        if self.partition6 is not None:
-            names.append(V6.name)
-        return "/".join(names)
+        return "/".join(family.name for family in self._planes)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -483,7 +474,7 @@ class Router:
         layout swap, telling an observer to reset its delta baseline
         rather than misread the fresh counters as a traffic collapse.
         """
-        slots = self._slots
+        _partition, slots = self._planes[self._family]
         return {
             "partition_epoch": self._partition_epoch,
             "shards": [
@@ -531,18 +522,11 @@ class Router:
 
         def swap() -> None:
             old_by_address: Dict[Tuple[str, int], Backend] = {}
-            for slot in self._slots:
+            _old_partition, old_slots = self._planes[self._family]
+            for slot in old_slots:
                 for backend in slot.backends:
                     old_by_address[backend.address] = backend
-            new_slots = [
-                ShardSlot(
-                    shard_id,
-                    list(addresses),
-                    timeout=self._backend_timeout,
-                    shard_range=partition.range_of(shard_id),
-                )
-                for shard_id, addresses in enumerate(backends)
-            ]
+            new_slots = self._make_slots(partition, backends)
             reused = set()
             for slot in new_slots:
                 for position, backend in enumerate(slot.backends):
@@ -555,8 +539,7 @@ class Router:
                 for backend in old_by_address.values()
                 if id(backend) not in reused
             )
-            self._slots = new_slots
-            self.partition = partition
+            self._planes[self._family] = (partition, new_slots)
             # swap() runs via run_sync as one callback on the loop
             # thread — the only writer of this counter.
             self._partition_epoch += 1
@@ -594,13 +577,14 @@ class Router:
     # -- downstream request handling (loop thread) ---------------------
 
     def _handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
-        if kind == "batch" or kind == "batch6":
-            family = V6 if kind == "batch6" else V4
-            plane = self._plane(family)
+        if kind == "batch":
+            codec = slot.batch_codec
+            assert codec is not None
+            plane = self._plane(codec.family)
             if plane is None:
                 slot.fail(
-                    f"{family.name} batch frame cannot be answered by "
-                    f"this {self._served_families()}-only cluster"
+                    f"{codec.family.name} batch frame cannot be answered "
+                    f"by this {self._served_families()}-only cluster"
                 )
                 return
             if len(data) > MAX_BATCH:
@@ -609,7 +593,7 @@ class Router:
                     f"{MAX_BATCH}-query limit"
                 )
                 return
-            self._route_batch(slot, data, family, *plane)
+            self._route_batch(slot, data, codec, *plane)
             return
         request = data
         if not isinstance(request, dict):
@@ -637,7 +621,10 @@ class Router:
             except RequestError as exc:
                 slot.fail(str(exc))
                 return
-            self._route_batch(slot, pairs, family, *plane)
+            # A JSON-shaped batch on a binary connection is still
+            # answered packed, in its family's reply frame type.
+            codec = slot.batch_codec = CODECS[family]
+            self._route_batch(slot, pairs, codec, *plane)
         elif op == "stats":
             self._route_stats(slot)
         elif op == "hello":
@@ -707,7 +694,7 @@ class Router:
         self,
         slot: Slot,
         pairs: List[Tuple[int, Optional[int]]],
-        family: AddressFamily,
+        codec: BinaryCodec,
         partition: PartitionMap,
         slots: List["ShardSlot"],
     ) -> None:
@@ -727,7 +714,7 @@ class Router:
             # Empty batch: zero shard fan-outs means shard_done would
             # never fire, so answer directly (an empty result is what
             # a single-process server returns).
-            self._finish_batch(slot, pairs, entries, family, partition)
+            self._finish_batch(slot, pairs, entries, codec, partition)
             return
         remaining = [len(by_shard)]
 
@@ -752,9 +739,7 @@ class Router:
                     entries[position] = shard_id
             remaining[0] -= 1
             if remaining[0] == 0:
-                self._finish_batch(
-                    slot, pairs, entries, family, partition
-                )
+                self._finish_batch(slot, pairs, entries, codec, partition)
 
         for shard_id, positions in by_shard.items():
             slots[shard_id].hits += len(positions)
@@ -767,7 +752,7 @@ class Router:
                         shard_done(s, p, status, value)
                     ),
                     pairs=shard_pairs,
-                    v6=family is V6,
+                    codec=codec,
                 )
             )
 
@@ -776,13 +761,12 @@ class Router:
         slot: Slot,
         pairs: List[Tuple[int, Optional[int]]],
         entries: List[Any],
-        family: AddressFamily,
+        codec: BinaryCodec,
         partition: PartitionMap,
     ) -> None:
-        v6 = family is V6
         if slot.codec == "binary":
-            pack_miss = pack_verdict_wire6 if v6 else pack_verdict_wire
-            degrade = pack_degraded6 if v6 else pack_degraded
+            pack_miss = codec.pack_verdict_wire
+            degrade = codec.pack_degraded
             try:
                 records = []
                 for (ip, day), entry in zip(pairs, entries):
@@ -794,14 +778,11 @@ class Router:
                         )
                     else:
                         records.append(pack_miss(entry))
-                if v6:
-                    slot.complete_records6(records)
-                else:
-                    slot.complete_records(records)
+                slot.complete_records(records)
                 return
             except WireError:
                 pass  # a verdict escaped the packed layout: JSON reply
-        decode = decode_record6 if v6 else decode_record
+        decode = codec.decode_record
         result: List[Dict[str, Any]] = []
         for (ip, day), entry in zip(pairs, entries):
             if isinstance(entry, bytes):
@@ -819,7 +800,7 @@ class Router:
                 )
                 result.append(
                     {
-                        "ip": family.format(ip),
+                        "ip": codec.family.format(ip),
                         "day": day,
                         "error": SHARD_UNAVAILABLE,
                         "shard": shard_id,
@@ -834,7 +815,7 @@ class Router:
         op: str,
         done: Callable[[List[Optional[Dict[str, Any]]]], None],
     ) -> None:
-        """One ``op`` per shard on *both* planes (with failover);
+        """One ``op`` per shard on every plane (with failover);
         ``done`` receives the per-shard results aligned to
         :meth:`_all_slots` order, ``None`` where a shard is down."""
         slots = self._all_slots()
@@ -949,56 +930,53 @@ class Router:
         index_totals["lists"] = lists
         router_counters = dict(self._counters)
         router_counters["failovers"] = sum(
-            shard_slot.failovers for shard_slot in self._slots
-        )
-        router_counters["failovers"] += sum(
-            shard_slot.failovers for shard_slot in self._slots6
+            shard_slot.failovers for shard_slot in self._all_slots()
         )
         router_counters["partition_epoch"] = self._partition_epoch
-        primary = len(self._slots)
-        rows = []
-        for position, shard_slot in enumerate(self._all_slots()):
-            plane_partition = (
-                self.partition if position < primary else self.partition6
-            )
-            row = {
-                "shard": shard_slot.shard_id,
-                # The slot's own range, not partition.range_of: a
-                # partition swap between the stats and hello
-                # gathers must not mislabel (or over-index) rows.
-                "range": (
-                    shard_slot.shard_range.to_wire()
-                    if shard_slot.shard_range is not None
-                    else plane_partition.range_of(  # type: ignore[union-attr]
-                        shard_slot.shard_id
-                    ).to_wire()
-                ),
-                "hits": shard_slot.hits,
-                "backends": [
-                    {
-                        "address": list(backend.address),
-                        "healthy": backend.healthy,
-                    }
-                    for backend in shard_slot.backends
-                ],
-                "stats": (
-                    shard_stats[position]
-                    if position < len(shard_stats)
-                    else None
-                ),
-            }
-            if position >= primary:
-                row["family"] = V6.name
-            rows.append(row)
+        rows: List[Dict[str, Any]] = []
         payload = {
             "cluster": summary,
             "router": router_counters,
-            "partition": self.partition.to_wire(),
+            "partition": self._planes[self._family][0].to_wire(),
             "index": index_totals,
             "shards": rows,
         }
-        if self.partition6 is not None:
-            payload["partition6"] = self.partition6.to_wire()
+        for family, (partition, slots) in self._planes.items():
+            secondary = family is not self._family
+            if secondary:
+                # Wire shape: a secondary plane is always the ipv6 one.
+                payload["partition6"] = partition.to_wire()
+            for shard_slot in slots:
+                position = len(rows)
+                row = {
+                    "shard": shard_slot.shard_id,
+                    # The slot's own range, not partition.range_of: a
+                    # partition swap between the stats and hello
+                    # gathers must not mislabel (or over-index) rows.
+                    "range": (
+                        shard_slot.shard_range.to_wire()
+                        if shard_slot.shard_range is not None
+                        else partition.range_of(
+                            shard_slot.shard_id
+                        ).to_wire()
+                    ),
+                    "hits": shard_slot.hits,
+                    "backends": [
+                        {
+                            "address": list(backend.address),
+                            "healthy": backend.healthy,
+                        }
+                        for backend in shard_slot.backends
+                    ],
+                    "stats": (
+                        shard_stats[position]
+                        if position < len(shard_stats)
+                        else None
+                    ),
+                }
+                if secondary:
+                    row["family"] = family.name
+                rows.append(row)
         return payload
 
     # -- upstream connections (loop thread) ----------------------------
@@ -1112,12 +1090,10 @@ class Router:
     def _encode_sub(self, sub: _Sub, codec: str) -> bytes:
         if sub.kind == "batch":
             assert sub.pairs is not None
+            assert sub.codec is not None
             if codec == "binary":
-                encode = (
-                    encode_batch_request6 if sub.v6 else encode_batch_request
-                )
                 try:
-                    return encode(
+                    return sub.codec.encode_batch_request(
                         sub.pairs, sub.rid, max_size=MAX_FRAME_BYTES
                     )
                 except WireError:
@@ -1298,18 +1274,18 @@ class Router:
                             f"reply for request {rid}, "
                             f"expected {sub.rid}"
                         )
-                    if ftype == FT_BATCH_REP or ftype == FT_BATCH_REP6:
-                        if (ftype == FT_BATCH_REP6) != sub.v6:
-                            raise WireError(
-                                f"batch reply frame type {ftype} does "
-                                f"not match the request's family"
-                            )
-                        split = (
-                            split_batch_reply6
-                            if sub.v6
-                            else split_batch_reply
+                    # Only the reply type of the sub's own codec is a
+                    # batch reply: another family's frame is as
+                    # unexpected as an unknown type, never decoded.
+                    if (
+                        sub.codec is not None
+                        and ftype == sub.codec.ft_reply
+                    ):
+                        self._sub_success(
+                            sub,
+                            "records",
+                            sub.codec.split_batch_reply(payload),
                         )
-                        self._sub_success(sub, "records", split(payload))
                     elif ftype == FT_MSG:
                         self._deliver_reply(
                             sub,

@@ -1,10 +1,9 @@
 """FLOW-WIRE: static conformance of the binary wire codec.
 
 The codec in :mod:`repro.service.wire` is a set of hand-maintained
-inverses: every ``Struct.pack`` has an ``unpack`` twin, every v4
-record format has a v6 twin one ``I``-to-``16s`` substitution away,
-every ``FT_*`` frame tag an encoder emits needs a decoder branch, and
-the hand-written ``_need``/``pos +=`` cursor arithmetic must agree
+inverses: every ``Struct.pack`` has an ``unpack`` twin, every
+``FT_*`` frame tag an encoder emits needs a decoder branch, and the
+hand-written ``_need``/``pos +=`` cursor arithmetic must agree
 with ``Struct.size`` byte for byte.  One-byte drift produces torn
 frames that only fail under load — so this pass checks the pairings
 statically, across modules:
@@ -14,10 +13,9 @@ statically, across modules:
   target counts must equal the format's field count;
 * literal ``_need(buf, pos, N)`` guards and ``pos += N`` advances
   adjacent to ``NAME.unpack_from(buf, pos)`` must equal ``NAME.size``;
-* a ``NAME6`` twin of ``NAME`` must be the same format with exactly
-  one ``I`` widened to ``16s`` (the 128-bit address field);
-* every ``FT_*`` tag passed to an encoder must appear in a decoder
-  comparison somewhere in the serving modules.
+* every ``FT_*`` tag passed to an encoder — a constant, or a codec's
+  ``ft_*`` attribute holding one — must appear in a decoder comparison
+  or key a dispatch table somewhere in the serving modules.
 
 Scope: serving dirs only (``service/``, ``cluster/``, ``stream/``) —
 the modules that speak the wire protocol.
@@ -99,36 +97,6 @@ def _collect_consts(
                 target.id, fmt, item, module, shape[0], shape[1]
             )
     return consts, bad
-
-
-def _paired_struct_issues(
-    consts: Dict[str, _StructConst]
-) -> Iterator[Violation]:
-    """A ``NAME6`` twin must be ``NAME`` with one ``I`` -> ``16s``."""
-    for name6, const6 in consts.items():
-        if "6" not in name6:
-            continue
-        for position, char in enumerate(name6):
-            if char != "6":
-                continue
-            base_name = name6[:position] + name6[position + 1 :]
-            base = consts.get(base_name)
-            if base is None:
-                continue
-            widened = [
-                base.fmt[:i] + "16s" + base.fmt[i + 1 :]
-                for i, c in enumerate(base.fmt)
-                if c == "I"
-            ]
-            if const6.fmt not in widened:
-                yield const6.module.violation(
-                    "FLOW-WIRE",
-                    const6.node,
-                    f"{name6} ({const6.fmt!r}) is not {base_name} "
-                    f"({base.fmt!r}) with one 'I' widened to '16s' — "
-                    f"the v4/v6 record layouts have drifted",
-                )
-            break
 
 
 def _receiver_const(
@@ -257,7 +225,8 @@ def _ft_operands(node: ast.expr) -> Iterator[str]:
             name = candidate.id
         elif isinstance(candidate, ast.Attribute):
             name = candidate.attr
-        if name is not None and name.startswith("FT_"):
+        # ``FT_MSG`` constants and ``codec.ft_reply``-style attributes.
+        if name is not None and name.upper().startswith("FT_"):
             yield name
 
 
@@ -267,8 +236,8 @@ def _ft_operands(node: ast.expr) -> Iterator[str]:
     scope="program",
     summary=(
         "struct pack/unpack field counts, _need/pos cursor widths, "
-        "v4/v6 format twins, and FT_* encoder/decoder coverage must "
-        "agree across the wire modules"
+        "and FT_* encoder/decoder coverage must agree across the wire "
+        "modules"
     ),
     example=(
         "REC = struct.Struct('>IBi')     # size 9\n"
@@ -285,10 +254,9 @@ def check_wire_conformance(
     count must match its ``pack`` argument lists and ``unpack`` tuple
     destructurings; literal ``_need(buf, pos, N)`` guards and
     ``pos += N`` cursor advances adjacent to an ``unpack_from`` must
-    equal the struct's ``.size``; a ``NAME6`` constant must be
-    ``NAME`` with exactly one ``I`` widened to ``16s`` (the v4/v6
-    twin convention); and every ``FT_*`` tag passed to an encoder
-    must be compared against by some decoder."""
+    equal the struct's ``.size``; and every ``FT_*`` tag (or codec
+    ``ft_*`` attribute) passed to an encoder must be compared against,
+    or key a dispatch table, in some decoder."""
     wire_modules = [
         module
         for module in context.modules
@@ -300,7 +268,6 @@ def check_wire_conformance(
         consts, bad = _collect_consts(module)
         consts_by_module[module.relpath] = consts
         yield from bad
-        yield from _paired_struct_issues(consts)
         for const in consts.values():
             global_by_name.setdefault(const.name, []).append(const)
 
@@ -313,6 +280,14 @@ def check_wire_conformance(
             if isinstance(node, ast.Compare):
                 for operand in [node.left] + list(node.comparators):
                     compared.update(_ft_operands(operand))
+                continue
+            if isinstance(node, (ast.Dict, ast.DictComp)):
+                # A dispatch table keyed by frame type is a decoder.
+                for key in (
+                    node.keys if isinstance(node, ast.Dict) else [node.key]
+                ):
+                    if key is not None:
+                        compared.update(_ft_operands(key))
                 continue
             if not isinstance(node, ast.Call):
                 continue
@@ -368,8 +343,9 @@ def check_wire_conformance(
                 "FLOW-WIRE",
                 site,
                 f"{tag} is encoded here but no decoder in the serving "
-                f"modules compares a frame type against {tag} — the "
-                f"frame would be unparseable on arrival",
+                f"modules compares a frame type against {tag} or keys "
+                f"a dispatch table on it — the frame would be "
+                f"unparseable on arrival",
             )
 
 

@@ -22,9 +22,10 @@ Three layers:
   :mod:`repro.service.wire`), the recoverable/fatal error split, idle
   timeouts, and graceful shutdown. Requests are handed to a
   ``handler(conn, slot, kind, data)`` callback; ``kind`` is ``"msg"``
-  (one decoded request object), ``"batch"`` (packed ``(ip, day)``
-  pairs from an ``FT_BATCH_REQ`` frame) or ``"batch6"`` (the same
-  from an ``FT_BATCH_REQ6`` frame, 128-bit addresses).
+  (one decoded request object) or ``"batch"`` (packed ``(ip, day)``
+  pairs from a batch-request frame; ``slot.batch_codec`` is the
+  :class:`~repro.service.wire.BinaryCodec` — hence the address
+  family — the frame type resolved to).
 
 The handler runs on the loop thread and must not block; the
 reputation server answers inline, the cluster router completes slots
@@ -43,18 +44,14 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from .wire import (
-    FT_BATCH_REQ,
-    FT_BATCH_REQ6,
     FT_MSG,
     MAX_FRAME_BYTES,
+    REQUEST_CODECS,
+    BinaryCodec,
     WireError,
-    decode_batch_request,
-    decode_batch_request6,
     decode_binary_frame,
     decode_frame,
     decode_msg_payload,
-    encode_batch_reply_frame,
-    encode_batch_reply_frame6,
     encode_frame,
     encode_msg_frame,
 )
@@ -261,7 +258,7 @@ class Slot:
     """
 
     __slots__ = ("_server", "conn", "codec", "request_id", "encoded",
-                 "done")
+                 "done", "batch_codec")
 
     def __init__(
         self,
@@ -276,6 +273,10 @@ class Slot:
         self.request_id = request_id
         self.encoded = b""
         self.done = False
+        #: Set at parse time on packed batch requests: the codec whose
+        #: request frame type arrived, so the reply goes out as its
+        #: reply type.
+        self.batch_codec: Optional[BinaryCodec] = None
 
     def _encode(self, message: Any) -> bytes:
         if self.codec == "binary":
@@ -304,25 +305,12 @@ class Slot:
         self._finish(encoded)
 
     def complete_records(self, records: List[bytes]) -> None:
-        """Answer a binary batch with packed reply records."""
+        """Answer a packed batch with records of its own codec."""
         if self.done:
             return
+        assert self.batch_codec is not None
         try:
-            encoded = encode_batch_reply_frame(
-                records, self.request_id,
-                max_size=self._server.max_frame,
-            )
-        except WireError as exc:
-            self.fail(f"internal error: unserialisable reply: {exc}")
-            return
-        self._finish(encoded)
-
-    def complete_records6(self, records: List[bytes]) -> None:
-        """Answer a v6 binary batch with packed FT_BATCH_REP6 records."""
-        if self.done:
-            return
-        try:
-            encoded = encode_batch_reply_frame6(
+            encoded = self.batch_codec.encode_batch_reply_frame(
                 records, self.request_id,
                 max_size=self._server.max_frame,
             )
@@ -691,22 +679,18 @@ class WireServer:
                 slot.fail(str(exc))
                 return True
             self._dispatch(conn, slot, "msg", message)
-        elif ftype == FT_BATCH_REQ:
-            try:
-                pairs = decode_batch_request(payload)
-            except WireError as exc:
-                slot.fail(str(exc))
-                return True
-            self._dispatch(conn, slot, "batch", pairs)
-        elif ftype == FT_BATCH_REQ6:
-            try:
-                pairs = decode_batch_request6(payload)
-            except WireError as exc:
-                slot.fail(str(exc))
-                return True
-            self._dispatch(conn, slot, "batch6", pairs)
-        else:
+            return True
+        codec = REQUEST_CODECS.get(ftype)
+        if codec is None:
             slot.fail(f"unexpected frame type {ftype}")
+            return True
+        try:
+            pairs = codec.decode_batch_request(payload)
+        except WireError as exc:
+            slot.fail(str(exc))
+            return True
+        slot.batch_codec = codec
+        self._dispatch(conn, slot, "batch", pairs)
         return True
 
     def _dispatch(

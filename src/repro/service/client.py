@@ -22,18 +22,13 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..net.family import V4, V6, AddressFamily
+from ..net.family import V4, AddressFamily
 from .wire import (
+    CODECS,
     MAX_FRAME_BYTES,
-    FT_BATCH_REP,
-    FT_BATCH_REP6,
     FT_MSG,
     FrameError,
-    decode_batch_reply,
-    decode_batch_reply6,
     decode_msg_payload,
-    encode_batch_request,
-    encode_batch_request6,
     encode_frame,
     encode_msg_frame,
     recv_binary_frame,
@@ -110,11 +105,11 @@ class ReputationClient:
         if codec not in ("auto", "json", "binary"):
             raise ValueError(f"unknown codec {codec!r}")
         self._max_frame = max_frame
-        #: The address family queries are formatted/packed in. A v6
-        #: client sends FT_BATCH_REQ6 frames on the binary codec and
-        #: colon-hex literals on JSON; the JSON request shape itself is
-        #: family-agnostic.
+        #: The address family queries are formatted/packed in: its
+        #: batch frame types on the binary codec, its text literals on
+        #: JSON (the JSON request shape itself is family-agnostic).
         self._family = family
+        self._batch_codec = CODECS[family]
         self._lock = threading.Lock()
         self._codec = "json"
         self._rid = 0
@@ -237,10 +232,8 @@ class ReputationClient:
                 raise TransportError(
                     f"reply for request {got_rid}, expected {rid}"
                 )
-            if ftype == FT_BATCH_REP and self._family is V4:
-                return decode_batch_reply(payload)
-            if ftype == FT_BATCH_REP6 and self._family is V6:
-                return decode_batch_reply6(payload)
+            if ftype == self._batch_codec.ft_reply:
+                return self._batch_codec.decode_batch_reply(payload)
             if ftype == FT_MSG:
                 return self._check_reply(
                     decode_msg_payload(payload, max_size=self._max_frame)
@@ -256,13 +249,10 @@ class ReputationClient:
         with self._lock:
             sock = self._checked_sock()
             rid = self._next_rid()
-            encode = (
-                encode_batch_request6
-                if self._family is V6
-                else encode_batch_request
-            )
             try:
-                frame = encode(pairs, rid, max_size=self._max_frame)
+                frame = self._batch_codec.encode_batch_request(
+                    pairs, rid, max_size=self._max_frame
+                )
             except FrameError:
                 return None  # a value escaped the packed layout
             try:
@@ -275,13 +265,10 @@ class ReputationClient:
         if self._codec == "binary":
             pairs = _int_pairs(queries, self._family)
             if pairs is not None:
-                encode = (
-                    encode_batch_request6
-                    if self._family is V6
-                    else encode_batch_request
-                )
                 try:
-                    return encode(pairs, rid, max_size=self._max_frame)
+                    return self._batch_codec.encode_batch_request(
+                        pairs, rid, max_size=self._max_frame
+                    )
                 except FrameError:
                     pass
             payload = [

@@ -46,10 +46,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..net.family import V4, V6, AddressFamily, family_of_ip
+from ..net.family import V4, AddressFamily, family_of_ip
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine
-from .wire import MAX_FRAME_BYTES, pack_verdict, pack_verdict6
+from .wire import CODECS, MAX_FRAME_BYTES
 
 __all__ = [
     "MAX_BATCH",
@@ -173,6 +173,7 @@ class ReputationServer:
     ) -> None:
         self._engine = engine
         self._family = engine.family
+        self._codec = CODECS[self._family]
         self._streaming = streaming
         # Packed reply records keyed (epoch, ip, resolved day); the
         # loop thread is the only toucher.
@@ -222,15 +223,16 @@ class ReputationServer:
     def _handle(
         self, conn: Conn, slot: Slot, kind: str, data: Any
     ) -> None:
-        if kind == "batch" or kind == "batch6":
-            wants = V6 if kind == "batch6" else V4
-            if wants is not self._family:
+        if kind == "batch":
+            codec = slot.batch_codec
+            assert codec is not None
+            if codec is not self._codec:
                 slot.fail(
-                    f"{wants.name} batch frame cannot be answered by "
-                    f"this {self._family.name}-only index"
+                    f"{codec.family.name} batch frame cannot be answered "
+                    f"by this {self._family.name}-only index"
                 )
                 return
-            self._handle_packed_batch(slot, data, v6=wants is V6)
+            self._handle_packed_batch(slot, data)
             return
         try:
             reply, new_codec = self._dispatch(data)
@@ -284,15 +286,10 @@ class ReputationServer:
         raise RequestError(f"unknown op: {op!r}")
 
     def _handle_packed_batch(
-        self,
-        slot: Slot,
-        pairs: List[Tuple[int, Optional[int]]],
-        *,
-        v6: bool = False,
+        self, slot: Slot, pairs: List[Tuple[int, Optional[int]]]
     ) -> None:
-        """The binary hot path: answer an ``FT_BATCH_REQ`` (or
-        ``FT_BATCH_REQ6``) from the packed-record cache, touching the
-        engine only for misses."""
+        """The binary hot path: answer a packed batch request from the
+        packed-record cache, touching the engine only for misses."""
         if len(pairs) > MAX_BATCH:
             slot.fail(
                 f"batch of {len(pairs)} exceeds the "
@@ -322,7 +319,7 @@ class ReputationServer:
             except ValueError as exc:
                 slot.fail(str(exc))
                 return
-            pack = pack_verdict6 if v6 else pack_verdict
+            pack = self._codec.pack_verdict
             for position, verdict in zip(miss_positions, verdicts):
                 record = pack(verdict)
                 records[position] = record
@@ -332,7 +329,4 @@ class ReputationServer:
                 cache[(verdict.epoch, verdict.ip, verdict.day)] = record
             while len(cache) > PACKED_CACHE_SIZE:
                 cache.popitem(last=False)
-        if v6:
-            slot.complete_records6(records)  # type: ignore[arg-type]
-        else:
-            slot.complete_records(records)  # type: ignore[arg-type]
+        slot.complete_records(records)  # type: ignore[arg-type]

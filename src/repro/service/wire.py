@@ -13,28 +13,47 @@ unsigned payload length followed by that many bytes of UTF-8 JSON.
 offset bytes meaning
 ====== ===== ==========================================
 0      1     magic (:data:`BINARY_MAGIC`)
-1      1     frame type (:data:`FT_MSG` / :data:`FT_BATCH_REQ` /
-             :data:`FT_BATCH_REP` / :data:`FT_BATCH_REQ6` /
-             :data:`FT_BATCH_REP6`)
+1      1     frame type (:data:`FT_MSG`, or a batch request/reply
+             type from the family table below)
 2      4     request id (big-endian u32; pipelined peers match
              replies to requests by this id)
 6      4     payload length (big-endian u32)
 ====== ===== ==========================================
 
-The frame type is the address-family tag: ``FT_BATCH_REQ``/``REP``
-carry 32-bit addresses exactly as they always did (old frames stay
-byte-compatible), while ``FT_BATCH_REQ6``/``REP6`` carry the same
-record layouts widened to 16-byte big-endian IPv6 addresses. A peer
-that never sends v6 frames never sees one back.
-
 — followed by the payload.  ``FT_MSG`` payloads carry one
 JSON-equivalent value in a compact tagged encoding (same data model as
 the JSON codec: None/bool/int/float/str/list/str-keyed dict — both
 directions of the iterative work-stack technique follow
-:mod:`repro.bittorrent.bencode`).  ``FT_BATCH_REQ``/``FT_BATCH_REP``
-carry the hot batch path as packed fixed-layout records so neither
-side builds or parses per-verdict dicts: this, plus pipelining, is
-where the serving plane's throughput comes from.
+:mod:`repro.bittorrent.bencode`).
+
+Batch request/reply frames carry the hot batch path as packed
+fixed-layout records so neither side builds or parses per-verdict
+dicts: this, plus pipelining, is where the serving plane's throughput
+comes from. There is one record layout, ``addr`` being the only
+family-dependent field (big-endian, 4 bytes for ipv4, 16 for ipv6):
+
+======== ==================================================
+record   fields
+======== ==================================================
+request  ``addr, has_day u8, day i32``
+verdict  ``kind u8, addr, day i32, flags u8, action u8, reuse u8,
+         users u32, asn u32, epoch u32, seq u64, n_lists u8``, then
+         ``n_lists`` u8-length-prefixed UTF-8 list ids
+degraded ``kind u8, addr, has_day u8, day i32, shard u32``, then one
+         u8-length-prefixed UTF-8 error text
+======== ==================================================
+
+and one :class:`BinaryCodec` per family implements it. The frame type
+is the family tag — a peer that never sends a family's request type
+never sees its reply type back, and the ipv4 bytes are what they were
+before families existed:
+
+====== ====================== ======================
+family request frame type     reply frame type
+====== ====================== ======================
+ipv4   :data:`FT_BATCH_REQ`   :data:`FT_BATCH_REP`
+ipv6   :data:`FT_BATCH_REQ6`  :data:`FT_BATCH_REP6`
+====== ====================== ======================
 
 Explicit limits keep a hostile peer from holding memory hostage: a
 frame longer than :data:`MAX_FRAME_BYTES` (or empty) is rejected
@@ -62,13 +81,15 @@ from __future__ import annotations
 import json
 import struct
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
-from ..ipv6.addr6 import int_to_ip6
-from ..net.ipv4 import int_to_ip
+from ..net.family import V4, V6, AddressFamily
 
 __all__ = [
     "BINARY_MAGIC",
+    "BinaryCodec",
+    "CODECS",
     "FT_BATCH_REP",
     "FT_BATCH_REP6",
     "FT_BATCH_REQ",
@@ -76,31 +97,24 @@ __all__ = [
     "FT_MSG",
     "FrameError",
     "MAX_FRAME_BYTES",
+    "REQUEST_CODECS",
     "WireError",
     "WireSocket",
     "decode_batch_reply",
-    "decode_batch_reply6",
     "decode_batch_request",
-    "decode_batch_request6",
     "decode_binary_frame",
     "decode_frame",
     "decode_msg_payload",
     "decode_record",
-    "decode_record6",
     "encode_batch_reply_frame",
-    "encode_batch_reply_frame6",
     "encode_batch_request",
-    "encode_batch_request6",
     "encode_binary_frame",
     "encode_frame",
     "encode_msg_frame",
     "encode_msg_payload",
     "pack_degraded",
-    "pack_degraded6",
     "pack_verdict",
-    "pack_verdict6",
     "pack_verdict_wire",
-    "pack_verdict_wire6",
     "recv_binary_frame",
     "recv_frame",
     "send_frame",
@@ -281,9 +295,9 @@ def recv_frame(
 #: magic also disambiguates a stream whose codec state was lost.
 BINARY_MAGIC = 0xB1
 
-#: Frame types: a generic tagged message, a packed batch request, and
-#: a packed batch reply — the latter two in a 32-bit (v4) and a
-#: 128-bit (v6) flavour; the type doubles as the family tag.
+#: Frame types: a generic tagged message, and one packed batch
+#: request/reply pair per address family (bound to the family's
+#: :class:`BinaryCodec` in :data:`CODECS`).
 FT_MSG = 0
 FT_BATCH_REQ = 1
 FT_BATCH_REP = 2
@@ -614,73 +628,19 @@ def recv_binary_frame(
     return ftype, request_id, payload
 
 
-# -- packed batch request ---------------------------------------------------
+# -- packed batch codec (one instance per address family) -------------------
 
-_BATCH_REQ_REC = struct.Struct(">IBi")  # ip, has_day, day
-
-
-def encode_batch_request(
-    pairs: List[Tuple[int, Optional[int]]],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Pack ``(ip_int, day_or_None)`` pairs into one FT_BATCH_REQ frame.
-
-    Raises the recoverable :class:`WireError` when a value does not fit
-    the packed layout (caller falls back to an FT_MSG batch).
-    """
-    parts = [_U32.pack(len(pairs))]
-    pack = _BATCH_REQ_REC.pack
-    try:
-        for ip, day in pairs:
-            if day is None:
-                parts.append(pack(ip, 0, 0))
-            else:
-                parts.append(pack(ip, 1, day))
-    except struct.error as exc:
-        raise WireError(
-            f"batch not binary-packable: {exc}", recoverable=True
-        ) from None
-    return encode_binary_frame(
-        FT_BATCH_REQ, request_id, b"".join(parts), max_size=max_size
-    )
-
-
-def decode_batch_request(payload: bytes) -> List[Tuple[int, Optional[int]]]:
-    """Unpack an FT_BATCH_REQ payload into ``(ip, day_or_None)`` pairs."""
-    if len(payload) < 4:
-        raise WireError("truncated batch request", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    if len(payload) != 4 + count * _BATCH_REQ_REC.size:
-        raise WireError(
-            "batch request length does not match its declared count",
-            recoverable=True,
-        )
-    pairs: List[Tuple[int, Optional[int]]] = []
-    append = pairs.append
-    for ip, has_day, day in _BATCH_REQ_REC.iter_unpack(
-        memoryview(payload)[4:]
-    ):
-        if has_day > 1:
-            raise WireError(
-                f"bad has_day flag {has_day} in batch request",
-                recoverable=True,
-            )
-        append((ip, day if has_day else None))
-    return pairs
-
-
-# -- packed batch reply -----------------------------------------------------
-
-#: Record kinds inside an FT_BATCH_REP payload.
+#: Record kinds inside a batch-reply payload.
 REC_VERDICT = 0
 REC_DEGRADED = 1
 
-_VERDICT_FIXED = struct.Struct(">BIiBBBIIIQB")
+# Fixed-layout record templates; ``{addr}`` is the family's address
+# field — a native ``I`` for 32-bit addresses, an N-byte big-endian
+# string for wider ones.
+_REQUEST_TEMPLATE = ">{addr}Bi"  # ip, has_day, day
+_VERDICT_TEMPLATE = ">B{addr}iBBBIIIQB"
 # kind, ip, day, flags, action, reuse_kind, users, asn, epoch, seq, n_lists
-_DEGRADED_FIXED = struct.Struct(">BIBiI")
-# kind, ip, has_day, day, shard
+_DEGRADED_TEMPLATE = ">B{addr}BiI"  # kind, ip, has_day, day, shard
 
 _FLAG_LISTED = 1
 _FLAG_NATED = 2
@@ -692,677 +652,413 @@ _CODE_TO_ACTION = {v: k for k, v in _ACTION_TO_CODE.items()}
 _REUSE_TO_CODE = {"": 0, "nat": 1, "dynamic": 2, "nat+dynamic": 3}
 _CODE_TO_REUSE = {v: k for k, v in _REUSE_TO_CODE.items()}
 
-_int_to_ip_cached = lru_cache(maxsize=1 << 16)(int_to_ip)
+Pairs = List[Tuple[int, Optional[int]]]
 
 
-def _pack_verdict_fields(
-    ip: int,
-    day: int,
-    listed: bool,
-    lists: Any,
-    nated: bool,
-    dynamic: bool,
-    unjust: bool,
-    reuse_kind: str,
-    users: int,
-    asn: int,
-    action: str,
-    epoch: int,
-    seq: int,
-) -> bytes:
-    action_code = _ACTION_TO_CODE.get(action)
-    reuse_code = _REUSE_TO_CODE.get(reuse_kind)
-    if action_code is None or reuse_code is None:
-        raise WireError(
-            f"verdict not binary-packable: action={action!r} "
-            f"reuse_kind={reuse_kind!r}",
-            recoverable=True,
-        )
-    flags = (
-        (_FLAG_LISTED if listed else 0)
-        | (_FLAG_NATED if nated else 0)
-        | (_FLAG_DYNAMIC if dynamic else 0)
-        | (_FLAG_UNJUST if unjust else 0)
-    )
-    try:
-        head = _VERDICT_FIXED.pack(
-            REC_VERDICT, ip, day, flags, action_code, reuse_code,
-            users, asn, epoch, seq, len(lists),
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-    if not lists:
-        return head
-    parts = [head]
-    for list_id in lists:
-        raw = str(list_id).encode("utf-8")
-        if len(raw) > 255:
-            raise WireError(
-                f"verdict not binary-packable: list id of {len(raw)} bytes",
-                recoverable=True,
-            )
-        parts.append(bytes((len(raw),)))
-        parts.append(raw)
-    return b"".join(parts)
+def _truncated_record() -> WireError:
+    return WireError("truncated batch reply record", recoverable=True)
 
 
-def pack_verdict(verdict: Any) -> bytes:
-    """Pack one engine :class:`~repro.service.engine.Verdict` (any
-    object with its attributes) into a batch-reply record."""
-    return _pack_verdict_fields(
-        verdict.ip, verdict.day, verdict.listed, verdict.lists,
-        verdict.nated, verdict.dynamic, verdict.unjust,
-        verdict.reuse_kind, verdict.users, verdict.asn, verdict.action,
-        verdict.epoch, verdict.seq,
-    )
+class BinaryCodec:
+    """The packed batch codec of one address family.
 
-
-def pack_verdict_wire(entry: Dict[str, Any]) -> bytes:
-    """Pack a verdict already in wire-dict form (dotted-quad ip) into a
-    batch-reply record — the Router's JSON-upstream → binary-downstream
-    conversion."""
-    from ..net.ipv4 import ip_to_int
-
-    try:
-        return _pack_verdict_fields(
-            ip_to_int(entry["ip"]), entry["day"], bool(entry["listed"]),
-            entry["lists"], bool(entry["nated"]), bool(entry["dynamic"]),
-            bool(entry["unjust"]), entry["reuse_kind"], entry["users"],
-            entry["asn"], entry["action"], entry["epoch"], entry["seq"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, WireError):
-            raise
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-
-
-def pack_degraded(
-    ip: int, day: Optional[int], shard: int, error: str
-) -> bytes:
-    """Pack one degraded (shard-unavailable) batch-reply record."""
-    raw = error.encode("utf-8")
-    if len(raw) > 255:
-        raw = raw[:255]
-    try:
-        head = _DEGRADED_FIXED.pack(
-            REC_DEGRADED, ip, 0 if day is None else 1,
-            0 if day is None else day, shard,
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"degraded entry not binary-packable: {exc}", recoverable=True
-        ) from None
-    return head + bytes((len(raw),)) + raw
-
-
-def encode_batch_reply_frame(
-    records: List[bytes],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Assemble packed records into one FT_BATCH_REP frame."""
-    payload = _U32.pack(len(records)) + b"".join(records)
-    return encode_binary_frame(
-        FT_BATCH_REP, request_id, payload, max_size=max_size
-    )
-
-
-def _record_span(payload: bytes, pos: int, size: int) -> int:
-    """Return the end offset of the record starting at ``pos``."""
-    kind = payload[pos]
-    if kind == REC_VERDICT:
-        end = pos + _VERDICT_FIXED.size
-        _need(payload, pos, _VERDICT_FIXED.size)
-        n_lists = payload[end - 1]
-        for _ in range(n_lists):
-            _need(payload, end, 1)
-            end += 1 + payload[end]
-    elif kind == REC_DEGRADED:
-        end = pos + _DEGRADED_FIXED.size
-        _need(payload, pos, _DEGRADED_FIXED.size)
-        _need(payload, end, 1)
-        end += 1 + payload[end]
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if end > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    return end
-
-
-def split_batch_reply(payload: bytes) -> List[bytes]:
-    """Slice an FT_BATCH_REP payload into its raw records, validated
-    but not decoded — the Router merges shard replies by concatenating
-    these slices without ever building verdict dicts."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    records: List[bytes] = []
-    pos = 4
-    for _ in range(count):
-        _need(payload, pos, 1)
-        end = _record_span(payload, pos, size)
-        records.append(payload[pos:end])
-        pos = end
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return records
-
-
-def _decode_verdict_record(payload: bytes, pos: int) -> Tuple[Dict[str, Any], int]:
-    if pos + _VERDICT_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    (
-        _kind, ip, day, flags, action_code, reuse_code,
-        users, asn, epoch, seq, n_lists,
-    ) = _VERDICT_FIXED.unpack_from(payload, pos)
-    pos += _VERDICT_FIXED.size
-    lists: List[str] = []
-    size = len(payload)
-    for _ in range(n_lists):
-        if pos >= size:
-            raise WireError("truncated batch reply record", recoverable=True)
-        length = payload[pos]
-        pos += 1
-        if pos + length > size:
-            raise WireError("truncated batch reply record", recoverable=True)
-        try:
-            lists.append(payload[pos : pos + length].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise WireError(
-                f"undecodable list id: {exc}", recoverable=True
-            ) from None
-        pos += length
-    action = _CODE_TO_ACTION.get(action_code)
-    reuse_kind = _CODE_TO_REUSE.get(reuse_code)
-    if action is None or reuse_kind is None:
-        raise WireError(
-            f"bad verdict codes action={action_code} reuse={reuse_code}",
-            recoverable=True,
-        )
-    entry = {
-        "ip": _int_to_ip_cached(ip),
-        "day": day,
-        "listed": bool(flags & _FLAG_LISTED),
-        "lists": lists,
-        "nated": bool(flags & _FLAG_NATED),
-        "dynamic": bool(flags & _FLAG_DYNAMIC),
-        "unjust": bool(flags & _FLAG_UNJUST),
-        "reuse_kind": reuse_kind,
-        "users": users,
-        "asn": asn,
-        "action": action,
-        "epoch": epoch,
-        "seq": seq,
-    }
-    return entry, pos
-
-
-def _decode_degraded_record(
-    payload: bytes, pos: int
-) -> Tuple[Dict[str, Any], int]:
-    if pos + _DEGRADED_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    _kind, ip, has_day, day, shard = _DEGRADED_FIXED.unpack_from(payload, pos)
-    pos += _DEGRADED_FIXED.size
-    size = len(payload)
-    if pos >= size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    length = payload[pos]
-    pos += 1
-    if pos + length > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    try:
-        error = payload[pos : pos + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(
-            f"undecodable error text: {exc}", recoverable=True
-        ) from None
-    pos += length
-    entry = {
-        "ip": _int_to_ip_cached(ip),
-        "day": day if has_day else None,
-        "error": error,
-        "shard": shard,
-    }
-    return entry, pos
-
-
-def decode_record(record: bytes) -> Dict[str, Any]:
-    """Decode one packed record (a :func:`split_batch_reply` slice)
-    into its wire dict — the Router's binary-upstream →
-    JSON-downstream conversion."""
-    if not record:
-        raise WireError("empty batch record", recoverable=True)
-    kind = record[0]
-    if kind == REC_VERDICT:
-        entry, pos = _decode_verdict_record(record, 0)
-    elif kind == REC_DEGRADED:
-        entry, pos = _decode_degraded_record(record, 0)
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if pos != len(record):
-        raise WireError(
-            f"{len(record) - pos} trailing bytes after batch record",
-            recoverable=True,
-        )
-    return entry
-
-
-def decode_batch_reply(payload: bytes) -> List[Dict[str, Any]]:
-    """Decode an FT_BATCH_REP payload into the same wire dicts the JSON
-    codec produces — field-for-field equal, so clients cannot tell the
-    codecs apart by content."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    entries: List[Dict[str, Any]] = []
-    pos = 4
-    for _ in range(count):
-        if pos >= size:
-            raise WireError("truncated batch reply", recoverable=True)
-        kind = payload[pos]
-        if kind == REC_VERDICT:
-            entry, pos = _decode_verdict_record(payload, pos)
-        elif kind == REC_DEGRADED:
-            entry, pos = _decode_degraded_record(payload, pos)
-        else:
-            raise WireError(
-                f"unknown batch record kind {kind}", recoverable=True
-            )
-        entries.append(entry)
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return entries
-
-
-# -- v6 packed batch records ------------------------------------------------
-#
-# Same record shapes as the v4 batch path with the address field
-# widened to 16 big-endian bytes. Kept as parallel functions rather
-# than a width parameter: the v4 pack/unpack calls are the hottest
-# code in the serving plane and must not grow a branch.
-
-_BATCH_REQ6_REC = struct.Struct(">16sBi")  # ip, has_day, day
-
-_VERDICT6_FIXED = struct.Struct(">B16siBBBIIIQB")
-# kind, ip, day, flags, action, reuse_kind, users, asn, epoch, seq, n_lists
-_DEGRADED6_FIXED = struct.Struct(">B16sBiI")
-# kind, ip, has_day, day, shard
-
-_int_to_ip6_cached = lru_cache(maxsize=1 << 16)(int_to_ip6)
-
-
-def _ip6_raw(ip: int) -> bytes:
-    try:
-        return ip.to_bytes(16, "big")
-    except (AttributeError, OverflowError) as exc:
-        raise WireError(
-            f"not a v6-packable address: {ip!r} ({exc})", recoverable=True
-        ) from None
-
-
-def encode_batch_request6(
-    pairs: List[Tuple[int, Optional[int]]],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Pack ``(ip6_int, day_or_None)`` pairs into one FT_BATCH_REQ6
-    frame.
-
-    Raises the recoverable :class:`WireError` when a value does not fit
-    the packed layout (caller falls back to an FT_MSG batch).
+    Everything that differs between families is fixed here, at
+    construction: the three record structs (one template each, address
+    field substituted), the request/reply frame-type pair, and the
+    address ↔ struct-field and struct-field → text conversions. Every
+    layer above picks a codec — by family when sending
+    (:data:`CODECS`), by request frame type when receiving
+    (:data:`REQUEST_CODECS`) — and never branches on the family again.
     """
-    parts = [_U32.pack(len(pairs))]
-    pack = _BATCH_REQ6_REC.pack
-    try:
-        for ip, day in pairs:
-            if day is None:
-                parts.append(pack(_ip6_raw(ip), 0, 0))
-            else:
-                parts.append(pack(_ip6_raw(ip), 1, day))
-    except struct.error as exc:
-        raise WireError(
-            f"batch not binary-packable: {exc}", recoverable=True
-        ) from None
-    return encode_binary_frame(
-        FT_BATCH_REQ6, request_id, b"".join(parts), max_size=max_size
-    )
 
+    def __init__(
+        self, family: AddressFamily, ft_request: int, ft_reply: int
+    ) -> None:
+        self.family = family
+        self.ft_request = ft_request
+        self.ft_reply = ft_reply
+        width = family.bits // 8
+        addr = "I" if width == 4 else f"{width}s"
+        self._request = struct.Struct(_REQUEST_TEMPLATE.format(addr=addr))
+        self._verdict = struct.Struct(_VERDICT_TEMPLATE.format(addr=addr))
+        self._degraded = struct.Struct(_DEGRADED_TEMPLATE.format(addr=addr))
+        # A 32-bit address *is* its struct field: ``None`` converters
+        # cost that path one ``is None`` test per record and no call.
+        self._to_field: Optional[Callable[[int], bytes]] = None
+        self._from_field: Optional[Callable[[bytes], int]] = None
+        text = family.format
+        if width == 4:
+            self._field_text = lru_cache(maxsize=1 << 16)(text)
+            return
+        from_bytes = int.from_bytes
 
-def decode_batch_request6(payload: bytes) -> List[Tuple[int, Optional[int]]]:
-    """Unpack an FT_BATCH_REQ6 payload into ``(ip, day_or_None)`` pairs."""
-    if len(payload) < 4:
-        raise WireError("truncated batch request", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    if len(payload) != 4 + count * _BATCH_REQ6_REC.size:
-        raise WireError(
-            "batch request length does not match its declared count",
-            recoverable=True,
-        )
-    pairs: List[Tuple[int, Optional[int]]] = []
-    append = pairs.append
-    from_bytes = int.from_bytes
-    for raw, has_day, day in _BATCH_REQ6_REC.iter_unpack(
-        memoryview(payload)[4:]
-    ):
-        if has_day > 1:
+        def to_field(ip: int) -> bytes:
+            try:
+                return ip.to_bytes(width, "big")
+            except (AttributeError, OverflowError) as exc:
+                raise WireError(
+                    f"not an {family.name}-packable address: {ip!r} ({exc})",
+                    recoverable=True,
+                ) from None
+
+        def from_field(raw: bytes) -> int:
+            return from_bytes(raw, "big")
+
+        def field_text(raw: bytes) -> str:
+            return text(from_bytes(raw, "big"))
+
+        self._to_field, self._from_field = to_field, from_field
+        self._field_text = lru_cache(maxsize=1 << 16)(field_text)
+
+    # -- batch request -------------------------------------------------
+
+    def encode_batch_request(
+        self,
+        pairs: Pairs,
+        request_id: int,
+        *,
+        max_size: int = MAX_FRAME_BYTES,
+    ) -> bytes:
+        """Pack ``(ip_int, day_or_None)`` pairs into one batch-request
+        frame of this family.
+
+        Raises the recoverable :class:`WireError` when a value does not
+        fit the packed layout (caller falls back to an FT_MSG batch).
+        """
+        parts = [_U32.pack(len(pairs))]
+        pack = self._request.pack
+        to_field = self._to_field
+        try:
+            for ip, day in pairs:
+                field = ip if to_field is None else to_field(ip)
+                if day is None:
+                    parts.append(pack(field, 0, 0))
+                else:
+                    parts.append(pack(field, 1, day))
+        except struct.error as exc:
             raise WireError(
-                f"bad has_day flag {has_day} in batch request",
+                f"batch not binary-packable: {exc}", recoverable=True
+            ) from None
+        return encode_binary_frame(
+            self.ft_request, request_id, b"".join(parts), max_size=max_size
+        )
+
+    def decode_batch_request(self, payload: bytes) -> Pairs:
+        """Unpack a batch-request payload into ``(ip, day)`` pairs."""
+        if len(payload) < 4:
+            raise WireError("truncated batch request", recoverable=True)
+        (count,) = _U32.unpack_from(payload)
+        if len(payload) != 4 + count * self._request.size:
+            raise WireError(
+                "batch request length does not match its declared count",
                 recoverable=True,
             )
-        append((from_bytes(raw, "big"), day if has_day else None))
-    return pairs
+        pairs: Pairs = []
+        append = pairs.append
+        from_field = self._from_field
+        for field, has_day, day in self._request.iter_unpack(
+            memoryview(payload)[4:]
+        ):
+            if has_day > 1:
+                raise WireError(
+                    f"bad has_day flag {has_day} in batch request",
+                    recoverable=True,
+                )
+            ip = field if from_field is None else from_field(field)
+            append((ip, day if has_day else None))
+        return pairs
 
+    # -- batch reply: packing ------------------------------------------
 
-def _pack_verdict_fields6(
-    ip: int,
-    day: int,
-    listed: bool,
-    lists: Any,
-    nated: bool,
-    dynamic: bool,
-    unjust: bool,
-    reuse_kind: str,
-    users: int,
-    asn: int,
-    action: str,
-    epoch: int,
-    seq: int,
-) -> bytes:
-    action_code = _ACTION_TO_CODE.get(action)
-    reuse_code = _REUSE_TO_CODE.get(reuse_kind)
-    if action_code is None or reuse_code is None:
-        raise WireError(
-            f"verdict not binary-packable: action={action!r} "
-            f"reuse_kind={reuse_kind!r}",
-            recoverable=True,
+    def pack_verdict(self, verdict: Any) -> bytes:
+        """Pack one engine :class:`~repro.service.engine.Verdict` (any
+        object with its attributes) into a batch-reply record."""
+        action_code = _ACTION_TO_CODE.get(verdict.action)
+        reuse_code = _REUSE_TO_CODE.get(verdict.reuse_kind)
+        if action_code is None or reuse_code is None:
+            raise WireError(
+                f"verdict not binary-packable: action={verdict.action!r} "
+                f"reuse_kind={verdict.reuse_kind!r}",
+                recoverable=True,
+            )
+        flags = (
+            (_FLAG_LISTED if verdict.listed else 0)
+            | (_FLAG_NATED if verdict.nated else 0)
+            | (_FLAG_DYNAMIC if verdict.dynamic else 0)
+            | (_FLAG_UNJUST if verdict.unjust else 0)
         )
-    flags = (
-        (_FLAG_LISTED if listed else 0)
-        | (_FLAG_NATED if nated else 0)
-        | (_FLAG_DYNAMIC if dynamic else 0)
-        | (_FLAG_UNJUST if unjust else 0)
-    )
-    try:
-        head = _VERDICT6_FIXED.pack(
-            REC_VERDICT, _ip6_raw(ip), day, flags, action_code,
-            reuse_code, users, asn, epoch, seq, len(lists),
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-    if not lists:
-        return head
-    parts = [head]
-    for list_id in lists:
-        raw = str(list_id).encode("utf-8")
+        ip = verdict.ip
+        lists = verdict.lists
+        to_field = self._to_field
+        try:
+            head = self._verdict.pack(
+                REC_VERDICT, ip if to_field is None else to_field(ip),
+                verdict.day, flags, action_code, reuse_code, verdict.users,
+                verdict.asn, verdict.epoch, verdict.seq, len(lists),
+            )
+        except struct.error as exc:
+            raise WireError(
+                f"verdict not binary-packable: {exc}", recoverable=True
+            ) from None
+        if not lists:
+            return head
+        parts = [head]
+        for list_id in lists:
+            raw = str(list_id).encode("utf-8")
+            if len(raw) > 255:
+                raise WireError(
+                    f"verdict not binary-packable: list id of {len(raw)} "
+                    "bytes",
+                    recoverable=True,
+                )
+            parts.append(bytes((len(raw),)))
+            parts.append(raw)
+        return b"".join(parts)
+
+    def pack_verdict_wire(self, entry: Dict[str, Any]) -> bytes:
+        """Pack a verdict already in wire-dict form (text address) into
+        a batch-reply record — the Router's JSON-upstream →
+        binary-downstream conversion."""
+        try:
+            fields = dict(entry, ip=self.family.parse(entry["ip"]))
+            return self.pack_verdict(SimpleNamespace(**fields))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, WireError):
+                raise
+            raise WireError(
+                f"verdict not binary-packable: {exc}", recoverable=True
+            ) from None
+
+    def pack_degraded(
+        self, ip: int, day: Optional[int], shard: int, error: str
+    ) -> bytes:
+        """Pack one degraded (shard-unavailable) batch-reply record."""
+        raw = error.encode("utf-8")
         if len(raw) > 255:
+            # Cut on a character boundary: a split multi-byte sequence
+            # would make the peer reject the whole reply as undecodable.
+            raw = raw[:255].decode("utf-8", "ignore").encode("utf-8")
+        to_field = self._to_field
+        try:
+            head = self._degraded.pack(
+                REC_DEGRADED, ip if to_field is None else to_field(ip),
+                0 if day is None else 1, 0 if day is None else day, shard,
+            )
+        except struct.error as exc:
             raise WireError(
-                f"verdict not binary-packable: list id of {len(raw)} bytes",
+                f"degraded entry not binary-packable: {exc}",
+                recoverable=True,
+            ) from None
+        return head + bytes((len(raw),)) + raw
+
+    def encode_batch_reply_frame(
+        self,
+        records: List[bytes],
+        request_id: int,
+        *,
+        max_size: int = MAX_FRAME_BYTES,
+    ) -> bytes:
+        """Assemble packed records into one batch-reply frame."""
+        payload = _U32.pack(len(records)) + b"".join(records)
+        return encode_binary_frame(
+            self.ft_reply, request_id, payload, max_size=max_size
+        )
+
+    # -- batch reply: slicing and decoding -----------------------------
+
+    def split_batch_reply(self, payload: bytes) -> List[bytes]:
+        """Slice a batch-reply payload into its raw records, validated
+        but not decoded — the Router merges shard replies by
+        concatenating these slices without ever building verdict
+        dicts."""
+        if len(payload) < 4:
+            raise WireError("truncated batch reply", recoverable=True)
+        (count,) = _U32.unpack_from(payload)
+        size = len(payload)
+        verdict_size = self._verdict.size
+        degraded_size = self._degraded.size
+        records: List[bytes] = []
+        pos = 4
+        for _ in range(count):
+            _need(payload, pos, 1)
+            kind = payload[pos]
+            if kind == REC_VERDICT:
+                _need(payload, pos, verdict_size)
+                end = pos + verdict_size
+                for _ in range(payload[end - 1]):  # n_lists
+                    _need(payload, end, 1)
+                    end += 1 + payload[end]
+            elif kind == REC_DEGRADED:
+                end = pos + degraded_size
+                _need(payload, end, 1)
+                end += 1 + payload[end]
+            else:
+                raise WireError(
+                    f"unknown batch record kind {kind}", recoverable=True
+                )
+            if end > size:
+                raise _truncated_record()
+            records.append(payload[pos:end])
+            pos = end
+        if pos != size:
+            raise WireError(
+                f"{size - pos} trailing bytes after batch reply",
                 recoverable=True,
             )
-        parts.append(bytes((len(raw),)))
-        parts.append(raw)
-    return b"".join(parts)
+        return records
 
-
-def pack_verdict6(verdict: Any) -> bytes:
-    """Pack one v6 engine verdict into an FT_BATCH_REP6 record."""
-    return _pack_verdict_fields6(
-        verdict.ip, verdict.day, verdict.listed, verdict.lists,
-        verdict.nated, verdict.dynamic, verdict.unjust,
-        verdict.reuse_kind, verdict.users, verdict.asn, verdict.action,
-        verdict.epoch, verdict.seq,
-    )
-
-
-def pack_verdict_wire6(entry: Dict[str, Any]) -> bytes:
-    """Pack a v6 verdict already in wire-dict form (text address) into
-    an FT_BATCH_REP6 record."""
-    from ..ipv6.addr6 import ip6_to_int
-
-    try:
-        return _pack_verdict_fields6(
-            ip6_to_int(entry["ip"]), entry["day"], bool(entry["listed"]),
-            entry["lists"], bool(entry["nated"]), bool(entry["dynamic"]),
-            bool(entry["unjust"]), entry["reuse_kind"], entry["users"],
-            entry["asn"], entry["action"], entry["epoch"], entry["seq"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, WireError):
-            raise
-        raise WireError(
-            f"verdict not binary-packable: {exc}", recoverable=True
-        ) from None
-
-
-def pack_degraded6(
-    ip: int, day: Optional[int], shard: int, error: str
-) -> bytes:
-    """Pack one degraded (shard-unavailable) FT_BATCH_REP6 record."""
-    raw = error.encode("utf-8")
-    if len(raw) > 255:
-        raw = raw[:255]
-    try:
-        head = _DEGRADED6_FIXED.pack(
-            REC_DEGRADED, _ip6_raw(ip), 0 if day is None else 1,
-            0 if day is None else day, shard,
-        )
-    except struct.error as exc:
-        raise WireError(
-            f"degraded entry not binary-packable: {exc}", recoverable=True
-        ) from None
-    return head + bytes((len(raw),)) + raw
-
-
-def encode_batch_reply_frame6(
-    records: List[bytes],
-    request_id: int,
-    *,
-    max_size: int = MAX_FRAME_BYTES,
-) -> bytes:
-    """Assemble packed v6 records into one FT_BATCH_REP6 frame."""
-    payload = _U32.pack(len(records)) + b"".join(records)
-    return encode_binary_frame(
-        FT_BATCH_REP6, request_id, payload, max_size=max_size
-    )
-
-
-def _record_span6(payload: bytes, pos: int, size: int) -> int:
-    """Return the end offset of the v6 record starting at ``pos``."""
-    kind = payload[pos]
-    if kind == REC_VERDICT:
-        end = pos + _VERDICT6_FIXED.size
-        _need(payload, pos, _VERDICT6_FIXED.size)
-        n_lists = payload[end - 1]
+    def _decode_verdict_record(
+        self, payload: bytes, pos: int
+    ) -> Tuple[Dict[str, Any], int]:
+        fixed = self._verdict
+        if pos + fixed.size > len(payload):
+            raise _truncated_record()
+        (
+            _kind, field, day, flags, action_code, reuse_code,
+            users, asn, epoch, seq, n_lists,
+        ) = fixed.unpack_from(payload, pos)
+        pos += fixed.size
+        lists: List[str] = []
+        size = len(payload)
         for _ in range(n_lists):
-            _need(payload, end, 1)
-            end += 1 + payload[end]
-    elif kind == REC_DEGRADED:
-        end = pos + _DEGRADED6_FIXED.size
-        _need(payload, pos, _DEGRADED6_FIXED.size)
-        _need(payload, end, 1)
-        end += 1 + payload[end]
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if end > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    return end
+            if pos >= size:
+                raise _truncated_record()
+            length = payload[pos]
+            pos += 1
+            if pos + length > size:
+                raise _truncated_record()
+            try:
+                lists.append(payload[pos : pos + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise WireError(
+                    f"undecodable list id: {exc}", recoverable=True
+                ) from None
+            pos += length
+        action = _CODE_TO_ACTION.get(action_code)
+        reuse_kind = _CODE_TO_REUSE.get(reuse_code)
+        if action is None or reuse_kind is None:
+            raise WireError(
+                f"bad verdict codes action={action_code} reuse={reuse_code}",
+                recoverable=True,
+            )
+        entry = {
+            "ip": self._field_text(field),
+            "day": day,
+            "listed": bool(flags & _FLAG_LISTED),
+            "lists": lists,
+            "nated": bool(flags & _FLAG_NATED),
+            "dynamic": bool(flags & _FLAG_DYNAMIC),
+            "unjust": bool(flags & _FLAG_UNJUST),
+            "reuse_kind": reuse_kind,
+            "users": users,
+            "asn": asn,
+            "action": action,
+            "epoch": epoch,
+            "seq": seq,
+        }
+        return entry, pos
 
-
-def split_batch_reply6(payload: bytes) -> List[bytes]:
-    """Slice an FT_BATCH_REP6 payload into its raw records, validated
-    but not decoded (the Router's merge path)."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    records: List[bytes] = []
-    pos = 4
-    for _ in range(count):
-        _need(payload, pos, 1)
-        end = _record_span6(payload, pos, size)
-        records.append(payload[pos:end])
-        pos = end
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return records
-
-
-def _decode_verdict_record6(
-    payload: bytes, pos: int
-) -> Tuple[Dict[str, Any], int]:
-    if pos + _VERDICT6_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    (
-        _kind, raw_ip, day, flags, action_code, reuse_code,
-        users, asn, epoch, seq, n_lists,
-    ) = _VERDICT6_FIXED.unpack_from(payload, pos)
-    pos += _VERDICT6_FIXED.size
-    lists: List[str] = []
-    size = len(payload)
-    for _ in range(n_lists):
+    def _decode_degraded_record(
+        self, payload: bytes, pos: int
+    ) -> Tuple[Dict[str, Any], int]:
+        fixed = self._degraded
+        if pos + fixed.size > len(payload):
+            raise _truncated_record()
+        _kind, field, has_day, day, shard = fixed.unpack_from(payload, pos)
+        pos += fixed.size
+        size = len(payload)
         if pos >= size:
-            raise WireError("truncated batch reply record", recoverable=True)
+            raise _truncated_record()
         length = payload[pos]
         pos += 1
         if pos + length > size:
-            raise WireError("truncated batch reply record", recoverable=True)
+            raise _truncated_record()
         try:
-            lists.append(payload[pos : pos + length].decode("utf-8"))
+            error = payload[pos : pos + length].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError(
-                f"undecodable list id: {exc}", recoverable=True
+                f"undecodable error text: {exc}", recoverable=True
             ) from None
         pos += length
-    action = _CODE_TO_ACTION.get(action_code)
-    reuse_kind = _CODE_TO_REUSE.get(reuse_code)
-    if action is None or reuse_kind is None:
-        raise WireError(
-            f"bad verdict codes action={action_code} reuse={reuse_code}",
-            recoverable=True,
-        )
-    entry = {
-        "ip": _int_to_ip6_cached(int.from_bytes(raw_ip, "big")),
-        "day": day,
-        "listed": bool(flags & _FLAG_LISTED),
-        "lists": lists,
-        "nated": bool(flags & _FLAG_NATED),
-        "dynamic": bool(flags & _FLAG_DYNAMIC),
-        "unjust": bool(flags & _FLAG_UNJUST),
-        "reuse_kind": reuse_kind,
-        "users": users,
-        "asn": asn,
-        "action": action,
-        "epoch": epoch,
-        "seq": seq,
-    }
-    return entry, pos
+        entry = {
+            "ip": self._field_text(field),
+            "day": day if has_day else None,
+            "error": error,
+            "shard": shard,
+        }
+        return entry, pos
 
+    def decode_record(self, record: bytes) -> Dict[str, Any]:
+        """Decode one packed record (a :meth:`split_batch_reply` slice)
+        into its wire dict — the Router's binary-upstream →
+        JSON-downstream conversion."""
+        (entry,) = self._decode_records(record, 0, 1, "batch record")
+        return entry
 
-def _decode_degraded_record6(
-    payload: bytes, pos: int
-) -> Tuple[Dict[str, Any], int]:
-    if pos + _DEGRADED6_FIXED.size > len(payload):
-        raise WireError("truncated batch reply record", recoverable=True)
-    _kind, raw_ip, has_day, day, shard = _DEGRADED6_FIXED.unpack_from(
-        payload, pos
-    )
-    pos += _DEGRADED6_FIXED.size
-    size = len(payload)
-    if pos >= size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    length = payload[pos]
-    pos += 1
-    if pos + length > size:
-        raise WireError("truncated batch reply record", recoverable=True)
-    try:
-        error = payload[pos : pos + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireError(
-            f"undecodable error text: {exc}", recoverable=True
-        ) from None
-    pos += length
-    entry = {
-        "ip": _int_to_ip6_cached(int.from_bytes(raw_ip, "big")),
-        "day": day if has_day else None,
-        "error": error,
-        "shard": shard,
-    }
-    return entry, pos
-
-
-def decode_record6(record: bytes) -> Dict[str, Any]:
-    """Decode one packed v6 record (a :func:`split_batch_reply6` slice)
-    into its wire dict."""
-    if not record:
-        raise WireError("empty batch record", recoverable=True)
-    kind = record[0]
-    if kind == REC_VERDICT:
-        entry, pos = _decode_verdict_record6(record, 0)
-    elif kind == REC_DEGRADED:
-        entry, pos = _decode_degraded_record6(record, 0)
-    else:
-        raise WireError(
-            f"unknown batch record kind {kind}", recoverable=True
-        )
-    if pos != len(record):
-        raise WireError(
-            f"{len(record) - pos} trailing bytes after batch record",
-            recoverable=True,
-        )
-    return entry
-
-
-def decode_batch_reply6(payload: bytes) -> List[Dict[str, Any]]:
-    """Decode an FT_BATCH_REP6 payload into the same wire dicts the
-    JSON codec produces for v6 queries."""
-    if len(payload) < 4:
-        raise WireError("truncated batch reply", recoverable=True)
-    (count,) = _U32.unpack_from(payload)
-    size = len(payload)
-    entries: List[Dict[str, Any]] = []
-    pos = 4
-    for _ in range(count):
-        if pos >= size:
+    def decode_batch_reply(self, payload: bytes) -> List[Dict[str, Any]]:
+        """Decode a batch-reply payload into the same wire dicts the
+        JSON codec produces — field-for-field equal, so clients cannot
+        tell the codecs apart by content."""
+        if len(payload) < 4:
             raise WireError("truncated batch reply", recoverable=True)
-        kind = payload[pos]
-        if kind == REC_VERDICT:
-            entry, pos = _decode_verdict_record6(payload, pos)
-        elif kind == REC_DEGRADED:
-            entry, pos = _decode_degraded_record6(payload, pos)
-        else:
+        (count,) = _U32.unpack_from(payload)
+        return self._decode_records(payload, 4, count, "batch reply")
+
+    def _decode_records(
+        self, payload: bytes, pos: int, count: int, what: str
+    ) -> List[Dict[str, Any]]:
+        """Decode exactly ``count`` records filling ``payload[pos:]``."""
+        size = len(payload)
+        entries: List[Dict[str, Any]] = []
+        for _ in range(count):
+            if pos >= size:
+                raise WireError(f"truncated {what}", recoverable=True)
+            kind = payload[pos]
+            if kind == REC_VERDICT:
+                entry, pos = self._decode_verdict_record(payload, pos)
+            elif kind == REC_DEGRADED:
+                entry, pos = self._decode_degraded_record(payload, pos)
+            else:
+                raise WireError(
+                    f"unknown batch record kind {kind}", recoverable=True
+                )
+            entries.append(entry)
+        if pos != size:
             raise WireError(
-                f"unknown batch record kind {kind}", recoverable=True
+                f"{size - pos} trailing bytes after {what}",
+                recoverable=True,
             )
-        entries.append(entry)
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after batch reply",
-            recoverable=True,
-        )
-    return entries
+        return entries
+
+
+#: The sending side's lookup: ``family → codec``. The frame-type pair
+#: doubles as the family tag on the wire.
+CODECS: Dict[AddressFamily, BinaryCodec] = {
+    V4: BinaryCodec(V4, FT_BATCH_REQ, FT_BATCH_REP),
+    V6: BinaryCodec(V6, FT_BATCH_REQ6, FT_BATCH_REP6),
+}
+
+#: The receiving side's lookup: ``request frame type → codec``. (Reply
+#: frames are checked against the ``ft_reply`` of the codec that sent
+#: the request.)
+REQUEST_CODECS: Dict[int, BinaryCodec] = {
+    codec.ft_request: codec for codec in CODECS.values()
+}
+
+# The v4 codec's methods under their historical module-level names.
+_V4_CODEC = CODECS[V4]
+encode_batch_request = _V4_CODEC.encode_batch_request
+decode_batch_request = _V4_CODEC.decode_batch_request
+pack_verdict = _V4_CODEC.pack_verdict
+pack_verdict_wire = _V4_CODEC.pack_verdict_wire
+pack_degraded = _V4_CODEC.pack_degraded
+encode_batch_reply_frame = _V4_CODEC.encode_batch_reply_frame
+split_batch_reply = _V4_CODEC.split_batch_reply
+decode_record = _V4_CODEC.decode_record
+decode_batch_reply = _V4_CODEC.decode_batch_reply
+
+# Kept only for the frozen ``wire.v6_req_roundtrip_us_per_q`` probe in
+# benchmarks/serving/probes.py; they go when a benchmark PR retargets
+# it at ``CODECS[V6]``.
+encode_batch_request6 = CODECS[V6].encode_batch_request
+decode_batch_request6 = CODECS[V6].decode_batch_request

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.net.family import V4, V6
 from repro.net.ipv4 import MAX_IPV4, int_to_ip
 from repro.cluster import (
     MAX_SHARDS,
@@ -26,10 +27,17 @@ from repro.cluster import (
     filter_batch,
 )
 from repro.service.client import ReputationClient, ServiceError
-from repro.service.engine import QueryEngine
+from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
-from repro.service.wire import WireError, recv_frame, send_frame
+from repro.service.wire import (
+    CODECS,
+    REQUEST_CODECS,
+    WireError,
+    recv_binary_frame,
+    recv_frame,
+    send_frame,
+)
 from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.log import UpdateLogWriter
@@ -359,7 +367,9 @@ class _MisbehavingBackend:
     keep it looking healthy — but mistreats every real request:
     ``garbled`` replies with a non-dict JSON frame, ``silent`` reads
     the request and never answers (which also swallows the router's
-    binary-codec hello)."""
+    binary-codec hello), ``wrong-family`` accepts the binary codec and
+    answers every packed batch with a reply frame typed as the *other*
+    address family."""
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
@@ -396,8 +406,40 @@ class _MisbehavingBackend:
                         send_frame(conn, {"ok": True, "result": "pong"})
                     elif self.mode == "garbled":
                         send_frame(conn, ["not", "a", "reply", "object"])
+                    elif self.mode == "wrong-family":
+                        send_frame(
+                            conn,
+                            {"ok": True, "result": {"codec": "binary"}},
+                        )
+                        self._serve_wrong_family(conn)
+                        return
             except (WireError, OSError):
                 return
+
+    @staticmethod
+    def _serve_wrong_family(conn: socket.socket) -> None:
+        while True:
+            got = recv_binary_frame(conn)
+            if got is None:
+                return
+            ftype, rid, payload = got
+            asked = REQUEST_CODECS.get(ftype)
+            if asked is None:
+                return  # an FT_MSG request: hang up, nothing to garble
+            other = CODECS[V4 if asked.family is V6 else V6]
+            # Records that *would* decode under the asker's layout, in
+            # a frame typed as the other family's reply: only the frame
+            # type check stands between them and the client.
+            record = asked.pack_verdict(
+                Verdict(
+                    ip=1, day=0, listed=True, lists=("bogus",),
+                    nated=False, dynamic=False, unjust=False,
+                    reuse_kind="", users=0, asn=0, action="block",
+                )
+            )
+            count = len(asked.decode_batch_request(payload))
+            frame = asked.encode_batch_reply_frame([record] * count, rid)
+            conn.sendall(frame[:1] + bytes([other.ft_reply]) + frame[2:])
 
     def close(self) -> None:
         try:
@@ -462,6 +504,85 @@ class TestBackendMisbehavior:
                 started = time.monotonic()
                 assert client.query(ip) == single.query(ip).to_wire()
                 assert time.monotonic() - started < 8.0
+        finally:
+            router.shutdown()
+            fake.close()
+
+
+def _one_listing_index(family):
+    """The smallest index of ``family`` with something to say."""
+    return ReputationIndex(
+        windows=[(0, 30)],
+        intervals={family.max_int - 5: [(0, 30, "pin-list")]},
+        nated=set(),
+        users={},
+        dynamic_prefixes=[],
+        categories={},
+        asn_by_ip={},
+        family=family,
+    )
+
+
+@pytest.mark.parametrize("family", [V4, V6], ids=["ipv4", "ipv6"])
+class TestUpstreamFamilyGuard:
+    """A batch-reply frame of the wrong address family is a garbled
+    reply: the router fails over or degrades, and never decodes the
+    records with the asker's layout."""
+
+    def _queries(self, family):
+        return [(family.max_int - 5, 10), (7, None), (family.max_int, 3)]
+
+    def test_wrong_family_reply_fails_over_to_replica(self, family):
+        index = _one_listing_index(family)
+        fake = _MisbehavingBackend("wrong-family")
+        with ReputationServer(QueryEngine(index)) as real:
+            real.start()
+            router = Router(
+                PartitionMap(1, family=family),
+                [[tuple(fake.address), real.address]],
+                backend_timeout=2.0,
+                heartbeat_interval=30.0,
+            )
+            router.start()
+            try:
+                single = QueryEngine(index)
+                queries = self._queries(family)
+                with ReputationClient(
+                    *router.address, timeout=10.0, family=family
+                ) as client:
+                    assert client.codec == "binary"
+                    assert client.query_batch(queries) == [
+                        single.query(ip, day).to_wire()
+                        for ip, day in queries
+                    ]
+                    assert client.stats()["router"]["failovers"] >= 1
+            finally:
+                router.shutdown()
+                fake.close()
+
+    def test_wrong_family_reply_without_replica_degrades(self, family):
+        fake = _MisbehavingBackend("wrong-family")
+        router = Router(
+            PartitionMap(1, family=family),
+            [[tuple(fake.address)]],
+            backend_timeout=2.0,
+            heartbeat_interval=30.0,
+        )
+        router.start()
+        try:
+            queries = self._queries(family)
+            with ReputationClient(
+                *router.address, timeout=10.0, family=family
+            ) as client:
+                assert client.query_batch(queries) == [
+                    {
+                        "ip": family.format(ip),
+                        "day": day,
+                        "error": SHARD_UNAVAILABLE,
+                        "shard": 0,
+                    }
+                    for ip, day in queries
+                ]
         finally:
             router.shutdown()
             fake.close()

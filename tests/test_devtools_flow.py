@@ -501,37 +501,6 @@ class TestFlowWire:
         assert len(found) == 1
         assert "destructured into 3 name(s)" in found[0].message
 
-    def test_v6_twin_drift_flagged(self, tmp_path):
-        found = findings(
-            tmp_path,
-            {
-                "service/codec.py": """
-                import struct
-
-                REC = struct.Struct(">IBi")
-                REC6 = struct.Struct(">16sBBi")
-                """,
-            },
-            "FLOW-WIRE",
-        )
-        assert len(found) == 1
-        assert "drifted" in found[0].message
-
-    def test_v6_twin_conformant_clean(self, tmp_path):
-        found = findings(
-            tmp_path,
-            {
-                "service/codec.py": """
-                import struct
-
-                REC = struct.Struct(">IBi")
-                REC6 = struct.Struct(">16sBi")
-                """,
-            },
-            "FLOW-WIRE",
-        )
-        assert found == []
-
     def test_encoded_ft_without_decoder_flagged(self, tmp_path):
         files = {
             "service/enc.py": """
@@ -561,6 +530,42 @@ class TestFlowWire:
         """
         found = findings(tmp_path, files, "FLOW-WIRE")
         assert found == []
+
+    def test_codec_attribute_tags_need_a_dispatch_table(self, tmp_path):
+        """A per-family codec emits ``self.ft_*`` attributes, not
+        ``FT_*`` constants; the tag counts as decoded once some
+        serving module compares against it or keys a table on it."""
+        files = {
+            "service/codec.py": """
+            class Codec:
+                def __init__(self, ft_request, ft_reply):
+                    self.ft_request = ft_request
+                    self.ft_reply = ft_reply
+
+                def request(self, payload):
+                    return encode_frame(self.ft_request, payload)
+
+                def reply(self, payload):
+                    return encode_frame(self.ft_reply, payload)
+
+
+            def encode_frame(ftype, payload):
+                return bytes([ftype]) + payload
+            """,
+        }
+        found = findings(tmp_path, dict(files), "FLOW-WIRE")
+        assert sorted(v.message.split()[0] for v in found) == [
+            "ft_reply", "ft_request"
+        ]
+        files["service/dispatch.py"] = """
+        def by_request(codecs):
+            return {codec.ft_request: codec for codec in codecs}
+
+
+        def is_reply(codec, ftype):
+            return ftype == codec.ft_reply
+        """
+        assert findings(tmp_path, files, "FLOW-WIRE") == []
 
     def test_invalid_format_string_flagged(self, tmp_path):
         found = findings(

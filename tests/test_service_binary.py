@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.local import LocalCluster
+from repro.net.family import V4, V6
 from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine, Verdict
@@ -29,30 +30,44 @@ from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import (
     BIN_HEADER_SIZE,
-    FT_BATCH_REP,
+    CODECS,
     FT_MSG,
     MAX_FRAME_BYTES,
+    REQUEST_CODECS,
     WireError,
-    decode_batch_request,
     decode_binary_frame,
     decode_msg_payload,
-    decode_record,
-    encode_batch_request,
     encode_msg_frame,
-    pack_degraded,
-    pack_verdict,
-    pack_verdict_wire,
     recv_binary_frame,
     recv_frame,
     send_frame,
-    split_batch_reply,
 )
 from tests.test_service_wire import FakeSocket, json_values
 
+FAMILIES = (V4, V6)
+both_families = pytest.mark.parametrize(
+    "family", FAMILIES, ids=[family.name for family in FAMILIES]
+)
 
-def _verdict(**overrides):
+#: One packed-batch test case: a family plus in-range pairs for it.
+family_pairs = st.sampled_from(FAMILIES).flatmap(
+    lambda family: st.tuples(
+        st.just(family),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=family.max_int),
+                st.none()
+                | st.integers(min_value=-(2**31), max_value=2**31 - 1),
+            ),
+            max_size=50,
+        ),
+    )
+)
+
+
+def _verdict(family=V4, **overrides):
     base = dict(
-        ip=0x01020304,
+        ip=0x01020304 if family is V4 else (0x20010DB8 << 96) | 0x1234,
         day=17,
         listed=True,
         lists=("dnsbl-alpha", "dnsbl-beta"),
@@ -65,6 +80,7 @@ def _verdict(**overrides):
         action="greylist",
         epoch=3,
         seq=41,
+        family=family,
     )
     base.update(overrides)
     return Verdict(**base)
@@ -84,52 +100,246 @@ class TestBinaryCodecRoundtrip:
         assert decode_msg_payload(payload) == value
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=0xFFFFFFFF),
-                st.none()
-                | st.integers(min_value=-(2**31), max_value=2**31 - 1),
-            ),
-            max_size=50,
-        ),
-        st.integers(min_value=0, max_value=0xFFFFFFFF),
-    )
-    def test_batch_request_roundtrip(self, pairs, rid):
-        frame = encode_batch_request(pairs, rid)
+    @given(family_pairs, st.integers(min_value=0, max_value=0xFFFFFFFF))
+    def test_batch_request_roundtrip(self, case, rid):
+        family, pairs = case
+        codec = CODECS[family]
+        frame = codec.encode_batch_request(pairs, rid)
         decoded = decode_binary_frame(frame)
         assert decoded is not None
-        _ftype, got_rid, payload, _ = decoded
-        assert got_rid == rid
-        assert decode_batch_request(payload) == pairs
+        ftype, got_rid, payload, _ = decoded
+        assert (ftype, got_rid) == (codec.ft_request, rid)
+        assert codec.decode_batch_request(payload) == pairs
 
     def test_verdict_record_roundtrip_is_field_for_field(self):
         """The pinned cross-codec contract: a packed verdict decodes
         to exactly ``Verdict.to_wire()`` — every field, not a
-        projection."""
-        for verdict in (
-            _verdict(),
-            _verdict(listed=False, lists=(), unjust=False,
-                     action="ignore", reuse_kind=""),
-            _verdict(day=-3, users=0, asn=0, epoch=0, seq=0,
-                     dynamic=True),
-        ):
-            record = pack_verdict(verdict)
-            assert decode_record(record) == verdict.to_wire()
-            # And the wire-dict repack (the router's JSON-upstream →
-            # binary-downstream path) hits the same bytes.
-            assert pack_verdict_wire(verdict.to_wire()) == record
+        projection — in either family."""
+        for family in FAMILIES:
+            codec = CODECS[family]
+            for verdict in (
+                _verdict(family),
+                _verdict(family, ip=family.max_int, listed=False,
+                         lists=(), unjust=False, action="ignore",
+                         reuse_kind=""),
+                _verdict(family, ip=0, day=-3, users=0, asn=0,
+                         epoch=0, seq=0, dynamic=True),
+            ):
+                record = codec.pack_verdict(verdict)
+                assert codec.decode_record(record) == verdict.to_wire()
+                # And the wire-dict repack (the router's JSON-upstream
+                # → binary-downstream path) hits the same bytes.
+                assert codec.pack_verdict_wire(verdict.to_wire()) == record
 
     def test_degraded_record_roundtrip(self):
-        record = pack_degraded(0x0A000001, 12, 2, "SHARD_UNAVAILABLE")
-        assert decode_record(record) == {
-            "ip": "10.0.0.1",
+        for family in FAMILIES:
+            codec = CODECS[family]
+            ip = family.max_int - 0x0A000001
+            record = codec.pack_degraded(ip, 12, 2, "SHARD_UNAVAILABLE")
+            assert codec.decode_record(record) == {
+                "ip": family.format(ip),
+                "day": 12,
+                "error": "SHARD_UNAVAILABLE",
+                "shard": 2,
+            }
+            record = codec.pack_degraded(1, None, 0, "SHARD_UNAVAILABLE")
+            assert codec.decode_record(record)["day"] is None
+
+    @both_families
+    def test_overlong_error_text_is_cut_on_a_character_boundary(
+        self, family
+    ):
+        """Regression: the 255-byte cap used to split a multi-byte
+        character, and the peer then rejected the whole reply as
+        undecodable."""
+        codec = CODECS[family]
+        record = codec.pack_degraded(1, None, 0, "é" * 200)
+        assert codec.decode_record(record)["error"] == "é" * 127
+        (entry,) = codec.decode_batch_reply(
+            decode_binary_frame(codec.encode_batch_reply_frame([record], 1))[2]
+        )
+        assert entry["error"] == "é" * 127
+
+
+#: Hex bytes captured from the pre-BinaryCodec twin functions; "wire
+#: bytes unchanged" means these literals never move. Addresses per
+#: family: a mid-range one, a small one, and the all-ones maximum.
+WIRE_PINS = {
+    V4: {
+        "ips": (0x01020304, 0x0A000001, 0xFFFFFFFF),
+        "request": (
+            "b101000000070000001f000000030102030401000000110a00000100"
+            "00000000ffffffff01fffffffd"
+        ),
+        "verdict_two_lists": (
+            "0001020304000000110b0101000000250000fbf40000000300000000"
+            "00000029020b646e73626c2d616c7068610a646e73626c2d62657461"
+        ),
+        "verdict_no_lists": (
+            "00fffffffffffffffd00000000000000000000000000000000000000"
+            "0000000000"
+        ),
+        "degraded_day": (
+            "010a000001010000000c000000021153484152445f554e415641494c"
+            "41424c45"
+        ),
+        "degraded_no_day": (
+            "01ffffffff0000000000000000001153484152445f554e415641494c"
+            "41424c45"
+        ),
+        "reply": (
+            "b10200000009000000450000000200fffffffffffffffd0000000000"
+            "00000000000000000000000000000000000000010a00000101000000"
+            "0c000000021153484152445f554e415641494c41424c45"
+        ),
+    },
+    V6: {
+        "ips": ((0x20010DB8 << 96) | 0x1234, 1, (1 << 128) - 1),
+        "request": (
+            "b10300000007000000430000000320010db800000000000000000000"
+            "1234010000001100000000000000000000000000000001000000000"
+            "0ffffffffffffffffffffffffffffffff01fffffffd"
+        ),
+        "verdict_two_lists": (
+            "0020010db8000000000000000000001234000000110b010100000025"
+            "0000fbf4000000030000000000000029020b646e73626c2d616c7068"
+            "610a646e73626c2d62657461"
+        ),
+        "verdict_no_lists": (
+            "00fffffffffffffffffffffffffffffffffffffffd00000000000000"
+            "0000000000000000000000000000000000"
+        ),
+        "degraded_day": (
+            "0100000000000000000000000000000001010000000c000000021153"
+            "484152445f554e415641494c41424c45"
+        ),
+        "degraded_no_day": (
+            "01ffffffffffffffffffffffffffffffff0000000000000000001153"
+            "484152445f554e415641494c41424c45"
+        ),
+        "reply": (
+            "b104000000090000005d0000000200ffffffffffffffffffffffffff"
+            "fffffffffffffd000000000000000000000000000000000000000000"
+            "0000000100000000000000000000000000000001010000000c000000"
+            "021153484152445f554e415641494c41424c45"
+        ),
+    },
+}
+
+
+class TestWireBytePins:
+    @both_families
+    def test_packed_batch_bytes_are_pinned(self, family):
+        codec = CODECS[family]
+        pins = WIRE_PINS[family]
+        mid, small, top = pins["ips"]
+        request = codec.encode_batch_request(
+            [(mid, 17), (small, None), (top, -3)], 7
+        )
+        assert request.hex() == pins["request"]
+        two_lists = codec.pack_verdict(_verdict(family, ip=mid))
+        assert two_lists.hex() == pins["verdict_two_lists"]
+        no_lists = codec.pack_verdict(
+            _verdict(family, ip=top, day=-3, listed=False, lists=(),
+                     nated=False, unjust=False, reuse_kind="", users=0,
+                     asn=0, action="ignore", epoch=0, seq=0)
+        )
+        assert no_lists.hex() == pins["verdict_no_lists"]
+        with_day = codec.pack_degraded(small, 12, 2, "SHARD_UNAVAILABLE")
+        assert with_day.hex() == pins["degraded_day"]
+        no_day = codec.pack_degraded(top, None, 0, "SHARD_UNAVAILABLE")
+        assert no_day.hex() == pins["degraded_no_day"]
+        reply = codec.encode_batch_reply_frame([no_lists, with_day], 9)
+        assert reply.hex() == pins["reply"]
+
+    @both_families
+    def test_pinned_frames_decode_to_their_inputs(self, family):
+        """The decode direction of the same pins, through the lookups
+        each receiving side uses."""
+        codec = CODECS[family]
+        pins = WIRE_PINS[family]
+        mid, small, top = pins["ips"]
+        ftype, rid, payload, _ = decode_binary_frame(
+            bytes.fromhex(pins["request"])
+        )
+        assert REQUEST_CODECS[ftype] is codec and rid == 7
+        assert codec.decode_batch_request(payload) == [
+            (mid, 17), (small, None), (top, -3)
+        ]
+        ftype, rid, payload, _ = decode_binary_frame(
+            bytes.fromhex(pins["reply"])
+        )
+        assert (ftype, rid) == (codec.ft_reply, 9)
+        assert [r.hex() for r in codec.split_batch_reply(payload)] == [
+            pins["verdict_no_lists"], pins["degraded_day"]
+        ]
+        verdict, degraded = codec.decode_batch_reply(payload)
+        assert verdict["ip"] == family.format(top)
+        assert (verdict["listed"], verdict["lists"]) == (False, [])
+        assert degraded == {
+            "ip": family.format(small),
             "day": 12,
             "error": "SHARD_UNAVAILABLE",
             "shard": 2,
         }
-        record = pack_degraded(1, None, 0, "SHARD_UNAVAILABLE")
-        assert decode_record(record)["day"] is None
+
+
+class TestPackedBatchRejections:
+    """Every malformed packed payload is a *recoverable* WireError in
+    either family — the frame boundary held, the stream stays usable."""
+
+    @both_families
+    def test_truncated_or_padded_request_rejected(self, family):
+        codec = CODECS[family]
+        payload = decode_binary_frame(
+            codec.encode_batch_request([(1, 5), (2, None)], 1)
+        )[2]
+        for bad in (payload[:-1], payload + b"\x00", payload[:3]):
+            with pytest.raises(WireError) as excinfo:
+                codec.decode_batch_request(bad)
+            assert excinfo.value.recoverable
+
+    @both_families
+    def test_bad_has_day_flag_rejected(self, family):
+        codec = CODECS[family]
+        payload = bytearray(
+            decode_binary_frame(codec.encode_batch_request([(1, 5)], 1))[2]
+        )
+        payload[4 + family.bits // 8] = 2  # the has_day byte
+        with pytest.raises(WireError, match="bad has_day flag 2"):
+            codec.decode_batch_request(bytes(payload))
+
+    @both_families
+    def test_truncated_or_padded_reply_rejected(self, family):
+        codec = CODECS[family]
+        records = [
+            codec.pack_verdict(_verdict(family)),
+            codec.pack_degraded(1, None, 3, "SHARD_UNAVAILABLE"),
+        ]
+        payload = decode_binary_frame(
+            codec.encode_batch_reply_frame(records, 1)
+        )[2]
+        for decode in (codec.split_batch_reply, codec.decode_batch_reply):
+            for cut in range(len(payload)):
+                with pytest.raises(WireError) as excinfo:
+                    decode(payload[:cut])
+                assert excinfo.value.recoverable
+            with pytest.raises(WireError, match="trailing bytes"):
+                decode(payload + b"\x00")
+        with pytest.raises(WireError, match="trailing bytes"):
+            codec.decode_record(records[0] + b"\x00")
+        with pytest.raises(WireError, match="unknown batch record kind"):
+            codec.decode_record(b"\x07" + records[0][1:])
+
+    @both_families
+    def test_out_of_range_address_falls_back(self, family):
+        """An address the family's field cannot hold is the recoverable
+        "not packable" error (callers then use the JSON shape)."""
+        codec = CODECS[family]
+        for bad in (family.max_int + 1, -1):
+            with pytest.raises(WireError) as excinfo:
+                codec.encode_batch_request([(bad, None)], 1)
+            assert excinfo.value.recoverable
 
 
 class TestBinaryFrameFuzz:
@@ -198,13 +408,21 @@ class TestBinaryFrameFuzz:
         assert not excinfo.value.recoverable
 
     @settings(max_examples=150, deadline=None)
-    @given(st.binary(max_size=80))
-    def test_record_decoders_never_crash(self, blob):
-        try:
-            for record in split_batch_reply(blob):
-                decode_record(record)
-        except WireError:
-            pass
+    @given(st.sampled_from(FAMILIES), st.binary(max_size=80))
+    def test_record_decoders_never_crash(self, family, blob):
+        codec = CODECS[family]
+        for decode in (
+            codec.decode_batch_request,
+            codec.decode_batch_reply,
+            lambda payload: [
+                codec.decode_record(record)
+                for record in codec.split_batch_reply(payload)
+            ],
+        ):
+            try:
+                decode(blob)
+            except WireError:
+                pass
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +546,19 @@ class TestCodecEquality:
                     got.append(str(excinfo.value))
                 errors[codec] = got
         assert errors["json"] == errors["binary"]
+
+    def test_v6_batch_frame_at_v4_server_is_a_clean_error(self, server):
+        """A v6-family binary client's packed frame reaches a v4-only
+        server: clean error reply, connection still usable."""
+        with ReputationClient(*server.address, family=V6) as client:
+            assert client.codec == "binary"
+            with pytest.raises(
+                ServiceError,
+                match="ipv6 batch frame cannot be answered by this "
+                "ipv4-only index",
+            ):
+                client.query_batch([(1, None), (2, 5)])
+            assert client.ping() is True
 
     def test_binary_batch_fallback_for_unpackable_values(self, server):
         """A query the packed layout cannot carry (a day outside i32)
