@@ -13,11 +13,13 @@
 #   3. mypy --strict over the tracked module list in pyproject.toml
 #      (skipped with a notice when mypy isn't installed — it is a
 #      dev-only extra: pip install -e '.[dev]')
-#   4. perf regression gate (benchmarks vs BENCH_baseline.json), then
-#      the serving-benchmark smoke (benchmarks/serving, ~55 s): every
+#   4. the serving-benchmark smoke (benchmarks/serving, ~55 s): every
 #      workload runs and no per-layer probe reports -1, so a refactor
 #      that breaks a probe's import fails here instead of silently
-#      thinning the ledger
+#      thinning the ledger; then the perf regression gate (benchmarks
+#      vs BENCH_baseline.json) — second, because that baseline was
+#      recorded on another host and the smoke must run even where the
+#      gate cannot pass
 #   5. adversary-lab smoke (scripts/scenarios_smoke.sh): every
 #      scenario end to end through the CLI, fidelity check included
 #   6. IPv6 serving smoke (scripts/v6_smoke.sh): hitlist-v6 scenario
@@ -48,6 +50,7 @@ echo "== [4/6] perf regression gate =="
 if [ "${REPRO_CHECK_SKIP_PERF:-0}" = "1" ]; then
     echo "skipped (REPRO_CHECK_SKIP_PERF=1)"
 else
+    python -m pytest benchmarks/serving -q
     BENCH_JSON="$(mktemp /tmp/bench_current.XXXXXX.json)"
     trap 'rm -f "$BENCH_JSON"' EXIT
     python -m pytest \
@@ -60,7 +63,6 @@ else
         benchmarks/bench_v6.py \
         --benchmark-json="$BENCH_JSON" -q
     python scripts/perf_regress.py "$BENCH_JSON"
-    python -m pytest benchmarks/serving -q
 fi
 
 echo "== [5/6] adversary scenarios smoke =="

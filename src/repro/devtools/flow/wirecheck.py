@@ -1,18 +1,14 @@
 """FLOW-WIRE: static conformance of the binary wire codec.
 
 The codec in :mod:`repro.service.wire` is a set of hand-maintained
-inverses: every ``Struct.pack`` has an ``unpack`` twin, every
-``FT_*`` frame tag an encoder emits needs a decoder branch, and the
-hand-written ``_need``/``pos +=`` cursor arithmetic must agree
-with ``Struct.size`` byte for byte.  One-byte drift produces torn
-frames that only fail under load — so this pass checks the pairings
-statically, across modules:
+inverses: every ``Struct.pack`` has an ``unpack`` twin and every
+``FT_*`` frame tag an encoder emits needs a decoder branch.  A
+mismatch produces torn frames that only fail under load — so this pass
+checks the pairings statically, across modules:
 
 * module-level ``NAME = struct.Struct("fmt")`` formats must compile;
 * ``NAME.pack(...)`` argument counts and ``a, b, c = NAME.unpack…``
   target counts must equal the format's field count;
-* literal ``_need(buf, pos, N)`` guards and ``pos += N`` advances
-  adjacent to ``NAME.unpack_from(buf, pos)`` must equal ``NAME.size``;
 * every ``FT_*`` tag passed to an encoder — a constant, or a codec's
   ``ft_*`` attribute holding one — must appear in a decoder comparison
   or key a dispatch table somewhere in the serving modules.
@@ -42,7 +38,6 @@ class _StructConst:
     fmt: str
     node: ast.AST
     module: LintModule
-    size: int
     fields: int
 
 
@@ -52,14 +47,12 @@ def _literal_str(node: ast.expr) -> Optional[str]:
     return None
 
 
-def _fmt_shape(fmt: str) -> Optional[Tuple[int, int]]:
-    """(size, field count) for a format string, None when invalid."""
+def _fmt_fields(fmt: str) -> Optional[int]:
+    """Field count of a format string, None when invalid."""
     try:
-        size = struct.calcsize(fmt)
-        fields = len(struct.unpack(fmt, b"\x00" * size))
+        return len(struct.unpack(fmt, b"\x00" * struct.calcsize(fmt)))
     except struct.error:
         return None
-    return size, fields
 
 
 def _collect_consts(
@@ -82,8 +75,8 @@ def _collect_consts(
         for target in item.targets:
             if not isinstance(target, ast.Name):
                 continue
-            shape = _fmt_shape(fmt)
-            if shape is None:
+            fields = _fmt_fields(fmt)
+            if fields is None:
                 bad.append(
                     module.violation(
                         "FLOW-WIRE",
@@ -94,7 +87,7 @@ def _collect_consts(
                 )
                 continue
             consts[target.id] = _StructConst(
-                target.id, fmt, item, module, shape[0], shape[1]
+                target.id, fmt, item, module, fields
             )
     return consts, bad
 
@@ -135,86 +128,6 @@ def _tuple_target_count(
     return None
 
 
-def _offset_name(call: ast.Call) -> Optional[str]:
-    """The cursor variable of ``X.unpack_from(buf, pos)``."""
-    if len(call.args) >= 2 and isinstance(call.args[1], ast.Name):
-        return call.args[1].id
-    return None
-
-
-def _int_literal(node: ast.expr) -> Optional[int]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    return None
-
-
-def _cursor_issues(
-    module: LintModule,
-    block: List[ast.stmt],
-    index: int,
-    call: ast.Call,
-    const: _StructConst,
-) -> Iterator[Violation]:
-    """Literal ``_need``/``pos +=`` arithmetic around one
-    ``unpack_from`` must match the struct's size."""
-    offset = _offset_name(call)
-    if offset is None:
-        return
-    # pos += N after the unpack
-    for stmt in block[index + 1 : index + 3]:
-        if (
-            isinstance(stmt, ast.AugAssign)
-            and isinstance(stmt.op, ast.Add)
-            and isinstance(stmt.target, ast.Name)
-            and stmt.target.id == offset
-        ):
-            advance = _int_literal(stmt.value)
-            if advance is not None and advance != const.size:
-                yield module.violation(
-                    "FLOW-WIRE",
-                    stmt,
-                    f"cursor advances {advance} byte(s) after "
-                    f"{const.name}.unpack_from but {const.name}.size "
-                    f"is {const.size} — the decoder walks off the "
-                    f"record boundary",
-                )
-            break
-    # _need(buf, pos, N) before the unpack
-    for stmt in block[max(0, index - 2) : index]:
-        if not (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Call)
-        ):
-            continue
-        guard = stmt.value
-        name = module.dotted_name(guard.func) or ""
-        if name.split(".")[-1] != "_need" or len(guard.args) < 3:
-            continue
-        if not (
-            isinstance(guard.args[1], ast.Name)
-            and guard.args[1].id == offset
-        ):
-            continue
-        needed = _int_literal(guard.args[2])
-        if needed is not None and needed != const.size:
-            yield module.violation(
-                "FLOW-WIRE",
-                stmt,
-                f"_need() guards {needed} byte(s) before "
-                f"{const.name}.unpack_from but {const.name}.size is "
-                f"{const.size} — a short frame passes the guard and "
-                f"tears the decode",
-            )
-
-
-def _iter_blocks(tree: ast.AST) -> Iterator[List[ast.stmt]]:
-    for node in ast.walk(tree):
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(node, field, None)
-            if isinstance(block, list) and block:
-                yield block
-
-
 def _ft_operands(node: ast.expr) -> Iterator[str]:
     candidates = (
         node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
@@ -235,15 +148,13 @@ def _ft_operands(node: ast.expr) -> Iterator[str]:
     severity="error",
     scope="program",
     summary=(
-        "struct pack/unpack field counts, _need/pos cursor widths, "
-        "and FT_* encoder/decoder coverage must agree across the wire "
-        "modules"
+        "struct pack/unpack field counts and FT_* encoder/decoder "
+        "coverage must agree across the wire modules"
     ),
     example=(
-        "REC = struct.Struct('>IBi')     # size 9\n"
-        "_need(payload, pos, 9)\n"
-        "ip, has_day, day = REC.unpack_from(payload, pos)\n"
-        "pos += 8   # FLOW-WIRE: advances 8 bytes over a 9-byte record\n"
+        "HDR = struct.Struct('>BBII')    # magic, type, id, length\n"
+        "HDR.pack(MAGIC, ftype, len(payload))\n"
+        "# FLOW-WIRE: pack() called with 3 value(s), 4 field(s) declared\n"
     ),
 )
 def check_wire_conformance(
@@ -252,11 +163,9 @@ def check_wire_conformance(
     """Cross-check the binary codec against itself across all wire
     modules: every module-level ``struct.Struct`` constant's field
     count must match its ``pack`` argument lists and ``unpack`` tuple
-    destructurings; literal ``_need(buf, pos, N)`` guards and
-    ``pos += N`` cursor advances adjacent to an ``unpack_from`` must
-    equal the struct's ``.size``; and every ``FT_*`` tag (or codec
-    ``ft_*`` attribute) passed to an encoder must be compared against,
-    or key a dispatch table, in some decoder."""
+    destructurings; and every ``FT_*`` tag (or codec ``ft_*``
+    attribute) passed to an encoder must be compared against, or key a
+    dispatch table, in some decoder."""
     wire_modules = [
         module
         for module in context.modules
@@ -317,26 +226,6 @@ def check_wire_conformance(
                     continue
                 yield from _const_call_issues(module, node, func, const)
 
-    # Cursor arithmetic needs statement adjacency, not just call sites.
-    for module in wire_modules:
-        local = consts_by_module[module.relpath]
-        for block in _iter_blocks(module.tree):
-            for index, stmt in enumerate(block):
-                for sub in ast.walk(stmt):
-                    if not (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "unpack_from"
-                    ):
-                        continue
-                    const = _receiver_const(
-                        sub.func, local, global_by_name
-                    )
-                    if const is not None:
-                        yield from _cursor_issues(
-                            module, block, index, sub, const
-                        )
-
     for tag, (module, site) in sorted(encoded.items()):
         if tag not in compared:
             yield module.violation(
@@ -388,8 +277,8 @@ def _inline_struct_issues(
     fmt = _literal_str(node.args[0])
     if fmt is None:
         return
-    shape = _fmt_shape(fmt)
-    if shape is None:
+    fields = _fmt_fields(fmt)
+    if fields is None:
         yield module.violation(
             "FLOW-WIRE",
             node,
@@ -403,21 +292,21 @@ def _inline_struct_issues(
         values = node.args[1:]
         if any(isinstance(arg, ast.Starred) for arg in values):
             return
-        if len(values) != shape[1]:
+        if len(values) != fields:
             yield module.violation(
                 "FLOW-WIRE",
                 node,
                 f"struct.pack({fmt!r}, ...) called with "
                 f"{len(values)} value(s) but the format has "
-                f"{shape[1]} field(s)",
+                f"{fields} field(s)",
             )
     else:
         count = _tuple_target_count(module, node)
-        if count is not None and count != shape[1]:
+        if count is not None and count != fields:
             yield module.violation(
                 "FLOW-WIRE",
                 node,
                 f"struct.{attr}({fmt!r}, ...) result is destructured "
-                f"into {count} name(s) but the format has {shape[1]} "
+                f"into {count} name(s) but the format has {fields} "
                 f"field(s)",
             )

@@ -20,11 +20,10 @@ offset bytes meaning
 6      4     payload length (big-endian u32)
 ====== ===== ==========================================
 
-— followed by the payload.  ``FT_MSG`` payloads carry one
-JSON-equivalent value in a compact tagged encoding (same data model as
-the JSON codec: None/bool/int/float/str/list/str-keyed dict — both
-directions of the iterative work-stack technique follow
-:mod:`repro.bittorrent.bencode`).
+— followed by the payload.  An ``FT_MSG`` payload is exactly the bytes
+a JSON frame carries after its length prefix (compact UTF-8 JSON, NaN
+and infinities refused): the two framings share one payload encoding
+and differ only in the header.
 
 Batch request/reply frames carry the hot batch path as packed
 fixed-layout records so neither side builds or parses per-verdict
@@ -62,8 +61,8 @@ before any payload is read, in both codecs.
 Errors are split by whether the byte stream is still usable:
 
 * a well-framed payload that fails to decode (bad UTF-8, bad JSON,
-  bad tag) is *recoverable* — the stream is still in sync and the
-  server answers with an error reply;
+  nesting too deep to parse) is *recoverable* — the stream is still in
+  sync and the server answers with an error reply;
 * a framing violation (absurd length, bad magic, connection cut
   inside a declared payload) is *not* — there is no way to find the
   next frame boundary, so the connection must be dropped;
@@ -111,7 +110,6 @@ __all__ = [
     "encode_binary_frame",
     "encode_frame",
     "encode_msg_frame",
-    "encode_msg_payload",
     "pack_degraded",
     "pack_verdict",
     "pack_verdict_wire",
@@ -160,8 +158,8 @@ class WireError(ValueError):
 FrameError = WireError
 
 
-def encode_frame(obj: Any, *, max_size: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialise ``obj`` into one wire frame (header + JSON payload)."""
+def _encode_payload(obj: Any, max_size: int) -> bytes:
+    """The one value encoding both framings carry: compact UTF-8 JSON."""
     try:
         payload = json.dumps(
             obj, separators=(",", ":"), allow_nan=False
@@ -173,12 +171,18 @@ def encode_frame(obj: Any, *, max_size: int = MAX_FRAME_BYTES) -> bytes:
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_size}-byte limit"
         )
+    return payload
+
+
+def encode_frame(obj: Any, *, max_size: int = MAX_FRAME_BYTES) -> bytes:
+    """Serialise ``obj`` into one wire frame (header + JSON payload)."""
+    payload = _encode_payload(obj, max_size)
     return _HEADER.pack(len(payload)) + payload
 
 
 def _decode_payload(payload: bytes, max_size: int) -> Any:
-    # Both callers check the declared length before reading; this bound
-    # keeps the decoder safe even if a new call site forgets to.
+    # Every caller checks the declared length before reading; this
+    # bound keeps the decoder safe even if a new call site forgets to.
     if len(payload) > max_size:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -186,7 +190,9 @@ def _decode_payload(payload: bytes, max_size: int) -> Any:
         )
     try:
         return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    # RecursionError: ``[[[[…`` nested past the interpreter's limit is
+    # the peer's malformation, not a crash — the boundary still held.
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise FrameError(
             f"undecodable frame payload: {exc}", recoverable=True
         ) from None
@@ -295,7 +301,7 @@ def recv_frame(
 #: magic also disambiguates a stream whose codec state was lost.
 BINARY_MAGIC = 0xB1
 
-#: Frame types: a generic tagged message, and one packed batch
+#: Frame types: a generic JSON message, and one packed batch
 #: request/reply pair per address family (bound to the family's
 #: :class:`BinaryCodec` in :data:`CODECS`).
 FT_MSG = 0
@@ -307,236 +313,7 @@ FT_BATCH_REP6 = 4
 _BIN_HEADER = struct.Struct(">BBII")  # magic, ftype, request_id, length
 BIN_HEADER_SIZE = _BIN_HEADER.size
 
-# Tagged-value encoding for FT_MSG payloads. Same data model as JSON.
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT64 = 0x03  # >q
-_T_BIGINT = 0x04  # u32 length + ASCII decimal digits
-_T_FLOAT = 0x05  # >d, non-finite rejected (JSON parity)
-_T_SSTR = 0x06  # u8 length + UTF-8
-_T_STR = 0x07  # u32 length + UTF-8
-_T_LIST = 0x08  # u32 count, then count values
-_T_DICT = 0x09  # u32 count, then count (str key, value) pairs
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
-_Q = struct.Struct(">q")
-_D = struct.Struct(">d")
 _U32 = struct.Struct(">I")
-
-
-def encode_msg_payload(obj: Any, *, max_size: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialise one JSON-model value into the tagged binary form.
-
-    Raises the non-recoverable :class:`WireError` on unserialisable
-    values (same contract as :func:`encode_frame`: our bug, not the
-    peer's).
-    """
-    out = bytearray()
-    stack: List[Any] = [obj]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if item is None:
-            out.append(_T_NONE)
-        elif kind is bool:
-            out.append(_T_TRUE if item else _T_FALSE)
-        elif kind is int:
-            if _I64_MIN <= item <= _I64_MAX:
-                out.append(_T_INT64)
-                out += _Q.pack(item)
-            else:
-                digits = str(item).encode("ascii")
-                out.append(_T_BIGINT)
-                out += _U32.pack(len(digits))
-                out += digits
-        elif kind is float:
-            if item != item or item in (float("inf"), float("-inf")):
-                raise WireError(f"unserialisable message: non-finite {item!r}")
-            out.append(_T_FLOAT)
-            out += _D.pack(item)
-        elif kind is str:
-            raw = item.encode("utf-8")
-            if len(raw) < 256:
-                out.append(_T_SSTR)
-                out.append(len(raw))
-            else:
-                out.append(_T_STR)
-                out += _U32.pack(len(raw))
-            out += raw
-        elif kind is list or kind is tuple:
-            out.append(_T_LIST)
-            out += _U32.pack(len(item))
-            stack.extend(reversed(item))
-        elif kind is dict:
-            out.append(_T_DICT)
-            out += _U32.pack(len(item))
-            for key, value in reversed(list(item.items())):
-                if type(key) is not str:
-                    raise WireError(
-                        f"unserialisable message: non-str key {key!r}"
-                    )
-                stack.append(value)
-                stack.append(key)
-        elif isinstance(item, dict):
-            stack.append(dict(item))  # subclass: re-dispatch on the base
-        elif isinstance(item, (list, tuple)):
-            stack.append(list(item))
-        elif isinstance(item, str):
-            stack.append(str(item))
-        elif isinstance(item, float):
-            stack.append(float(item))
-        elif isinstance(item, int):
-            stack.append(int(item))
-        else:
-            raise WireError(f"unserialisable message: {kind.__name__}")
-        if len(out) > max_size:
-            raise WireError(
-                f"frame payload of {len(out)} bytes exceeds the "
-                f"{max_size}-byte limit"
-            )
-    return bytes(out)
-
-
-def _need(payload: bytes, pos: int, count: int) -> None:
-    if pos + count > len(payload):
-        raise WireError("truncated binary message payload", recoverable=True)
-
-
-def decode_msg_payload(
-    payload: bytes, *, max_size: int = MAX_FRAME_BYTES
-) -> Any:
-    """Decode one tagged binary value; inverse of
-    :func:`encode_msg_payload`.
-
-    Every malformation raises the *recoverable* :class:`WireError` —
-    the frame boundary was already known, so the stream stays in sync.
-    """
-    if len(payload) > max_size:
-        raise WireError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_size}-byte limit"
-        )
-    size = len(payload)
-    pos = 0
-    # Container frames: [is_dict, remaining_count, container, pending_key]
-    frames: List[List[Any]] = []
-    root: Any = None
-    have_root = False
-    while True:
-        _need(payload, pos, 1)
-        tag = payload[pos]
-        pos += 1
-        value: Any
-        opened = False
-        if tag == _T_NONE:
-            value = None
-        elif tag == _T_TRUE:
-            value = True
-        elif tag == _T_FALSE:
-            value = False
-        elif tag == _T_INT64:
-            _need(payload, pos, 8)
-            (value,) = _Q.unpack_from(payload, pos)
-            pos += 8
-        elif tag == _T_BIGINT:
-            _need(payload, pos, 4)
-            (length,) = _U32.unpack_from(payload, pos)
-            pos += 4
-            _need(payload, pos, length)
-            digits = payload[pos : pos + length]
-            pos += length
-            try:
-                value = int(digits.decode("ascii"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise WireError(
-                    f"undecodable bigint: {exc}", recoverable=True
-                ) from None
-        elif tag == _T_FLOAT:
-            _need(payload, pos, 8)
-            (value,) = _D.unpack_from(payload, pos)
-            pos += 8
-        elif tag == _T_SSTR or tag == _T_STR:
-            if tag == _T_SSTR:
-                _need(payload, pos, 1)
-                length = payload[pos]
-                pos += 1
-            else:
-                _need(payload, pos, 4)
-                (length,) = _U32.unpack_from(payload, pos)
-                pos += 4
-            _need(payload, pos, length)
-            try:
-                value = payload[pos : pos + length].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise WireError(
-                    f"undecodable string: {exc}", recoverable=True
-                ) from None
-            pos += length
-        elif tag == _T_LIST or tag == _T_DICT:
-            _need(payload, pos, 4)
-            (count,) = _U32.unpack_from(payload, pos)
-            pos += 4
-            # Each element needs at least one tag byte (two for a
-            # dict's key+value) — bound count by the bytes remaining.
-            if count > (size - pos):
-                raise WireError(
-                    "binary container declares more elements than the "
-                    "payload can hold",
-                    recoverable=True,
-                )
-            if tag == _T_LIST:
-                value = []
-                if count:
-                    frames.append([False, count, value, None])
-                    opened = True
-            else:
-                value = {}
-                if count:
-                    frames.append([True, count, value, None])
-                    opened = True
-        else:
-            raise WireError(
-                f"unknown binary tag 0x{tag:02x}", recoverable=True
-            )
-        if opened:
-            continue
-        # ``value`` is complete: attach it upward, popping any
-        # containers it completes.
-        while True:
-            if not frames:
-                root = value
-                have_root = True
-                break
-            frame = frames[-1]
-            if frame[0]:
-                if frame[3] is None:
-                    if type(value) is not str:
-                        raise WireError(
-                            "binary dict key is not a string",
-                            recoverable=True,
-                        )
-                    frame[3] = value
-                    break
-                frame[2][frame[3]] = value
-                frame[3] = None
-            else:
-                frame[2].append(value)
-            frame[1] -= 1
-            if frame[1]:
-                break
-            frames.pop()
-            value = frame[2]
-        if have_root:
-            break
-    if pos != size:
-        raise WireError(
-            f"{size - pos} trailing bytes after binary message",
-            recoverable=True,
-        )
-    return root
 
 
 def encode_binary_frame(
@@ -567,11 +344,17 @@ def encode_msg_frame(
 ) -> bytes:
     """Serialise ``obj`` into one complete FT_MSG frame."""
     return encode_binary_frame(
-        FT_MSG,
-        request_id,
-        encode_msg_payload(obj, max_size=max_size),
-        max_size=max_size,
+        FT_MSG, request_id, _encode_payload(obj, max_size), max_size=max_size
     )
+
+
+def decode_msg_payload(
+    payload: bytes, *, max_size: int = MAX_FRAME_BYTES
+) -> Any:
+    """Decode an FT_MSG payload; every malformation raises the
+    *recoverable* :class:`WireError` — the frame boundary was already
+    known, so the stream stays in sync."""
+    return _decode_payload(payload, max_size)
 
 
 def decode_binary_frame(
@@ -880,17 +663,21 @@ class BinaryCodec:
         records: List[bytes] = []
         pos = 4
         for _ in range(count):
-            _need(payload, pos, 1)
+            if pos >= size:
+                raise _truncated_record()
             kind = payload[pos]
             if kind == REC_VERDICT:
-                _need(payload, pos, verdict_size)
                 end = pos + verdict_size
+                if end > size:
+                    raise _truncated_record()
                 for _ in range(payload[end - 1]):  # n_lists
-                    _need(payload, end, 1)
+                    if end >= size:
+                        raise _truncated_record()
                     end += 1 + payload[end]
             elif kind == REC_DEGRADED:
                 end = pos + degraded_size
-                _need(payload, end, 1)
+                if end >= size:
+                    raise _truncated_record()
                 end += 1 + payload[end]
             else:
                 raise WireError(

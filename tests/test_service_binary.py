@@ -2,10 +2,11 @@
 
 Three layers, mirroring the upgrade's compatibility promise:
 
-* codec level — the tagged binary value encoding and the packed batch
-  records round-trip everything the JSON codec carries (same
-  ``json_values`` corpus as :mod:`tests.test_service_wire`), and
-  hostile bytes fail as :class:`WireError`, never an unhandled crash;
+* codec level — ``FT_MSG`` frames carry the JSON codec's payload byte
+  for byte (same ``json_values`` corpus as
+  :mod:`tests.test_service_wire`), the packed batch records round-trip,
+  and hostile bytes fail as :class:`WireError`, never an unhandled
+  crash;
 * connection level — the ``hello`` negotiation matrix: a JSON-only
   client sees byte-identical replies from an upgraded server, an
   offering client gets the binary codec, and verdicts are
@@ -36,7 +37,10 @@ from repro.service.wire import (
     REQUEST_CODECS,
     WireError,
     decode_binary_frame,
+    decode_frame,
     decode_msg_payload,
+    encode_binary_frame,
+    encode_frame,
     encode_msg_frame,
     recv_binary_frame,
     recv_frame,
@@ -90,14 +94,17 @@ class TestBinaryCodecRoundtrip:
     @settings(max_examples=150, deadline=None)
     @given(json_values)
     def test_msg_roundtrip_matches_json_model(self, value):
-        """Anything the JSON codec carries, the tagged binary encoding
-        carries identically — same corpus, same decoded value."""
+        """An FT_MSG frame carries exactly the JSON frame's payload —
+        same corpus, same bytes after the header, same decoded value."""
         frame = encode_msg_frame(value, 7)
+        json_frame = encode_frame(value)
+        assert frame[BIN_HEADER_SIZE:] == json_frame[4:]
         decoded = decode_binary_frame(frame)
         assert decoded is not None
         ftype, rid, payload, consumed = decoded
         assert (ftype, rid, consumed) == (FT_MSG, 7, len(frame))
         assert decode_msg_payload(payload) == value
+        assert decode_frame(json_frame) == (value, len(json_frame))
 
     @settings(max_examples=100, deadline=None)
     @given(family_pairs, st.integers(min_value=0, max_value=0xFFFFFFFF))
@@ -227,6 +234,33 @@ WIRE_PINS = {
 }
 
 
+#: ``{"op":"ping"}`` as a JSON frame and as an FT_MSG request with
+#: request id 5, and the FT_MSG reply carrying ``_verdict().to_wire()``
+#: with request id 9.
+JSON_PING_PIN = "0000000d7b226f70223a2270696e67227d"
+MSG_PING_PIN = "b100000000050000000d7b226f70223a2270696e67227d"
+MSG_VERDICT_REPLY_PIN = (
+    "b10000000009000000dd7b226f6b223a747275652c22726573756c74"
+    "223a7b226970223a22312e322e332e34222c22646179223a31372c22"
+    "6c6973746564223a747275652c226c69737473223a5b22646e73626c"
+    "2d616c706861222c22646e73626c2d62657461225d2c226e61746564"
+    "223a747275652c2264796e616d6963223a66616c73652c22756e6a75"
+    "7374223a747275652c2272657573655f6b696e64223a226e6174222c"
+    "227573657273223a33372c2261736e223a36343530302c2261637469"
+    "6f6e223a22677265796c697374222c2265706f6368223a332c227365"
+    "71223a34317d7d"
+)
+
+#: A legal-length payload nested far past the interpreter's recursion
+#: limit: ``json.loads`` raises RecursionError on it, not ValueError.
+DEEP_PAYLOAD = b"[" * 200_000
+
+#: ``{"op":"ping"}`` in the tagged value encoding FT_MSG carried before
+#: it carried JSON — what a peer from the other side of that change
+#: sends.
+OLD_TAGGED_PING = bytes.fromhex("090000000106026f70060470696e67")
+
+
 class TestWireBytePins:
     @both_families
     def test_packed_batch_bytes_are_pinned(self, family):
@@ -281,6 +315,29 @@ class TestWireBytePins:
             "day": 12,
             "error": "SHARD_UNAVAILABLE",
             "shard": 2,
+        }
+
+    def test_json_frame_bytes_are_pinned(self):
+        """The JSON codec is the cross-version contract: 4-byte length,
+        compact separators, key order as given."""
+        assert encode_frame({"op": "ping"}).hex() == JSON_PING_PIN
+        frame = bytes.fromhex(JSON_PING_PIN)
+        assert decode_frame(frame) == ({"op": "ping"}, len(frame))
+
+    def test_msg_frame_bytes_are_pinned(self):
+        """FT_MSG: the 10-byte binary header, then the JSON payload."""
+        request = encode_msg_frame({"op": "ping"}, 5)
+        assert request.hex() == MSG_PING_PIN
+        reply = encode_msg_frame(
+            {"ok": True, "result": _verdict().to_wire()}, 9
+        )
+        assert reply.hex() == MSG_VERDICT_REPLY_PIN
+        ftype, rid, payload, _ = decode_binary_frame(
+            bytes.fromhex(MSG_VERDICT_REPLY_PIN)
+        )
+        assert (ftype, rid) == (FT_MSG, 9)
+        assert decode_msg_payload(payload) == {
+            "ok": True, "result": _verdict().to_wire()
         }
 
 
@@ -359,6 +416,36 @@ class TestBinaryFrameFuzz:
             recv_binary_frame(FakeSocket(blob, chunk=chunk))
         except WireError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.binary(max_size=64)
+        | st.builds(
+            lambda opener, depth: opener * depth,
+            st.sampled_from([b"[", b'{"a":', b"[[0],"]),
+            st.integers(min_value=0, max_value=200_000),
+        )
+    )
+    def test_decode_msg_payload_raises_only_recoverable(self, blob):
+        """Arbitrary bytes — including nesting deep enough to exhaust
+        the JSON parser's stack — decode or raise the recoverable
+        WireError; nothing else escapes."""
+        try:
+            decode_msg_payload(blob)
+        except WireError as exc:
+            assert exc.recoverable
+
+    def test_deep_nesting_is_a_recoverable_wire_error(self):
+        """Regression: the RecursionError used to escape both decoders,
+        which cost the peer its connection without a reply."""
+        with pytest.raises(WireError) as excinfo:
+            decode_msg_payload(DEEP_PAYLOAD)
+        assert excinfo.value.recoverable
+        frame = struct.pack(">I", len(DEEP_PAYLOAD)) + DEEP_PAYLOAD
+        with pytest.raises(WireError) as excinfo:
+            decode_frame(frame)
+        assert excinfo.value.recoverable
+        assert excinfo.value.consumed == len(frame)
 
     def test_torn_header_is_recoverable(self):
         """EOF inside the 10-byte header is end-of-stream, not a
@@ -487,6 +574,98 @@ class TestNegotiation:
             ftype, rid, payload = recv_binary_frame(s)
             assert (ftype, rid) == (FT_MSG, 5)
             assert decode_msg_payload(payload)["result"] == "pong"
+
+
+def _binary_socket(address):
+    """A raw socket already switched to the binary framing."""
+    s = socket.create_connection(address, timeout=5.0)
+    send_frame(s, {"op": "hello", "accept_codecs": ["binary"]})
+    assert recv_frame(s)["result"]["codec"] == "binary"
+    return s
+
+
+def _binary_call(s, payload, rid):
+    """Send ``payload`` as an FT_MSG frame, return the decoded reply."""
+    s.sendall(encode_binary_frame(FT_MSG, rid, payload))
+    ftype, got_rid, reply = recv_binary_frame(s)
+    assert (ftype, got_rid) == (FT_MSG, rid)
+    return decode_msg_payload(reply)
+
+
+class TestUndecodableMsgPayloads:
+    """A well-framed payload that does not decode costs the peer an
+    in-band error, never its connection — on either framing."""
+
+    def test_deep_nesting_on_json_framing(self, server):
+        with socket.create_connection(server.address, timeout=5.0) as s:
+            s.sendall(struct.pack(">I", len(DEEP_PAYLOAD)) + DEEP_PAYLOAD)
+            reply = recv_frame(s)
+            assert reply["ok"] is False
+            assert "undecodable frame payload" in reply["error"]
+            send_frame(s, {"op": "ping"})
+            assert recv_frame(s)["result"] == "pong"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [DEEP_PAYLOAD, OLD_TAGGED_PING],
+        ids=["deep-nesting", "old-tagged-encoding"],
+    )
+    def test_undecodable_msg_on_binary_framing(self, server, payload):
+        """Nesting past the parser's stack, and — cross-version — a
+        peer still speaking the tagged encoding: both get told so and
+        keep their connection."""
+        with _binary_socket(server.address) as s:
+            reply = _binary_call(s, payload, 3)
+            assert reply["ok"] is False
+            assert "undecodable frame payload" in reply["error"]
+            assert _binary_call(s, b'{"op":"ping"}', 4)["result"] == "pong"
+
+
+class TestUnencodableReplies:
+    """A reply the server itself cannot put on the wire is its bug:
+    the binary connection gets the same in-band degradation the JSON
+    one does, and stays up."""
+
+    MAX_FRAME = 256
+
+    def _ask(self, reply):
+        from repro.service.aio import WireServer
+
+        def handler(conn, slot, kind, data):
+            if data == {"op": "hello"}:
+                slot.complete({"ok": True})
+                conn.codec = "binary"
+            else:
+                slot.complete(reply)
+
+        server = WireServer(handler, max_frame=self.MAX_FRAME)
+        address = server.start()
+        try:
+            with socket.create_connection(address, timeout=5.0) as s:
+                send_frame(s, {"op": "hello"})
+                assert recv_frame(s) == {"ok": True}
+                return _binary_call(s, b'{"op":"ask"}', 3)
+        finally:
+            server.shutdown()
+
+    def test_nan_in_reply_degrades_to_error(self):
+        got = self._ask({"ok": True, "result": float("nan")})
+        assert got["ok"] is False
+        assert got["error"].startswith(
+            "internal error: unserialisable reply"
+        )
+
+    def test_reply_one_byte_over_max_frame_degrades_to_error(self):
+        overhead = len(encode_frame({"ok": True, "result": ""})) - 4
+        fits = {"ok": True, "result": "x" * (self.MAX_FRAME - overhead)}
+        assert self._ask(fits) == fits
+        over = {"ok": True, "result": fits["result"] + "x"}
+        got = self._ask(over)
+        assert got["ok"] is False
+        assert got["error"].startswith(
+            "internal error: unserialisable reply"
+        )
+        assert f"{self.MAX_FRAME}-byte limit" in got["error"]
 
 
 class TestCodecEquality:
