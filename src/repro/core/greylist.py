@@ -21,6 +21,7 @@ __all__ = [
     "build_greylist",
     "render_greylist",
     "BlockAction",
+    "action_for",
     "recommend_action",
 ]
 
@@ -83,20 +84,24 @@ def render_greylist(entries: Sequence[GreylistEntry]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def action_for(reused: bool, blocklist_category: str) -> str:
+    """The Section 6 policy for one listing, given the address's reuse
+    verdict: DDoS lists warrant blocking even with collateral damage
+    (rate matters more than precision); accuracy-sensitive lists (spam
+    and the rest) should greylist reused addresses instead."""
+    if not reused or blocklist_category == "ddos":
+        return BlockAction.BLOCK
+    return BlockAction.GREYLIST
+
+
 def recommend_action(
     analysis: ReuseAnalysis, ip: int, *, blocklist_category: str
 ) -> str:
-    """The Section 6 policy: DDoS lists warrant blocking even with
-    collateral damage (rate matters more than precision); accuracy-
-    sensitive lists (spam and the rest) should greylist reused
-    addresses instead.
+    """:func:`action_for` with the reuse verdict looked up.
 
     Only ``analysis.is_reused`` is consulted, so any object honouring
-    that contract works — the online service passes its compiled
-    :class:`~repro.service.index.ReputationIndex` here, keeping one
-    policy for the batch and serving paths."""
-    if not analysis.is_reused(ip):
-        return BlockAction.BLOCK
-    if blocklist_category == "ddos":
-        return BlockAction.BLOCK
-    return BlockAction.GREYLIST
+    that contract works — a compiled
+    :class:`~repro.service.index.ReputationIndex` too. The online
+    service, which already holds the verdict, calls :func:`action_for`
+    itself: one policy for the batch and serving paths."""
+    return action_for(analysis.is_reused(ip), blocklist_category)

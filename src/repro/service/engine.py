@@ -6,7 +6,7 @@ service's question: *given address x on day t — is it listed, on which
 lists, is the block likely unjust, and what should an operator do?*
 
 The action reuses the batch pipeline's policy
-(:func:`repro.core.greylist.recommend_action`, Section 6 of the
+(:func:`repro.core.greylist.action_for`, Section 6 of the
 paper): an unlisted address is ``ignore``; a listed reused address is
 ``greylist`` unless some carrying list is a DDoS list (rate beats
 precision there), in which case ``block``; a listed non-reused address
@@ -34,10 +34,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..core.greylist import BlockAction, recommend_action
+from ..core.greylist import BlockAction, action_for
 from ..net.family import V4, AddressFamily
 from ..stream.epoch import EpochIndex
-from .index import ReputationIndex
+from .index import ReputationIndex, reuse_kind_of
 
 __all__ = ["ACTION_IGNORE", "QueryEngine", "Verdict"]
 
@@ -214,9 +214,8 @@ class QueryEngine:
         epoch: int,
         seq: int,
     ) -> Verdict:
-        lists = index.lists_active_on(ip, day)
-        nated = index.is_nated(ip)
-        dynamic = index.is_dynamic(ip)
+        lists, nated, dynamic, users, asn = index.facts(ip, day)
+        reused = nated or dynamic
         if not lists:
             action = ACTION_IGNORE
         else:
@@ -225,9 +224,7 @@ class QueryEngine:
             action = BlockAction.GREYLIST
             for list_id in lists:
                 if (
-                    recommend_action(
-                        index, ip, blocklist_category=index.category_of(list_id)
-                    )
+                    action_for(reused, index.category_of(list_id))
                     == BlockAction.BLOCK
                 ):
                     action = BlockAction.BLOCK
@@ -239,10 +236,10 @@ class QueryEngine:
             lists=lists,
             nated=nated,
             dynamic=dynamic,
-            unjust=bool(lists) and (nated or dynamic),
-            reuse_kind=index.reuse_kind(ip),
-            users=index.users_behind(ip),
-            asn=index.asn_of(ip),
+            unjust=bool(lists) and reused,
+            reuse_kind=reuse_kind_of(nated, dynamic),
+            users=users,
+            asn=asn,
             action=action,
             epoch=epoch,
             seq=seq,

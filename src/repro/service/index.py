@@ -2,58 +2,74 @@
 
 A :class:`ReputationIndex` is the immutable compilation of one full
 run's products — blocklist listing intervals, NAT verdicts, dynamic
-/24 prefixes, AS origins — into the shape an online query path wants:
+prefixes, AS origins — into flat typed columns (``array`` buffers, or
+views into a memory-mapped snapshot; :mod:`repro.service.columns`):
 
-* per-IP listing intervals sorted by start day, so "which lists carry
-  *x* on day *t*" is a :mod:`bisect` cut plus a short scan instead of
-  a pass over the store;
-* NATed addresses as a hash set and dynamic /24s as a
-  :class:`~repro.net.prefixtrie.PrefixSet`, so the reuse
-  classification behind the paper's *unjust listing* verdict is O(1)
-  and O(32) respectively;
+* one sorted key column over every address that carries a fact, with
+  parallel per-row columns (interval offset, NAT/listed flags, user
+  count, origin ASN), so everything the service says about an address
+  is one binary search away (:meth:`ReputationIndex.facts`);
+* interval columns ``first`` / ``last`` / list index, a row's slice of
+  them sorted by start day, against a sorted list-id table;
+* dynamic prefixes as disjoint address ranges searched by one bisect;
 * per-AS rollups (blocklisted / NATed / dynamic / reused counts),
-  precomputed once at build time.
+  computed on first use.
 
 The index also implements ``is_reused`` with the same meaning as
 :class:`~repro.core.reuse.ReuseAnalysis`, so
 :func:`repro.core.greylist.recommend_action` accepts either object —
 the online service and the batch pipeline share one policy.
 
-A binary snapshot (:meth:`save` / :meth:`load`) lets a server start
-from disk without re-running the measurement pipeline.
+:meth:`ReputationIndex.save` writes the columns behind a versioned,
+checksummed header and :meth:`ReputationIndex.load` maps that file and
+takes typed views of it (:mod:`repro.service.snapshot`): a server
+starts without re-running the measurement pipeline and without
+touching the addresses one by one, and no byte of the file is ever
+executed. :meth:`ReputationIndex.restrict` slices the same buffers, so
+the forked shards of a cluster share their pages.
 """
 
 from __future__ import annotations
 
-import gzip
-import os
-import pickle
-import tempfile
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..blocklists.catalog import BlocklistInfo
 from ..blocklists.timeline import Window
 from ..core.reuse import ReuseAnalysis
 from ..internet.abuse import AbuseCategory
-from ..net.family import V4, AddressFamily, AnyPrefix, family_named
-from ..net.prefixtrie import PrefixSet
+from ..net.family import V4, AddressFamily, AnyPrefix
+from .columns import (
+    LISTED,
+    NATED,
+    NO_ASN,
+    Columns,
+    Interval,
+    checked_spans,
+    compile_columns,
+    fold,
+)
+from .snapshot import SnapshotError, read_snapshot, write_snapshot
 
 __all__ = [
     "ASRollup",
     "ReputationIndex",
     "SnapshotError",
     "policy_category",
+    "reuse_kind_of",
 ]
-
-_SNAPSHOT_MAGIC = "repro-reputation-index"
-_SNAPSHOT_VERSION = 1
-
-
-class SnapshotError(RuntimeError):
-    """A snapshot file is missing, corrupt, or from another version."""
 
 
 @dataclass(frozen=True)
@@ -67,50 +83,92 @@ class ASRollup:
     reused: int
 
 
-#: One listing interval in index form: (first_day, last_day, list_id).
-_Interval = Tuple[int, int, str]
+#: What :meth:`ReputationIndex.facts` returns:
+#: ``(lists, nated, dynamic, users, asn)``.
+Facts = Tuple[Tuple[str, ...], bool, bool, int, int]
+
+#: An overlay holding more addresses than ``rows / _FOLD_DIVISOR`` is
+#: folded into fresh columns: a successor copies its parent's overlay,
+#: so this bounds that copy to a quarter of a compile.
+_FOLD_DIVISOR = 4
+
+
+def reuse_kind_of(nated: bool, dynamic: bool) -> str:
+    """``"nat"``, ``"dynamic"``, ``"nat+dynamic"`` or ``""``."""
+    if nated:
+        return "nat+dynamic" if dynamic else "nat"
+    return "dynamic" if dynamic else ""
 
 
 class ReputationIndex:
     """Immutable, query-optimised view of one run's reuse analysis.
 
     Build with :meth:`from_analysis` / :meth:`from_run`, or restore a
-    saved snapshot with :meth:`load`. All mappings are frozen at
+    saved snapshot with :meth:`load`. Nothing is written after
     construction; the service layer treats instances as shareable
-    between threads without locking.
+    between threads (and, across ``fork``, processes) without locking.
     """
 
     def __init__(
         self,
         *,
         windows: Sequence[Window],
-        intervals: Dict[int, List[_Interval]],
-        nated: Set[int],
-        users: Dict[int, int],
+        intervals: Mapping[int, Sequence[Interval]],
+        nated: AbstractSet[int],
+        users: Mapping[int, int],
         dynamic_prefixes: Sequence[AnyPrefix],
-        categories: Dict[str, str],
-        asn_by_ip: Dict[int, int],
+        categories: Mapping[str, str],
+        asn_by_ip: Mapping[int, int],
         family: AddressFamily = V4,
     ) -> None:
-        self._family = family
-        self._windows: Tuple[Window, ...] = tuple(
-            (int(start), int(end)) for start, end in windows
+        columns = compile_columns(
+            family, intervals, nated, users, dynamic_prefixes,
+            categories, asn_by_ip,
         )
-        self._intervals = {
-            ip: sorted(spans) for ip, spans in intervals.items()
-        }
-        # Parallel per-IP start-day arrays: the bisect key.
-        self._starts: Dict[int, List[int]] = {
-            ip: [span[0] for span in spans]
-            for ip, spans in self._intervals.items()
-        }
-        self._nated = frozenset(nated)
-        self._users = dict(users)
-        self._dynamic_prefixes = tuple(sorted(dynamic_prefixes))
-        self._dynamic_set = PrefixSet(iter(self._dynamic_prefixes), family)
-        self._categories = dict(categories)
-        self._asn_by_ip = dict(asn_by_ip)
-        self._rollups = self._build_rollups()
+        self._adopt(
+            family,
+            tuple((int(start), int(end)) for start, end in windows),
+            dict(categories),
+            columns,
+            {},
+            _counts_of(columns, len(categories)),
+        )
+
+    def _adopt(
+        self,
+        family: AddressFamily,
+        windows: Tuple[Window, ...],
+        categories: Dict[str, str],
+        columns: Columns,
+        overlay: Dict[int, Tuple[Interval, ...]],
+        counts: Dict[str, int],
+    ) -> None:
+        self._family = family
+        self._windows = windows
+        self._categories = categories
+        self._columns = columns
+        #: Addresses whose intervals differ from the columns': the
+        #: copy-on-write delta of :meth:`with_interval_updates`. An
+        #: empty tuple marks a dropped address.
+        self._overlay = overlay
+        #: What :meth:`stats` reports, kept current by every
+        #: constructor so the op never walks a table.
+        self._counts = counts
+        self._rollups: Optional[Dict[int, ASRollup]] = None
+
+    @classmethod
+    def _assemble(
+        cls,
+        family: AddressFamily,
+        windows: Tuple[Window, ...],
+        categories: Dict[str, str],
+        columns: Columns,
+        overlay: Dict[int, Tuple[Interval, ...]],
+        counts: Dict[str, int],
+    ) -> "ReputationIndex":
+        index = cls.__new__(cls)
+        index._adopt(family, windows, categories, columns, overlay, counts)
+        return index
 
     # -- construction --------------------------------------------------
 
@@ -125,7 +183,7 @@ class ReputationIndex:
         ``catalog`` supplies each list's category for the action
         policy; lists absent from it fall back to ``reputation``.
         """
-        intervals: Dict[int, List[_Interval]] = {}
+        intervals: Dict[int, List[Interval]] = {}
         for listing in analysis.observed:
             intervals.setdefault(listing.ip, []).append(
                 (listing.first_day, listing.last_day, listing.list_id)
@@ -169,144 +227,185 @@ class ReputationIndex:
         means to a consumer that does not pass an explicit day."""
         return self._windows[-1][1] if self._windows else 0
 
+    def facts(self, ip: int, day: int) -> Facts:
+        """Everything a verdict on ``(ip, day)`` needs, for one search
+        of the key column: ``(lists, nated, dynamic, users, asn)``."""
+        columns = self._columns
+        keys = columns.keys
+        if keys.high is None:
+            # `keys.find` and `columns.in_dynamic` spelled out: on the
+            # serving hot path the four calls they cost are a fifth of
+            # the whole probe.
+            low = keys.low
+            row = bisect_left(low, ip)
+            if row == len(low) or low[row] != ip:
+                row = -1
+            at = bisect_right(columns.dyn_first.low, ip) - 1
+            dynamic = at >= 0 and ip <= columns.dyn_last.low[at]
+        else:
+            row = keys.find(ip)
+            dynamic = columns.in_dynamic(ip)
+        spans = self._overlay.get(ip) if self._overlay else None
+        if row < 0:
+            lists = _active_in(spans, day) if spans else ()
+            return lists, False, dynamic, 0, 0
+        asn = columns.asns[row]
+        return (
+            columns.active(row, day)
+            if spans is None
+            else _active_in(spans, day),
+            columns.flags[row] & NATED != 0,
+            dynamic,
+            columns.users[row],
+            0 if asn == NO_ASN else asn,
+        )
+
     def lists_active_on(self, ip: int, day: int) -> Tuple[str, ...]:
         """Lists carrying ``ip`` on ``day``, list-id ordered."""
-        spans = self._intervals.get(ip)
-        if not spans:
-            return ()
-        # Candidates start no later than `day`; intervals are short and
-        # few per address, so the residual scan is a handful of tuples.
-        cut = bisect_right(self._starts[ip], day)
-        return tuple(
-            sorted(
-                list_id
-                for first, last, list_id in spans[:cut]
-                if last >= day
-            )
-        )
+        spans = self._overlay.get(ip) if self._overlay else None
+        if spans is not None:
+            return _active_in(spans, day)
+        columns = self._columns
+        row = columns.keys.find(ip)
+        return columns.active(row, day) if row >= 0 else ()
 
     def lists_ever(self, ip: int) -> Tuple[str, ...]:
         """Every list that carried ``ip`` at any observed time."""
-        spans = self._intervals.get(ip, ())
-        return tuple(sorted({list_id for _, _, list_id in spans}))
+        return tuple(
+            sorted({list_id for _, _, list_id in self.intervals_of(ip)})
+        )
 
-    def intervals_of(self, ip: int) -> Tuple[_Interval, ...]:
+    def intervals_of(self, ip: int) -> Tuple[Interval, ...]:
         """The raw listing intervals of one address, start-day sorted."""
-        return tuple(self._intervals.get(ip, ()))
+        spans = self._overlay.get(ip)
+        if spans is not None:
+            return spans
+        columns = self._columns
+        row = columns.keys.find(ip)
+        return columns.spans(row) if row >= 0 else ()
 
-    def interval_items(self) -> Iterator[Tuple[int, Tuple[_Interval, ...]]]:
-        """Iterate ``(ip, intervals)`` pairs (streaming/compare paths)."""
-        for ip, spans in self._intervals.items():
-            yield ip, tuple(spans)
+    def interval_items(self) -> Iterator[Tuple[int, Tuple[Interval, ...]]]:
+        """Iterate ``(ip, intervals)`` over every listed address
+        (streaming/compare paths)."""
+        columns, overlay = self._columns, self._overlay
+        for row, (ip, flags) in enumerate(zip(columns.keys, columns.flags)):
+            if flags & LISTED and ip not in overlay:
+                yield ip, columns.spans(row)
+        for ip, spans in overlay.items():
+            if spans:
+                yield ip, spans
 
     def restrict(self, lo: int, hi: int) -> "ReputationIndex":
         """Project the index onto the address range ``lo..hi``.
 
-        The cluster layer shards the IPv4 space by handing each worker
-        ``full_index.restrict(range.lo, range.hi)``: per-IP tables
-        (intervals, NAT set, user counts, AS origins) keep only
-        addresses inside the range, dynamic prefixes keep those
-        overlapping it, and run-wide products (windows, list
-        categories) are kept whole so per-shard verdicts are
-        field-for-field identical to the full index for every in-range
-        address. Callers must align range edges so no dynamic /24
-        straddles two shards (the partitioner guarantees this); an
-        overlapping prefix is kept whole on every shard it touches.
+        The cluster layer shards the address space by handing each
+        worker ``full_index.restrict(range.lo, range.hi)``: the per-row
+        columns become slices of the parent's (two bisects, no copy —
+        under ``fork`` every shard keeps reading the same pages),
+        dynamic ranges keep those overlapping the range, and run-wide
+        products (windows, list categories) are kept whole, so
+        per-shard verdicts are field-for-field identical to the full
+        index for every in-range address. Callers must align range
+        edges so no dynamic prefix straddles two shards (the
+        partitioner guarantees this); an overlapping one is kept whole
+        on every shard it touches.
         """
         fam = self._family
         if not (fam.valid_ip(lo) and fam.valid_ip(hi)) or lo > hi:
             raise ValueError(f"bad address range: {lo!r}..{hi!r}")
-        return type(self)(
-            windows=self._windows,
-            intervals={
-                ip: spans
-                for ip, spans in self._intervals.items()
-                if lo <= ip <= hi
-            },
-            nated={ip for ip in self._nated if lo <= ip <= hi},
-            users={
-                ip: users
-                for ip, users in self._users.items()
-                if lo <= ip <= hi
-            },
-            dynamic_prefixes=[
-                prefix
-                for prefix in self._dynamic_prefixes
-                if prefix.first() <= hi and prefix.last() >= lo
-            ],
-            categories=self._categories,
-            asn_by_ip={
-                ip: asn
-                for ip, asn in self._asn_by_ip.items()
-                if lo <= ip <= hi
-            },
-            family=fam,
+        columns = self._columns.restrict(lo, hi)
+        counts = _counts_of(columns, len(self._categories))
+        overlay = {
+            ip: spans
+            for ip, spans in self._overlay.items()
+            if lo <= ip <= hi
+        }
+        for ip, spans in overlay.items():
+            _recount(counts, columns.span_count(ip), len(spans))
+        return self._assemble(
+            fam, self._windows, self._categories, columns, overlay, counts
         )
 
     # -- copy-on-write successors --------------------------------------
 
     def with_interval_updates(
-        self, updates: Dict[int, Sequence[_Interval]]
+        self, updates: Mapping[int, Sequence[Interval]]
     ) -> "ReputationIndex":
         """A successor index with per-IP interval lists replaced.
 
-        This is the streaming layer's hot path: every structure except
-        the interval tables is *shared* with the parent (they are all
-        effectively immutable), the outer tables are shallow-copied,
-        and only the addresses named in ``updates`` get fresh lists —
-        an empty sequence drops the address. Rollups are inherited:
-        they count the measurement-side reuse exposure, which listing
-        churn does not move.
+        This is the streaming layer's hot path. The successor shares
+        every column with its parent and carries the changed addresses
+        in a small overlay, consulted before the columns — an empty
+        sequence drops the address — so the cost follows the size of
+        the delta, not of the corpus, and nothing a reader of the
+        parent can hold is ever written. Once the overlay outgrows
+        ``1 / _FOLD_DIVISOR`` of the rows it is folded into fresh
+        columns. Rollups are inherited: they count the
+        measurement-side reuse exposure, which listing churn does not
+        move.
         """
-        successor = object.__new__(type(self))
-        successor.__dict__.update(self.__dict__)
-        intervals = dict(self._intervals)
-        starts = dict(self._starts)
+        columns = self._columns
+        fam = self._family
+        if updates and not (
+            fam.valid_ip(min(updates)) and fam.valid_ip(max(updates))
+        ):
+            raise ValueError(
+                f"address outside {fam.name}: "
+                f"{min(updates)!r}..{max(updates)!r}"
+            )
+        overlay = dict(self._overlay)
+        counts = dict(self._counts)
         for ip, spans in updates.items():
-            if spans:
-                ordered = sorted(tuple(span) for span in spans)
-                intervals[ip] = ordered
-                starts[ip] = [span[0] for span in ordered]
-            else:
-                intervals.pop(ip, None)
-                starts.pop(ip, None)
-        successor._intervals = intervals
-        successor._starts = starts
+            ordered = checked_spans(spans)
+            known = overlay.get(ip)
+            before = (
+                columns.span_count(ip) if known is None else len(known)
+            )
+            overlay[ip] = ordered
+            _recount(counts, before, len(ordered))
+        if len(overlay) * _FOLD_DIVISOR > len(columns.keys):
+            columns = fold(columns, overlay)
+            overlay = {}
+        successor = self._assemble(
+            self._family, self._windows, self._categories, columns,
+            overlay, counts,
+        )
+        successor._rollups = self._rollups
         return successor
 
     def is_nated(self, ip: int) -> bool:
         """Crawler-confirmed concurrent NAT sharing."""
-        return ip in self._nated
+        columns = self._columns
+        row = columns.keys.find(ip)
+        return row >= 0 and columns.flags[row] & NATED != 0
 
     def is_dynamic(self, ip: int) -> bool:
-        """Inside a detected dynamically-reassigned /24."""
-        return self._dynamic_set.contains_ip(ip)
+        """Inside a detected dynamically-reassigned prefix."""
+        return self._columns.in_dynamic(ip)
 
     def is_reused(self, ip: int) -> bool:
         """Either reuse form — same contract as
         :meth:`ReuseAnalysis.is_reused`, so the greylist policy helper
         accepts an index wherever it accepts an analysis."""
-        return ip in self._nated or self._dynamic_set.contains_ip(ip)
+        return self.is_nated(ip) or self._columns.in_dynamic(ip)
 
     def reuse_kind(self, ip: int) -> str:
         """``"nat"``, ``"dynamic"``, ``"nat+dynamic"`` or ``""``."""
-        nated = ip in self._nated
-        dynamic = self._dynamic_set.contains_ip(ip)
-        if nated and dynamic:
-            return "nat+dynamic"
-        if nated:
-            return "nat"
-        if dynamic:
-            return "dynamic"
-        return ""
+        return reuse_kind_of(self.is_nated(ip), self._columns.in_dynamic(ip))
 
     def users_behind(self, ip: int) -> int:
         """Detected user lower bound (0 when not NATed)."""
-        return self._users.get(ip, 0)
+        columns = self._columns
+        row = columns.keys.find(ip)
+        return columns.users[row] if row >= 0 else 0
 
     def asn_of(self, ip: int) -> int:
         """Origin ASN recorded for a blocklisted ``ip`` (0 otherwise)."""
-        return self._asn_by_ip.get(ip, 0)
+        columns = self._columns
+        row = columns.keys.find(ip)
+        if row < 0 or columns.asns[row] == NO_ASN:
+            return 0
+        return columns.asns[row]
 
     def category_of(self, list_id: str) -> str:
         """Policy category of a list (``reputation`` when unknown)."""
@@ -314,133 +413,102 @@ class ReputationIndex:
 
     # -- rollups and stats ---------------------------------------------
 
-    def _build_rollups(self) -> Dict[int, ASRollup]:
-        counts: Dict[int, List[int]] = {}
-        for ip, asn in self._asn_by_ip.items():
-            row = counts.setdefault(asn, [0, 0, 0, 0])
-            nated = ip in self._nated
-            dynamic = self._dynamic_set.contains_ip(ip)
-            row[0] += 1
-            row[1] += nated
-            row[2] += dynamic
-            row[3] += nated or dynamic
-        return {
-            asn: ASRollup(asn, *row) for asn, row in counts.items()
-        }
+    def _rollup_table(self) -> Dict[int, ASRollup]:
+        table = self._rollups
+        if table is None:
+            columns = self._columns
+            tallies: Dict[int, List[int]] = {}
+            for ip, flags, asn in zip(
+                columns.keys, columns.flags, columns.asns
+            ):
+                if asn == NO_ASN:
+                    continue
+                tally = tallies.setdefault(asn, [0, 0, 0, 0])
+                nated = flags & NATED != 0
+                dynamic = columns.in_dynamic(ip)
+                tally[0] += 1
+                tally[1] += nated
+                tally[2] += dynamic
+                tally[3] += nated or dynamic
+            # Two threads may both get here; they store equal tables.
+            table = self._rollups = {
+                asn: ASRollup(asn, *tally) for asn, tally in tallies.items()
+            }
+        return table
 
     def as_rollups(self) -> List[ASRollup]:
         """Per-AS reuse exposure, most blocklisted addresses first."""
         return sorted(
-            self._rollups.values(),
+            self._rollup_table().values(),
             key=lambda r: (-r.blocklisted, r.asn),
         )
 
     def rollup_of(self, asn: int) -> ASRollup:
         """Rollup for one AS (all-zero when it has no listings)."""
-        return self._rollups.get(asn, ASRollup(asn, 0, 0, 0, 0))
+        return self._rollup_table().get(asn, ASRollup(asn, 0, 0, 0, 0))
 
     def stats(self) -> Dict[str, int]:
         """Size counters for logs and the ``stats`` wire op."""
-        return {
-            "ips": len(self._intervals),
-            "intervals": sum(len(s) for s in self._intervals.values()),
-            "nated_ips": len(self._nated),
-            "dynamic_prefixes": len(self._dynamic_prefixes),
-            "lists": len(self._categories),
-            "ases": len(self._rollups),
-        }
+        return dict(self._counts)
 
     # -- snapshots -----------------------------------------------------
 
     def save(self, path: "Path | str") -> Path:
         """Write a binary snapshot (atomic: temp file + rename)."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "magic": _SNAPSHOT_MAGIC,
-            "version": _SNAPSHOT_VERSION,
-            "state": {
-                "windows": list(self._windows),
-                "intervals": self._intervals,
-                "nated": sorted(self._nated),
-                "users": self._users,
-                "dynamic_prefixes": [
-                    (p.network, p.length) for p in self._dynamic_prefixes
-                ],
-                "categories": self._categories,
-                "asn_by_ip": self._asn_by_ip,
-            },
-        }
-        # Family key only for non-v4 so pre-family v4 snapshots and
-        # fresh ones stay byte-identical; absent means v4 on load.
-        if self._family is not V4:
-            payload["state"]["family"] = self._family.name
-        handle, temp_name = tempfile.mkstemp(
-            dir=target.parent, prefix="tmp-index-"
+        columns = self._columns
+        if self._overlay or not columns.is_tight():
+            # A successor or a shard slice: write its own tight tables.
+            columns = fold(columns, self._overlay)
+        return write_snapshot(
+            path, self._family, columns, self._windows,
+            self._categories, self._counts,
         )
-        try:
-            with os.fdopen(handle, "wb") as raw:
-                with gzip.open(raw, "wb", compresslevel=6) as compressed:
-                    pickle.dump(
-                        payload, compressed, pickle.HIGHEST_PROTOCOL
-                    )
-            os.replace(temp_name, target)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
-        return target
 
     @classmethod
     def load(cls, path: "Path | str") -> "ReputationIndex":
-        """Restore a snapshot; :class:`SnapshotError` on anything that
-        is not a readable, version-matching snapshot."""
-        try:
-            with gzip.open(Path(path), "rb") as handle:
-                payload = pickle.load(handle)
-        except FileNotFoundError:
-            raise SnapshotError(f"snapshot not found: {path}") from None
-        except Exception as exc:
-            raise SnapshotError(
-                f"unreadable snapshot {path}: {exc}"
-            ) from None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("magic") != _SNAPSHOT_MAGIC
-        ):
-            raise SnapshotError(
-                f"{path} is not a reputation-index snapshot"
-            )
-        if payload.get("version") != _SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot version {payload.get('version')!r} does not "
-                f"match expected {_SNAPSHOT_VERSION}"
-            )
-        state = payload["state"]
-        try:
-            family = family_named(state.get("family"))
-            return cls(
-                windows=[tuple(w) for w in state["windows"]],
-                intervals={
-                    ip: [tuple(span) for span in spans]
-                    for ip, spans in state["intervals"].items()
-                },
-                nated=set(state["nated"]),
-                users=state["users"],
-                dynamic_prefixes=[
-                    family.make_prefix(network, length)
-                    for network, length in state["dynamic_prefixes"]
-                ],
-                categories=state["categories"],
-                asn_by_ip=state["asn_by_ip"],
-                family=family,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(
-                f"malformed snapshot state in {path}: {exc}"
-            ) from None
+        """Map a snapshot; :class:`SnapshotError`, with the reason, on
+        anything that is not a readable snapshot of this version.
+
+        The file is checked (header, length, CRC-32, section bounds)
+        and then only viewed: no address is visited and no content is
+        ever executed.
+        """
+        snapshot = read_snapshot(path)
+        return cls._assemble(
+            snapshot.family, snapshot.windows, snapshot.categories,
+            snapshot.columns, {}, snapshot.counts,
+        )
+
+
+def _counts_of(columns: Columns, lists: int) -> Dict[str, int]:
+    """What :meth:`ReputationIndex.stats` reports for ``columns``:
+    C-speed passes over two narrow columns — in ``restrict``, the only
+    work that grows with the range."""
+    flags = bytes(columns.flags)
+    return {
+        "ips": flags.count(LISTED) + flags.count(LISTED | NATED),
+        "intervals": columns.offsets[-1] - columns.offsets[0],
+        "nated_ips": flags.count(NATED) + flags.count(LISTED | NATED),
+        "dynamic_prefixes": len(columns.dyn_first),
+        "lists": lists,
+        "ases": len(set(columns.asns) - {NO_ASN}),
+    }
+
+
+def _recount(counts: Dict[str, int], before: int, after: int) -> None:
+    """Move ``counts`` for one address going from ``before`` listing
+    intervals to ``after``."""
+    counts["intervals"] += after - before
+    counts["ips"] += bool(after) - bool(before)
+
+
+def _active_in(spans: Sequence[Interval], day: int) -> Tuple[str, ...]:
+    """Lists among ``spans`` carrying their address on ``day``."""
+    return tuple(
+        sorted(
+            [list_id for first, last, list_id in spans if first <= day <= last]
+        )
+    )
 
 
 def policy_category(info: BlocklistInfo) -> str:

@@ -6,6 +6,7 @@ exception. A DHT node and a feed collector both live on hostile input.
 """
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,97 @@ class TestWireFuzz:
                 parser(text)
             except ValueError:
                 pass
+
+
+class TestSnapshotFuzz:
+    """A damaged index snapshot must end in ``SnapshotError`` — never
+    another exception, a hang, or an index that loaded."""
+
+    HEADER_BYTES = 40
+    ENTRY = struct.Struct("<4sB3xQQ")
+
+    @pytest.fixture(scope="class", params=["ipv4", "ipv6"])
+    def snapshot(self, request, tmp_path_factory):
+        from repro.net.family import FAMILIES
+        from repro.service.index import ReputationIndex
+
+        family = FAMILIES[request.param]
+        top = family.max_int - 4096
+        index = ReputationIndex(
+            windows=[(0, 40)],
+            intervals={
+                top + 7 * i: [(i % 9, i % 9 + 5, f"list-{i % 5}")] * (1 + i % 3)
+                for i in range(60)
+            },
+            nated={top + 14 * i for i in range(20)},
+            users={top + 14 * i: 2 + i for i in range(20)},
+            dynamic_prefixes=[family.atom_prefix(top)],
+            categories={f"list-{i}": "spam" for i in range(5)},
+            asn_by_ip={top + 7 * i: 64500 + i % 3 for i in range(60)},
+            family=family,
+        )
+        path = tmp_path_factory.mktemp("fuzz") / f"{family.name}.idx"
+        index.save(path)
+        assert ReputationIndex.load(path).stats() == index.stats()
+        return path, path.read_bytes()
+
+    def _must_refuse(self, path, blob, what):
+        from repro.service.index import ReputationIndex, SnapshotError
+
+        path.write_bytes(blob)
+        try:
+            index = ReputationIndex.load(path)
+        except SnapshotError as exc:
+            assert str(exc), what
+        else:
+            pytest.fail(f"{what}: loaded {index.stats()}")
+
+    def _section_bounds(self, good):
+        sections = struct.unpack_from("<I", good, 20)[0]
+        bounds = {0, 8, 32, 36, self.HEADER_BYTES}
+        for at in range(sections):
+            entry = self.HEADER_BYTES + self.ENTRY.size * at
+            _tag, _item, offset, nbytes = self.ENTRY.unpack_from(good, entry)
+            bounds |= {entry, offset, offset + nbytes}
+        assert max(bounds) <= len(good)
+        return sorted(bounds - {len(good)})
+
+    def test_truncation_at_every_section_boundary(self, snapshot):
+        path, good = snapshot
+        for cut in self._section_bounds(good):
+            for at in {max(cut - 1, 0), cut, cut + 1} - {len(good)}:
+                self._must_refuse(path, good[:at], f"cut at {at}")
+
+    def test_truncation_at_random_offsets(self, snapshot):
+        path, good = snapshot
+        rng = random.Random(2020)
+        for _ in range(200):
+            at = rng.randrange(len(good))
+            self._must_refuse(path, good[:at], f"cut at {at}")
+
+    def test_flipped_bytes(self, snapshot):
+        path, good = snapshot
+        rng = random.Random(2021)
+        # Every header byte and section-table byte, then random ones.
+        sections = struct.unpack_from("<I", good, 20)[0]
+        table_end = self.HEADER_BYTES + self.ENTRY.size * sections
+        offsets = list(range(table_end)) + [
+            rng.randrange(len(good)) for _ in range(300)
+        ]
+        for at in offsets:
+            blob = bytearray(good)
+            blob[at] ^= 1 << rng.randrange(8)
+            self._must_refuse(path, bytes(blob), f"flip at {at}")
+
+    def test_appended_and_foreign_bytes(self, snapshot):
+        path, good = snapshot
+        rng = random.Random(2022)
+        self._must_refuse(path, good + b"\x00", "one byte appended")
+        self._must_refuse(path, good + good, "file doubled")
+        self._must_refuse(path, rng.randbytes(len(good)), "random bytes")
+        self._must_refuse(
+            path, good[:8] + rng.randbytes(len(good) - 8), "magic then noise"
+        )
 
 
 class TestPeerUnderHostileTraffic:

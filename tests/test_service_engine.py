@@ -2,7 +2,8 @@
 read-optimised view of the batch :class:`ReuseAnalysis`."""
 
 import gzip
-import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -19,6 +20,11 @@ def index(small_full_run):
 @pytest.fixture()
 def engine(index):
     return QueryEngine(index)
+
+
+def _listed_ips(index):
+    """Every address the index holds a listing for, address-ordered."""
+    return sorted(ip for ip, _spans in index.interval_items())
 
 
 def _sample_days(analysis):
@@ -141,7 +147,7 @@ class TestVerdicts:
         ]
 
     def test_default_day_applied(self, engine):
-        ip = next(iter(engine.index._intervals))
+        ip = _listed_ips(engine.index)[0]
         assert engine.query(ip) == engine.query(
             ip, engine.index.default_day()
         )
@@ -156,7 +162,7 @@ class TestVerdicts:
 class TestEngineCache:
     def test_repeat_query_hits_lru(self, index):
         engine = QueryEngine(index)
-        ip = next(iter(index._intervals))
+        ip = _listed_ips(index)[0]
         engine.query(ip, 230)
         engine.query(ip, 230)
         stats = engine.stats()
@@ -166,7 +172,7 @@ class TestEngineCache:
 
     def test_capacity_evicts_oldest(self, index):
         engine = QueryEngine(index, cache_size=2)
-        ips = sorted(index._intervals)[:3]
+        ips = _listed_ips(index)[:3]
         for ip in ips:
             engine.query(ip, 230)
         assert engine.stats()["cache"]["entries"] == 2
@@ -175,7 +181,7 @@ class TestEngineCache:
 
     def test_cached_verdicts_identical(self, index):
         engine = QueryEngine(index)
-        ip = next(iter(index._intervals))
+        ip = _listed_ips(index)[0]
         assert engine.query(ip, 230) == engine.query(ip, 230)
 
     def test_negative_capacity_rejected(self, index):
@@ -196,7 +202,7 @@ class TestEpochCounters:
 
     def test_static_engine_tables_agree(self, index):
         engine = QueryEngine(index)
-        ip = next(iter(index._intervals))
+        ip = _listed_ips(index)[0]
         engine.query(ip, 230)
         engine.query(ip, 230)
         stats = engine.stats()
@@ -209,7 +215,7 @@ class TestEpochCounters:
         from repro.stream.delta import DeltaBatch
 
         epochs, engine = self._streamed_engine(index)
-        ip = next(iter(index._intervals))
+        ip = _listed_ips(index)[0]
         engine.query(ip, 230)
         engine.query(ip, 230)  # cumulative: 2 queries, 1 hit
         epochs.apply(DeltaBatch(1, 231, ()))
@@ -226,7 +232,7 @@ class TestEpochCounters:
         from repro.stream.delta import DeltaBatch
 
         epochs, engine = self._streamed_engine(index)
-        ip = next(iter(index._intervals))
+        ip = _listed_ips(index)[0]
         engine.query(ip, 230)
         epochs.apply(DeltaBatch(1, 231, ()))
         # No queries since the swap: stats still shows the old table
@@ -262,23 +268,128 @@ class TestSnapshots:
         with pytest.raises(SnapshotError):
             ReputationIndex.load(path)
 
-    def test_wrong_magic_snapshot(self, tmp_path):
-        path = tmp_path / "magic.idx"
-        with gzip.open(path, "wb") as handle:
-            pickle.dump({"magic": "something-else"}, handle)
-        with pytest.raises(SnapshotError):
-            ReputationIndex.load(path)
+    # The fixed header (DESIGN.md, "Snapshot format"): magic, version,
+    # key bytes, family tag, sections, file bytes, CRC-32, padding.
+    HEADER = struct.Struct("<8sHH8sIQI4x")
+    CRC_AT = 32
 
-    def test_wrong_version_snapshot(self, tmp_path):
-        path = tmp_path / "version.idx"
-        with gzip.open(path, "wb") as handle:
-            pickle.dump(
-                {
-                    "magic": "repro-reputation-index",
-                    "version": 999,
-                    "state": {},
-                },
-                handle,
-            )
-        with pytest.raises(SnapshotError):
+    def _saved(self, index, tmp_path):
+        path = tmp_path / "bytes.idx"
+        index.save(path)
+        return path, bytearray(path.read_bytes())
+
+    def _crc(self, data):
+        """CRC-32 of everything but the CRC field itself."""
+        return zlib.crc32(
+            bytes(data[self.CRC_AT + 4:]),
+            zlib.crc32(bytes(data[:self.CRC_AT])),
+        )
+
+    def _reseal(self, data):
+        """Recompute the CRC so only the edited field is at fault."""
+        struct.pack_into("<I", data, self.CRC_AT, self._crc(data))
+
+    def _load_error(self, path, data):
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotError) as caught:
             ReputationIndex.load(path)
+        return str(caught.value)
+
+    def test_header_layout_is_pinned(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        magic, version, key_bytes, tag, sections, size, crc = (
+            self.HEADER.unpack_from(data)
+        )
+        assert (magic, version, key_bytes) == (b"REPROIDX", 2, 4)
+        assert tag == bytes(8)  # v4 carries no family tag
+        assert sections == 11
+        assert size == len(data) == path.stat().st_size
+        assert crc == self._crc(data)
+        assert data[self.HEADER.size:self.HEADER.size + 4] == b"META"
+
+    def test_wrong_magic_snapshot(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        data[:8] = b"REPROIDY"
+        self._reseal(data)
+        assert "not a reputation-index" in self._load_error(path, data)
+
+    def test_wrong_version_snapshot(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        struct.pack_into("<H", data, 8, 999)
+        self._reseal(data)
+        assert "version-999" in self._load_error(path, data)
+        struct.pack_into("<H", data, 8, 1)
+        self._reseal(data)
+        assert "unsupported" in self._load_error(path, data)
+
+    def test_short_and_empty_files(self, tmp_path):
+        path = tmp_path / "short.idx"
+        for blob in (b"", b"REPROIDX", b"REPROIDX" + bytes(20)):
+            assert "too short" in self._load_error(path, blob)
+
+    def test_checksum_mismatch(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        data[-1] ^= 0x01
+        assert "checksum mismatch" in self._load_error(path, data)
+
+    def test_truncated_file(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        assert "truncated" in self._load_error(path, data[:-8])
+
+    def test_section_past_end_of_file(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        # Last section-table entry: tag, item bytes, offset, length.
+        entry = self.HEADER.size + 24 * 10
+        struct.pack_into("<Q", data, entry + 16, len(data))
+        self._reseal(data)
+        assert "past end of file" in self._load_error(path, data)
+
+    def test_key_width_and_family_mismatch(self, index, tmp_path):
+        path, data = self._saved(index, tmp_path)
+        struct.pack_into("<H", data, 10, 16)
+        self._reseal(data)
+        assert "16-byte keys" in self._load_error(path, data)
+        struct.pack_into("<H8s", data, 10, 4, b"ipv6")
+        self._reseal(data)
+        assert "4-byte keys" in self._load_error(path, data)
+        struct.pack_into("<8s", data, 12, b"ipx")
+        self._reseal(data)
+        assert "unknown address family" in self._load_error(path, data)
+
+    def test_big_endian_host_refused(self, index, tmp_path, monkeypatch):
+        path, _data = self._saved(index, tmp_path)
+        monkeypatch.setattr("sys.byteorder", "big")
+        with pytest.raises(SnapshotError, match="big-endian"):
+            ReputationIndex.load(path)
+        with pytest.raises(SnapshotError, match="big-endian"):
+            index.save(tmp_path / "never.idx")
+        assert not (tmp_path / "never.idx").exists()
+
+    def test_v1_pickle_snapshot_is_refused_unread(self, tmp_path):
+        """A version-1 file is recognised by its gzip magic alone: the
+        payload here would fail to unpickle, and is never asked to."""
+        path = tmp_path / "v1.idx"
+        with gzip.open(path, "wb") as handle:
+            handle.write(b"\x80\x05 this is not a pickle")
+        with pytest.raises(SnapshotError) as caught:
+            ReputationIndex.load(path)
+        message = str(caught.value)
+        assert "version-1" in message and "delete it" in message
+        assert f"repro serve --snapshot {path}" in message
+
+    def test_save_replaces_by_rename_under_a_live_mapping(
+        self, index, tmp_path
+    ):
+        """A loaded index keeps answering from the old inode while a
+        new snapshot is renamed over its path."""
+        path = tmp_path / "live.idx"
+        index.save(path)
+        loaded = ReputationIndex.load(path)
+        ip = _listed_ips(index)[0]
+        before = loaded.intervals_of(ip)
+        inode = path.stat().st_ino
+        index.with_interval_updates({ip: ()}).save(path)
+        assert path.stat().st_ino != inode
+        assert loaded.intervals_of(ip) == before
+        assert ReputationIndex.load(path).intervals_of(ip) == ()
+        assert not list(tmp_path.glob("tmp-index-*"))

@@ -257,6 +257,21 @@ class TestCliServe:
         ) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    def test_v1_pickle_snapshot_is_one_line_not_a_traceback(
+        self, command, tmp_path, capsys
+    ):
+        import gzip
+
+        old = tmp_path / "v1.idx"
+        with gzip.open(old, "wb") as handle:
+            handle.write(b"a version-1 file held a pickle here")
+        assert main([command, "--snapshot", str(old), "--port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "delete it" in err
+        assert f"repro serve --snapshot {old}" in err
+
     def test_serve_bad_preset_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["serve", "--preset", "galactic"])

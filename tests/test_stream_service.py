@@ -147,13 +147,13 @@ class TestEpochIndex:
             i for i, s in base_index.interval_items() if i != ip and s
         )
         epochs.apply(DeltaBatch(1, 1, (self._delta(ip, span),)))
-        # Copy-on-write: the successor's table holds the *same* span
-        # list objects for every address the batch did not touch.
-        assert epochs.index._intervals[other] is (
-            base_index._intervals[other]
-        )
-        assert epochs.index._intervals[ip] is not (
-            base_index._intervals.get(ip)
+        # Copy-on-write: the successor reads the *same* columns as its
+        # parent and carries only the touched address in its overlay.
+        assert epochs.index._columns is base_index._columns
+        assert set(epochs.index._overlay) == {ip}
+        assert not base_index._overlay
+        assert epochs.index.intervals_of(other) == (
+            base_index.intervals_of(other)
         )
 
     def test_stats_counters(self, base_index, start_day):

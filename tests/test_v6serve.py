@@ -319,12 +319,15 @@ class TestV4NonRegression:
     partition payloads carry no family key."""
 
     @staticmethod
-    def _snapshot_state(path):
-        import gzip
-        import pickle
+    def _snapshot_header(path):
+        """``(key bytes, family tag, sections)`` of a snapshot's fixed
+        header (DESIGN.md, "Snapshot format")."""
+        import struct
 
-        with gzip.open(path, "rb") as handle:
-            return pickle.load(handle)["state"]
+        _magic, _version, key_bytes, tag, sections, _size, _crc = (
+            struct.unpack_from("<8sHH8sIQI", path.read_bytes())
+        )
+        return key_bytes, tag, sections
 
     def test_v4_snapshot_has_no_family_key(
         self, tmp_path, small_full_run
@@ -334,7 +337,9 @@ class TestV4NonRegression:
         index = ReputationIndex.from_run(small_full_run)
         assert index.family is V4
         index.save(tmp_path / "v4.snap")
-        assert "family" not in self._snapshot_state(tmp_path / "v4.snap")
+        assert self._snapshot_header(tmp_path / "v4.snap") == (
+            4, bytes(8), 11
+        )
 
     def test_v4_partition_wire_has_no_family_key(self):
         from repro.cluster import PartitionMap
@@ -350,7 +355,9 @@ class TestV4NonRegression:
         index = scenario_index(scenario)
         path = tmp_path / "v6.snap"
         index.save(path)
-        assert self._snapshot_state(path)["family"] == "ipv6"
+        assert self._snapshot_header(path) == (
+            16, b"ipv6" + bytes(4), 14
+        )
         restored = ReputationIndex.load(path)
         assert restored.family is V6
         ip = scenario.ledger.dynamic_prefixes[0].network | 9
