@@ -102,10 +102,9 @@ def test_perf_stream_log_roundtrip(benchmark, tmp_path):
 def test_perf_stream_query_p99_under_hot_swap(benchmark):
     """Per-query p99 with epoch swaps interleaved vs steady-state.
 
-    Queries are timed one by one on the serving path (cache disabled —
-    the point is the evaluate path, not the LRU); the churn phase
-    applies one day batch between every few queries, so nearly every
-    query crosses a swap boundary.
+    Queries are timed one by one on the engine's evaluate path; the
+    churn phase applies one day batch between every few queries, so
+    nearly every query crosses a swap boundary.
     """
     run = cached_run("small")
     base, start_day, batches = _replay(run)
@@ -120,14 +119,12 @@ def test_perf_stream_query_p99_under_hot_swap(benchmark):
         return samples
 
     # Steady-state: same index state, no writer activity.
-    steady_engine = QueryEngine(
-        EpochIndex(base, day=start_day), cache_size=0
-    )
+    steady_engine = QueryEngine(EpochIndex(base, day=start_day))
     steady = timed_queries(steady_engine, pairs)
 
     def churn_round():
         epochs = EpochIndex(base, day=start_day)
-        engine = QueryEngine(epochs, cache_size=0)
+        engine = QueryEngine(epochs)
         samples = []
         cursor = 0
         for batch in batches:

@@ -4,9 +4,10 @@
 restrict the full index per shard, start each shard's primary and
 replicas (threads in-process, or one forked worker process per
 backend), then put a :class:`~repro.cluster.router.Router` in front.
-Tests and benchmarks use thread mode; ``repro cluster`` uses process
-mode so each shard genuinely holds only its slice in its own
-interpreter.
+Most tests use thread mode; ``repro cluster`` and the serving
+benchmark use process mode so each shard genuinely holds only its
+slice in its own interpreter. Both hosts present the same surface
+(``start / stop / address / pid / applied_seq / wait_for_seq``).
 
 Kill/restart hooks (:meth:`kill_primary` / :meth:`restart_primary`)
 exist because the acceptance bar requires serving *through* a shard
@@ -159,6 +160,7 @@ class LocalCluster:
         shard_id: int,
         shard_range: ShardRange,
         follow: Any = _INHERIT,
+        port: int = 0,
     ) -> _ShardHost:
         if follow is LocalCluster._INHERIT:
             follow = self._follow
@@ -170,6 +172,7 @@ class LocalCluster:
                 follow=follow,
                 start_day=self._start_day,
                 host=self._host,
+                port=port,
                 connection_timeout=self._connection_timeout,
             )
         return ShardServer(
@@ -179,6 +182,7 @@ class LocalCluster:
             follow=follow,
             start_day=self._start_day,
             host=self._host,
+            port=port,
             connection_timeout=self._connection_timeout,
             poll_interval=self._poll_interval,
         )
@@ -228,10 +232,7 @@ class LocalCluster:
         for slot in self._backends + self._backends6:
             for backend in slot:
                 try:
-                    if isinstance(backend, ShardProcess):
-                        backend.kill()
-                    else:
-                        backend.stop()
+                    backend.stop()
                 # Teardown must not mask the real failure; every
                 # backend still gets its stop attempt.
                 # reprolint: disable=EXC
@@ -259,50 +260,35 @@ class LocalCluster:
 
     def shard_pids(self) -> List[List[Optional[int]]]:
         """Per-shard backend pids (process mode; None in thread mode)."""
-        return [
-            [
-                backend.pid if isinstance(backend, ShardProcess) else None
-                for backend in slot
-            ]
-            for slot in self._backends
-        ]
+        return [[backend.pid for backend in slot] for slot in self._backends]
 
     def kill_primary(self, shard_id: int) -> None:
         """Take shard ``shard_id``'s primary down, hard."""
-        backend = self._backends[shard_id][0]
-        if isinstance(backend, ShardProcess):
-            backend.kill()
-        else:
-            backend.stop()
+        self._backends[shard_id][0].stop()
 
     def restart_primary(self, shard_id: int) -> Tuple[str, int]:
-        """Bring a killed primary back on its original port."""
+        """Bring a killed primary back on its original port: a fresh
+        backend over the pristine restricted base, so a follower
+        replays the log from the start."""
         old = self._backends[shard_id][0]
-        shard_range = self.partition.range_of(shard_id)
-        if isinstance(old, ShardProcess):
-            return old.restart()
-        host, port = old.address
-        replacement = ShardServer(
+        old.stop()
+        replacement = self._make_backend(
             self._bases[shard_id],
             shard_id,
-            shard_range,
-            follow=self._follow,
-            start_day=self._start_day,
-            host=host,
-            port=port,
-            connection_timeout=self._router_args["connection_timeout"],
+            self.partition.range_of(shard_id),
+            port=old.address[1],
         )
         self._backends[shard_id][0] = replacement
         return replacement.start()
 
     def wait_for_seq(self, seq: int, timeout: float = 60.0) -> bool:
-        """Block until every live backend has applied ``seq``."""
-        for slot in self._backends:
-            for backend in slot:
-                if isinstance(backend, ShardServer):
-                    if not backend.wait_for_seq(seq, timeout=timeout):
-                        return False
-        return True
+        """Block until every backend has applied ``seq`` (a stopped
+        one never does: ``False`` after ``timeout``)."""
+        return all(
+            backend.wait_for_seq(seq, timeout=timeout)
+            for slot in self._backends
+            for backend in slot
+        )
 
     # -- elasticity ----------------------------------------------------
 
@@ -378,10 +364,7 @@ class LocalCluster:
                 for slot in new_slots:
                     for backend in slot:
                         try:
-                            if isinstance(backend, ShardProcess):
-                                backend.kill()
-                            else:
-                                backend.stop()
+                            backend.stop()
                         except (OSError, RuntimeError):
                             pass
                 raise
@@ -397,10 +380,7 @@ class LocalCluster:
             drained = self.router.drain_retired(drain_timeout)
             for backend in old_slot:
                 try:
-                    if isinstance(backend, ShardProcess):
-                        backend.kill()
-                    else:
-                        backend.stop()
+                    backend.stop()
                 except (OSError, RuntimeError):
                     pass
             self.partition = new_partition

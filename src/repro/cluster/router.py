@@ -843,18 +843,21 @@ class Router:
             )
 
     def _fleet_summary(
-        self, hellos: List[Optional[Dict[str, Any]]]
+        self, states: List[Optional[Dict[str, Any]]]
     ) -> Dict[str, Any]:
+        """The ``cluster`` block from one ``{"epoch", "seq", ...}``
+        dict per shard (``None`` = down): a shard's ``hello`` result,
+        or the ``epoch`` block of its ``stats`` payload."""
         slots = self._all_slots()
-        epochs = [h["epoch"] for h in hellos if h is not None]
-        seqs = [h["seq"] for h in hellos if h is not None]
+        epochs = [h["epoch"] for h in states if h is not None]
+        seqs = [h["seq"] for h in states if h is not None]
         return {
             "shards": len(slots),
             "backends": sum(len(s.backends) for s in slots),
             "healthy_backends": sum(
                 s.healthy_count() for s in slots
             ),
-            "shards_up": sum(1 for h in hellos if h is not None),
+            "shards_up": sum(1 for h in states if h is not None),
             "epoch_min": min(epochs) if epochs else 0,
             "epoch_max": max(epochs) if epochs else 0,
             "seq_min": min(seqs) if seqs else 0,
@@ -894,29 +897,24 @@ class Router:
     def _route_stats(self, slot: Slot) -> None:
         """Merged fleet stats: per-shard payloads plus cluster rollup."""
 
-        def stats_done(
-            shard_stats: List[Optional[Dict[str, Any]]]
-        ) -> None:
-            def hello_done(
-                hellos: List[Optional[Dict[str, Any]]]
-            ) -> None:
-                slot.complete(
-                    {
-                        "ok": True,
-                        "result": self._build_stats(shard_stats, hellos),
-                    }
-                )
+        def done(shard_stats: List[Optional[Dict[str, Any]]]) -> None:
+            slot.complete(
+                {"ok": True, "result": self._build_stats(shard_stats)}
+            )
 
-            self._gather("hello", hello_done)
-
-        self._gather("stats", stats_done)
+        self._gather("stats", done)
 
     def _build_stats(
-        self,
-        shard_stats: List[Optional[Dict[str, Any]]],
-        hellos: List[Optional[Dict[str, Any]]],
+        self, shard_stats: List[Optional[Dict[str, Any]]]
     ) -> Dict[str, Any]:
-        summary = self._fleet_summary(hellos)
+        # Each shard's stats payload carries its (epoch, seq) in the
+        # "epoch" block — no second gather for the fleet summary.
+        summary = self._fleet_summary(
+            [
+                payload.get("epoch") if payload else None
+                for payload in shard_stats
+            ]
+        )
         index_totals = {"ips": 0, "intervals": 0, "nated_ips": 0,
                         "dynamic_prefixes": 0, "ases": 0}
         lists = 0
@@ -951,8 +949,8 @@ class Router:
                 row = {
                     "shard": shard_slot.shard_id,
                     # The slot's own range, not partition.range_of: a
-                    # partition swap between the stats and hello
-                    # gathers must not mislabel (or over-index) rows.
+                    # partition swap while the gather was in flight
+                    # must not mislabel (or over-index) rows.
                     "range": (
                         shard_slot.shard_range.to_wire()
                         if shard_slot.shard_range is not None

@@ -58,6 +58,9 @@ class ShardServer:
     state a single-process ``serve --follow`` starts from, projected).
     """
 
+    #: No worker process of its own (:attr:`ShardProcess.pid`'s twin).
+    pid: Optional[int] = None
+
     def __init__(
         self,
         base: ReputationIndex,
@@ -182,9 +185,12 @@ class ShardProcess:
     The restricted index transfers to the child through fork's
     copy-on-write memory — no snapshot file, no pickling. ``start``
     blocks until the child reports its bound address, so the caller
-    can hand a complete backend list to the router. ``kill`` is
+    can hand a complete backend list to the router. ``stop`` is
     deliberately unceremonious (the failover path exists to absorb
-    it); ``restart`` re-forks on the same port.
+    it). Both shard hosts present one ``start / stop / address / pid /
+    applied_seq / wait_for_seq`` surface, so :class:`LocalCluster`
+    never asks which one it holds; a restart is a fresh host on the
+    old one's port.
     """
 
     def __init__(
@@ -247,29 +253,21 @@ class ShardProcess:
         self._process.start()
         child_pipe.close()
         if not parent_pipe.poll(timeout):
-            self.kill()
+            self.stop()
             raise RuntimeError(
                 f"shard {self.shard_id} did not report an address "
                 f"within {timeout}s"
             )
         self._address = tuple(parent_pipe.recv())
         parent_pipe.close()
-        # Re-forks must land on the same port so the router's backend
-        # table stays valid across a kill/restart.
-        self._port = self._address[1]
         return self._address
 
-    def kill(self) -> None:
+    def stop(self) -> None:
         """Terminate the worker immediately (idempotent)."""
         if self._process is not None:
             self._process.terminate()
             self._process.join(timeout=10.0)
             self._process = None
-
-    def restart(self, timeout: float = 30.0) -> Tuple[str, int]:
-        """Kill (if alive) and re-fork on the same port."""
-        self.kill()
-        return self.start(timeout=timeout)
 
     def _hello_seq(self) -> Optional[int]:
         """The worker's applied seq via its own wire protocol, or
@@ -309,4 +307,4 @@ class ShardProcess:
         return self
 
     def __exit__(self, *_: Any) -> None:
-        self.kill()
+        self.stop()

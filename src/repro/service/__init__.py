@@ -11,8 +11,8 @@ it?". This package turns the study's batch artefact
   binary snapshot format so a server starts without re-running the
   pipeline;
 * :mod:`repro.service.engine` — :class:`QueryEngine`, the query layer
-  with point/batch APIs, per-query-type counters and an LRU for hot
-  addresses;
+  with point/batch APIs and per-query-type counters (no cache: the
+  server's packed-record cache is the stack's one verdict cache);
 * :mod:`repro.service.wire` — the length-prefixed JSON framing both
   ends speak;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a

@@ -1,4 +1,4 @@
-"""The query engine: verdicts, hot-address LRU, and counters.
+"""The query engine: verdicts and call counters.
 
 One :class:`QueryEngine` wraps one immutable
 :class:`~repro.service.index.ReputationIndex` and answers the
@@ -16,21 +16,20 @@ The engine also accepts a streaming
 :class:`~repro.stream.epoch.EpochIndex`: every lookup resolves the
 current epoch *once* and evaluates entirely against that immutable
 snapshot, so a concurrent hot swap can never produce a torn verdict.
-Cache keys carry the epoch number — entries from a superseded epoch
-simply stop matching and age out of the LRU; verdicts report the
-``(epoch, seq)`` they were computed against.
+Verdicts report the ``(epoch, seq)`` they were computed against.
 
-Blocklist consumers hit the same few hot addresses over and over (the
-skew the paper's per-list concentration numbers imply), so verdicts go
-through a small LRU; per-query-type hit/latency counters feed the
-``stats`` wire op and the capacity-planning story.
+The engine holds no per-key state: a verdict is a pure function of the
+snapshot the lookup resolved. The one verdict cache of the serving
+stack is :class:`~repro.service.server.ReputationServer`'s
+packed-record cache, which sits in front of :meth:`query_batch`.
+Per-query-type call/latency counters feed the ``stats`` wire op and
+the capacity-planning story.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -43,9 +42,6 @@ __all__ = ["ACTION_IGNORE", "QueryEngine", "Verdict"]
 
 #: Action for traffic from an address not listed on the queried day.
 ACTION_IGNORE = BlockAction.IGNORE
-
-#: Default hot-address cache capacity (verdicts, not bytes).
-DEFAULT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,11 @@ class QueryEngine:
         self,
         index: "ReputationIndex | EpochIndex",
         *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
+        # Accepted and ignored only for the frozen probes in
+        # benchmarks/serving/probes.py, which pass ``cache_size=0``;
+        # it goes when a benchmark PR drops the argument there.
+        cache_size: int = 0,
     ) -> None:
-        if cache_size < 0:
-            raise ValueError(f"negative cache size: {cache_size}")
         self._source = index
         self._streaming = isinstance(index, EpochIndex)
         # The family never changes across epochs (one run, one family),
@@ -113,16 +110,12 @@ class QueryEngine:
         self._family = (
             index.current.index.family if self._streaming else index.family
         )
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[Tuple[int, int, int], Verdict]" = (
-            OrderedDict()
-        )
+        # Guards the two counter tables; lookups take no lock.
         self._lock = threading.Lock()
         self._counters: Dict[str, Dict[str, float]] = {}
-        # Counters since the last observed epoch swap. Mixing epochs in
-        # one hit-rate number hides the post-swap cold start (every
-        # cached verdict stops matching), so stats() reports this table
-        # next to the cumulative one and resets it on each swap.
+        # Counters since the last observed epoch swap, so the load a
+        # fresh epoch has taken reads apart from the cumulative table;
+        # stats() reports both and this one resets on each swap.
         self._epoch_counters: Dict[str, Dict[str, float]] = {}
         self._counter_epoch = 0
 
@@ -163,8 +156,8 @@ class QueryEngine:
         """Point query; ``day`` defaults to the index's notion of now
         (last day of the last collection window)."""
         started = time.perf_counter()
-        verdict, hit = self._lookup(ip, day)
-        self._count("point", time.perf_counter() - started, hit)
+        verdict = self._lookup(ip, day)
+        self._count("point", time.perf_counter() - started)
         return verdict
 
     def query_batch(
@@ -172,39 +165,21 @@ class QueryEngine:
     ) -> List[Verdict]:
         """Batch query: one verdict per ``(ip, day)`` pair, in order."""
         started = time.perf_counter()
-        verdicts = []
-        hits = 0
-        for ip, day in queries:
-            verdict, hit = self._lookup(ip, day)
-            hits += hit
-            verdicts.append(verdict)
+        lookup = self._lookup
+        verdicts = [lookup(ip, day) for ip, day in queries]
         self._count(
             "batch",
             time.perf_counter() - started,
-            hits,
             queries_run=len(verdicts),
         )
         return verdicts
 
-    def _lookup(self, ip: int, day: Optional[int]) -> Tuple[Verdict, bool]:
+    def _lookup(self, ip: int, day: Optional[int]) -> Verdict:
         if not self._family.valid_ip(ip):
             raise ValueError(f"bad address integer: {ip!r}")
         index, epoch, seq = self._resolve()
         resolved = index.default_day() if day is None else int(day)
-        key = (epoch, ip, resolved)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                return cached, True
-        verdict = self._evaluate(index, ip, resolved, epoch, seq)
-        if self._cache_size:
-            with self._lock:
-                self._cache[key] = verdict
-                self._cache.move_to_end(key)
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
-        return verdict, False
+        return self._evaluate(index, ip, resolved, epoch, seq)
 
     def _evaluate(
         self,
@@ -249,12 +224,7 @@ class QueryEngine:
     # -- counters ------------------------------------------------------
 
     def _count(
-        self,
-        kind: str,
-        seconds: float,
-        cache_hits: int,
-        *,
-        queries_run: int = 1,
+        self, kind: str, seconds: float, *, queries_run: int = 1
     ) -> None:
         epoch = self._resolve()[1]
         with self._lock:
@@ -266,17 +236,10 @@ class QueryEngine:
                 self._epoch_counters = {}
             for table in (self._counters, self._epoch_counters):
                 row = table.setdefault(
-                    kind,
-                    {
-                        "calls": 0,
-                        "queries": 0,
-                        "cache_hits": 0,
-                        "seconds": 0.0,
-                    },
+                    kind, {"calls": 0, "queries": 0, "seconds": 0.0}
                 )
                 row["calls"] += 1
                 row["queries"] += queries_run
-                row["cache_hits"] += cache_hits
                 row["seconds"] += seconds
 
     @staticmethod
@@ -285,24 +248,24 @@ class QueryEngine:
     ) -> Dict[str, Dict[str, Any]]:
         return {
             kind: {
-                **{k: row[k] for k in ("calls", "queries", "cache_hits")},
+                "calls": row["calls"],
+                "queries": row["queries"],
+                # Always 0, and kept only because the frozen
+                # benchmarks/serving/run.py indexes it; it goes when a
+                # benchmark PR drops ``engine.lru_hit_rate`` there.
+                "cache_hits": 0,
                 "seconds": round(row["seconds"], 6),
-                "hit_rate": (
-                    row["cache_hits"] / row["queries"]
-                    if row["queries"]
-                    else 0.0
-                ),
             }
             for kind, row in table.items()
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Counters plus index sizes — the ``stats`` op's payload."""
+        """Counters plus index sizes — the engine's share of the
+        ``stats`` op's payload."""
         with self._lock:
             counters = self._render_counters(self._counters)
             epoch_counters = self._render_counters(self._epoch_counters)
             counter_epoch = self._counter_epoch
-            cached = len(self._cache)
         index, epoch, seq = self._resolve()
         epoch_info: Dict[str, Any] = {"epoch": epoch, "seq": seq}
         if self._streaming:
@@ -313,7 +276,6 @@ class QueryEngine:
                 "epoch": counter_epoch,
                 "counters": epoch_counters,
             },
-            "cache": {"entries": cached, "capacity": self._cache_size},
             "index": index.stats(),
             "epoch": epoch_info,
         }

@@ -17,8 +17,9 @@ The JSON request surface is unchanged:
     → ``{"ok": true, "result": [<verdict>, ...]}`` (at most
     :data:`MAX_BATCH` queries per frame).
 ``{"op": "stats"}``
-    → engine counters, cache occupancy, index sizes and the live
-    epoch/sequence state.
+    → engine counters, index sizes, the live epoch/sequence state and
+    this server's packed-record ``cache`` block (entries, capacity,
+    hits, misses).
 ``{"op": "hello"}``
     → the handshake: service name, protocol version, whether the
     server follows an update log, and the current index ``epoch`` +
@@ -28,10 +29,14 @@ The JSON request surface is unchanged:
 
 Binary connections may additionally send packed ``FT_BATCH_REQ``
 frames — the hot path. Those are answered from a packed-verdict cache
-keyed ``(epoch, ip, day)``: a cache hit copies pre-encoded record
-bytes without touching a dict, which is where the serving plane's
-throughput lives. Entries are stored under the verdict's *own* epoch,
-so a hot swap mid-frame can never poison the cache.
+keyed ``(epoch, ip, resolved day)``: a cache hit copies pre-encoded
+record bytes without building a verdict, which is where the serving
+plane's throughput lives. It is the only verdict cache in the serving
+stack (the engine behind it keeps no per-key state). Entries are
+stored under the verdict's *own* epoch, so a hot swap mid-frame can
+never poison the cache; only the loop thread touches it; it is bounded
+FIFO at :data:`PACKED_CACHE_SIZE` records (an entry is never re-ranked
+on a hit, and a superseded epoch's entries age out the same way).
 
 Robustness contract (unchanged from the threaded server): a malformed
 frame or request gets an error reply (``{"ok": false, "error":
@@ -175,11 +180,14 @@ class ReputationServer:
         self._family = engine.family
         self._codec = CODECS[self._family]
         self._streaming = streaming
-        # Packed reply records keyed (epoch, ip, resolved day); the
-        # loop thread is the only toucher.
+        # Packed reply records keyed (epoch, ip, resolved day), with
+        # hit/miss totals counted per batch; the loop thread is the
+        # only toucher of all three.
         self._packed: "OrderedDict[Tuple[int, int, int], bytes]" = (
             OrderedDict()
         )
+        self._packed_hits = 0
+        self._packed_misses = 0
         self._server = WireServer(
             self._handle,
             host,
@@ -269,7 +277,14 @@ class ReputationServer:
                 "result": [v.to_wire() for v in verdicts],
             }, None
         if op == "stats":
-            return {"ok": True, "result": engine.stats()}, None
+            stats = engine.stats()
+            stats["cache"] = {
+                "entries": len(self._packed),
+                "capacity": PACKED_CACHE_SIZE,
+                "hits": self._packed_hits,
+                "misses": self._packed_misses,
+            }
+            return {"ok": True, "result": stats}, None
         if op == "hello":
             epoch, seq = engine.epoch_state()
             result = {
@@ -313,6 +328,8 @@ class ReputationServer:
                 miss_positions.append(len(records))
                 miss_pairs.append((ip, day))
             append(record)
+        self._packed_hits += len(pairs) - len(miss_pairs)
+        self._packed_misses += len(miss_pairs)
         if miss_pairs:
             try:
                 verdicts = engine.query_batch(miss_pairs)

@@ -8,6 +8,7 @@ killed and restarted mid-run — the only tolerated deviation being
 explicit ``SHARD_UNAVAILABLE`` degradation during the outage window.
 """
 
+import os
 import socket
 import threading
 import time
@@ -275,6 +276,151 @@ class TestRouterStatic:
                 *cluster.address, codec=codec
             ) as client:
                 assert client.query_batch([]) == []
+
+
+class TestRouterStatsPayload:
+    """The merged ``stats`` payload's shape and fleet summary, captured
+    on the commit where the router still ran a ``hello`` gather after
+    the ``stats`` one to learn each shard's ``(epoch, seq)``."""
+
+    def test_payload_is_pinned(
+        self, tmp_path, full_index, start_day, replay_batches, listed_ips
+    ):
+        log_path = tmp_path / "updates.gz"
+        writer = UpdateLogWriter(log_path, start_day=start_day)
+        applied = replay_batches[:3]
+        for batch in applied:
+            writer.append(batch)
+        seq = applied[-1].seq
+        epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
+        epochs.apply_all(applied)
+        sizes = epochs.current.index.stats()
+        with LocalCluster(
+            full_index,
+            shards=3,
+            follow=log_path,
+            start_day=start_day,
+            mode="thread",
+            poll_interval=0.002,
+        ) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            assert cluster.wait_for_seq(seq, timeout=30.0)
+            partition = cluster.partition.to_wire()
+            with ReputationClient(*cluster.address) as client:
+                client.query(listed_ips[0])
+                client.query_batch([(ip, None) for ip in listed_ips[:10]])
+                stats = client.stats()
+                cluster.kill_primary(2)
+                degraded = client.stats()
+
+        assert list(stats) == [
+            "cluster", "router", "partition", "index", "shards"
+        ]
+        assert list(stats["cluster"].items()) == [
+            ("shards", 3),
+            ("backends", 3),
+            ("healthy_backends", 3),
+            ("shards_up", 3),
+            ("epoch_min", seq),
+            ("epoch_max", seq),
+            ("seq_min", seq),
+            ("seq_max", seq),
+        ]
+        assert list(stats["router"].items()) == [
+            ("point", 1),
+            ("batch", 1),
+            ("batch_queries", 10),
+            ("degraded", 0),
+            ("failovers", 0),
+            ("partition_epoch", 0),
+        ]
+        assert stats["partition"] == partition
+        assert list(stats["index"]) == [
+            "ips", "intervals", "nated_ips", "dynamic_prefixes", "ases",
+            "lists",
+        ]
+        for key in (
+            "ips", "intervals", "nated_ips", "dynamic_prefixes", "lists"
+        ):
+            assert stats["index"][key] == sizes[key]
+        assert sum(row["hits"] for row in stats["shards"]) == 11
+        for shard_id, row in enumerate(stats["shards"]):
+            assert list(row) == [
+                "shard", "range", "hits", "backends", "stats"
+            ]
+            assert row["shard"] == shard_id
+            assert row["range"] == partition["ranges"][shard_id]
+            assert [list(b) for b in row["backends"]] == [
+                ["address", "healthy"]
+            ]
+            assert row["backends"][0]["healthy"] is True
+            assert row["stats"]["epoch"]["epoch"] == seq
+            assert row["stats"]["epoch"]["seq"] == seq
+
+        # A dead shard: counted down, its row kept with no payload, the
+        # summary taken over the shards that answered.
+        assert degraded["cluster"]["shards_up"] == 2
+        assert degraded["cluster"]["healthy_backends"] == 2
+        assert degraded["cluster"]["epoch_min"] == seq
+        assert degraded["cluster"]["seq_max"] == seq
+        assert degraded["shards"][2]["stats"] is None
+        assert degraded["shards"][0]["stats"]["epoch"]["seq"] == seq
+
+
+class TestProcessMode:
+    """``mode="process"`` — what ``repro cluster`` runs: one forked
+    worker per backend, watched only through its own wire protocol."""
+
+    def test_follow_wait_kill_restart(
+        self, tmp_path, full_index, start_day, replay_batches, listed_ips
+    ):
+        log_path = tmp_path / "updates.gz"
+        writer = UpdateLogWriter(log_path, start_day=start_day)
+        writer.append(replay_batches[0])
+        writer.append(replay_batches[1])
+        reached = replay_batches[1].seq
+        epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
+        epochs.apply_all(replay_batches[:3])
+        single = QueryEngine(epochs)
+        day = replay_batches[2].day
+
+        def matches_single(client):
+            got = client.query_batch([(ip, day) for ip in listed_ips])
+            return got == [
+                single.query(ip, day).to_wire() for ip in listed_ips
+            ]
+
+        with LocalCluster(
+            full_index,
+            shards=2,
+            follow=log_path,
+            start_day=start_day,
+            mode="process",
+        ) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            pids = [pid for slot in cluster.shard_pids() for pid in slot]
+            assert len(set(pids)) == 2 and None not in pids
+            assert os.getpid() not in pids
+
+            assert cluster.wait_for_seq(reached, timeout=30.0)
+            assert not cluster.wait_for_seq(reached + 1, timeout=0.3)
+            writer.append(replay_batches[2])
+            assert cluster.wait_for_seq(reached + 1, timeout=30.0)
+            with ReputationClient(*cluster.address) as client:
+                assert matches_single(client)
+
+                # Kill/restart: same port, a new worker, which replays
+                # the log from the pristine base up to the same seq.
+                victim = cluster.partition.shard_of(listed_ips[0])
+                port = cluster.backend(victim).address[1]
+                cluster.kill_primary(victim)
+                assert cluster.shard_pids()[victim] == [None]
+                assert not cluster.wait_for_seq(reached + 1, timeout=0.3)
+                assert cluster.restart_primary(victim)[1] == port
+                assert cluster.shard_pids()[victim][0] not in (None, *pids)
+                assert cluster.wait_for_seq(reached + 1, timeout=30.0)
+                assert cluster.router.wait_healthy(10.0)
+                assert matches_single(client)
 
 
 class TestFailover:

@@ -173,7 +173,7 @@ def probe_days(model):
 def assert_equal_everywhere(index, model, lo=None, hi=None, stats=True):
     """Verdicts, interval tables and (optionally) counters agree on
     every probe address and day in ``lo..hi``."""
-    engine = QueryEngine(index, cache_size=0)
+    engine = QueryEngine(index)
     days = probe_days(model)
     if len(days) > 12:
         days = random.Random(len(days)).sample(days, 12)

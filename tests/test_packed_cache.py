@@ -1,0 +1,238 @@
+"""The serving stack's one verdict cache: ``ReputationServer._packed``.
+
+The engine behind the server keeps no per-key state, so every claim a
+cache has to honour is made here, over a live binary connection: a hit
+returns the bytes of the first answer, an epoch swap can never be
+answered from a superseded epoch's record (between batches, between
+two batches of one pipelined window, or in the middle of a batch), the
+cache stays bounded, and an evicted key is simply evaluated again.
+"""
+
+import pytest
+
+from repro.net.family import V4
+from repro.service import server as server_module
+from repro.service.client import ReputationClient
+from repro.service.engine import QueryEngine
+from repro.service.index import ReputationIndex
+from repro.service.server import ReputationServer
+from repro.service.wire import CODECS, recv_binary_frame
+from repro.stream.delta import DeltaBatch, ListingDelta
+from repro.stream.epoch import EpochIndex
+from tests.test_service_binary import _binary_socket
+
+CODEC = CODECS[V4]
+
+
+@pytest.fixture(scope="module")
+def index(small_full_run):
+    return ReputationIndex.from_run(small_full_run)
+
+
+@pytest.fixture(scope="module")
+def listed(index):
+    return sorted(ip for ip, _spans in index.interval_items())
+
+
+def _serve(engine):
+    server = ReputationServer(engine, connection_timeout=5.0)
+    server.start()
+    return server
+
+
+def _ask(sock, *batches):
+    """Send every batch in ONE write (a pipelined window), then read
+    the raw reply payloads back in order."""
+    sock.sendall(
+        b"".join(
+            CODEC.encode_batch_request(pairs, rid)
+            for rid, pairs in enumerate(batches, start=1)
+        )
+    )
+    payloads = []
+    for rid in range(1, len(batches) + 1):
+        ftype, got_rid, payload = recv_binary_frame(sock)
+        assert (ftype, got_rid) == (CODEC.ft_reply, rid)
+        payloads.append(payload)
+    return payloads
+
+
+def _extension(index):
+    """An ``(ip, day, delta)`` where ``ip`` is unlisted on ``day`` until
+    ``delta`` (one ``extend``) is applied."""
+    for ip, spans in index.interval_items():
+        if spans:
+            first, last, list_id = spans[0]
+            day = max(span[1] for span in spans) + 50
+            return ip, day, ListingDelta(
+                day, ip, list_id, "extend", first, day
+            )
+    raise AssertionError("index has no intervals")
+
+
+class TestPackedCacheHits:
+    def test_repeat_is_byte_identical_and_equals_the_engine(
+        self, index, listed
+    ):
+        pairs = [(ip, 230) for ip in listed[:40]] + [
+            (listed[0], None),
+            (1, 230),  # an address the index has no fact for
+        ]
+        server = _serve(QueryEngine(index))
+        try:
+            with _binary_socket(server.address) as sock:
+                (first,) = _ask(sock, pairs)
+                (again,) = _ask(sock, pairs)
+            assert again == first
+            reference = QueryEngine(index)
+            assert CODEC.decode_batch_reply(first) == [
+                reference.query(ip, day).to_wire() for ip, day in pairs
+            ]
+            with ReputationClient(*server.address) as client:
+                cache = client.stats()["cache"]
+        finally:
+            server.shutdown()
+        # ``(listed[0], None)`` resolves to the default day: one more
+        # distinct key than the 230s, all missed once, all hit once.
+        assert cache == {
+            "entries": len(pairs),
+            "capacity": server_module.PACKED_CACHE_SIZE,
+            "hits": len(pairs),
+            "misses": len(pairs),
+        }
+
+
+class TestPackedCacheAcrossEpochs:
+    """A cached record is only ever served for the epoch it names."""
+
+    @pytest.fixture()
+    def streamed(self, index):
+        epochs = EpochIndex(index)
+        server = _serve(QueryEngine(epochs))
+        yield epochs, server
+        server.shutdown()
+
+    def _check_swap(self, before, after, ip, list_id):
+        assert (before["epoch"], before["seq"]) == (0, 0)
+        assert not before["listed"]
+        assert (after["epoch"], after["seq"]) == (1, 1)
+        assert after["listed"] and list_id in after["lists"]
+
+    def test_swap_between_batches(self, index, streamed):
+        epochs, server = streamed
+        ip, day, delta = _extension(index)
+        with _binary_socket(server.address) as sock:
+            (cold,) = _ask(sock, [(ip, day)])
+            (cached,) = _ask(sock, [(ip, day)])
+            assert cached == cold
+            epochs.apply(DeltaBatch(1, day, (delta,)))
+            (fresh,) = _ask(sock, [(ip, day)])
+        (before,) = CODEC.decode_batch_reply(cached)
+        (after,) = CODEC.decode_batch_reply(fresh)
+        self._check_swap(before, after, ip, delta.list_id)
+        assert after == QueryEngine(epochs).query(ip, day).to_wire()
+
+    def test_swap_inside_a_pipelined_window(
+        self, index, streamed, monkeypatch
+    ):
+        """Two batches arrive in one read; the swap lands after the
+        first is answered and before the second is looked at."""
+        epochs, server = streamed
+        ip, day, delta = _extension(index)
+        handle = server._handle_packed_batch
+        handled = []
+
+        def handle_then_swap(slot, pairs):
+            handle(slot, pairs)
+            handled.append(pairs)
+            if len(handled) == 2:  # the priming batch, then the first
+                epochs.apply(DeltaBatch(1, day, (delta,)))
+
+        monkeypatch.setattr(
+            server, "_handle_packed_batch", handle_then_swap
+        )
+        with _binary_socket(server.address) as sock:
+            _ask(sock, [(ip, day)])  # prime the epoch-0 record
+            first, second = _ask(sock, [(ip, day)], [(ip, day)])
+        assert len(handled) == 3
+        (before,) = CODEC.decode_batch_reply(first)
+        (after,) = CODEC.decode_batch_reply(second)
+        self._check_swap(before, after, ip, delta.list_id)
+
+    def test_swap_in_the_middle_of_a_batch(
+        self, index, listed, streamed, monkeypatch
+    ):
+        """Records are stored under the verdict's own epoch: a batch
+        that straddles a swap caches nothing under the wrong one."""
+        epochs, server = streamed
+        ip, day, delta = _extension(index)
+        other = next(a for a in listed if a != ip)
+        engine = server._engine
+        lookup = engine._lookup
+        calls = []
+
+        def lookup_then_swap(address, when):
+            verdict = lookup(address, when)
+            calls.append(address)
+            if len(calls) == 1:
+                epochs.apply(DeltaBatch(1, day, (delta,)))
+            return verdict
+
+        monkeypatch.setattr(engine, "_lookup", lookup_then_swap)
+        with _binary_socket(server.address) as sock:
+            (straddling,) = _ask(sock, [(ip, day), (other, day)])
+            (settled,) = _ask(sock, [(ip, day), (other, day)])
+        first, second = CODEC.decode_batch_reply(straddling)
+        assert (first["epoch"], second["epoch"]) == (0, 1)
+        assert not first["listed"]
+        # ``ip`` was cached under epoch 0 and is evaluated again;
+        # ``other`` was cached under epoch 1 and is a hit.
+        assert calls == [ip, other, ip]
+        after, same = CODEC.decode_batch_reply(settled)
+        self._check_swap(first, after, ip, delta.list_id)
+        assert same == second
+        assert set(server._packed) == {
+            (0, ip, day), (1, other, day), (1, ip, day)
+        }
+
+
+class TestPackedCacheBound:
+    def test_stays_bounded_and_evicted_keys_are_still_right(
+        self, index, listed, monkeypatch
+    ):
+        capacity, batch = 8, 5
+        monkeypatch.setattr(server_module, "PACKED_CACHE_SIZE", capacity)
+        keys = [(ip, day) for day in (229, 230) for ip in listed[:20]]
+        batches = [
+            keys[at:at + batch] for at in range(0, len(keys), batch)
+        ]
+        reference = QueryEngine(index)
+        server = _serve(QueryEngine(index))
+        try:
+            with _binary_socket(server.address) as sock:
+                for pairs in batches:
+                    (payload,) = _ask(sock, pairs)
+                    assert len(server._packed) <= capacity
+                    assert CODEC.decode_batch_reply(payload) == [
+                        reference.query(ip, day).to_wire()
+                        for ip, day in pairs
+                    ]
+                assert len(server._packed) == capacity
+                # The oldest keys were evicted (FIFO): asked again they
+                # are misses, answered as before.
+                assert (0, *keys[0]) not in server._packed
+                (payload,) = _ask(sock, batches[0])
+            assert CODEC.decode_batch_reply(payload) == [
+                reference.query(ip, day).to_wire()
+                for ip, day in batches[0]
+            ]
+            with ReputationClient(*server.address) as client:
+                cache = client.stats()["cache"]
+        finally:
+            server.shutdown()
+        assert cache == {
+            "entries": capacity,
+            "capacity": capacity,
+            "hits": 0,
+            "misses": len(keys) + batch,
+        }

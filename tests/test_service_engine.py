@@ -160,38 +160,23 @@ class TestVerdicts:
 
 
 class TestEngineCache:
-    def test_repeat_query_hits_lru(self, index):
-        engine = QueryEngine(index)
-        ip = _listed_ips(index)[0]
-        engine.query(ip, 230)
-        engine.query(ip, 230)
-        stats = engine.stats()
-        assert stats["queries"]["point"]["queries"] == 2
-        assert stats["queries"]["point"]["cache_hits"] == 1
-        assert stats["queries"]["point"]["hit_rate"] == 0.5
-
-    def test_capacity_evicts_oldest(self, index):
-        engine = QueryEngine(index, cache_size=2)
-        ips = _listed_ips(index)[:3]
-        for ip in ips:
-            engine.query(ip, 230)
-        assert engine.stats()["cache"]["entries"] == 2
-        engine.query(ips[0], 230)  # evicted earlier: a miss again
-        assert engine.stats()["queries"]["point"]["cache_hits"] == 0
+    """The engine keeps no per-key state (the server's packed-record
+    cache is the stack's one verdict cache): a repeat is re-evaluated
+    and equal."""
 
     def test_cached_verdicts_identical(self, index):
         engine = QueryEngine(index)
         ip = _listed_ips(index)[0]
         assert engine.query(ip, 230) == engine.query(ip, 230)
-
-    def test_negative_capacity_rejected(self, index):
-        with pytest.raises(ValueError):
-            QueryEngine(index, cache_size=-1)
+        stats = engine.stats()
+        assert "cache" not in stats
+        assert stats["queries"]["point"]["calls"] == 2
+        assert stats["queries"]["point"]["queries"] == 2
 
 
 class TestEpochCounters:
     """Per-epoch vs cumulative counters: an epoch swap restarts the
-    per-epoch table (exposing the post-swap cold start) while the
+    per-epoch table (the load the fresh epoch has taken) while the
     cumulative table keeps accumulating."""
 
     def _streamed_engine(self, index):
@@ -217,16 +202,19 @@ class TestEpochCounters:
         epochs, engine = self._streamed_engine(index)
         ip = _listed_ips(index)[0]
         engine.query(ip, 230)
-        engine.query(ip, 230)  # cumulative: 2 queries, 1 hit
+        engine.query_batch([(ip, 230), (ip, 229)])  # cumulative: 3
         epochs.apply(DeltaBatch(1, 231, ()))
-        engine.query(ip, 230)  # epoch 1's first query: a cache miss
+        engine.query(ip, 230)  # epoch 1's first query
         stats = engine.stats()
-        assert stats["queries"]["point"]["queries"] == 3
-        assert stats["queries"]["point"]["cache_hits"] == 1
+        assert stats["queries"]["point"]["calls"] == 2
+        assert stats["queries"]["point"]["queries"] == 2
+        assert stats["queries"]["batch"]["calls"] == 1
+        assert stats["queries"]["batch"]["queries"] == 2
         this_epoch = stats["queries_this_epoch"]
         assert this_epoch["epoch"] == 1
+        assert this_epoch["counters"]["point"]["calls"] == 1
         assert this_epoch["counters"]["point"]["queries"] == 1
-        assert this_epoch["counters"]["point"]["cache_hits"] == 0
+        assert "batch" not in this_epoch["counters"]
 
     def test_fresh_epoch_table_starts_empty(self, index):
         from repro.stream.delta import DeltaBatch
@@ -240,8 +228,9 @@ class TestEpochCounters:
         engine.query(ip, 230)
         engine.query(ip, 230)
         this_epoch = engine.stats()["queries_this_epoch"]
+        assert this_epoch["epoch"] == 1
+        assert this_epoch["counters"]["point"]["calls"] == 2
         assert this_epoch["counters"]["point"]["queries"] == 2
-        assert this_epoch["counters"]["point"]["cache_hits"] == 1
 
 
 class TestSnapshots:

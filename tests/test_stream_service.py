@@ -184,13 +184,13 @@ class TestEngineEpochs:
         probe_day = span[1] + 50
         stale = engine.query(ip, probe_day)
         assert not stale.listed and stale.epoch == 0
-        engine.query(ip, probe_day)  # prime the cache
+        engine.query(ip, probe_day)
         delta = ListingDelta(
             probe_day, ip, span[2], "extend", span[0], probe_day
         )
         epochs.apply(DeltaBatch(1, probe_day, (delta,)))
         fresh = engine.query(ip, probe_day)
-        # Same (ip, day): the cached epoch-0 verdict must not answer.
+        # Same (ip, day): the epoch-0 verdict must not answer.
         assert fresh.epoch == 1 and fresh.seq == 1
         assert fresh.listed and span[2] in fresh.lists
 
