@@ -16,8 +16,9 @@ in front:
 * :mod:`repro.cluster.router` — :class:`Router`, the scatter-gather
   front speaking the unchanged wire protocol: point routing, batched
   fan-out with in-order merge, merged ``stats``/``hello`` with
-  min/max epoch, heartbeats, replica failover, and explicit
-  ``SHARD_UNAVAILABLE`` degradation instead of failed batches;
+  min/max epoch, health pings down each backend's own link, replica
+  failover, and explicit ``SHARD_UNAVAILABLE`` degradation instead of
+  failed batches;
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, the one-machine
   bootstrapper behind ``repro cluster`` and the tests, including
   :meth:`LocalCluster.split_shard`, the online shard split;

@@ -12,14 +12,18 @@ requests out over the shard fleet:
 * ``stats``/``hello`` scatter to every shard and merge, reporting the
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
   visible to the client;
-* a heartbeat thread pings every backend; a dead backend is marked
-  unhealthy (and retried each beat, so a restarted shard rejoins
-  without operator action).
+* a heartbeat timer pings every quiet backend down the same link
+  its requests use, so health is what that link experienced: a dead,
+  half-open or handshake-stuck backend goes unhealthy and stays so
+  (retried each beat, so a restarted shard rejoins without operator
+  action), and an idle link stays warm.
 
 Everything rides one event loop: the downstream listener is a
 pipelined :class:`~repro.service.aio.WireServer`, and each shard
-backend gets one *persistent pipelined* upstream connection registered
-on the same reactor — no per-batch threads, no per-request connects.
+:class:`Backend` *is* a :class:`~repro.service.aio.Link` — one
+persistent pipelined upstream connection on the same reactor, sharing
+the inbound side's socket, buffer and framing code — no threads, no
+per-request connects.
 When the fleet speaks the binary codec, a routed batch is pure
 plumbing: packed request records scatter out, packed reply records
 merge back by position, and no verdict dict is ever materialised in
@@ -32,23 +36,19 @@ reply and a batch reply carries per-IP ``{"error":
 other shards' verdicts still flow. A backend connection that dies
 with requests in flight fails those requests over to the next
 candidate backend; an idle EOF just closes the pooled connection (the
-backend may simply have timed us out), leaving its health standing so
-the next request probes it first.
+backend may simply have recycled it), leaving its health standing so
+the next request or beat reconnects.
 """
 
 from __future__ import annotations
 
-import errno
-import os
-import selectors
-import socket
 import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..net.family import V4, V6, AddressFamily, family_of_ip
-from ..service.aio import Conn, Slot, WireServer
+from ..service.aio import PEER_EOF, Conn, Link, Slot, WireServer
 from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
     MAX_BATCH,
@@ -61,17 +61,11 @@ from ..service.server import (
 )
 from ..service.wire import (
     CODECS,
-    FT_MSG,
     MAX_FRAME_BYTES,
     BinaryCodec,
     WireError,
-    decode_binary_frame,
-    decode_frame,
-    decode_msg_payload,
     encode_frame,
     encode_msg_frame,
-    recv_frame,
-    send_frame,
 )
 from .partition import PartitionMap, ShardRange
 
@@ -85,12 +79,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 #: Connect/IO timeout the router uses towards shard backends.
 DEFAULT_BACKEND_TIMEOUT = 5.0
-
-_READ = selectors.EVENT_READ
-_WRITE = selectors.EVENT_WRITE
-
-#: Bytes asked from the kernel per upstream readable event.
-_RECV_CHUNK = 1 << 18
 
 
 class ShardUnavailable(RuntimeError):
@@ -141,63 +129,180 @@ class _Sub:
         self.deadline = 0.0
         self.finish = finish
 
+    def encode(self, codec: str) -> bytes:
+        """The request frame in a link's negotiated ``codec``."""
+        if self.kind == "batch":
+            assert self.pairs is not None
+            assert self.codec is not None
+            if codec == "binary":
+                try:
+                    return self.codec.encode_batch_request(
+                        self.pairs, self.rid, max_size=MAX_FRAME_BYTES
+                    )
+                except WireError:
+                    pass  # day outside the packed layout: JSON shape
+            request: Dict[str, Any] = {
+                "op": "batch",
+                "queries": [
+                    {"ip": ip, "day": day} if day is not None else {"ip": ip}
+                    for ip, day in self.pairs
+                ],
+            }
+        else:
+            assert self.request is not None
+            request = self.request
+        if codec == "binary":
+            return encode_msg_frame(
+                request, self.rid, max_size=MAX_FRAME_BYTES
+            )
+        return encode_frame(request, max_size=MAX_FRAME_BYTES)
 
-class Backend:
+    def succeed(self, status: str, value: Any) -> None:
+        if self.failed:
+            self.shard_slot.failovers += 1
+        self.finish(status, value)
+
+
+class Backend(Link):
     """One shard server address: its health flag plus the router's
-    persistent pipelined connection state (loop-thread owned).
+    persistent pipelined :class:`~repro.service.aio.Link` to it.
 
-    The connection advances through ``state``: ``"idle"`` (no socket)
-    → ``"connecting"`` (non-blocking connect in flight) →
-    ``"hello"`` (codec negotiation sent, awaiting the reply) →
-    ``"ready"`` (subs flow). Until ``"ready"`` the codec is unknown,
-    so submitted subs queue in ``waiting`` and are encoded when the
-    handshake settles; every transition happens on the loop thread,
-    which never blocks on upstream I/O."""
+    The link advances through ``state``: ``"idle"`` (no socket) →
+    ``"connecting"`` (non-blocking connect in flight) → ``"hello"``
+    (codec negotiation sent, awaiting the reply) → ``"ready"`` (subs
+    flow). Until ``"ready"`` the codec is unknown, so submitted subs
+    queue in ``waiting`` and are encoded when the handshake settles;
+    ``pending`` holds the subs on the wire, in reply order. Any close
+    drops back to ``"idle"`` and fails both queues over to the subs'
+    next candidates. Loop-thread owned, ``healthy`` included: it is
+    written only from what this link experienced."""
 
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        *,
-        timeout: float = DEFAULT_BACKEND_TIMEOUT,
-    ) -> None:
+    def __init__(self, router: "Router", address: Tuple[str, int]) -> None:
+        super().__init__()
+        self._router = router
         self.address = (str(address[0]), int(address[1]))
-        self.timeout = timeout
-        self.healthy = True  # optimistic until a connect/call fails
-        # Loop-owned pipelined connection state.
-        self.sock: Optional[socket.socket] = None
+        self.healthy = True  # optimistic until the link says otherwise
         self.state = "idle"
-        self.codec = "json"
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
         self.pending: Deque[_Sub] = deque()
         self.waiting: Deque[_Sub] = deque()
         self.rid = 0
-        self.registered = False
-        self.events = 0
-        self.callback: Any = None
 
-    def probe(self) -> bool:
-        """One blocking liveness ping over a throwaway connection.
+    def submit(self, sub: _Sub) -> bool:
+        """Queue ``sub`` on this link, connecting first if it is idle;
+        ``False`` when the backend could not even be tried."""
+        if self.sock is None:
+            self.state = "connecting"
+            self.connect(self._router._reactor, self.address)
+            if self.sock is None:
+                return False
+        # Swept on the loop, so the deadline also bounds a link that
+        # never becomes ready: subs wait until the codec settles.
+        sub.deadline = time.monotonic() + self._router._backend_timeout
+        self.waiting.append(sub)
+        if self.state == "ready":
+            self._pump()
+        return True
 
-        The heartbeat thread and :meth:`Router.wait_healthy` run off
-        the loop thread, so they never touch the loop's pipelined
-        connection — a fresh socket per probe keeps the threads apart.
-        """
-        try:
-            with socket.create_connection(
-                self.address, timeout=self.timeout
-            ) as sock:
-                sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-                send_frame(sock, {"op": "ping"})
-                reply = recv_frame(sock)
-        except (WireError, OSError):
+    def _pump(self) -> None:
+        """Encode every waiting sub in the settled codec and send."""
+        while self.waiting and self.sock is not None:
+            sub = self.waiting.popleft()
+            self.rid = (self.rid + 1) & 0xFFFFFFFF
+            sub.rid = self.rid
+            try:
+                self.outbuf += sub.encode(self.codec)
+            except WireError:
+                # Nothing another backend could do better, but the
+                # sub must still end: let it run out of candidates.
+                sub.failed += 1
+                self._router._submit(sub, "unserialisable request")
+                continue
+            self.pending.append(sub)
+        # If this write kills the link, on_close fails the pending
+        # subs over (re-entering Router._submit with their remaining
+        # candidates) — either way every sub is handled.
+        self.flush()
+
+    def _head(self, rid: int) -> _Sub:
+        """The sub the next reply frame must answer. It stays queued
+        until the reply has decoded, so a garbled one fails it over
+        with the rest instead of orphaning it."""
+        if not self.pending:
+            raise WireError("reply with nothing in flight")
+        sub = self.pending[0]
+        if self.codec == "binary" and sub.rid != rid:
+            raise WireError(
+                f"reply for request {rid}, expected {sub.rid}"
+            )
+        return sub
+
+    # -- Link hooks ----------------------------------------------------
+
+    def on_connected(self) -> None:
+        """Start the codec handshake (pipelined — the hello is just
+        the first frame)."""
+        if self._router._backend_codec == "binary":
+            self.state = "hello"
+            self.outbuf += encode_frame(
+                {"op": "hello", "accept_codecs": ["binary"]},
+                max_size=MAX_FRAME_BYTES,
+            )
+        else:
+            self.state = "ready"
+            self._pump()
+
+    def on_message(self, request_id: int, reply: Any) -> None:
+        if self.state == "hello":
+            # First frame on a negotiating link is the hello reply,
+            # always in JSON framing (the server switches codecs only
+            # for frames after it).
+            result = reply.get("result") if isinstance(reply, dict) else None
+            if isinstance(result, dict) and result.get("codec") == "binary":
+                self.codec = "binary"
+            self.state = "ready"
+            self._pump()
+            return
+        sub = self._head(request_id)
+        if not isinstance(reply, dict):
+            raise WireError(f"malformed reply: {reply!r}")
+        self.pending.popleft()
+        self.healthy = True
+        if not reply.get("ok"):
+            sub.finish("reject", str(reply.get("error", "unknown error")))
+        else:
+            sub.succeed(
+                "verdicts" if sub.kind == "batch" else "result",
+                reply.get("result"),
+            )
+
+    def on_packed(
+        self, ftype: int, request_id: int, payload: bytes
+    ) -> None:
+        sub = self._head(request_id)
+        # Only the reply type of the sub's own codec is a batch reply:
+        # another family's frame is as unexpected as an unknown type,
+        # never decoded.
+        if sub.codec is None or ftype != sub.codec.ft_reply:
+            raise WireError(f"unexpected frame type {ftype}")
+        records = sub.codec.split_batch_reply(payload)
+        self.pending.popleft()
+        self.healthy = True
+        sub.succeed("records", records)
+
+    def on_close(self, cause: str) -> None:
+        """The link died: fail its in-flight requests over to the next
+        candidates. A clean EOF with nothing in flight is just the
+        backend recycling an idle connection — health stands, the
+        next request or beat reconnects."""
+        subs = list(self.pending) + list(self.waiting)
+        self.pending.clear()
+        self.waiting.clear()
+        self.state = "idle"
+        if subs or cause != PEER_EOF:
             self.healthy = False
-            return False
-        ok = isinstance(reply, dict) and bool(reply.get("ok"))
-        self.healthy = ok
-        return ok
+        for sub in subs:
+            sub.failed += 1
+            self._router._submit(sub, cause)
 
 
 class ShardSlot:
@@ -205,19 +310,17 @@ class ShardSlot:
 
     def __init__(
         self,
+        router: "Router",
         shard_id: int,
         addresses: Sequence[Tuple[str, int]],
         *,
-        timeout: float = DEFAULT_BACKEND_TIMEOUT,
         shard_range: Optional[ShardRange] = None,
     ) -> None:
         if not addresses:
             raise ValueError(f"shard {shard_id} has no backends")
         self.shard_id = shard_id
         self.shard_range = shard_range
-        self.backends = [
-            Backend(address, timeout=timeout) for address in addresses
-        ]
+        self.backends = [Backend(router, address) for address in addresses]
         #: Requests that succeeded only after at least one backend
         #: failed; written on the loop thread only.
         self.failovers = 0
@@ -229,7 +332,7 @@ class ShardSlot:
     def ordered_backends(self) -> List[Backend]:
         """Healthy backends first (primary before replicas), then
         unhealthy ones as a last resort so a just-restarted shard
-        answers before the next heartbeat."""
+        answers before the next beat."""
         return [b for b in self.backends if b.healthy] + [
             b for b in self.backends if not b.healthy
         ]
@@ -318,9 +421,6 @@ class Router:
         #: by :meth:`drain_retired`.
         self._retired: List[Backend] = []
         self._heartbeat_interval = heartbeat_interval
-        self._stop = threading.Event()
-        self._heartbeat: Optional[threading.Thread] = None
-        self._lock = threading.Lock()
         # Mutated on the loop thread only (dict-subscript updates).
         self._counters = {
             "point": 0,
@@ -346,9 +446,9 @@ class Router:
     ) -> List[ShardSlot]:
         return [
             ShardSlot(
+                self,
                 shard_id,
                 list(addresses),
-                timeout=self._backend_timeout,
                 shard_range=partition.range_of(shard_id),
             )
             for shard_id, addresses in enumerate(backends)
@@ -377,50 +477,32 @@ class Router:
     def address(self) -> Tuple[str, int]:
         return self._server.address
 
-    def _start_background(self) -> None:
-        with self._lock:
-            if self._heartbeat is not None:
-                raise RuntimeError("router already started")
-            heartbeat = threading.Thread(
-                target=self._heartbeat_loop,
-                name="repro-cluster-heartbeat",
-                daemon=True,
-            )
-            self._heartbeat = heartbeat
-        heartbeat.start()
-        self._reactor.call_soon(self._arm_backend_sweep)
+    def _arm_timers(self) -> None:
+        self._backend_sweep()  # nothing to sweep yet: arms itself
+        self._reactor.call_later(self._heartbeat_interval, self._beat)
 
     def start(self) -> Tuple[str, int]:
-        """Serve and heartbeat from daemon threads."""
-        self._start_background()
-        return self._server.start()
+        """Serve from a daemon thread."""
+        address = self._server.start()
+        self._reactor.call_soon(self._arm_timers)
+        return address
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI's foreground mode)."""
-        self._start_background()
+        self._reactor.call_soon(self._arm_timers)
         self._server.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop serving and close every backend connection."""
-        self._stop.set()
-        with self._lock:
-            heartbeat, self._heartbeat = self._heartbeat, None
+        """Stop serving and close every backend link."""
         self._server.shutdown()
-        if heartbeat is not None:
-            heartbeat.join(timeout=5.0)
-        # The loop has exited; the pooled upstream sockets (including
-        # any retired-but-undrained ones) are ours to close directly.
-        for backend in [
-            backend
-            for shard_slot in self._all_slots()
-            for backend in shard_slot.backends
-        ] + self._retired:
-            sock, backend.sock = backend.sock, None
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        # The loop has exited; the upstream links (including any
+        # retired-but-undrained ones) are ours to close directly.
+        # Nobody is left to answer, so what they had in flight is
+        # dropped, not failed over.
+        for backend in self._backends() + self._retired:
+            backend.pending.clear()
+            backend.waiting.clear()
+            backend.close("router shutdown")
         self._retired = []
 
     def __enter__(self) -> "Router":
@@ -431,14 +513,45 @@ class Router:
 
     # -- health --------------------------------------------------------
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.is_set():
-            for shard_slot in self._all_slots():
-                for backend in shard_slot.backends:
-                    if self._stop.is_set():
-                        return
-                    backend.probe()
-            self._stop.wait(self._heartbeat_interval)
+    def _backends(self) -> List[Backend]:
+        return [
+            backend
+            for shard_slot in self._all_slots()
+            for backend in shard_slot.backends
+        ]
+
+    def _beat(self) -> None:
+        self._ping_round()
+        self._reactor.call_later(self._heartbeat_interval, self._beat)
+
+    def _ping_round(
+        self, done: Optional[Callable[[], None]] = None
+    ) -> None:
+        """One ``ping`` down every quiet backend's own link, connecting
+        first where it is idle; ``done`` fires when all are answered
+        or lost. A link with requests in flight is skipped: their
+        replies and deadlines already judge it. The reply path and
+        ``Backend.on_close`` write ``healthy`` — a ping has only
+        itself as candidate, so it tests that backend and never fails
+        over."""
+        outstanding = [1]  # the round's own hold, released below
+
+        def finish(_status: str = "", _value: Any = None) -> None:
+            outstanding[0] -= 1
+            if outstanding[0] == 0 and done is not None:
+                done()
+
+        for shard_slot in self._all_slots():
+            for backend in shard_slot.backends:
+                if backend.pending or backend.waiting:
+                    continue
+                outstanding[0] += 1
+                ping = _Sub(
+                    "msg", shard_slot, finish, request={"op": "ping"}
+                )
+                ping.candidates = deque([backend])
+                self._submit(ping)
+        finish()
 
     def health(self) -> List[List[bool]]:
         """Per-shard, per-backend health flags (tests/observability);
@@ -449,20 +562,19 @@ class Router:
         ]
 
     def wait_healthy(self, timeout: float = 10.0) -> bool:
-        """Block until every backend probes healthy (bootstrap/tests)."""
-        sleeper = threading.Event()
-        waited = 0.0
-        step = 0.05
-        while waited <= timeout:
-            if all(
-                backend.probe()
-                for shard_slot in self._all_slots()
-                for backend in shard_slot.backends
-            ):
+        """Block until a ping round finds every backend healthy
+        (bootstrap/tests); rounds repeat 50 ms apart until then."""
+        deadline = time.monotonic() + timeout
+        while True:
+            answered = threading.Event()
+            self._reactor.call_soon(
+                lambda: self._ping_round(answered.set)
+            )
+            if not answered.wait(max(0.0, deadline - time.monotonic())):
+                return False
+            if all(backend.healthy for backend in self._backends()):
                 return True
-            sleeper.wait(step)
-            waited += step
-        return False
+            time.sleep(0.05)
 
     # -- elasticity (partition swap + load accounting) -----------------
 
@@ -564,12 +676,7 @@ class Router:
         def reap() -> None:
             retired, self._retired = self._retired, []
             for backend in retired:
-                if backend.pending or backend.waiting:
-                    self._backend_lost(
-                        backend, "retired by partition swap"
-                    )
-                else:
-                    self._close_backend(backend)
+                backend.close("retired by partition swap")
 
         self._reactor.run_sync(reap, timeout)
         return drained
@@ -977,387 +1084,30 @@ class Router:
                 rows.append(row)
         return payload
 
-    # -- upstream connections (loop thread) ----------------------------
+    # -- upstream (loop thread) ----------------------------------------
 
     def _submit(self, sub: _Sub, cause: str = "no backends") -> None:
         """Send ``sub`` to its first live candidate backend."""
         while sub.candidates:
             backend = sub.candidates.popleft()
-            if self._send_sub(backend, sub):
+            if backend.submit(sub):
                 return
             sub.failed += 1
             cause = f"cannot reach {backend.address[0]}:{backend.address[1]}"
         sub.finish("unavailable", cause)
 
-    def _start_connect(self, backend: Backend) -> bool:
-        """Begin a non-blocking connect; the loop thread never blocks
-        on an upstream, so an unreachable (SYN-dropping) shard cannot
-        stall traffic to the rest of the fleet."""
-        started = False
-        err = -1
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            err = sock.connect_ex(backend.address)
-            started = err in (0, errno.EINPROGRESS, errno.EWOULDBLOCK)
-        except OSError:
-            started = False
-        finally:
-            if not started:
-                sock.close()
-        if not started:
-            backend.healthy = False
-            return False
-        backend.sock = sock
-        backend.state = "connecting"
-        backend.codec = "json"
-        backend.inbuf.clear()
-        backend.outbuf.clear()
-        backend.pending.clear()
-        backend.waiting.clear()
-        backend.registered = False
-        backend.events = 0
-        backend.callback = (
-            lambda mask, b=backend: self._on_backend_event(b, mask)
-        )
-        if err == 0:
-            self._connect_done(backend)
-        else:
-            self._watch_backend(backend, _WRITE)
-        return backend.sock is not None
-
-    def _connect_done(self, backend: Backend) -> None:
-        """The non-blocking connect resolved: fail, or start the codec
-        handshake (pipelined — the hello is just the first frame)."""
-        assert backend.sock is not None
-        err = backend.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-        if err:
-            self._backend_lost(
-                backend, f"connect failed: {os.strerror(err)}"
-            )
-            return
-        backend.healthy = True
-        if self._backend_codec == "binary":
-            backend.state = "hello"
-            backend.outbuf += encode_frame(
-                {"op": "hello", "accept_codecs": ["binary"]},
-                max_size=MAX_FRAME_BYTES,
-            )
-        else:
-            self._backend_ready(backend)
-        self._flush_backend(backend)
-
-    def _backend_ready(self, backend: Backend) -> None:
-        """The codec settled: encode and send every waiting sub."""
-        backend.state = "ready"
-        while backend.waiting and backend.sock is not None:
-            sub = backend.waiting.popleft()
-            if not self._enqueue_sub(backend, sub):
-                sub.failed += 1
-                self._submit(sub, "unserialisable request")
-
-    def _send_sub(self, backend: Backend, sub: _Sub) -> bool:
-        if backend.sock is None and not self._start_connect(backend):
-            return False
-        sub.deadline = time.monotonic() + self._backend_timeout
-        if backend.state != "ready":
-            # Connect/handshake still in flight; the sub goes out the
-            # moment the codec settles, and its deadline (swept on the
-            # loop) bounds a backend that never becomes ready.
-            backend.waiting.append(sub)
-            return True
-        return self._enqueue_sub(backend, sub)
-
-    def _enqueue_sub(self, backend: Backend, sub: _Sub) -> bool:
-        backend.rid = (backend.rid + 1) & 0xFFFFFFFF
-        sub.rid = backend.rid
-        try:
-            backend.outbuf += self._encode_sub(sub, backend.codec)
-        except WireError:
-            # Unserialisable forward — nothing another backend could
-            # do better; report the shard as the problem.
-            return False
-        backend.pending.append(sub)
-        # If this write kills the connection, _backend_lost fails the
-        # pending subs over (re-entering _submit with the remaining
-        # candidates) — either way the sub is handled, so: done here.
-        self._flush_backend(backend)
-        return True
-
-    def _encode_sub(self, sub: _Sub, codec: str) -> bytes:
-        if sub.kind == "batch":
-            assert sub.pairs is not None
-            assert sub.codec is not None
-            if codec == "binary":
-                try:
-                    return sub.codec.encode_batch_request(
-                        sub.pairs, sub.rid, max_size=MAX_FRAME_BYTES
-                    )
-                except WireError:
-                    pass  # day outside the packed layout: JSON shape
-            request: Dict[str, Any] = {
-                "op": "batch",
-                "queries": [
-                    {"ip": ip, "day": day} if day is not None else {"ip": ip}
-                    for ip, day in sub.pairs
-                ],
-            }
-        else:
-            assert sub.request is not None
-            request = sub.request
-        if codec == "binary":
-            return encode_msg_frame(
-                request, sub.rid, max_size=MAX_FRAME_BYTES
-            )
-        return encode_frame(request, max_size=MAX_FRAME_BYTES)
-
-    def _watch_backend(self, backend: Backend, events: int) -> None:
-        if backend.sock is None:
-            return
-        if events == backend.events and backend.registered == bool(events):
-            return
-        if not events:
-            if backend.registered:
-                backend.registered = False
-                try:
-                    self._reactor.unregister(backend.sock)
-                except (KeyError, ValueError, OSError):
-                    pass
-        elif backend.registered:
-            self._reactor.modify(backend.sock, events, backend.callback)
-        else:
-            self._reactor.register(
-                backend.sock, events, backend.callback
-            )
-            backend.registered = True
-        backend.events = events
-
-    def _close_backend(self, backend: Backend) -> None:
-        sock, backend.sock = backend.sock, None
-        backend.state = "idle"
-        if sock is None:
-            return
-        if backend.registered:
-            backend.registered = False
-            try:
-                self._reactor.unregister(sock)
-            except (KeyError, ValueError, OSError):
-                pass
-        backend.events = 0
-        try:
-            sock.close()
-        except OSError:
-            pass
-        backend.inbuf.clear()
-        backend.outbuf.clear()
-
-    def _backend_lost(
-        self, backend: Backend, cause: str, *, idle_eof: bool = False
-    ) -> None:
-        """The pooled connection died: fail its in-flight requests over
-        to the next candidates. A clean EOF with nothing in flight is
-        just the backend recycling an idle connection — health stands,
-        the next request reconnects."""
-        pending = list(backend.pending) + list(backend.waiting)
-        backend.pending.clear()
-        backend.waiting.clear()
-        self._close_backend(backend)
-        if pending or not idle_eof:
-            backend.healthy = False
-        for sub in pending:
-            sub.failed += 1
-            self._submit(sub, cause)
-
-    def _on_backend_event(self, backend: Backend, mask: int) -> None:
-        try:
-            if backend.state == "connecting":
-                # Only _WRITE is watched while connecting; an error
-                # also surfaces here (selectors maps it to readiness)
-                # and _connect_done reads it from SO_ERROR.
-                self._connect_done(backend)
-                return
-            if mask & _WRITE:
-                self._flush_backend(backend)
-            if mask & _READ and backend.sock is not None:
-                self._backend_readable(backend)
-        # Containment: a router bug on one upstream must not take the
-        # loop (and the whole cluster's front door) down.
-        except Exception as exc:
-            self._backend_lost(backend, f"internal router error: {exc}")
-
-    def _flush_backend(self, backend: Backend) -> None:
-        if backend.sock is None:
-            return
-        out = backend.outbuf
-        if out:
-            try:
-                sent = backend.sock.send(out)
-            except (BlockingIOError, InterruptedError):
-                sent = 0
-            except OSError as exc:
-                self._backend_lost(backend, f"send failed: {exc}")
-                return
-            if sent:
-                del out[:sent]
-        self._watch_backend(
-            backend, _READ | (_WRITE if out else 0)
-        )
-
-    def _backend_readable(self, backend: Backend) -> None:
-        assert backend.sock is not None
-        try:
-            data = backend.sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError as exc:
-            self._backend_lost(backend, f"recv failed: {exc}")
-            return
-        if not data:
-            self._backend_lost(
-                backend,
-                "connection closed",
-                idle_eof=not backend.pending and not backend.waiting,
-            )
-            return
-        backend.inbuf += data
-        try:
-            self._parse_backend(backend)
-        except WireError as exc:
-            self._backend_lost(backend, f"garbled reply: {exc}")
-
-    def _parse_backend(self, backend: Backend) -> None:
-        while backend.sock is not None:
-            if backend.state == "hello":
-                # First frame on a negotiating connection is the hello
-                # reply, always in JSON framing (the server switches
-                # codecs only for frames after it).
-                decoded = decode_frame(
-                    backend.inbuf, max_size=MAX_FRAME_BYTES
-                )
-                if decoded is None:
-                    return
-                reply, consumed = decoded
-                del backend.inbuf[:consumed]
-                result = (
-                    reply.get("result")
-                    if isinstance(reply, dict)
-                    else None
-                )
-                backend.codec = (
-                    "binary"
-                    if isinstance(result, dict)
-                    and result.get("codec") == "binary"
-                    else "json"
-                )
-                self._backend_ready(backend)
-            elif backend.codec == "binary":
-                decoded = decode_binary_frame(
-                    backend.inbuf, max_size=MAX_FRAME_BYTES
-                )
-                if decoded is None:
-                    return
-                ftype, rid, payload, consumed = decoded
-                del backend.inbuf[:consumed]
-                if not backend.pending:
-                    raise WireError("reply with nothing in flight")
-                sub = backend.pending.popleft()
-                # A garbled reply past this point must not orphan the
-                # popped sub: put it back so _backend_lost (reached
-                # via the caller's WireError handler) fails it over
-                # with the rest of the pending queue.
-                try:
-                    if sub.rid != rid:
-                        raise WireError(
-                            f"reply for request {rid}, "
-                            f"expected {sub.rid}"
-                        )
-                    # Only the reply type of the sub's own codec is a
-                    # batch reply: another family's frame is as
-                    # unexpected as an unknown type, never decoded.
-                    if (
-                        sub.codec is not None
-                        and ftype == sub.codec.ft_reply
-                    ):
-                        self._sub_success(
-                            sub,
-                            "records",
-                            sub.codec.split_batch_reply(payload),
-                        )
-                    elif ftype == FT_MSG:
-                        self._deliver_reply(
-                            sub,
-                            decode_msg_payload(
-                                payload, max_size=MAX_FRAME_BYTES
-                            ),
-                        )
-                    else:
-                        raise WireError(
-                            f"unexpected frame type {ftype}"
-                        )
-                except WireError:
-                    backend.pending.appendleft(sub)
-                    raise
-            else:
-                decoded = decode_frame(
-                    backend.inbuf, max_size=MAX_FRAME_BYTES
-                )
-                if decoded is None:
-                    return
-                reply, consumed = decoded
-                del backend.inbuf[:consumed]
-                if not backend.pending:
-                    raise WireError("reply with nothing in flight")
-                sub = backend.pending.popleft()
-                try:
-                    self._deliver_reply(sub, reply)
-                except WireError:
-                    backend.pending.appendleft(sub)
-                    raise
-
-    def _deliver_reply(self, sub: _Sub, reply: Any) -> None:
-        if not isinstance(reply, dict):
-            raise WireError(f"malformed reply: {reply!r}")
-        if not reply.get("ok"):
-            sub.finish(
-                "reject", str(reply.get("error", "unknown error"))
-            )
-            return
-        result = reply.get("result")
-        if sub.kind == "batch":
-            self._sub_success(sub, "verdicts", result)
-        else:
-            self._sub_success(sub, "result", result)
-
-    def _sub_success(self, sub: _Sub, status: str, value: Any) -> None:
-        if sub.failed:
-            sub.shard_slot.failovers += 1
-        sub.finish(status, value)
-
-    # -- upstream deadlines --------------------------------------------
-
-    def _arm_backend_sweep(self) -> None:
-        if not self._reactor.is_running():
-            return
+    def _backend_sweep(self) -> None:
+        now = time.monotonic()
+        # Retired backends left the slot table but may still hold
+        # in-flight requests; their deadlines are enforced the same.
+        for backend in self._backends() + self._retired:
+            # Waiting subs cover links stuck in the connect or hello
+            # phase — a backend that never becomes ready times out
+            # exactly like one that never replies.
+            queue = backend.pending or backend.waiting
+            if queue and queue[0].deadline < now:
+                backend.close("backend timed out")
         self._reactor.call_later(
             max(0.05, min(1.0, self._backend_timeout / 4.0)),
             self._backend_sweep,
         )
-
-    def _backend_sweep(self) -> None:
-        now = time.monotonic()
-        live = [
-            backend
-            for shard_slot in self._all_slots()
-            for backend in shard_slot.backends
-        ]
-        # Retired backends left the slot table but may still hold
-        # in-flight requests; their deadlines are enforced the same.
-        for backend in live + self._retired:
-            # Waiting subs cover connections stuck in the connect
-            # or hello phase — a backend that never becomes ready
-            # times out exactly like one that never replies.
-            queue = backend.pending or backend.waiting
-            if queue and queue[0].deadline < now:
-                self._backend_lost(backend, "backend timed out")
-        self._arm_backend_sweep()

@@ -3,7 +3,9 @@
 Turns call sites and callback expressions into
 :class:`~repro.devtools.flow.symtab.FunctionInfo` targets:
 
-* ``self.m(...)``               -> method of the enclosing class
+* ``self.m(...)``               -> method of the enclosing class, own
+                                   or inherited — plus, as call-graph
+                                   edges, every subclass override of it
 * ``self.attr.m(...)``          -> method of the class ``attr`` was
                                    constructed with in ``__init__``
 * ``x = ClassName(...); x.m()`` -> method via local construction
@@ -108,10 +110,10 @@ class Resolver:
                 and expr.value.id == "self"
                 and fn.owner is not None
             ):
-                return fn.owner.methods.get(expr.attr)
+                return self.program.find_method(fn.owner, expr.attr)
             receiver = self._receiver_class(fn, expr.value)
             if receiver is not None:
-                return receiver.methods.get(expr.attr)
+                return self.program.find_method(receiver, expr.attr)
             return None
         if isinstance(expr, ast.Name):
             # A closure defined in the registering function itself
@@ -155,7 +157,7 @@ class Resolver:
             return None
         receiver = self._receiver_class(fn, func.value)
         if receiver is not None:
-            return receiver.methods.get(func.attr)
+            return self.program.find_method(receiver, func.attr)
         # mod.func(...) through an imported project module
         dotted = fn.module.resolve_call(call)
         if dotted is not None:
@@ -198,9 +200,17 @@ class Resolver:
         for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
-            target = self.resolve_call(fn, node)
-            if target is not None and target.node is not fn.node:
-                yield node, target
+            targets = [self.resolve_call(fn, node)]
+            if isinstance(node.func, ast.Attribute):
+                # Dynamic dispatch: the receiver may be a subclass.
+                receiver = self._receiver_class(fn, node.func.value)
+                if receiver is not None:
+                    targets.extend(
+                        self.program.overriders(receiver, node.func.attr)
+                    )
+            for target in targets:
+                if target is not None and target.node is not fn.node:
+                    yield node, target
 
 
 def get_resolver(context: ProgramContext) -> Resolver:

@@ -7,8 +7,12 @@ every connection at once.  This pass collects the **reactor roots** —
 callbacks handed to ``call_soon``/``call_later``/``run_sync``,
 selector ``register``/``modify`` callbacks, ``conn.callback = ...``
 assignments, and the handler a ``WireServer`` is constructed with —
-then walks the call graph from each root and flags blocking
-operations on any reachable path:
+then walks the call graph from each root — through inherited methods
+and, where a base class calls a hook, into every subclass override
+(``aio.Link`` registers its own event callback and hands frames to
+``on_message``/``on_packed``/``on_close`` overrides in ``Conn`` and
+the router's ``Backend``) — and flags blocking operations on any
+reachable path:
 
 * ``time.sleep``
 * ``socket.create_connection`` and ``.connect()``/``.accept()`` on a
@@ -18,7 +22,7 @@ operations on any reachable path:
 * file I/O (``open`` and friends, ``Path.read_text``/``write_text``)
 * ``subprocess.*``
 
-Blocking work that stays off-loop (heartbeat threads, drain helpers)
+Blocking work that stays off-loop (follower threads, drain helpers)
 is not reachable from any root and is never flagged.
 """
 

@@ -78,6 +78,8 @@ class ClassInfo:
     #: ``self.<attr> = <Ctor>(...)`` — attr name -> constructor's bare
     #: class name (resolved lazily against the program's class table).
     attr_ctors: Dict[str, str] = dataclasses.field(default_factory=dict)
+    #: Bare names of the base classes, as written (resolved lazily).
+    bases: List[str] = dataclasses.field(default_factory=list)
 
 
 def _bare_callee(module: LintModule, call: ast.Call) -> Optional[str]:
@@ -130,6 +132,11 @@ class Program:
         self, module: LintModule, node: ast.ClassDef
     ) -> ClassInfo:
         cls = ClassInfo(name=node.name, node=node, module=module)
+        for base in node.bases:
+            if isinstance(base, ast.Name):
+                cls.bases.append(base.id)
+            elif isinstance(base, ast.Attribute):
+                cls.bases.append(base.attr)
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 cls.methods[item.name] = FunctionInfo(
@@ -170,6 +177,40 @@ class Program:
     def unique_class(self, name: str) -> Optional[ClassInfo]:
         definitions = self.classes.get(name, [])
         return definitions[0] if len(definitions) == 1 else None
+
+    def lineage(self, cls: ClassInfo) -> Iterator[ClassInfo]:
+        """``cls``, then its resolvable base classes, nearest first."""
+        queue, seen = [cls], {id(cls)}
+        while queue:
+            current = queue.pop(0)
+            yield current
+            for name in current.bases:
+                base = self.unique_class(name)
+                if base is not None and id(base) not in seen:
+                    seen.add(id(base))
+                    queue.append(base)
+
+    def find_method(
+        self, cls: ClassInfo, name: str
+    ) -> Optional[FunctionInfo]:
+        """``cls``'s own or nearest inherited definition of ``name``."""
+        for owner in self.lineage(cls):
+            method = owner.methods.get(name)
+            if method is not None:
+                return method
+        return None
+
+    def overriders(
+        self, cls: ClassInfo, name: str
+    ) -> Iterator[FunctionInfo]:
+        """Definitions of ``name`` in ``cls``'s subclasses — where a
+        ``self.name()`` written in ``cls`` may land at run time (a
+        base class calling the hooks its subclasses fill in)."""
+        for other in self.all_classes():
+            if other is cls or name not in other.methods:
+                continue
+            if any(base is cls for base in self.lineage(other)):
+                yield other.methods[name]
 
     def unique_function(self, name: str) -> Optional[FunctionInfo]:
         definitions = self.functions.get(name, [])

@@ -11,7 +11,13 @@ checks the pairings statically, across modules:
   target counts must equal the format's field count;
 * every ``FT_*`` tag passed to an encoder — a constant, or a codec's
   ``ft_*`` attribute holding one — must appear in a decoder comparison
-  or key a dispatch table somewhere in the serving modules.
+  or key a dispatch table somewhere in the serving modules;
+* a tag encoded as a module constant (``FT_MSG``: the generic message
+  frame, sent in both directions) must moreover be handled by *every*
+  frame reader — each module that takes binary frames off the wire
+  with ``decode_binary_frame``/``recv_binary_frame`` — since whichever
+  end reads, it can be sent one. A codec's ``ft_*`` attribute is
+  directional, so one decoder somewhere suffices.
 
 Scope: serving dirs only (``service/``, ``cluster/``, ``stream/``) —
 the modules that speak the wire protocol.
@@ -128,6 +134,11 @@ def _tuple_target_count(
     return None
 
 
+#: Taking a binary frame off the wire: a module calling one of these
+#: is a frame reader.
+_FRAME_READERS = {"decode_binary_frame", "recv_binary_frame"}
+
+
 def _ft_operands(node: ast.expr) -> Iterator[str]:
     candidates = (
         node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
@@ -181,10 +192,14 @@ def check_wire_conformance(
             global_by_name.setdefault(const.name, []).append(const)
 
     encoded: Dict[str, Tuple[LintModule, ast.Call]] = {}
-    compared: Set[str] = set()
+    #: relpath -> the tags that module compares against / dispatches on
+    compared_by: Dict[str, Set[str]] = {}
+    #: relpath -> (module, its first frame-reading call)
+    readers: Dict[str, Tuple[LintModule, ast.Call]] = {}
 
     for module in wire_modules:
         local = consts_by_module[module.relpath]
+        compared = compared_by.setdefault(module.relpath, set())
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Compare):
                 for operand in [node.left] + list(node.comparators):
@@ -203,6 +218,8 @@ def check_wire_conformance(
             func = node.func
             # FT_* tags handed to an encoder
             callee = (module.dotted_name(func) or "").split(".")[-1]
+            if callee in _FRAME_READERS:
+                readers.setdefault(module.relpath, (module, node))
             if "encode" in callee:
                 for arg in node.args:
                     for tag in _ft_operands(arg):
@@ -226,8 +243,20 @@ def check_wire_conformance(
                     continue
                 yield from _const_call_issues(module, node, func, const)
 
+    compared_anywhere = set().union(*compared_by.values())
     for tag, (module, site) in sorted(encoded.items()):
-        if tag not in compared:
+        if tag.isupper():
+            for reader, read_site in readers.values():
+                if tag not in compared_by[reader.relpath]:
+                    yield reader.violation(
+                        "FLOW-WIRE",
+                        read_site,
+                        f"{tag} is a frame either end may be sent, but "
+                        f"this module reads frames here and never "
+                        f"compares a frame type against {tag} — it "
+                        f"could not tell one from a packed frame",
+                    )
+        if tag not in compared_anywhere:
             yield module.violation(
                 "FLOW-WIRE",
                 site,

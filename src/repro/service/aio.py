@@ -7,23 +7,31 @@ with per-connection read/write buffers and *pipelining*: a peer may
 have any number of request frames in flight on one connection, and
 replies always come back in request order.
 
-Three layers:
+Four layers:
 
 * :class:`Reactor` — the loop: readiness callbacks, monotonic timers,
   and a ``call_soon`` queue fed from other threads through a
   socketpair waker. Everything else runs *on* the loop thread.
-* :class:`Conn` + :class:`Slot` — per-connection state. Each parsed
+* :class:`Link` — one framed, pipelined TCP connection, either
+  direction. It owns the socket, both buffers, the negotiated codec
+  and the interest set, and is the only code that connects, reads,
+  writes, walks frames out of a buffer (length-prefixed JSON and the
+  binary framing of :mod:`repro.service.wire`), contains a callback
+  exception, or closes — always with a cause. What a frame *means* is
+  left to the subclass hooks.
+* :class:`Conn` + :class:`Slot` — the inbound link. Each parsed
   request takes a :class:`Slot` in the connection's reply queue;
   completing a slot (in any order) releases every reply at the queue
   head, which keeps pipelined replies ordered even when an upstream
-  answers out of order (the router's case).
-* :class:`WireServer` — accept loop, frame parsing for both codecs
-  (length-prefixed JSON and the binary framing of
-  :mod:`repro.service.wire`), the recoverable/fatal error split, idle
-  timeouts, and graceful shutdown. Requests are handed to a
-  ``handler(conn, slot, kind, data)`` callback; ``kind`` is ``"msg"``
-  (one decoded request object) or ``"batch"`` (packed ``(ip, day)``
-  pairs from a batch-request frame; ``slot.batch_codec`` is the
+  answers out of order (the router's case). Adds the backpressure
+  marks, the recoverable/fatal error split and drain-then-close. The
+  outbound counterpart is the cluster router's
+  :class:`~repro.cluster.router.Backend`.
+* :class:`WireServer` — accept loop, idle timeouts and graceful
+  shutdown. Requests are handed to a ``handler(conn, slot, kind,
+  data)`` callback; ``kind`` is ``"msg"`` (one decoded request
+  object) or ``"batch"`` (packed ``(ip, day)`` pairs from a
+  batch-request frame; ``slot.batch_codec`` is the
   :class:`~repro.service.wire.BinaryCodec` — hence the address
   family — the frame type resolved to).
 
@@ -34,8 +42,10 @@ later from upstream readiness events on the same loop.
 
 from __future__ import annotations
 
+import errno
 import heapq
 import itertools
+import os
 import selectors
 import socket
 import threading
@@ -56,7 +66,7 @@ from .wire import (
     encode_msg_frame,
 )
 
-__all__ = ["Conn", "Reactor", "Slot", "WireServer"]
+__all__ = ["Conn", "Link", "PEER_EOF", "Reactor", "Slot", "WireServer"]
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
@@ -248,28 +258,273 @@ class Reactor:
                 pass
 
 
+#: Cause a link closes with when the peer hung up cleanly — the one
+#: close an owner may read as "recycled", not "broken".
+PEER_EOF = "connection closed"
+
+
+class Link:
+    """One framed, pipelined TCP connection on a :class:`Reactor`.
+
+    Direction-agnostic: :meth:`attach` adopts an accepted socket,
+    :meth:`connect` dials out without blocking. From then on the link
+    turns readiness into hook calls — ``on_message`` for a JSON frame
+    or a binary ``FT_MSG`` frame, ``on_packed`` for any other binary
+    frame type, ``on_garbled`` for a frame that broke the protocol —
+    and drains ``outbuf`` (append, then :meth:`flush`) as the socket
+    takes it. Every way out goes through :meth:`close`, which tears
+    the socket down, resets the link to idle (a subclass may
+    :meth:`connect` again) and calls ``on_close(cause)`` exactly once.
+    Loop-thread owned throughout.
+    """
+
+    __slots__ = ("reactor", "max_frame", "sock", "codec", "inbuf",
+                 "outbuf", "events", "connecting", "in_parse",
+                 "last_activity")
+
+    def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
+        self.max_frame = max_frame
+        self.sock: Optional[socket.socket] = None
+        #: Frame codec for *subsequent* frames ("json" until a hello
+        #: negotiates "binary").
+        self.codec = "json"
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        #: The interest set registered with the reactor (0 = none).
+        self.events = 0
+        self.connecting = False
+        #: True while frames are being delivered; a flush follows, so
+        #: hooks queueing output need not flush themselves.
+        self.in_parse = False
+        self.last_activity = time.monotonic()
+
+    # -- hooks ---------------------------------------------------------
+
+    def on_connected(self) -> None:
+        """An outbound connect resolved; a flush follows."""
+
+    def on_message(self, request_id: int, message: Any) -> None:
+        """One decoded message (``request_id`` is 0 on JSON framing)."""
+
+    def on_packed(
+        self, ftype: int, request_id: int, payload: bytes
+    ) -> None:
+        """One binary frame of a type other than ``FT_MSG``."""
+
+    def on_garbled(self, exc: WireError, request_id: int) -> None:
+        """A frame violated the protocol (or a hook said so by raising
+        :class:`WireError`). The stream is past the bad frame when
+        ``exc.recoverable``; otherwise framing is lost and no further
+        frame is read."""
+        self.close(f"garbled frame: {exc}")
+
+    def on_eof(self) -> None:
+        """The peer hung up cleanly."""
+        self.close(PEER_EOF)
+
+    def on_close(self, cause: str) -> None:
+        """The link closed; socket and buffers are already gone."""
+
+    def interest(self) -> int:
+        """The events to wait for once a flush has written what the
+        socket would take (or close: nothing left to wait for)."""
+        return _READ | (_WRITE if self.outbuf else 0)
+
+    # -- open / close --------------------------------------------------
+
+    def attach(self, reactor: Reactor, sock: socket.socket) -> None:
+        """Adopt an accepted socket and start reading. ``TCP_NODELAY``
+        is set — small frames must not sit out a Nagle delay."""
+        self.reactor = reactor
+        self.sock = sock
+        sock.setblocking(False)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        self._watch(_READ)
+
+    def connect(self, reactor: Reactor, address: Tuple[str, int]) -> None:
+        """Begin a non-blocking connect; it ends in ``on_connected``
+        or in :meth:`close` (``sock`` is ``None`` on return when it
+        failed at once). The loop thread never blocks on a peer, so an
+        unreachable (SYN-dropping) one cannot stall the others — the
+        owner's deadline bounds a connect that never resolves."""
+        self.reactor = reactor
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.connecting = True
+        self.codec = "json"
+        try:
+            self.sock.setblocking(False)
+            self.sock.setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
+            err = self.sock.connect_ex(address)
+        except OSError as exc:
+            err = exc.errno or errno.EIO
+        if err in (errno.EINPROGRESS, errno.EWOULDBLOCK):
+            self._watch(_WRITE)
+        else:
+            self._connect_done(err)
+
+    def _connect_done(self, err: int) -> None:
+        if err:
+            self.close(f"connect failed: {os.strerror(err)}")
+            return
+        self.connecting = False
+        self.on_connected()
+        self.flush()
+
+    def close(self, cause: str) -> None:
+        """The single way out; a no-op on an already idle link."""
+        sock = self.sock
+        if sock is None:
+            return
+        self._watch(0)
+        self.sock = None
+        try:
+            sock.close()
+        except OSError:
+            pass
+        self.connecting = False
+        self.inbuf.clear()
+        self.outbuf.clear()
+        self.on_close(cause)
+
+    def _watch(self, events: int) -> None:
+        if self.sock is None or events == self.events:
+            return
+        if not events:
+            try:
+                self.reactor.unregister(self.sock)
+            except (KeyError, ValueError, OSError):
+                pass
+        elif self.events:
+            self.reactor.modify(self.sock, events, self._on_event)
+        else:
+            self.reactor.register(self.sock, events, self._on_event)
+        self.events = events
+
+    # -- I/O events ----------------------------------------------------
+
+    def _on_event(self, mask: int) -> None:
+        try:
+            if self.connecting:
+                # Only _WRITE is watched while connecting; a failure
+                # also surfaces as readiness and sits in SO_ERROR.
+                assert self.sock is not None
+                self._connect_done(
+                    self.sock.getsockopt(
+                        socket.SOL_SOCKET, socket.SO_ERROR
+                    )
+                )
+                return
+            if mask & _WRITE:
+                self.flush()
+            if mask & _READ and self.sock is not None:
+                self._read()
+        # Containment of last resort: a bug on one link must not kill
+        # the loop serving every other one.
+        except Exception as exc:
+            self.close(f"internal error: {exc}")
+
+    def _read(self) -> None:
+        assert self.sock is not None
+        try:
+            data = self.sock.recv(_RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self.close(f"recv failed: {exc}")
+            return
+        if not data:
+            self.on_eof()
+            return
+        self.last_activity = time.monotonic()
+        self.inbuf += data
+        self.in_parse = True
+        try:
+            self._parse()
+        finally:
+            self.in_parse = False
+        self.flush()
+
+    def _parse(self) -> None:
+        """Hand every complete frame in ``inbuf`` to its hook."""
+        inbuf = self.inbuf
+        while self.sock is not None:
+            request_id = 0
+            try:
+                if self.codec == "binary":
+                    frame = decode_binary_frame(
+                        inbuf, max_size=self.max_frame
+                    )
+                    if frame is None:
+                        return
+                    ftype, request_id, payload, consumed = frame
+                    del inbuf[:consumed]
+                    if ftype == FT_MSG:
+                        self.on_message(
+                            request_id,
+                            decode_msg_payload(
+                                payload, max_size=self.max_frame
+                            ),
+                        )
+                    else:
+                        self.on_packed(ftype, request_id, payload)
+                else:
+                    decoded = decode_frame(
+                        inbuf, max_size=self.max_frame
+                    )
+                    if decoded is None:
+                        return
+                    message, consumed = decoded
+                    del inbuf[:consumed]
+                    self.on_message(0, message)
+            except WireError as exc:
+                if exc.consumed is not None:
+                    # Payload was undecodable but the boundary held:
+                    # skip the frame and stay on the stream.
+                    del inbuf[: exc.consumed]
+                self.on_garbled(exc, request_id)
+                if not exc.recoverable:
+                    return
+
+    def flush(self) -> None:
+        """Write what the socket will take of ``outbuf``, then wait
+        for whatever :meth:`interest` says comes next."""
+        if self.sock is None:
+            return
+        out = self.outbuf
+        if out:
+            try:
+                sent = self.sock.send(out)
+            except (BlockingIOError, InterruptedError):
+                sent = 0
+            except OSError as exc:
+                self.close(f"send failed: {exc}")
+                return
+            if sent:
+                del out[:sent]
+                self.last_activity = time.monotonic()
+        self._watch(self.interest())
+
+
 class Slot:
     """One in-flight request's place in a connection's reply queue.
 
     Created at parse time (capturing the codec *then* negotiated, so a
     reply to a pre-upgrade pipelined request is never mis-encoded) and
-    completed exactly once; the server releases queued replies in
+    completed exactly once; the connection releases queued replies in
     arrival order as head slots complete.
     """
 
-    __slots__ = ("_server", "conn", "codec", "request_id", "encoded",
-                 "done", "batch_codec")
+    __slots__ = ("conn", "codec", "request_id", "encoded", "done",
+                 "batch_codec")
 
-    def __init__(
-        self,
-        server: "WireServer",
-        conn: "Conn",
-        codec: str,
-        request_id: int,
-    ) -> None:
-        self._server = server
+    def __init__(self, conn: "Conn", request_id: int) -> None:
         self.conn = conn
-        self.codec = codec
+        self.codec = conn.codec
         self.request_id = request_id
         self.encoded = b""
         self.done = False
@@ -282,14 +537,14 @@ class Slot:
         if self.codec == "binary":
             return encode_msg_frame(
                 message, self.request_id,
-                max_size=self._server.max_frame,
+                max_size=self.conn.max_frame,
             )
-        return encode_frame(message, max_size=self._server.max_frame)
+        return encode_frame(message, max_size=self.conn.max_frame)
 
     def _finish(self, encoded: bytes) -> None:
         self.encoded = encoded
         self.done = True
-        self._server.slot_done(self.conn)
+        self.conn.slot_done()
 
     def complete(self, message: Any) -> None:
         """Answer with ``message`` (a JSON-model reply object)."""
@@ -312,7 +567,7 @@ class Slot:
         try:
             encoded = self.batch_codec.encode_batch_reply_frame(
                 records, self.request_id,
-                max_size=self._server.max_frame,
+                max_size=self.conn.max_frame,
             )
         except WireError as exc:
             self.fail(f"internal error: unserialisable reply: {exc}")
@@ -332,44 +587,125 @@ class Slot:
         self._finish(encoded)
 
 
-class Conn:
-    """Per-connection state, owned by the loop thread."""
+class Conn(Link):
+    """The inbound :class:`Link`: one accepted client connection.
 
-    __slots__ = ("sock", "fd", "address", "codec", "inbuf", "outbuf",
-                 "slots", "closing", "paused", "registered", "events",
-                 "callback", "in_parse", "last_activity", "data")
+    Every request frame takes a :class:`Slot`; replies leave in
+    request order. A protocol violation that keeps the stream in sync
+    is answered in-band, one that loses it is answered and then the
+    connection closes once the reply drained — as it does after a
+    peer EOF or a server shutdown (``closing``).
+    """
 
-    def __init__(self, sock: socket.socket, address: Any) -> None:
-        self.sock: Optional[socket.socket] = sock
+    __slots__ = ("server", "fd", "address", "slots", "closing",
+                 "paused")
+
+    def __init__(
+        self, server: "WireServer", sock: socket.socket, address: Any
+    ) -> None:
+        super().__init__(server.max_frame)
+        self.server = server
         self.fd = sock.fileno()
         self.address = address
-        #: Frame codec for *subsequent* frames ("json" until a hello
-        #: negotiates "binary"); each Slot captures it at parse time.
-        self.codec = "json"
-        self.inbuf = bytearray()
-        self.outbuf = bytearray()
         self.slots: Deque[Slot] = deque()
+        #: No further requests are read; close once replies drained.
         self.closing = False
         #: True while reads are suspended for backpressure.
         self.paused = False
-        self.registered = False
-        self.events = 0
-        self.callback: Any = None
-        self.in_parse = False
-        self.last_activity = time.monotonic()
-        #: Free for the handler's own per-connection state.
-        self.data: Any = None
+        self.attach(server.reactor, sock)
+
+    def _new_slot(self, request_id: int) -> Slot:
+        slot = Slot(self, request_id)
+        self.slots.append(slot)
+        return slot
+
+    def _dispatch(self, slot: Slot, kind: str, data: Any) -> None:
+        try:
+            self.server.handler(self, slot, kind, data)
+        # Never let a handler bug kill the loop; the peer gets an
+        # in-band error reply instead (same contract as the threaded
+        # server's worker).
+        except Exception as exc:
+            slot.fail(f"internal error: {exc}")
+
+    def on_message(self, request_id: int, message: Any) -> None:
+        self._dispatch(self._new_slot(request_id), "msg", message)
+
+    def on_packed(
+        self, ftype: int, request_id: int, payload: bytes
+    ) -> None:
+        slot = self._new_slot(request_id)
+        codec = REQUEST_CODECS.get(ftype)
+        if codec is None:
+            slot.fail(f"unexpected frame type {ftype}")
+            return
+        try:
+            pairs = codec.decode_batch_request(payload)
+        except WireError as exc:
+            slot.fail(str(exc))
+            return
+        slot.batch_codec = codec
+        self._dispatch(slot, "batch", pairs)
+
+    def on_garbled(self, exc: WireError, request_id: int) -> None:
+        self._new_slot(request_id).fail(str(exc))
+        if not exc.recoverable:
+            # Framing broke: close once the error reply drained.
+            self.closing = True
+
+    def on_eof(self) -> None:
+        # No further requests; flush what is queued, then close
+        # (immediately if nothing is pending).
+        self.closing = True
+        self.flush()
+
+    def on_close(self, cause: str) -> None:
+        self.slots.clear()
+        self.server.forget(self)
+
+    def slot_done(self) -> None:
+        """A slot completed: release every reply at the queue head."""
+        slots = self.slots
+        out = self.outbuf
+        while slots and slots[0].done:
+            out += slots[0].encoded
+            slots.popleft()
+        if not self.in_parse:
+            self.flush()
+
+    def interest(self) -> int:
+        out = self.outbuf
+        server = self.server
+        if self.closing:
+            if out:
+                return _WRITE
+            if not self.slots:
+                self.close("drained")
+            return 0  # await async completions
+        # Backpressure: stop reading a peer that pipelines faster than
+        # it drains replies, so outbuf and the slot queue stay bounded;
+        # resume only once both are well below the pause point.
+        if self.paused:
+            if (
+                len(out) <= server.out_low_water
+                and len(self.slots) <= server.slot_low_water
+            ):
+                self.paused = False
+        elif (
+            len(out) >= server.out_high_water
+            or len(self.slots) >= server.slot_high_water
+        ):
+            self.paused = True
+        return (_WRITE if out else 0) | (0 if self.paused else _READ)
 
 
 class WireServer:
     """Pipelined dual-codec TCP server on a :class:`Reactor`.
 
     Binds on construction (``SO_REUSEADDR``; ``port=0`` for an
-    ephemeral port) and sets ``TCP_NODELAY`` on every accepted socket
-    — small reply frames must not sit out a Nagle delay. Run with
-    :meth:`serve_forever` (calling thread) or :meth:`start` (daemon
-    thread); :meth:`shutdown` drains in-flight replies, then stops the
-    loop and closes everything.
+    ephemeral port). Run with :meth:`serve_forever` (calling thread)
+    or :meth:`start` (daemon thread); :meth:`shutdown` drains
+    in-flight replies, then stops the loop and closes everything.
     """
 
     def __init__(
@@ -382,7 +718,7 @@ class WireServer:
         max_frame: int = MAX_FRAME_BYTES,
         reactor: Optional[Reactor] = None,
     ) -> None:
-        self._handler = handler
+        self.handler = handler
         self._connection_timeout = connection_timeout
         self.max_frame = max_frame
         #: Per-connection backpressure bounds; instance attributes so
@@ -424,7 +760,7 @@ class WireServer:
 
     def serve_forever(self) -> None:
         """Run the loop on the calling thread until :meth:`shutdown`."""
-        self.reactor.call_soon(self._arm_idle_sweep)
+        self.reactor.call_soon(self._idle_sweep)
         try:
             self.reactor.run()
         finally:
@@ -478,19 +814,11 @@ class WireServer:
         self._close_listener()
         for conn in list(self._conns.values()):
             conn.closing = True
-            if not conn.slots and not conn.outbuf:
-                self._close_conn(conn)
-            else:
-                self._flush(conn)
+            conn.flush()
         if not self._conns:
             self.reactor.stop()
         else:
-            self.reactor.call_later(1.0, self._force_shutdown)
-
-    def _force_shutdown(self) -> None:
-        for conn in list(self._conns.values()):
-            self._close_conn(conn)
-        self.reactor.stop()
+            self.reactor.call_later(1.0, self._close_everything)
 
     def _close_listener(self) -> None:
         if self._closed:
@@ -508,9 +836,9 @@ class WireServer:
     def _close_everything(self) -> None:
         self._close_listener()
         for conn in list(self._conns.values()):
-            self._close_conn(conn)
+            conn.close("server shutdown")
 
-    # -- accept / close ------------------------------------------------
+    # -- accept / forget -----------------------------------------------
 
     def _on_accept(self, _mask: int) -> None:
         while True:
@@ -523,246 +851,16 @@ class WireServer:
             if self._shutting_down:
                 sock.close()
                 continue
-            sock.setblocking(False)
-            try:
-                sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-            except OSError:
-                pass
-            conn = Conn(sock, address)
-            conn.callback = (
-                lambda mask, c=conn: self._on_event(c, mask)
-            )
+            conn = Conn(self, sock, address)
             self._conns[conn.fd] = conn
-            self._watch(conn, _READ)
 
-    def _close_conn(self, conn: Conn) -> None:
-        sock, conn.sock = conn.sock, None
-        if sock is None:
-            return
-        if conn.registered:
-            conn.registered = False
-            try:
-                self.reactor.unregister(sock)
-            except (KeyError, ValueError, OSError):
-                pass
+    def forget(self, conn: Conn) -> None:
+        """``conn`` closed (its ``on_close`` reports here)."""
         self._conns.pop(conn.fd, None)
-        try:
-            sock.close()
-        except OSError:
-            pass
-        conn.slots.clear()
         if self._shutting_down and not self._conns:
             self.reactor.stop()
 
-    def _watch(self, conn: Conn, events: int) -> None:
-        if conn.sock is None:
-            return
-        if events == conn.events and conn.registered == bool(events):
-            return
-        if not events:
-            if conn.registered:
-                conn.registered = False
-                try:
-                    self.reactor.unregister(conn.sock)
-                except (KeyError, ValueError, OSError):
-                    pass
-        elif conn.registered:
-            self.reactor.modify(conn.sock, events, conn.callback)
-        else:
-            self.reactor.register(conn.sock, events, conn.callback)
-            conn.registered = True
-        conn.events = events
-
-    # -- I/O events ----------------------------------------------------
-
-    def _on_event(self, conn: Conn, mask: int) -> None:
-        try:
-            if mask & _WRITE:
-                self._flush(conn)
-            if mask & _READ and conn.sock is not None:
-                self._on_readable(conn)
-        # Containment of last resort: a bug on one connection must
-        # not kill the loop serving every other connection.
-        except Exception:
-            self._close_conn(conn)
-
-    def _on_readable(self, conn: Conn) -> None:
-        assert conn.sock is not None
-        try:
-            data = conn.sock.recv(_RECV_CHUNK)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            self._close_conn(conn)
-            return
-        if not data:
-            # Peer EOF: no further requests; flush what is queued,
-            # then close (immediately if nothing is pending).
-            conn.closing = True
-            if not conn.slots and not conn.outbuf:
-                self._close_conn(conn)
-            else:
-                self._watch(conn, _WRITE if conn.outbuf else 0)
-            return
-        conn.last_activity = time.monotonic()
-        conn.inbuf += data
-        self._parse(conn)
-
-    # -- frame parsing -------------------------------------------------
-
-    def _parse(self, conn: Conn) -> None:
-        conn.in_parse = True
-        try:
-            while conn.sock is not None and not conn.closing:
-                if conn.codec == "binary":
-                    if not self._parse_binary(conn):
-                        break
-                elif not self._parse_json(conn):
-                    break
-        finally:
-            conn.in_parse = False
-        self._flush(conn)
-
-    def _new_slot(self, conn: Conn, request_id: int = 0) -> Slot:
-        slot = Slot(self, conn, conn.codec, request_id)
-        conn.slots.append(slot)
-        return slot
-
-    def _fatal(self, conn: Conn, message: str) -> None:
-        """Framing broke: error reply, then close once it drained."""
-        self._new_slot(conn).fail(message)
-        conn.closing = True
-        self._watch(conn, _WRITE if conn.outbuf else 0)
-
-    def _parse_json(self, conn: Conn) -> bool:
-        """Parse one JSON frame; False when more bytes are needed."""
-        try:
-            decoded = decode_frame(conn.inbuf, max_size=self.max_frame)
-        except WireError as exc:
-            if exc.recoverable and exc.consumed is not None:
-                # Payload was undecodable but the boundary held: skip
-                # the frame, answer in-band, stay on the stream.
-                del conn.inbuf[: exc.consumed]
-                self._new_slot(conn).fail(str(exc))
-                return True
-            self._fatal(conn, str(exc))
-            return False
-        if decoded is None:
-            return False
-        message, consumed = decoded
-        del conn.inbuf[:consumed]
-        self._dispatch(conn, self._new_slot(conn), "msg", message)
-        return True
-
-    def _parse_binary(self, conn: Conn) -> bool:
-        """Parse one binary frame; False when more bytes are needed."""
-        try:
-            decoded = decode_binary_frame(
-                conn.inbuf, max_size=self.max_frame
-            )
-        except WireError as exc:
-            self._fatal(conn, str(exc))
-            return False
-        if decoded is None:
-            return False
-        ftype, request_id, payload, consumed = decoded
-        del conn.inbuf[:consumed]
-        slot = self._new_slot(conn, request_id)
-        if ftype == FT_MSG:
-            try:
-                message = decode_msg_payload(
-                    payload, max_size=self.max_frame
-                )
-            except WireError as exc:
-                slot.fail(str(exc))
-                return True
-            self._dispatch(conn, slot, "msg", message)
-            return True
-        codec = REQUEST_CODECS.get(ftype)
-        if codec is None:
-            slot.fail(f"unexpected frame type {ftype}")
-            return True
-        try:
-            pairs = codec.decode_batch_request(payload)
-        except WireError as exc:
-            slot.fail(str(exc))
-            return True
-        slot.batch_codec = codec
-        self._dispatch(conn, slot, "batch", pairs)
-        return True
-
-    def _dispatch(
-        self, conn: Conn, slot: Slot, kind: str, data: Any
-    ) -> None:
-        try:
-            self._handler(conn, slot, kind, data)
-        # Never let a handler bug kill the loop; the peer gets an
-        # in-band error reply instead (same contract as the threaded
-        # server's worker).
-        except Exception as exc:
-            slot.fail(f"internal error: {exc}")
-
-    # -- reply queue / writes ------------------------------------------
-
-    def slot_done(self, conn: Conn) -> None:
-        """A slot completed: release every reply at the queue head."""
-        slots = conn.slots
-        out = conn.outbuf
-        while slots and slots[0].done:
-            out += slots[0].encoded
-            slots.popleft()
-        if not conn.in_parse:
-            self._flush(conn)
-
-    def _flush(self, conn: Conn) -> None:
-        if conn.sock is None:
-            return
-        out = conn.outbuf
-        if out:
-            try:
-                sent = conn.sock.send(out)
-            except (BlockingIOError, InterruptedError):
-                sent = 0
-            except OSError:
-                self._close_conn(conn)
-                return
-            if sent:
-                del out[:sent]
-                conn.last_activity = time.monotonic()
-        if conn.closing:
-            if out:
-                self._watch(conn, _WRITE)
-            elif conn.slots:
-                self._watch(conn, 0)  # await async completions
-            else:
-                self._close_conn(conn)
-            return
-        # Backpressure: stop reading a peer that pipelines faster than
-        # it drains replies, so outbuf and the slot queue stay bounded;
-        # resume only once both are well below the pause point.
-        if conn.paused:
-            if (
-                len(out) <= self.out_low_water
-                and len(conn.slots) <= self.slot_low_water
-            ):
-                conn.paused = False
-        elif (
-            len(out) >= self.out_high_water
-            or len(conn.slots) >= self.slot_high_water
-        ):
-            conn.paused = True
-        self._watch(
-            conn,
-            (_WRITE if out else 0) | (0 if conn.paused else _READ),
-        )
-
     # -- idle timeout --------------------------------------------------
-
-    def _arm_idle_sweep(self) -> None:
-        interval = max(0.05, min(1.0, self._connection_timeout / 4.0))
-        self.reactor.call_later(interval, self._idle_sweep)
 
     def _idle_sweep(self) -> None:
         if self._shutting_down or not self.reactor.is_running():
@@ -772,5 +870,6 @@ class WireServer:
             if conn.slots:
                 continue  # in-flight work is not idleness
             if conn.last_activity < deadline:
-                self._close_conn(conn)
-        self._arm_idle_sweep()
+                conn.close("idle timeout")
+        interval = max(0.05, min(1.0, self._connection_timeout / 4.0))
+        self.reactor.call_later(interval, self._idle_sweep)

@@ -8,6 +8,7 @@ killed and restarted mid-run — the only tolerated deviation being
 explicit ``SHARD_UNAVAILABLE`` degradation during the outage window.
 """
 
+import gc
 import os
 import socket
 import threading
@@ -461,6 +462,68 @@ class TestFailover:
                 )
 
 
+    def test_process_mode_primary_stops_under_pipelined_load(
+        self, full_index, listed_ips
+    ):
+        # The thread-mode tests above share one interpreter with the
+        # shards; ``repro cluster`` does not. Here the primary is a
+        # forked worker, stopped while a pipelined stream is in flight.
+        beat = 0.2
+        with LocalCluster(
+            full_index,
+            shards=2,
+            replicas=1,
+            mode="process",
+            heartbeat_interval=beat,
+        ) as cluster:
+            router = cluster.router
+            assert router.wait_healthy(10.0)
+            single = QueryEngine(full_index)
+            batch = [(ip, None) for ip in listed_ips]
+            expected = [single.query(ip).to_wire() for ip in listed_ips]
+            batches = [batch] * 400
+            stopped_at = []
+
+            def stop_primary_mid_stream():
+                deadline = time.monotonic() + 10.0
+                while (
+                    router.load_snapshot()["shards"][0]["hits"] < 2000
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                cluster.kill_primary(0)
+                stopped_at.append(time.monotonic())
+
+            stopper = threading.Thread(target=stop_primary_mid_stream)
+            with ReputationClient(
+                *cluster.address, codec="binary", timeout=30.0
+            ) as client:
+                stopper.start()
+                results = client.query_batch_pipelined(batches, window=8)
+                stopper.join(timeout=15.0)
+                assert not stopper.is_alive() and stopped_at
+                # Every batch answered exactly once, none degraded.
+                assert len(results) == len(batches)
+                assert all(result == expected for result in results)
+                # The stop really landed inside the stream.
+                hits = router.load_snapshot()["shards"][0]["hits"]
+                assert hits > 2000
+
+                # A beat finds the dead primary through its own link.
+                while time.monotonic() < stopped_at[0] + 2 * beat:
+                    if not router.health()[0][0]:
+                        break
+                    time.sleep(0.01)
+                assert router.health()[0] == [False, True]
+                assert client.query_batch(batch) == expected
+                assert client.stats()["router"]["failovers"] >= 1
+
+                cluster.restart_primary(0)
+                assert router.wait_healthy(10.0)
+                assert router.health()[0] == [True, True]
+                assert client.query_batch(batch) == expected
+
+
 class TestDegraded:
     def test_dead_shard_degrades_not_fails(self, full_index, listed_ips):
         with LocalCluster(full_index, shards=3, mode="thread") as cluster:
@@ -594,6 +657,45 @@ class _MisbehavingBackend:
             pass
 
 
+class _SilentBackend(_MisbehavingBackend):
+    """The ``silent`` fake for a test that makes the router reconnect
+    every beat: its connection threads end at peer EOF (the base class
+    spins on a hung-up connection, one core per abandoned link, for
+    the rest of the session), and ``close`` really frees the port."""
+
+    def __init__(self) -> None:
+        super().__init__("silent")
+
+    def _serve(self, conn: socket.socket) -> None:
+        with conn:
+            try:
+                while True:
+                    request = recv_frame(conn)
+                    if request is None:
+                        return
+                    if (
+                        isinstance(request, dict)
+                        and request.get("op") == "ping"
+                    ):
+                        send_frame(conn, {"ok": True, "result": "pong"})
+            except (WireError, OSError):
+                return
+
+    def close(self) -> None:
+        # close() alone leaves the accept loop blocked — and the port
+        # listening — until one more connection arrives.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        super().close()
+        self._accepting.join(timeout=5.0)
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+# A ResourceWarning raised in a finalizer is "unraisable": without
+# this it would be reported, not fail the test.
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 class TestBackendMisbehavior:
     @pytest.fixture()
     def real_backend(self, full_index):
@@ -653,6 +755,116 @@ class TestBackendMisbehavior:
         finally:
             router.shutdown()
             fake.close()
+
+
+    def test_silent_backend_goes_unhealthy_and_stays_unhealthy(
+        self, full_index, listed_ips, real_backend
+    ):
+        # The fake answers a ping on any *fresh* connection but never
+        # the router's pipelined link (it swallows the codec hello).
+        # Health judged over throwaway probe connections re-marked it
+        # healthy every beat, so every query paid the backend timeout
+        # before failing over; judged by what the real link
+        # experienced, only the first request may.
+        beat, timeout = 0.2, 1.0
+        fake = _SilentBackend()
+        router = Router(
+            PartitionMap(1),
+            [[tuple(fake.address), real_backend.address]],
+            backend_timeout=timeout,
+            heartbeat_interval=beat,
+        )
+        router.start()
+        replacement = None
+        try:
+            single = QueryEngine(full_index)
+            with ReputationClient(
+                *router.address, timeout=10.0
+            ) as client:
+                took = []
+                for ip in listed_ips[:6]:
+                    started = time.monotonic()
+                    assert client.query(ip) == single.query(ip).to_wire()
+                    took.append(time.monotonic() - started)
+                assert all(seconds < 0.2 for seconds in took[1:]), took
+
+                # ...and it stays unhealthy, beat after beat, while
+                # the fake keeps accepting and answering fresh pings.
+                watched = time.monotonic() + 4 * beat
+                while time.monotonic() < watched:
+                    assert router.health() == [[False, True]]
+                    time.sleep(beat / 4)
+                started = time.monotonic()
+                assert client.query(listed_ips[0]) == (
+                    single.query(listed_ips[0]).to_wire()
+                )
+                assert time.monotonic() - started < 0.2
+
+                # A real shard on the same port rejoins by itself: two
+                # beats after the link still stuck on the fake has hit
+                # its deadline (timeout + one sweep period).
+                fake.close()
+                replacement = ReputationServer(
+                    QueryEngine(full_index), port=fake.address[1]
+                )
+                replacement.start()
+                rejoin_by = (
+                    time.monotonic() + timeout + timeout / 4 + 2 * beat
+                )
+                while (
+                    router.health() != [[True, True]]
+                    and time.monotonic() < rejoin_by
+                ):
+                    time.sleep(0.01)
+                assert router.health() == [[True, True]]
+        finally:
+            router.shutdown()
+            fake.close()
+            if replacement is not None:
+                replacement.shutdown()
+            gc.collect()  # a leaked link socket must fail *this* test
+
+
+class TestUpstreamKeepalive:
+    def test_beats_keep_an_idle_upstream_link_warm(
+        self, full_index, listed_ips
+    ):
+        # A shard's idle sweep used to close the router's silent
+        # upstream link, so the first request after a quiet spell paid
+        # connect + hello behind an idle-EOF reconnect. The beats now
+        # travel down that very link and count as activity on it.
+        idle = 0.4
+        single = QueryEngine(full_index)
+        ip = listed_ips[0]
+        with ReputationServer(
+            QueryEngine(full_index), connection_timeout=idle
+        ) as shard:
+            shard.start()
+            router = Router(
+                PartitionMap(1),
+                [[shard.address]],
+                heartbeat_interval=idle / 4,
+            )
+            router.start()
+            try:
+                with ReputationClient(
+                    *router.address, timeout=10.0
+                ) as client:
+                    assert client.query(ip) == single.query(ip).to_wire()
+                    # The router's upstream link, seen from the shard.
+                    (upstream,) = shard._server._conns.values()
+                    time.sleep(4 * idle)
+                    assert list(shard._server._conns.values()) == [
+                        upstream
+                    ]
+                    assert upstream.sock is not None
+                    assert client.query(ip) == single.query(ip).to_wire()
+                    assert list(shard._server._conns.values()) == [
+                        upstream
+                    ]
+                    assert client.stats()["router"]["failovers"] == 0
+            finally:
+                router.shutdown()
 
 
 def _one_listing_index(family):

@@ -10,6 +10,7 @@ the idioms the real serving plane uses.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -416,6 +417,49 @@ class TestFlowBlock:
         assert "read_text" in found[0].message
 
 
+    def test_base_class_hooks_reach_subclass_overrides(self, tmp_path):
+        # The shape of aio.Link: the base class registers its own
+        # event callback and calls hooks its subclasses fill in — the
+        # blocking call sits in an override, and in an inherited
+        # helper reached from a subclass method.
+        files = {
+            "service/link.py": """
+            import time
+
+
+            class Link:
+                def open(self, reactor, sock):
+                    reactor.register(sock, 1, self._on_event)
+
+                def _on_event(self, mask):
+                    self.on_frame(mask)
+
+                def on_frame(self, frame):
+                    pass
+
+                def _stall(self):
+                    time.sleep(0.1)
+            """,
+            "cluster/upstream.py": """
+            import time
+
+            from ..service.link import Link
+
+
+            class Upstream(Link):
+                def on_frame(self, frame):
+                    time.sleep(0.1)
+                    self._stall()
+            """,
+        }
+        found = findings(tmp_path, files, "FLOW-BLOCK")
+        assert sorted(v.path for v in found) == [
+            "cluster/upstream.py", "service/link.py"
+        ]
+        assert "_on_event -> on_frame" in found[0].message
+        assert "on_frame -> _stall" in found[1].message
+
+
 class TestFlowWire:
     def test_pack_arity_mismatch_flagged(self, tmp_path):
         found = findings(
@@ -520,6 +564,53 @@ class TestFlowWire:
 
         def is_reply(codec, ftype):
             return ftype == codec.ft_reply
+        """
+        assert findings(tmp_path, files, "FLOW-WIRE") == []
+
+    def test_every_frame_reader_must_handle_constant_tags(self, tmp_path):
+        """A tag encoded as a constant travels both ways: a decoder
+        branch in one reader says nothing about the other one."""
+        files = {
+            "service/enc.py": """
+            FT_MSG = 0
+
+
+            def encode_binary_frame(ftype, payload):
+                return bytes([ftype]) + payload
+
+
+            def encode_msg(payload):
+                return encode_binary_frame(FT_MSG, payload)
+            """,
+            "service/client.py": """
+            from .enc import FT_MSG
+
+
+            def read_reply(sock):
+                ftype, payload = recv_binary_frame(sock)
+                if ftype == FT_MSG:
+                    return payload
+                return None
+            """,
+            "service/loop.py": """
+            def on_readable(buffer, on_packed):
+                ftype, payload = decode_binary_frame(buffer)
+                on_packed(ftype, payload)
+            """,
+        }
+        found = findings(tmp_path, dict(files), "FLOW-WIRE")
+        assert [v.path for v in found] == ["service/loop.py"]
+        assert "FT_MSG" in found[0].message
+        files["service/loop.py"] = """
+        from .enc import FT_MSG
+
+
+        def on_readable(buffer, on_message, on_packed):
+            ftype, payload = decode_binary_frame(buffer)
+            if ftype == FT_MSG:
+                on_message(payload)
+            else:
+                on_packed(ftype, payload)
         """
         assert findings(tmp_path, files, "FLOW-WIRE") == []
 
@@ -816,3 +907,66 @@ class TestRepoFlowClean:
             (REPO_ROOT / "LINT_baseline.json").read_text()
         )
         assert doc["violations"] == []
+
+
+class TestRepoWiringMutations:
+    """The flow rules follow the serving plane's real wiring: seed
+    one defect into a copy of ``service/`` + ``cluster/`` and the rule
+    that owns it must fire (the unmutated copy is clean)."""
+
+    def _report(self, tmp_path, relpath=None, old=None, new=None):
+        for package in ("service", "cluster"):
+            shutil.copytree(
+                REPO_ROOT / "src" / "repro" / package,
+                tmp_path / "repro" / package,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        if relpath is not None:
+            target = tmp_path / "repro" / relpath
+            source = target.read_text(encoding="utf-8")
+            assert source.count(old) == 1, (relpath, old)
+            target.write_text(source.replace(old, new), encoding="utf-8")
+        return devtools.lint_report([tmp_path], tmp_path)
+
+    def test_unmutated_copy_is_clean(self, tmp_path):
+        assert self._report(tmp_path).violations == []
+
+    def test_sleep_in_router_reply_handler_flagged(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            "cluster/router.py",
+            "        sub = self._head(request_id)\n"
+            "        if not isinstance(reply, dict):\n",
+            "        sub = self._head(request_id)\n"
+            "        time.sleep(0.01)\n"
+            "        if not isinstance(reply, dict):\n",
+        )
+        (found,) = report.violations
+        assert found.rule == "FLOW-BLOCK"
+        assert found.path == "repro/cluster/router.py"
+        # Reached through the Link's event and frame callbacks.
+        assert "_on_event -> _read -> _parse -> on_message" in found.message
+
+    def test_sleep_in_ping_timer_flagged(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            "cluster/router.py",
+            "    def _beat(self) -> None:\n",
+            "    def _beat(self) -> None:\n        time.sleep(0.01)\n",
+        )
+        (found,) = report.violations
+        assert found.rule == "FLOW-BLOCK"
+        assert "call_later()" in found.message
+        assert "path _beat" in found.message
+
+    def test_dropping_the_frame_readers_msg_branch_flagged(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            "service/aio.py",
+            "                    if ftype == FT_MSG:\n",
+            "                    if ftype == -1:\n",
+        )
+        (found,) = report.violations
+        assert found.rule == "FLOW-WIRE"
+        assert found.path == "repro/service/aio.py"
+        assert "FT_MSG" in found.message
