@@ -1,24 +1,15 @@
-"""Performance of the sharded cluster's serving path.
+"""Point-query tail latency while a cluster shard fails over.
 
-Two numbers gate the scatter-gather story:
-
-* **routed batch queries/sec** — batched TCP round trips through the
-  router (split by shard, scattered, merged) vs the same workload
-  against one single-process server. The router adds a hop and a
-  fan-out, so it will not beat one process on one machine — the gate
-  asserts the routed path keeps at least a fixed fraction of the
-  direct path's throughput (the overhead is bounded, not free);
-* **point-query p99 during failover** — per-query latencies against a
-  replicated cluster while one shard's primary is killed and later
-  restarted mid-run. Queries fail over to the replica; the failover
-  phase's p99 must stay within 3x the steady-state p99 (plus a small
-  epsilon for connect/retry noise, asserted).
-
-The batch number is measured twice: on the pinned JSON codec (the
-fraction-of-single-process gate above) and on the binary codec with
-pipelined batches end to end — packed records scatter to the shards
-and merge back without the router ever building a verdict dict —
-asserted at :data:`MIN_BINARY_ROUTED_QPS`.
+Per-query latencies against a replicated 3-shard cluster, first
+steady, then while one shard's primary is killed and later restarted
+mid-run. Queries fail over to the replica; the failover phase's p99
+must stay within 3x the steady-state p99 taken in the same test (plus
+a small epsilon for connect/retry noise) — a bound between two
+timings from one process on one host, so it needs no recorded
+baseline. No ledger workload kills a backend, which is why this one
+stays beside ``benchmarks/serving/``; routed throughput and the
+router hop are the ledger's (``routed-slo``, ``router.bulk_qps``,
+``router.batch_hop_p50_us``).
 """
 
 import time
@@ -27,110 +18,11 @@ from repro.cluster import LocalCluster
 from repro.experiments.runner import cached_run
 from repro.loadgen.stats import percentile, window_day_workload
 from repro.service.client import ReputationClient
-from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
-from repro.service.server import ReputationServer
-
-#: Minimum fraction of single-process batch throughput the routed
-#: path must retain (scatter-gather overhead bound).
-MIN_ROUTED_FRACTION = 0.25
 
 #: Allowed failover-phase p99 inflation: 3x steady-state + noise.
 FAILOVER_P99_FACTOR = 3.0
 FAILOVER_P99_EPSILON_S = 500e-6
-
-#: Floor asserted on pipelined binary batches through the router —
-#: 3x the 31k q/s the thread-fan-out router was recorded at.
-MIN_BINARY_ROUTED_QPS = 93_000
-
-
-def test_perf_cluster_scatter_gather_batches(benchmark):
-    """Routed batch throughput vs the single-process baseline."""
-    run = cached_run("small")
-    index = ReputationIndex.from_run(run)
-    queries = window_day_workload(run.analysis, 1000)
-
-    # Single-process baseline: same workload, same wire protocol
-    # (JSON pinned on both sides, apples to apples).
-    with ReputationServer(QueryEngine(index)) as server:
-        host, port = server.start()
-        with ReputationClient(host, port, codec="json") as client:
-            client.query_batch(queries)  # warm up
-            started = time.perf_counter()
-            client.query_batch(queries)
-            single_elapsed = time.perf_counter() - started
-    single_qps = len(queries) / single_elapsed
-
-    with LocalCluster(index, shards=3, mode="thread") as cluster:
-        assert cluster.router.wait_healthy(10.0)
-        with ReputationClient(*cluster.address, codec="json") as client:
-
-            def batch_round():
-                return client.query_batch(queries)
-
-            verdicts = benchmark.pedantic(
-                batch_round, rounds=3, iterations=1
-            )
-            assert len(verdicts) == len(queries)
-            assert not any("error" in v for v in verdicts)
-
-            started = time.perf_counter()
-            client.query_batch(queries)
-            elapsed = time.perf_counter() - started
-    routed_qps = len(queries) / elapsed
-    benchmark.extra_info.update(
-        routed_qps=round(routed_qps),
-        single_process_qps=round(single_qps),
-        routed_fraction=round(routed_qps / single_qps, 3),
-    )
-    assert routed_qps >= MIN_ROUTED_FRACTION * single_qps, (
-        f"routed path sustained {routed_qps:.0f} q/s, under "
-        f"{MIN_ROUTED_FRACTION:.0%} of the single-process "
-        f"{single_qps:.0f} q/s"
-    )
-
-
-def test_perf_cluster_binary_pipelined(benchmark, gc_frozen):
-    """Pipelined binary batches end to end through the router: packed
-    records in, scattered to binary upstream shards, packed records
-    merged back out."""
-    run = cached_run("small")
-    index = ReputationIndex.from_run(run)
-    queries = window_day_workload(run.analysis, 1000)
-    batches = [queries] * 30
-    total = sum(len(b) for b in batches)
-
-    with LocalCluster(index, shards=3, mode="thread") as cluster:
-        assert cluster.router.wait_healthy(10.0)
-        with ReputationClient(
-            *cluster.address, codec="binary"
-        ) as client:
-            assert client.codec == "binary"
-
-            def pipelined_round():
-                return client.query_batch_pipelined(batches, window=16)
-
-            replies = benchmark.pedantic(
-                pipelined_round, rounds=3, iterations=1
-            )
-            assert [len(r) for r in replies] == [len(b) for b in batches]
-            assert not any(
-                "error" in v for reply in replies for v in reply
-            )
-
-            # Best of three: the floor gates capability, not the
-            # moment's heap state (see gc_frozen in conftest).
-            qps = 0.0
-            for _ in range(3):
-                started = time.perf_counter()
-                client.query_batch_pipelined(batches, window=16)
-                elapsed = time.perf_counter() - started
-                qps = max(qps, total / elapsed)
-    benchmark.extra_info["queries_per_sec"] = round(qps)
-    assert qps >= MIN_BINARY_ROUTED_QPS, (
-        f"routed binary path sustained only {qps:.0f} queries/sec "
-        f"(floor: {MIN_BINARY_ROUTED_QPS})"
-    )
 
 
 def test_perf_cluster_failover_p99(benchmark):

@@ -36,10 +36,6 @@ def test_perf_bencode_roundtrip(benchmark):
     def roundtrip():
         return bdecode(bencode(message))
 
-    # Median before the iterative-codec rewrite, same machine as the
-    # committed BENCH_baseline.json — keeps the achieved speedup on
-    # record next to the current numbers.
-    benchmark.extra_info["pre_rewrite_median_us"] = 14.83
     result = benchmark(roundtrip)
     assert result[b"y"] == b"r"
 
@@ -58,9 +54,6 @@ def test_perf_krpc_decode(benchmark):
         GetNodesResponse(b"\x00\x09", bytes(20), nodes, b"LT\x01\x02")
     )
 
-    # Pre-rewrite median (recursive bencode + struct-per-node unpack);
-    # see test_perf_bencode_roundtrip.
-    benchmark.extra_info["pre_rewrite_median_us"] = 21.01
     decoded = benchmark(decode_message, wire)
     assert len(decoded.nodes) == 8
 

@@ -1,22 +1,26 @@
 """Performance of the IPv6 serving path.
 
-The family generalization must not tax either family. Three numbers
-gate it:
+The family generalization must not tax either family. Three timings
+no ledger probe takes (``benchmarks/serving/`` is a v4 corpus; its
+one v6 probe is the request codec):
 
-* **v6 survey build rate** — the full hitlist-v6 discovery half
-  (corpus generation, Entropy/IP structure learning, per-group target
-  generation, alias collapse, pool classification), floored in
-  hitlist-addresses/sec so the scenario stays an interactive command;
-* **128-bit trie lookups/sec** — point lookups against a
+* **v6 survey build** — the full hitlist-v6 discovery half (corpus
+  generation, Entropy/IP structure learning, per-group target
+  generation, alias collapse, pool classification);
+* **128-bit trie lookups** — point lookups against a
   :class:`~repro.net.prefixtrie.PrefixTrie` parameterized over V6 and
   loaded with the survey's /64 pools (16x the bit depth of the v4
   trie, so this is the structure's worst case);
 * **routed v6 binary batches** — pipelined ``FT_BATCH_REQ6`` frames
-  through a 2-shard v6 cluster end to end, floored in queries/sec.
+  through a 2-shard v6 cluster end to end.
+
+Each asserts only counts (every probe hit, every query answered): an
+absolute rate floor passes or fails by host, not by code. The
+timings are pytest-benchmark's table until the ledger can carry them
+as reference-kernel-corrected ratios.
 """
 
 import random
-import time
 
 from repro.adversary import scenario_index
 from repro.cluster import LocalCluster
@@ -24,17 +28,6 @@ from repro.net.family import V6
 from repro.net.prefixtrie import PrefixTrie
 from repro.service.client import ReputationClient
 from repro.v6serve import HitlistV6Model
-
-#: Floor on survey construction throughput (hitlist addresses/sec).
-MIN_SURVEY_ADDRESSES_PER_SEC = 300
-
-#: Floor on 128-bit trie point lookups (lookups/sec).
-MIN_TRIE_LOOKUPS_PER_SEC = 100_000
-
-#: Floor on pipelined binary v6 batches through the router. The v6
-#: records are ~4x the v4 payload, so the floor sits below the v4
-#: cluster gate but must stay the same order of magnitude.
-MIN_V6_ROUTED_QPS = 20_000
 
 
 def test_perf_v6_survey_build(benchmark):
@@ -45,12 +38,6 @@ def test_perf_v6_survey_build(benchmark):
         lambda: model.survey(2020), rounds=3, iterations=1
     )
     assert survey.facts.hitlist
-
-    started = time.perf_counter()
-    survey = model.survey(2021)
-    elapsed = time.perf_counter() - started
-    rate = len(survey.facts.hitlist) / elapsed
-    assert rate > MIN_SURVEY_ADDRESSES_PER_SEC, f"{rate:.0f} addrs/s"
 
 
 def test_perf_v6_trie_lookup(benchmark, gc_frozen):
@@ -72,12 +59,6 @@ def test_perf_v6_trie_lookup(benchmark, gc_frozen):
 
     hits = benchmark.pedantic(sweep, rounds=3, iterations=1)
     assert hits == len(probes)
-
-    started = time.perf_counter()
-    sweep()
-    elapsed = time.perf_counter() - started
-    rate = len(probes) / elapsed
-    assert rate > MIN_TRIE_LOOKUPS_PER_SEC, f"{rate:.0f} lookups/s"
 
 
 def test_perf_v6_routed_binary_batches(benchmark, gc_frozen):
@@ -110,9 +91,3 @@ def test_perf_v6_routed_binary_batches(benchmark, gc_frozen):
 
             total = benchmark.pedantic(pipelined, rounds=3, iterations=1)
             assert total == len(queries)
-
-            started = time.perf_counter()
-            pipelined()
-            elapsed = time.perf_counter() - started
-    rate = len(queries) / elapsed
-    assert rate > MIN_V6_ROUTED_QPS, f"{rate:.0f} q/s"

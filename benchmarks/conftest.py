@@ -29,9 +29,9 @@ def gc_frozen():
 
     The pipelined serving benches allocate enough per round to trigger
     repeated full collections, and each of those scans every live
-    object in the process — so without this, a floor-gated bench run
-    after the figure benches measures the test process's heap size,
-    not the serving plane (observed 4-5x swings on the same code)."""
+    object in the process — so without this, a bench run after the
+    figure benches times the test process's heap size, not the
+    serving plane (observed 4-5x swings on the same code)."""
     gc.collect()
     gc.freeze()
     try:

@@ -1,25 +1,31 @@
 #!/usr/bin/env bash
 # One-command verify: everything a PR must pass, in the order the
-# failures are cheapest to hit.
+# failures are cheapest to hit. Every step holds the tree against a
+# fixed rule — none compares it with a recorded past, so there is no
+# baseline file to refresh and no host the gate belongs to. Perf
+# regressions are judged by the serving ledger (BENCHMARK.json,
+# benchmarks/serving/README.md) in parent/change pairs, not here.
 #
 #   scripts/check.sh                      # full gate
-#   REPRO_CHECK_SKIP_PERF=1 scripts/check.sh   # skip the (slow) perf gate
+#   REPRO_CHECK_SKIP_PERF=1 scripts/check.sh   # skip the (slow) step 4
 #
 # Steps:
 #   1. tier-1 pytest suite
-#   2. reprolint baseline gate (scripts/lint_gate.py): per-module
-#      rules plus the whole-program flow pass, stale-waiver check,
-#      and a 10 s wall-clock budget on the full sweep
+#   2. reprolint (repro lint --strict-waivers): per-module rules plus
+#      the whole-program flow pass; fails on any unwaived finding and
+#      on any stale waiver, and the full sweep must finish inside a
+#      10 s wall-clock budget
 #   3. mypy --strict over the tracked module list in pyproject.toml
 #      (skipped with a notice when mypy isn't installed — it is a
 #      dev-only extra: pip install -e '.[dev]')
 #   4. the serving-benchmark smoke (benchmarks/serving, ~55 s): every
 #      workload runs and no per-layer probe reports -1, so a refactor
 #      that breaks a probe's import fails here instead of silently
-#      thinning the ledger; then the perf regression gate (benchmarks
-#      vs BENCH_baseline.json) — second, because that baseline was
-#      recorded on another host and the smoke must run even where the
-#      gate cannot pass
+#      thinning the ledger; then the benches the ledger does not
+#      cover (batch-pipeline primitives and runner, adversary lab, v6
+#      survey/trie/routing, failover tail) — they assert counts and
+#      bounds between timings taken in the same test, never an
+#      absolute time or rate
 #   5. adversary-lab smoke (scripts/scenarios_smoke.sh): every
 #      scenario end to end through the CLI, fidelity check included
 #   6. IPv6 serving smoke (scripts/v6_smoke.sh): hitlist-v6 scenario
@@ -33,10 +39,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== [1/6] tier-1 tests =="
 python -m pytest -x -q
 
-echo "== [2/6] reprolint baseline gate =="
+echo "== [2/6] reprolint =="
 # The budget keeps the flow pass honest: whole-program analysis over
 # src/repro must stay interactive (< 10 s) or it gets skipped locally.
-python scripts/lint_gate.py --budget 10
+timeout 10 python -m repro.cli lint --strict-waivers
 
 echo "== [3/6] mypy --strict (tracked modules) =="
 if python -c "import mypy" >/dev/null 2>&1; then
@@ -46,23 +52,18 @@ else
     echo "mypy not installed — skipped (pip install -e '.[dev]')"
 fi
 
-echo "== [4/6] perf regression gate =="
+echo "== [4/6] serving-benchmark smoke + uncovered benches =="
 if [ "${REPRO_CHECK_SKIP_PERF:-0}" = "1" ]; then
     echo "skipped (REPRO_CHECK_SKIP_PERF=1)"
 else
     python -m pytest benchmarks/serving -q
-    BENCH_JSON="$(mktemp /tmp/bench_current.XXXXXX.json)"
-    trap 'rm -f "$BENCH_JSON"' EXIT
     python -m pytest \
         benchmarks/bench_perf_primitives.py \
         benchmarks/bench_perf_runner.py \
-        benchmarks/bench_service.py \
-        benchmarks/bench_stream.py \
         benchmarks/bench_cluster.py \
         benchmarks/bench_adversary.py \
         benchmarks/bench_v6.py \
-        --benchmark-json="$BENCH_JSON" -q
-    python scripts/perf_regress.py "$BENCH_JSON"
+        -q
 fi
 
 echo "== [5/6] adversary scenarios smoke =="

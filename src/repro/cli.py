@@ -31,8 +31,8 @@ Subcommands:
   field-for-field identically to the static index.
 * ``lint``     — run ``reprolint``, the AST-based invariant linter
   (determinism in simulation paths, bounded wire reads, lock
-  discipline in threaded serving code), optionally gated against the
-  committed ``LINT_baseline.json``.
+  discipline in threaded serving code); ``--strict-waivers`` is the
+  gate ``scripts/check.sh`` runs.
 
 Failures exit non-zero with one ``error:`` line on stderr — a bad
 preset, port, snapshot or an unreachable server never escapes as a
@@ -45,6 +45,7 @@ import argparse
 import inspect
 import json
 import sys
+import threading
 from pathlib import Path
 from typing import List, Optional
 
@@ -524,24 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print findings as JSON instead of one line per finding",
     )
     lint_p.add_argument(
-        "--baseline",
-        action="store_true",
-        help=(
-            "gate mode: fail only on violations not covered by the "
-            "committed baseline file"
-        ),
-    )
-    lint_p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="freeze the current findings as the new baseline and exit",
-    )
-    lint_p.add_argument(
-        "--baseline-file",
-        metavar="PATH",
-        help="baseline location (default: <repo>/LINT_baseline.json)",
-    )
-    lint_p.add_argument(
         "--root",
         metavar="DIR",
         help=(
@@ -836,6 +819,20 @@ def _build_follow_state(args: argparse.Namespace):
     return epochs, follower
 
 
+def _report_follower_end(follower) -> None:
+    """``serve --follow``'s one line when the tail thread dies: the
+    server keeps answering, so say that it went stale and why (the
+    same reason the ``stats`` op's ``epoch`` block carries)."""
+    reason = follower.join()
+    if reason is not None:
+        epoch = follower.epochs.current
+        print(
+            f"follower stopped: {reason} — still serving epoch "
+            f"{epoch.number} (seq {epoch.seq})",
+            file=sys.stderr,
+        )
+
+
 def _checked_conn_timeout(value: float) -> float:
     if not value > 0:
         raise CliError(f"--conn-timeout must be positive: {value}")
@@ -873,6 +870,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if follower is not None:
         follower.start()
+        threading.Thread(
+            target=_report_follower_end,
+            args=(follower,),
+            name="repro-follower-watch",
+            daemon=True,
+        ).start()
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -991,38 +994,34 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_storm_hook(args: argparse.Namespace, run):
-    """Churn storms for ``repro load``: each storm appends the next
-    not-yet-logged day batch to ``--churn-log``, so a ``--follow``
-    cluster swaps epochs while the harness is mid-schedule. Returns
-    ``(storm_fn, pending_count)``."""
-    from .stream import (
-        UpdateLogReader,
-        UpdateLogWriter,
-        day_advance_batches,
-    )
+def _storm_batches(args: argparse.Namespace, run):
+    """The day batches ``repro load``'s churn storms replay into
+    ``--churn-log``, from that log's start day on: an adversary
+    scenario's log (``--churn-source``), else the preset run's own
+    churn."""
+    from .stream import UpdateLogReader, day_advance_batches
 
     log_path = Path(args.churn_log)
     if not log_path.exists():
         raise CliError(f"--churn-log does not exist: {log_path}")
-    reader = UpdateLogReader(log_path)
-    logged = reader.poll()
-    last_seq = logged[-1].seq if logged else 0
-    start_day = reader.header.get("start_day", 0)
-    pending = [
-        batch
-        for batch in day_advance_batches(
+    start_day = UpdateLogReader(log_path).header.get("start_day", 0)
+    if not args.churn_source:
+        return day_advance_batches(
             run.analysis.observed, start_day=start_day
         )
-        if batch.seq > last_seq
-    ]
-    writer = UpdateLogWriter(log_path)
-
-    def storm(index: int) -> None:
-        if index < len(pending):
-            writer.append(pending[index])
-
-    return storm, len(pending)
+    source_path = Path(args.churn_source)
+    if not source_path.exists():
+        raise CliError(f"--churn-source does not exist: {source_path}")
+    source = UpdateLogReader(source_path)
+    batches = source.poll()
+    source_start = source.header.get("start_day", 0)
+    if source_start != start_day:
+        raise CliError(
+            f"churn source starts at day {source_start} but target "
+            f"log starts at day {start_day}; seq numbers would not "
+            f"align"
+        )
+    return batches
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
@@ -1033,6 +1032,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         population_from_analysis,
         population_from_hitlist,
         render_report,
+        storm_hook,
     )
     from .net.family import V4, V6
 
@@ -1070,26 +1070,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
     on_storm = None
     if mix.churn_storms:
         if args.churn_log:
-            if args.churn_source:
-                from .loadgen import storm_hook_from_log
-
-                source = Path(args.churn_source)
-                if not source.exists():
-                    raise CliError(
-                        f"--churn-source does not exist: {source}"
-                    )
-                if not Path(args.churn_log).exists():
-                    raise CliError(
-                        f"--churn-log does not exist: {args.churn_log}"
-                    )
-                try:
-                    on_storm, pending = storm_hook_from_log(
-                        source, args.churn_log
-                    )
-                except (ValueError, UpdateLogError) as exc:
-                    raise CliError(str(exc)) from None
-            else:
-                on_storm, pending = _build_storm_hook(args, run)
+            try:
+                on_storm, pending = storm_hook(
+                    _storm_batches(args, run), args.churn_log
+                )
+            except UpdateLogError as exc:
+                raise CliError(str(exc)) from None
             storm_times = generator.storm_times(events[-1].at)
             if pending < len(storm_times):
                 print(
@@ -1314,11 +1300,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 f"default lint target {targets[0]} not found (installed "
                 f"without sources?) — pass explicit paths"
             )
-    baseline_file = Path(
-        args.baseline_file
-        if args.baseline_file
-        else root / "LINT_baseline.json"
-    )
     active_rules = devtools.all_rules()
     if args.no_flow:
         active_rules = tuple(
@@ -1326,45 +1307,28 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
     report = devtools.lint_report(targets, root, rules=active_rules)
     violations = report.violations
+    timings = report.timings
+    print(
+        f"lint timings: parse={timings['parse']:.2f}s "
+        f"module_rules={timings['module_rules']:.2f}s "
+        f"flow={timings['flow']:.2f}s total={timings['total']:.2f}s",
+        file=sys.stderr,
+    )
     for issue in report.waiver_issues:
         print(
             f"warning: {issue.path}:{issue.line}: stale waiver for "
             f"{issue.code} ({issue.reason})",
             file=sys.stderr,
         )
-    if args.update_baseline:
-        devtools.save_baseline(baseline_file, violations)
-        print(
-            f"lint baseline -> {baseline_file} "
-            f"({len(violations)} accepted violation(s))"
-        )
-        return 0
-    if args.baseline:
-        try:
-            accepted = devtools.load_baseline(baseline_file)
-        except devtools.BaselineError as exc:
-            raise CliError(str(exc)) from None
-        failures = devtools.compare(violations, accepted)
-        stale = devtools.stale_entries(violations, accepted)
-    else:
-        failures = violations
-        stale = 0
     if args.json:
-        print(devtools.render_json(failures))
-    elif failures:
-        print(devtools.render_text(failures))
-    if args.baseline and not args.json:
-        covered = len(violations) - len(failures)
-        print(
-            f"lint gate: {len(failures)} new violation(s), "
-            f"{covered} baseline-covered, {stale} stale baseline "
-            f"entr{'y' if stale == 1 else 'ies'}"
-        )
-    elif not failures and not args.json:
+        print(devtools.render_json(violations))
+    elif violations:
+        print(devtools.render_text(violations))
+    else:
         print("lint: clean")
     if args.strict_waivers and report.waiver_issues:
         return 1
-    return 1 if failures else 0
+    return 1 if violations else 0
 
 
 def _render_verdict(verdict: dict) -> str:

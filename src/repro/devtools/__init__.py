@@ -1,7 +1,6 @@
 """Developer tooling: the ``reprolint`` static-analysis gate.
 
-``repro lint`` (and ``scripts/lint_gate.py``) run two layers of
-checks over the source tree:
+``repro lint`` runs two layers of checks over the source tree:
 
 * the per-module AST rules in :mod:`repro.devtools.rules` —
   determinism in simulation/load paths, bounded reads on the wire
@@ -12,16 +11,9 @@ checks over the source tree:
   wire-codec conformance (FLOW-WIRE).
 
 See :mod:`repro.devtools.lint` for the framework (rule registry,
-waivers + stale-waiver hygiene, baseline, phase timings).
+waivers + stale-waiver hygiene, phase timings).
 """
 
-from .baseline import (
-    BaselineError,
-    compare,
-    load_baseline,
-    save_baseline,
-    stale_entries,
-)
 from .lint import (
     FILE_WAIVER_WINDOW,
     LintModule,
@@ -41,7 +33,6 @@ from .lint import (
 )
 
 __all__ = [
-    "BaselineError",
     "FILE_WAIVER_WINDOW",
     "LintModule",
     "LintReport",
@@ -50,15 +41,11 @@ __all__ = [
     "Violation",
     "WaiverIssue",
     "all_rules",
-    "compare",
     "get_rule",
     "lint_file",
     "lint_paths",
     "lint_report",
-    "load_baseline",
     "render_json",
     "render_text",
     "rule",
-    "save_baseline",
-    "stale_entries",
 ]

@@ -9,7 +9,7 @@ threaded serving code must mutate shared state under a lock. This
 module is the framework; :mod:`repro.devtools.rules` holds the rules
 themselves.
 
-Three pieces:
+Two pieces:
 
 * a **rule registry** — each rule is a function over a parsed
   :class:`LintModule`, registered with :func:`rule` under a short code
@@ -18,11 +18,12 @@ Three pieces:
   comment line directly above) a violating line suppresses it, and
   ``# reprolint: disable-file=CODE`` near the top of a file waives the
   whole module: intentional exceptions are visible in the diff, not in
-  reviewer memory;
-* a **baseline** (:mod:`repro.devtools.baseline`) mirroring
-  ``BENCH_baseline.json``: the gate fails on violations *new* since
-  the committed ``LINT_baseline.json``, so the bar can be adopted
-  before the last legacy finding is burned down.
+  reviewer memory. A waiver that names an unknown rule or suppresses
+  nothing is itself reported (:class:`WaiverIssue`).
+
+The gate is the clean tree: zero unwaived findings and zero stale
+waivers (``repro lint --strict-waivers``). There is no accepted-findings
+file — a finding is fixed or waived where it stands.
 
 Stdlib only — ``ast`` does the parsing; nothing here imports outside
 the standard library, so the gate runs wherever the repo does.
@@ -97,13 +98,13 @@ class Violation:
     line: int
     col: int
     message: str
-    #: The stripped source line — the baseline fingerprint ingredient,
-    #: so findings survive unrelated line-number drift.
+    #: The stripped source line — the fingerprint ingredient, so a
+    #: finding keeps its identity across unrelated line-number drift.
     snippet: str = ""
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (rule + file + code)."""
+        """Stable identity in ``--json`` output (rule + file + code)."""
         basis = f"{self.rule}\x1f{self.path}\x1f{self.snippet}"
         return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 

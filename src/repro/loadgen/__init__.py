@@ -24,7 +24,7 @@ from .harness import (
     LoadHarness,
     LoadReport,
     render_report,
-    storm_hook_from_log,
+    storm_hook,
 )
 from .mixes import MIXES, MixSpec, get_mix, mix_names
 from .stats import percentile, summarize, window_day_workload
@@ -42,7 +42,7 @@ __all__ = [
     "population_from_analysis",
     "population_from_hitlist",
     "render_report",
-    "storm_hook_from_log",
+    "storm_hook",
     "summarize",
     "window_day_workload",
 ]

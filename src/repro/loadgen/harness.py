@@ -32,7 +32,16 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..net.family import V4, AddressFamily
 from ..service.client import ReputationClient, ServiceError, TransportError
@@ -43,7 +52,7 @@ __all__ = [
     "LoadHarness",
     "LoadReport",
     "render_report",
-    "storm_hook_from_log",
+    "storm_hook",
 ]
 
 #: A verdict carrying this key is a degraded (shard-unavailable) row.
@@ -362,35 +371,27 @@ class LoadHarness:
         return report
 
 
-def storm_hook_from_log(
-    source: Any, target: Any
+def storm_hook(
+    batches: Iterable[Any], target: Any
 ) -> Tuple[Callable[[int], None], int]:
-    """Churn storms replayed from a pre-generated update log.
+    """Churn storms for a load run: each storm appends to the live
+    log ``target`` (the one a ``--follow`` cluster tails) the next of
+    ``batches`` it has not seen yet, so the serving plane swaps epochs
+    while the harness is mid-schedule.
 
-    ``source`` holds the full day-batch sequence (e.g. an adversary
-    scenario log written by ``repro scenarios run``); ``target`` is the
-    live log a ``--follow`` cluster tails. Each storm appends the next
-    source batch the target has not seen yet, so an adversary
-    scenario's churn drives the serving plane mid-load. Both logs must
-    share a ``start_day`` so sequence numbers line up. Returns
-    ``(storm_fn, pending_count)``.
+    ``batches`` is the full day-batch sequence from ``target``'s start
+    day on — a preset run's own churn, or an adversary scenario log
+    written by ``repro scenarios run`` — so sequence numbers line up
+    with what the log already holds. Returns ``(storm_fn,
+    pending_count)``.
     """
-    from ..stream import UpdateLogReader, UpdateLogWriter
+    from ..stream import UpdateLogWriter
 
-    src = UpdateLogReader(source)
-    batches = src.poll()
-    dst = UpdateLogReader(target)
-    logged = dst.poll()
-    src_start = src.header.get("start_day", 0)
-    dst_start = dst.header.get("start_day", 0)
-    if src_start != dst_start:
-        raise ValueError(
-            f"churn source starts at day {src_start} but target log "
-            f"starts at day {dst_start}; seq numbers would not align"
-        )
-    last_seq = logged[-1].seq if logged else 0
-    pending = [batch for batch in batches if batch.seq > last_seq]
+    # Opening the writer reads the log once and resumes its sequence.
     writer = UpdateLogWriter(target)
+    pending = [
+        batch for batch in batches if batch.seq >= writer.next_seq
+    ]
 
     def storm(index: int) -> None:
         if index < len(pending):

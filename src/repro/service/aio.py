@@ -74,8 +74,8 @@ _WRITE = selectors.EVENT_WRITE
 #: Bytes asked from the kernel per readable event.
 _RECV_CHUNK = 1 << 18
 
-#: Listen backlog — the concurrent-connections bench opens ~1k
-#: sockets in a tight loop, so the queue must absorb a burst.
+#: Listen backlog — the 1,000-client test opens its sockets in a
+#: tight loop, so the queue must absorb a burst.
 _BACKLOG = 1024
 
 #: Backpressure water marks, per connection. A peer that pipelines

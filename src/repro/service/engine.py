@@ -110,14 +110,9 @@ class QueryEngine:
         self._family = (
             index.current.index.family if self._streaming else index.family
         )
-        # Guards the two counter tables; lookups take no lock.
+        # Guards the counter table; lookups take no lock.
         self._lock = threading.Lock()
         self._counters: Dict[str, Dict[str, float]] = {}
-        # Counters since the last observed epoch swap, so the load a
-        # fresh epoch has taken reads apart from the cumulative table;
-        # stats() reports both and this one resets on each swap.
-        self._epoch_counters: Dict[str, Dict[str, float]] = {}
-        self._counter_epoch = 0
 
     @property
     def family(self) -> AddressFamily:
@@ -226,56 +221,37 @@ class QueryEngine:
     def _count(
         self, kind: str, seconds: float, *, queries_run: int = 1
     ) -> None:
-        epoch = self._resolve()[1]
         with self._lock:
-            if epoch != self._counter_epoch:
-                # An epoch swap happened since the last counted query:
-                # the per-epoch table starts over (cumulative keeps
-                # accumulating).
-                self._counter_epoch = epoch
-                self._epoch_counters = {}
-            for table in (self._counters, self._epoch_counters):
-                row = table.setdefault(
-                    kind, {"calls": 0, "queries": 0, "seconds": 0.0}
-                )
-                row["calls"] += 1
-                row["queries"] += queries_run
-                row["seconds"] += seconds
-
-    @staticmethod
-    def _render_counters(
-        table: Dict[str, Dict[str, float]]
-    ) -> Dict[str, Dict[str, Any]]:
-        return {
-            kind: {
-                "calls": row["calls"],
-                "queries": row["queries"],
-                # Always 0, and kept only because the frozen
-                # benchmarks/serving/run.py indexes it; it goes when a
-                # benchmark PR drops ``engine.lru_hit_rate`` there.
-                "cache_hits": 0,
-                "seconds": round(row["seconds"], 6),
-            }
-            for kind, row in table.items()
-        }
+            row = self._counters.setdefault(
+                kind, {"calls": 0, "queries": 0, "seconds": 0.0}
+            )
+            row["calls"] += 1
+            row["queries"] += queries_run
+            row["seconds"] += seconds
 
     def stats(self) -> Dict[str, Any]:
         """Counters plus index sizes — the engine's share of the
         ``stats`` op's payload."""
         with self._lock:
-            counters = self._render_counters(self._counters)
-            epoch_counters = self._render_counters(self._epoch_counters)
-            counter_epoch = self._counter_epoch
+            counters = {
+                kind: {
+                    "calls": row["calls"],
+                    "queries": row["queries"],
+                    # Always 0, and kept only because the frozen
+                    # benchmarks/serving/run.py indexes it; it goes
+                    # when a benchmark PR drops
+                    # ``engine.lru_hit_rate`` there.
+                    "cache_hits": 0,
+                    "seconds": round(row["seconds"], 6),
+                }
+                for kind, row in self._counters.items()
+            }
         index, epoch, seq = self._resolve()
         epoch_info: Dict[str, Any] = {"epoch": epoch, "seq": seq}
         if self._streaming:
             epoch_info = {**self._source.stats(), **epoch_info}
         return {
             "queries": counters,
-            "queries_this_epoch": {
-                "epoch": counter_epoch,
-                "counters": epoch_counters,
-            },
             "index": index.stats(),
             "epoch": epoch_info,
         }

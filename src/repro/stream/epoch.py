@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
 
 from .delta import DeltaBatch, ListingDelta, apply_to_spans, truncate_spans
 
@@ -58,6 +58,11 @@ class EpochIndex:
     anything a reader can hold. Batches must arrive in increasing
     sequence order; replays of already-applied sequences are ignored
     (the update-log reader can safely restart from scratch).
+
+    Whatever feeds the index (a :class:`~repro.stream.follower.
+    LogFollower`) calls :meth:`fail` when it dies: readers keep
+    answering from the last good epoch, and :meth:`stats` — hence the
+    ``stats`` wire op — says that the state is stale and why.
     """
 
     def __init__(self, base: ReputationIndex, *, day: int = 0) -> None:
@@ -65,6 +70,7 @@ class EpochIndex:
         self._write_lock = threading.Lock()
         self._deltas_applied = 0
         self._batches_skipped = 0
+        self._error: Optional[str] = None
 
     @property
     def current(self) -> Epoch:
@@ -75,6 +81,15 @@ class EpochIndex:
     def index(self) -> ReputationIndex:
         """The live epoch's index (readers needing only the data)."""
         return self._current.index
+
+    @property
+    def error(self) -> Optional[str]:
+        """Why the index stopped advancing (``None`` while fed)."""
+        return self._error
+
+    def fail(self, reason: str) -> None:
+        """Declare the index stale: its feeder ended with ``reason``."""
+        self._error = reason
 
     def apply(self, batch: DeltaBatch) -> Epoch:
         """Apply one delta batch and publish the successor epoch.
@@ -121,8 +136,9 @@ class EpochIndex:
             for ip, ip_deltas in by_ip.items()
         }
 
-    def stats(self) -> Dict[str, int]:
-        """Epoch/sequence counters for logs and the ``stats`` op."""
+    def stats(self) -> Dict[str, Any]:
+        """Epoch/sequence counters, plus the feeder's terminal error
+        (``None`` while healthy), for logs and the ``stats`` op."""
         epoch = self._current
         return {
             "epoch": epoch.number,
@@ -130,6 +146,7 @@ class EpochIndex:
             "day": epoch.day,
             "deltas_applied": self._deltas_applied,
             "batches_skipped": self._batches_skipped,
+            "error": self._error,
         }
 
 

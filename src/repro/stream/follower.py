@@ -5,10 +5,14 @@ a daemon thread: poll the update log for appended batches, apply each
 to the :class:`~repro.stream.epoch.EpochIndex`, repeat. The serving
 path never blocks on it — queries read whichever epoch is current.
 
-A log error (corruption, sequence gap) stops the follower and is
-surfaced in :meth:`stats`; the server keeps answering from the last
-good epoch, which is the only sane degradation for a reputation
-service (stale beats down).
+Anything that ends the tail thread — a log error (corruption,
+sequence gap), the file turning unreadable, a batch the index refuses
+— is recorded on the epoch index with its reason
+(:meth:`EpochIndex.fail <repro.stream.epoch.EpochIndex.fail>`), so it
+rides the ``stats`` wire op's ``epoch`` block; the server keeps
+answering from the last good epoch, which is the only sane degradation
+for a reputation service (stale beats down) — but it must be a
+*declared* stale, never a silent one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Any, Callable, Dict, Optional
 
 from .delta import DeltaBatch
 from .epoch import Epoch, EpochIndex
-from .log import UpdateLogError, UpdateLogReader
+from .log import UpdateLogReader
 
 __all__ = ["LogFollower"]
 
@@ -54,7 +58,6 @@ class LogFollower:
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._batches = 0
-        self._error: Optional[str] = None
 
     @property
     def epochs(self) -> EpochIndex:
@@ -84,9 +87,12 @@ class LogFollower:
                     self._batches += 1
                 if self._on_batch is not None:
                     self._on_batch(epoch, len(batch.deltas))
-        except UpdateLogError as exc:
-            with self._lock:
-                self._error = str(exc)
+        except Exception as exc:
+            # A log error, an OSError from open() (EACCES, EISDIR,
+            # EIO), a batch the index refuses: the thread is over
+            # either way, and a dead follower nobody can see is a
+            # silently stale answer.
+            self._epochs.fail(f"{type(exc).__name__}: {exc}")
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop tailing and join the thread (idempotent)."""
@@ -103,24 +109,32 @@ class LogFollower:
         waited = 0.0
         step = min(self._poll_interval, 0.05)
         while waited < timeout:
-            with self._lock:
-                failed = self._error is not None
+            failed = self._epochs.error is not None
             if self._epochs.current.seq >= seq or failed:
                 return self._epochs.current.seq >= seq
             deadline.wait(step)
             waited += step
         return self._epochs.current.seq >= seq
 
+    def join(self, timeout: Optional[float] = None) -> Optional[str]:
+        """Block until the tail thread ends — by :meth:`stop`, or by a
+        terminal failure, whose reason is returned (``None`` after a
+        clean stop, or when ``timeout`` ran out first)."""
+        with self._lock:
+            thread = self._thread
+        if thread is not None:
+            thread.join(timeout=timeout)
+        return self._epochs.error
+
     def stats(self) -> Dict[str, Any]:
-        """Progress counters plus any terminal log error."""
+        """Progress counters plus the epoch index's (``error`` is the
+        terminal failure's reason, ``None`` while tailing)."""
         with self._lock:
             batches = self._batches
-            error = self._error
             thread = self._thread
         return {
             "batches": batches,
             "running": thread is not None and thread.is_alive(),
-            "error": error,
             **self._epochs.stats(),
         }
 

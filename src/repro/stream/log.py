@@ -11,8 +11,10 @@ before it is intact, which is the property the whole design buys).
 Per-record gzip members make appends atomic at the member boundary: a
 writer appends complete members only, and a reader parses members until
 one fails to complete. :class:`UpdateLogWriter` opened on an existing
-log *recovers* first — it scans the file, truncates any partial tail,
-and resumes the sequence after the last complete record.
+log *recovers* first — it reads the file through an
+:class:`UpdateLogReader` (the one place a log is scanned and checked),
+truncates any partial tail, and resumes the sequence after the last
+complete record.
 
 :class:`UpdateLogReader.follow` tails the file for a live consumer
 (the server's follower thread), yielding batches as they are appended.
@@ -59,17 +61,13 @@ def _canonical(body: Dict[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
-def _record_body(batch: DeltaBatch) -> Dict[str, Any]:
-    return {
+def _encode_record(batch: DeltaBatch) -> bytes:
+    body: Dict[str, Any] = {
         "seq": batch.seq,
         "day": batch.day,
         "deltas": [delta.to_wire() for delta in batch.deltas],
     }
-
-
-def _encode_record(batch: DeltaBatch) -> bytes:
-    body = _record_body(batch)
-    body["crc"] = zlib.crc32(_canonical(_record_body(batch)))
+    body["crc"] = zlib.crc32(_canonical(body))
     return gzip.compress(_canonical(body), compresslevel=6)
 
 
@@ -181,17 +179,17 @@ class UpdateLogWriter:
         self._path = Path(path)
         self._fsync = fsync
         self._lock = threading.Lock()
-        existing = (
-            self._path.read_bytes() if self._path.exists() else b""
-        )
-        documents, consumed = _scan_members(existing)
-        if documents:
-            header, batches, consumed = _load(self._path)
-            self._header = header
-            self._next_seq = (batches[-1].seq + 1) if batches else 1
-            if consumed < len(existing):
+        reader = UpdateLogReader(self._path)
+        batches: List[DeltaBatch] = []
+        if self._path.exists():
+            batches = reader.poll()
+            if reader.offset < self._path.stat().st_size:
+                # What a crash left past the last complete member.
                 with open(self._path, "r+b") as handle:
-                    handle.truncate(consumed)
+                    handle.truncate(reader.offset)
+        if reader.offset:
+            self._header = reader.header
+            self._next_seq = (batches[-1].seq + 1) if batches else 1
         else:
             # Fresh path, or a crash left not even one complete member:
             # start the log over with a header.
@@ -203,9 +201,6 @@ class UpdateLogWriter:
             }
             self._next_seq = 1
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            if existing:
-                with open(self._path, "r+b") as handle:
-                    handle.truncate(0)
             self._write(gzip.compress(_canonical(self._header), 6))
 
     @property
@@ -250,37 +245,14 @@ class UpdateLogWriter:
         return batch
 
 
-def _load(path: Path) -> Tuple[Dict[str, Any], List[DeltaBatch], int]:
-    """Scan a log file: header, complete batches, bytes consumed."""
-    try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        raise UpdateLogError(f"update log not found: {path}") from None
-    documents, consumed = _scan_members(blob)
-    if not documents:
-        raise UpdateLogError(f"{path} holds no complete records")
-    header = _check_header(documents[0], path)
-    max_ip = _header_max_ip(header)
-    batches: List[DeltaBatch] = []
-    expected = 1
-    for doc in documents[1:]:
-        batch = _decode_batch(doc, max_ip)
-        if batch.seq != expected:
-            raise UpdateLogError(
-                f"sequence gap: expected {expected}, found {batch.seq}"
-            )
-        batches.append(batch)
-        expected += 1
-    return header, batches, consumed
-
-
 def read_update_log(
     path: "Path | str",
 ) -> Tuple[Dict[str, Any], List[DeltaBatch]]:
     """Read a whole log; a truncated tail is silently dropped (that is
     the crash-recovery contract), any other violation raises."""
-    header, batches, _ = _load(Path(path))
-    return header, batches
+    reader = UpdateLogReader(path)
+    batches = reader.poll()
+    return reader.header, batches
 
 
 def write_update_log(
@@ -310,6 +282,12 @@ class UpdateLogReader:
         self._next_seq = 1
         self._header: Optional[Dict[str, Any]] = None
         self._max_ip = 0xFFFFFFFF
+
+    @property
+    def offset(self) -> int:
+        """Bytes of the file consumed so far: the end of the last
+        complete member a :meth:`poll` has returned."""
+        return self._offset
 
     @property
     def header(self) -> Dict[str, Any]:

@@ -1,5 +1,5 @@
-"""Tests for reprolint (src/repro/devtools): rules, waivers, baseline,
-CLI, and the acceptance gate itself.
+"""Tests for reprolint (src/repro/devtools): rules, waivers, CLI, and
+the acceptance gate itself.
 
 Fixtures are tiny synthetic trees under ``tmp_path`` — rule scoping is
 path-based (``sim/`` for DET, ``service/``/``cluster/``/``stream/`` for
@@ -10,6 +10,8 @@ only where the framework plumbing (registry, CLI, gate) touches them.
 """
 
 import json
+import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -21,6 +23,33 @@ from repro import devtools
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def gate_command():
+    """The lint step as ``scripts/check.sh`` spells it — ``timeout
+    <budget> python -m repro.cli lint ...`` — split into argv, so the
+    gate tests break when check.sh stops running what they test."""
+    script = (REPO_ROOT / "scripts" / "check.sh").read_text()
+    (line,) = [
+        line
+        for line in script.splitlines()
+        if line.startswith("timeout ") and "repro.cli lint" in line
+    ]
+    return shlex.split(line)
+
+
+def run_gate(*argv, budget=None):
+    """Run :func:`gate_command` with ``argv`` appended (and the
+    wall-clock budget overridden when ``budget`` is given)."""
+    timeout, committed_budget, python, *rest = gate_command()
+    assert (timeout, python) == ("timeout", "python")
+    return subprocess.run(
+        [timeout, budget or committed_budget, sys.executable, *rest, *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
 
 
 def lint_tree(tmp_path, relpath, source, codes=None):
@@ -666,72 +695,6 @@ class TestEngineEdgeCases:
         assert "Pair.bump" in found[0].message
 
 
-class TestBaseline:
-    def _one_violation(self, tmp_path):
-        return lint_tree(
-            tmp_path,
-            "sim/bad.py",
-            "import time\n\ndef t():\n    return time.time()\n",
-        )
-
-    def test_save_load_compare(self, tmp_path):
-        found = self._one_violation(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        devtools.save_baseline(baseline_file, found)
-        accepted = devtools.load_baseline(baseline_file)
-        assert devtools.compare(found, accepted) == []
-        assert devtools.stale_entries(found, accepted) == 0
-
-    def test_new_violation_fails_gate(self, tmp_path):
-        found = self._one_violation(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        devtools.save_baseline(baseline_file, [])
-        accepted = devtools.load_baseline(baseline_file)
-        assert devtools.compare(found, accepted) == found
-
-    def test_fixed_violation_goes_stale_not_fatal(self, tmp_path):
-        found = self._one_violation(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        devtools.save_baseline(baseline_file, found)
-        accepted = devtools.load_baseline(baseline_file)
-        assert devtools.compare([], accepted) == []
-        assert devtools.stale_entries([], accepted) == 1
-
-    def test_multiset_coverage(self, tmp_path):
-        # The same source line twice in one file = two fingerprint-equal
-        # findings; one baseline entry covers exactly one of them.
-        found = lint_tree(
-            tmp_path,
-            "sim/twice.py",
-            """
-            import time
-
-            def a():
-                return time.time()
-
-            def b():
-                return time.time()
-            """,
-            codes={"DET"},
-        )
-        assert len(found) == 2
-        assert found[0].fingerprint == found[1].fingerprint
-        baseline_file = tmp_path / "baseline.json"
-        devtools.save_baseline(baseline_file, found[:1])
-        accepted = devtools.load_baseline(baseline_file)
-        assert len(devtools.compare(found, accepted)) == 1
-
-    def test_missing_baseline_raises(self, tmp_path):
-        with pytest.raises(devtools.BaselineError, match="not found"):
-            devtools.load_baseline(tmp_path / "absent.json")
-
-    def test_bad_version_raises(self, tmp_path):
-        target = tmp_path / "bad.json"
-        target.write_text('{"version": 99, "violations": []}')
-        with pytest.raises(devtools.BaselineError, match="version"):
-            devtools.load_baseline(target)
-
-
 class TestCli:
     def test_rules_table(self, capsys):
         assert main(["lint", "--rules"]) == 0
@@ -779,30 +742,13 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 1
 
-    def test_update_then_gate_roundtrip(self, tmp_path, capsys):
-        (tmp_path / "sim").mkdir()
-        (tmp_path / "sim" / "bad.py").write_text(
-            "import time\n\ndef t():\n    return time.time()\n"
-        )
-        baseline = tmp_path / "LINT_baseline.json"
-        argv = ["lint", "--root", str(tmp_path), str(tmp_path)]
-        assert main(argv + ["--update-baseline"]) == 0
-        assert baseline.exists()
-        # The accepted finding no longer fails the gate...
-        assert main(argv + ["--baseline"]) == 0
-        # ...but a second, new finding does.
-        (tmp_path / "sim" / "worse.py").write_text(
-            "import os\n\ndef t():\n    return os.urandom(4)\n"
-        )
-        assert main(argv + ["--baseline"]) == 1
-
 
 class TestRepoGate:
     """The acceptance bar: the repo itself passes, injections fail."""
 
     def test_repo_is_gate_clean(self, capsys):
-        assert main(["lint", "--baseline"]) == 0
-        assert "0 new violation(s)" in capsys.readouterr().out
+        assert main(["lint", "--strict-waivers"]) == 0
+        assert "lint: clean" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "relpath, source, rule_code",
@@ -826,16 +772,13 @@ class TestRepoGate:
         target = tmp_path / relpath
         target.parent.mkdir(parents=True)
         target.write_text(textwrap.dedent(source))
-        # Lint the injected tree against the repo's committed baseline —
-        # exactly what the gate would see had the file landed in-tree.
+        # What the gate would see had the file landed in-tree.
         code = main(
             [
                 "lint",
-                "--baseline",
+                "--strict-waivers",
                 "--root",
                 str(tmp_path),
-                "--baseline-file",
-                str(REPO_ROOT / "LINT_baseline.json"),
                 str(tmp_path),
             ]
         )
@@ -844,22 +787,13 @@ class TestRepoGate:
 
 
 class TestLintGateScript:
-    """scripts/lint_gate.py is what scripts/check.sh runs; under
-    ``set -e`` its exit code is the gate."""
-
-    GATE = REPO_ROOT / "scripts" / "lint_gate.py"
-
-    def _run(self, *argv):
-        return subprocess.run(
-            [sys.executable, str(self.GATE), *argv],
-            capture_output=True,
-            text=True,
-        )
+    """The lint step as scripts/check.sh runs it; under ``set -e`` its
+    exit code is the gate."""
 
     def test_repo_passes(self):
-        result = self._run()
+        result = run_gate()
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "no new lint violations" in result.stdout
+        assert "lint: clean" in result.stdout
 
     def test_injected_violation_fails(self, tmp_path):
         bad = tmp_path / "sim" / "bad.py"
@@ -867,32 +801,6 @@ class TestLintGateScript:
         bad.write_text(
             "import time\n\ndef t():\n    return time.time()\n"
         )
-        result = self._run("--root", str(tmp_path), str(tmp_path))
+        result = run_gate("--root", str(tmp_path), str(tmp_path))
         assert result.returncode == 1
-        assert "FAIL" in result.stdout
-
-    def test_update_writes_baseline(self, tmp_path):
-        bad = tmp_path / "sim" / "bad.py"
-        bad.parent.mkdir()
-        bad.write_text(
-            "import time\n\ndef t():\n    return time.time()\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        update = self._run(
-            "--update",
-            "--baseline",
-            str(baseline),
-            "--root",
-            str(tmp_path),
-            str(tmp_path),
-        )
-        assert update.returncode == 0
-        assert json.loads(baseline.read_text())["violations"]
-        gate = self._run(
-            "--baseline",
-            str(baseline),
-            "--root",
-            str(tmp_path),
-            str(tmp_path),
-        )
-        assert gate.returncode == 0
+        assert "DET" in result.stdout

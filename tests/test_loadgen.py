@@ -363,13 +363,13 @@ class TestStormHookFromLog:
     def test_replays_source_batches_on_storms(
         self, scenario_log, tmp_path
     ):
-        from repro.loadgen import storm_hook_from_log
+        from repro.loadgen import storm_hook
         from repro.stream import UpdateLogReader, UpdateLogWriter
 
         source_batches = UpdateLogReader(scenario_log).poll()
         target = tmp_path / "live.log"
         UpdateLogWriter(target, start_day=0)  # header-only live log
-        storm, pending = storm_hook_from_log(scenario_log, target)
+        storm, pending = storm_hook(source_batches, target)
         assert pending == len(source_batches)
         for index in range(3):
             storm(index)
@@ -380,7 +380,7 @@ class TestStormHookFromLog:
     def test_resumes_past_already_logged_batches(
         self, scenario_log, tmp_path
     ):
-        from repro.loadgen import storm_hook_from_log
+        from repro.loadgen import storm_hook
         from repro.stream import UpdateLogReader, UpdateLogWriter
 
         source_batches = UpdateLogReader(scenario_log).poll()
@@ -388,20 +388,32 @@ class TestStormHookFromLog:
         writer = UpdateLogWriter(target, start_day=0)
         for batch in source_batches[:4]:
             writer.append(batch)
-        storm, pending = storm_hook_from_log(scenario_log, target)
+        # Any iterable of batches will do — the hook filters lazily.
+        storm, pending = storm_hook(iter(source_batches), target)
         assert pending == len(source_batches) - 4
         storm(0)
         replayed = UpdateLogReader(target).poll()
         assert replayed == source_batches[:5]
 
-    def test_start_day_mismatch_rejected(self, scenario_log, tmp_path):
-        from repro.loadgen import storm_hook_from_log
-        from repro.stream import UpdateLogWriter
+    def test_start_day_mismatch_rejected(
+        self, scenario_log, tmp_path, capsys
+    ):
+        """``repro load`` owns both logs' headers, so it is the one to
+        refuse a source whose seq numbers would not line up."""
+        from repro.stream import UpdateLogReader, UpdateLogWriter
 
         target = tmp_path / "live.log"
         UpdateLogWriter(target, start_day=7)
-        with pytest.raises(ValueError, match="start"):
-            storm_hook_from_log(scenario_log, target)
+        code = main(
+            [
+                "load", "--port", "1", "--mix", "churn-storm",
+                "--churn-log", str(target),
+                "--churn-source", str(scenario_log),
+            ]
+        )
+        assert code == 2
+        assert "starts at day" in capsys.readouterr().err
+        assert UpdateLogReader(target).poll() == []
 
 
 class TestLoadCli:

@@ -174,65 +174,6 @@ class TestEngineCache:
         assert stats["queries"]["point"]["queries"] == 2
 
 
-class TestEpochCounters:
-    """Per-epoch vs cumulative counters: an epoch swap restarts the
-    per-epoch table (the load the fresh epoch has taken) while the
-    cumulative table keeps accumulating."""
-
-    def _streamed_engine(self, index):
-        from repro.stream.epoch import EpochIndex
-
-        epochs = EpochIndex(index, day=index.default_day())
-        return epochs, QueryEngine(epochs)
-
-    def test_static_engine_tables_agree(self, index):
-        engine = QueryEngine(index)
-        ip = _listed_ips(index)[0]
-        engine.query(ip, 230)
-        engine.query(ip, 230)
-        stats = engine.stats()
-        assert stats["queries_this_epoch"]["epoch"] == 0
-        assert (
-            stats["queries_this_epoch"]["counters"] == stats["queries"]
-        )
-
-    def test_swap_resets_per_epoch_not_cumulative(self, index):
-        from repro.stream.delta import DeltaBatch
-
-        epochs, engine = self._streamed_engine(index)
-        ip = _listed_ips(index)[0]
-        engine.query(ip, 230)
-        engine.query_batch([(ip, 230), (ip, 229)])  # cumulative: 3
-        epochs.apply(DeltaBatch(1, 231, ()))
-        engine.query(ip, 230)  # epoch 1's first query
-        stats = engine.stats()
-        assert stats["queries"]["point"]["calls"] == 2
-        assert stats["queries"]["point"]["queries"] == 2
-        assert stats["queries"]["batch"]["calls"] == 1
-        assert stats["queries"]["batch"]["queries"] == 2
-        this_epoch = stats["queries_this_epoch"]
-        assert this_epoch["epoch"] == 1
-        assert this_epoch["counters"]["point"]["calls"] == 1
-        assert this_epoch["counters"]["point"]["queries"] == 1
-        assert "batch" not in this_epoch["counters"]
-
-    def test_fresh_epoch_table_starts_empty(self, index):
-        from repro.stream.delta import DeltaBatch
-
-        epochs, engine = self._streamed_engine(index)
-        ip = _listed_ips(index)[0]
-        engine.query(ip, 230)
-        epochs.apply(DeltaBatch(1, 231, ()))
-        # No queries since the swap: stats still shows the old table
-        # (the reset happens lazily on the next counted query).
-        engine.query(ip, 230)
-        engine.query(ip, 230)
-        this_epoch = engine.stats()["queries_this_epoch"]
-        assert this_epoch["epoch"] == 1
-        assert this_epoch["counters"]["point"]["calls"] == 2
-        assert this_epoch["counters"]["point"]["queries"] == 2
-
-
 class TestSnapshots:
     def test_roundtrip_preserves_verdicts(
         self, small_full_run, index, tmp_path

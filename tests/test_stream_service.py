@@ -11,11 +11,18 @@ engine's answers.
 """
 
 import argparse
+import os
 import threading
+import time
 
 import pytest
 
-from repro.cli import CliError, _build_follow_state, main
+from repro.cli import (
+    CliError,
+    _build_follow_state,
+    _report_follower_end,
+    main,
+)
 from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
@@ -30,6 +37,8 @@ from repro.stream.delta import (
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter, read_update_log
+
+from .test_stream_log import _member, _record_doc
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +174,7 @@ class TestEpochIndex:
             "day": start_day,
             "deltas_applied": 0,
             "batches_skipped": 0,
+            "error": None,
         }
 
 
@@ -193,6 +203,9 @@ class TestEngineEpochs:
         # Same (ip, day): the epoch-0 verdict must not answer.
         assert fresh.epoch == 1 and fresh.seq == 1
         assert fresh.listed and span[2] in fresh.lists
+        # One counter table for the engine's whole life: a swap
+        # restarts nothing.
+        assert engine.stats()["queries"]["point"]["calls"] == 3
 
     def test_streaming_stats_carry_epoch_block(self, base_index):
         epochs = EpochIndex(base_index)
@@ -363,6 +376,91 @@ class TestFollowEndToEnd:
             follower.stop()
             server.shutdown()
         assert follower.stats()["error"] is None
+
+
+class TestFollowerFailureIsDeclared:
+    """A dead follower must be a *declared* stale state: whatever ends
+    the tail thread reaches the ``stats`` op's ``epoch`` block within
+    a second — for a forked shard that block is the parent's only
+    view — while the server keeps answering from the last good
+    epoch."""
+
+    @pytest.fixture()
+    def following(self, tmp_path, base_index, start_day, replay_batches):
+        """A live server following a one-batch log through a symlink
+        (so a test can swap what the path names in one rename)."""
+        real = tmp_path / "updates.real.gz"
+        UpdateLogWriter(real, start_day=start_day).append(
+            replay_batches[0]
+        )
+        log_path = tmp_path / "updates.gz"
+        log_path.symlink_to(real)
+        epochs = EpochIndex(base_index, day=start_day)
+        follower = LogFollower(log_path, epochs, poll_interval=0.01)
+        with ReputationServer(
+            QueryEngine(epochs), connection_timeout=5.0, streaming=True
+        ) as server:
+            host, port = server.start()
+            with follower, ReputationClient(host, port) as client:
+                assert follower.wait_for_seq(
+                    replay_batches[0].seq, timeout=10.0
+                )
+                assert client.stats()["epoch"]["error"] is None
+                yield log_path, follower, client
+
+    def _declared_reason(self, client, good_seq, ip):
+        deadline = time.monotonic() + 1.0
+        reason = client.stats()["epoch"]["error"]
+        while reason is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+            reason = client.stats()["epoch"]["error"]
+        assert reason is not None, "follower death not declared in 1 s"
+        # Stale beats down: the last good epoch still answers.
+        assert client.query(ip)["seq"] == good_seq
+        assert client.hello()["seq"] == good_seq
+        return reason
+
+    def test_seq_gap_reaches_the_stats_op(
+        self, following, replay_batches, capsys
+    ):
+        log_path, follower, client = following
+        good = replay_batches[0]
+        gap = DeltaBatch(good.seq + 2, good.day + 2, ())
+        with open(log_path, "ab") as handle:
+            handle.write(_member(_record_doc(gap)))
+        ip = good.deltas[0].ip
+        reason = self._declared_reason(client, good.seq, ip)
+        assert "sequence gap" in reason
+        assert follower.stats()["error"] == reason
+        assert not follower.stats()["running"]
+        # ``repro serve --follow`` says so once, on stderr.
+        _report_follower_end(follower)
+        err = capsys.readouterr().err
+        assert err.count("follower stopped:") == 1
+        assert reason in err and f"seq {good.seq}" in err
+
+    def test_unreadable_log_reaches_the_stats_op(
+        self, following, replay_batches, tmp_path
+    ):
+        """Not an ``UpdateLogError``: ``open()`` itself fails (here
+        EISDIR; EACCES and EIO take the same path)."""
+        log_path, follower, client = following
+        good = replay_batches[0]
+        (tmp_path / "blocker").mkdir()
+        swap = tmp_path / "swap"
+        swap.symlink_to(tmp_path / "blocker")
+        os.replace(swap, log_path)
+        ip = good.deltas[0].ip
+        reason = self._declared_reason(client, good.seq, ip)
+        assert "IsADirectoryError" in reason
+        assert not follower.stats()["running"]
+
+    def test_clean_stop_declares_nothing(self, following, capsys):
+        _, follower, client = following
+        follower.stop()
+        assert client.stats()["epoch"]["error"] is None
+        _report_follower_end(follower)
+        assert capsys.readouterr().err == ""
 
 
 class TestCliStream:
