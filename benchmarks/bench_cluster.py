@@ -31,9 +31,7 @@ def test_perf_cluster_failover_p99(benchmark):
     index = ReputationIndex.from_run(run)
     queries = window_day_workload(run.analysis, 600)
 
-    with LocalCluster(
-        index, shards=3, replicas=1, mode="thread"
-    ) as cluster:
+    with LocalCluster(index, shards=3, replicas=1) as cluster:
         assert cluster.router.wait_healthy(10.0)
         victim = cluster.partition.shard_of(queries[0][0])
 

@@ -78,7 +78,7 @@ def test_perf_v6_routed_binary_batches(benchmark, gc_frozen):
         for start in range(0, len(queries), 256)
     ]
 
-    with LocalCluster(index, shards=2, mode="thread") as cluster:
+    with LocalCluster(index, shards=2) as cluster:
         assert cluster.router.wait_healthy(10.0)
         with ReputationClient(
             *cluster.address, codec="binary", family=V6

@@ -29,22 +29,28 @@
 #   5. adversary-lab smoke (scripts/scenarios_smoke.sh): every
 #      scenario end to end through the CLI, fidelity check included
 #   6. IPv6 serving smoke (scripts/v6_smoke.sh): hitlist-v6 scenario
-#      served by a live cluster and queried over the CLI, plus the
-#      v6-hitlist load mix
+#      compiled to a snapshot, served by `repro serve` and queried
+#      over the CLI, plus the v6-hitlist load mix
+#   7. cluster smoke (scripts/cluster_smoke.sh): `repro cluster` with
+#      replicas, one primary SIGKILLed per wire codec, every query
+#      still answered
+#   8. load + elasticity smoke (scripts/load_smoke.sh): auto-split
+#      grows a 3-shard cluster online under the hot-range mix with
+#      zero failed queries
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== [1/6] tier-1 tests =="
+echo "== [1/8] tier-1 tests =="
 python -m pytest -x -q
 
-echo "== [2/6] reprolint =="
+echo "== [2/8] reprolint =="
 # The budget keeps the flow pass honest: whole-program analysis over
 # src/repro must stay interactive (< 10 s) or it gets skipped locally.
 timeout 10 python -m repro.cli lint --strict-waivers
 
-echo "== [3/6] mypy --strict (tracked modules) =="
+echo "== [3/8] mypy --strict (tracked modules) =="
 if python -c "import mypy" >/dev/null 2>&1; then
     # Module list and strictness live in [tool.mypy] in pyproject.toml.
     python -m mypy
@@ -52,7 +58,7 @@ else
     echo "mypy not installed — skipped (pip install -e '.[dev]')"
 fi
 
-echo "== [4/6] serving-benchmark smoke + uncovered benches =="
+echo "== [4/8] serving-benchmark smoke + uncovered benches =="
 if [ "${REPRO_CHECK_SKIP_PERF:-0}" = "1" ]; then
     echo "skipped (REPRO_CHECK_SKIP_PERF=1)"
 else
@@ -66,10 +72,16 @@ else
         -q
 fi
 
-echo "== [5/6] adversary scenarios smoke =="
+echo "== [5/8] adversary scenarios smoke =="
 bash scripts/scenarios_smoke.sh
 
-echo "== [6/6] IPv6 serving smoke =="
+echo "== [6/8] IPv6 serving smoke =="
 bash scripts/v6_smoke.sh
+
+echo "== [7/8] cluster smoke =="
+bash scripts/cluster_smoke.sh
+
+echo "== [8/8] load + elasticity smoke =="
+bash scripts/load_smoke.sh
 
 echo "check.sh: all gates passed"

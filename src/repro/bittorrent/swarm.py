@@ -94,28 +94,22 @@ class DhtOverlay:
         n_depart = int(len(population) * depart_fraction)
         restarting = population[:n_restart]
         departing = population[n_restart : n_restart + n_depart]
-        # Draw order (restarts, then departures) and batch order match
-        # the per-peer ``after`` loops this replaces, so event sequence
-        # numbers — and therefore replay — are unchanged.
-        base = scheduler.now
-        batch = []
+        # Delays are drawn, and events numbered, restarts first and
+        # then departures — replay depends on that order.
         for peer in restarting:
-            when = base + self._rng.uniform(0, duration)
 
             def do_restart(p: SimulatedPeer = peer) -> None:
                 if p.online:
                     p.restart()
                     self.announce(p)
 
-            batch.append((when, do_restart))
+            scheduler.after(self._rng.uniform(0, duration), do_restart)
         for peer in departing:
-            when = base + self._rng.uniform(0, duration)
 
             def do_depart(p: SimulatedPeer = peer) -> None:
                 p.stop()
 
-            batch.append((when, do_depart))
-        scheduler.at_batch(batch)
+            scheduler.after(self._rng.uniform(0, duration), do_depart)
 
 
 def build_overlay(

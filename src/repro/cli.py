@@ -935,7 +935,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         follow=follow,
         start_day=start_day,
-        mode="process",
         host=args.host,
         router_port=port,
         connection_timeout=conn_timeout,

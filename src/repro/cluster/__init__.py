@@ -9,10 +9,11 @@ in front:
 * :mod:`repro.cluster.partition` — :class:`PartitionMap`, the
   deterministic /24-aligned split of the address space (no dynamic-
   prefix verdict ever straddles shards);
-* :mod:`repro.cluster.shard` — :class:`ShardServer` /
-  :class:`ShardProcess`, the existing service stack over
+* :mod:`repro.cluster.shard` — :class:`ShardProcess`, the one shard
+  host: a forked worker running the existing service stack over
   ``ReputationIndex.restrict(...)``, each shard independently tailing
-  the shared update log (filtered to its range, epochs in lockstep);
+  the shared update log (filtered to its range, epochs in lockstep),
+  ended by ``stop`` (SIGTERM, drain) or ``kill`` (SIGKILL, a crash);
 * :mod:`repro.cluster.router` — :class:`Router`, the scatter-gather
   front speaking the unchanged wire protocol: point routing, batched
   fan-out with in-order merge, merged ``stats``/``hello`` with
@@ -31,7 +32,7 @@ from .elastic import AutoSplitter, HotRangeDetector
 from .local import LocalCluster
 from .partition import MAX_SHARDS, PartitionMap, ShardRange
 from .router import SHARD_UNAVAILABLE, Backend, Router, ShardSlot
-from .shard import ShardProcess, ShardServer, filter_batch
+from .shard import ShardProcess, filter_batch
 
 __all__ = [
     "AutoSplitter",
@@ -44,7 +45,6 @@ __all__ = [
     "SHARD_UNAVAILABLE",
     "ShardProcess",
     "ShardRange",
-    "ShardServer",
     "ShardSlot",
     "filter_batch",
 ]

@@ -1,24 +1,25 @@
 """Boot a whole sharded cluster on one machine.
 
 :class:`LocalCluster` wires the pieces together: partition the space,
-restrict the full index per shard, start each shard's primary and
-replicas (threads in-process, or one forked worker process per
-backend), then put a :class:`~repro.cluster.router.Router` in front.
-Most tests use thread mode; ``repro cluster`` and the serving
-benchmark use process mode so each shard genuinely holds only its
-slice in its own interpreter. Both hosts present the same surface
-(``start / stop / address / pid / applied_seq / wait_for_seq``).
+restrict the full index per shard, fork one worker process per
+backend (each shard's primary and its replicas — see
+:class:`~repro.cluster.shard.ShardProcess`), then put a
+:class:`~repro.cluster.router.Router` in front. There is no in-process
+shard host: the tests, the benches and ``repro cluster`` all run the
+same forked workers, so each shard genuinely holds only its slice in
+its own interpreter and a failure injected here is injected into the
+system that ships.
 
 Kill/restart hooks (:meth:`kill_primary` / :meth:`restart_primary`)
 exist because the acceptance bar requires serving *through* a shard
-outage, not just before and after one.
+outage, not just before and after one; the kill is a real SIGKILL.
 """
 
 from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..service.index import ReputationIndex
 from ..service.server import DEFAULT_CONNECTION_TIMEOUT
@@ -29,11 +30,9 @@ from .router import (
     DEFAULT_HEARTBEAT_INTERVAL,
     Router,
 )
-from .shard import ShardProcess, ShardServer
+from .shard import ShardProcess
 
 __all__ = ["LocalCluster"]
-
-_ShardHost = Union[ShardServer, ShardProcess]
 
 
 class LocalCluster:
@@ -53,6 +52,10 @@ class LocalCluster:
     (``v6_index`` + ``v6_shards``): the router then answers both
     families on one port. Kill/restart/split hooks act on the primary
     plane only.
+
+    ``mode`` selects nothing: it is accepted (as ``"process"`` only)
+    because the frozen ``benchmarks/serving/sut.py`` still passes it,
+    and goes with the next benchmark PR.
     """
 
     def __init__(
@@ -63,28 +66,28 @@ class LocalCluster:
         replicas: int = 0,
         follow: "Path | str | None" = None,
         start_day: Optional[int] = None,
-        mode: str = "thread",
+        mode: str = "process",
         host: str = "127.0.0.1",
         router_port: int = 0,
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
         backend_timeout: float = DEFAULT_BACKEND_TIMEOUT,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        poll_interval: float = 0.05,
         backend_codec: str = "binary",
         v6_index: Optional[ReputationIndex] = None,
         v6_shards: int = 2,
     ) -> None:
-        if mode not in ("thread", "process"):
-            raise ValueError(f"unknown cluster mode: {mode!r}")
+        if mode != "process":
+            raise ValueError(
+                f"cluster mode {mode!r} was removed: every shard is a "
+                f"forked worker process"
+            )
         if replicas < 0:
             raise ValueError(f"negative replica count: {replicas}")
         self.partition = PartitionMap(shards, family=full_index.family)
-        self.mode = mode
         self._follow = follow
         self._start_day = start_day
         self._host = host
         self._replicas = replicas
-        self._poll_interval = poll_interval
         self._connection_timeout = connection_timeout
         base = full_index
         if follow is not None and start_day is not None:
@@ -100,7 +103,7 @@ class LocalCluster:
         # shard must replay the log from this state, not from whatever
         # epoch the dead worker had reached.
         self._bases: List[ReputationIndex] = []
-        self._backends: List[List[_ShardHost]] = []
+        self._backends: List[List[ShardProcess]] = []
         for shard_id, shard_range in enumerate(self.partition.ranges):
             restricted = base.restrict(shard_range.lo, shard_range.hi)
             self._bases.append(restricted)
@@ -114,7 +117,7 @@ class LocalCluster:
         # never follow a log and never split — the dual-family front
         # door is the point, not v6 elasticity.
         self.partition6: Optional[PartitionMap] = None
-        self._backends6: List[List[_ShardHost]] = []
+        self._backends6: List[List[ShardProcess]] = []
         self._addresses6: List[List[Tuple[str, int]]] = []
         if v6_index is not None:
             if full_index.family is v6_index.family:
@@ -161,21 +164,10 @@ class LocalCluster:
         shard_range: ShardRange,
         follow: Any = _INHERIT,
         port: int = 0,
-    ) -> _ShardHost:
+    ) -> ShardProcess:
         if follow is LocalCluster._INHERIT:
             follow = self._follow
-        if self.mode == "process":
-            return ShardProcess(
-                restricted,
-                shard_id,
-                shard_range,
-                follow=follow,
-                start_day=self._start_day,
-                host=self._host,
-                port=port,
-                connection_timeout=self._connection_timeout,
-            )
-        return ShardServer(
+        return ShardProcess(
             restricted,
             shard_id,
             shard_range,
@@ -184,7 +176,6 @@ class LocalCluster:
             host=self._host,
             port=port,
             connection_timeout=self._connection_timeout,
-            poll_interval=self._poll_interval,
         )
 
     # -- lifecycle -----------------------------------------------------
@@ -254,17 +245,18 @@ class LocalCluster:
             raise RuntimeError("cluster not started")
         return self.router.address
 
-    def backend(self, shard_id: int, replica: int = 0) -> _ShardHost:
+    def backend(self, shard_id: int, replica: int = 0) -> ShardProcess:
         """One backend host (0 = primary)."""
         return self._backends[shard_id][replica]
 
     def shard_pids(self) -> List[List[Optional[int]]]:
-        """Per-shard backend pids (process mode; None in thread mode)."""
+        """Per-shard worker pids (``None`` for a stopped or killed
+        backend)."""
         return [[backend.pid for backend in slot] for slot in self._backends]
 
     def kill_primary(self, shard_id: int) -> None:
-        """Take shard ``shard_id``'s primary down, hard."""
-        self._backends[shard_id][0].stop()
+        """Crash shard ``shard_id``'s primary: SIGKILL, no drain."""
+        self._backends[shard_id][0].kill()
 
     def restart_primary(self, shard_id: int) -> Tuple[str, int]:
         """Bring a killed primary back on its original port: a fresh
@@ -328,7 +320,7 @@ class LocalCluster:
                 new_partition.range_of(shard_id + 1),
             )
             new_bases: List[ReputationIndex] = []
-            new_slots: List[List[_ShardHost]] = []
+            new_slots: List[List[ShardProcess]] = []
             for offset, shard_range in enumerate(halves):
                 restricted = self._base.restrict(
                     shard_range.lo, shard_range.hi

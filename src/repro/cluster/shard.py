@@ -8,13 +8,12 @@ log with a range filter — every shard sees every batch (keeping epoch
 numbers in lockstep across the cluster) but applies only the deltas it
 owns, so epochs roll shard-by-shard without any global pause.
 
-Two hosting modes:
-
-* :class:`ShardServer` runs the shard in-process on daemon threads —
-  what the tests, benchmarks and replicas-in-one-process use;
-* :class:`ShardProcess` forks a worker process around a
-  :class:`ShardServer` (one index slice per process, the CLI's mode),
-  reporting its bound address back through a pipe.
+There is one shard host: :class:`ShardProcess` forks a worker process
+per backend (one index slice per interpreter), learns its bound
+address through a pipe and from then on watches it only through the
+shard's own wire protocol. :class:`ShardServer` is what runs *inside*
+that worker — the assembly of index [+ log] → engine → server
+[+ follower] — and is nobody's host.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..service.engine import QueryEngine
 from ..service.index import ReputationIndex
@@ -35,7 +33,14 @@ from ..stream.epoch import EpochIndex
 from ..stream.follower import LogFollower
 from .partition import ShardRange
 
-__all__ = ["ShardProcess", "ShardServer", "filter_batch"]
+__all__ = ["ShardProcess", "filter_batch"]
+
+#: How often a following shard polls the shared log, and how often the
+#: parent polls a worker it is waiting on.
+_POLL_S = 0.05
+
+#: How long ``stop`` lets a worker drain before it is killed instead.
+_DRAIN_S = 10.0
 
 
 def filter_batch(batch: DeltaBatch, shard_range: ShardRange) -> DeltaBatch:
@@ -51,130 +56,86 @@ def filter_batch(batch: DeltaBatch, shard_range: ShardRange) -> DeltaBatch:
 
 
 class ShardServer:
-    """One shard served from the current process.
+    """What a shard worker runs: index [+ log] → engine → server
+    [+ follower].
 
     ``base`` must already be the shard's restricted index (and, when
     ``follow`` is given, rolled back to the log's start day — the same
     state a single-process ``serve --follow`` starts from, projected).
+    Binds on construction.
     """
-
-    #: No worker process of its own (:attr:`ShardProcess.pid`'s twin).
-    pid: Optional[int] = None
 
     def __init__(
         self,
         base: ReputationIndex,
-        shard_id: int,
         shard_range: ShardRange,
         *,
-        follow: "Path | str | None" = None,
+        follow: Optional[str] = None,
         start_day: Optional[int] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
-        poll_interval: float = 0.05,
     ) -> None:
-        self.shard_id = shard_id
-        self.shard_range = shard_range
         self._follower: Optional[LogFollower] = None
+        engine_source: Any = base
         if follow is not None:
-            epochs = EpochIndex(base, day=start_day or 0)
+            engine_source = EpochIndex(base, day=start_day or 0)
             self._follower = LogFollower(
                 follow,
-                epochs,
-                poll_interval=poll_interval,
+                engine_source,
+                poll_interval=_POLL_S,
                 batch_filter=lambda batch: filter_batch(
                     batch, shard_range
                 ),
             )
-            engine_source: Any = epochs
-        else:
-            engine_source = base
-        self.engine = QueryEngine(engine_source)
         self._server = ReputationServer(
-            self.engine,
+            QueryEngine(engine_source),
             host,
             port,
             connection_timeout=connection_timeout,
             streaming=follow is not None,
         )
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)``."""
-        return self._server.address
-
     def start(self) -> Tuple[str, int]:
-        """Serve (and follow, in streaming mode) on daemon threads."""
+        """Serve (and follow, in streaming mode) on daemon threads;
+        returns the bound ``(host, port)``."""
         address = self._server.start()
         if self._follower is not None:
             self._follower.start()
         return address
 
     def stop(self) -> None:
-        """Stop following and serving; severs live connections so the
-        router sees the shard die, as a killed process would."""
+        """Stop following, flush queued replies, stop serving."""
         if self._follower is not None:
             self._follower.stop()
         self._server.shutdown()
-        self._server.close_connections()
-
-    def wait_for_seq(self, seq: int, timeout: float = 30.0) -> bool:
-        """Block until the shard's applied seq reaches ``seq``."""
-        if self._follower is None:
-            return True
-        return self._follower.wait_for_seq(seq, timeout=timeout)
-
-    def applied_seq(self) -> int:
-        """Last log sequence applied (0 when not following) — the
-        catch-up target a freshly booted half-range shard must reach
-        before a split cuts traffic over to it."""
-        if self._follower is None:
-            return 0
-        return self._follower.epochs.current.seq
-
-    def __enter__(self) -> "ShardServer":
-        self.start()
-        return self
-
-    def __exit__(self, *_: Any) -> None:
-        self.stop()
 
 
 def _shard_process_main(
-    pipe,
+    pipe: Any,
     base: ReputationIndex,
-    shard_id: int,
     shard_range: ShardRange,
-    follow: Optional[str],
-    start_day: Optional[int],
-    host: str,
-    port: int,
-    connection_timeout: float,
+    settings: Dict[str, Any],
 ) -> None:
-    """Entry point of a forked shard worker: serve until terminated."""
-    # The parent terminates workers with SIGTERM; translate it into a
-    # clean interpreter exit so daemon threads die with the process.
+    """Entry point of a forked shard worker: report the bound address
+    — or why there is none — then serve until signalled."""
+    # ``ShardProcess.stop`` sends SIGTERM; translate it into a clean
+    # interpreter exit so the ``finally`` below drains the server.
+    # ``ShardProcess.kill`` sends SIGKILL, which nothing here sees.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
-    shard = ShardServer(
-        base,
-        shard_id,
-        shard_range,
-        follow=follow,
-        start_day=start_day,
-        host=host,
-        port=port,
-        connection_timeout=connection_timeout,
-    )
-    shard.start()
-    pipe.send(shard.address)
-    pipe.close()
-    stop = threading.Event()
+    with pipe:
+        try:
+            shard = ShardServer(base, shard_range, **settings)
+            address = shard.start()
+        # Assembly or bind failed: stderr is nobody's view of a
+        # worker, so the reason travels to the parent's ``start``.
+        except Exception as exc:
+            pipe.send(("error", f"{type(exc).__name__}: {exc}"))
+            sys.exit(1)
+        pipe.send(("ok", address))
     try:
-        while not stop.is_set():
-            stop.wait(3600.0)
-    except KeyboardInterrupt:
-        pass
+        while True:
+            time.sleep(3600.0)
     finally:
         shard.stop()
 
@@ -185,12 +146,13 @@ class ShardProcess:
     The restricted index transfers to the child through fork's
     copy-on-write memory — no snapshot file, no pickling. ``start``
     blocks until the child reports its bound address, so the caller
-    can hand a complete backend list to the router. ``stop`` is
-    deliberately unceremonious (the failover path exists to absorb
-    it). Both shard hosts present one ``start / stop / address / pid /
-    applied_seq / wait_for_seq`` surface, so :class:`LocalCluster`
-    never asks which one it holds; a restart is a fresh host on the
-    old one's port.
+    can hand a complete backend list to the router, and raises with
+    the child's reason when it reports a failure instead. The worker
+    has two exits: :meth:`stop` asks it to drain (SIGTERM — cluster
+    teardown, a split retiring the old shard) and :meth:`kill` is the
+    crash (SIGKILL — what the failover path exists to absorb). Its
+    progress is observed one way, over its own wire protocol. A
+    restart is a fresh host on the old one's port.
     """
 
     def __init__(
@@ -208,13 +170,20 @@ class ShardProcess:
         self.shard_id = shard_id
         self.shard_range = shard_range
         self._base = base
-        self._follow = str(follow) if follow is not None else None
-        self._start_day = start_day
-        self._host = host
-        self._port = port
-        self._connection_timeout = connection_timeout
+        # The worker's ``ShardServer`` keyword arguments, handed
+        # through whole.
+        self._settings: Dict[str, Any] = dict(
+            follow=str(follow) if follow is not None else None,
+            start_day=start_day,
+            host=host,
+            port=port,
+            connection_timeout=connection_timeout,
+        )
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._address: Optional[Tuple[str, int]] = None
+        #: How the last worker ended (``-9`` after :meth:`kill`, ``0``
+        #: after a drained :meth:`stop`); ``None`` before the first end.
+        self.exitcode: Optional[int] = None
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -224,6 +193,8 @@ class ShardProcess:
 
     @property
     def pid(self) -> Optional[int]:
+        """The live worker's pid; ``None`` before ``start`` and after
+        ``stop``/``kill``."""
         return self._process.pid if self._process is not None else None
 
     def start(self, timeout: float = 30.0) -> Tuple[str, int]:
@@ -232,52 +203,76 @@ class ShardProcess:
             raise RuntimeError("shard process already running")
         context = multiprocessing.get_context("fork")
         parent_pipe, child_pipe = context.Pipe(duplex=False)
-        # Single-controller lifecycle: start/kill/restart are driven
-        # by one thread (LocalCluster / the CLI), never concurrently.
-        self._process = context.Process(
-            target=_shard_process_main,
-            args=(
-                child_pipe,
-                self._base,
-                self.shard_id,
-                self.shard_range,
-                self._follow,
-                self._start_day,
-                self._host,
-                self._port,
-                self._connection_timeout,
-            ),
-            name=f"repro-shard-{self.shard_id}",
-            daemon=True,
-        )
-        self._process.start()
-        child_pipe.close()
-        if not parent_pipe.poll(timeout):
-            self.stop()
+        # Single-controller lifecycle: start/stop/kill are driven by
+        # one thread (LocalCluster / the CLI), never concurrently.
+        with parent_pipe:
+            try:
+                process = context.Process(
+                    target=_shard_process_main,
+                    args=(
+                        child_pipe,
+                        self._base,
+                        self.shard_range,
+                        self._settings,
+                    ),
+                    name=f"repro-shard-{self.shard_id}",
+                    daemon=True,
+                )
+                process.start()
+            finally:
+                child_pipe.close()
+            self._process = process
+            if parent_pipe.poll(timeout):
+                try:
+                    status, value = parent_pipe.recv()
+                except EOFError:
+                    status, value = "error", "worker died before reporting"
+            else:
+                status, value = "error", f"no address within {timeout:g}s"
+        if status != "ok":
+            # One that reported is on its way out; let it leave with
+            # its own exit code.
+            self._reap(1.0)
             raise RuntimeError(
-                f"shard {self.shard_id} did not report an address "
-                f"within {timeout}s"
+                f"shard {self.shard_id} failed to start: {value}"
             )
-        self._address = tuple(parent_pipe.recv())
-        parent_pipe.close()
+        self._address = (str(value[0]), int(value[1]))
         return self._address
 
     def stop(self) -> None:
-        """Terminate the worker immediately (idempotent)."""
+        """Ask the worker to drain and exit (SIGTERM); idempotent. One
+        still alive after the drain allowance is killed, not orphaned."""
         if self._process is not None:
             self._process.terminate()
-            self._process.join(timeout=10.0)
-            self._process = None
+            self._reap(_DRAIN_S)
+
+    def kill(self) -> None:
+        """End the worker at once (SIGKILL) — a crash, as its peers see
+        it: no drain, no goodbye, sockets reset by the kernel."""
+        self._reap(0.0)
+
+    def _reap(self, grace: float) -> None:
+        """Give the worker ``grace`` seconds to end by itself, SIGKILL
+        it if it has not, and collect it either way."""
+        process, self._process = self._process, None
+        if process is not None:
+            process.join(timeout=grace)
+            process.kill()  # no-op on one already collected
+            process.join()
+            self.exitcode = process.exitcode
+            process.close()
 
     def _hello_seq(self) -> Optional[int]:
         """The worker's applied seq via its own wire protocol, or
         ``None`` when it cannot be reached — the only view the parent
-        has into a forked shard's streaming progress."""
+        has into a shard's streaming progress."""
         from ..service.client import ReputationClient, TransportError
 
         try:
             with ReputationClient(
-                *self.address, timeout=self._connection_timeout
+                *self.address,
+                timeout=self._settings["connection_timeout"],
+                codec="json",
             ) as client:
                 seq = client.hello().get("seq", 0)
                 return seq if isinstance(seq, int) else 0
@@ -286,12 +281,13 @@ class ShardProcess:
 
     def applied_seq(self) -> int:
         """Last log sequence the worker applied (0 when unreachable
-        or not following)."""
+        or not following) — the catch-up target a freshly booted
+        half-range shard must reach before a split cuts over to it."""
         return self._hello_seq() or 0
 
     def wait_for_seq(self, seq: int, timeout: float = 30.0) -> bool:
         """Poll the worker until its applied seq reaches ``seq``."""
-        if self._follow is None:
+        if self._settings["follow"] is None:
             return True
         deadline = time.monotonic() + timeout
         while True:
@@ -300,11 +296,4 @@ class ShardProcess:
                 return True
             if time.monotonic() >= deadline:
                 return False
-            time.sleep(0.05)
-
-    def __enter__(self) -> "ShardProcess":
-        self.start()
-        return self
-
-    def __exit__(self, *_: Any) -> None:
-        self.stop()
+            time.sleep(_POLL_S)

@@ -798,17 +798,6 @@ class WireServer:
         if thread is not None:
             thread.join(timeout=5.0)
 
-    def close_connections(self) -> None:
-        """Sever every live connection (what a crashed process does to
-        its peers); callable from any thread."""
-        for conn in list(self._conns.values()):
-            sock = conn.sock
-            if sock is not None:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-
     def _begin_shutdown(self) -> None:
         self._shutting_down = True
         self._close_listener()

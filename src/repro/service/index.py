@@ -11,9 +11,7 @@ views into a memory-mapped snapshot; :mod:`repro.service.columns`):
   is one binary search away (:meth:`ReputationIndex.facts`);
 * interval columns ``first`` / ``last`` / list index, a row's slice of
   them sorted by start day, against a sorted list-id table;
-* dynamic prefixes as disjoint address ranges searched by one bisect;
-* per-AS rollups (blocklisted / NATed / dynamic / reused counts),
-  computed on first use.
+* dynamic prefixes as disjoint address ranges searched by one bisect.
 
 The index also implements ``is_reused`` with the same meaning as
 :class:`~repro.core.reuse.ReuseAnalysis`, so
@@ -32,7 +30,6 @@ the forked shards of a cluster share their pages.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     AbstractSet,
@@ -41,7 +38,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -64,23 +60,11 @@ from .columns import (
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
 
 __all__ = [
-    "ASRollup",
     "ReputationIndex",
     "SnapshotError",
     "policy_category",
     "reuse_kind_of",
 ]
-
-
-@dataclass(frozen=True)
-class ASRollup:
-    """Reuse exposure of one AS among blocklisted addresses."""
-
-    asn: int
-    blocklisted: int
-    nated: int
-    dynamic: int
-    reused: int
 
 
 #: What :meth:`ReputationIndex.facts` returns:
@@ -154,7 +138,6 @@ class ReputationIndex:
         #: What :meth:`stats` reports, kept current by every
         #: constructor so the op never walks a table.
         self._counts = counts
-        self._rollups: Optional[Dict[int, ASRollup]] = None
 
     @classmethod
     def _assemble(
@@ -269,12 +252,6 @@ class ReputationIndex:
         row = columns.keys.find(ip)
         return columns.active(row, day) if row >= 0 else ()
 
-    def lists_ever(self, ip: int) -> Tuple[str, ...]:
-        """Every list that carried ``ip`` at any observed time."""
-        return tuple(
-            sorted({list_id for _, _, list_id in self.intervals_of(ip)})
-        )
-
     def intervals_of(self, ip: int) -> Tuple[Interval, ...]:
         """The raw listing intervals of one address, start-day sorted."""
         spans = self._overlay.get(ip)
@@ -366,12 +343,10 @@ class ReputationIndex:
         if len(overlay) * _FOLD_DIVISOR > len(columns.keys):
             columns = fold(columns, overlay)
             overlay = {}
-        successor = self._assemble(
+        return self._assemble(
             self._family, self._windows, self._categories, columns,
             overlay, counts,
         )
-        successor._rollups = self._rollups
-        return successor
 
     def is_nated(self, ip: int) -> bool:
         """Crawler-confirmed concurrent NAT sharing."""
@@ -411,41 +386,7 @@ class ReputationIndex:
         """Policy category of a list (``reputation`` when unknown)."""
         return self._categories.get(list_id, AbuseCategory.REPUTATION)
 
-    # -- rollups and stats ---------------------------------------------
-
-    def _rollup_table(self) -> Dict[int, ASRollup]:
-        table = self._rollups
-        if table is None:
-            columns = self._columns
-            tallies: Dict[int, List[int]] = {}
-            for ip, flags, asn in zip(
-                columns.keys, columns.flags, columns.asns
-            ):
-                if asn == NO_ASN:
-                    continue
-                tally = tallies.setdefault(asn, [0, 0, 0, 0])
-                nated = flags & NATED != 0
-                dynamic = columns.in_dynamic(ip)
-                tally[0] += 1
-                tally[1] += nated
-                tally[2] += dynamic
-                tally[3] += nated or dynamic
-            # Two threads may both get here; they store equal tables.
-            table = self._rollups = {
-                asn: ASRollup(asn, *tally) for asn, tally in tallies.items()
-            }
-        return table
-
-    def as_rollups(self) -> List[ASRollup]:
-        """Per-AS reuse exposure, most blocklisted addresses first."""
-        return sorted(
-            self._rollup_table().values(),
-            key=lambda r: (-r.blocklisted, r.asn),
-        )
-
-    def rollup_of(self, asn: int) -> ASRollup:
-        """Rollup for one AS (all-zero when it has no listings)."""
-        return self._rollup_table().get(asn, ASRollup(asn, 0, 0, 0, 0))
+    # -- stats ---------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
         """Size counters for logs and the ``stats`` wire op."""

@@ -215,11 +215,6 @@ class ReputationServer:
         """Stop accepting, flush queued replies, close the socket."""
         self._server.shutdown()
 
-    def close_connections(self) -> None:
-        """Sever every live client connection (a hard stop — what a
-        crashed process would do to its peers)."""
-        self._server.close_connections()
-
     def __enter__(self) -> "ReputationServer":
         return self
 

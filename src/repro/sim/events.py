@@ -3,15 +3,13 @@
 A single binary-heap run queue; ties break on insertion order so runs
 are fully deterministic under a fixed seed. Every event carries a
 unique ``(when, seq)`` key, so the pop order is a total order that does
-not depend on the heap's internal array layout — which is what lets
-batched insertion (``heapify``) and cancelled-entry compaction reshape
-the array without perturbing replay determinism.
+not depend on the heap's internal array layout.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .clock import SimClock
 
@@ -24,36 +22,21 @@ class ScheduledEvent:
     """Handle for a scheduled callback; supports cancellation.
 
     Cancellation is lazy: the heap entry stays in place and is skipped
-    when popped, which keeps cancel O(1). The owning scheduler counts
-    live cancellations and compacts the heap when they dominate.
+    when popped, which keeps cancel O(1).
     """
 
-    __slots__ = ("when", "seq", "callback", "cancelled", "_scheduler")
+    __slots__ = ("when", "seq", "callback", "cancelled")
 
-    def __init__(
-        self,
-        when: float,
-        seq: int,
-        callback: Callback,
-        scheduler: Optional["Scheduler"] = None,
-    ) -> None:
+    def __init__(self, when: float, seq: int, callback: Callback) -> None:
         self.when = when
         self.seq = seq
         self.callback: Optional[Callback] = callback
         self.cancelled = False
-        self._scheduler = scheduler
 
     def cancel(self) -> None:
         """Prevent the callback from running. Idempotent."""
-        if self.cancelled or self.callback is None:
-            # Already cancelled, or already fired — nothing left in the
-            # heap to account for.
-            self.cancelled = True
-            return
         self.cancelled = True
         self.callback = None
-        if self._scheduler is not None:
-            self._scheduler._note_cancelled()
 
 
 class Scheduler:
@@ -63,17 +46,11 @@ class Scheduler:
     equal to their scheduled firing time.
     """
 
-    # Compact only once this many cancelled entries linger; below it the
-    # rebuild costs more than the skips it saves.
-    _COMPACT_MIN_CANCELLED = 512
-
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._executed = 0
-        self._cancelled_in_heap = 0
-        self._compactions = 0
 
     @property
     def now(self) -> float:
@@ -90,78 +67,16 @@ class Scheduler:
         """Callbacks run so far (diagnostics)."""
         return self._executed
 
-    @property
-    def compactions(self) -> int:
-        """Cancelled-entry heap rebuilds performed (diagnostics)."""
-        return self._compactions
-
-    def _note_cancelled(self) -> None:
-        """Record one more lazily-cancelled entry; compact if they
-        dominate the heap."""
-        self._cancelled_in_heap += 1
-        if (
-            self._cancelled_in_heap >= self._COMPACT_MIN_CANCELLED
-            and self._cancelled_in_heap * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
-
-        Safe at any point: event keys are unique, so the pop order of
-        the surviving entries is unchanged. Mutates in place — the run
-        loops hold a local alias to the heap list.
-        """
-        self._heap[:] = [
-            entry for entry in self._heap if not entry[2].cancelled
-        ]
-        heapq.heapify(self._heap)
-        self._cancelled_in_heap = 0
-        self._compactions += 1
-
     def at(self, when: float, callback: Callback) -> ScheduledEvent:
         """Schedule ``callback`` at absolute time ``when``."""
         if when < self.clock.now:
             raise ValueError(
                 f"cannot schedule in the past: {when} < {self.clock.now}"
             )
-        event = ScheduledEvent(when, self._seq, callback, self)
+        event = ScheduledEvent(when, self._seq, callback)
         heapq.heappush(self._heap, (when, self._seq, event))
         self._seq += 1
         return event
-
-    def at_batch(
-        self, items: Iterable[Tuple[float, Callback]]
-    ) -> List[ScheduledEvent]:
-        """Schedule many ``(when, callback)`` pairs in one pass.
-
-        Sequence numbers are assigned in input order, so the firing
-        order is exactly what a loop of :meth:`at` calls would produce;
-        only the insertion cost changes. For batches comparable to the
-        heap size a single ``heapify`` (O(n)) beats n pushes
-        (O(n log n)).
-        """
-        entries: List[Tuple[float, int, ScheduledEvent]] = []
-        now = self.clock.now
-        seq = self._seq
-        for when, callback in items:
-            if when < now:
-                raise ValueError(
-                    f"cannot schedule in the past: {when} < {now}"
-                )
-            event = ScheduledEvent(when, seq, callback, self)
-            entries.append((when, seq, event))
-            seq += 1
-        self._seq = seq
-        heap = self._heap
-        if len(entries) * 4 >= len(heap):
-            heap.extend(entries)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in entries:
-                push(heap, entry)
-        return [entry[2] for entry in entries]
 
     def after(self, delay: float, callback: Callback) -> ScheduledEvent:
         """Schedule ``callback`` ``delay`` seconds from now."""
@@ -211,7 +126,6 @@ class Scheduler:
         while heap and heap[0][0] <= when:
             fire_at, _, event = pop(heap)
             if event.cancelled:
-                self._cancelled_in_heap -= 1
                 continue
             advance(fire_at)
             callback = event.callback
@@ -234,7 +148,6 @@ class Scheduler:
                 break
             fire_at, _, event = pop(heap)
             if event.cancelled:
-                self._cancelled_in_heap -= 1
                 continue
             advance(fire_at)
             callback = event.callback

@@ -9,7 +9,9 @@ explicit ``SHARD_UNAVAILABLE`` degradation during the outage window.
 """
 
 import gc
+import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
@@ -25,9 +27,11 @@ from repro.cluster import (
     PartitionMap,
     Router,
     SHARD_UNAVAILABLE,
+    ShardProcess,
     ShardRange,
     filter_batch,
 )
+from repro.cluster import shard as shard_module
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
@@ -43,6 +47,7 @@ from repro.service.wire import (
 from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.log import UpdateLogWriter
+from tests.test_service_binary import _binary_call, _binary_socket
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +201,14 @@ def _wire_verdicts(engine, ips, day=None):
 class TestRouterStatic:
     @pytest.fixture(scope="class")
     def cluster(self, full_index):
-        with LocalCluster(full_index, shards=3, mode="thread") as c:
+        with LocalCluster(full_index, shards=3) as c:
             assert c.router.wait_healthy(10.0)
+            # One shard host: every live backend is a worker process.
+            assert all(
+                isinstance(pid, int) and pid != os.getpid()
+                for slot in c.shard_pids()
+                for pid in slot
+            )
             yield c
 
     @pytest.fixture(scope="class")
@@ -301,8 +312,6 @@ class TestRouterStatsPayload:
             shards=3,
             follow=log_path,
             start_day=start_day,
-            mode="thread",
-            poll_interval=0.002,
         ) as cluster:
             assert cluster.router.wait_healthy(10.0)
             assert cluster.wait_for_seq(seq, timeout=30.0)
@@ -369,7 +378,7 @@ class TestRouterStatsPayload:
 
 
 class TestProcessMode:
-    """``mode="process"`` — what ``repro cluster`` runs: one forked
+    """The one shard host — what ``repro cluster`` runs: a forked
     worker per backend, watched only through its own wire protocol."""
 
     def test_follow_wait_kill_restart(
@@ -396,7 +405,6 @@ class TestProcessMode:
             shards=2,
             follow=log_path,
             start_day=start_day,
-            mode="process",
         ) as cluster:
             assert cluster.router.wait_healthy(10.0)
             pids = [pid for slot in cluster.shard_pids() for pid in slot]
@@ -414,7 +422,9 @@ class TestProcessMode:
                 # the log from the pristine base up to the same seq.
                 victim = cluster.partition.shard_of(listed_ips[0])
                 port = cluster.backend(victim).address[1]
+                killed = cluster.backend(victim)
                 cluster.kill_primary(victim)
+                assert killed.exitcode == -signal.SIGKILL
                 assert cluster.shard_pids()[victim] == [None]
                 assert not cluster.wait_for_seq(reached + 1, timeout=0.3)
                 assert cluster.restart_primary(victim)[1] == port
@@ -424,11 +434,84 @@ class TestProcessMode:
                 assert matches_single(client)
 
 
+class TestShardHost:
+    """:class:`ShardProcess`, the only host: a start failure carries
+    the worker's reason, nothing is orphaned, nothing leaks."""
+
+    @staticmethod
+    def _workers():
+        return [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        ]
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_occupied_port_reports_the_workers_reason(self, full_index):
+        with socket.socket() as squatter:
+            squatter.bind(("127.0.0.1", 0))
+            squatter.listen(1)
+            port = squatter.getsockname()[1]
+            shard = ShardProcess(
+                full_index, 7, ShardRange(0, MAX_IPV4), port=port
+            )
+            fds = set(os.listdir("/proc/self/fd"))
+            with pytest.raises(RuntimeError) as raised:
+                shard.start()
+            assert set(os.listdir("/proc/self/fd")) == fds
+        message = str(raised.value)
+        assert message.startswith("shard 7 failed to start: OSError: ")
+        assert "Address already in use" in message
+        assert shard.pid is None and shard.exitcode == 1
+        assert not self._workers()
+        with pytest.raises(RuntimeError, match="not started"):
+            shard.address
+        gc.collect()
+
+    def test_stop_drains_and_kill_crashes(self, full_index):
+        shard = ShardProcess(full_index, 0, ShardRange(0, MAX_IPV4))
+        shard.start()
+        assert [child.pid for child in self._workers()] == [shard.pid]
+        shard.stop()
+        assert (shard.pid, shard.exitcode) == (None, 0)
+        shard.stop()  # idempotent
+        shard.start()
+        shard.kill()
+        assert (shard.pid, shard.exitcode) == (None, -signal.SIGKILL)
+        assert not self._workers()
+
+    def test_stop_kills_a_worker_that_will_not_drain(
+        self, full_index, monkeypatch
+    ):
+        def deaf_worker(pipe, base, shard_range, settings):
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            with pipe:
+                pipe.send(("ok", ("127.0.0.1", 1)))
+            while True:
+                time.sleep(3600.0)
+
+        monkeypatch.setattr(shard_module, "_shard_process_main", deaf_worker)
+        monkeypatch.setattr(shard_module, "_DRAIN_S", 0.2)
+        shard = ShardProcess(full_index, 0, ShardRange(0, MAX_IPV4))
+        shard.start()
+        shard.stop()
+        assert (shard.pid, shard.exitcode) == (None, -signal.SIGKILL)
+        assert not self._workers()
+
+    @pytest.mark.parametrize("mode", ["thread", ""])
+    def test_thread_mode_is_gone(self, full_index, mode):
+        with pytest.raises(ValueError, match="removed"):
+            LocalCluster(full_index, mode=mode)
+        # The frozen serving benchmark's spelling still constructs.
+        LocalCluster(full_index, shards=1, mode="process")
+
+
 class TestFailover:
     def test_replica_answers_when_primary_dies(self, full_index, listed_ips):
-        with LocalCluster(
-            full_index, shards=2, replicas=1, mode="thread"
-        ) as cluster:
+        with LocalCluster(full_index, shards=2, replicas=1) as cluster:
             assert cluster.router.wait_healthy(10.0)
             single = QueryEngine(full_index)
             with ReputationClient(*cluster.address) as client:
@@ -445,9 +528,7 @@ class TestFailover:
                 assert stats["cluster"]["shards_up"] == 2
 
     def test_restarted_primary_rejoins(self, full_index, listed_ips):
-        with LocalCluster(
-            full_index, shards=2, replicas=1, mode="thread"
-        ) as cluster:
+        with LocalCluster(full_index, shards=2, replicas=1) as cluster:
             assert cluster.router.wait_healthy(10.0)
             with ReputationClient(*cluster.address) as client:
                 cluster.kill_primary(1)
@@ -465,15 +546,14 @@ class TestFailover:
     def test_process_mode_primary_stops_under_pipelined_load(
         self, full_index, listed_ips
     ):
-        # The thread-mode tests above share one interpreter with the
-        # shards; ``repro cluster`` does not. Here the primary is a
-        # forked worker, stopped while a pipelined stream is in flight.
+        # The primary is SIGKILLed while a client-side pipelined
+        # stream is in flight (``TestKillUnderLoad`` below checks the
+        # same crash request id by request id).
         beat = 0.2
         with LocalCluster(
             full_index,
             shards=2,
             replicas=1,
-            mode="process",
             heartbeat_interval=beat,
         ) as cluster:
             router = cluster.router
@@ -524,9 +604,120 @@ class TestFailover:
                 assert client.query_batch(batch) == expected
 
 
+class TestKillUnderLoad:
+    """``kill_primary`` is a SIGKILL, here landing while a raw
+    pipelined window is in flight: every request id is answered
+    exactly once — a verdict through the replica, or a *declared*
+    ``SHARD_UNAVAILABLE`` when there is none — and no answer takes
+    longer than ``backend_timeout``."""
+
+    BACKEND_TIMEOUT = 2.0
+    TOTAL = 300
+    WINDOW = 8
+
+    @pytest.mark.parametrize("replicas", [1, 0])
+    def test_every_request_id_answered_exactly_once(
+        self, full_index, listed_ips, replicas
+    ):
+        codec = CODECS[V4]
+        single = QueryEngine(full_index)
+        pairs = [(ip, None) for ip in listed_ips]
+        expected = [single.query(ip).to_wire() for ip in listed_ips]
+        with LocalCluster(
+            full_index,
+            shards=2,
+            replicas=replicas,
+            backend_timeout=self.BACKEND_TIMEOUT,
+            heartbeat_interval=0.2,
+        ) as cluster:
+            router = cluster.router
+            assert router.wait_healthy(10.0)
+            victim = cluster.partition.shard_of(listed_ips[0])
+            primary = cluster.backend(victim)
+            killed_at = []
+
+            def kill_mid_stream():
+                deadline = time.monotonic() + 10.0
+                while (
+                    router.load_snapshot()["shards"][victim]["hits"] < 2000
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                cluster.kill_primary(victim)
+                killed_at.append(time.monotonic())
+
+            killer = threading.Thread(target=kill_mid_stream)
+            sent_at = {}
+            answered = []  # (request id, latency, verdicts)
+            with _binary_socket(cluster.address) as sock:
+                sock.settimeout(self.BACKEND_TIMEOUT + 10.0)
+                killer.start()
+                next_rid = 1
+                while len(answered) < self.TOTAL:
+                    window = bytearray()
+                    while (
+                        next_rid <= self.TOTAL
+                        and next_rid - len(answered) <= self.WINDOW
+                    ):
+                        window += codec.encode_batch_request(pairs, next_rid)
+                        sent_at[next_rid] = time.monotonic()
+                        next_rid += 1
+                    if window:
+                        sock.sendall(window)
+                    ftype, rid, payload = recv_binary_frame(sock)
+                    assert ftype == codec.ft_reply
+                    answered.append(
+                        (
+                            rid,
+                            time.monotonic() - sent_at[rid],
+                            codec.decode_batch_reply(payload),
+                        )
+                    )
+                killer.join(timeout=15.0)
+                assert not killer.is_alive() and killed_at
+                # Nothing answered twice: the next frame on the wire is
+                # the reply to the next request, not a late duplicate.
+                pong = _binary_call(sock, b'{"op": "ping"}', self.TOTAL + 1)
+                assert pong["result"] == "pong"
+
+            # A crash, not a shutdown.
+            assert primary.exitcode == -signal.SIGKILL
+            assert cluster.shard_pids()[victim][0] is None
+            # It landed inside the stream.
+            assert sent_at[self.TOTAL] > killed_at[0] > sent_at[1]
+
+            # Exactly once, in order, none hanging.
+            assert [rid for rid, _, _ in answered] == list(
+                range(1, self.TOTAL + 1)
+            )
+            assert max(t for _, t, _ in answered) < self.BACKEND_TIMEOUT
+
+            degraded = 0
+            for _, _, verdicts in answered:
+                assert len(verdicts) == len(pairs)
+                for ip, want, got in zip(listed_ips, expected, verdicts):
+                    if got == want:
+                        continue
+                    # The only other answer is the declared one, and
+                    # only where nothing is left to ask.
+                    assert replicas == 0
+                    assert got == {
+                        "ip": int_to_ip(ip),
+                        "day": None,
+                        "error": SHARD_UNAVAILABLE,
+                        "shard": victim,
+                    }
+                    assert cluster.partition.shard_of(ip) == victim
+                    degraded += 1
+            if replicas:
+                assert router.health()[victim][1]
+            else:
+                assert degraded > 0
+
+
 class TestDegraded:
     def test_dead_shard_degrades_not_fails(self, full_index, listed_ips):
-        with LocalCluster(full_index, shards=3, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=3) as cluster:
             assert cluster.router.wait_healthy(10.0)
             partition = cluster.partition
             dead = partition.shard_of(listed_ips[0])
@@ -994,8 +1185,6 @@ class TestClusterFollowEndToEnd:
             replicas=0,
             follow=log_path,
             start_day=start_day,
-            mode="thread",
-            poll_interval=0.002,
         )
         failures = []
         outage_errors = [0]

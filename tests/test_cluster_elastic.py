@@ -47,7 +47,7 @@ class TestManualSplit:
         request fails."""
         single = QueryEngine(full_index)
         want = {ip: single.query(ip).to_wire() for ip in listed_ips}
-        with LocalCluster(full_index, shards=3, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=3) as cluster:
             assert cluster.router.wait_healthy(10.0)
             victim = cluster.partition.shard_of(listed_ips[0])
             failures = []
@@ -114,7 +114,7 @@ class TestManualSplit:
     def test_split_routes_hits_to_the_new_shards(
         self, full_index, listed_ips
     ):
-        with LocalCluster(full_index, shards=2, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
             victim = cluster.partition.shard_of(listed_ips[0])
             cluster.split_shard(victim)
@@ -132,7 +132,7 @@ class TestManualSplit:
 
     def test_repeated_splits_keep_serving(self, full_index, listed_ips):
         single = QueryEngine(full_index)
-        with LocalCluster(full_index, shards=2, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
             for _ in range(3):
                 victim = cluster.partition.shard_of(listed_ips[0])
@@ -147,7 +147,7 @@ class TestManualSplit:
                     assert verdict == single.query(ip).to_wire()
 
     def test_unstarted_cluster_rejects_split(self, full_index):
-        cluster = LocalCluster(full_index, shards=2, mode="thread")
+        cluster = LocalCluster(full_index, shards=2)
         with pytest.raises(RuntimeError, match="not started"):
             cluster.split_shard(0)
         cluster.close()
@@ -155,7 +155,7 @@ class TestManualSplit:
     def test_apply_partition_rejects_mismatched_backends(
         self, full_index
     ):
-        with LocalCluster(full_index, shards=2, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
             with pytest.raises(ValueError, match="backend"):
                 cluster.router.apply_partition(
@@ -176,7 +176,7 @@ class TestAutoSplitAcceptance:
         generator = TrafficGenerator(mix, ips, days, seed=11)
         events = generator.schedule(6000, 4000.0)
 
-        with LocalCluster(full_index, shards=3, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=3) as cluster:
             assert cluster.router.wait_healthy(10.0)
             splitter = AutoSplitter(
                 cluster,
@@ -235,7 +235,7 @@ class TestAutoSplitAcceptance:
         events = TrafficGenerator(mix, ips, days, seed=5).schedule(
             1500, 5000.0
         )
-        with LocalCluster(full_index, shards=2, mode="thread") as cluster:
+        with LocalCluster(full_index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
             splitter = AutoSplitter(
                 cluster,
@@ -262,7 +262,7 @@ class TestAutoSplitAcceptance:
                 assert "max_shards" in event["reason"]
 
     def test_splitter_knob_validation(self, full_index):
-        cluster = LocalCluster(full_index, shards=2, mode="thread")
+        cluster = LocalCluster(full_index, shards=2)
         with pytest.raises(ValueError, match="interval"):
             AutoSplitter(cluster, interval=0.0)
         with pytest.raises(ValueError, match="max_shards"):

@@ -73,20 +73,6 @@ class TestIndexFaithfulness:
                     analysis, ip, blocklist_category=category
                 )
 
-    def test_rollups_partition_blocklisted_ips(self, small_full_run, index):
-        analysis = small_full_run.analysis
-        rollups = index.as_rollups()
-        assert sum(r.blocklisted for r in rollups) == len(
-            analysis.blocklisted_ips
-        )
-        assert sum(r.nated for r in rollups) == len(analysis.nated_blocklisted)
-        assert sum(r.dynamic for r in rollups) == len(
-            analysis.dynamic_blocklisted
-        )
-        for rollup in rollups:
-            assert rollup.reused <= rollup.blocklisted
-            assert index.rollup_of(rollup.asn) == rollup
-
     def test_default_day_is_last_window_day(self, small_full_run, index):
         assert index.default_day() == small_full_run.analysis.windows[-1][1]
 

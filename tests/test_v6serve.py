@@ -214,8 +214,6 @@ class TestV6ClusterEndToEnd:
             shards=3,
             follow=log_path,
             start_day=0,
-            mode="thread",
-            poll_interval=0.002,
         )
         try:
             cluster.start()
@@ -280,7 +278,6 @@ class TestDualPlaneCluster:
             shards=2,
             v6_index=v6_index,
             v6_shards=2,
-            mode="thread",
         ) as cluster:
             assert cluster.router.wait_healthy(10.0)
             pool = v6_scenario.ledger.dynamic_prefixes[0]
@@ -297,14 +294,14 @@ class TestDualPlaneCluster:
                 assert "family" not in stats["partition"]
 
     def test_v4_only_cluster_rejects_v6(self, v4_index):
-        with LocalCluster(v4_index, shards=2, mode="thread") as cluster:
+        with LocalCluster(v4_index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
             with ReputationClient(*cluster.address) as client:
                 with pytest.raises(ServiceError, match="ipv6"):
                     client.query("2001:db8::1", 0)
 
     def test_pure_v6_cluster_rejects_v4(self, v6_index):
-        with LocalCluster(v6_index, shards=2, mode="thread") as cluster:
+        with LocalCluster(v6_index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
             with ReputationClient(
                 *cluster.address, family=V6
