@@ -1,0 +1,252 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of the serving benchmark, judged by
+the rule a performance claim has to meet.
+
+    scripts/bench_pairs.py --workload bulk-cold --pairs 10
+    scripts/bench_pairs.py --workload bulk-hot --pairs 10 --parent HEAD --first-seed 20
+
+The *change* is this checkout as it stands (tracked files with their
+uncommitted edits, plus untracked files git does not ignore); the
+*parent* is ``--parent`` (default ``HEAD~1``). Both are exported into
+sibling directories of one temporary directory, removed on exit:
+neither side runs where stale ``__pycache__`` or a shorter path could
+favour it (the benchmark boots its servers from source, so a tree with
+cached bytecode reads 0.3 MB lighter and boots faster), and nothing is
+written into the repository or its ``.git``. Pair ``i`` runs
+``BENCHMARK.json``'s ``command`` with seed ``first-seed + i`` on both
+trees, one after the other on the one CPU the benchmark pins itself
+to, parent first on even ``i``.
+
+Per end-to-end metric (name, direction and bound read from
+``BENCHMARK.json``) it prints each side's median and quartiles, the
+pairs the change won (a tie counts for neither), and a verdict:
+
+``gain``        the change won at least nine tenths of the pairs and the
+                medians lie further apart than the parent's own
+                quartiles do — what may be claimed (``ahead`` while
+                fewer than ten pairs have run: not yet a claim);
+``REGRESSION``  the change's median is worse than the parent's by more
+                than the metric's bound;
+``unresolved``  the parent's quartile distance is itself wider than the
+                bound, and not every change run beats every parent run;
+``level``       none of the above.
+
+Exit status: 0 when every run was valid, correct and failed no
+operation; 1 otherwise (the table is still printed over the runs that
+did finish).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SIDES = ("parent", "change")
+
+#: Pairs below which nothing may be claimed (choosing-metrics, §8).
+MIN_PAIRS = 10
+
+
+def export_parent(rev: str, target: Path) -> str:
+    """Unpack ``rev``'s committed files into ``target``; returns the
+    commit's abbreviated hash."""
+    commit = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--short", f"{rev}^{{commit}}"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.Popen(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+        stdout=subprocess.PIPE,
+    )
+    assert archive.stdout is not None
+    with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+        tar.extractall(target, filter="data")
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+    return commit
+
+
+def export_change(target: Path) -> None:
+    """Copy the checkout as it stands into ``target``: every tracked
+    or untracked-and-not-ignored file that exists."""
+    listed = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        check=True, capture_output=True,
+    ).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file may be deleted, unstaged
+            copy = target / name
+            copy.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, copy)
+
+
+def run_once(
+    tree: Path, command: List[str], workload: str, seed: int, seconds: float
+) -> Optional[Dict[str, Any]]:
+    """One benchmark run in ``tree``: its result object (the last line
+    it prints), or ``None`` when the run was invalid."""
+    done = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", f"{seconds:g}"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.stderr.write(done.stderr[-2000:])
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        return None
+    return result if isinstance(result, dict) else None
+
+
+def quartiles(values: List[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``; a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def judge(
+    parent: List[float], change: List[float], higher: bool, bound: float
+) -> Tuple[int, float, str]:
+    """``(pairs won, relative change of the median, verdict)`` for one
+    metric over paired runs."""
+    sign = 1.0 if higher else -1.0
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    _, c_med, _ = quartiles(change)
+    gain = sign * (c_med - p_med)
+    relative = (c_med - p_med) / p_med if p_med else 0.0
+    spread = p_q3 - p_q1
+    every_run_better = (
+        min(change) > max(parent) if higher else max(change) < min(parent)
+    )
+    if p_med and -gain / abs(p_med) > bound:
+        verdict = "REGRESSION"
+    elif won >= 0.9 * len(parent) and gain > spread:
+        verdict = "gain" if len(parent) >= MIN_PAIRS else "ahead"
+    elif p_med and spread / abs(p_med) > bound and not every_run_better:
+        verdict = "unresolved"
+    else:
+        verdict = "level"
+    return won, relative, verdict
+
+
+def report(
+    contract: Dict[str, Any], runs: Dict[str, List[Dict[str, Any]]]
+) -> None:
+    pairs = len(runs["parent"])  # only whole pairs were kept
+    print(
+        f"{'metric':16s} {'better':6s} {'bound':>5s}  "
+        f"{'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}  "
+        f"{'delta':>7s}  {'won':>5s}  verdict"
+    )
+    if not pairs:
+        print("(no complete pair)")
+        return
+    for row in contract["end_to_end"]:
+        name = row["name"]
+        series = {
+            side: [float(run["metrics"][name]["value"]) for run in runs[side]]
+            for side in SIDES
+        }
+        won, relative, verdict = judge(
+            series["parent"], series["change"],
+            row["better"] == "higher", float(row["bound"]),
+        )
+        cells = []
+        for side in SIDES:
+            q1, median, q3 = quartiles(series[side])
+            cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
+        print(
+            f"{name:16s} {row['better']:6s} {row['bound']:>5.0%}  "
+            f"{cells[0]:>34s}  {cells[1]:>34s}  {relative:>+7.1%}  "
+            f"{won:>2d}/{pairs:<2d}  {verdict}"
+        )
+    if pairs < MIN_PAIRS:
+        print(f"{pairs} pairs: a claim needs at least {MIN_PAIRS}")
+    for side in SIDES:
+        failed = sum(run["failed"] for run in runs[side])
+        attempted = sum(run["attempted"] for run in runs[side])
+        print(f"failed, {side}: {failed} of {attempted} operations")
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+    )
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser.add_argument(
+        "--workload", required=True,
+        choices=[row["name"] for row in contract["workloads"]],
+    )
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--parent", default="HEAD~1", metavar="REV")
+    parser.add_argument("--first-seed", type=int, default=0, metavar="S")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    command = list(contract["command"])
+    seconds = float(contract["run_seconds"])
+    runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
+    clean = True
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {side: Path(scratch, side) for side in SIDES}
+        for tree in trees.values():
+            tree.mkdir()
+        commit = export_parent(args.parent, trees["parent"])
+        export_change(trees["change"])
+        print(
+            f"{args.workload}: {args.pairs} pairs, seeds "
+            f"{args.first_seed}..{args.first_seed + args.pairs - 1}, "
+            f"{seconds:g} s a run; parent = {commit}, "
+            f"change = {ROOT} as it stands"
+        )
+        for at in range(args.pairs):
+            seed = args.first_seed + at
+            order = SIDES if at % 2 == 0 else SIDES[::-1]
+            pair: Dict[str, Dict[str, Any]] = {}
+            for side in order:
+                result = run_once(
+                    trees[side], command, args.workload, seed, seconds
+                )
+                if result is None:
+                    print(f"seed {seed} {side}: INVALID RUN")
+                    clean = False
+                    continue
+                if not result["correct"] or result["failed"]:
+                    clean = False
+                pair[side] = result
+                values = "  ".join(
+                    f"{row['name']}={result['metrics'][row['name']]['value']:.6g}"
+                    for row in contract["end_to_end"]
+                )
+                print(
+                    f"seed {seed} {side:6s} correct={result['correct']} "
+                    f"failed={result['failed']}  {values}",
+                    flush=True,
+                )
+            if len(pair) == len(SIDES):  # only whole pairs are compared
+                for side in SIDES:
+                    runs[side].append(pair[side])
+    report(contract, runs)
+    return 0 if clean else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,9 +10,11 @@ it?". This package turns the study's batch artefact
   listing intervals, NAT/dynamic classification, AS rollups) with a
   binary snapshot format so a server starts without re-running the
   pipeline;
-* :mod:`repro.service.engine` — :class:`QueryEngine`, the query layer
-  with point/batch APIs and per-query-type counters (no cache: the
-  server's packed-record cache is the stack's one verdict cache);
+* :mod:`repro.service.engine` — :class:`QueryEngine`, the query layer:
+  one evaluation routine answering as :class:`Verdict` objects
+  (point/batch) or as packed wire records (the binary batch path),
+  with per-query-type counters (no cache: the server's packed-record
+  cache is the stack's one verdict cache);
 * :mod:`repro.service.wire` — the length-prefixed JSON framing both
   ends speak;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a

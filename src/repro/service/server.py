@@ -28,15 +28,21 @@ The JSON request surface is unchanged:
     binary framing for all later frames.
 
 Binary connections may additionally send packed ``FT_BATCH_REQ``
-frames — the hot path. Those are answered from a packed-verdict cache
-keyed ``(epoch, ip, resolved day)``: a cache hit copies pre-encoded
-record bytes without building a verdict, which is where the serving
-plane's throughput lives. It is the only verdict cache in the serving
-stack (the engine behind it keeps no per-key state). Entries are
-stored under the verdict's *own* epoch, so a hot swap mid-frame can
-never poison the cache; only the loop thread touches it; it is bounded
-FIFO at :data:`PACKED_CACHE_SIZE` records (an entry is never re-ranked
-on a hit, and a superseded epoch's entries age out the same way).
+frames — the hot path: ``decode → probe → facts → pack``. A frame is
+answered against the one ``(index, epoch, seq)`` snapshot taken when
+its handling starts: the packed-record cache is probed under
+``(epoch, ip, resolved day)``, a hit copies pre-encoded record bytes,
+and the misses go to :meth:`~repro.service.engine.QueryEngine.
+query_records` *with that snapshot*, which packs each one straight
+from the index's columns — no verdict object is built on this path —
+and the bytes are stored under the frame's epoch. So every record of a
+reply reports the same ``(epoch, seq)`` whatever a hot swap does
+meanwhile, and nothing is ever cached under an epoch it was not
+computed against. It is the only verdict cache in the serving stack
+(the engine behind it keeps no per-key state); only the loop thread
+touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records
+(an entry is never re-ranked on a hit, and a superseded epoch's
+entries age out the same way).
 
 Robustness contract (unchanged from the threaded server): a malformed
 frame or request gets an error reply (``{"ok": false, "error":
@@ -299,7 +305,8 @@ class ReputationServer:
         self, slot: Slot, pairs: List[Tuple[int, Optional[int]]]
     ) -> None:
         """The binary hot path: answer a packed batch request from the
-        packed-record cache, touching the engine only for misses."""
+        packed-record cache, handing the engine only the misses — and
+        the snapshot the cache was probed under."""
         if len(pairs) > MAX_BATCH:
             slot.fail(
                 f"batch of {len(pairs)} exceeds the "
@@ -307,38 +314,39 @@ class ReputationServer:
             )
             return
         engine = self._engine
-        index, epoch, _seq = engine.resolve_state()
+        state = engine.resolve_state()
+        index, epoch, _seq = state
         default_day = index.default_day()
         cache = self._packed
         cache_get = cache.get
         records: List[Optional[bytes]] = []
         append = records.append
         miss_positions: List[int] = []
-        miss_pairs: List[Tuple[int, Optional[int]]] = []
+        miss_keys: List[Tuple[int, int, int]] = []
         for ip, day in pairs:
-            record = cache_get(
-                (epoch, ip, default_day if day is None else day)
-            )
+            key = (epoch, ip, default_day if day is None else day)
+            record = cache_get(key)
             if record is None:
                 miss_positions.append(len(records))
-                miss_pairs.append((ip, day))
+                miss_keys.append(key)
             append(record)
-        self._packed_hits += len(pairs) - len(miss_pairs)
-        self._packed_misses += len(miss_pairs)
-        if miss_pairs:
+        self._packed_hits += len(pairs) - len(miss_keys)
+        self._packed_misses += len(miss_keys)
+        if miss_keys:
             try:
-                verdicts = engine.query_batch(miss_pairs)
+                packed = engine.query_records(
+                    state,
+                    [(ip, day) for _epoch, ip, day in miss_keys],
+                    self._codec,
+                )
             except ValueError as exc:
                 slot.fail(str(exc))
                 return
-            pack = self._codec.pack_verdict
-            for position, verdict in zip(miss_positions, verdicts):
-                record = pack(verdict)
+            for position, key, record in zip(
+                miss_positions, miss_keys, packed
+            ):
                 records[position] = record
-                # Keyed under the verdict's *own* epoch: if a hot swap
-                # landed mid-batch, the entry must not shadow the new
-                # epoch's answer.
-                cache[(verdict.epoch, verdict.ip, verdict.day)] = record
+                cache[key] = record
             while len(cache) > PACKED_CACHE_SIZE:
                 cache.popitem(last=False)
         slot.complete_records(records)  # type: ignore[arg-type]

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, NamedTuple, Tuple
 
 from ..blocklists.timeline import Window
 from ..net.family import V4, AddressFamily, family_named
-from .columns import Columns, KeyColumn, is_wide
+from .columns import Columns, KeyColumn, check_list_ids, is_wide
 
 __all__ = ["Snapshot", "SnapshotError", "read_snapshot", "write_snapshot"]
 
@@ -331,6 +331,7 @@ def _parse_meta(
             (_as_int(start), _as_int(end)) for start, end in meta["windows"]
         )
         list_ids = tuple(_as_str(item) for item in meta["list_ids"])
+        check_list_ids(list_ids)
         categories = {
             _as_str(key): _as_str(value)
             for key, value in meta["categories"].items()

@@ -42,7 +42,14 @@ degraded ``kind u8, addr, has_day u8, day i32, shard u32``, then one
          u8-length-prefixed UTF-8 error text
 ======== ==================================================
 
-and one :class:`BinaryCodec` per family implements it. The frame type
+and one :class:`BinaryCodec` per family implements it. A verdict
+record has one packer with two front ends:
+:meth:`BinaryCodec.pack_record` takes an engine row's fields (the
+server's batch path — no verdict object in between) and
+:meth:`BinaryCodec.pack_verdict` any object carrying a verdict's
+attributes (the router's JSON-upstream conversion, library callers);
+for a :class:`~repro.service.engine.Verdict` built from the same row
+the bytes are identical. The frame type
 is the family tag — a peer that never sends a family's request type
 never sees its reply type back, and the ipv4 bytes are what they were
 before families existed:
@@ -81,7 +88,16 @@ import json
 import struct
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from ..net.family import V4, V6, AddressFamily
 
@@ -96,6 +112,7 @@ __all__ = [
     "FT_MSG",
     "FrameError",
     "MAX_FRAME_BYTES",
+    "MAX_LIST_ID_BYTES",
     "REQUEST_CODECS",
     "WireError",
     "WireSocket",
@@ -123,6 +140,12 @@ __all__ = [
 #: fits with room to spare; nothing legitimate comes close). Applies
 #: to both the JSON and the binary codec.
 MAX_FRAME_BYTES = 1 << 20
+
+#: Longest list id, in UTF-8 bytes, a verdict record can name: its
+#: length prefix is one byte. An index refuses a longer one where the
+#: listing enters (:mod:`repro.service.columns`), so the packer's own
+#: check only ever meets objects no index produced.
+MAX_LIST_ID_BYTES = 255
 
 _HEADER = struct.Struct(">I")
 
@@ -553,14 +576,46 @@ class BinaryCodec:
 
     # -- batch reply: packing ------------------------------------------
 
+    def pack_record(
+        self,
+        ip: int,
+        day: int,
+        lists: Tuple[str, ...],
+        nated: bool,
+        dynamic: bool,
+        users: int,
+        asn: int,
+        action: str,
+        epoch: int,
+        seq: int,
+    ) -> bytes:
+        """Pack one engine row (:func:`repro.service.engine.evaluate`,
+        with its key and the snapshot it was read from) into a
+        batch-reply record. The flag bits and the reuse code are
+        derived here, exactly as :class:`~repro.service.engine.Verdict`
+        derives ``listed`` / ``unjust`` / ``reuse_kind``, so the bytes
+        equal :meth:`pack_verdict` of the verdict built from that row."""
+        flags = (_FLAG_NATED if nated else 0) | (
+            _FLAG_DYNAMIC if dynamic else 0
+        )
+        if lists:
+            flags |= (
+                _FLAG_LISTED | _FLAG_UNJUST if flags else _FLAG_LISTED
+            )
+        # ``nated | dynamic << 1`` is _REUSE_TO_CODE, spelled in bits.
+        return self._pack_fields(
+            ip, day, flags, action, nated | dynamic << 1, users, asn,
+            epoch, seq, lists,
+        )
+
     def pack_verdict(self, verdict: Any) -> bytes:
-        """Pack one engine :class:`~repro.service.engine.Verdict` (any
-        object with its attributes) into a batch-reply record."""
-        action_code = _ACTION_TO_CODE.get(verdict.action)
+        """Pack one :class:`~repro.service.engine.Verdict` — or any
+        object with its attributes, which need not be an engine's: the
+        record says what the fields say — into a batch-reply record."""
         reuse_code = _REUSE_TO_CODE.get(verdict.reuse_kind)
-        if action_code is None or reuse_code is None:
+        if reuse_code is None:
             raise WireError(
-                f"verdict not binary-packable: action={verdict.action!r} "
+                f"verdict not binary-packable: "
                 f"reuse_kind={verdict.reuse_kind!r}",
                 recoverable=True,
             )
@@ -570,14 +625,39 @@ class BinaryCodec:
             | (_FLAG_DYNAMIC if verdict.dynamic else 0)
             | (_FLAG_UNJUST if verdict.unjust else 0)
         )
-        ip = verdict.ip
-        lists = verdict.lists
+        return self._pack_fields(
+            verdict.ip, verdict.day, flags, verdict.action, reuse_code,
+            verdict.users, verdict.asn, verdict.epoch, verdict.seq,
+            verdict.lists,
+        )
+
+    def _pack_fields(
+        self,
+        ip: int,
+        day: int,
+        flags: int,
+        action: str,
+        reuse_code: int,
+        users: int,
+        asn: int,
+        epoch: int,
+        seq: int,
+        lists: Sequence[Any],
+    ) -> bytes:
+        """The one verdict-record packer behind :meth:`pack_record`
+        and :meth:`pack_verdict`."""
+        action_code = _ACTION_TO_CODE.get(action)
+        if action_code is None:
+            raise WireError(
+                f"verdict not binary-packable: action={action!r}",
+                recoverable=True,
+            )
         to_field = self._to_field
         try:
             head = self._verdict.pack(
                 REC_VERDICT, ip if to_field is None else to_field(ip),
-                verdict.day, flags, action_code, reuse_code, verdict.users,
-                verdict.asn, verdict.epoch, verdict.seq, len(lists),
+                day, flags, action_code, reuse_code, users, asn, epoch,
+                seq, len(lists),
             )
         except struct.error as exc:
             raise WireError(
@@ -588,7 +668,7 @@ class BinaryCodec:
         parts = [head]
         for list_id in lists:
             raw = str(list_id).encode("utf-8")
-            if len(raw) > 255:
+            if len(raw) > MAX_LIST_ID_BYTES:
                 raise WireError(
                     f"verdict not binary-packable: list id of {len(raw)} "
                     "bytes",

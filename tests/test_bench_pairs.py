@@ -1,0 +1,81 @@
+"""``scripts/bench_pairs.py``: the verdict it prints is the rule a
+performance claim has to meet, so the rule is pinned here on series
+small enough to check by hand."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0, 101.0]
+
+
+class TestJudge:
+    def test_nine_of_ten_and_beyond_the_parents_quartiles_is_a_gain(
+        self, bench_pairs
+    ):
+        change = [value + 10 for value in PARENT]
+        change[3] = PARENT[3] - 1  # one lost pair is allowed
+        won, relative, verdict = bench_pairs.judge(
+            PARENT, change, True, 0.25
+        )
+        assert (won, verdict) == (9, "gain")
+        assert relative == pytest.approx(0.10, abs=0.01)
+
+    def test_fewer_than_ten_pairs_is_not_yet_a_claim(self, bench_pairs):
+        change = [value + 10 for value in PARENT[:9]]
+        won, _, verdict = bench_pairs.judge(PARENT[:9], change, True, 0.25)
+        assert (won, verdict) == (9, "ahead")
+
+    def test_eight_of_ten_is_not(self, bench_pairs):
+        change = [value + 10 for value in PARENT]
+        change[3] = change[4] = 90.0
+        assert bench_pairs.judge(PARENT, change, True, 0.25)[2] == "level"
+
+    def test_inside_the_parents_own_spread_is_not(self, bench_pairs):
+        change = [value + 0.5 for value in PARENT]  # wins 10/10, by noise
+        won, _, verdict = bench_pairs.judge(PARENT, change, True, 0.25)
+        assert (won, verdict) == (10, "level")
+
+    def test_a_tie_counts_for_neither(self, bench_pairs):
+        assert bench_pairs.judge(PARENT, list(PARENT), True, 0.25)[0] == 0
+        assert bench_pairs.judge(PARENT, list(PARENT), False, 0.25)[0] == 0
+
+    def test_lower_is_better_flips_the_sign(self, bench_pairs):
+        change = [value - 10 for value in PARENT]
+        assert bench_pairs.judge(PARENT, change, False, 0.25)[2] == "gain"
+        assert bench_pairs.judge(PARENT, change, True, 0.05)[2] == (
+            "REGRESSION"
+        )
+
+    def test_bound_is_read_against_the_parents_median(self, bench_pairs):
+        worse = [value * 1.2 for value in PARENT]
+        assert bench_pairs.judge(PARENT, worse, False, 0.25)[2] == "level"
+        assert bench_pairs.judge(PARENT, worse, False, 0.15)[2] == (
+            "REGRESSION"
+        )
+
+    def test_spread_wider_than_the_bound_is_unresolved(self, bench_pairs):
+        noisy = [60.0, 140.0] * 5
+        assert bench_pairs.judge(noisy, noisy[::-1], True, 0.25)[2] == (
+            "unresolved"
+        )
+
+
+def test_reads_the_contract_and_refuses_an_unknown_workload(
+    bench_pairs, capsys
+):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "no-such", "--pairs", "1"])
+    assert "bulk-cold" in capsys.readouterr().err

@@ -24,6 +24,8 @@ from repro.service import columns as columns_module
 from repro.service import index as index_module
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
+from repro.service.snapshot import SnapshotError, write_snapshot
+from repro.service.wire import CODECS, MAX_LIST_ID_BYTES
 from repro.stream.delta import truncate_spans
 from repro.stream.epoch import index_as_of
 
@@ -611,3 +613,63 @@ class TestConstructorGuards:
         tables[table] = value
         with pytest.raises(ValueError, match="does not fit"):
             ReputationIndex(**tables)
+
+
+class TestListIdTheCodecCannotCarry:
+    """A verdict record names each list behind a one-byte length, so a
+    list id over ``MAX_LIST_ID_BYTES`` of UTF-8 is refused wherever a
+    listing can enter an index — never accepted and failed later, a
+    whole reply frame at a time."""
+
+    # 128 two-byte characters: within the limit counted in characters,
+    # over it in bytes.
+    TOO_LONG = "é" * (MAX_LIST_ID_BYTES // 2 + 1)
+    LONGEST = "é" * (MAX_LIST_ID_BYTES // 2) + "x"
+
+    def test_the_longest_id_is_served_on_both_codecs(self):
+        tables = _plain_model(V4).tables()
+        tables["intervals"] = {9: [(0, 1, self.LONGEST)]}
+        verdict = QueryEngine(ReputationIndex(**tables)).query(9, 0)
+        assert verdict.lists == (self.LONGEST,)
+        record = CODECS[V4].pack_verdict(verdict)
+        assert CODECS[V4].decode_record(record) == verdict.to_wire()
+
+    @pytest.mark.parametrize("table", ["intervals", "categories"])
+    def test_compile_refuses(self, table):
+        tables = _plain_model(V4).tables()
+        tables[table] = {
+            "intervals": {9: [(0, 1, self.TOO_LONG)]},
+            "categories": {self.TOO_LONG: "spam"},
+        }[table]
+        with pytest.raises(
+            ValueError, match="does not fit the index: list id of 256"
+        ):
+            ReputationIndex(**tables)
+
+    def test_delta_refuses_and_leaves_the_parent_whole(self):
+        model = _plain_model(V4)
+        index = model.compile()
+        with pytest.raises(ValueError, match="list id of 256 bytes"):
+            index.with_interval_updates({9: [(0, 1, self.TOO_LONG)]})
+        assert_equal_everywhere(index, model)
+
+    def test_fold_refuses(self):
+        columns = _plain_model(V4).compile()._columns
+        with pytest.raises(ValueError, match="does not fit the index"):
+            columns_module.fold(columns, {9: ((0, 1, self.TOO_LONG),)})
+
+    def test_snapshot_refuses(self, tmp_path):
+        index = _plain_model(V4).compile()
+        columns = index._columns
+        path = write_snapshot(
+            tmp_path / "long.idx",
+            V4,
+            columns._replace(
+                list_ids=columns.list_ids[:-1] + (self.TOO_LONG,)
+            ),
+            index.windows,
+            {},
+            index.stats(),
+        )
+        with pytest.raises(SnapshotError, match="list id of 256 bytes"):
+            ReputationIndex.load(path)

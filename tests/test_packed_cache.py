@@ -4,13 +4,16 @@ The engine behind the server keeps no per-key state, so every claim a
 cache has to honour is made here, over a live binary connection: a hit
 returns the bytes of the first answer, an epoch swap can never be
 answered from a superseded epoch's record (between batches, between
-two batches of one pipelined window, or in the middle of a batch), the
-cache stays bounded, and an evicted key is simply evaluated again.
+two batches of one pipelined window, or in the middle of a batch —
+where every record of the frame still reports the one epoch the frame
+was probed under), the cache stays bounded, and an evicted key is
+simply evaluated again.
 """
 
 import pytest
 
 from repro.net.family import V4
+from repro.service import engine as engine_module
 from repro.service import server as server_module
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
@@ -159,41 +162,90 @@ class TestPackedCacheAcrossEpochs:
         (after,) = CODEC.decode_batch_reply(second)
         self._check_swap(before, after, ip, delta.list_id)
 
+    def _swap_before_evaluation(self, monkeypatch, epochs, batch, nth):
+        """Apply ``batch`` on the loop thread just before the engine
+        evaluates its ``nth`` query (0-based): inside one call, after
+        the caller took its snapshot. Returns the addresses evaluated,
+        in order."""
+        evaluate = engine_module.evaluate
+        evaluated = []
+
+        def swap_then_evaluate(index, ip, day):
+            if len(evaluated) == nth:
+                epochs.apply(batch)
+            evaluated.append(ip)
+            return evaluate(index, ip, day)
+
+        monkeypatch.setattr(engine_module, "evaluate", swap_then_evaluate)
+        return evaluated
+
     def test_swap_in_the_middle_of_a_batch(
         self, index, listed, streamed, monkeypatch
     ):
-        """Records are stored under the verdict's own epoch: a batch
-        that straddles a swap caches nothing under the wrong one."""
+        """One frame, one snapshot: a swap landing between two of a
+        frame's misses moves neither record, nor its cache entry, to
+        the new epoch; the next frame answers both from it."""
         epochs, server = streamed
         ip, day, delta = _extension(index)
         other = next(a for a in listed if a != ip)
-        engine = server._engine
-        lookup = engine._lookup
-        calls = []
-
-        def lookup_then_swap(address, when):
-            verdict = lookup(address, when)
-            calls.append(address)
-            if len(calls) == 1:
-                epochs.apply(DeltaBatch(1, day, (delta,)))
-            return verdict
-
-        monkeypatch.setattr(engine, "_lookup", lookup_then_swap)
+        evaluated = self._swap_before_evaluation(
+            monkeypatch, epochs, DeltaBatch(1, day, (delta,)), nth=1
+        )
+        pairs = [(other, day), (ip, day)]
         with _binary_socket(server.address) as sock:
+            (straddling,) = _ask(sock, pairs)
+            assert set(server._packed) == {(0, other, day), (0, ip, day)}
+            (settled,) = _ask(sock, pairs)
+        first, second = CODEC.decode_batch_reply(straddling)
+        assert (first["epoch"], first["seq"]) == (0, 0)
+        # ``ip`` was evaluated after the swap, against the frame's own
+        # snapshot all the same.
+        assert evaluated == [other, ip, other, ip]
+        same, after = CODEC.decode_batch_reply(settled)
+        self._check_swap(second, after, ip, delta.list_id)
+        assert (same["epoch"], same["seq"]) == (1, 1)
+        assert set(server._packed) == {
+            (0, other, day), (0, ip, day), (1, other, day), (1, ip, day)
+        }
+
+    def test_swap_between_probe_and_evaluation(
+        self, index, listed, streamed, monkeypatch
+    ):
+        """A ``[miss, hit]`` frame whose swap lands after the cache
+        probe: the miss is evaluated against the epoch the hit was
+        probed under, so epoch and ``seq`` never step back in a reply."""
+        epochs, server = streamed
+        ip, day, delta = _extension(index)
+        other = next(a for a in listed if a != ip)
+        with _binary_socket(server.address) as sock:
+            _ask(sock, [(other, day)])  # prime the hit, at epoch 0
+            self._swap_before_evaluation(
+                monkeypatch, epochs, DeltaBatch(1, day, (delta,)), nth=0
+            )
             (straddling,) = _ask(sock, [(ip, day), (other, day)])
             (settled,) = _ask(sock, [(ip, day), (other, day)])
-        first, second = CODEC.decode_batch_reply(straddling)
-        assert (first["epoch"], second["epoch"]) == (0, 1)
-        assert not first["listed"]
-        # ``ip`` was cached under epoch 0 and is evaluated again;
-        # ``other`` was cached under epoch 1 and is a hit.
-        assert calls == [ip, other, ip]
-        after, same = CODEC.decode_batch_reply(settled)
-        self._check_swap(first, after, ip, delta.list_id)
-        assert same == second
-        assert set(server._packed) == {
-            (0, ip, day), (1, other, day), (1, ip, day)
-        }
+        miss, hit = CODEC.decode_batch_reply(straddling)
+        assert (miss["epoch"], miss["seq"]) == (hit["epoch"], hit["seq"])
+        after, _ = CODEC.decode_batch_reply(settled)
+        self._check_swap(miss, after, ip, delta.list_id)
+        assert (0, ip, day) in server._packed
+
+    def test_swap_in_the_middle_of_a_json_batch(
+        self, index, listed, streamed, monkeypatch
+    ):
+        """The JSON ``batch`` op is one snapshot too."""
+        epochs, server = streamed
+        ip, day, delta = _extension(index)
+        other = next(a for a in listed if a != ip)
+        self._swap_before_evaluation(
+            monkeypatch, epochs, DeltaBatch(1, day, (delta,)), nth=1
+        )
+        pairs = [(other, day), (ip, day)]
+        with ReputationClient(*server.address, codec="json") as client:
+            first, second = client.query_batch(pairs)
+            _, after = client.query_batch(pairs)
+        assert (first["epoch"], first["seq"]) == (0, 0)
+        self._check_swap(second, after, ip, delta.list_id)
 
 
 class TestPackedCacheBound:

@@ -455,6 +455,34 @@ class TestFollowerFailureIsDeclared:
         assert "IsADirectoryError" in reason
         assert not follower.stats()["running"]
 
+    def test_list_id_the_codec_cannot_carry_reaches_the_stats_op(
+        self, following, replay_batches
+    ):
+        """A delta naming a list id too long for a verdict record is
+        refused where it enters — a declared stale state — not folded
+        in to fail every binary frame that touches its address, the
+        innocent neighbours in the frame included."""
+        log_path, follower, client = following
+        good = replay_batches[0]
+        ip = good.deltas[0].ip
+        poison = ListingDelta(
+            good.day + 1, ip, "x" * 300, "add", good.day + 1, good.day + 9
+        )
+        bad = DeltaBatch(good.seq + 1, good.day + 1, (poison,))
+        with open(log_path, "ab") as handle:
+            handle.write(_member(_record_doc(bad)))
+        reason = self._declared_reason(client, good.seq, ip)
+        assert reason == (
+            "ValueError: bad listing intervals: list id of 300 bytes "
+            "exceeds the 255-byte limit"
+        )
+        assert client.codec == "binary"
+        pairs = [(ip - 1, good.day + 1), (ip, good.day + 1)]
+        neighbour, poisoned = client.query_batch(pairs)
+        assert neighbour["ip"] == int_to_ip(ip - 1)
+        assert poisoned == client.query(ip, good.day + 1)
+        assert poisoned["seq"] == good.seq
+
     def test_clean_stop_declares_nothing(self, following, capsys):
         _, follower, client = following
         follower.stop()
