@@ -88,26 +88,95 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run the full measurement study")
-    run_p.add_argument(
+    # Flags several subcommands take are said once, on a parent parser
+    # each of those subcommands inherits.
+    def shared() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    preset = shared()
+    preset.add_argument(
         "--preset",
         choices=("small", "default", "large"),
         default="small",
         help=(
-            "scenario scale (small: ~1 s; default: ~15 s; "
-            "large: ~1 min)"
+            "scenario scale of the run (small: ~1 s; default: ~15 s; "
+            "large: ~1 min), loaded via the run cache; a client's must "
+            "match what its server was built with"
         ),
     )
-    run_p.add_argument("--seed", type=int, default=2020)
-    run_p.add_argument(
+    seed = shared()
+    seed.add_argument(
+        "--seed", type=int, default=2020, help="scenario seed (default 2020)"
+    )
+    workers = shared()
+    workers.add_argument(
         "--workers",
         type=int,
         default=1,
         help=(
-            "shard independent work units (vantage points, census "
-            "blocks, probe groups) across this many processes; 0 uses "
-            "every core. Results are identical for any value."
+            "shard the pipeline run (on a run-cache miss) across this "
+            "many processes; 0 uses every core. Results are identical "
+            "for any value."
         ),
+    )
+    endpoint = shared()
+    endpoint.add_argument("--host", default="127.0.0.1")
+    endpoint.add_argument(
+        "--port",
+        type=int,
+        default=DEFAULT_SERVICE_PORT,
+        help=(
+            f"TCP port of the server or cluster router (default "
+            f"{DEFAULT_SERVICE_PORT}; 0 = ephemeral when serving; "
+            "shards always bind ephemeral ports)"
+        ),
+    )
+    codec = shared()
+    codec.add_argument(
+        "--codec",
+        choices=("auto", "json", "binary"),
+        default="auto",
+        help=(
+            "wire framing: auto negotiates binary and falls back to "
+            "JSON, json forces the legacy framing, binary fails the "
+            "handshake loudly if the server cannot speak it"
+        ),
+    )
+    index_source = shared()
+    index_source.add_argument(
+        "--snapshot",
+        metavar="PATH",
+        help=(
+            "index snapshot: loaded when the file exists, otherwise "
+            "written after the index is built"
+        ),
+    )
+    index_source.add_argument(
+        "--follow",
+        metavar="LOG",
+        help=(
+            "tail this update log (see 'repro stream'): start from the "
+            "log's start-day index state and hot-swap epochs as "
+            "batches arrive; in a cluster every shard tails it "
+            "independently, filtered to its range"
+        ),
+    )
+    index_source.add_argument(
+        "--conn-timeout",
+        type=float,
+        default=DEFAULT_CONNECTION_TIMEOUT,
+        metavar="SECONDS",
+        help=(
+            "per-connection idle timeout before the server (router and "
+            "every shard) hangs up "
+            f"(default {DEFAULT_CONNECTION_TIMEOUT:g}s)"
+        ),
+    )
+
+    run_p = sub.add_parser(
+        "run",
+        parents=[preset, seed, workers],
+        help="run the full measurement study",
     )
     run_p.add_argument(
         "--greylist",
@@ -123,19 +192,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    fig_p = sub.add_parser(
-        "figures", help="regenerate every table/figure artefact"
+    sub.add_parser(
+        "figures",
+        parents=[preset, seed],
+        help="regenerate every table/figure artefact",
     )
-    fig_p.add_argument(
-        "--preset",
-        choices=("small", "default", "large"),
-        default="small",
+    sub.add_parser(
+        "survey", parents=[seed], help="print Table 1 and Figure 9"
     )
-    fig_p.add_argument("--seed", type=int, default=2020)
-
-    survey_p = sub.add_parser("survey", help="print Table 1 and Figure 9")
-    survey_p.add_argument("--seed", type=int, default=2020)
-
     sub.add_parser("catalog", help="print Table 2")
 
     cache_p = sub.add_parser(
@@ -147,78 +211,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="stats: show entries/size/hit counters; clear: delete all",
     )
 
-    serve_p = sub.add_parser(
+    sub.add_parser(
         "serve",
+        parents=[preset, seed, workers, endpoint, index_source],
         help="serve reuse-aware blocklist verdicts over TCP",
-    )
-    serve_p.add_argument(
-        "--preset",
-        choices=("small", "default", "large"),
-        default="small",
-        help="run to compile the index from (loaded via the run cache)",
-    )
-    serve_p.add_argument("--seed", type=int, default=2020)
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_SERVICE_PORT,
-        help=f"TCP port (default {DEFAULT_SERVICE_PORT}; 0 = ephemeral)",
-    )
-    serve_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the pipeline run on an index-cache miss",
-    )
-    serve_p.add_argument(
-        "--snapshot",
-        metavar="PATH",
-        help=(
-            "index snapshot: loaded when the file exists, otherwise "
-            "written after the index is built"
-        ),
-    )
-    serve_p.add_argument(
-        "--follow",
-        metavar="LOG",
-        help=(
-            "tail this update log (see 'repro stream'): start from the "
-            "log's start-day index state and hot-swap epochs as "
-            "batches arrive"
-        ),
-    )
-    serve_p.add_argument(
-        "--conn-timeout",
-        type=float,
-        default=DEFAULT_CONNECTION_TIMEOUT,
-        metavar="SECONDS",
-        help=(
-            "per-connection idle timeout before the server hangs up "
-            f"(default {DEFAULT_CONNECTION_TIMEOUT:g}s)"
-        ),
     )
 
     cluster_p = sub.add_parser(
         "cluster",
+        parents=[preset, seed, workers, endpoint, index_source],
         help="serve verdicts from a sharded cluster behind a router",
-    )
-    cluster_p.add_argument(
-        "--preset",
-        choices=("small", "default", "large"),
-        default="small",
-        help="run to compile the index from (loaded via the run cache)",
-    )
-    cluster_p.add_argument("--seed", type=int, default=2020)
-    cluster_p.add_argument("--host", default="127.0.0.1")
-    cluster_p.add_argument(
-        "--port",
-        type=int,
-        default=DEFAULT_SERVICE_PORT,
-        help=(
-            f"router TCP port (default {DEFAULT_SERVICE_PORT}; "
-            "0 = ephemeral); shards always bind ephemeral ports"
-        ),
     )
     cluster_p.add_argument(
         "--shards",
@@ -233,38 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="R",
         help="extra failover backends per shard (default 0)",
-    )
-    cluster_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the pipeline run on an index-cache miss",
-    )
-    cluster_p.add_argument(
-        "--snapshot",
-        metavar="PATH",
-        help=(
-            "index snapshot: loaded when the file exists, otherwise "
-            "written after the index is built"
-        ),
-    )
-    cluster_p.add_argument(
-        "--follow",
-        metavar="LOG",
-        help=(
-            "every shard tails this update log independently "
-            "(filtered to its range; epochs roll shard-by-shard)"
-        ),
-    )
-    cluster_p.add_argument(
-        "--conn-timeout",
-        type=float,
-        default=DEFAULT_CONNECTION_TIMEOUT,
-        metavar="SECONDS",
-        help=(
-            "per-connection idle timeout on the router and every "
-            f"shard (default {DEFAULT_CONNECTION_TIMEOUT:g}s)"
-        ),
     )
     cluster_p.add_argument(
         "--auto-split",
@@ -319,6 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     load_p = sub.add_parser(
         "load",
+        parents=[preset, seed, workers, endpoint, codec],
         help=(
             "replay a deterministic traffic mix against a running "
             "server/cluster and report the SLO"
@@ -329,10 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=mix_names(),
         default="steady",
         help="named query mix (default steady)",
-    )
-    load_p.add_argument("--host", default="127.0.0.1")
-    load_p.add_argument(
-        "--port", type=int, default=DEFAULT_SERVICE_PORT
     )
     load_p.add_argument(
         "--queries",
@@ -347,22 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5_000.0,
         metavar="QPS",
         help="open-loop offered rate (default 5000)",
-    )
-    load_p.add_argument(
-        "--preset",
-        choices=("small", "default", "large"),
-        default="small",
-        help=(
-            "run the address population is drawn from (must match "
-            "what the server was built with)"
-        ),
-    )
-    load_p.add_argument("--seed", type=int, default=2020)
-    load_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the pipeline run on a cache miss",
     )
     load_p.add_argument(
         "--load-seed",
@@ -387,12 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=16,
         metavar="N",
         help="pipelined batches in flight per connection (default 16)",
-    )
-    load_p.add_argument(
-        "--codec",
-        choices=("auto", "json", "binary"),
-        default="auto",
-        help="wire framing towards the server (default auto)",
     )
     load_p.add_argument(
         "--churn-log",
@@ -420,15 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     stream_p = sub.add_parser(
         "stream",
+        parents=[preset, seed, workers],
         help="emit a run's listing churn as an update log",
     )
-    stream_p.add_argument(
-        "--preset",
-        choices=("small", "default", "large"),
-        default="small",
-        help="run whose churn to replay (loaded via the run cache)",
-    )
-    stream_p.add_argument("--seed", type=int, default=2020)
     stream_p.add_argument(
         "--out",
         metavar="PATH",
@@ -455,12 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "once)"
         ),
     )
-    stream_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers for the pipeline run on a cache miss",
-    )
 
     scen_p = sub.add_parser(
         "scenarios",
@@ -475,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     scen_run_p = scen_sub.add_parser(
         "run",
+        parents=[seed],
         help=(
             "build, score and verify scenarios; write JSON artefacts "
             "and churn logs"
@@ -489,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "scenario — see 'repro scenarios list')"
         ),
     )
-    scen_run_p.add_argument("--seed", type=int, default=2020)
     scen_run_p.add_argument(
         "--out",
         metavar="DIR",
@@ -563,7 +496,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     query_p = sub.add_parser(
-        "query", help="query a running reputation server"
+        "query",
+        parents=[endpoint, codec],
+        help="query a running reputation server",
     )
     query_p.add_argument(
         "ip", nargs="*", help="address(es) to look up (dotted quad)"
@@ -574,24 +509,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="day index to evaluate (default: last collection day)",
     )
-    query_p.add_argument("--host", default="127.0.0.1")
-    query_p.add_argument(
-        "--port", type=int, default=DEFAULT_SERVICE_PORT
-    )
     query_p.add_argument(
         "--json",
         action="store_true",
         help="print raw JSON verdicts instead of one-line summaries",
-    )
-    query_p.add_argument(
-        "--codec",
-        choices=("auto", "json", "binary"),
-        default="auto",
-        help=(
-            "wire framing: auto negotiates binary and falls back to "
-            "JSON, json forces the legacy framing, binary fails the "
-            "handshake loudly if the server cannot speak it"
-        ),
     )
     query_p.add_argument(
         "--stats",

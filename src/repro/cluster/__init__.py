@@ -2,9 +2,10 @@
 
 One process and one index copy cap the single-server stack of
 :mod:`repro.service`; real deployments consult blocklists per flow, so
-query capacity must scale horizontally. This package partitions the
-IPv4 space across worker shards and puts a protocol-identical router
-in front:
+query capacity must scale horizontally. This package partitions one
+address family's space across worker shards and puts a
+protocol-identical router in front (a cluster is one family on one
+port; serving both takes two):
 
 * :mod:`repro.cluster.partition` — :class:`PartitionMap`, the
   deterministic /24-aligned split of the address space (no dynamic-
@@ -15,11 +16,12 @@ in front:
   the shared update log (filtered to its range, epochs in lockstep),
   ended by ``stop`` (SIGTERM, drain) or ``kill`` (SIGKILL, a crash);
 * :mod:`repro.cluster.router` — :class:`Router`, the scatter-gather
-  front speaking the unchanged wire protocol: point routing, batched
-  fan-out with in-order merge, merged ``stats``/``hello`` with
-  min/max epoch, health pings down each backend's own link, replica
-  failover, and explicit ``SHARD_UNAVAILABLE`` degradation instead of
-  failed batches;
+  front speaking the unchanged wire protocol downstream and the
+  binary codec only upstream: point routing, batched fan-out with
+  in-order merge, merged ``stats``/``hello`` with min/max epoch,
+  health pings down each backend's own link (an unhealthy backend's
+  ``stats`` row states the cause), replica failover, and explicit
+  ``SHARD_UNAVAILABLE`` degradation instead of failed batches;
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, the one-machine
   bootstrapper behind ``repro cluster`` and the tests, including
   :meth:`LocalCluster.split_shard`, the online shard split;

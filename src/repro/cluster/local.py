@@ -48,10 +48,7 @@ class LocalCluster:
 
     The partition inherits ``full_index.family``, so handing a
     compiled IPv6 index here boots a v6 cluster with no other knobs.
-    A v4 cluster may also host a *static* v6 plane alongside
-    (``v6_index`` + ``v6_shards``): the router then answers both
-    families on one port. Kill/restart/split hooks act on the primary
-    plane only.
+    A cluster serves that one family; for both, run two.
 
     ``mode`` selects nothing: it is accepted (as ``"process"`` only)
     because the frozen ``benchmarks/serving/sut.py`` still passes it,
@@ -72,9 +69,6 @@ class LocalCluster:
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
         backend_timeout: float = DEFAULT_BACKEND_TIMEOUT,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        backend_codec: str = "binary",
-        v6_index: Optional[ReputationIndex] = None,
-        v6_shards: int = 2,
     ) -> None:
         if mode != "process":
             raise ValueError(
@@ -113,65 +107,27 @@ class LocalCluster:
                     for _ in range(1 + replicas)
                 ]
             )
-        # Optional static v6 plane next to a v4 primary: its shards
-        # never follow a log and never split — the dual-family front
-        # door is the point, not v6 elasticity.
-        self.partition6: Optional[PartitionMap] = None
-        self._backends6: List[List[ShardProcess]] = []
-        self._addresses6: List[List[Tuple[str, int]]] = []
-        if v6_index is not None:
-            if full_index.family is v6_index.family:
-                raise ValueError(
-                    "v6_index must carry the other address family; "
-                    f"both indexes are {full_index.family.name}"
-                )
-            self.partition6 = PartitionMap(
-                v6_shards, family=v6_index.family
-            )
-            for shard_id, shard_range in enumerate(
-                self.partition6.ranges
-            ):
-                restricted = v6_index.restrict(
-                    shard_range.lo, shard_range.hi
-                )
-                self._backends6.append(
-                    [
-                        self._make_backend(
-                            restricted,
-                            shard_id,
-                            shard_range,
-                            follow=None,
-                        )
-                    ]
-                )
         self._router_args = dict(
             host=host,
             port=router_port,
             connection_timeout=connection_timeout,
             backend_timeout=backend_timeout,
             heartbeat_interval=heartbeat_interval,
-            backend_codec=backend_codec,
         )
         self.router: Optional[Router] = None
-
-    #: Sentinel distinguishing "no follow" from "inherit the cluster's".
-    _INHERIT = object()
 
     def _make_backend(
         self,
         restricted: ReputationIndex,
         shard_id: int,
         shard_range: ShardRange,
-        follow: Any = _INHERIT,
         port: int = 0,
     ) -> ShardProcess:
-        if follow is LocalCluster._INHERIT:
-            follow = self._follow
         return ShardProcess(
             restricted,
             shard_id,
             shard_range,
-            follow=follow,
+            follow=self._follow,
             start_day=self._start_day,
             host=self._host,
             port=port,
@@ -181,12 +137,7 @@ class LocalCluster:
     # -- lifecycle -----------------------------------------------------
 
     def start_backends(self) -> List[List[Tuple[str, int]]]:
-        """Start every primary-plane backend; returns their bound
-        addresses (v6-plane backends start here too, kept aside)."""
-        self._addresses6 = [
-            [backend.start() for backend in slot]
-            for slot in self._backends6
-        ]
+        """Start every backend; returns their bound addresses."""
         return [
             [backend.start() for backend in slot]
             for slot in self._backends
@@ -199,11 +150,7 @@ class LocalCluster:
         registered on ``self.router`` so :meth:`close` tears it down."""
         with self._split_lock:
             self.router = Router(
-                self.partition,
-                addresses,
-                v6_partition=self.partition6,
-                v6_backends=self._addresses6 or None,
-                **self._router_args,
+                self.partition, addresses, **self._router_args
             )
             return self.router
 
@@ -220,7 +167,7 @@ class LocalCluster:
             router, self.router = self.router, None
         if router is not None:
             router.shutdown()
-        for slot in self._backends + self._backends6:
+        for slot in self._backends:
             for backend in slot:
                 try:
                     backend.stop()

@@ -14,7 +14,8 @@ requests out over the shard fleet:
   visible to the client;
 * a heartbeat timer pings every quiet backend down the same link
   its requests use, so health is what that link experienced: a dead,
-  half-open or handshake-stuck backend goes unhealthy and stays so
+  half-open, handshake-stuck or binary-refusing backend goes
+  unhealthy — its ``stats`` row states the cause — and stays so
   (retried each beat, so a restarted shard rejoins without operator
   action), and an idle link stays warm.
 
@@ -23,11 +24,11 @@ pipelined :class:`~repro.service.aio.WireServer`, and each shard
 :class:`Backend` *is* a :class:`~repro.service.aio.Link` — one
 persistent pipelined upstream connection on the same reactor, sharing
 the inbound side's socket, buffer and framing code — no threads, no
-per-request connects.
-When the fleet speaks the binary codec, a routed batch is pure
-plumbing: packed request records scatter out, packed reply records
-merge back by position, and no verdict dict is ever materialised in
-the router.
+per-request connects. Upstream links speak the binary codec only, so
+a routed batch is pure plumbing: packed request records scatter out,
+packed reply records merge back by position, and no verdict dict is
+materialised in the router (the one exception is a day outside the
+packed layout, which travels — and is answered — JSON-shaped).
 
 Failure degrades, never cascades: when every backend of a shard is
 down, a point query gets an explicit ``SHARD_UNAVAILABLE`` error
@@ -47,7 +48,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..net.family import V4, V6, AddressFamily, family_of_ip
 from ..service.aio import PEER_EOF, Conn, Link, Slot, WireServer
 from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
@@ -96,8 +96,9 @@ class _Sub:
     """One upstream request in flight (or queued for failover).
 
     ``finish(status, value)`` fires exactly once with one of:
-    ``("records", [raw record bytes])`` — binary batch reply;
-    ``("verdicts", [verdict dicts])`` — JSON batch reply;
+    ``("records", [raw record bytes])`` — packed batch reply;
+    ``("verdicts", [verdict dicts])`` — reply to a batch that had to
+    travel JSON-shaped (a day outside the packed layout);
     ``("result", payload)`` — any ``ok`` message reply;
     ``("reject", error string)`` — the backend answered ``ok: false``;
     ``("unavailable", cause)`` — every candidate backend failed.
@@ -129,18 +130,17 @@ class _Sub:
         self.deadline = 0.0
         self.finish = finish
 
-    def encode(self, codec: str) -> bytes:
-        """The request frame in a link's negotiated ``codec``."""
+    def encode(self) -> bytes:
+        """The request frame (upstream links speak binary only)."""
         if self.kind == "batch":
             assert self.pairs is not None
             assert self.codec is not None
-            if codec == "binary":
-                try:
-                    return self.codec.encode_batch_request(
-                        self.pairs, self.rid, max_size=MAX_FRAME_BYTES
-                    )
-                except WireError:
-                    pass  # day outside the packed layout: JSON shape
+            try:
+                return self.codec.encode_batch_request(
+                    self.pairs, self.rid, max_size=MAX_FRAME_BYTES
+                )
+            except WireError:
+                pass  # day outside the packed layout: JSON shape
             request: Dict[str, Any] = {
                 "op": "batch",
                 "queries": [
@@ -151,11 +151,7 @@ class _Sub:
         else:
             assert self.request is not None
             request = self.request
-        if codec == "binary":
-            return encode_msg_frame(
-                request, self.rid, max_size=MAX_FRAME_BYTES
-            )
-        return encode_frame(request, max_size=MAX_FRAME_BYTES)
+        return encode_msg_frame(request, self.rid, max_size=MAX_FRAME_BYTES)
 
     def succeed(self, status: str, value: Any) -> None:
         if self.failed:
@@ -169,19 +165,24 @@ class Backend(Link):
 
     The link advances through ``state``: ``"idle"`` (no socket) →
     ``"connecting"`` (non-blocking connect in flight) → ``"hello"``
-    (codec negotiation sent, awaiting the reply) → ``"ready"`` (subs
-    flow). Until ``"ready"`` the codec is unknown, so submitted subs
-    queue in ``waiting`` and are encoded when the handshake settles;
-    ``pending`` holds the subs on the wire, in reply order. Any close
-    drops back to ``"idle"`` and fails both queues over to the subs'
-    next candidates. Loop-thread owned, ``healthy`` included: it is
-    written only from what this link experienced."""
+    (binary codec requested, awaiting the reply) → ``"ready"`` (subs
+    flow, binary framing). The only other way out of ``"hello"`` is a
+    close: a backend that does not grant the binary codec is down,
+    and says so. Until ``"ready"`` submitted subs queue in
+    ``waiting``; ``pending`` holds the subs on the wire, in reply
+    order. Any close drops back to ``"idle"`` and fails both queues
+    over to the subs' next candidates. Loop-thread owned, ``healthy``
+    and ``cause`` included: they are written only from what this link
+    experienced."""
 
     def __init__(self, router: "Router", address: Tuple[str, int]) -> None:
         super().__init__()
         self._router = router
         self.address = (str(address[0]), int(address[1]))
         self.healthy = True  # optimistic until the link says otherwise
+        #: Why the link last went unhealthy (its ``close`` cause);
+        #: empty while ``healthy``.
+        self.cause = ""
         self.state = "idle"
         self.pending: Deque[_Sub] = deque()
         self.waiting: Deque[_Sub] = deque()
@@ -196,7 +197,7 @@ class Backend(Link):
             if self.sock is None:
                 return False
         # Swept on the loop, so the deadline also bounds a link that
-        # never becomes ready: subs wait until the codec settles.
+        # never becomes ready: subs wait until the handshake settles.
         sub.deadline = time.monotonic() + self._router._backend_timeout
         self.waiting.append(sub)
         if self.state == "ready":
@@ -204,13 +205,13 @@ class Backend(Link):
         return True
 
     def _pump(self) -> None:
-        """Encode every waiting sub in the settled codec and send."""
+        """Encode every waiting sub and send."""
         while self.waiting and self.sock is not None:
             sub = self.waiting.popleft()
             self.rid = (self.rid + 1) & 0xFFFFFFFF
             sub.rid = self.rid
             try:
-                self.outbuf += sub.encode(self.codec)
+                self.outbuf += sub.encode()
             except WireError:
                 # Nothing another backend could do better, but the
                 # sub must still end: let it run out of candidates.
@@ -230,35 +231,43 @@ class Backend(Link):
         if not self.pending:
             raise WireError("reply with nothing in flight")
         sub = self.pending[0]
-        if self.codec == "binary" and sub.rid != rid:
+        if sub.rid != rid:
             raise WireError(
                 f"reply for request {rid}, expected {sub.rid}"
             )
         return sub
+
+    def stats_row(self) -> Dict[str, Any]:
+        """This backend's entry in the router's ``stats`` payload; an
+        unhealthy one says why."""
+        row: Dict[str, Any] = {
+            "address": list(self.address),
+            "healthy": self.healthy,
+        }
+        if not self.healthy:
+            row["cause"] = self.cause
+        return row
 
     # -- Link hooks ----------------------------------------------------
 
     def on_connected(self) -> None:
         """Start the codec handshake (pipelined — the hello is just
         the first frame)."""
-        if self._router._backend_codec == "binary":
-            self.state = "hello"
-            self.outbuf += encode_frame(
-                {"op": "hello", "accept_codecs": ["binary"]},
-                max_size=MAX_FRAME_BYTES,
-            )
-        else:
-            self.state = "ready"
-            self._pump()
+        self.state = "hello"
+        self.outbuf += encode_frame(
+            {"op": "hello", "accept_codecs": ["binary"]},
+            max_size=MAX_FRAME_BYTES,
+        )
 
     def on_message(self, request_id: int, reply: Any) -> None:
         if self.state == "hello":
-            # First frame on a negotiating link is the hello reply,
-            # always in JSON framing (the server switches codecs only
-            # for frames after it).
+            # First frame on a link is the hello reply, always in
+            # JSON framing (the server switches codecs only for frames
+            # after it).
             result = reply.get("result") if isinstance(reply, dict) else None
-            if isinstance(result, dict) and result.get("codec") == "binary":
-                self.codec = "binary"
+            if not isinstance(result, dict) or result.get("codec") != "binary":
+                raise WireError("backend refused the binary codec")
+            self.codec = "binary"
             self.state = "ready"
             self._pump()
             return
@@ -266,7 +275,7 @@ class Backend(Link):
         if not isinstance(reply, dict):
             raise WireError(f"malformed reply: {reply!r}")
         self.pending.popleft()
-        self.healthy = True
+        self.healthy, self.cause = True, ""
         if not reply.get("ok"):
             sub.finish("reject", str(reply.get("error", "unknown error")))
         else:
@@ -286,7 +295,7 @@ class Backend(Link):
             raise WireError(f"unexpected frame type {ftype}")
         records = sub.codec.split_batch_reply(payload)
         self.pending.popleft()
-        self.healthy = True
+        self.healthy, self.cause = True, ""
         sub.succeed("records", records)
 
     def on_close(self, cause: str) -> None:
@@ -299,7 +308,7 @@ class Backend(Link):
         self.waiting.clear()
         self.state = "idle"
         if subs or cause != PEER_EOF:
-            self.healthy = False
+            self.healthy, self.cause = False, cause
         for sub in subs:
             sub.failed += 1
             self._router._submit(sub, cause)
@@ -313,8 +322,7 @@ class ShardSlot:
         router: "Router",
         shard_id: int,
         addresses: Sequence[Tuple[str, int]],
-        *,
-        shard_range: Optional[ShardRange] = None,
+        shard_range: ShardRange,
     ) -> None:
         if not addresses:
             raise ValueError(f"shard {shard_id} has no backends")
@@ -347,17 +355,15 @@ class Router:
     ``backends`` maps shard id (list position) to that shard's backend
     addresses, primary first. The partition map must be the one the
     shard indexes were restricted with — the router cannot check that,
-    only the fidelity tests can. ``backend_codec="binary"`` (default)
-    makes the router offer the binary codec on its upstream
-    connections; a shard that doesn't speak it just stays on JSON, so
-    mixed fleets work during a rollout.
+    only the fidelity tests can. Upstream links speak the binary codec
+    only: a backend whose ``hello`` does not grant it is unhealthy,
+    with that as the ``cause`` its ``stats`` row states.
 
-    The partition's family decides which addresses the router answers
-    for; a v4 router may additionally host a v6 plane
-    (``v6_partition`` + ``v6_backends``) so one front door serves both
-    families — queries route to a plane by their address family
-    (string literals by syntax, packed frames by frame type), and a
-    query for a family with no plane gets a clean error reply.
+    A router is one ``(partition, slots)`` plane, and the partition's
+    family is the one family it answers for: a query of the other
+    family gets a clean in-band error. Serving both families takes two
+    clusters on two ports — a client is single-family per connection
+    anyway.
     """
 
     def __init__(
@@ -370,48 +376,21 @@ class Router:
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
         backend_timeout: float = DEFAULT_BACKEND_TIMEOUT,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        backend_codec: str = "binary",
-        v6_partition: Optional[PartitionMap] = None,
-        v6_backends: Optional[
-            Sequence[Sequence[Tuple[str, int]]]
-        ] = None,
     ) -> None:
         if len(backends) != len(partition):
             raise ValueError(
                 f"{len(partition)} shards need {len(partition)} backend "
                 f"lists, got {len(backends)}"
             )
-        if backend_codec not in ("json", "binary"):
-            raise ValueError(f"unknown backend codec {backend_codec!r}")
         self._family = partition.family
+        #: The one batch codec, both downstream and upstream.
+        self._codec = CODECS[self._family]
         self.connection_timeout = connection_timeout
         self._backend_timeout = backend_timeout
-        self._backend_codec = backend_codec
-        #: Routing planes, primary first: family → (partition, slots).
-        #: Replaced per family in one assignment on the loop thread.
-        self._planes: Dict[
-            AddressFamily, Tuple[PartitionMap, List[ShardSlot]]
-        ] = {
-            self._family: (partition, self._make_slots(partition, backends))
-        }
-        # Optional second routing plane for IPv6 next to a v4 primary.
-        if v6_partition is not None:
-            if self._family is not V4 or v6_partition.family is not V6:
-                raise ValueError(
-                    "v6_partition needs a v4 primary partition and an "
-                    "ipv6 secondary one"
-                )
-            if v6_backends is None or len(v6_backends) != len(v6_partition):
-                raise ValueError(
-                    f"{len(v6_partition)} v6 shards need "
-                    f"{len(v6_partition)} backend lists, got "
-                    f"{0 if v6_backends is None else len(v6_backends)}"
-                )
-            self._planes[V6] = (
-                v6_partition, self._make_slots(v6_partition, v6_backends)
-            )
-        elif v6_backends:
-            raise ValueError("v6_backends given without v6_partition")
+        #: The routing plane: replaced together, in one callback on
+        #: the loop thread — the only thread that reads both.
+        self._partition = partition
+        self._slots = self._make_slots(partition, backends)
         #: Bumped on every apply_partition, so a load observer can
         #: tell "counters reset because the layout changed" from
         #: "counters wrapped"; written on the loop thread only.
@@ -437,8 +416,6 @@ class Router:
         )
         self._reactor = self._server.reactor
 
-    # -- routing planes ------------------------------------------------
-
     def _make_slots(
         self,
         partition: PartitionMap,
@@ -446,30 +423,10 @@ class Router:
     ) -> List[ShardSlot]:
         return [
             ShardSlot(
-                self,
-                shard_id,
-                list(addresses),
-                shard_range=partition.range_of(shard_id),
+                self, shard_id, list(addresses), partition.range_of(shard_id)
             )
             for shard_id, addresses in enumerate(backends)
         ]
-
-    def _all_slots(self) -> List[ShardSlot]:
-        """Every shard slot across all planes (primary first)."""
-        return [
-            shard_slot
-            for _partition, slots in self._planes.values()
-            for shard_slot in slots
-        ]
-
-    def _plane(
-        self, family: AddressFamily
-    ) -> Optional[Tuple[PartitionMap, List[ShardSlot]]]:
-        """The ``(partition, slots)`` plane answering ``family``."""
-        return self._planes.get(family)
-
-    def _served_families(self) -> str:
-        return "/".join(family.name for family in self._planes)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -516,7 +473,7 @@ class Router:
     def _backends(self) -> List[Backend]:
         return [
             backend
-            for shard_slot in self._all_slots()
+            for shard_slot in self._slots
             for backend in shard_slot.backends
         ]
 
@@ -541,7 +498,7 @@ class Router:
             if outstanding[0] == 0 and done is not None:
                 done()
 
-        for shard_slot in self._all_slots():
+        for shard_slot in self._slots:
             for backend in shard_slot.backends:
                 if backend.pending or backend.waiting:
                     continue
@@ -554,11 +511,10 @@ class Router:
         finish()
 
     def health(self) -> List[List[bool]]:
-        """Per-shard, per-backend health flags (tests/observability);
-        v6-plane shards follow the primary plane's rows."""
+        """Per-shard, per-backend health flags (tests/observability)."""
         return [
             [backend.healthy for backend in shard_slot.backends]
-            for shard_slot in self._all_slots()
+            for shard_slot in self._slots
         ]
 
     def wait_healthy(self, timeout: float = 10.0) -> bool:
@@ -586,20 +542,15 @@ class Router:
         layout swap, telling an observer to reset its delta baseline
         rather than misread the fresh counters as a traffic collapse.
         """
-        _partition, slots = self._planes[self._family]
         return {
             "partition_epoch": self._partition_epoch,
             "shards": [
                 {
                     "shard": slot.shard_id,
-                    "range": (
-                        slot.shard_range.to_wire()
-                        if slot.shard_range is not None
-                        else None
-                    ),
+                    "range": slot.shard_range.to_wire(),
                     "hits": slot.hits,
                 }
-                for slot in slots
+                for slot in self._slots
             ],
         }
 
@@ -634,8 +585,7 @@ class Router:
 
         def swap() -> None:
             old_by_address: Dict[Tuple[str, int], Backend] = {}
-            _old_partition, old_slots = self._planes[self._family]
-            for slot in old_slots:
+            for slot in self._slots:
                 for backend in slot.backends:
                     old_by_address[backend.address] = backend
             new_slots = self._make_slots(partition, backends)
@@ -651,7 +601,7 @@ class Router:
                 for backend in old_by_address.values()
                 if id(backend) not in reused
             )
-            self._planes[self._family] = (partition, new_slots)
+            self._partition, self._slots = partition, new_slots
             # swap() runs via run_sync as one callback on the loop
             # thread — the only writer of this counter.
             self._partition_epoch += 1
@@ -687,11 +637,10 @@ class Router:
         if kind == "batch":
             codec = slot.batch_codec
             assert codec is not None
-            plane = self._plane(codec.family)
-            if plane is None:
+            if codec is not self._codec:
                 slot.fail(
                     f"{codec.family.name} batch frame cannot be answered "
-                    f"by this {self._served_families()}-only cluster"
+                    f"by this {self._family.name}-only cluster"
                 )
                 return
             if len(data) > MAX_BATCH:
@@ -700,7 +649,7 @@ class Router:
                     f"{MAX_BATCH}-query limit"
                 )
                 return
-            self._route_batch(slot, data, codec, *plane)
+            self._route_batch(slot, data)
             return
         request = data
         if not isinstance(request, dict):
@@ -715,23 +664,15 @@ class Router:
         elif op == "query":
             self._route_query(slot, request)
         elif op == "batch":
-            family = self._json_family(request.get("queries"))
-            plane = self._plane(family)
-            if plane is None:
-                slot.fail(
-                    f"{family.name} queries cannot be answered by "
-                    f"this {self._served_families()}-only cluster"
-                )
-                return
             try:
-                pairs = parse_batch(request.get("queries"), family)
+                pairs = parse_batch(request.get("queries"), self._family)
             except RequestError as exc:
                 slot.fail(str(exc))
                 return
             # A JSON-shaped batch on a binary connection is still
-            # answered packed, in its family's reply frame type.
-            codec = slot.batch_codec = CODECS[family]
-            self._route_batch(slot, pairs, codec, *plane)
+            # answered packed where every shard answered packed.
+            slot.batch_codec = self._codec
+            self._route_batch(slot, pairs)
         elif op == "stats":
             self._route_stats(slot)
         elif op == "hello":
@@ -739,42 +680,15 @@ class Router:
         else:
             slot.fail(f"unknown op: {op!r}")
 
-    def _json_family(self, queries: Any) -> AddressFamily:
-        """The family a JSON request targets, judged by its first
-        string literal — integer addresses are ambiguous and stay on
-        the primary plane (mixed-family batches then fail parsing,
-        which is the answer a mixed batch deserves)."""
-        if isinstance(queries, list):
-            for item in queries:
-                ip = item.get("ip") if isinstance(item, dict) else None
-                if isinstance(ip, str):
-                    return family_of_ip(ip)
-                break
-        return self._family
-
     def _route_query(self, slot: Slot, request: Dict[str, Any]) -> None:
-        raw_ip = request.get("ip")
-        family = (
-            family_of_ip(raw_ip)
-            if isinstance(raw_ip, str)
-            else self._family
-        )
-        plane = self._plane(family)
-        if plane is None:
-            slot.fail(
-                f"{family.name} queries cannot be answered by this "
-                f"{self._served_families()}-only cluster"
-            )
-            return
-        partition, slots = plane
         try:
-            ip = parse_ip(raw_ip, family)
+            ip = parse_ip(request.get("ip"), self._family)
             day = parse_day(request.get("day"))
         except RequestError as exc:
             slot.fail(str(exc))
             return
         self._counters["point"] += 1
-        shard_slot = slots[partition.shard_of(ip)]
+        shard_slot = self._slots[self._partition.shard_of(ip)]
         shard_slot.hits += 1
         forward: Dict[str, Any] = {"op": "query", "ip": ip}
         if day is not None:
@@ -801,12 +715,10 @@ class Router:
         self,
         slot: Slot,
         pairs: List[Tuple[int, Optional[int]]],
-        codec: BinaryCodec,
-        partition: PartitionMap,
-        slots: List["ShardSlot"],
     ) -> None:
         self._counters["batch"] += 1
         self._counters["batch_queries"] += len(pairs)
+        partition, slots = self._partition, self._slots
         total = len(pairs)
         by_shard: Dict[int, List[int]] = {}
         for position, (ip, _day) in enumerate(pairs):
@@ -821,7 +733,7 @@ class Router:
             # Empty batch: zero shard fan-outs means shard_done would
             # never fire, so answer directly (an empty result is what
             # a single-process server returns).
-            self._finish_batch(slot, pairs, entries, codec, partition)
+            self._finish_batch(slot, pairs, entries, partition)
             return
         remaining = [len(by_shard)]
 
@@ -846,7 +758,7 @@ class Router:
                     entries[position] = shard_id
             remaining[0] -= 1
             if remaining[0] == 0:
-                self._finish_batch(slot, pairs, entries, codec, partition)
+                self._finish_batch(slot, pairs, entries, partition)
 
         for shard_id, positions in by_shard.items():
             slots[shard_id].hits += len(positions)
@@ -859,7 +771,7 @@ class Router:
                         shard_done(s, p, status, value)
                     ),
                     pairs=shard_pairs,
-                    codec=codec,
+                    codec=self._codec,
                 )
             )
 
@@ -868,11 +780,10 @@ class Router:
         slot: Slot,
         pairs: List[Tuple[int, Optional[int]]],
         entries: List[Any],
-        codec: BinaryCodec,
         partition: PartitionMap,
     ) -> None:
+        codec = self._codec
         if slot.codec == "binary":
-            pack_miss = codec.pack_verdict_wire
             degrade = codec.pack_degraded
             try:
                 records = []
@@ -884,11 +795,14 @@ class Router:
                             degrade(ip, day, entry, SHARD_UNAVAILABLE)
                         )
                     else:
-                        records.append(pack_miss(entry))
-                slot.complete_records(records)
-                return
+                        # A shard answered in JSON shape (a day outside
+                        # the packed layout): so does this reply.
+                        break
+                else:
+                    slot.complete_records(records)
+                    return
             except WireError:
-                pass  # a verdict escaped the packed layout: JSON reply
+                pass  # a degraded day outside the packed layout
         decode = codec.decode_record
         result: List[Dict[str, Any]] = []
         for (ip, day), entry in zip(pairs, entries):
@@ -922,10 +836,10 @@ class Router:
         op: str,
         done: Callable[[List[Optional[Dict[str, Any]]]], None],
     ) -> None:
-        """One ``op`` per shard on every plane (with failover);
-        ``done`` receives the per-shard results aligned to
-        :meth:`_all_slots` order, ``None`` where a shard is down."""
-        slots = self._all_slots()
+        """One ``op`` per shard (with failover); ``done`` receives the
+        per-shard results in slot order, ``None`` where a shard is
+        down."""
+        slots = self._slots
         replies: List[Optional[Dict[str, Any]]] = [None] * len(slots)
         remaining = [len(slots)]
 
@@ -955,7 +869,7 @@ class Router:
         """The ``cluster`` block from one ``{"epoch", "seq", ...}``
         dict per shard (``None`` = down): a shard's ``hello`` result,
         or the ``epoch`` block of its ``stats`` payload."""
-        slots = self._all_slots()
+        slots = self._slots
         epochs = [h["epoch"] for h in states if h is not None]
         seqs = [h["seq"] for h in states if h is not None]
         return {
@@ -1035,42 +949,24 @@ class Router:
         index_totals["lists"] = lists
         router_counters = dict(self._counters)
         router_counters["failovers"] = sum(
-            shard_slot.failovers for shard_slot in self._all_slots()
+            shard_slot.failovers for shard_slot in self._slots
         )
         router_counters["partition_epoch"] = self._partition_epoch
-        rows: List[Dict[str, Any]] = []
-        payload = {
+        return {
             "cluster": summary,
             "router": router_counters,
-            "partition": self._planes[self._family][0].to_wire(),
+            "partition": self._partition.to_wire(),
             "index": index_totals,
-            "shards": rows,
-        }
-        for family, (partition, slots) in self._planes.items():
-            secondary = family is not self._family
-            if secondary:
-                # Wire shape: a secondary plane is always the ipv6 one.
-                payload["partition6"] = partition.to_wire()
-            for shard_slot in slots:
-                position = len(rows)
-                row = {
+            "shards": [
+                {
                     "shard": shard_slot.shard_id,
                     # The slot's own range, not partition.range_of: a
                     # partition swap while the gather was in flight
                     # must not mislabel (or over-index) rows.
-                    "range": (
-                        shard_slot.shard_range.to_wire()
-                        if shard_slot.shard_range is not None
-                        else partition.range_of(
-                            shard_slot.shard_id
-                        ).to_wire()
-                    ),
+                    "range": shard_slot.shard_range.to_wire(),
                     "hits": shard_slot.hits,
                     "backends": [
-                        {
-                            "address": list(backend.address),
-                            "healthy": backend.healthy,
-                        }
+                        backend.stats_row()
                         for backend in shard_slot.backends
                     ],
                     "stats": (
@@ -1079,10 +975,9 @@ class Router:
                         else None
                     ),
                 }
-                if secondary:
-                    row["family"] = family.name
-                rows.append(row)
-        return payload
+                for position, shard_slot in enumerate(self._slots)
+            ],
+        }
 
     # -- upstream (loop thread) ----------------------------------------
 

@@ -13,6 +13,14 @@ the binary framing in its ``hello`` handshake and switches when the
 server accepts; against an older server the offer is ignored and the
 connection simply stays on JSON, so one client build works across a
 mixed fleet.
+
+A :class:`TransportError` is final for its connection: whatever ends
+an exchange with the stream position unknown (a timeout, a cut, a
+frame that does not encode or decode, a reply to some other request)
+closes the socket before the error leaves, so a late reply can never
+be read as the answer to a later request — every later call raises
+``TransportError("client is closed")``. A plain :class:`ServiceError`
+(the server's own in-band error) leaves the connection usable.
 """
 
 from __future__ import annotations
@@ -157,6 +165,31 @@ class ReputationClient:
             raise TransportError("client is closed")
         return self._sock
 
+    def _ended(self, exc: BaseException) -> BaseException:
+        """What an exchange (or a pipelined run of them) that ended in
+        ``exc`` raises; the caller holds the lock. Only the server's
+        own in-band error leaves the stream in step. Anything else
+        leaves replies unread or half-read, so the socket is closed
+        before the error leaves: no later call can read this one's
+        late reply."""
+        if isinstance(exc, ServiceError) and not isinstance(
+            exc, TransportError
+        ):
+            return exc
+        self._drop()
+        if isinstance(exc, (FrameError, OSError)):
+            return TransportError(f"transport failure: {exc}")
+        return exc
+
+    def _drop(self) -> None:
+        """Close the socket; the caller holds the lock."""
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:
+                pass
+            self._sock = None
+
     def _next_rid(self) -> int:
         self._rid = (self._rid + 1) & 0xFFFFFFFF
         return self._rid
@@ -198,9 +231,9 @@ class ReputationClient:
                 else:
                     send_frame(sock, request, max_size=self._max_frame)
                     reply = recv_frame(sock, max_size=self._max_frame)
-            except (FrameError, OSError) as exc:
-                raise TransportError(f"transport failure: {exc}") from None
-        return self._check_reply(reply)
+                return self._check_reply(reply)
+            except BaseException as exc:
+                raise self._ended(exc) from None
 
     def call(self, request: Dict[str, Any]) -> Any:
         """Send one already-shaped request object, return its result.
@@ -243,25 +276,11 @@ class ReputationClient:
             recv_frame(sock, max_size=self._max_frame)
         )
 
-    def _batch_binary(
-        self, pairs: List[Tuple[int, Optional[int]]]
-    ) -> Optional[List[Dict[str, Any]]]:
-        with self._lock:
-            sock = self._checked_sock()
-            rid = self._next_rid()
-            try:
-                frame = self._batch_codec.encode_batch_request(
-                    pairs, rid, max_size=self._max_frame
-                )
-            except FrameError:
-                return None  # a value escaped the packed layout
-            try:
-                sock.sendall(frame)
-                return self._read_batch_reply(sock, rid)
-            except (FrameError, OSError) as exc:
-                raise TransportError(f"transport failure: {exc}") from None
-
     def _encode_batch(self, queries: List[Query], rid: int) -> bytes:
+        """One batch request frame. On a binary connection a clean
+        batch is a packed frame; anything the packed layout cannot
+        carry takes the JSON request shape, so the server's validation
+        errors stay identical across codecs."""
         if self._codec == "binary":
             pairs = _int_pairs(queries, self._family)
             if pairs is not None:
@@ -270,22 +289,16 @@ class ReputationClient:
                         pairs, rid, max_size=self._max_frame
                     )
                 except FrameError:
-                    pass
-            payload = [
-                {"ip": self._wire_ip(ip), "day": day}
-                for ip, day in queries
-            ]
-            return encode_msg_frame(
-                {"op": "batch", "queries": payload},
-                rid,
-                max_size=self._max_frame,
-            )
-        payload = [
-            {"ip": self._wire_ip(ip), "day": day} for ip, day in queries
-        ]
-        return encode_frame(
-            {"op": "batch", "queries": payload}, max_size=self._max_frame
-        )
+                    pass  # a value escaped the packed layout
+        request = {
+            "op": "batch",
+            "queries": [
+                {"ip": self._wire_ip(ip), "day": day} for ip, day in queries
+            ],
+        }
+        if self._codec == "binary":
+            return encode_msg_frame(request, rid, max_size=self._max_frame)
+        return encode_frame(request, max_size=self._max_frame)
 
     # -- operations ----------------------------------------------------
 
@@ -299,24 +312,8 @@ class ReputationClient:
     def query_batch(
         self, queries: Iterable[Tuple[IpLike, Optional[int]]]
     ) -> List[Dict[str, Any]]:
-        """Batch query; verdicts come back in request order.
-
-        On a binary connection, clean batches travel as packed
-        ``FT_BATCH_REQ`` frames; anything the packed layout cannot
-        carry falls back to the JSON request shape so the server's
-        validation errors stay identical across codecs.
-        """
-        batch = list(queries)
-        if self._codec == "binary":
-            pairs = _int_pairs(batch, self._family)
-            if pairs is not None:
-                reply = self._batch_binary(pairs)
-                if reply is not None:
-                    return reply
-        payload = [
-            {"ip": self._wire_ip(ip), "day": day} for ip, day in batch
-        ]
-        return self._rpc({"op": "batch", "queries": payload})
+        """Batch query; verdicts come back in request order."""
+        return self.query_batch_pipelined([queries], window=1)[0]
 
     def query_batch_pipelined(
         self,
@@ -368,8 +365,8 @@ class ReputationClient:
                     except ServiceError as exc:
                         if first_error is None:
                             first_error = exc
-            except (FrameError, OSError) as exc:
-                raise TransportError(f"transport failure: {exc}") from None
+            except BaseException as exc:
+                raise self._ended(exc) from None
         if first_error is not None:
             raise first_error
         return results
@@ -391,12 +388,7 @@ class ReputationClient:
     def close(self) -> None:
         """Close the connection (idempotent)."""
         with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+            self._drop()
 
     def __enter__(self) -> "ReputationClient":
         return self

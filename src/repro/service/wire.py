@@ -47,9 +47,9 @@ record has one packer with two front ends:
 :meth:`BinaryCodec.pack_record` takes an engine row's fields (the
 server's batch path — no verdict object in between) and
 :meth:`BinaryCodec.pack_verdict` any object carrying a verdict's
-attributes (the router's JSON-upstream conversion, library callers);
-for a :class:`~repro.service.engine.Verdict` built from the same row
-the bytes are identical. The frame type
+attributes (library callers, test fakes); for a
+:class:`~repro.service.engine.Verdict` built from the same row the
+bytes are identical. The frame type
 is the family tag — a peer that never sends a family's request type
 never sees its reply type back, and the ipv4 bytes are what they were
 before families existed:
@@ -87,7 +87,6 @@ from __future__ import annotations
 import json
 import struct
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import (
     Any,
     Callable,
@@ -129,7 +128,6 @@ __all__ = [
     "encode_msg_frame",
     "pack_degraded",
     "pack_verdict",
-    "pack_verdict_wire",
     "recv_binary_frame",
     "recv_frame",
     "send_frame",
@@ -678,20 +676,6 @@ class BinaryCodec:
             parts.append(raw)
         return b"".join(parts)
 
-    def pack_verdict_wire(self, entry: Dict[str, Any]) -> bytes:
-        """Pack a verdict already in wire-dict form (text address) into
-        a batch-reply record — the Router's JSON-upstream →
-        binary-downstream conversion."""
-        try:
-            fields = dict(entry, ip=self.family.parse(entry["ip"]))
-            return self.pack_verdict(SimpleNamespace(**fields))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, WireError):
-                raise
-            raise WireError(
-                f"verdict not binary-packable: {exc}", recoverable=True
-            ) from None
-
     def pack_degraded(
         self, ip: int, day: Optional[int], shard: int, error: str
     ) -> bytes:
@@ -917,7 +901,6 @@ _V4_CODEC = CODECS[V4]
 encode_batch_request = _V4_CODEC.encode_batch_request
 decode_batch_request = _V4_CODEC.decode_batch_request
 pack_verdict = _V4_CODEC.pack_verdict
-pack_verdict_wire = _V4_CODEC.pack_verdict_wire
 pack_degraded = _V4_CODEC.pack_degraded
 encode_batch_reply_frame = _V4_CODEC.encode_batch_reply_frame
 split_batch_reply = _V4_CODEC.split_batch_reply

@@ -97,8 +97,13 @@ def attached(reactor, sock, codec="json"):
 
 def settle(reactor):
     """Bytes the test sent before this call have been read by the
-    loop when it returns: the wake-up lands behind them."""
-    reactor.run_sync(lambda: None)
+    loop when it returns: a timer fires only after the loop's next
+    ``select`` pass, which finds them readable. (A bare ``run_sync``
+    can be picked up by a loop still draining its call queue, with no
+    ``select`` in between.)"""
+    done = threading.Event()
+    reactor.run_sync(lambda: reactor.call_later(0.0, done.set))
+    assert done.wait(5.0)
 
 
 def close_on_loop(reactor, link, cause="test done"):

@@ -38,8 +38,11 @@ from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import (
     CODECS,
+    FT_MSG,
     REQUEST_CODECS,
     WireError,
+    decode_msg_payload,
+    encode_msg_frame,
     recv_binary_frame,
     recv_frame,
     send_frame,
@@ -277,6 +280,37 @@ class TestRouterStatic:
     def test_mismatched_backend_list_rejected(self, full_index):
         with pytest.raises(ValueError, match="backend"):
             Router(PartitionMap(3), [[("127.0.0.1", 1)]])
+
+    def test_unpackable_day_travels_json_shaped_across_shards(
+        self, full_index, listed_ips, cluster
+    ):
+        # A day outside i32 fits no packed record, so that shard's
+        # sub-batch travels — and is answered — JSON-shaped, next to
+        # shards answering packed: the one JSON-shaped path the router
+        # keeps. Whatever the mix, the reply is the single server's.
+        queries = [
+            ("1.2.3.4", 2**40), ("1.2.3.4", None),
+            ("200.2.3.4", 2**40), ("200.2.3.4", 7),
+            ("100.2.3.4", None),
+        ] + [(ip, None) for ip in listed_ips[:8]]
+        assert {
+            cluster.partition.shard_of(V4.parse(ip))
+            for ip, _ in queries[:5]
+        } == {0, 1, 2}
+        with ReputationServer(QueryEngine(full_index)) as direct:
+            direct.start()
+            with ReputationClient(*direct.address, codec="json") as c:
+                reference = c.query_batch(queries)
+        assert reference[0]["day"] == 2**40
+        for codec in ("json", "binary"):
+            with ReputationClient(
+                *cluster.address, codec=codec
+            ) as client:
+                assert client.codec == codec
+                assert client.query_batch(queries) == reference
+                assert client.query_batch_pipelined(
+                    [queries, queries[2:], queries[4:]], window=2
+                ) == [reference, reference[2:], reference[4:]]
 
     def test_empty_batch_returns_empty(self, cluster):
         # Regression: zero shard fan-outs must still produce a reply
@@ -763,11 +797,14 @@ class TestDegraded:
 
 
 class _MisbehavingBackend:
-    """A fake shard backend that answers pings — so heartbeat probes
-    keep it looking healthy — but mistreats every real request:
-    ``garbled`` replies with a non-dict JSON frame, ``silent`` reads
-    the request and never answers (which also swallows the router's
-    binary-codec hello), ``wrong-family`` accepts the binary codec and
+    """A fake shard backend that answers pings on a fresh connection
+    — so probes over throwaway connections would keep it looking
+    healthy — but mistreats the router's link: ``silent`` reads every
+    request and never answers (which swallows the router's
+    binary-codec hello), ``json-only`` answers that hello the way a
+    pre-negotiation server does, without granting the codec,
+    ``garbled`` grants it and then answers the first request with a
+    non-object ``FT_MSG`` payload, ``wrong-family`` grants it and
     answers every packed batch with a reply frame typed as the *other*
     address family."""
 
@@ -804,17 +841,33 @@ class _MisbehavingBackend:
                     )
                     if is_ping:
                         send_frame(conn, {"ok": True, "result": "pong"})
-                    elif self.mode == "garbled":
-                        send_frame(conn, ["not", "a", "reply", "object"])
-                    elif self.mode == "wrong-family":
+                    elif self.mode == "json-only":
+                        send_frame(
+                            conn,
+                            {"ok": True, "result": {"protocol": 1}},
+                        )
+                    elif self.mode in ("garbled", "wrong-family"):
                         send_frame(
                             conn,
                             {"ok": True, "result": {"codec": "binary"}},
                         )
-                        self._serve_wrong_family(conn)
+                        if self.mode == "garbled":
+                            self._serve_garbled(conn)
+                        else:
+                            self._serve_wrong_family(conn)
                         return
             except (WireError, OSError):
                 return
+
+    @staticmethod
+    def _serve_garbled(conn: socket.socket) -> None:
+        got = recv_binary_frame(conn)
+        if got is not None:
+            _ftype, rid, _payload = got
+            conn.sendall(
+                encode_msg_frame(["not", "a", "reply", "object"], rid)
+            )
+            conn.recv(1)  # hold the socket until the router hangs up
 
     @staticmethod
     def _serve_wrong_family(conn: socket.socket) -> None:
@@ -894,13 +947,12 @@ class TestBackendMisbehavior:
             server.start()
             yield server
 
-    def _router(self, fake, real_backend, codec):
+    def _router(self, fake, real_backend, heartbeat_interval=30.0):
         router = Router(
             PartitionMap(1),
             [[tuple(fake.address), real_backend.address]],
             backend_timeout=1.0,
-            heartbeat_interval=30.0,
-            backend_codec=codec,
+            heartbeat_interval=heartbeat_interval,
         )
         router.start()
         return router
@@ -912,7 +964,7 @@ class TestBackendMisbehavior:
         # popped from the pending queue must still fail that sub over
         # — losing it would stall the downstream slot forever.
         fake = _MisbehavingBackend("garbled")
-        router = self._router(fake, real_backend, "json")
+        router = self._router(fake, real_backend)
         try:
             single = QueryEngine(full_index)
             ip = listed_ips[0]
@@ -925,6 +977,64 @@ class TestBackendMisbehavior:
             router.shutdown()
             fake.close()
 
+    def test_backend_refusing_binary_is_declared_unhealthy(
+        self, full_index, listed_ips, real_backend
+    ):
+        # One upstream codec: a backend that answers the hello without
+        # granting binary is not spoken to in JSON instead. The link
+        # closes with that cause, the request that met it fails over
+        # at once (not after the backend timeout), no beat re-marks
+        # the backend healthy while it keeps refusing, and ``stats``
+        # says why.
+        beat = 0.2
+        refusal = "garbled frame: backend refused the binary codec"
+        fake = _MisbehavingBackend("json-only")
+        router = self._router(fake, real_backend, heartbeat_interval=beat)
+        alone = Router(
+            PartitionMap(1), [[tuple(fake.address)]], backend_timeout=1.0
+        )
+        alone.start()
+        try:
+            single = QueryEngine(full_index)
+            ip = listed_ips[0]
+            with ReputationClient(
+                *router.address, timeout=10.0
+            ) as client:
+                started = time.monotonic()
+                assert client.query(ip) == single.query(ip).to_wire()
+                assert time.monotonic() - started < 0.8  # timeout: 1.0
+                watched = time.monotonic() + 4 * beat
+                while time.monotonic() < watched:
+                    assert router.health() == [[False, True]]
+                    time.sleep(beat / 4)
+                stats = client.stats()
+            assert stats["router"]["failovers"] >= 1
+            refusing, replica = stats["shards"][0]["backends"]
+            assert refusing == {
+                "address": list(fake.address),
+                "healthy": False,
+                "cause": refusal,
+            }
+            assert list(replica) == ["address", "healthy"]
+
+            # With no replica to ask, the answer is the declared one.
+            with ReputationClient(*alone.address, timeout=10.0) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.query(ip)
+                assert SHARD_UNAVAILABLE in str(excinfo.value)
+                assert refusal in str(excinfo.value)
+                (degraded,) = client.query_batch([(ip, 3)])
+                assert degraded == {
+                    "ip": int_to_ip(ip),
+                    "day": 3,
+                    "error": SHARD_UNAVAILABLE,
+                    "shard": 0,
+                }
+        finally:
+            router.shutdown()
+            alone.shutdown()
+            fake.close()
+
     def test_handshake_blackhole_times_out_and_fails_over(
         self, full_index, listed_ips, real_backend
     ):
@@ -933,7 +1043,7 @@ class TestBackendMisbehavior:
         # deadline fires on the loop's sweep (the loop itself stays
         # live) and the query fails over to the replica.
         fake = _MisbehavingBackend("silent")
-        router = self._router(fake, real_backend, "binary")
+        router = self._router(fake, real_backend)
         try:
             single = QueryEngine(full_index)
             ip = listed_ips[0]
@@ -1135,6 +1245,40 @@ class TestUpstreamFamilyGuard:
         finally:
             router.shutdown()
             fake.close()
+
+
+@pytest.mark.parametrize("family", [V4, V6], ids=["ipv4", "ipv6"])
+class TestDownstreamFamilyGuard:
+    """A cluster is one family on one port: a packed batch frame of
+    the other family is refused in-band, and costs the peer nothing
+    else — the same connection then answers its own family."""
+
+    def test_wrong_family_frame_is_refused_in_band(
+        self, family
+    ):
+        index = _one_listing_index(family)
+        served, other = CODECS[family], CODECS[V6 if family is V4 else V4]
+        queries = [(family.max_int - 5, 10), (7, None)]
+        single = QueryEngine(index)
+        with LocalCluster(index, shards=2) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            with _binary_socket(cluster.address) as s:
+                s.sendall(other.encode_batch_request([(1, None), (2, 5)], 7))
+                ftype, rid, payload = recv_binary_frame(s)
+                assert (ftype, rid) == (FT_MSG, 7)
+                assert decode_msg_payload(payload) == {
+                    "ok": False,
+                    "error": (
+                        f"{other.family.name} batch frame cannot be "
+                        f"answered by this {family.name}-only cluster"
+                    ),
+                }
+                s.sendall(served.encode_batch_request(queries, 8))
+                ftype, rid, payload = recv_binary_frame(s)
+                assert (ftype, rid) == (served.ft_reply, 8)
+                assert served.decode_batch_reply(payload) == [
+                    single.query(ip, day).to_wire() for ip, day in queries
+                ]
 
 
 class TestFilterBatch:

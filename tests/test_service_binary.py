@@ -11,12 +11,17 @@ Three layers, mirroring the upgrade's compatibility promise:
   client sees byte-identical replies from an upgraded server, an
   offering client gets the binary codec, and verdicts are
   field-for-field equal across codecs;
-* fleet level — mixed router deployments (binary or JSON upstream ×
-  binary or JSON downstream) all return the same verdicts.
+* fleet level — a router (whose upstream links are always binary)
+  returns binary and JSON clients the same verdicts, degraded ones
+  included;
+* failure level — a client whose exchange ended in a transport error
+  is closed, so a late reply is never read as a later answer.
 """
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,11 @@ from hypothesis import strategies as st
 from repro.cluster.local import LocalCluster
 from repro.net.family import V4, V6
 from repro.net.ipv4 import int_to_ip
-from repro.service.client import ReputationClient, ServiceError
+from repro.service.client import (
+    ReputationClient,
+    ServiceError,
+    TransportError,
+)
 from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
@@ -134,9 +143,6 @@ class TestBinaryCodecRoundtrip:
             ):
                 record = codec.pack_verdict(verdict)
                 assert codec.decode_record(record) == verdict.to_wire()
-                # And the wire-dict repack (the router's JSON-upstream
-                # → binary-downstream path) hits the same bytes.
-                assert codec.pack_verdict_wire(verdict.to_wire()) == record
 
     def test_degraded_record_roundtrip(self):
         for family in FAMILIES:
@@ -749,17 +755,132 @@ class TestCodecEquality:
             assert jc.query_batch(queries) == bc.query_batch(queries)
 
 
+class _LateFirstAnswer:
+    """A one-connection server that speaks both framings and answers
+    every ``query`` with ``{"ip": <the ip asked>}`` — the first one
+    ``delay`` seconds late."""
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self._sock.getsockname()[:2]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        try:
+            conn, _ = self._sock.accept()
+        except OSError:
+            return
+        binary, late = False, self.delay
+        with conn:
+            try:
+                while True:
+                    rid = 0
+                    if binary:
+                        got = recv_binary_frame(conn)
+                        if got is None:
+                            return
+                        _ftype, rid, payload = got
+                        request = decode_msg_payload(payload)
+                    else:
+                        request = recv_frame(conn)
+                        if request is None:
+                            return
+                    if request["op"] == "hello":
+                        result = {"codec": "binary"}
+                    else:
+                        result = {"ip": request["ip"]}
+                        time.sleep(late)
+                        late = 0.0
+                    reply = {"ok": True, "result": result}
+                    conn.sendall(
+                        encode_msg_frame(reply, rid)
+                        if binary
+                        else encode_frame(reply)
+                    )
+                    binary = binary or request["op"] == "hello"
+            except (WireError, OSError):
+                return
+
+    def close(self) -> None:
+        self._sock.close()
+        self._thread.join(timeout=5.0)
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+class TestClosedAfterFailure:
+    """The worst failure this system has is a wrong verdict, and a
+    client that kept its socket after a failed exchange handed out
+    exactly that: the late or unread reply of one request as the
+    answer to the next. After any :class:`TransportError` the client
+    is closed and says so."""
+
+    @staticmethod
+    def _assert_closed(client):
+        for call in (
+            lambda: client.query("2.2.2.2"),
+            lambda: client.query_batch([("2.2.2.2", None)]),
+            lambda: client.query_batch_pipelined([[("2.2.2.2", 1)]]),
+            client.ping,
+        ):
+            with pytest.raises(TransportError, match="client is closed"):
+                call()
+        client.close()
+        client.close()  # still idempotent
+
+    def test_late_reply_never_answers_next_query(self, codec):
+        late = _LateFirstAnswer(delay=0.5)
+        try:
+            client = ReputationClient(
+                *late.address, timeout=0.2, codec=codec
+            )
+            assert client.codec == codec
+            with pytest.raises(TransportError, match="timed out"):
+                client.query("1.1.1.1")
+            time.sleep(0.5)  # the answer about 1.1.1.1 has now arrived
+            self._assert_closed(client)
+        finally:
+            late.close()
+
+    def test_failed_window_leaves_no_unread_reply(
+        self, server, index, codec
+    ):
+        ip = min(ip for ip, _ in index.interval_items())
+        # Too big for one frame in the JSON shape (a day outside i32
+        # keeps it off the packed layout on the binary codec too).
+        huge = [("1.2.3.4", 2**40)] * 60_000
+        client = ReputationClient(*server.address, codec=codec)
+        assert client.codec == codec
+        # Window 2: ``huge`` fails to encode after batch 0's reply was
+        # read and while batch 1's is still on its way.
+        with pytest.raises(TransportError, match="exceeds"):
+            client.query_batch_pipelined(
+                [[(ip, None)], [(ip, 3), (ip, 4)], huge], window=2
+            )
+        self._assert_closed(client)
+
+    def test_in_band_error_keeps_the_connection(self, server, codec):
+        with ReputationClient(*server.address, codec=codec) as client:
+            with pytest.raises(ServiceError, match="10000-query limit"):
+                client.query_batch([("1.2.3.4", 1)] * 10_001)
+            with pytest.raises(ServiceError, match="unknown op"):
+                client.call({"op": "nope"})
+            assert client.ping() is True
+            assert client.query("1.2.3.4")["ip"] == "1.2.3.4"
+
+
 class TestMixedFleets:
     @pytest.fixture(scope="class")
     def fleet_index(self, small_full_run):
         return ReputationIndex.from_run(small_full_run)
 
-    @pytest.mark.parametrize("backend_codec", ["json", "binary"])
-    def test_router_matrix_serves_identical_verdicts(
-        self, fleet_index, backend_codec
+    def test_router_serves_both_client_codecs_identically(
+        self, fleet_index
     ):
-        """binary/JSON downstream × binary/JSON upstream: all four
-        paths yield the same verdicts as a direct single server."""
+        """Binary and JSON downstream over the (always binary)
+        upstream: both yield the same verdicts as a direct single
+        server."""
         ips = sorted(
             ip for ip, _ in fleet_index.interval_items()
         )[:40] or [0x01020304]
@@ -774,7 +895,6 @@ class TestMixedFleets:
             fleet_index,
             shards=3,
             heartbeat_interval=0.2,
-            backend_codec=backend_codec,
         ) as cluster:
             assert cluster.router.wait_healthy(timeout=10.0)
             for codec in ("json", "binary"):
@@ -787,27 +907,26 @@ class TestMixedFleets:
                         client.query(ips[0]) == reference[0]
                     )
 
-    def test_json_fleet_degrades_identically(self, fleet_index):
-        """Shard-down degradation has the same wire shape whatever the
-        upstream codec speaks."""
+    def test_dead_shard_degrades_identically_on_both_codecs(
+        self, fleet_index
+    ):
+        """Shard-down degradation has the same wire shape whichever
+        codec the client speaks."""
         ips = sorted(
             ip for ip, _ in fleet_index.interval_items()
         )[:20] or [0x01020304]
         queries = [(ip, None) for ip in ips]
         shapes = {}
-        for backend_codec in ("json", "binary"):
-            with LocalCluster(
-                fleet_index,
-                shards=3,
-                heartbeat_interval=0.2,
-                backend_codec=backend_codec,
-            ) as cluster:
-                assert cluster.router.wait_healthy(timeout=10.0)
-                cluster.kill_primary(1)
+        with LocalCluster(
+            fleet_index, shards=3, heartbeat_interval=0.2
+        ) as cluster:
+            assert cluster.router.wait_healthy(timeout=10.0)
+            cluster.kill_primary(1)
+            for codec in ("json", "binary"):
                 with ReputationClient(
-                    *cluster.address, codec="binary"
+                    *cluster.address, codec=codec
                 ) as client:
-                    shapes[backend_codec] = client.query_batch(queries)
+                    shapes[codec] = client.query_batch(queries)
         assert shapes["json"] == shapes["binary"]
         degraded = [
             v for v in shapes["binary"] if v.get("error")
