@@ -34,6 +34,12 @@ pairs the change won (a tie counts for neither), and a verdict:
 Exit status: 0 when every run was valid, correct and failed no
 operation; 1 otherwise (the table is still printed over the runs that
 did finish).
+
+``--record FILE`` also writes what was printed — per metric the two
+sides' quartiles, the delta, pairs won and verdict; the seeds, the
+parent commit, operations failed and each side's median host slowdown
+— into FILE under the workload's name, so a PR commits one
+``BENCH_<pr>.json`` and its prose points at it.
 """
 
 from __future__ import annotations
@@ -110,7 +116,17 @@ def run_once(
         result = json.loads(lines[-1])
     except ValueError:
         return None
-    return result if isinstance(result, dict) else None
+    if not isinstance(result, dict):
+        return None
+    # The result object carries the contract's metrics only; how slow
+    # the host ran is a row of the table printed above it.
+    result["seed"] = seed
+    result["host_slowdown"] = next(
+        (float(line.split()[1]) for line in lines
+         if line.startswith("host.slowdown ")),
+        None,
+    )
+    return result
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -147,18 +163,13 @@ def judge(
     return won, relative, verdict
 
 
-def report(
+def summarise(
     contract: Dict[str, Any], runs: Dict[str, List[Dict[str, Any]]]
-) -> None:
-    pairs = len(runs["parent"])  # only whole pairs were kept
-    print(
-        f"{'metric':16s} {'better':6s} {'bound':>5s}  "
-        f"{'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}  "
-        f"{'delta':>7s}  {'won':>5s}  verdict"
-    )
-    if not pairs:
-        print("(no complete pair)")
-        return
+) -> List[Dict[str, Any]]:
+    """One row per end-to-end metric over the whole pairs: each side's
+    ``[q1, median, q3]``, the relative change of the median, the pairs
+    the change won, the verdict, and the runs' values in pair order."""
+    rows = []
     for row in contract["end_to_end"]:
         name = row["name"]
         series = {
@@ -169,21 +180,72 @@ def report(
             series["parent"], series["change"],
             row["better"] == "higher", float(row["bound"]),
         )
-        cells = []
-        for side in SIDES:
-            q1, median, q3 = quartiles(series[side])
-            cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
+        rows.append({
+            "metric": name, "better": row["better"], "bound": row["bound"],
+            **{side: list(quartiles(series[side])) for side in SIDES},
+            "delta": relative, "won": won, "verdict": verdict,
+            "runs": series,
+        })
+    return rows
+
+
+def side_notes(
+    runs: Dict[str, List[Dict[str, Any]]]
+) -> Dict[str, Dict[str, Any]]:
+    """Per side, beside the metrics: operations failed and attempted,
+    and the median of the runs' ``host.slowdown`` — how slow the host
+    ran while that side was measured, which the metrics are corrected
+    for (``None`` when a run did not print it)."""
+    notes = {}
+    for side in SIDES:
+        slowdowns = [run["host_slowdown"] for run in runs[side]]
+        notes[side] = {
+            "failed": sum(run["failed"] for run in runs[side]),
+            "attempted": sum(run["attempted"] for run in runs[side]),
+            "host_slowdown": (
+                None if None in slowdowns else statistics.median(slowdowns)
+            ),
+        }
+    return notes
+
+
+def report(
+    rows: List[Dict[str, Any]],
+    notes: Dict[str, Dict[str, float]],
+    pairs: int,
+) -> None:
+    print(
+        f"{'metric':16s} {'better':6s} {'bound':>5s}  "
+        f"{'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}  "
+        f"{'delta':>7s}  {'won':>5s}  verdict"
+    )
+    for row in rows:
+        cells = [
+            f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
+            for q1, median, q3 in (row[side] for side in SIDES)
+        ]
         print(
-            f"{name:16s} {row['better']:6s} {row['bound']:>5.0%}  "
-            f"{cells[0]:>34s}  {cells[1]:>34s}  {relative:>+7.1%}  "
-            f"{won:>2d}/{pairs:<2d}  {verdict}"
+            f"{row['metric']:16s} {row['better']:6s} {row['bound']:>5.0%}  "
+            f"{cells[0]:>34s}  {cells[1]:>34s}  {row['delta']:>+7.1%}  "
+            f"{row['won']:>2d}/{pairs:<2d}  {row['verdict']}"
         )
     if pairs < MIN_PAIRS:
         print(f"{pairs} pairs: a claim needs at least {MIN_PAIRS}")
-    for side in SIDES:
-        failed = sum(run["failed"] for run in runs[side])
-        attempted = sum(run["attempted"] for run in runs[side])
-        print(f"failed, {side}: {failed} of {attempted} operations")
+    for side, note in notes.items():
+        slowdown = note["host_slowdown"]
+        print(
+            f"{side}: failed {note['failed']} of {note['attempted']} "
+            "operations; host slowdown (median) "
+            + ("not printed" if slowdown is None else f"{slowdown:.2f}x")
+        )
+
+
+def record(path: Path, workload: str, entry: Dict[str, Any]) -> None:
+    """Put ``entry`` under ``workload`` in the JSON record at ``path``,
+    keeping what other workloads' rounds wrote there."""
+    book = json.loads(path.read_text()) if path.exists() else {}
+    book.setdefault("workloads", {})[workload] = entry
+    path.write_text(json.dumps(book, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -198,6 +260,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--parent", default="HEAD~1", metavar="REV")
     parser.add_argument("--first-seed", type=int, default=0, metavar="S")
+    parser.add_argument(
+        "--record", type=Path, metavar="FILE",
+        help="also write the table (medians, quartiles, pairs won, "
+        "seeds, host slowdown) under this workload's name in FILE, "
+        "a JSON record other workloads' rounds add to",
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -244,7 +312,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             if len(pair) == len(SIDES):  # only whole pairs are compared
                 for side in SIDES:
                     runs[side].append(pair[side])
-    report(contract, runs)
+    pairs = len(runs["parent"])
+    if not pairs:
+        print("(no complete pair)")
+        return 1
+    rows, notes = summarise(contract, runs), side_notes(runs)
+    report(rows, notes, pairs)
+    if args.record:
+        record(args.record, args.workload, {
+            "parent_commit": commit,
+            "seeds": [run["seed"] for run in runs["parent"]],
+            "run_seconds": seconds,
+            "pairs": pairs,
+            "clean": clean,
+            "metrics": rows,
+            "sides": notes,
+        })
+        print(f"record -> {args.record}")
     return 0 if clean else 1
 
 

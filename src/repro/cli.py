@@ -1289,7 +1289,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
     for verdict in verdicts:
         if args.json:
-            print(json.dumps(verdict, sort_keys=True))
+            # ``dict``: a binary batch answers in record views.
+            print(json.dumps(dict(verdict), sort_keys=True))
         elif "error" in verdict:
             # A cluster router degrades per-IP when a shard is down
             # instead of failing the whole batch.

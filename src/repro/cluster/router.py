@@ -808,7 +808,7 @@ class Router:
         for (ip, day), entry in zip(pairs, entries):
             if isinstance(entry, bytes):
                 try:
-                    entry = decode(entry)
+                    entry = decode(entry).to_wire()
                 except WireError:
                     entry = None
             if isinstance(entry, dict):

@@ -38,6 +38,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -178,15 +179,17 @@ class LoadHarness:
         self,
         ledger: _WorkerLedger,
         pairs: Sequence[Tuple[int, Optional[int]]],
-        verdicts: Sequence[Dict[str, Any]],
+        verdicts: Sequence[Mapping[str, Any]],
     ) -> None:
         for (ip, day), verdict in zip(pairs, verdicts):
-            if isinstance(verdict, dict) and _ERROR_KEY in verdict:
+            if _ERROR_KEY in verdict:
                 ledger.degraded += 1
             else:
                 ledger.ok += 1
                 if self._capture:
-                    ledger.captured.append((ip, day, verdict))
+                    # A detached copy: a binary reply's record view
+                    # would pin its whole payload for the run.
+                    ledger.captured.append((ip, day, dict(verdict)))
 
     def _flush_batches(
         self,

@@ -30,8 +30,6 @@ __all__ = [
 #: Largest valid IPv4 address as an integer (255.255.255.255).
 MAX_IPV4 = (1 << 32) - 1
 
-_OCTET_SHIFTS = (24, 16, 8, 0)
-
 
 def ip_to_int(text: str) -> int:
     """Parse dotted-quad ``text`` into an integer.
@@ -58,7 +56,10 @@ def int_to_ip(value: int) -> str:
     """Format integer ``value`` as a dotted quad."""
     if not 0 <= value <= MAX_IPV4:
         raise ValueError(f"not an IPv4 integer: {value!r}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in _OCTET_SHIFTS)
+    return (
+        f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}"
+        f".{value & 0xFF}"
+    )
 
 
 def is_valid_ip_int(value: int) -> bool:

@@ -28,7 +28,17 @@ from __future__ import annotations
 import socket
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..net.family import V4, AddressFamily
 from .wire import (
@@ -69,7 +79,8 @@ def _int_pairs(
 ) -> Optional[List[Tuple[int, Optional[int]]]]:
     """Convert queries to the packed-batch layout, or ``None`` when any
     value needs the JSON path (unparseable ip, out-of-range day) so the
-    server — not the codec — produces the error."""
+    server — not the codec — produces the error. The pairs hold exact
+    ``int``s (and ``None`` days), which is all the packer takes."""
     pairs: List[Tuple[int, Optional[int]]] = []
     for ip, day in queries:
         if isinstance(ip, int):
@@ -89,7 +100,7 @@ def _int_pairs(
             or not -(1 << 31) <= day < (1 << 31)
         ):
             return None
-        pairs.append((ip_int, day))
+        pairs.append((ip_int, None if day is None else int(day)))
     return pairs
 
 
@@ -254,8 +265,12 @@ class ReputationClient:
     # -- batch plumbing ------------------------------------------------
 
     def _read_batch_reply(
-        self, sock: socket.socket, rid: int
-    ) -> List[Dict[str, Any]]:
+        self, sock: socket.socket, rid: int, size: int
+    ) -> List[Mapping[str, Any]]:
+        """The verdicts answering request ``rid``, a batch of ``size``.
+        A reply of any other length cannot be paired with its queries —
+        the caller's ``zip`` would drop or shift verdicts — so it is a
+        transport failure, like a reply to another request."""
         if self._codec == "binary":
             got = recv_binary_frame(sock, max_size=self._max_frame)
             if got is None:
@@ -266,15 +281,37 @@ class ReputationClient:
                     f"reply for request {got_rid}, expected {rid}"
                 )
             if ftype == self._batch_codec.ft_reply:
-                return self._batch_codec.decode_batch_reply(payload)
-            if ftype == FT_MSG:
-                return self._check_reply(
+                verdicts = self._batch_codec.decode_batch_reply(payload)
+            elif ftype == FT_MSG:
+                verdicts = self._check_reply(
                     decode_msg_payload(payload, max_size=self._max_frame)
                 )
-            raise TransportError(f"unexpected reply frame type {ftype}")
-        return self._check_reply(
-            recv_frame(sock, max_size=self._max_frame)
-        )
+            else:
+                raise TransportError(f"unexpected reply frame type {ftype}")
+        else:
+            verdicts = self._check_reply(
+                recv_frame(sock, max_size=self._max_frame)
+            )
+        if not isinstance(verdicts, list):
+            raise TransportError(f"malformed batch reply: {verdicts!r}")
+        if len(verdicts) != size:
+            raise TransportError(
+                f"reply of {len(verdicts)} verdicts to a batch of "
+                f"{size} queries"
+            )
+        return verdicts
+
+    def _packed_batch(
+        self, pairs: List[Any], rid: int
+    ) -> Optional[bytes]:
+        """``pairs`` as one packed request frame, or ``None`` when a
+        value does not fit the packed layout."""
+        try:
+            return self._batch_codec.encode_batch_request(
+                pairs, rid, max_size=self._max_frame
+            )
+        except FrameError:
+            return None
 
     def _encode_batch(self, queries: List[Query], rid: int) -> bytes:
         """One batch request frame. On a binary connection a clean
@@ -282,14 +319,17 @@ class ReputationClient:
         carry takes the JSON request shape, so the server's validation
         errors stay identical across codecs."""
         if self._codec == "binary":
-            pairs = _int_pairs(queries, self._family)
-            if pairs is not None:
-                try:
-                    return self._batch_codec.encode_batch_request(
-                        pairs, rid, max_size=self._max_frame
-                    )
-                except FrameError:
-                    pass  # a value escaped the packed layout
+            # The common case — exact ints in range — is checked by the
+            # packer in its one pass; only a batch it refuses is looked
+            # at value by value (text addresses parse, the rest is the
+            # JSON path's).
+            frame = self._packed_batch(queries, rid)
+            if frame is None:
+                pairs = _int_pairs(queries, self._family)
+                if pairs is not None:
+                    frame = self._packed_batch(pairs, rid)
+            if frame is not None:
+                return frame
         request = {
             "op": "batch",
             "queries": [
@@ -311,8 +351,14 @@ class ReputationClient:
 
     def query_batch(
         self, queries: Iterable[Tuple[IpLike, Optional[int]]]
-    ) -> List[Dict[str, Any]]:
-        """Batch query; verdicts come back in request order."""
+    ) -> List[Mapping[str, Any]]:
+        """Batch query; verdicts come back in request order, one per
+        query, as read-only mappings: plain dicts on the JSON codec,
+        :class:`~repro.service.wire.RecordView` on the binary one —
+        equal field for field, but a view reads its reply's bytes in
+        place and pins them while it lives. Keep ``dict(verdict)``
+        (or ``verdict.to_wire()``), not the view, beyond the call, and
+        hand ``json`` the same."""
         return self.query_batch_pipelined([queries], window=1)[0]
 
     def query_batch_pipelined(
@@ -320,7 +366,7 @@ class ReputationClient:
         batches: Iterable[Iterable[Tuple[IpLike, Optional[int]]]],
         *,
         window: int = 16,
-    ) -> List[List[Dict[str, Any]]]:
+    ) -> List[List[Mapping[str, Any]]]:
         """Send many batches with up to ``window`` in flight.
 
         Writes are coalesced — a window's worth of request frames goes
@@ -329,17 +375,21 @@ class ReputationClient:
         the round-trip latency is paid once per window instead of once
         per batch. Works on both codecs.
 
-        Returns one verdict list per batch, in request order. If the
-        server rejects a batch, the remaining in-flight replies are
-        drained first (keeping the connection usable) and the first
-        error is raised.
+        Returns one verdict list per batch, in request order, each as
+        long as its batch (see :meth:`query_batch` for what a verdict
+        is); a reply of another length is a :class:`TransportError`.
+        If the server rejects a batch, the remaining in-flight replies
+        are drained first (keeping the connection usable) and the
+        first error is raised.
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         batch_list = [list(b) for b in batches]
         with self._lock:
             sock = self._checked_sock()
-            results: List[List[Dict[str, Any]]] = [[] for _ in batch_list]
+            results: List[List[Mapping[str, Any]]] = [
+                [] for _ in batch_list
+            ]
             pending: Deque[Tuple[int, int]] = deque()
             first_error: Optional[ServiceError] = None
             next_send = 0
@@ -359,7 +409,9 @@ class ReputationClient:
                         sock.sendall(out)
                     index, rid = pending.popleft()
                     try:
-                        results[index] = self._read_batch_reply(sock, rid)
+                        results[index] = self._read_batch_reply(
+                            sock, rid, len(batch_list[index])
+                        )
                     except TransportError:
                         raise
                     except ServiceError as exc:

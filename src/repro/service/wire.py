@@ -42,15 +42,19 @@ degraded ``kind u8, addr, has_day u8, day i32, shard u32``, then one
          u8-length-prefixed UTF-8 error text
 ======== ==================================================
 
-and one :class:`BinaryCodec` per family implements it. A verdict
-record has one packer with two front ends:
+and one :class:`BinaryCodec` per family implements it. The reading
+side does not build them either: :meth:`BinaryCodec.decode_batch_reply`
+validates a reply once — bounds, record kinds, action and reuse codes,
+UTF-8 — and slices it into :class:`RecordView` mappings that read the
+payload in place, so a consumer that only asks ``"error" in verdict``
+or for one field pays for that much (``RecordView.to_wire()`` is the
+plain dict). A verdict record has one packer with two front ends:
 :meth:`BinaryCodec.pack_record` takes an engine row's fields (the
 server's batch path — no verdict object in between) and
 :meth:`BinaryCodec.pack_verdict` any object carrying a verdict's
 attributes (library callers, test fakes); for a
 :class:`~repro.service.engine.Verdict` built from the same row the
-bytes are identical. The frame type
-is the family tag — a peer that never sends a family's request type
+bytes are identical. The frame type is the family tag — a peer that never sends a family's request type
 never sees its reply type back, and the ipv4 bytes are what they were
 before families existed:
 
@@ -86,11 +90,13 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Mapping
 from functools import lru_cache
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -113,6 +119,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "MAX_LIST_ID_BYTES",
     "REQUEST_CODECS",
+    "RecordView",
     "WireError",
     "WireSocket",
     "decode_batch_reply",
@@ -456,11 +463,20 @@ _CODE_TO_ACTION = {v: k for k, v in _ACTION_TO_CODE.items()}
 _REUSE_TO_CODE = {"": 0, "nat": 1, "dynamic": 2, "nat+dynamic": 3}
 _CODE_TO_REUSE = {v: k for k, v in _REUSE_TO_CODE.items()}
 
+#: Bound on a codec's table of decoded reply texts. A deployment names
+#: hundreds of lists (the paper: 151); past the bound a text is simply
+#: decoded again on every read.
+_MAX_TEXTS = 4096
+
 Pairs = List[Tuple[int, Optional[int]]]
 
 
 def _truncated_record() -> WireError:
     return WireError("truncated batch reply record", recoverable=True)
+
+
+def _unpackable_batch(why: object) -> WireError:
+    return WireError(f"batch not binary-packable: {why}", recoverable=True)
 
 
 class BinaryCodec:
@@ -486,6 +502,12 @@ class BinaryCodec:
         self._request = struct.Struct(_REQUEST_TEMPLATE.format(addr=addr))
         self._verdict = struct.Struct(_VERDICT_TEMPLATE.format(addr=addr))
         self._degraded = struct.Struct(_DEGRADED_TEMPLATE.format(addr=addr))
+        # Offset of a verdict record's action byte (reuse follows it):
+        # behind kind, address, day and flags.
+        self._action_at = 1 + width + 4 + 1
+        #: ``bytes → str`` for the list ids and error texts replies
+        #: carry, filled by :meth:`_skip_texts` up to _MAX_TEXTS entries.
+        self._texts: Dict[bytes, str] = {}
         # A 32-bit address *is* its struct field: ``None`` converters
         # cost that path one ``is None`` test per record and no call.
         self._to_field: Optional[Callable[[int], bytes]] = None
@@ -527,22 +549,29 @@ class BinaryCodec:
         frame of this family.
 
         Raises the recoverable :class:`WireError` when a value does not
-        fit the packed layout (caller falls back to an FT_MSG batch).
+        fit the packed layout (caller falls back to an FT_MSG batch):
+        an address or day that is not exactly an ``int`` — a ``bool``
+        is JSON's ``true``, not a day — or one out of the field's
+        range. The one pass checks and packs, so a caller with clean
+        pairs needs no pass of its own.
         """
         parts = [_U32.pack(len(pairs))]
+        append = parts.append
         pack = self._request.pack
         to_field = self._to_field
         try:
             for ip, day in pairs:
+                if type(ip) is not int:
+                    raise _unpackable_batch(f"address {ip!r} is not an int")
                 field = ip if to_field is None else to_field(ip)
                 if day is None:
-                    parts.append(pack(field, 0, 0))
+                    append(pack(field, 0, 0))
+                elif type(day) is int:
+                    append(pack(field, 1, day))
                 else:
-                    parts.append(pack(field, 1, day))
+                    raise _unpackable_batch(f"day {day!r} is not an int")
         except struct.error as exc:
-            raise WireError(
-                f"batch not binary-packable: {exc}", recoverable=True
-            ) from None
+            raise _unpackable_batch(exc) from None
         return encode_binary_frame(
             self.ft_request, request_id, b"".join(parts), max_size=max_size
         )
@@ -711,7 +740,7 @@ class BinaryCodec:
             self.ft_reply, request_id, payload, max_size=max_size
         )
 
-    # -- batch reply: slicing and decoding -----------------------------
+    # -- batch reply: slicing and views --------------------------------
 
     def split_batch_reply(self, payload: bytes) -> List[bytes]:
         """Slice a batch-reply payload into its raw records, validated
@@ -758,128 +787,252 @@ class BinaryCodec:
             )
         return records
 
-    def _decode_verdict_record(
-        self, payload: bytes, pos: int
-    ) -> Tuple[Dict[str, Any], int]:
-        fixed = self._verdict
-        if pos + fixed.size > len(payload):
-            raise _truncated_record()
-        (
-            _kind, field, day, flags, action_code, reuse_code,
-            users, asn, epoch, seq, n_lists,
-        ) = fixed.unpack_from(payload, pos)
-        pos += fixed.size
-        lists: List[str] = []
-        size = len(payload)
-        for _ in range(n_lists):
-            if pos >= size:
-                raise _truncated_record()
-            length = payload[pos]
-            pos += 1
-            if pos + length > size:
-                raise _truncated_record()
-            try:
-                lists.append(payload[pos : pos + length].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise WireError(
-                    f"undecodable list id: {exc}", recoverable=True
-                ) from None
-            pos += length
-        action = _CODE_TO_ACTION.get(action_code)
-        reuse_kind = _CODE_TO_REUSE.get(reuse_code)
-        if action is None or reuse_kind is None:
-            raise WireError(
-                f"bad verdict codes action={action_code} reuse={reuse_code}",
-                recoverable=True,
-            )
-        entry = {
-            "ip": self._field_text(field),
-            "day": day,
-            "listed": bool(flags & _FLAG_LISTED),
-            "lists": lists,
-            "nated": bool(flags & _FLAG_NATED),
-            "dynamic": bool(flags & _FLAG_DYNAMIC),
-            "unjust": bool(flags & _FLAG_UNJUST),
-            "reuse_kind": reuse_kind,
-            "users": users,
-            "asn": asn,
-            "action": action,
-            "epoch": epoch,
-            "seq": seq,
-        }
-        return entry, pos
+    def decode_record(self, record: bytes) -> "RecordView":
+        """The view of one packed record (a :meth:`split_batch_reply`
+        slice), validated like a one-record reply."""
+        (view,) = self._views(record, 0, 1)
+        return view
 
-    def _decode_degraded_record(
-        self, payload: bytes, pos: int
-    ) -> Tuple[Dict[str, Any], int]:
-        fixed = self._degraded
-        if pos + fixed.size > len(payload):
-            raise _truncated_record()
-        _kind, field, has_day, day, shard = fixed.unpack_from(payload, pos)
-        pos += fixed.size
-        size = len(payload)
-        if pos >= size:
-            raise _truncated_record()
-        length = payload[pos]
-        pos += 1
-        if pos + length > size:
-            raise _truncated_record()
-        try:
-            error = payload[pos : pos + length].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireError(
-                f"undecodable error text: {exc}", recoverable=True
-            ) from None
-        pos += length
-        entry = {
-            "ip": self._field_text(field),
-            "day": day if has_day else None,
-            "error": error,
-            "shard": shard,
-        }
-        return entry, pos
+    def decode_batch_reply(self, payload: bytes) -> List["RecordView"]:
+        """Validate a batch-reply payload and slice it into one
+        :class:`RecordView` per record — mappings equal, field for
+        field, to the wire dicts the JSON codec produces, so clients
+        cannot tell the codecs apart by content.
 
-    def decode_record(self, record: bytes) -> Dict[str, Any]:
-        """Decode one packed record (a :meth:`split_batch_reply` slice)
-        into its wire dict — the Router's binary-upstream →
-        JSON-downstream conversion."""
-        (entry,) = self._decode_records(record, 0, 1, "batch record")
-        return entry
-
-    def decode_batch_reply(self, payload: bytes) -> List[Dict[str, Any]]:
-        """Decode a batch-reply payload into the same wire dicts the
-        JSON codec produces — field-for-field equal, so clients cannot
-        tell the codecs apart by content."""
+        Everything that can be wrong with the payload is found here
+        and raised as the recoverable :class:`WireError`: a view that
+        was handed out never raises on access."""
         if len(payload) < 4:
             raise WireError("truncated batch reply", recoverable=True)
         (count,) = _U32.unpack_from(payload)
-        return self._decode_records(payload, 4, count, "batch reply")
+        return self._views(payload, 4, count)
 
-    def _decode_records(
-        self, payload: bytes, pos: int, count: int, what: str
-    ) -> List[Dict[str, Any]]:
-        """Decode exactly ``count`` records filling ``payload[pos:]``."""
+    def _views(
+        self, payload: bytes, pos: int, count: int
+    ) -> List["RecordView"]:
+        """Views of exactly ``count`` records filling ``payload[pos:]``.
+        Walks the records as :meth:`split_batch_reply` does and checks,
+        besides the bounds, what a view later trusts: the action and
+        reuse codes (two byte reads) and that every text is UTF-8."""
         size = len(payload)
-        entries: List[Dict[str, Any]] = []
+        verdict_size = self._verdict.size
+        degraded_size = self._degraded.size
+        action_at = self._action_at
+        skip_texts = self._skip_texts
+        views: List[RecordView] = []
+        append = views.append
         for _ in range(count):
             if pos >= size:
-                raise WireError(f"truncated {what}", recoverable=True)
+                raise _truncated_record()
             kind = payload[pos]
             if kind == REC_VERDICT:
-                entry, pos = self._decode_verdict_record(payload, pos)
+                end = pos + verdict_size
+                if end > size:
+                    raise _truncated_record()
+                if (
+                    payload[pos + action_at] not in _CODE_TO_ACTION
+                    or payload[pos + action_at + 1] not in _CODE_TO_REUSE
+                ):
+                    raise WireError(
+                        f"bad verdict codes action="
+                        f"{payload[pos + action_at]} "
+                        f"reuse={payload[pos + action_at + 1]}",
+                        recoverable=True,
+                    )
+                if payload[end - 1]:  # n_lists
+                    end = skip_texts(payload, end, payload[end - 1])
             elif kind == REC_DEGRADED:
-                entry, pos = self._decode_degraded_record(payload, pos)
+                end = skip_texts(payload, pos + degraded_size, 1)
             else:
                 raise WireError(
                     f"unknown batch record kind {kind}", recoverable=True
                 )
-            entries.append(entry)
+            append(RecordView(self, payload, pos))
+            pos = end
         if pos != size:
             raise WireError(
-                f"{size - pos} trailing bytes after {what}",
+                f"{size - pos} trailing bytes after batch reply",
                 recoverable=True,
             )
-        return entries
+        return views
+
+    def _skip_texts(self, payload: bytes, pos: int, count: int) -> int:
+        """Step over ``count`` u8-length-prefixed texts from ``pos``,
+        checking their bounds and that each is UTF-8; returns the
+        offset behind the last. A text seen for the first time is
+        decoded into the codec's bounded table, which :meth:`_text`
+        reads for the views — list ids and error texts are few and
+        repeat on every record."""
+        size = len(payload)
+        texts = self._texts
+        for _ in range(count):
+            if pos >= size:
+                raise _truncated_record()
+            end = pos + 1 + payload[pos]
+            if end > size:
+                raise _truncated_record()
+            raw = payload[pos + 1 : end]
+            if raw not in texts:
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise WireError(
+                        f"undecodable text in batch record: {exc}",
+                        recoverable=True,
+                    ) from None
+                if len(texts) < _MAX_TEXTS:
+                    texts[raw] = text
+            pos = end
+        return pos
+
+    def _text(self, raw: bytes) -> str:
+        """The text of bytes :meth:`_skip_texts` accepted."""
+        text = self._texts.get(raw)
+        return raw.decode("utf-8") if text is None else text
+
+
+class RecordView(Mapping):  # type: ignore[type-arg]
+    """One record of a batch reply, read in place.
+
+    A read-only mapping over the record's bytes that equals the wire
+    dict of the same verdict (or degraded entry). Membership and length
+    are answered from the kind byte; the first field read unpacks the
+    fixed struct, once; the ``ip`` and ``lists`` strings are built when
+    asked for, each time anew. :meth:`BinaryCodec.decode_batch_reply`
+    validated everything a read relies on, so no access raises (beyond
+    ``KeyError`` for a key the record does not have).
+
+    A view pins the whole reply payload it points into until it is
+    dropped; :meth:`to_wire` is the detached copy to keep or to hand to
+    ``json``.
+    """
+
+    __slots__ = ("_codec", "_payload", "_offset", "_fields")
+
+    def __init__(self, codec: BinaryCodec, payload: bytes, offset: int) -> None:
+        self._codec = codec
+        self._payload = payload
+        self._offset = offset
+        self._fields: Optional[Tuple[Any, ...]] = None
+
+    def _unpack(self) -> Tuple[Any, ...]:
+        codec = self._codec
+        fixed = (
+            codec._verdict
+            if self._payload[self._offset] == REC_VERDICT
+            else codec._degraded
+        )
+        # The record's bounds were checked by ``BinaryCodec._views``
+        # before this view existed.
+        # reprolint: disable=WIRE
+        fields = self._fields = fixed.unpack_from(self._payload, self._offset)
+        return fields
+
+    def _ip(self, fields: Tuple[Any, ...]) -> str:
+        return self._codec._field_text(fields[1])
+
+    def _lists(self, fields: Tuple[Any, ...]) -> List[str]:
+        payload = self._payload
+        text = self._codec._text
+        pos = self._offset + self._codec._verdict.size
+        lists = []
+        for _ in range(fields[10]):  # n_lists
+            end = pos + 1 + payload[pos]
+            lists.append(text(payload[pos + 1 : end]))
+            pos = end
+        return lists
+
+    def _error(self, fields: Tuple[Any, ...]) -> str:
+        payload = self._payload
+        pos = self._offset + self._codec._degraded.size
+        return self._codec._text(payload[pos + 1 : pos + 1 + payload[pos]])
+
+    def __getitem__(self, key: str) -> Any:
+        fields = self._fields or self._unpack()
+        return _RECORD_FIELDS[fields[0]][key](self, fields)
+
+    def __contains__(self, key: object) -> bool:
+        return key in _RECORD_FIELDS[self._payload[self._offset]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_RECORD_FIELDS[self._payload[self._offset]])
+
+    def __len__(self) -> int:
+        return len(_RECORD_FIELDS[self._payload[self._offset]])
+
+    def to_wire(self) -> Dict[str, Any]:
+        """The record as a plain wire dict, sharing nothing with the
+        reply payload; ``dict(view)`` builds the same, slower. Spelled
+        out rather than looped over ``_RECORD_FIELDS`` because whoever
+        wants every field (JSON output, the router's JSON downstream)
+        wants it at the old decoder's price, not thirteen calls."""
+        fields = self._fields or self._unpack()
+        if fields[0] == REC_VERDICT:
+            (
+                _kind, _field, day, flags, action_code, reuse_code,
+                users, asn, epoch, seq, n_lists,
+            ) = fields
+            return {
+                "ip": self._ip(fields),
+                "day": day,
+                "listed": bool(flags & _FLAG_LISTED),
+                "lists": self._lists(fields) if n_lists else [],
+                "nated": bool(flags & _FLAG_NATED),
+                "dynamic": bool(flags & _FLAG_DYNAMIC),
+                "unjust": bool(flags & _FLAG_UNJUST),
+                "reuse_kind": _CODE_TO_REUSE[reuse_code],
+                "users": users,
+                "asn": asn,
+                "action": _CODE_TO_ACTION[action_code],
+                "epoch": epoch,
+                "seq": seq,
+            }
+        _kind, _field, has_day, day, shard = fields
+        return {
+            "ip": self._ip(fields),
+            "day": day if has_day else None,
+            "error": self._error(fields),
+            "shard": shard,
+        }
+
+    def __eq__(self, other: object) -> bool:
+        return self.to_wire() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordView({self.to_wire()!r})"
+
+
+# Indexed by record kind: wire key → value, from the view and its
+# unpacked fixed struct (``f``), in the key order of
+# ``Verdict.to_wire()`` and of the router's degraded entry.
+_RECORD_FIELDS: Tuple[
+    Dict[str, Callable[[RecordView, Tuple[Any, ...]], Any]], ...
+] = (
+    {  # REC_VERDICT; f = kind, ip, day, flags, action, reuse_kind,
+        # users, asn, epoch, seq, n_lists
+        "ip": RecordView._ip,
+        "day": lambda view, f: f[2],
+        "listed": lambda view, f: bool(f[3] & _FLAG_LISTED),
+        "lists": RecordView._lists,
+        "nated": lambda view, f: bool(f[3] & _FLAG_NATED),
+        "dynamic": lambda view, f: bool(f[3] & _FLAG_DYNAMIC),
+        "unjust": lambda view, f: bool(f[3] & _FLAG_UNJUST),
+        "reuse_kind": lambda view, f: _CODE_TO_REUSE[f[5]],
+        "users": lambda view, f: f[6],
+        "asn": lambda view, f: f[7],
+        "action": lambda view, f: _CODE_TO_ACTION[f[4]],
+        "epoch": lambda view, f: f[8],
+        "seq": lambda view, f: f[9],
+    },
+    {  # REC_DEGRADED; f = kind, ip, has_day, day, shard
+        "ip": RecordView._ip,
+        "day": lambda view, f: f[3] if f[2] else None,
+        "error": RecordView._error,
+        "shard": lambda view, f: f[4],
+    },
+)
 
 
 #: The sending side's lookup: ``family → codec``. The frame-type pair

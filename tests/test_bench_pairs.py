@@ -3,6 +3,7 @@ performance claim has to meet, so the rule is pinned here on series
 small enough to check by hand."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,57 @@ def test_reads_the_contract_and_refuses_an_unknown_workload(
     with pytest.raises(SystemExit):
         bench_pairs.main(["--workload", "no-such", "--pairs", "1"])
     assert "bulk-cold" in capsys.readouterr().err
+
+
+def _runs(contract, scale, slowdown):
+    """Ten runs whose every end-to-end metric reads ``PARENT * scale``."""
+    return [
+        {
+            "seed": 20 + at, "failed": 0, "attempted": 1000,
+            "host_slowdown": slowdown,
+            "metrics": {
+                row["name"]: {"value": value * scale, "unit": row["unit"]}
+                for row in contract["end_to_end"]
+            },
+        }
+        for at, value in enumerate(PARENT)
+    ]
+
+
+def test_record_holds_what_the_table_prints(bench_pairs, tmp_path, capsys):
+    contract = json.loads(
+        (SCRIPT.parents[1] / "BENCHMARK.json").read_text()
+    )
+    runs = {
+        "parent": _runs(contract, 1.0, 1.25),
+        "change": _runs(contract, 2.0, 1.5),
+    }
+    rows, notes = bench_pairs.summarise(contract, runs), (
+        bench_pairs.side_notes(runs)
+    )
+    bench_pairs.report(rows, notes, 10)
+    table = capsys.readouterr().out
+    by_name = {row["metric"]: row for row in rows}
+    throughput = by_name["throughput_qps"]
+    assert throughput["parent"] == [99.25, 100.0, 101.0]
+    assert throughput["change"] == [198.5, 200.0, 202.0]
+    assert (throughput["won"], throughput["verdict"]) == (10, "gain")
+    assert throughput["delta"] == pytest.approx(1.0)
+    assert throughput["runs"]["parent"] == PARENT
+    assert by_name["setup_s"]["verdict"] == "REGRESSION"  # lower is better
+    assert "throughput_qps" in table and "+100.0%" in table
+    assert "parent: failed 0 of 10000 operations" in table
+    assert "host slowdown (median) 1.25x" in table
+    assert notes["change"]["host_slowdown"] == 1.5
+    # A run that printed no slowdown row leaves the side's unknown.
+    runs["change"][3]["host_slowdown"] = None
+    assert bench_pairs.side_notes(runs)["change"]["host_slowdown"] is None
+
+    book = tmp_path / "BENCH.json"
+    bench_pairs.record(book, "bulk-hot", {"metrics": rows, "sides": notes})
+    bench_pairs.record(book, "bulk-cold", {"pairs": 2})
+    bench_pairs.record(book, "bulk-hot", {"metrics": rows, "pairs": 10})
+    written = json.loads(book.read_text())["workloads"]
+    assert written["bulk-cold"] == {"pairs": 2}
+    assert written["bulk-hot"]["pairs"] == 10
+    assert written["bulk-hot"]["metrics"] == json.loads(json.dumps(rows))

@@ -6,19 +6,24 @@ name it imports from ``repro`` and every keyword it passes the four
 serving constructors is a contract ``src/`` has to keep (some of them
 shims kept for nothing else). A PR that breaks one otherwise finds out
 in ``check.sh`` step 4 (~55 s) or as a probe reading ``-1``; this reads
-the benchmark's source instead of running it.
+the benchmark's source instead of running it — except for what the
+driver and oracle *do* to a verdict, which no signature shows: the last
+test runs their accounting over real binary replies.
 """
 
 import ast
 import importlib
 import inspect
+import random
 from pathlib import Path
 
 import pytest
 
 from repro.cluster import LocalCluster
+from repro.service import wire
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
+from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 
 SERVING = Path(__file__).resolve().parents[1] / "benchmarks" / "serving"
@@ -91,3 +96,44 @@ def test_constructor_calls_bind_to_the_live_signatures(trees):
         ("ReputationClient", "codec"),
     } <= bound
     assert not broken
+
+
+def test_binary_verdicts_take_what_the_benchmark_does(
+    monkeypatch,
+):
+    """``query_batch`` on the binary codec answers in record views, not
+    dicts. The frozen driver and oracle do four things to a verdict —
+    ``"error" in v``, ``v.get(name)``, ``v.get("seq", 0)`` and ``==``
+    between a field and ``Oracle.expected``'s — so run *their* code
+    over real replies, every verdict checked."""
+    monkeypatch.syspath_prepend(str(SERVING))
+    import driver
+    import oracle as bench_oracle
+    import synth
+
+    tables = synth.generate(0, divisor=400)
+    oracle = bench_oracle.Oracle(tables)
+    keys = synth.query_keys(tables, random.Random(0), 512)
+    index = ReputationIndex(**synth.index_kwargs(tables))
+    with ReputationServer(QueryEngine(index)) as server:
+        server.start()
+        with ReputationClient(*server.address, codec="binary") as client:
+            verdicts = client.query_batch(keys)
+    assert not any(isinstance(verdict, dict) for verdict in verdicts)
+    monkeypatch.setattr(driver, "CHECK_EVERY", 1)
+    ledger = driver.Ledger(_until_check=1)
+    ledger.account(oracle, keys, verdicts)
+    assert (ledger.ok, ledger.checked, ledger.mismatched) == (512, 512, 0)
+    assert any(verdict.get("listed") for verdict in verdicts)
+    assert max(v.get("seq", 0) for v in verdicts) == 0
+    # A wrong field is still told apart, and a degraded row is
+    # degraded to the ledger and a miss to the oracle.
+    (ip, day), other = keys[0], dict(verdicts[0], nated=not verdicts[0]["nated"])
+    assert oracle.matches(ip, day, verdicts[0])
+    assert not oracle.matches(ip, day, other)
+    (degraded,) = wire.decode_batch_reply(
+        (1).to_bytes(4, "big") + wire.pack_degraded(ip, day, 2, "down")
+    )
+    ledger.account(oracle, keys[:1], [degraded])
+    assert ledger.degraded == 1 and degraded.get("seq", 0) == 0
+    assert not oracle.matches(ip, day, degraded)

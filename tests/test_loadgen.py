@@ -13,8 +13,9 @@ import socket
 import pytest
 
 from repro.cli import main
-from repro.cluster import HotRangeDetector
+from repro.cluster import HotRangeDetector, LocalCluster
 from repro.loadgen import (
+    Event,
     LoadHarness,
     MIXES,
     MixSpec,
@@ -310,6 +311,35 @@ class TestHarness:
         for ip, day, verdict in harness.captured:
             assert verdict == engine.query(ip, day).to_wire()
 
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_dead_shard_rows_are_degraded_not_ok(self, full_index, codec):
+        """Batches straddling a live and a SIGKILLed shard (no
+        replica): the dead shard's rows are tallied degraded whichever
+        mapping type the codec hands back, the live one's are ok and
+        captured as plain dicts."""
+        high = 0xC8000000  # 200.0.0.0: the top third of the range
+        events = [
+            Event(0.001 * at, "batch", ((1 + at, None), (high + at, None)))
+            for at in range(50)
+        ]
+        with LocalCluster(
+            full_index, shards=3, heartbeat_interval=0.2
+        ) as cluster:
+            assert cluster.router.wait_healthy(timeout=10.0)
+            dead = cluster.partition.shard_of(high)
+            assert dead != cluster.partition.shard_of(1)
+            cluster.kill_primary(dead)
+            harness = LoadHarness(
+                *cluster.address, conns=1, codec=codec, capture=True
+            )
+            report = harness.run(events)
+        assert (report.sent, report.ok, report.degraded) == (100, 50, 50)
+        assert report.failed == 50
+        assert all(
+            type(verdict) is dict and ip < high
+            for ip, _day, verdict in harness.captured
+        )
+
     def test_report_round_trips_through_json(self, analysis, server):
         mix, events = self._schedule(analysis, "steady", 100, 5000.0)
         report = LoadHarness(*server.address, conns=1).run(
@@ -479,3 +509,36 @@ class TestLoadCli:
         decoded = json.loads(out.read_text())
         assert decoded["sent"] == 300
         assert decoded["failed"] == 0
+
+    def test_binary_degraded_rows_are_counted(
+        self, analysis, full_index, tmp_path, capsys
+    ):
+        """``repro load`` on the binary codec against a cluster whose
+        shard under the load population was SIGKILLed, no replica:
+        every batch row is a degraded record view, and is tallied so."""
+        out = tmp_path / "report.json"
+        ips, _days = population_from_analysis(get_mix("steady"), analysis)
+        with LocalCluster(
+            full_index, shards=3, heartbeat_interval=0.2
+        ) as cluster:
+            assert cluster.router.wait_healthy(timeout=10.0)
+            assert {cluster.partition.shard_of(ip) for ip in ips} == {0}
+            cluster.kill_primary(0)
+            host, port = cluster.address
+            code = main(
+                [
+                    "load", "--host", host, "--port", str(port),
+                    "--codec", "binary", "--mix", "steady",
+                    "--queries", "300", "--target-qps", "6000",
+                    "--conns", "2", "--out", str(out),
+                ]
+            )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no queries succeeded" in captured.err
+        report = json.loads(out.read_text())
+        # Batch rows degrade per address; a point query to the dead
+        # shard is rejected whole.
+        assert report["degraded"] > 0 and report["ok"] == 0
+        assert report["degraded"] + report["rejected"] == report["sent"] == 300
+        assert f"(degraded={report['degraded']} " in captured.out

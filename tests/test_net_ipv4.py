@@ -1,5 +1,7 @@
 """Tests for repro.net.ipv4."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,6 +46,18 @@ class TestIpConversion:
     def test_format_rejects(self, bad):
         with pytest.raises(ValueError):
             int_to_ip(bad)
+
+    def test_format_equals_the_octet_join_it_replaced(self):
+        """``int_to_ip`` is an f-string over the four octets; the
+        generator-and-join form it replaced stays here as reference."""
+        rng = random.Random(2020)
+        sample = [rng.randrange(MAX_IPV4 + 1) for _ in range(100_000)]
+        sample += [0, 1, 255, 256, 0x7FFFFFFF, 0x80000000, MAX_IPV4 - 1,
+                   MAX_IPV4, True]
+        for value in sample:
+            assert int_to_ip(value) == ".".join(
+                str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
+            )
 
     def test_is_valid(self):
         assert is_valid_ip_int(0)

@@ -18,6 +18,8 @@ Three layers, mirroring the upgrade's compatibility promise:
   is closed, so a late reply is never read as a later answer.
 """
 
+import json
+import random
 import socket
 import struct
 import threading
@@ -34,6 +36,7 @@ from repro.service.client import (
     ReputationClient,
     ServiceError,
     TransportError,
+    _int_pairs,
 )
 from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
@@ -55,6 +58,7 @@ from repro.service.wire import (
     recv_frame,
     send_frame,
 )
+from tests import reply_view_fixtures
 from tests.test_service_wire import FakeSocket, json_values
 
 FAMILIES = (V4, V6)
@@ -403,6 +407,88 @@ class TestPackedBatchRejections:
             with pytest.raises(WireError) as excinfo:
                 codec.encode_batch_request([(bad, None)], 1)
             assert excinfo.value.recoverable
+
+
+def _read_every_way(views):
+    """Everything a caller may do to a record view, asserted
+    consistent; returns the wire dicts. No step may raise."""
+    wires = []
+    for view in views:
+        wire = view.to_wire()
+        assert dict(view) == wire
+        assert view == wire and wire == view and not view != wire
+        assert len(view) == len(wire) and list(view) == list(wire)
+        for key, value in wire.items():
+            assert key in view
+            assert view[key] == value and view.get(key) == value
+        assert "no-such-key" not in view
+        assert view.get("no-such-key", 7) == 7
+        with pytest.raises(KeyError):
+            view["no-such-key"]
+        wires.append(wire)
+    return wires
+
+
+def _read_whole(views):
+    return [view.to_wire() for view in views]
+
+
+class TestHostileReplies:
+    """A reply payload is either refused whole, by
+    ``decode_batch_reply`` with the recoverable ``WireError``, or it
+    yields views that never raise and read exactly what the eager
+    decoder read — recorded, for every single-byte mutation of the
+    corpus, in ``tests/data/reply_views.json``
+    (:mod:`tests.reply_view_fixtures` says how)."""
+
+    CASES = json.loads(reply_view_fixtures.FIXTURE.read_text())["cases"]
+
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[f"{c['family']}-{c['name']}" for c in CASES]
+    )
+    def test_mutations(self, case):
+        family = {f.name: f for f in FAMILIES}[case["family"]]
+        decode = CODECS[family].decode_batch_reply
+        payload = bytes.fromhex(case["payload"])
+        assert _read_every_way(decode(payload)) == case["decoded"]
+        for cut in range(len(payload)):
+            with pytest.raises(WireError) as excinfo:
+                decode(payload[:cut])
+            assert excinfo.value.recoverable
+        # The single-record cases read each view every way; the
+        # combined reply, five views a mutation, reads them whole.
+        read = _read_whole if case["name"] == "all" else _read_every_way
+        for position, recorded in enumerate(case["positions"]):
+            outcomes = [
+                reply_view_fixtures.outcome(decode, mutated, read)
+                for mutated in reply_view_fixtures.mutations(payload, position)
+            ]
+            assert list(reply_view_fixtures.position_record(outcomes)) == (
+                recorded
+            ), f"byte {position}"
+
+    def test_the_corpus_is_the_recorded_one(self):
+        """The payloads the recording was made over are what today's
+        packers produce for the corpus: reply bytes have not moved."""
+        assert [
+            (family.name, name, payload.hex())
+            for family, name, payload in reply_view_fixtures.corpus()
+        ] == [(c["family"], c["name"], c["payload"]) for c in self.CASES]
+
+    @both_families
+    def test_text_table_is_bounded_and_not_needed(self, family, monkeypatch):
+        """Past the table's bound a text is decoded on every read; the
+        views read the same."""
+        from repro.service import wire
+
+        codec = wire.BinaryCodec(family, 0, 0)
+        monkeypatch.setattr(wire, "_MAX_TEXTS", 1)
+        payload = (1).to_bytes(4, "big") + codec.pack_verdict(
+            _verdict(family, lists=("a", "b", "c"))
+        )
+        (view,) = codec.decode_batch_reply(payload)
+        assert len(codec._texts) == 1
+        assert view["lists"] == ["a", "b", "c"]
 
 
 class TestBinaryFrameFuzz:
@@ -755,24 +841,110 @@ class TestCodecEquality:
             assert jc.query_batch(queries) == bc.query_batch(queries)
 
 
-class _LateFirstAnswer:
-    """A one-connection server that speaks both framings and answers
-    every ``query`` with ``{"ip": <the ip asked>}`` — the first one
-    ``delay`` seconds late."""
+class TestRequestFrames:
+    """What the client puts on the wire for a batch. The packer checks
+    while it packs, so the client hands it the queries as they stand
+    and walks them itself (``_int_pairs``) only when it refuses them —
+    the frames, and which batches take the JSON shape, are what the
+    two-pass client sent."""
 
-    def __init__(self, delay: float) -> None:
-        self.delay = delay
+    @pytest.fixture(params=FAMILIES, ids=[f.name for f in FAMILIES])
+    def client(self, request, server):
+        with ReputationClient(
+            *server.address, codec="binary", family=request.param
+        ) as client:
+            yield client
+
+    def test_clean_batches_pack_as_they_stand(self, client):
+        family, codec = client.family, CODECS[client.family]
+        rng = random.Random(21)
+        queries = [
+            (rng.randrange(family.max_int + 1),
+             rng.choice((None, rng.randrange(-(2**31), 2**31))))
+            for _ in range(512)
+        ] + [(0, None), (family.max_int, -(2**31)), (1, 2**31 - 1)]
+        frame = client._encode_batch(queries, 9)
+        assert frame == codec.encode_batch_request(
+            _int_pairs(queries, family), 9
+        )
+        ftype, rid, payload, _ = decode_binary_frame(frame)
+        assert (ftype, rid) == (codec.ft_request, 9)
+        assert codec.decode_batch_request(payload) == queries
+        empty = client._encode_batch([], 3)
+        assert empty == codec.encode_batch_request([], 3)
+
+    def test_normalised_values_still_pack(self, client):
+        """Text addresses, a ``bool`` address and an ``int`` subclass
+        as day are normalised by ``_int_pairs`` and still go packed."""
+        family, codec = client.family, CODECS[client.family]
+
+        class Day(int):
+            pass
+
+        queries = [
+            (5, None), (family.format(7), 3), (True, Day(4)), (Day(9), None),
+        ]
+        for refused in ([queries[1]], [queries[2]], [queries[3]]):
+            with pytest.raises(WireError) as excinfo:
+                codec.encode_batch_request(refused, 1)
+            assert excinfo.value.recoverable
+        frame = client._encode_batch(queries, 2)
+        assert frame == codec.encode_batch_request(
+            [(5, None), (7, 3), (1, 4), (9, None)], 2
+        )
+
+    @pytest.mark.parametrize(
+        "query",
+        [(1, True), (1, 2**31), (1, -(2**31) - 1), (1, 2.0),
+         (1.0, None), ("not-an-address", None), (None, None), (1, "3")],
+        ids=["bool-day", "day-over-i32", "day-under-i32", "float-day",
+             "float-ip", "bad-text-ip", "none-ip", "text-day"],
+    )
+    def test_json_shape_kept(self, client, query):
+        family = client.family
+        for queries in ([query], [(2, 2), query], [query, (2, 2)]):
+            frame = client._encode_batch(queries, 4)
+            ftype, rid, payload, _ = decode_binary_frame(frame)
+            assert (ftype, rid) == (FT_MSG, 4)
+            assert decode_msg_payload(payload) == {
+                "op": "batch",
+                "queries": [
+                    {"ip": family.format(ip) if isinstance(ip, int)
+                     else str(ip), "day": day}
+                    for ip, day in queries
+                ],
+            }
+
+    def test_address_outside_family_raises(self, client):
+        """Neither shape can say it (the JSON one formats addresses as
+        text): ``ValueError``, as before."""
+        for bad in (client.family.max_int + 1, -1):
+            with pytest.raises(ValueError, match="not an IPv"):
+                client._encode_batch([(2, 2), (bad, None)], 4)
+
+
+class _ScriptedPeer:
+    """A one-connection server that speaks both framings and grants
+    the binary codec when offered. :meth:`answer` scripts the rest: it
+    gets the request — a JSON object, or the ``(ip, day)`` pairs of a
+    packed v4 batch frame — and returns the ``result`` of an ok reply,
+    or ``bytes`` to send as a packed batch-reply payload."""
+
+    def __init__(self) -> None:
         self._sock = socket.create_server(("127.0.0.1", 0))
         self.address = self._sock.getsockname()[:2]
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
+
+    def answer(self, request):
+        raise NotImplementedError
 
     def _serve(self) -> None:
         try:
             conn, _ = self._sock.accept()
         except OSError:
             return
-        binary, late = False, self.delay
+        binary, codec = False, CODECS[V4]
         with conn:
             try:
                 while True:
@@ -781,31 +953,73 @@ class _LateFirstAnswer:
                         got = recv_binary_frame(conn)
                         if got is None:
                             return
-                        _ftype, rid, payload = got
-                        request = decode_msg_payload(payload)
+                        ftype, rid, payload = got
+                        request = (
+                            decode_msg_payload(payload)
+                            if ftype == FT_MSG
+                            else codec.decode_batch_request(payload)
+                        )
                     else:
                         request = recv_frame(conn)
                         if request is None:
                             return
-                    if request["op"] == "hello":
-                        result = {"codec": "binary"}
-                    else:
-                        result = {"ip": request["ip"]}
-                        time.sleep(late)
-                        late = 0.0
-                    reply = {"ok": True, "result": result}
-                    conn.sendall(
-                        encode_msg_frame(reply, rid)
-                        if binary
-                        else encode_frame(reply)
+                    hello = (
+                        isinstance(request, dict) and request["op"] == "hello"
                     )
-                    binary = binary or request["op"] == "hello"
+                    result = (
+                        {"codec": "binary"} if hello else self.answer(request)
+                    )
+                    if isinstance(result, bytes):
+                        frame = encode_binary_frame(
+                            codec.ft_reply, rid, result
+                        )
+                    else:
+                        reply = {"ok": True, "result": result}
+                        frame = (
+                            encode_msg_frame(reply, rid)
+                            if binary
+                            else encode_frame(reply)
+                        )
+                    conn.sendall(frame)
+                    binary = binary or hello
             except (WireError, OSError):
                 return
 
     def close(self) -> None:
         self._sock.close()
         self._thread.join(timeout=5.0)
+
+
+class _LateFirstAnswer(_ScriptedPeer):
+    """Answers every ``query`` with ``{"ip": <the ip asked>}`` — the
+    first one ``delay`` seconds late."""
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        super().__init__()
+
+    def answer(self, request):
+        time.sleep(self.delay)
+        self.delay = 0.0
+        return {"ip": request["ip"]}
+
+
+class _WrongCountAnswer(_ScriptedPeer):
+    """Answers a batch of ``n`` with ``n + off_by`` verdicts: packed
+    records to a packed request, wire dicts to a JSON-shaped one."""
+
+    def __init__(self, off_by: int) -> None:
+        self.off_by = off_by
+        super().__init__()
+
+    def answer(self, request):
+        if isinstance(request, dict):
+            count = len(request["queries"]) + self.off_by
+            return [_verdict().to_wire()] * count
+        count = len(request) + self.off_by
+        return count.to_bytes(4, "big") + (
+            CODECS[V4].pack_verdict(_verdict()) * count
+        )
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
@@ -859,6 +1073,30 @@ class TestClosedAfterFailure:
                 [[(ip, None)], [(ip, 3), (ip, 4)], huge], window=2
             )
         self._assert_closed(client)
+
+    @pytest.mark.parametrize("off_by", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("day", [5, 2**40], ids=["packed", "json-shaped"])
+    def test_wrong_length_reply(
+        self, codec, day, off_by
+    ):
+        """A 128-batch answered with 127 (or 129) verdicts: every
+        caller's ``zip(keys, verdicts)`` would drop or shift a verdict
+        without a word. The day outside i32 sends the request, and so
+        the reply, in the JSON shape on the binary codec too."""
+        peer = _WrongCountAnswer(off_by)
+        try:
+            client = ReputationClient(*peer.address, timeout=5.0, codec=codec)
+            assert client.codec == codec
+            with pytest.raises(
+                TransportError,
+                match=f"reply of {128 + off_by} verdicts to a batch of 128",
+            ):
+                client.query_batch_pipelined(
+                    [[(0x01020304, day)] * 128] * 2, window=2
+                )
+            self._assert_closed(client)
+        finally:
+            peer.close()
 
     def test_in_band_error_keeps_the_connection(self, server, codec):
         with ReputationClient(*server.address, codec=codec) as client:
