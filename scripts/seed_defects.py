@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Seed one defect at a time into a copy of a checkout and record what
+catches it: the evidence a lint rule is kept or deleted on.
+
+    scripts/seed_defects.py                  # this checkout
+    scripts/seed_defects.py -k lock          # seeds whose name has "lock"
+    git archive <commit> | tar -x -C /tmp/p && scripts/seed_defects.py --tree /tmp/p
+
+``src/`` and ``tests/`` of ``--tree`` are copied to a temporary
+directory once. Per seed, its text substitutions are applied to the
+copy (a seed whose text is not in that tree is reported ``n/a``), the
+*copy's own* ``python -m repro.cli lint`` and the seed's tier-1 tests
+are run, and the seeded file is put back. One markdown table row comes
+out: the rule codes that fired, and how many of the named tests
+failed. EXPERIMENTS.md ("Seeded defects")
+holds the table of the commit that last changed the rule set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, NamedTuple, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+UNLOCK = "if True:"  # what a removed ``with <lock>:`` line becomes
+
+
+class Seed(NamedTuple):
+    name: str
+    relpath: str  # under src/repro/
+    edits: Tuple[Tuple[Optional[str], str], ...]  # (old, new); old None = new file
+    tests: Tuple[str, ...] = ()  # pytest arguments, run from the copy
+
+
+def unlock(name: str, relpath: str, lock: str, body: str, tests: str) -> Seed:
+    """Take the ``with <lock>:`` line off the block starting ``body``."""
+    indent = " " * (len(body) - len(body.lstrip()) - 4)
+    old = f"{indent}with self.{lock}:\n{body}"
+    return Seed(name, relpath, ((old, f"{indent}{UNLOCK}\n{body}"),), (tests,))
+
+
+SEEDS: List[Seed] = [
+    # Locks the epoch swap and the log cursor rest on.
+    unlock("lock: EpochIndex.apply", "stream/epoch.py", "_write_lock",
+           "            epoch = self._current\n", "tests/test_stream_service.py"),
+    unlock("lock: LogFollower._run", "stream/follower.py", "_lock",
+           "                    self._batches += 1\n",
+           "tests/test_stream_service.py"),
+    unlock("lock: LogFollower.stop", "stream/follower.py", "_lock",
+           "            thread, self._thread = self._thread, None\n",
+           "tests/test_stream_service.py"),
+    unlock("lock: UpdateLogReader.poll", "stream/log.py", "_lock",
+           "            try:\n                with open(self._path, \"rb\")",
+           "tests/test_stream_log.py"),
+    unlock("lock: QueryEngine._count", "service/engine.py", "_lock",
+           "            row = self._counters.setdefault(\n",
+           "tests/test_service_engine.py"),
+    unlock("lock: UpdateLogWriter.append_deltas", "stream/log.py", "_lock",
+           "            batch = DeltaBatch(self._next_seq",
+           "tests/test_stream_log.py"),
+    # Resources: the leaked pipe end, and a client nobody closes.
+    Seed("leak: ShardProcess.start keeps parent_pipe open", "cluster/shard.py",
+         (("        with parent_pipe:\n", f"        {UNLOCK}\n"),),
+         ("tests/test_cluster.py::TestProcessMode",)),
+    Seed("leak: _hello_seq never closes its client", "cluster/shard.py",
+         (("            with ReputationClient(\n",
+           "            client = ReputationClient(\n"),
+          ("            ) as client:\n", f"            )\n            {UNLOCK}\n")),
+         ("tests/test_cluster.py::TestProcessMode",)),
+    # Codec pairing: the frame reader loses its FT_MSG branch.
+    Seed("wire: Link._parse drops the FT_MSG branch", "service/aio.py",
+         (("                    if ftype == FT_MSG:\n",
+           "                    if ftype == -1:\n"),),
+         ("tests/test_service_binary.py", "-k", "EveryFrameType or Negotiation")),
+    # Blocking calls on the loop (TestRepoWiringMutations' two seeds).
+    Seed("block: time.sleep in the router's reply handler", "cluster/router.py",
+         (("        sub = self._head(request_id)\n"
+           "        if not isinstance(reply, dict):\n",
+           "        sub = self._head(request_id)\n        time.sleep(0.01)\n"
+           "        if not isinstance(reply, dict):\n"),)),
+    Seed("block: time.sleep in the router's ping timer", "cluster/router.py",
+         (("    def _beat(self) -> None:\n",
+           "    def _beat(self) -> None:\n        time.sleep(0.01)\n"),)),
+    # Each per-module rule's own fixture.
+    Seed("det: time.time() in sim/", "sim/seeded.py",
+         ((None, "import time\n\ndef tick():\n    return time.time()\n"),)),
+    Seed("wire: json.loads with no size bound in service/", "service/seeded.py",
+         ((None, "import json\n\ndef decode(payload):\n"
+                 "    return json.loads(payload)\n"),)),
+    Seed("exc: except Exception: pass in cluster/", "cluster/seeded.py",
+         ((None, "def run(step):\n    try:\n        step()\n"
+                 "    except Exception:\n        pass\n"),)),
+    # This round's bugs, re-seeded by reverting the fix.
+    Seed("bug: split target read from a dead primary", "cluster/local.py",
+         (("                    target = max(\n"
+           "                        backend.applied_seq() for backend in reachable\n"
+           "                    )\n",
+           "                    target = old_slot[0].applied_seq()\n"),),
+         ("tests/test_cluster_elastic.py", "-k", "DeadPrimary")),
+    Seed("bug: mid-log damage read as a torn tail", "stream/log.py",
+         (("        except zlib.error as exc:\n"
+           "            raise UpdateLogError(\n"
+           "                f\"corrupt record at byte {base + pos}: {exc}\"\n"
+           "            ) from None\n",
+           "        except zlib.error:\n            break\n"),),
+         ("tests/test_stream_log.py", "tests/test_stream_service.py",
+          "-k", "Corruption or Fuzz or FollowerFailure")),
+    Seed("bug: LogFollower.start() after stop()", "stream/follower.py",
+         (("            if self._stop.is_set():\n", "            if False:\n"),),
+         ("tests/test_stream_service.py", "-k", "FollowerFailure")),
+]
+
+_FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)
+
+
+def apply(seed: Seed, target: Path) -> bool:
+    for old, new in seed.edits:
+        if old is None:
+            target.write_text(new, encoding="utf-8")
+            continue
+        text = target.read_text(encoding="utf-8")
+        if text.count(old) != 1:
+            return False
+        target.write_text(text.replace(old, new), encoding="utf-8")
+    return True
+
+
+def run_seed(seed: Seed, copy: Path) -> str:
+    """Seed ``copy``, see what catches it, and put ``copy`` back."""
+    target = copy / "src" / "repro" / seed.relpath
+    original = target.read_bytes() if target.exists() else None
+    try:
+        if not apply(seed, target):
+            return f"| {seed.name} | n/a (text not in this tree) | |"
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        lint = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "lint"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        fired = sorted(set(_FINDING.findall(lint.stdout))) or ["clean"]
+        tests = "not run"
+        if seed.tests:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                 "-o", "addopts=", *seed.tests],
+                cwd=copy, env=env, capture_output=True, text=True,
+            )
+            tail = result.stdout.strip().splitlines()[-1:] or [""]
+            tests = (
+                "no such test" if result.returncode in (4, 5)
+                else tail[0].strip("= ")
+            )
+        return f"| {seed.name} | {', '.join(fired)} | {tests} |"
+    finally:
+        if original is None:
+            target.unlink(missing_ok=True)
+        else:
+            target.write_bytes(original)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=ROOT,
+                        help="checkout to seed (default: this one)")
+    parser.add_argument("-k", metavar="TEXT", default="",
+                        help="only seeds whose name contains TEXT")
+    args = parser.parse_args()
+    print("| seed | `repro lint` | tier-1 tests named for it |")
+    print("|---|---|---|")
+    with tempfile.TemporaryDirectory(prefix="seeded-") as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests", "scripts"):
+            shutil.copytree(
+                args.tree / part, copy / part,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+        shutil.copy(args.tree / "pyproject.toml", copy)
+        for seed in SEEDS:
+            if args.k in seed.name:
+                print(run_seed(seed, copy), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,9 +30,9 @@ Subcommands:
   scenario's churn log and verifying that a live log follower scores
   field-for-field identically to the static index.
 * ``lint``     — run ``reprolint``, the AST-based invariant linter
-  (determinism in simulation paths, bounded wire reads, lock
-  discipline in threaded serving code); ``--strict-waivers`` is the
-  gate ``scripts/check.sh`` runs.
+  (determinism in simulation paths, bounded wire reads, no silent
+  ``except``, nothing blocking on the reactor); with no flags it is
+  the gate ``scripts/check.sh`` runs.
 
 Failures exit non-zero with one ``error:`` line on stderr — a bad
 preset, port, snapshot or an unreachable server never escapes as a
@@ -453,11 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or trees to lint (default: the repo's src/repro)",
     )
     lint_p.add_argument(
-        "--json",
-        action="store_true",
-        help="print findings as JSON instead of one line per finding",
-    )
-    lint_p.add_argument(
         "--root",
         metavar="DIR",
         help=(
@@ -466,32 +461,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     lint_p.add_argument(
-        "--rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    lint_p.add_argument(
         "--explain",
         metavar="CODE",
         help=(
             "print one rule's full description, an example finding, "
             "and the waiver syntax, then exit"
-        ),
-    )
-    lint_p.add_argument(
-        "--no-flow",
-        action="store_true",
-        help=(
-            "run per-module rules only, skipping the whole-program "
-            "flow pass (FLOW-*) — faster, for partial file sets"
-        ),
-    )
-    lint_p.add_argument(
-        "--strict-waivers",
-        action="store_true",
-        help=(
-            "fail (exit 1) when a waiver names an unknown rule code "
-            "or matches no violation, instead of just warning"
         ),
     )
 
@@ -1170,43 +1144,32 @@ def _lint_root(args: argparse.Namespace) -> Path:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from . import devtools
 
-    if args.rules:
-        for lint_rule in devtools.all_rules():
-            print(
-                f"{lint_rule.code:10} [{lint_rule.severity}/"
-                f"{lint_rule.scope}] {lint_rule.summary}"
-            )
-        return 0
     if args.explain:
-        wanted = args.explain.upper()
-        for lint_rule in devtools.all_rules():
-            if lint_rule.code == wanted:
-                print(f"{lint_rule.code} [{lint_rule.severity}]")
-                print(f"scope: {lint_rule.scope}")
-                print(f"summary: {lint_rule.summary}")
-                if lint_rule.check.__doc__:
-                    print()
-                    print(inspect.cleandoc(lint_rule.check.__doc__))
-                if lint_rule.example:
-                    print()
-                    print("example finding:")
-                    print(f"  {lint_rule.example}")
-                print()
-                print(
-                    f"waive one line:  # reprolint: "
-                    f"disable={lint_rule.code} — <why>"
-                )
-                print(
-                    f"waive a file:    # reprolint: "
-                    f"disable-file={lint_rule.code} — <why> "
-                    f"(within the first {devtools.FILE_WAIVER_WINDOW} "
-                    f"lines)"
-                )
-                return 0
-        known = ", ".join(r.code for r in devtools.all_rules())
-        raise CliError(
-            f"no such rule: {args.explain} (known: {known})"
+        try:
+            lint_rule = devtools.get_rule(args.explain.upper())
+        except KeyError:
+            known = ", ".join(r.code for r in devtools.all_rules())
+            raise CliError(
+                f"no such rule: {args.explain} (known: {known})"
+            ) from None
+        print(f"{lint_rule.code} (scope: {lint_rule.scope})")
+        print(f"summary: {lint_rule.summary}")
+        print()
+        print(inspect.cleandoc(lint_rule.check.__doc__ or ""))
+        print()
+        print("example finding:")
+        print(f"  {lint_rule.example}")
+        print()
+        print(
+            f"waive one line:  # reprolint: "
+            f"disable={lint_rule.code} — <why>"
         )
+        print(
+            f"waive a file:    # reprolint: "
+            f"disable-file={lint_rule.code} — <why> "
+            f"(within the first {devtools.FILE_WAIVER_WINDOW} lines)"
+        )
+        return 0
     root = _lint_root(args)
     if args.paths:
         targets = [Path(p) for p in args.paths]
@@ -1220,13 +1183,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 f"default lint target {targets[0]} not found (installed "
                 f"without sources?) — pass explicit paths"
             )
-    active_rules = devtools.all_rules()
-    if args.no_flow:
-        active_rules = tuple(
-            r for r in active_rules if r.scope == "module"
-        )
-    report = devtools.lint_report(targets, root, rules=active_rules)
-    violations = report.violations
+    report = devtools.lint_report(targets, root)
     timings = report.timings
     print(
         f"lint timings: parse={timings['parse']:.2f}s "
@@ -1234,21 +1191,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         f"flow={timings['flow']:.2f}s total={timings['total']:.2f}s",
         file=sys.stderr,
     )
-    for issue in report.waiver_issues:
-        print(
-            f"warning: {issue.path}:{issue.line}: stale waiver for "
-            f"{issue.code} ({issue.reason})",
-            file=sys.stderr,
-        )
-    if args.json:
-        print(devtools.render_json(violations))
-    elif violations:
-        print(devtools.render_text(violations))
-    else:
-        print("lint: clean")
-    if args.strict_waivers and report.waiver_issues:
+    if report.violations:
+        print(devtools.render_text(report.violations))
         return 1
-    return 1 if violations else 0
+    print("lint: clean")
+    return 0
 
 
 def _render_verdict(verdict: dict) -> str:

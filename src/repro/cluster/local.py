@@ -246,7 +246,9 @@ class LocalCluster:
         1. restrict two half-range slices from the kept base index and
            boot their backends (old shard still serving everything);
         2. in follow mode, wait for the new backends to replay the log
-           to at least the old primary's applied seq;
+           to at least the highest seq a reachable backend of the old
+           slot has applied (the primary may be dead and its replica
+           serving — the halves must not answer staler than it does);
         3. :meth:`Router.apply_partition` — new traffic routes to the
            halves; requests already in flight complete against the old
            backends, whose index covers both halves (``restrict`` is
@@ -254,8 +256,10 @@ class LocalCluster:
         4. drain the retired connections, then stop the old backends.
 
         Raises :class:`ValueError` (from ``PartitionMap.split``) when
-        the shard covers a single /24 and cannot split. Returns a
-        summary dict (the auto-splitter's event payload).
+        the shard covers a single /24 and cannot split, and
+        :class:`RuntimeError` when, in follow mode, no backend of the
+        old slot answers to give a catch-up target. Returns a summary
+        dict (the auto-splitter's event payload).
         """
         with self._split_lock:
             if self.router is None:
@@ -286,7 +290,22 @@ class LocalCluster:
                     for backend in slot:
                         backend.start()
                 if self._follow is not None:
-                    target = old_slot[0].applied_seq()
+                    # applied_seq() reads 0 both for a dead backend and
+                    # for a live one with nothing applied yet; a
+                    # zero-wait for seq 0 tells the two apart.
+                    reachable = [
+                        backend
+                        for backend in old_slot
+                        if backend.wait_for_seq(0, timeout=0.0)
+                    ]
+                    if not reachable:
+                        raise RuntimeError(
+                            f"shard {shard_id} has no reachable backend "
+                            f"to take the catch-up seq from"
+                        )
+                    target = max(
+                        backend.applied_seq() for backend in reachable
+                    )
                     for slot in new_slots:
                         for backend in slot:
                             if not backend.wait_for_seq(

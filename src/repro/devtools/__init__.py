@@ -1,33 +1,27 @@
 """Developer tooling: the ``reprolint`` static-analysis gate.
 
-``repro lint`` runs two layers of checks over the source tree:
+``repro lint`` runs four rules over the source tree, each kept for a
+catch it has on record:
 
-* the per-module AST rules in :mod:`repro.devtools.rules` —
-  determinism in simulation/load paths, bounded reads on the wire
-  path, scoped resources, no silently-swallowed exceptions;
-* the whole-program flow pass in :mod:`repro.devtools.flow` —
-  interprocedural lock discipline (FLOW-LOCK), blocking calls
-  reachable from reactor callbacks (FLOW-BLOCK), and binary
-  wire-codec conformance (FLOW-WIRE).
+* per module (:mod:`repro.devtools.rules`) — ``DET`` determinism in
+  simulation/load paths, ``WIRE`` bounded reads on the wire path,
+  ``EXC`` no silently-swallowed exceptions on serving paths;
+* whole program (:mod:`repro.devtools.flow`) — ``FLOW-BLOCK``, no
+  blocking call reachable from a reactor callback.
 
 See :mod:`repro.devtools.lint` for the framework (rule registry,
-waivers + stale-waiver hygiene, phase timings).
+waivers, stale-waiver findings, phase timings).
 """
 
 from .lint import (
     FILE_WAIVER_WINDOW,
     LintModule,
     LintReport,
-    ProgramContext,
     Rule,
     Violation,
-    WaiverIssue,
     all_rules,
     get_rule,
-    lint_file,
-    lint_paths,
     lint_report,
-    render_json,
     render_text,
     rule,
 )
@@ -36,16 +30,11 @@ __all__ = [
     "FILE_WAIVER_WINDOW",
     "LintModule",
     "LintReport",
-    "ProgramContext",
     "Rule",
     "Violation",
-    "WaiverIssue",
     "all_rules",
     "get_rule",
-    "lint_file",
-    "lint_paths",
     "lint_report",
-    "render_json",
     "render_text",
     "rule",
 ]

@@ -1,38 +1,11 @@
-"""Whole-program flow analyses (the FLOW-* rule family).
+"""The whole-program flow pass: one rule, ``FLOW-BLOCK``.
 
-Importing this package registers the program-scope rules with the
-lint registry (mirroring how :mod:`repro.devtools.rules` registers
-the per-module rules):
-
-``FLOW-LOCK``
-    Interprocedural lock-discipline inference (:mod:`.locks`) —
-    replaces the retired single-function CONC heuristic.
-
-``FLOW-BLOCK``
-    Blocking calls reachable from reactor callbacks (:mod:`.reactor`).
-
-``FLOW-WIRE``
-    Binary wire-codec conformance (:mod:`.wirecheck`).
-
-Shared infrastructure: :mod:`.symtab` (project symbol table) and
-:mod:`.callgraph` (call/callback resolution), built once per run and
-cached on the :class:`~repro.devtools.lint.ProgramContext`.
+Importing this package registers it with the lint registry (as
+importing :mod:`repro.devtools.rules` registers the per-module rules).
+:mod:`.reactor` is the rule; :mod:`.symtab` (project symbol table) and
+:mod:`.callgraph` (call/callback resolution) are what it walks.
 """
 
-from .callgraph import Resolver, get_resolver
-from .locks import check_lock_flow
 from .reactor import check_reactor_blocking
-from .symtab import ClassInfo, FunctionInfo, Program, get_program
-from .wirecheck import check_wire_conformance
 
-__all__ = [
-    "ClassInfo",
-    "FunctionInfo",
-    "Program",
-    "Resolver",
-    "check_lock_flow",
-    "check_reactor_blocking",
-    "check_wire_conformance",
-    "get_program",
-    "get_resolver",
-]
+__all__ = ["check_reactor_blocking"]

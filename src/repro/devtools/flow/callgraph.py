@@ -23,14 +23,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from ..lint import ProgramContext
-from .symtab import ClassInfo, FunctionInfo, Program, get_program
+from .symtab import ClassInfo, FunctionInfo, Program
 
-__all__ = ["Resolver", "get_resolver"]
+__all__ = ["Resolver"]
 
 
 class Resolver:
-    """Shared call/callback resolution for the flow rules."""
+    """Call and callback resolution for the flow pass."""
 
     def __init__(self, program: Program) -> None:
         self.program = program
@@ -211,12 +210,3 @@ class Resolver:
             for target in targets:
                 if target is not None and target.node is not fn.node:
                     yield node, target
-
-
-def get_resolver(context: ProgramContext) -> Resolver:
-    """The per-run :class:`Resolver`, built once and cached."""
-    cached = context.cache.get("flow.resolver")
-    if not isinstance(cached, Resolver):
-        cached = Resolver(get_program(context))
-        context.cache["flow.resolver"] = cached
-    return cached

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import ast
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..lint import LintModule, ProgramContext, Violation, rule
+from ..lint import LintModule, Violation, rule
 from ..rules import SERVING_DIRS
-from .callgraph import Resolver, get_resolver
-from .symtab import FunctionInfo, Program, get_program
+from .callgraph import Resolver
+from .symtab import FunctionInfo, Program
 
 __all__ = ["check_reactor_blocking"]
 
@@ -225,7 +225,6 @@ def _blocking_calls(
 
 @rule(
     "FLOW-BLOCK",
-    severity="error",
     scope="program",
     summary=(
         "no blocking operations (time.sleep, blocking socket ops, "
@@ -242,9 +241,16 @@ def _blocking_calls(
     ),
 )
 def check_reactor_blocking(
-    context: ProgramContext,
+    modules: Sequence[LintModule],
 ) -> Iterator[Violation]:
-    """Collect every callable handed to a reactor registration point
+    """Proves the invariant the serving plane leans on — nothing
+    blocks the loop: one blocking call behind a callback stalls every
+    connection of the process at once, and no test times that. Its
+    catch on record is ``TestRepoWiringMutations``: a ``time.sleep``
+    seeded into the router's reply handler or its ping timer is found
+    through the real wiring (``Link`` event callback → subclass hook).
+
+    Collect every callable handed to a reactor registration point
     (``call_soon``/``call_later``/``run_sync``/``register``/
     ``modify``, ``*.callback =`` assignments, ``WireServer(handler)``)
     and BFS the call graph from each. Any reached function that calls
@@ -253,8 +259,8 @@ def check_reactor_blocking(
     registration site and the call path. Sockets a module switches to
     non-blocking via ``setblocking(False)`` on the same dotted
     receiver are exempt."""
-    program = get_program(context)
-    resolver = get_resolver(context)
+    program = Program(modules)
+    resolver = Resolver(program)
     index = _function_index(program)
 
     queue: Deque[Tuple[FunctionInfo, str, Tuple[str, ...]]] = deque()

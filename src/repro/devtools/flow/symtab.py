@@ -1,13 +1,11 @@
 """Project-wide symbol table for the flow pass.
 
 The per-module rules in :mod:`repro.devtools.rules` see one file at a
-time; the flow analyses (lock discipline, reactor blocking, wire
-conformance) need to know *what a name is* across the whole of
+time; FLOW-BLOCK needs to know *what a name is* across the whole of
 ``src/repro``: which class a ``self.attr`` holds, which module a
 ``from .wire import encode_binary_frame`` lands in, which methods a
-class defines.  This module builds that table once per lint run —
-stdlib ``ast`` only, shared between the three flow rules through
-:class:`~repro.devtools.lint.ProgramContext.cache`.
+class defines.  This module builds that table once per lint run,
+stdlib ``ast`` only.
 
 Resolution is deliberately name-based and conservative: a symbol that
 cannot be resolved to exactly one definition resolves to nothing, so
@@ -18,16 +16,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-from ..lint import LintModule, ProgramContext
+from ..lint import LintModule
 
-__all__ = [
-    "ClassInfo",
-    "FunctionInfo",
-    "Program",
-    "get_program",
-]
+__all__ = ["ClassInfo", "FunctionInfo", "Program"]
 
 
 @dataclasses.dataclass
@@ -39,10 +32,6 @@ class FunctionInfo:
     node: Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
     module: LintModule
     owner: Optional["ClassInfo"] = None
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
 
     def param_types(self) -> Dict[str, str]:
         """Parameter name -> annotated class name (bare names only)."""
@@ -94,9 +83,8 @@ def _bare_callee(module: LintModule, call: ast.Call) -> Optional[str]:
 class Program:
     """Symbol table over every module in one lint run."""
 
-    def __init__(self, context: ProgramContext) -> None:
-        self.context = context
-        self.modules: List[LintModule] = context.modules
+    def __init__(self, modules: Sequence[LintModule]) -> None:
+        self.modules: List[LintModule] = list(modules)
         #: class name -> definitions (several = ambiguous, unresolved)
         self.classes: Dict[str, List[ClassInfo]] = {}
         #: module-level function name -> definitions
@@ -256,12 +244,3 @@ class Program:
         if len(matches) != 1:
             return None
         return self.module_symbols[matches[0]].get(symbol)
-
-
-def get_program(context: ProgramContext) -> Program:
-    """The per-run :class:`Program`, built once and cached."""
-    cached = context.cache.get("flow.program")
-    if not isinstance(cached, Program):
-        cached = Program(context)
-        context.cache["flow.program"] = cached
-    return cached

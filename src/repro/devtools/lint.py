@@ -1,29 +1,28 @@
 """`reprolint` — the repo's AST-based invariant linter.
 
-The reproduction's headline guarantees (bit-identical parallel runs,
-lock-free epoch swaps, cluster/single-process equality) rest on
-invariants no test can economically enforce file-by-file: simulation
-code must draw time and randomness from injected ``sim.clock`` /
-``sim.rng`` streams, wire-facing code must bound every read, and
-threaded serving code must mutate shared state under a lock. This
-module is the framework; :mod:`repro.devtools.rules` holds the rules
-themselves.
+Some of the reproduction's guarantees rest on invariants no test can
+economically enforce file by file: simulation code must draw time and
+randomness from injected ``sim.clock`` / ``sim.rng`` streams,
+wire-facing code must bound every read, and nothing a reactor
+callback reaches may block. This module is the framework;
+:mod:`repro.devtools.rules` and :mod:`repro.devtools.flow` hold the
+rules, each kept for a catch it has on record.
 
 Two pieces:
 
 * a **rule registry** — each rule is a function over a parsed
-  :class:`LintModule`, registered with :func:`rule` under a short code
-  (``DET``, ``WIRE``, ...) and a severity;
+  :class:`LintModule` (or, for a program-scope rule, over all of
+  them), registered with :func:`rule` under a short code;
 * **waivers** — ``# reprolint: disable=CODE[,CODE]`` on (or on the
   comment line directly above) a violating line suppresses it, and
   ``# reprolint: disable-file=CODE`` near the top of a file waives the
   whole module: intentional exceptions are visible in the diff, not in
   reviewer memory. A waiver that names an unknown rule or suppresses
-  nothing is itself reported (:class:`WaiverIssue`).
+  nothing is itself a finding (rule ``WAIVER``).
 
-The gate is the clean tree: zero unwaived findings and zero stale
-waivers (``repro lint --strict-waivers``). There is no accepted-findings
-file — a finding is fixed or waived where it stands.
+The gate is the clean tree: ``repro lint`` exits 1 on any finding.
+There is no accepted-findings file and no advisory level — a finding
+is fixed or waived where it stands.
 
 Stdlib only — ``ast`` does the parsing; nothing here imports outside
 the standard library, so the gate runs wherever the repo does.
@@ -33,9 +32,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import io
-import json
 import re
 import time
 import tokenize
@@ -56,28 +53,23 @@ __all__ = [
     "FILE_WAIVER_WINDOW",
     "LintModule",
     "LintReport",
-    "ProgramContext",
     "Rule",
     "Violation",
-    "WaiverIssue",
     "all_rules",
     "get_rule",
-    "lint_file",
-    "lint_paths",
     "lint_report",
     "render_text",
-    "render_json",
     "rule",
 ]
-
-#: Severities a rule may carry (order = display order).
-SEVERITIES = ("error", "warning")
 
 #: Scopes a rule may run at: per parsed file, or once over the whole
 #: module set (the flow pass — see :mod:`repro.devtools.flow`).
 SCOPES = ("module", "program")
 
-# Rule codes may be hyphenated (FLOW-LOCK, FLOW-BLOCK, FLOW-WIRE).
+#: Findings the framework itself raises; not waivable, not registered.
+PARSE, WAIVER = "PARSE", "WAIVER"
+
+# Rule codes may be hyphenated (FLOW-BLOCK).
 _WAIVER_RE = re.compile(
     r"#\s*reprolint:\s*disable=([A-Z0-9_\-,\s]+)"
 )
@@ -93,30 +85,15 @@ class Violation:
     """One finding: a rule tripped at a source location."""
 
     rule: str
-    severity: str
     path: str  # posix path relative to the lint root
     line: int
     col: int
     message: str
-    #: The stripped source line — the fingerprint ingredient, so a
-    #: finding keeps its identity across unrelated line-number drift.
-    snippet: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity in ``--json`` output (rule + file + code)."""
-        basis = f"{self.rule}\x1f{self.path}\x1f{self.snippet}"
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
-    def to_wire(self) -> Dict[str, object]:
-        data = dataclasses.asdict(self)
-        data["fingerprint"] = self.fingerprint
-        return data
 
     def render(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
-            f"{self.rule} [{self.severity}] {self.message}"
+            f"{self.rule} {self.message}"
         )
 
 
@@ -126,14 +103,14 @@ class Rule:
 
     ``scope`` selects the calling convention: a ``"module"`` rule's
     ``check`` receives one :class:`LintModule` per file; a
-    ``"program"`` rule's ``check`` receives a single
-    :class:`ProgramContext` holding every parsed module, and runs
-    once per lint invocation (after all module rules).  ``example``
-    is a short violating snippet shown by ``repro lint --explain``.
+    ``"program"`` rule's ``check`` receives the list of every parsed
+    module and runs once per lint invocation (after all module
+    rules).  ``example`` is a short violating snippet shown by
+    ``repro lint --explain``, beside ``check``'s docstring — which
+    names the bug or invariant the rule is kept for.
     """
 
     code: str
-    severity: str
     summary: str
     check: Callable[..., Iterable[Violation]]
     scope: str = "module"
@@ -146,7 +123,6 @@ _REGISTRY: Dict[str, Rule] = {}
 def rule(
     code: str,
     *,
-    severity: str,
     summary: str,
     scope: str = "module",
     example: str = "",
@@ -155,8 +131,6 @@ def rule(
     Callable[..., Iterable[Violation]],
 ]:
     """Register ``check`` under ``code``; used as a decorator."""
-    if severity not in SEVERITIES:
-        raise ValueError(f"unknown severity: {severity!r}")
     if scope not in SCOPES:
         raise ValueError(f"unknown scope: {scope!r}")
 
@@ -165,7 +139,7 @@ def rule(
     ) -> Callable[..., Iterable[Violation]]:
         if code in _REGISTRY:
             raise ValueError(f"duplicate rule code: {code}")
-        _REGISTRY[code] = Rule(code, severity, summary, check, scope, example)
+        _REGISTRY[code] = Rule(code, summary, check, scope, example)
         return check
 
     return register
@@ -198,23 +172,6 @@ class _Waiver:
     used: Set[str] = dataclasses.field(default_factory=set)
 
 
-@dataclasses.dataclass(frozen=True)
-class WaiverIssue:
-    """A waiver comment that is doing nothing: its code is unknown to
-    the registry, or no violation matched it this run."""
-
-    path: str
-    line: int
-    code: str
-    reason: str  # "unknown rule code" or "matched no violation"
-
-    def render(self) -> str:
-        return (
-            f"{self.path}:{self.line}: stale waiver "
-            f"'disable={self.code}' ({self.reason})"
-        )
-
-
 class LintModule:
     """One parsed source file plus the lookups every rule needs."""
 
@@ -239,17 +196,7 @@ class LintModule:
         """True when any path segment (not the filename) matches."""
         return any(part in names for part in self.parts[:-1])
 
-    def imports(self, module: str) -> bool:
-        """True when the file imports ``module`` (any alias/form)."""
-        return module in self.import_aliases.values() or any(
-            canonical == module or canonical.startswith(module + ".")
-            for canonical in self.import_aliases.values()
-        )
-
     # -- AST helpers ----------------------------------------------------
-
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        return self._parents.get(node)
 
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         current = self._parents.get(node)
@@ -386,72 +333,46 @@ class LintModule:
                 hit = True
         return hit
 
-    def waiver_issues(
-        self, known_codes: Set[str], active_codes: Set[str]
-    ) -> Iterator[WaiverIssue]:
-        """Waivers that did nothing this run: unknown codes always
-        count; known codes count only when their rule actually ran
-        (``active_codes``) yet the waiver matched no violation."""
+    def stale_waivers(self) -> Iterator[Violation]:
+        """Waivers that did nothing this run — the code is not a
+        registered rule, or no violation matched — as findings."""
         for waiver in self.waivers:
             for code in waiver.codes:
-                if code not in known_codes:
-                    yield WaiverIssue(
-                        self.relpath,
-                        waiver.line,
-                        code,
-                        "unknown rule code",
-                    )
-                elif code in active_codes and code not in waiver.used:
-                    yield WaiverIssue(
-                        self.relpath,
-                        waiver.line,
-                        code,
-                        "matched no violation",
-                    )
+                if code not in _REGISTRY:
+                    reason = "unknown rule code"
+                elif code not in waiver.used:
+                    reason = "matched no violation"
+                else:
+                    continue
+                yield Violation(
+                    WAIVER,
+                    self.relpath,
+                    waiver.line,
+                    1,
+                    f"stale waiver 'disable={code}' ({reason})",
+                )
 
     # -- violation factory ---------------------------------------------
 
     def violation(
         self, rule_code: str, node: ast.AST, message: str
     ) -> Violation:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        snippet = (
-            self.lines[line - 1].strip()
-            if 0 < line <= len(self.lines)
-            else ""
-        )
         return Violation(
-            rule=rule_code,
-            severity=_REGISTRY[rule_code].severity,
-            path=self.relpath,
-            line=line,
-            col=col + 1,
-            message=message,
-            snippet=snippet,
+            rule_code,
+            self.relpath,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0) + 1,
+            message,
         )
-
-
-class ProgramContext:
-    """What a program-scope rule sees: every parsed module in the run
-    plus a shared cache where the flow analyses stash cross-rule
-    artefacts (symbol table, call graph) so each is built once."""
-
-    def __init__(self, modules: Sequence[LintModule]) -> None:
-        self.modules: List[LintModule] = list(modules)
-        self.by_relpath: Dict[str, LintModule] = {
-            module.relpath: module for module in self.modules
-        }
-        self.cache: Dict[str, object] = {}
 
 
 @dataclasses.dataclass
 class LintReport:
-    """Everything one lint run produced: findings, waiver hygiene,
-    and per-phase wall-clock timings (seconds) for the cost gate."""
+    """What one lint run produced: the findings (stale waivers
+    included) and per-phase wall-clock timings (seconds) for the
+    gate's budget."""
 
     violations: List[Violation]
-    waiver_issues: List[WaiverIssue]
     timings: Dict[str, float]
 
 
@@ -466,58 +387,12 @@ def _iter_python_files(target: Path) -> Iterator[Path]:
         yield path
 
 
-def _parse_violation(relpath: str, exc: SyntaxError) -> Violation:
-    return Violation(
-        rule="PARSE",
-        severity="error",
-        path=relpath,
-        line=exc.lineno or 1,
-        col=(exc.offset or 0) + 1,
-        message=f"file does not parse: {exc.msg}",
-        snippet="",
-    )
-
-
-def lint_file(
-    path: Path,
-    root: Path,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Violation]:
-    """All (un-waived) module-rule violations in one file.
-
-    Program-scope rules need the whole module set and are skipped
-    here; use :func:`lint_paths`/:func:`lint_report` for them.
-    """
-    active = tuple(rules) if rules is not None else all_rules()
-    try:
-        relpath = path.resolve().relative_to(root.resolve()).as_posix()
-    except ValueError:
-        relpath = path.as_posix()
-    source = path.read_text(encoding="utf-8")
-    try:
-        module = LintModule(path, relpath, source)
-    except SyntaxError as exc:
-        return [_parse_violation(relpath, exc)]
-    found: List[Violation] = []
-    for active_rule in active:
-        if active_rule.scope != "module":
-            continue
-        for violation in active_rule.check(module):
-            if not module.waived(violation.line, violation.rule):
-                found.append(violation)
-    found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return found
-
-
-def lint_report(
-    targets: Iterable[Path],
-    root: Path,
-    rules: Optional[Sequence[Rule]] = None,
-) -> LintReport:
+def lint_report(targets: Iterable[Path], root: Path) -> LintReport:
     """Lint every ``.py`` file under ``targets`` (files or trees):
-    parse all modules, run module rules per file, then run the
-    program-scope flow pass once over the whole set."""
-    active = tuple(rules) if rules is not None else all_rules()
+    parse all modules, run module rules per file, run the
+    program-scope flow pass once over the whole set, then report
+    every waiver that suppressed nothing."""
+    active = all_rules()
     module_rules = [r for r in active if r.scope == "module"]
     program_rules = [r for r in active if r.scope == "program"]
 
@@ -541,7 +416,15 @@ def lint_report(
             try:
                 modules.append(LintModule(path, relpath, source))
             except SyntaxError as exc:
-                found.append(_parse_violation(relpath, exc))
+                found.append(
+                    Violation(
+                        PARSE,
+                        relpath,
+                        exc.lineno or 1,
+                        (exc.offset or 0) + 1,
+                        f"file does not parse: {exc.msg}",
+                    )
+                )
     parsed_at = time.perf_counter()
 
     for module in modules:
@@ -551,30 +434,21 @@ def lint_report(
                     found.append(violation)
     module_rules_at = time.perf_counter()
 
-    if program_rules and modules:
-        context = ProgramContext(modules)
-        for active_rule in program_rules:
-            for violation in active_rule.check(context):
-                owner = context.by_relpath.get(violation.path)
-                if owner is None or not owner.waived(
-                    violation.line, violation.rule
-                ):
-                    found.append(violation)
+    by_relpath = {module.relpath: module for module in modules}
+    for active_rule in program_rules:
+        for violation in active_rule.check(modules):
+            if not by_relpath[violation.path].waived(
+                violation.line, violation.rule
+            ):
+                found.append(violation)
     flow_at = time.perf_counter()
 
-    known_codes = {r.code for r in all_rules()} | {"PARSE"}
-    active_codes = {r.code for r in active}
-    issues: List[WaiverIssue] = []
     for module in modules:
-        issues.extend(
-            module.waiver_issues(known_codes, active_codes)
-        )
+        found.extend(module.stale_waivers())
 
     found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    issues.sort(key=lambda i: (i.path, i.line, i.code))
     return LintReport(
         violations=found,
-        waiver_issues=issues,
         timings={
             "parse": parsed_at - started,
             "module_rules": module_rules_at - parsed_at,
@@ -582,15 +456,6 @@ def lint_report(
             "total": flow_at - started,
         },
     )
-
-
-def lint_paths(
-    targets: Iterable[Path],
-    root: Path,
-    rules: Optional[Sequence[Rule]] = None,
-) -> List[Violation]:
-    """Violations only — :func:`lint_report` without the hygiene."""
-    return lint_report(targets, root, rules).violations
 
 
 def render_text(violations: Sequence[Violation]) -> str:
@@ -605,15 +470,3 @@ def render_text(violations: Sequence[Violation]) -> str:
         )
         lines.append(f"{len(violations)} violation(s) ({summary})")
     return "\n".join(lines)
-
-
-def render_json(violations: Sequence[Violation]) -> str:
-    """Machine-readable report (what ``repro lint --json`` prints)."""
-    return json.dumps(
-        {
-            "violations": [v.to_wire() for v in violations],
-            "count": len(violations),
-        },
-        indent=2,
-        sort_keys=True,
-    )

@@ -1,38 +1,21 @@
-"""The repo's invariant rules.
-
-Each rule guards an invariant a shipped guarantee rests on:
+"""The per-module rules. Each is kept for a catch it has on record —
+its ``check`` docstring (what ``repro lint --explain`` prints) names
+it; a rule with no catch is deleted, not switched off.
 
 ``DET``
-    Simulation paths (``sim/``, ``internet/``, ``bittorrent/``,
-    ``experiments/``) must not read the wall clock or unseeded
-    randomness — bit-identical parallel runs (the PR 1 guarantee) die
-    the moment one does. Time comes from ``sim.clock``, randomness
-    from injected ``sim.rng`` streams.
+    Simulation and load paths (:data:`DETERMINISM_DIRS`) must not read
+    the wall clock or unseeded randomness.
 
 ``WIRE``
-    Wire-facing code (``service/``, ``cluster/``, ``stream/``) must
-    bound what it reads and guard what it decodes: no zero-argument
-    ``sock.recv()``/``.read()``, no ``json.loads`` or
-    ``struct.unpack``/``unpack_from``/``iter_unpack`` in a function
-    that shows no size bound (a ``len()`` comparison or a
-    ``MAX_*``/``*limit*`` constant).
-
-``RES``
-    Sockets and file handles must be scoped: opened in a ``with``,
-    owned by ``self`` (a close-managed object), created under a
-    ``try``/``finally``, or returned to the caller.
+    Wire-facing code (:data:`SERVING_DIRS`) must bound what it reads
+    and guard what it decodes.
 
 ``EXC``
-    Serving paths must not swallow exceptions silently: an
-    ``except Exception``/bare ``except`` whose body is only ``pass``
-    or ``continue`` hides the pipeline defects blocklist
-    false-positive studies trace outages to.
+    Serving paths must not swallow exceptions silently.
 
-Lock discipline moved out of this module in PR 10: the old
-single-function CONC heuristic is replaced by the interprocedural
-``FLOW-LOCK`` pass in :mod:`repro.devtools.flow.locks`, which also
-brought ``FLOW-BLOCK`` (reactor blocking calls) and ``FLOW-WIRE``
-(codec conformance) — see :mod:`repro.devtools.flow`.
+The fourth rule, ``FLOW-BLOCK`` (nothing a reactor callback reaches
+may block), needs the whole program and lives in
+:mod:`repro.devtools.flow`.
 
 False positives are expected occasionally — that is what inline
 ``# reprolint: disable=CODE`` waivers (with a justifying comment) are
@@ -59,7 +42,7 @@ DETERMINISM_DIRS = (
     "loadgen",
 )
 
-#: Directories on the serving/wire path (WIRE / EXC / FLOW-* scope).
+#: Directories on the serving/wire path (WIRE / EXC / FLOW-BLOCK scope).
 SERVING_DIRS = ("service", "cluster", "stream")
 
 # -- DET ---------------------------------------------------------------
@@ -94,7 +77,6 @@ _DET_RANDOM_FUNCS = {
 
 @rule(
     "DET",
-    severity="error",
     summary=(
         "no wall-clock or unseeded randomness in simulation paths "
         "(inject sim.rng streams / sim.clock)"
@@ -105,6 +87,14 @@ _DET_RANDOM_FUNCS = {
     ),
 )
 def check_determinism(module: LintModule) -> Iterator[Violation]:
+    """Guards the bit-identical goldens: a run is byte-for-byte the
+    same for any ``--workers`` and on any rerun
+    (``tests/test_goldens.py``, ``tests/test_parallel.py``), which
+    dies the moment a simulation path reads the wall clock, OS
+    entropy or the module-level ``random`` stream. Time comes from
+    ``sim.clock``, randomness from injected ``sim.rng`` streams; the
+    two wall-clock adapters (``sim/realtime.py``, the load harness)
+    carry the waivers."""
     if not module.in_dirs(*DETERMINISM_DIRS):
         return
     for node in ast.walk(module.tree):
@@ -178,7 +168,6 @@ def _catches_struct_error(scope: ast.AST) -> bool:
 
 @rule(
     "WIRE",
-    severity="error",
     summary=(
         "bounded reads and guarded decodes on the wire path "
         "(no naked recv()/read()/json.loads/struct.unpack)"
@@ -189,6 +178,14 @@ def _catches_struct_error(scope: ast.AST) -> bool:
     ),
 )
 def check_wire(module: LintModule) -> Iterator[Violation]:
+    """Catch on record: its first sweep found ``wire.py`` handing a
+    frame's payload to ``json.loads`` before any size check — a peer
+    could make the server parse whatever it sent; the fix bounds the
+    payload first. Flags a zero-argument ``sock.recv()``/``.read()``,
+    and a ``json.loads`` or ``struct`` ``unpack``/``unpack_from``/
+    ``iter_unpack`` in a function that shows no size bound (a
+    ``len()`` comparison, a ``MAX_*``/``*limit*`` name, or a
+    ``struct.error`` handler)."""
     if not module.in_dirs(*SERVING_DIRS):
         return
     for node in ast.walk(module.tree):
@@ -251,125 +248,6 @@ def check_wire(module: LintModule) -> Iterator[Violation]:
             )
 
 
-# -- RES ---------------------------------------------------------------
-
-
-def _self_attr_target(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-#: Canonical calls that hand back a resource needing a close().
-_RES_OPENERS = {
-    "open",
-    "gzip.open",
-    "bz2.open",
-    "lzma.open",
-    "os.fdopen",
-    "socket.socket",
-    "socket.create_connection",
-    "tempfile.NamedTemporaryFile",
-    "tempfile.TemporaryFile",
-}
-
-
-def _in_with_context(module: LintModule, node: ast.AST) -> bool:
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.With):
-            for item in ancestor.items:
-                for sub in ast.walk(item.context_expr):
-                    if sub is node:
-                        return True
-    return False
-
-
-def _assigned_to_self(module: LintModule, node: ast.AST) -> bool:
-    parent = module.parent(node)
-    if isinstance(parent, ast.Assign):
-        return any(
-            _self_attr_target(target) is not None
-            for target in parent.targets
-        )
-    if isinstance(parent, ast.AnnAssign):
-        return _self_attr_target(parent.target) is not None
-    return False
-
-
-def _in_try_finally(module: LintModule, node: ast.AST) -> bool:
-    for ancestor in module.ancestors(node):
-        if isinstance(ancestor, ast.Try) and ancestor.finalbody:
-            return True
-        if isinstance(
-            ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)
-        ):
-            break
-    # The common idiom opens *before* the try so the name is bound for
-    # the finally: ``h = open(p)`` immediately followed by
-    # ``try: ... finally: ...`` counts as scoped.
-    parent = module.parent(node)
-    if isinstance(parent, (ast.Assign, ast.AnnAssign)):
-        grandparent = module.parent(parent)
-        for body in (
-            getattr(grandparent, "body", None),
-            getattr(grandparent, "orelse", None),
-            getattr(grandparent, "finalbody", None),
-        ):
-            if body and parent in body:
-                index = body.index(parent)
-                if index + 1 < len(body):
-                    follower = body[index + 1]
-                    if (
-                        isinstance(follower, ast.Try)
-                        and follower.finalbody
-                    ):
-                        return True
-    return False
-
-
-def _is_returned(module: LintModule, node: ast.AST) -> bool:
-    parent = module.parent(node)
-    return isinstance(parent, ast.Return)
-
-
-@rule(
-    "RES",
-    severity="warning",
-    summary=(
-        "files/sockets must be scoped: with-block, self-owned, "
-        "try/finally, or returned to the caller"
-    ),
-    example=(
-        "def load(path):\n"
-        "    handle = open(path)   # RES: leaks on first exception\n"
-        "    return handle.read(100)\n"
-    ),
-)
-def check_resources(module: LintModule) -> Iterator[Violation]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = module.resolve_call(node)
-        if target not in _RES_OPENERS:
-            continue
-        if (
-            _in_with_context(module, node)
-            or _assigned_to_self(module, node)
-            or _in_try_finally(module, node)
-            or _is_returned(module, node)
-        ):
-            continue
-        yield module.violation(
-            "RES",
-            node,
-            f"{target}() outside a with-block/try-finally — the "
-            f"handle leaks on the first exception",
-        )
-
-
 # -- EXC ---------------------------------------------------------------
 
 
@@ -392,7 +270,6 @@ def _broad_handler(node: ast.ExceptHandler) -> bool:
 
 @rule(
     "EXC",
-    severity="warning",
     summary=(
         "serving paths must not silently swallow Exception "
         "(count it, log it, or narrow the except)"
@@ -405,6 +282,13 @@ def _broad_handler(node: ast.ExceptHandler) -> bool:
     ),
 )
 def check_silent_except(module: LintModule) -> Iterator[Violation]:
+    """Keeps "every failure degrades to a *declared* state" checkable:
+    an ``except Exception``/bare ``except`` whose body is only
+    ``pass``/``continue`` is a failure nobody will ever see. Two
+    sites are waived, each saying why the swallow is safe (the
+    reactor's callback guard in ``aio.py``, teardown in
+    ``cluster/local.py``); the rule is the "zero silent ``except`` on
+    serving paths" half of the observability work (ROADMAP item 3)."""
     if not module.in_dirs(*SERVING_DIRS):
         return
     for node in ast.walk(module.tree):

@@ -64,10 +64,15 @@ class LogFollower:
         return self._epochs
 
     def start(self) -> "LogFollower":
-        """Start tailing on a daemon thread."""
+        """Start tailing on a daemon thread. A follower is single-use:
+        once stopped it stays stopped — tail again with a fresh one."""
         with self._lock:
             if self._thread is not None:
                 raise RuntimeError("follower already started")
+            if self._stop.is_set():
+                raise RuntimeError(
+                    "follower was stopped; start a new LogFollower"
+                )
             thread = threading.Thread(
                 target=self._run, name="repro-log-follower", daemon=True
             )

@@ -51,6 +51,13 @@ LOG_VERSION = 1
 MAX_RECORD_BYTES = 8 << 20
 
 
+#: How every member the writer appends begins: gzip magic, deflate, no
+#: optional header field. A damaged flag byte would have the inflater
+#: read the records behind it as header padding and report the member
+#: as merely unfinished.
+_MEMBER_HEAD = b"\x1f\x8b\x08\x00"
+
+
 class UpdateLogError(RuntimeError):
     """The log is missing, corrupt, or violates the sequence contract."""
 
@@ -117,31 +124,49 @@ def _decode_batch(doc: Any, max_ip: int = 0xFFFFFFFF) -> DeltaBatch:
         raise UpdateLogError(str(exc)) from None
 
 
-def _scan_members(blob: bytes) -> Tuple[List[Any], int]:
+def _scan_members(blob: bytes, base: int) -> Tuple[List[Any], int]:
     """Parse complete gzip members off the front of ``blob``.
 
     Returns ``(documents, bytes_consumed)``; bytes past ``consumed``
-    are an incomplete (or corrupt) tail. A member that decompresses but
-    is not valid JSON raises — that is corruption, not truncation.
+    are an unfinished member — the one shape a torn append can leave,
+    since a crash mid-append writes a strict prefix of a valid member
+    and a prefix never fails to inflate. Anything else is corruption
+    and raises, naming the byte offset (``base`` = where ``blob``
+    starts in the file): a header the writer does not write, data that
+    is not a deflate stream, a failed gzip checksum, a member over
+    :data:`MAX_RECORD_BYTES`, a member that is not JSON. Reading any
+    of those as a tail would leave every batch behind it unread for
+    ever.
     """
     documents: List[Any] = []
     pos = 0
     while pos < len(blob):
+        head = blob[pos:pos + len(_MEMBER_HEAD)]
+        if head != _MEMBER_HEAD[:len(head)]:
+            raise UpdateLogError(
+                f"corrupt record at byte {base + pos}: not a member "
+                f"header of this log"
+            )
         decomp = zlib.decompressobj(wbits=31)
         try:
             data = decomp.decompress(blob[pos:], MAX_RECORD_BYTES)
-        except zlib.error:
-            break  # mangled tail: treat like truncation
+        except zlib.error as exc:
+            raise UpdateLogError(
+                f"corrupt record at byte {base + pos}: {exc}"
+            ) from None
+        if decomp.unconsumed_tail:
+            raise UpdateLogError(
+                f"record at byte {base + pos} exceeds "
+                f"{MAX_RECORD_BYTES} bytes"
+            )
         if not decomp.eof:
             break  # member not finished — truncated tail
         consumed = len(blob) - pos - len(decomp.unused_data)
-        if consumed <= 0:  # pragma: no cover — defensive
-            break
         try:
             documents.append(json.loads(data.decode("utf-8")))
         except (UnicodeDecodeError, ValueError) as exc:
             raise UpdateLogError(
-                f"undecodable record at byte {pos}: {exc}"
+                f"undecodable record at byte {base + pos}: {exc}"
             ) from None
         pos += consumed
     return documents, pos
@@ -315,7 +340,7 @@ class UpdateLogReader:
                 raise UpdateLogError(
                     f"update log not found: {self._path}"
                 ) from None
-            documents, consumed = _scan_members(blob)
+            documents, consumed = _scan_members(blob, self._offset)
             if self._offset == 0 and documents:
                 self._header = _check_header(
                     documents.pop(0), self._path

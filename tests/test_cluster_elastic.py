@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.cluster import AutoSplitter, LocalCluster, PartitionMap
+from repro.cluster.shard import ShardProcess
 from repro.loadgen import (
     LoadHarness,
     TrafficGenerator,
@@ -21,6 +22,8 @@ from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
+from repro.stream.delta import day_advance_batches
+from repro.stream.log import UpdateLogWriter
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +164,95 @@ class TestManualSplit:
                 cluster.router.apply_partition(
                     PartitionMap(3), [[("127.0.0.1", 1)]]
                 )
+
+
+class TestSplitBehindADeadPrimary:
+    """Follow mode, primary SIGKILLed, its replica serving: the split's
+    catch-up target comes from the backend that answers, so the halves
+    are never cut over staler than what clients were already seeing."""
+
+    @pytest.fixture()
+    def followed(self, tmp_path, small_full_run):
+        start_day = int(small_full_run.analysis.windows[0][0])
+        log_path = tmp_path / "updates.gz"
+        writer = UpdateLogWriter(log_path, start_day=start_day)
+        batches = list(
+            day_advance_batches(
+                small_full_run.analysis.observed, start_day=start_day
+            )
+        )[:3]
+        for batch in batches:
+            writer.append(batch)
+        return log_path, start_day, batches[-1].seq
+
+    def test_halves_catch_up_to_the_serving_replica(
+        self, followed, full_index, listed_ips, monkeypatch
+    ):
+        log_path, start_day, seq = followed
+        waited = []
+        real_wait = ShardProcess.wait_for_seq
+
+        def spy(backend, target, timeout=30.0):
+            waited.append((backend, target))
+            return real_wait(backend, target, timeout=timeout)
+
+        monkeypatch.setattr(ShardProcess, "wait_for_seq", spy)
+        with LocalCluster(
+            full_index,
+            shards=2,
+            replicas=1,
+            follow=log_path,
+            start_day=start_day,
+        ) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            assert cluster.wait_for_seq(seq, timeout=30.0)
+            victim = cluster.partition.shard_of(listed_ips[0])
+            old_slot = [cluster.backend(victim, r) for r in (0, 1)]
+            cluster.kill_primary(victim)
+            assert old_slot[0].applied_seq() == 0  # dead: says nothing
+            assert old_slot[1].applied_seq() == seq
+
+            seen, stop = [], threading.Event()
+
+            def watch():
+                with ReputationClient(*cluster.address) as client:
+                    while not stop.is_set():
+                        seen.append(client.hello()["cluster"]["seq_min"])
+
+            watcher = threading.Thread(target=watch)
+            watcher.start()
+            try:
+                del waited[:]
+                cluster.split_shard(victim)
+            finally:
+                time.sleep(0.05)  # at least one hello after the cutover
+                stop.set()
+                watcher.join(10.0)
+
+        targets = {
+            target
+            for backend, target in waited
+            if backend not in old_slot
+        }
+        assert targets == {seq}  # was {0}: the dead primary's answer
+        assert len(seen) >= 2
+        assert seen == sorted(seen) and seen[0] == seq, seen
+
+    def test_no_backend_answering_refuses_the_split(
+        self, followed, full_index
+    ):
+        log_path, start_day, seq = followed
+        with LocalCluster(
+            full_index, shards=2, follow=log_path, start_day=start_day
+        ) as cluster:
+            assert cluster.wait_for_seq(seq, timeout=30.0)
+            cluster.kill_primary(1)
+            with pytest.raises(RuntimeError, match="shard 1 has no reach"):
+                cluster.split_shard(1)
+            # Refused, not half-done: same partition, shard 0 serving.
+            assert len(cluster.partition) == 2
+            assert cluster.shard_pids()[0][0] is not None
+            assert len(cluster.shard_pids()) == 2
 
 
 class TestAutoSplitAcceptance:

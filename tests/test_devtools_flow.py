@@ -1,12 +1,11 @@
 """Tests for the whole-program flow pass (src/repro/devtools/flow):
-symbol table, call-graph resolution, the three FLOW-* rules, the
-stale-waiver check, and the CLI/gate plumbing around them.
+symbol table, call-graph resolution, the FLOW-BLOCK rule, the
+stale-waiver findings, and the CLI/gate plumbing around them.
 
-Each rule gets the seeded fixture the issue demands — an unlocked
-write three calls below the public entry (FLOW-LOCK), a ``time.sleep``
-behind a reactor timer (FLOW-BLOCK), an encoded frame tag no decoder
-handles (FLOW-WIRE) — plus the negatives that prove the pass stays
-silent on the idioms the real serving plane uses.
+FLOW-BLOCK gets its seeded fixture — a ``time.sleep`` behind a reactor
+timer — plus the negatives that prove the pass stays silent on the
+idioms the real serving plane uses, and two seeds into a copy of the
+real ``service/`` + ``cluster/`` wiring.
 """
 
 import shutil
@@ -17,10 +16,10 @@ import pytest
 
 from repro import devtools
 from repro.cli import main
-from repro.devtools.flow import get_program
-from repro.devtools.lint import LintModule, ProgramContext
+from repro.devtools.flow.symtab import Program
+from repro.devtools.lint import LintModule
 
-from .test_devtools_lint import gate_command, run_gate
+from .test_devtools_lint import BLOCK_TIMER_SLEEP, gate_command, run_gate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,7 +46,7 @@ def make_program(files):
         LintModule(Path(rel), rel, textwrap.dedent(src))
         for rel, src in files.items()
     ]
-    return get_program(ProgramContext(modules))
+    return Program(modules)
 
 
 class TestSymtab:
@@ -110,183 +109,6 @@ class TestSymtab:
         assert app is not None
         assert app.attr_ctors == {"router": "Router"}
 
-    def test_program_cached_on_context(self):
-        modules = [
-            LintModule(Path("service/x.py"), "service/x.py", "x = 1\n")
-        ]
-        context = ProgramContext(modules)
-        assert get_program(context) is get_program(context)
-
-
-LOCK_THREE_DEEP = """
-import threading
-
-
-class Engine:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.hits = 0
-
-    def record(self):
-        self._step_a()
-
-    def _step_a(self):
-        self._step_b()
-
-    def _step_b(self):
-        self.hits += 1
-
-    def reset(self):
-        with self._lock:
-            self.hits = 0
-"""
-
-
-class TestFlowLock:
-    def test_unlocked_write_three_calls_deep(self, tmp_path):
-        found = findings(
-            tmp_path, {"service/eng.py": LOCK_THREE_DEEP}, "FLOW-LOCK"
-        )
-        assert len(found) == 1
-        assert "self.hits" in found[0].message
-        assert "record -> _step_a -> _step_b" in found[0].message
-
-    def test_lock_held_in_caller_covers_callee(self, tmp_path):
-        found = findings(
-            tmp_path,
-            {
-                "service/eng.py": """
-                import threading
-
-
-                class Engine:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.hits = 0
-
-                    def record(self):
-                        with self._lock:
-                            self._bump()
-
-                    def _bump(self):
-                        self.hits += 1
-                """,
-            },
-            "FLOW-LOCK",
-        )
-        assert found == []
-
-    def test_lock_free_class_is_silent(self, tmp_path):
-        # No lock attribute at all (Reactor-style loop-owned state):
-        # the class demonstrates no discipline, so none is enforced.
-        found = findings(
-            tmp_path,
-            {
-                "service/loop.py": """
-                import threading
-
-
-                class Reactor:
-                    def __init__(self):
-                        self.pending = 0
-
-                    def tick(self):
-                        self.pending += 1
-                """,
-            },
-            "FLOW-LOCK",
-        )
-        assert found == []
-
-    def test_thread_target_counts_as_entry(self, tmp_path):
-        # _worker is private, but handing it to Thread(target=...)
-        # makes it run lock-free later — it is an entry point.
-        found = findings(
-            tmp_path,
-            {
-                "service/bg.py": """
-                import threading
-
-
-                class Pump:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.moved = 0
-
-                    def start(self):
-                        thread = threading.Thread(target=self._worker)
-                        thread.start()
-
-                    def _worker(self):
-                        self.moved += 1
-
-                    def drain(self):
-                        with self._lock:
-                            self.moved = 0
-                """,
-            },
-            "FLOW-LOCK",
-        )
-        assert len(found) == 1
-        assert "_worker" in found[0].message
-
-    def test_unguarded_attr_not_flagged(self, tmp_path):
-        # self.name is never written under the lock anywhere, so the
-        # class claims no discipline for it — only self.hits counts.
-        found = findings(
-            tmp_path,
-            {
-                "service/eng.py": """
-                import threading
-
-
-                class Engine:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-                        self.hits = 0
-                        self.name = ""
-
-                    def rename(self, name):
-                        self.name = name
-
-                    def reset(self):
-                        with self._lock:
-                            self.hits = 0
-                """,
-            },
-            "FLOW-LOCK",
-        )
-        assert found == []
-
-    def test_waiver_suppresses(self, tmp_path):
-        waived = LOCK_THREE_DEEP.replace(
-            "self.hits += 1",
-            "self.hits += 1  # reprolint: disable=FLOW-LOCK",
-        )
-        found = findings(
-            tmp_path, {"service/eng.py": waived}, "FLOW-LOCK"
-        )
-        assert found == []
-
-
-BLOCK_TIMER_SLEEP = """
-import time
-
-
-class Sweeper:
-    def __init__(self, reactor):
-        self.reactor = reactor
-
-    def start(self):
-        self.reactor.call_later(5.0, self._sweep)
-
-    def _sweep(self):
-        self._flush()
-
-    def _flush(self):
-        time.sleep(0.1)
-"""
-
 
 class TestFlowBlock:
     def test_sleep_behind_timer_flagged(self, tmp_path):
@@ -297,6 +119,16 @@ class TestFlowBlock:
         assert "time.sleep" in found[0].message
         assert "call_later" in found[0].message
         assert "_sweep -> _flush" in found[0].message
+
+    def test_waiver_suppresses(self, tmp_path):
+        # A program-scope finding is waived where it lands, like a
+        # module one — and the waiver then counts as used.
+        waived = BLOCK_TIMER_SLEEP.replace(
+            "time.sleep(0.1)",
+            "time.sleep(0.1)  # reprolint: disable=FLOW-BLOCK",
+        )
+        report = report_tree(tmp_path, {"service/sweep.py": waived})
+        assert report.violations == []
 
     def test_unregistered_sleep_not_flagged(self, tmp_path):
         # The same blocking call with no reactor registration is
@@ -459,157 +291,42 @@ class TestFlowBlock:
         assert "on_frame -> _stall" in found[1].message
 
 
-class TestFlowWire:
-    def test_encoded_ft_without_decoder_flagged(self, tmp_path):
-        files = {
-            "service/enc.py": """
-            FT_PING = 7
-
-
-            def encode_frame(ftype, payload):
-                return bytes([ftype]) + payload
-
-
-            def send(payload):
-                return encode_frame(FT_PING, payload)
-            """,
-        }
-        found = findings(tmp_path, dict(files), "FLOW-WIRE")
-        assert len(found) == 1
-        assert "FT_PING" in found[0].message
-        # A decoder branch in another serving module satisfies it.
-        files["cluster/dec.py"] = """
-        from ..service.enc import FT_PING
-
-
-        def dispatch(ftype, payload):
-            if ftype == FT_PING:
-                return payload
-            return None
-        """
-        found = findings(tmp_path, files, "FLOW-WIRE")
-        assert found == []
-
-    def test_codec_attribute_tags_need_a_dispatch_table(self, tmp_path):
-        """A per-family codec emits ``self.ft_*`` attributes, not
-        ``FT_*`` constants; the tag counts as decoded once some
-        serving module compares against it or keys a table on it."""
-        files = {
-            "service/codec.py": """
-            class Codec:
-                def __init__(self, ft_request, ft_reply):
-                    self.ft_request = ft_request
-                    self.ft_reply = ft_reply
-
-                def request(self, payload):
-                    return encode_frame(self.ft_request, payload)
-
-                def reply(self, payload):
-                    return encode_frame(self.ft_reply, payload)
-
-
-            def encode_frame(ftype, payload):
-                return bytes([ftype]) + payload
-            """,
-        }
-        found = findings(tmp_path, dict(files), "FLOW-WIRE")
-        assert sorted(v.message.split()[0] for v in found) == [
-            "ft_reply", "ft_request"
-        ]
-        files["service/dispatch.py"] = """
-        def by_request(codecs):
-            return {codec.ft_request: codec for codec in codecs}
-
-
-        def is_reply(codec, ftype):
-            return ftype == codec.ft_reply
-        """
-        assert findings(tmp_path, files, "FLOW-WIRE") == []
-
-    def test_every_frame_reader_must_handle_constant_tags(self, tmp_path):
-        """A tag encoded as a constant travels both ways: a decoder
-        branch in one reader says nothing about the other one."""
-        files = {
-            "service/enc.py": """
-            FT_MSG = 0
-
-
-            def encode_binary_frame(ftype, payload):
-                return bytes([ftype]) + payload
-
-
-            def encode_msg(payload):
-                return encode_binary_frame(FT_MSG, payload)
-            """,
-            "service/client.py": """
-            from .enc import FT_MSG
-
-
-            def read_reply(sock):
-                ftype, payload = recv_binary_frame(sock)
-                if ftype == FT_MSG:
-                    return payload
-                return None
-            """,
-            "service/loop.py": """
-            def on_readable(buffer, on_packed):
-                ftype, payload = decode_binary_frame(buffer)
-                on_packed(ftype, payload)
-            """,
-        }
-        found = findings(tmp_path, dict(files), "FLOW-WIRE")
-        assert [v.path for v in found] == ["service/loop.py"]
-        assert "FT_MSG" in found[0].message
-        files["service/loop.py"] = """
-        from .enc import FT_MSG
-
-
-        def on_readable(buffer, on_message, on_packed):
-            ftype, payload = decode_binary_frame(buffer)
-            if ftype == FT_MSG:
-                on_message(payload)
-            else:
-                on_packed(ftype, payload)
-        """
-        assert findings(tmp_path, files, "FLOW-WIRE") == []
-
-    def test_repo_codec_is_conformant(self):
-        # The real wire modules pass their own conformance bar.
-        report = devtools.lint_report(
-            [REPO_ROOT / "src" / "repro" / "service"], REPO_ROOT
-        )
-        assert [
-            v for v in report.violations if v.rule == "FLOW-WIRE"
-        ] == []
+def stale(report):
+    return [v for v in report.violations if v.rule == "WAIVER"]
 
 
 class TestStaleWaivers:
+    """A waiver that suppresses nothing is a finding like any other:
+    rule ``WAIVER``, at the waiver's line."""
+
     def test_unknown_code_reported(self, tmp_path):
         report = report_tree(
             tmp_path,
-            {
-                "sim/odd.py": (
-                    "x = 1  # reprolint: disable=NOPE\n"
-                ),
-            },
+            {"sim/odd.py": "x = 1  # reprolint: disable=NOPE\n"},
         )
-        assert len(report.waiver_issues) == 1
-        issue = report.waiver_issues[0]
-        assert issue.code == "NOPE"
-        assert issue.reason == "unknown rule code"
+        (issue,) = report.violations
+        assert (issue.rule, issue.path, issue.line) == (
+            "WAIVER", "sim/odd.py", 1
+        )
+        assert "'disable=NOPE' (unknown rule code)" in issue.message
+
+    def test_deleted_rule_code_is_unknown(self, tmp_path):
+        # A waiver for a rule this tree no longer has is stale too.
+        report = report_tree(
+            tmp_path,
+            {"service/old.py": "x = 1  # reprolint: disable=FLOW-LOCK\n"},
+        )
+        (issue,) = report.violations
+        assert "unknown rule code" in issue.message
 
     def test_unused_waiver_reported(self, tmp_path):
         report = report_tree(
             tmp_path,
-            {
-                "sim/clean.py": (
-                    "x = 1  # reprolint: disable=DET\n"
-                ),
-            },
+            {"sim/clean.py": "x = 1  # reprolint: disable=DET\n"},
         )
-        assert len(report.waiver_issues) == 1
-        assert report.waiver_issues[0].code == "DET"
-        assert report.waiver_issues[0].reason == "matched no violation"
+        (issue,) = report.violations
+        assert issue.rule == "WAIVER"
+        assert "'disable=DET' (matched no violation)" in issue.message
 
     def test_used_waiver_not_reported(self, tmp_path):
         report = report_tree(
@@ -624,36 +341,15 @@ class TestStaleWaivers:
                 """,
             },
         )
-        assert report.waiver_issues == []
         assert report.violations == []
 
     def test_file_waiver_tracked(self, tmp_path):
         report = report_tree(
             tmp_path,
-            {
-                "sim/noop.py": (
-                    "# reprolint: disable-file=DET\nx = 1\n"
-                ),
-            },
+            {"sim/noop.py": "# reprolint: disable-file=DET\nx = 1\n"},
         )
-        assert len(report.waiver_issues) == 1
-        assert report.waiver_issues[0].reason == "matched no violation"
-
-    def test_flow_waiver_not_stale_when_flow_skipped(self, tmp_path):
-        # Module-rules-only runs (repro lint --no-flow) must not flag
-        # FLOW waivers the skipped pass would have used.
-        waived = LOCK_THREE_DEEP.replace(
-            "self.hits += 1",
-            "self.hits += 1  # reprolint: disable=FLOW-LOCK",
-        )
-        write_tree(tmp_path, {"service/eng.py": waived})
-        module_rules = [
-            r for r in devtools.all_rules() if r.scope == "module"
-        ]
-        report = devtools.lint_report(
-            [tmp_path], tmp_path, rules=module_rules
-        )
-        assert report.waiver_issues == []
+        (issue,) = stale(report)
+        assert "matched no violation" in issue.message
 
     def test_docstring_prose_is_not_a_waiver(self, tmp_path):
         report = report_tree(
@@ -666,7 +362,7 @@ class TestStaleWaivers:
                 ),
             },
         )
-        assert report.waiver_issues == []
+        assert report.violations == []
 
     def test_timings_populated(self, tmp_path):
         report = report_tree(tmp_path, {"sim/x.py": "x = 1\n"})
@@ -684,6 +380,7 @@ class TestCliFlow:
         assert main(["lint", "--explain", "FLOW-BLOCK"]) == 0
         out = capsys.readouterr().out
         assert "scope: program" in out
+        assert "TestRepoWiringMutations" in out  # the catch on record
         assert "example finding:" in out
         assert "disable=FLOW-BLOCK" in out
 
@@ -691,23 +388,17 @@ class TestCliFlow:
         assert main(["lint", "--explain", "NOPE"]) != 0
         assert "no such rule" in capsys.readouterr().err
 
-    def test_no_flow_skips_program_rules(self, tmp_path, capsys):
-        write_tree(tmp_path, {"service/eng.py": LOCK_THREE_DEEP})
-        argv = ["lint", "--root", str(tmp_path), str(tmp_path)]
-        assert main(argv) == 1
-        assert "FLOW-LOCK" in capsys.readouterr().out
-        assert main(argv + ["--no-flow"]) == 0
-
-    def test_strict_waivers_fails_on_stale(self, tmp_path, capsys):
+    def test_stale_waiver_exits_one(self, tmp_path, capsys):
         write_tree(
             tmp_path,
             {"sim/clean.py": "x = 1  # reprolint: disable=DET\n"},
         )
-        argv = ["lint", "--root", str(tmp_path), str(tmp_path)]
-        # Advisory by default: warn on stderr, exit clean.
-        assert main(argv) == 0
-        assert "stale waiver" in capsys.readouterr().err
-        assert main(argv + ["--strict-waivers"]) == 1
+        # Never advisory: the stale waiver is printed with the
+        # findings and fails the run, with no flag asking for it.
+        assert main(["lint", "--root", str(tmp_path), str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "sim/clean.py:1:1: WAIVER stale waiver" in out
+        assert "lint: clean" not in out
 
 
 class TestLintGateFlow:
@@ -715,12 +406,12 @@ class TestLintGateFlow:
     scripts/check.sh runs it (``run_gate``)."""
 
     def test_flow_violation_fails_gate(self, tmp_path):
-        write_tree(tmp_path, {"service/eng.py": LOCK_THREE_DEEP})
+        write_tree(tmp_path, {"service/sweep.py": BLOCK_TIMER_SLEEP})
         result = run_gate(
             "--root", str(tmp_path), str(tmp_path / "service")
         )
         assert result.returncode == 1
-        assert "FLOW-LOCK" in result.stdout
+        assert "FLOW-BLOCK" in result.stdout
 
     def test_stale_waiver_fails_gate(self, tmp_path):
         write_tree(
@@ -729,7 +420,7 @@ class TestLintGateFlow:
         )
         result = run_gate("--root", str(tmp_path), str(tmp_path))
         assert result.returncode == 1
-        assert "stale waiver" in result.stderr
+        assert "stale waiver" in result.stdout
 
     def test_budget_overrun_fails(self, tmp_path):
         # check.sh budgets the full sweep at 10 s of wall clock; the
@@ -755,14 +446,15 @@ class TestRepoFlowClean:
         report = devtools.lint_report(
             [REPO_ROOT / "src" / "repro"], REPO_ROOT
         )
+        # No finding, and every DET/EXC/WIRE waiver in src/ still
+        # matches something (a stale one would be a WAIVER finding).
         assert report.violations == []
-        assert report.waiver_issues == []
 
 
 class TestRepoWiringMutations:
-    """The flow rules follow the serving plane's real wiring: seed
-    one defect into a copy of ``service/`` + ``cluster/`` and the rule
-    that owns it must fire (the unmutated copy is clean)."""
+    """FLOW-BLOCK's catch on record — it follows the serving plane's
+    real wiring: seed one ``time.sleep`` into a copy of ``service/`` +
+    ``cluster/`` and it must fire (the unmutated copy is clean)."""
 
     def _report(self, tmp_path, relpath=None, old=None, new=None):
         for package in ("service", "cluster"):
@@ -808,15 +500,3 @@ class TestRepoWiringMutations:
         assert found.rule == "FLOW-BLOCK"
         assert "call_later()" in found.message
         assert "path _beat" in found.message
-
-    def test_dropping_the_frame_readers_msg_branch_flagged(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "service/aio.py",
-            "                    if ftype == FT_MSG:\n",
-            "                    if ftype == -1:\n",
-        )
-        (found,) = report.violations
-        assert found.rule == "FLOW-WIRE"
-        assert found.path == "repro/service/aio.py"
-        assert "FT_MSG" in found.message

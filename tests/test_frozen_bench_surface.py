@@ -5,7 +5,7 @@ second.
 name it imports from ``repro`` and every keyword it passes the four
 serving constructors is a contract ``src/`` has to keep (some of them
 shims kept for nothing else). A PR that breaks one otherwise finds out
-in ``check.sh`` step 4 (~55 s) or as a probe reading ``-1``; this reads
+in ``check.sh`` step 3 (~55 s) or as a probe reading ``-1``; this reads
 the benchmark's source instead of running it — except for what the
 driver and oracle *do* to a verdict, which no signature shows: the last
 test runs their accounting over real binary replies.

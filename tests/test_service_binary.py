@@ -40,6 +40,7 @@ from repro.service.client import (
 )
 from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
+from repro.service import wire
 from repro.service.server import ReputationServer
 from repro.service.wire import (
     BIN_HEADER_SIZE,
@@ -928,7 +929,8 @@ class _ScriptedPeer:
     the binary codec when offered. :meth:`answer` scripts the rest: it
     gets the request — a JSON object, or the ``(ip, day)`` pairs of a
     packed v4 batch frame — and returns the ``result`` of an ok reply,
-    or ``bytes`` to send as a packed batch-reply payload."""
+    ``bytes`` to send as a packed batch-reply payload, or an ``(ftype,
+    payload)`` pair to send as a binary frame of any type."""
 
     def __init__(self) -> None:
         self._sock = socket.create_server(("127.0.0.1", 0))
@@ -970,8 +972,10 @@ class _ScriptedPeer:
                         {"codec": "binary"} if hello else self.answer(request)
                     )
                     if isinstance(result, bytes):
+                        result = (codec.ft_reply, result)
+                    if isinstance(result, tuple):
                         frame = encode_binary_frame(
-                            codec.ft_reply, rid, result
+                            result[0], rid, result[1]
                         )
                     else:
                         reply = {"ok": True, "result": result}
@@ -1106,6 +1110,108 @@ class TestClosedAfterFailure:
                 client.call({"op": "nope"})
             assert client.ping() is True
             assert client.query("1.2.3.4")["ip"] == "1.2.3.4"
+
+
+#: Every frame type the wire module defines, by name — a new ``FT_*``
+#: constant joins the matrix below by existing.
+FRAME_TYPES = sorted(
+    (name for name in vars(wire) if name.startswith("FT_")),
+    key=lambda name: getattr(wire, name),
+)
+REPLY_CODECS = {codec.ft_reply: codec for codec in CODECS.values()}
+
+
+def _frame_payload(ftype):
+    """A well-formed payload for a frame of type ``ftype``: a ping, a
+    one-query batch request, or a one-verdict batch reply."""
+    if ftype in REQUEST_CODECS:
+        frame = REQUEST_CODECS[ftype].encode_batch_request([(1, 5)], 0)
+        return bytes(frame[BIN_HEADER_SIZE:])
+    if ftype in REPLY_CODECS:
+        codec = REPLY_CODECS[ftype]
+        packed = codec.pack_verdict(_verdict(codec.family))
+        return (1).to_bytes(4, "big") + packed
+    return b'{"op":"ping"}'
+
+
+class _OneFrameTypePeer(_ScriptedPeer):
+    """Answers every request after ``hello`` with one well-formed
+    frame of a fixed type, whatever was asked."""
+
+    def __init__(self, ftype: int) -> None:
+        self.ftype = ftype
+        super().__init__()
+
+    def answer(self, request):
+        if self.ftype == FT_MSG:
+            batch = not (isinstance(request, dict) and request["op"] == "ping")
+            return [_verdict().to_wire()] if batch else "pong"
+        return self.ftype, _frame_payload(self.ftype)
+
+
+@pytest.mark.parametrize("name", FRAME_TYPES)
+class TestEveryFrameTypeAtEveryReader:
+    """Each ``FT_*`` type, well formed, sent to each end that reads
+    binary frames. The reader answers it, or refuses it with a
+    *declared* cause — an in-band error, or a ``TransportError`` that
+    names the frame type and closes the client. Never a hang (every
+    socket here has a 5 s timeout) and never an unhandled exception
+    (the server must still answer the ping that follows). This is the
+    pairing a lint rule used to check by reading the source."""
+
+    def test_at_the_server(self, server, name):
+        ftype = getattr(wire, name)
+        with _binary_socket(server.address) as s:
+            s.sendall(encode_binary_frame(ftype, 7, _frame_payload(ftype)))
+            got_type, rid, reply = recv_binary_frame(s)
+            assert rid == 7
+            if ftype == FT_MSG:
+                assert got_type == FT_MSG
+                assert decode_msg_payload(reply) == {
+                    "ok": True, "result": "pong"
+                }
+            elif ftype == CODECS[V4].ft_request:
+                assert got_type == CODECS[V4].ft_reply
+                (verdict,) = CODECS[V4].decode_batch_reply(reply)
+                assert (verdict["ip"], verdict["day"]) == ("0.0.0.1", 5)
+            else:
+                # Not a request this (v4) server takes: told so in
+                # band, with the reason, and the connection is kept.
+                assert got_type == FT_MSG
+                refusal = decode_msg_payload(reply)
+                assert refusal["ok"] is False
+                assert (
+                    f"unexpected frame type {ftype}" in refusal["error"]
+                    or "ipv4-only index" in refusal["error"]
+                )
+            assert _binary_call(s, b'{"op":"ping"}', 8)["result"] == "pong"
+
+    def test_at_the_client(self, name):
+        ftype = getattr(wire, name)
+        for call, reader in (
+            (lambda c: c.ping(), "point"),
+            (lambda c: c.query_batch([(1, 5)]), "batch"),
+        ):
+            peer = _OneFrameTypePeer(ftype)
+            try:
+                client = ReputationClient(*peer.address, timeout=5.0)
+                assert client.codec == "binary"
+                if ftype == FT_MSG:
+                    assert call(client) in (True, [_verdict().to_wire()])
+                elif (reader, ftype) == ("batch", CODECS[V4].ft_reply):
+                    assert call(client) == [_verdict().to_wire()]
+                else:
+                    with pytest.raises(
+                        TransportError, match=f"frame.* type {ftype}"
+                    ):
+                        call(client)
+                    with pytest.raises(
+                        TransportError, match="client is closed"
+                    ):
+                        client.ping()
+                client.close()
+            finally:
+                peer.close()
 
 
 class TestMixedFleets:

@@ -239,6 +239,80 @@ class TestCorruption:
         with pytest.raises(UpdateLogError):
             read_update_log(path)
 
+    def _three_batches(self, tmp_path):
+        """A real log of three batches and where each member starts."""
+        path = tmp_path / "log.gz"
+        writer = UpdateLogWriter(path)
+        starts = []
+        for batch in BATCHES[:3]:
+            starts.append(path.stat().st_size)
+            writer.append(batch)
+        return path, starts
+
+    def test_damage_inside_a_middle_member_is_not_a_tail(self, tmp_path):
+        """Invalid deflate data is corruption, not truncation: valid
+        batches sit behind it, and a reader that took it for a torn
+        tail would return ``[1]`` and then ``[]`` for ever."""
+        path, starts = self._three_batches(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[(starts[1] + starts[2]) // 2] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        reader = UpdateLogReader(path)
+        for _ in range(2):  # and it stays an error: no cursor moved
+            with pytest.raises(
+                UpdateLogError, match=f"corrupt record at byte {starts[1]}:"
+            ):
+                reader.poll()
+        assert reader.offset == 0
+
+    def test_damage_found_by_a_later_poll_names_the_file_offset(
+        self, tmp_path
+    ):
+        path, starts = self._three_batches(tmp_path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: starts[1]])
+        reader = UpdateLogReader(path)
+        assert reader.poll() == [BATCHES[0]]
+        blob = bytearray(whole)
+        blob[starts[1] + 20] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UpdateLogError, match=f"at byte {starts[1]}:"):
+            reader.poll()
+
+    def test_damaged_member_header_is_not_a_tail(self, tmp_path):
+        # FLG.FEXTRA set by a flipped bit: the inflater would skip the
+        # records behind it as an "extra field" and never finish.
+        path, starts = self._three_batches(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[starts[1] + 3] ^= 0x04
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UpdateLogError, match="not a member header"):
+            read_update_log(path)
+
+    def test_oversize_member_is_not_a_tail(self, tmp_path, monkeypatch):
+        from repro.stream import log
+
+        monkeypatch.setattr(log, "MAX_RECORD_BYTES", 64)
+        path = self._write(
+            tmp_path,
+            _member(_header_doc()),
+            gzip.compress(b" " * 65, 6),
+            _member(_record_doc(BATCHES[0])),
+        )
+        with pytest.raises(UpdateLogError, match="exceeds 64 bytes"):
+            read_update_log(path)
+
+    def test_writer_refuses_to_recover_over_damage(self, tmp_path):
+        # Recovery truncates a torn tail; it must not "recover" a
+        # corrupt log by cutting valid batches off behind the damage.
+        path, starts = self._three_batches(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[starts[1] + 20] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UpdateLogError, match="corrupt record"):
+            UpdateLogWriter(path)
+        assert path.read_bytes() == bytes(blob)
+
 
 class TestFuzz:
     @settings(
@@ -266,7 +340,9 @@ class TestFuzz:
         # One tmp_path serves every hypothesis example: start each
         # example from a pristine log, not the last one's corpse.
         path.unlink(missing_ok=True)
-        write_update_log(path, BATCHES[:2], start_day=1)
+        write_update_log(path, BATCHES[:1], start_day=1)
+        last_member = path.stat().st_size
+        UpdateLogWriter(path).append(BATCHES[1])
         blob = bytearray(path.read_bytes())
         pos = data.draw(
             st.integers(min_value=0, max_value=len(blob) - 1)
@@ -278,10 +354,13 @@ class TestFuzz:
             header, batches = read_update_log(path)
         except UpdateLogError:
             return
-        # A flip the reader accepted must have landed in a part it
-        # discards (a truncated tail): what it returns is a prefix.
-        assert batches == BATCHES[: len(batches)]
+        # A flip the reader accepted changed nothing it reads (gzip
+        # mtime/OS bytes, deflate padding bits) — or it left the last
+        # member unfinished, which is what a torn append looks like.
+        # Damage with a complete member behind it is never accepted.
         assert header["magic"] == LOG_MAGIC
+        if batches != BATCHES[:2]:
+            assert batches == BATCHES[:1] and pos >= last_member
 
 
 class TestReader:
@@ -321,16 +400,19 @@ class TestReader:
         path = tmp_path / "log.gz"
         writer = UpdateLogWriter(path)
         writer.append(BATCHES[0])
+        before = path.stat().st_size
+        writer.append(BATCHES[1])
         whole = path.read_bytes()
-        record = whole[len(whole) // 2 :]  # deliberately torn bytes
-        with open(path, "ab") as handle:
-            handle.write(record[: len(record) // 2])
         reader = UpdateLogReader(path)
+        # A torn append is a strict prefix of the member being
+        # written: at every cut the reader sees batch 1 and waits.
+        path.write_bytes(whole[: before + 1])
         assert reader.poll() == [BATCHES[0]]
-        # Writer finishes the append (restore a valid file).
+        for cut in range(before + 2, len(whole)):
+            path.write_bytes(whole[:cut])
+            assert reader.poll() == [], cut
+        # Writer finishes the append.
         path.write_bytes(whole)
-        writer2 = UpdateLogWriter(path)
-        writer2.append(BATCHES[1])
         assert reader.poll() == [BATCHES[1]]
 
     def test_follow_yields_live_appends(self, tmp_path):

@@ -483,12 +483,45 @@ class TestFollowerFailureIsDeclared:
         assert poisoned == client.query(ip, good.day + 1)
         assert poisoned["seq"] == good.seq
 
+    def test_damage_with_batches_behind_it_reaches_the_stats_op(
+        self, following, replay_batches
+    ):
+        """A flipped byte inside a complete member is not a torn tail:
+        taken for one, the follower would wait on it for ever with
+        ``error`` None while valid batches sit behind the damage."""
+        log_path, follower, client = following
+        good = replay_batches[0]
+        damaged = bytearray(_member(_record_doc(replay_batches[1])))
+        damaged[len(damaged) // 2] ^= 0xFF
+        at = log_path.stat().st_size
+        with open(log_path, "ab") as handle:
+            handle.write(
+                bytes(damaged) + _member(_record_doc(replay_batches[2]))
+            )
+        reason = self._declared_reason(client, good.seq, good.deltas[0].ip)
+        assert reason.startswith(
+            f"UpdateLogError: corrupt record at byte {at}:"
+        )
+        assert follower.stats()["error"] == reason
+        assert not follower.stats()["running"]
+
     def test_clean_stop_declares_nothing(self, following, capsys):
         _, follower, client = following
         follower.stop()
         assert client.stats()["epoch"]["error"] is None
         _report_follower_end(follower)
         assert capsys.readouterr().err == ""
+
+    def test_a_stopped_follower_does_not_start_again(self, following):
+        """Single-use, like a shard host: ``start()`` after ``stop()``
+        used to spawn a thread that saw the stop flag and left at once
+        — not following, ``running: False``, no ``error``."""
+        _, follower, _ = following
+        follower.stop()
+        with pytest.raises(RuntimeError, match="was stopped"):
+            follower.start()
+        assert follower.stats()["running"] is False
+        follower.stop()  # still idempotent
 
 
 class TestCliStream:
