@@ -45,7 +45,6 @@ import argparse
 import inspect
 import json
 import sys
-import threading
 from pathlib import Path
 from typing import List, Optional
 
@@ -55,11 +54,10 @@ from .core.asreport import render_as_report
 from .core.greylist import build_greylist, render_greylist
 from .experiments.runner import preset_config, run_full
 from .service import (
-    QueryEngine,
     ReputationClient,
     ReputationIndex,
-    ReputationServer,
     ServiceError,
+    ServingNode,
     SnapshotError,
 )
 from .loadgen.mixes import mix_names
@@ -670,12 +668,17 @@ def _build_service_index(args: argparse.Namespace) -> ReputationIndex:
     return index
 
 
-def _follow_base(args: argparse.Namespace):
-    """The starting state behind ``--follow``: the full index rolled
-    back to the log's start day, validated against the log header.
-    Returns ``(log_path, start_day, base)``."""
+def _serving_base(args: argparse.Namespace):
+    """What ``serve`` and ``cluster`` serve, as ``(index, follow,
+    start_day)``: the snapshot or cached-run index — or, behind
+    ``--follow``, the full index rolled back to the log's start day
+    and validated against the log header."""
     from .stream import UpdateLogReader, index_as_of
 
+    if not args.follow:
+        return _build_service_index(args), None, None
+    if args.snapshot:
+        raise CliError("--follow and --snapshot are mutually exclusive")
     log_path = Path(args.follow)
     header = UpdateLogReader(log_path).header
     start_day = header.get("start_day")
@@ -693,34 +696,21 @@ def _follow_base(args: argparse.Namespace):
                 f"{expected} {key} on day {start_day}, this run has "
                 f"{sizes[key]} — wrong preset/seed?"
             )
-    return log_path, start_day, base
+    return base, log_path, start_day
 
 
-def _build_follow_state(args: argparse.Namespace):
-    """The streaming pieces behind ``serve --follow``: the epoch index
-    rolled back to the log's start day, plus its follower."""
-    from .stream import EpochIndex, LogFollower
-
-    log_path, start_day, base = _follow_base(args)
-    epochs = EpochIndex(base, day=start_day)
-
-    def announce(epoch, n_deltas):
-        print(
-            f"epoch {epoch.number} <- seq {epoch.seq} day {epoch.day} "
-            f"(+{n_deltas} deltas)"
-        )
-
-    follower = LogFollower(log_path, epochs, on_batch=announce)
-    return epochs, follower
+def _announce_epoch(epoch, n_deltas) -> None:
+    print(
+        f"epoch {epoch.number} <- seq {epoch.seq} day {epoch.day} "
+        f"(+{n_deltas} deltas)"
+    )
 
 
-def _report_follower_end(follower) -> None:
+def _announce_follow_end(epoch, reason) -> None:
     """``serve --follow``'s one line when the tail thread dies: the
     server keeps answering, so say that it went stale and why (the
     same reason the ``stats`` op's ``epoch`` block carries)."""
-    reason = follower.join()
     if reason is not None:
-        epoch = follower.epochs.current
         print(
             f"follower stopped: {reason} — still serving epoch "
             f"{epoch.number} (seq {epoch.seq})",
@@ -737,48 +727,29 @@ def _checked_conn_timeout(value: float) -> float:
 def _cmd_serve(args: argparse.Namespace) -> int:
     port = _checked_port(args.port)
     conn_timeout = _checked_conn_timeout(args.conn_timeout)
-    follower = None
-    if args.follow:
-        if args.snapshot:
-            raise CliError("--follow and --snapshot are mutually exclusive")
-        epochs, follower = _build_follow_state(args)
-        engine_source = epochs
-        index = epochs.index
-    else:
-        index = _build_service_index(args)
-        engine_source = index
-    server = ReputationServer(
-        QueryEngine(engine_source),
+    index, follow, start_day = _serving_base(args)
+    node = ServingNode(
+        index,
         args.host,
         port,
+        follow=follow,
+        start_day=start_day,
+        on_batch=_announce_epoch,
+        on_follow_end=_announce_follow_end,
         connection_timeout=conn_timeout,
-        streaming=follower is not None,
     )
-    host, bound_port = server.address
+    host, bound_port = node.address
     sizes = index.stats()
     print(
         f"serving on {host}:{bound_port} — {sizes['ips']} addresses, "
         f"{sizes['intervals']} listing intervals, {sizes['lists']} "
         f"lists, {sizes['dynamic_prefixes']} dynamic "
         f"/{index.family.atom_bits}s"
-        + (f", following {args.follow}" if follower else "")
+        + (f", following {args.follow}" if follow else "")
     )
-    if follower is not None:
-        follower.start()
-        threading.Thread(
-            target=_report_follower_end,
-            args=(follower,),
-            name="repro-follower-watch",
-            daemon=True,
-        ).start()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down")
-        server.shutdown()
-    finally:
-        if follower is not None:
-            follower.stop()
+    node.stop_on_signals()
+    node.serve_forever()
+    print("shutting down")
     return 0
 
 
@@ -816,14 +787,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             raise CliError(
                 f"--split-min-hits must be >= 1: {args.split_min_hits}"
             )
-    follow = None
-    start_day = None
-    if args.follow:
-        if args.snapshot:
-            raise CliError("--follow and --snapshot are mutually exclusive")
-        follow, start_day, index = _follow_base(args)
-    else:
-        index = _build_service_index(args)
+    index, follow, start_day = _serving_base(args)
     cluster = LocalCluster(
         index,
         shards=args.shards,
@@ -1217,11 +1181,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "no addresses given (and --stats/--hello not requested)"
         )
     with ReputationClient(args.host, port, codec=args.codec) as client:
-        if args.codec == "binary" and client.codec != "binary":
-            raise CliError(
-                f"server at {args.host}:{port} did not accept the "
-                "binary codec (use --codec auto to fall back to JSON)"
-            )
         if args.hello:
             print(json.dumps(client.hello(), indent=2, sort_keys=True))
             return 0

@@ -11,32 +11,27 @@ owns, so epochs roll shard-by-shard without any global pause.
 There is one shard host: :class:`ShardProcess` forks a worker process
 per backend (one index slice per interpreter), learns its bound
 address through a pipe and from then on watches it only through the
-shard's own wire protocol. :class:`ShardServer` is what runs *inside*
-that worker — the assembly of index [+ log] → engine → server
-[+ follower] — and is nobody's host.
+shard's own wire protocol. What runs *inside* that worker, on its main
+thread, is :class:`~repro.service.server.ServingNode` — the assembly
+``repro serve`` runs too — with :func:`filter_batch` as batch filter.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import signal
 import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from ..service.engine import QueryEngine
 from ..service.index import ReputationIndex
-from ..service.server import DEFAULT_CONNECTION_TIMEOUT, ReputationServer
+from ..service.server import DEFAULT_CONNECTION_TIMEOUT, ServingNode
 from ..stream.delta import DeltaBatch
-from ..stream.epoch import EpochIndex
-from ..stream.follower import LogFollower
 from .partition import ShardRange
 
 __all__ = ["ShardProcess", "filter_batch"]
 
-#: How often a following shard polls the shared log, and how often the
-#: parent polls a worker it is waiting on.
+#: How often the parent polls a worker it is waiting on.
 _POLL_S = 0.05
 
 #: How long ``stop`` lets a worker drain before it is killed instead.
@@ -55,62 +50,6 @@ def filter_batch(batch: DeltaBatch, shard_range: ShardRange) -> DeltaBatch:
     return DeltaBatch(batch.seq, batch.day, kept)
 
 
-class ShardServer:
-    """What a shard worker runs: index [+ log] → engine → server
-    [+ follower].
-
-    ``base`` must already be the shard's restricted index (and, when
-    ``follow`` is given, rolled back to the log's start day — the same
-    state a single-process ``serve --follow`` starts from, projected).
-    Binds on construction.
-    """
-
-    def __init__(
-        self,
-        base: ReputationIndex,
-        shard_range: ShardRange,
-        *,
-        follow: Optional[str] = None,
-        start_day: Optional[int] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
-    ) -> None:
-        self._follower: Optional[LogFollower] = None
-        engine_source: Any = base
-        if follow is not None:
-            engine_source = EpochIndex(base, day=start_day or 0)
-            self._follower = LogFollower(
-                follow,
-                engine_source,
-                poll_interval=_POLL_S,
-                batch_filter=lambda batch: filter_batch(
-                    batch, shard_range
-                ),
-            )
-        self._server = ReputationServer(
-            QueryEngine(engine_source),
-            host,
-            port,
-            connection_timeout=connection_timeout,
-            streaming=follow is not None,
-        )
-
-    def start(self) -> Tuple[str, int]:
-        """Serve (and follow, in streaming mode) on daemon threads;
-        returns the bound ``(host, port)``."""
-        address = self._server.start()
-        if self._follower is not None:
-            self._follower.start()
-        return address
-
-    def stop(self) -> None:
-        """Stop following, flush queued replies, stop serving."""
-        if self._follower is not None:
-            self._follower.stop()
-        self._server.shutdown()
-
-
 def _shard_process_main(
     pipe: Any,
     base: ReputationIndex,
@@ -118,26 +57,25 @@ def _shard_process_main(
     settings: Dict[str, Any],
 ) -> None:
     """Entry point of a forked shard worker: report the bound address
-    — or why there is none — then serve until signalled."""
-    # ``ShardProcess.stop`` sends SIGTERM; translate it into a clean
-    # interpreter exit so the ``finally`` below drains the server.
-    # ``ShardProcess.kill`` sends SIGKILL, which nothing here sees.
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))
+    — or why there is none — then serve on this, the worker's main
+    thread, until signalled. ``ShardProcess.stop`` sends SIGTERM, which
+    the node takes as "drain and return" (exit code 0);
+    ``ShardProcess.kill`` sends SIGKILL, which nothing here sees."""
     with pipe:
         try:
-            shard = ShardServer(base, shard_range, **settings)
-            address = shard.start()
+            node = ServingNode(
+                base,
+                batch_filter=lambda batch: filter_batch(batch, shard_range),
+                **settings,
+            )
+            node.stop_on_signals()
         # Assembly or bind failed: stderr is nobody's view of a
         # worker, so the reason travels to the parent's ``start``.
         except Exception as exc:
             pipe.send(("error", f"{type(exc).__name__}: {exc}"))
             sys.exit(1)
-        pipe.send(("ok", address))
-    try:
-        while True:
-            time.sleep(3600.0)
-    finally:
-        shard.stop()
+        pipe.send(("ok", node.address))
+    node.serve_forever()
 
 
 class ShardProcess:
@@ -170,7 +108,7 @@ class ShardProcess:
         self.shard_id = shard_id
         self.shard_range = shard_range
         self._base = base
-        # The worker's ``ShardServer`` keyword arguments, handed
+        # The worker's ``ServingNode`` keyword arguments, handed
         # through whole.
         self._settings: Dict[str, Any] = dict(
             follow=str(follow) if follow is not None else None,

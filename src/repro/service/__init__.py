@@ -17,8 +17,9 @@ it?". This package turns the study's batch artefact
   cache is the stack's one verdict cache);
 * :mod:`repro.service.wire` — the length-prefixed JSON framing both
   ends speak;
-* :mod:`repro.service.server` / :mod:`repro.service.client` — a
-  stdlib-only threaded TCP server and its matching client.
+* :mod:`repro.service.server` / :mod:`repro.service.client` — the
+  event-loop TCP server, :class:`ServingNode` (the one assembly every
+  serving process runs, on its main thread) and the matching client.
 
 ``repro serve`` and ``repro query`` expose the whole stack from the
 command line.
@@ -27,11 +28,10 @@ command line.
 from .client import ReputationClient, ServiceError, TransportError
 from .engine import QueryEngine, Verdict
 from .index import ReputationIndex, SnapshotError
-from .server import PROTOCOL_VERSION, ReputationServer
-from .wire import FrameError, MAX_FRAME_BYTES
+from .server import PROTOCOL_VERSION, ReputationServer, ServingNode
+from .wire import MAX_FRAME_BYTES
 
 __all__ = [
-    "FrameError",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "QueryEngine",
@@ -39,6 +39,7 @@ __all__ = [
     "ReputationIndex",
     "ReputationServer",
     "ServiceError",
+    "ServingNode",
     "SnapshotError",
     "TransportError",
     "Verdict",

@@ -428,18 +428,20 @@ class Link:
         except Exception as exc:
             self.close(f"internal error: {exc}")
 
-    def _read(self) -> None:
+    def _read(self) -> bool:
+        """One ``recv`` and the frames it completed; ``False`` when
+        there was nothing to read (or nobody left to read from)."""
         assert self.sock is not None
         try:
             data = self.sock.recv(_RECV_CHUNK)
         except (BlockingIOError, InterruptedError):
-            return
+            return False
         except OSError as exc:
             self.close(f"recv failed: {exc}")
-            return
+            return False
         if not data:
             self.on_eof()
-            return
+            return False
         self.last_activity = time.monotonic()
         self.inbuf += data
         self.in_parse = True
@@ -448,6 +450,7 @@ class Link:
         finally:
             self.in_parse = False
         self.flush()
+        return True
 
     def _parse(self) -> None:
         """Hand every complete frame in ``inbuf`` to its hook."""
@@ -663,6 +666,21 @@ class Conn(Link):
         self.slots.clear()
         self.server.forget(self)
 
+    def finish(self) -> None:
+        """The server is shutting down: take the requests this peer
+        has already sent — read until the socket has no more, or
+        backpressure says stop — then close once every reply drained."""
+        try:
+            while (
+                self.sock is not None
+                and not (self.closing or self.paused)
+                and self._read()
+            ):
+                pass
+        except Exception as exc:
+            self.close(f"internal error: {exc}")
+        self.on_eof()  # as if the peer had hung up behind them
+
     def slot_done(self) -> None:
         """A slot completed: release every reply at the queue head."""
         slots = self.slots
@@ -781,12 +799,18 @@ class WireServer:
         thread.start()
         return self.address
 
+    def request_shutdown(self) -> None:
+        """:meth:`shutdown` asked for, not waited on: for any thread,
+        and for a signal handler on the loop's own thread, where a
+        wait on the loop would be a wait from inside it."""
+        self.reactor.call_soon(self._begin_shutdown)
+
     def shutdown(self) -> None:
         """Stop accepting, flush queued replies, stop the loop."""
         with self._lock:
             thread, self._thread = self._thread, None
         if self.reactor.is_running():
-            self.reactor.call_soon(self._begin_shutdown)
+            self.request_shutdown()
             if not self.reactor.wait_stopped(10.0):
                 self.reactor.stop()
                 self.reactor.wait_stopped(5.0)
@@ -802,8 +826,7 @@ class WireServer:
         self._shutting_down = True
         self._close_listener()
         for conn in list(self._conns.values()):
-            conn.closing = True
-            conn.flush()
+            conn.finish()
         if not self._conns:
             self.reactor.stop()
         else:

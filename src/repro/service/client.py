@@ -10,9 +10,10 @@ surface as :class:`ServiceError`.
 The client starts every connection on the length-prefixed JSON codec.
 With ``codec="auto"`` (the default) or ``codec="binary"`` it offers
 the binary framing in its ``hello`` handshake and switches when the
-server accepts; against an older server the offer is ignored and the
-connection simply stays on JSON, so one client build works across a
-mixed fleet.
+server accepts. Against an older server the offer is ignored:
+``auto`` simply stays on JSON, so one client build works across a
+mixed fleet, while ``binary`` was a demand and the constructor raises
+:class:`TransportError`.
 
 A :class:`TransportError` is final for its connection: whatever ends
 an exchange with the stream position unknown (a timeout, a cut, a
@@ -45,7 +46,7 @@ from .wire import (
     CODECS,
     MAX_FRAME_BYTES,
     FT_MSG,
-    FrameError,
+    WireError,
     decode_msg_payload,
     encode_frame,
     encode_msg_frame,
@@ -147,6 +148,11 @@ class ReputationClient:
             )
             if codec != "json":
                 self._negotiate_binary()
+            if codec == "binary" and self._codec != "binary":
+                raise TransportError(
+                    f"server at {host}:{port} did not accept the "
+                    f'binary codec (codec="auto" falls back to JSON)'
+                )
         except (ServiceError, OSError):
             self.close()
             raise
@@ -188,7 +194,7 @@ class ReputationClient:
         ):
             return exc
         self._drop()
-        if isinstance(exc, (FrameError, OSError)):
+        if isinstance(exc, (WireError, OSError)):
             return TransportError(f"transport failure: {exc}")
         return exc
 
@@ -221,7 +227,7 @@ class ReputationClient:
             return None
         ftype, got_rid, payload = got
         if ftype != FT_MSG or got_rid != rid:
-            raise FrameError(
+            raise WireError(
                 f"reply frame mismatch: type {ftype}, request id "
                 f"{got_rid} (expected {rid})"
             )
@@ -310,7 +316,7 @@ class ReputationClient:
             return self._batch_codec.encode_batch_request(
                 pairs, rid, max_size=self._max_frame
             )
-        except FrameError:
+        except WireError:
             return None
 
     def _encode_batch(self, queries: List[Query], rid: int) -> bytes:

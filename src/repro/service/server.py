@@ -54,12 +54,19 @@ queued replies drain, the listener stops accepting.
 
 from __future__ import annotations
 
+import signal
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.family import V4, AddressFamily, family_of_ip
+from ..stream.delta import DeltaBatch
+from ..stream.epoch import Epoch, EpochIndex
+from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine
+from .index import ReputationIndex
 from .wire import CODECS, MAX_FRAME_BYTES
 
 __all__ = [
@@ -67,6 +74,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ReputationServer",
     "RequestError",
+    "ServingNode",
     "parse_ip",
     "parse_day",
 ]
@@ -84,6 +92,9 @@ DEFAULT_CONNECTION_TIMEOUT = 30.0
 
 #: Packed-verdict cache capacity (records, not bytes).
 PACKED_CACHE_SIZE = 1 << 15
+
+#: How often a following node polls its update log.
+_FOLLOW_POLL_S = 0.05
 
 
 class RequestError(ValueError):
@@ -216,6 +227,10 @@ class ReputationServer:
     def start(self) -> Tuple[str, int]:
         """Serve from a background daemon thread; returns the address."""
         return self._server.start()
+
+    def request_shutdown(self) -> None:
+        """:meth:`shutdown`, asked for and not waited on."""
+        self._server.request_shutdown()
 
     def shutdown(self) -> None:
         """Stop accepting, flush queued replies, close the socket."""
@@ -350,3 +365,77 @@ class ReputationServer:
             while len(cache) > PACKED_CACHE_SIZE:
                 cache.popitem(last=False)
         slot.complete_records(records)  # type: ignore[arg-type]
+
+
+class ServingNode:
+    """What one serving process runs — ``repro serve`` and every shard
+    worker alike: index [+ log] → engine → server [+ follower].
+
+    ``base`` is served as it stands: a shard's is already restricted
+    to its range, and one that will ``follow`` an update log is already
+    rolled back to the log's ``start_day``. Following happens on the
+    ``repro-log-follower`` thread, and so do its three hooks:
+    ``batch_filter`` rewrites a batch before it is applied (a shard
+    keeps its range's deltas), ``on_batch(epoch, n_deltas)`` announces
+    a swap, ``on_follow_end(epoch, reason)`` the end of following
+    (``reason`` is ``None`` after a clean stop). Binds on construction;
+    runs one way, :meth:`serve_forever` on the calling thread.
+    """
+
+    def __init__(
+        self,
+        base: ReputationIndex,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        *,
+        follow: "Path | str | None" = None,
+        start_day: Optional[int] = None,
+        batch_filter: Optional[Callable[[DeltaBatch], DeltaBatch]] = None,
+        on_batch: Optional[Callable[[Epoch, int], None]] = None,
+        on_follow_end: Optional[
+            Callable[[Epoch, Optional[str]], None]
+        ] = None,
+        connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
+    ) -> None:
+        source: Any = base
+        self._following: Any = nullcontext()  # or a follower's start…stop
+        if follow is not None:
+            source = EpochIndex(base, day=start_day or 0)
+            self._following = LogFollower(
+                follow,
+                source,
+                poll_interval=_FOLLOW_POLL_S,
+                on_batch=on_batch,
+                on_end=on_follow_end,
+                batch_filter=batch_filter,
+            )
+        self._server = ReputationServer(
+            QueryEngine(source),
+            host,
+            port,
+            connection_timeout=connection_timeout,
+            streaming=follow is not None,
+        )
+        #: The bound ``(host, port)``.
+        self.address = self._server.address
+
+    def serve_forever(self) -> None:
+        """Follow and serve until :meth:`request_stop`; the follower
+        is stopped and joined before this returns."""
+        with self._following:
+            self._server.serve_forever()
+
+    def request_stop(self) -> None:
+        """Ask :meth:`serve_forever` to drain and return: no new
+        connection, every request already sent answered, every reply
+        flushed. Returns at once — callable from any thread, from a
+        signal handler on the serving thread, and before the loop runs
+        (which then stops as soon as it starts)."""
+        self._server.request_shutdown()
+
+    def stop_on_signals(self) -> None:
+        """SIGTERM and SIGINT (Ctrl-C) both become :meth:`request_stop`:
+        the process drains and leaves with exit code 0. Main thread
+        only — where a serving process runs its node."""
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: self.request_stop())

@@ -82,8 +82,7 @@ Errors are split by whether the byte stream is still usable:
   rather than a protocol crime (a half-written header from a dying
   peer must not kill the reader).
 
-:class:`WireError.recoverable` carries that distinction
-(:class:`FrameError` is the historical name, kept as an alias).
+:class:`WireError.recoverable` carries that distinction.
 """
 
 from __future__ import annotations
@@ -115,7 +114,6 @@ __all__ = [
     "FT_BATCH_REQ",
     "FT_BATCH_REQ6",
     "FT_MSG",
-    "FrameError",
     "MAX_FRAME_BYTES",
     "MAX_LIST_ID_BYTES",
     "REQUEST_CODECS",
@@ -181,11 +179,6 @@ class WireError(ValueError):
         self.consumed: Optional[int] = None
 
 
-#: Historical name for :class:`WireError` — the JSON-only codec called
-#: every violation a framing error.
-FrameError = WireError
-
-
 def _encode_payload(obj: Any, max_size: int) -> bytes:
     """The one value encoding both framings carry: compact UTF-8 JSON."""
     try:
@@ -193,9 +186,9 @@ def _encode_payload(obj: Any, max_size: int) -> bytes:
             obj, separators=(",", ":"), allow_nan=False
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
-        raise FrameError(f"unserialisable message: {exc}") from None
+        raise WireError(f"unserialisable message: {exc}") from None
     if len(payload) > max_size:
-        raise FrameError(
+        raise WireError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_size}-byte limit"
         )
@@ -212,7 +205,7 @@ def _decode_payload(payload: bytes, max_size: int) -> Any:
     # Every caller checks the declared length before reading; this
     # bound keeps the decoder safe even if a new call site forgets to.
     if len(payload) > max_size:
-        raise FrameError(
+        raise WireError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_size}-byte limit"
         )
@@ -221,7 +214,7 @@ def _decode_payload(payload: bytes, max_size: int) -> Any:
     # RecursionError: ``[[[[…`` nested past the interpreter's limit is
     # the peer's malformation, not a crash — the boundary still held.
     except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-        raise FrameError(
+        raise WireError(
             f"undecodable frame payload: {exc}", recoverable=True
         ) from None
 
@@ -233,7 +226,7 @@ def decode_frame(
 
     Returns ``(message, bytes_consumed)``, or ``None`` when the buffer
     holds only an incomplete frame so far (read more and retry).
-    Raises :class:`FrameError` on violations.
+    Raises :class:`WireError` on violations.
     """
     if len(buffer) < _HEADER.size:
         return None
@@ -253,9 +246,9 @@ def decode_frame(
 
 def _check_length(length: int, max_size: int) -> None:
     if length == 0:
-        raise FrameError("empty frame payload")
+        raise WireError("empty frame payload")
     if length > max_size:
-        raise FrameError(
+        raise WireError(
             f"declared frame length {length} exceeds the "
             f"{max_size}-byte limit"
         )

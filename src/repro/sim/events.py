@@ -9,6 +9,7 @@ not depend on the heap's internal array layout.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, List, Optional, Tuple
 
 from .clock import SimClock
@@ -116,40 +117,26 @@ class Scheduler:
         if until is None or first <= until:
             self.at(first, fire)
 
-    def run_until(self, when: float) -> int:
-        """Run events with firing time ≤ ``when``; advance the clock to
-        ``when``. Returns the number of callbacks executed."""
+    def _fire_due(self, horizon: float, limit: Optional[int] = None) -> int:
+        """Pop and run, in ``(when, seq)`` order, the events due at or
+        before ``horizon`` — at most ``limit`` of them; cancelled
+        entries are dropped uncounted. The clock reads an event's
+        firing time when it fires, unless a wall-clock loop has
+        already moved past it."""
         ran = 0
         heap = self._heap
         pop = heapq.heappop
         advance = self.clock.advance_to
-        while heap and heap[0][0] <= when:
-            fire_at, _, event = pop(heap)
-            if event.cancelled:
-                continue
-            advance(fire_at)
-            callback = event.callback
-            event.callback = None
-            assert callback is not None
-            callback()
-            self._executed += 1
-            ran += 1
-        advance(when)
-        return ran
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        """Drain the queue entirely (or up to ``max_events``)."""
-        ran = 0
-        heap = self._heap
-        pop = heapq.heappop
-        advance = self.clock.advance_to
-        while heap:
-            if max_events is not None and ran >= max_events:
+        now = self.clock.now  # only this loop moves it meanwhile
+        while heap and heap[0][0] <= horizon:
+            if limit is not None and ran >= limit:
                 break
             fire_at, _, event = pop(heap)
             if event.cancelled:
                 continue
-            advance(fire_at)
+            if fire_at > now:
+                advance(fire_at)
+                now = fire_at
             callback = event.callback
             event.callback = None
             assert callback is not None
@@ -157,3 +144,14 @@ class Scheduler:
             self._executed += 1
             ran += 1
         return ran
+
+    def run_until(self, when: float) -> int:
+        """Run events with firing time ≤ ``when``; advance the clock to
+        ``when``. Returns the number of callbacks executed."""
+        ran = self._fire_due(when)
+        self.clock.advance_to(when)
+        return ran
+
+    def run(self, max_events: Optional[int] = None) -> int:
+        """Drain the queue entirely (or up to ``max_events``)."""
+        return self._fire_due(math.inf, max_events)

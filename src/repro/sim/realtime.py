@@ -14,7 +14,6 @@ it at the public DHT is the operator's decision.
 
 from __future__ import annotations
 
-import heapq
 import selectors
 import socket as socket_module
 import time
@@ -86,18 +85,7 @@ class LiveLoop(Scheduler):
             now = self._now_wall()
             if now >= deadline:
                 break
-            # Fire due timers.
-            while self._heap and self._heap[0][0] <= now:
-                fire_at, _, event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                self.clock.advance_to(max(self.clock.now, fire_at))
-                callback = event.callback
-                event.callback = None
-                assert callback is not None
-                callback()
-                self._executed += 1
-                executed += 1
+            executed += self._fire_due(now)
             # Sleep until the next timer or the deadline, waking on IO.
             next_timer = self._heap[0][0] if self._heap else deadline
             timeout = max(0.0, min(next_timer, deadline) - self._now_wall())

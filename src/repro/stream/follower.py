@@ -12,7 +12,9 @@ sequence gap), the file turning unreadable, a batch the index refuses
 rides the ``stats`` wire op's ``epoch`` block; the server keeps
 answering from the last good epoch, which is the only sane degradation
 for a reputation service (stale beats down) — but it must be a
-*declared* stale, never a silent one.
+*declared* stale, never a silent one. The thread's last act is the
+``on_end(epoch, reason)`` hook (``None`` after a clean ``stop``): the
+one place the end of following is announced from.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ class LogFollower:
         *,
         poll_interval: float = 0.1,
         on_batch: Optional[Callable[[Epoch, int], None]] = None,
+        on_end: Optional[Callable[[Epoch, Optional[str]], None]] = None,
         batch_filter: Optional[Callable[[DeltaBatch], DeltaBatch]] = None,
     ) -> None:
         self._reader = UpdateLogReader(path)
         self._epochs = epochs
         self._poll_interval = poll_interval
         self._on_batch = on_batch
+        self._on_end = on_end
         self._batch_filter = batch_filter
         self._stop = threading.Event()
         # Guards the thread handle and progress counters: the tail
@@ -58,10 +62,6 @@ class LogFollower:
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._batches = 0
-
-    @property
-    def epochs(self) -> EpochIndex:
-        return self._epochs
 
     def start(self) -> "LogFollower":
         """Start tailing on a daemon thread. A follower is single-use:
@@ -98,6 +98,8 @@ class LogFollower:
             # either way, and a dead follower nobody can see is a
             # silently stale answer.
             self._epochs.fail(f"{type(exc).__name__}: {exc}")
+        if self._on_end is not None:
+            self._on_end(self._epochs.current, self._epochs.error)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop tailing and join the thread (idempotent)."""
@@ -120,16 +122,6 @@ class LogFollower:
             deadline.wait(step)
             waited += step
         return self._epochs.current.seq >= seq
-
-    def join(self, timeout: Optional[float] = None) -> Optional[str]:
-        """Block until the tail thread ends — by :meth:`stop`, or by a
-        terminal failure, whose reason is returned (``None`` after a
-        clean stop, or when ``timeout`` ran out first)."""
-        with self._lock:
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout=timeout)
-        return self._epochs.error
 
     def stats(self) -> Dict[str, Any]:
         """Progress counters plus the epoch index's (``error`` is the

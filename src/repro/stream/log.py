@@ -124,23 +124,26 @@ def _decode_batch(doc: Any, max_ip: int = 0xFFFFFFFF) -> DeltaBatch:
         raise UpdateLogError(str(exc)) from None
 
 
-def _scan_members(blob: bytes, base: int) -> Tuple[List[Any], int]:
-    """Parse complete gzip members off the front of ``blob``.
+def _scan_members(
+    blob: bytes, base: int, limit: Optional[int] = None
+) -> Tuple[List[Any], int]:
+    """Parse complete gzip members off the front of ``blob`` — all of
+    them, or the first ``limit``.
 
     Returns ``(documents, bytes_consumed)``; bytes past ``consumed``
-    are an unfinished member — the one shape a torn append can leave,
-    since a crash mid-append writes a strict prefix of a valid member
-    and a prefix never fails to inflate. Anything else is corruption
-    and raises, naming the byte offset (``base`` = where ``blob``
-    starts in the file): a header the writer does not write, data that
-    is not a deflate stream, a failed gzip checksum, a member over
-    :data:`MAX_RECORD_BYTES`, a member that is not JSON. Reading any
-    of those as a tail would leave every batch behind it unread for
-    ever.
+    are members beyond ``limit``, or an unfinished member — the one
+    shape a torn append can leave, since a crash mid-append writes a
+    strict prefix of a valid member and a prefix never fails to
+    inflate. Anything else is corruption and raises, naming the byte
+    offset (``base`` = where ``blob`` starts in the file): a header the
+    writer does not write, data that is not a deflate stream, a failed
+    gzip checksum, a member over :data:`MAX_RECORD_BYTES`, a member
+    that is not JSON. Reading any of those as a tail would leave every
+    batch behind it unread for ever.
     """
     documents: List[Any] = []
     pos = 0
-    while pos < len(blob):
+    while pos < len(blob) and len(documents) != limit:
         head = blob[pos:pos + len(_MEMBER_HEAD)]
         if head != _MEMBER_HEAD[:len(head)]:
             raise UpdateLogError(
@@ -316,30 +319,38 @@ class UpdateLogReader:
 
     @property
     def header(self) -> Dict[str, Any]:
-        """The log header (reads the file on first access)."""
-        if self._header is None:
-            self.poll()
+        """The log header. Before the first :meth:`poll` this reads the
+        header member and nothing else: the cursor stays put, so the
+        batches behind the header are still the next poll's."""
+        with self._lock:
             if self._header is None:
-                raise UpdateLogError(
-                    f"{self._path} holds no complete header yet"
-                )
-        return dict(self._header)
+                documents, _ = _scan_members(self._unread(), 0, limit=1)
+                if not documents:
+                    raise UpdateLogError(
+                        f"{self._path} holds no complete header yet"
+                    )
+                self._header = _check_header(documents[0], self._path)
+            return dict(self._header)
+
+    def _unread(self) -> bytes:
+        """The file's bytes from the cursor on."""
+        try:
+            with open(self._path, "rb") as handle:
+                handle.seek(self._offset)
+                # Catch-up read of the local log tail: bounded by the
+                # on-disk file, and every member is re-checked against
+                # MAX_RECORD_BYTES during the scan.
+                # reprolint: disable=WIRE
+                return handle.read()
+        except FileNotFoundError:
+            raise UpdateLogError(
+                f"update log not found: {self._path}"
+            ) from None
 
     def poll(self) -> List[DeltaBatch]:
         """Batches appended since the last call (empty when none)."""
         with self._lock:
-            try:
-                with open(self._path, "rb") as handle:
-                    handle.seek(self._offset)
-                    # Catch-up read of the local log tail: bounded by
-                    # the on-disk file, and every member is re-checked
-                    # against MAX_RECORD_BYTES during the scan.
-                    # reprolint: disable=WIRE
-                    blob = handle.read()
-            except FileNotFoundError:
-                raise UpdateLogError(
-                    f"update log not found: {self._path}"
-                ) from None
+            blob = self._unread()
             documents, consumed = _scan_members(blob, self._offset)
             if self._offset == 0 and documents:
                 self._header = _check_header(

@@ -669,6 +669,55 @@ class TestNegotiation:
             assert decode_msg_payload(payload)["result"] == "pong"
 
 
+class TestBinaryDemanded:
+    """``codec="binary"`` is a demand, not an offer: against a server
+    that ignores ``accept_codecs`` (one older than the negotiation, in
+    either of its two shapes) the constructor raises — it used to stay
+    on JSON in silence, and only ``repro query`` looked."""
+
+    @pytest.fixture(params=["ignored", "rejected"])
+    def old_server(self, request):
+        from repro.service.aio import WireServer
+
+        def handler(conn, slot, kind, data):
+            op = data.get("op")
+            if op == "ping":
+                slot.complete({"ok": True, "result": "pong"})
+            elif op == "hello" and request.param == "ignored":
+                slot.complete({"ok": True, "result": {"protocol": 1}})
+            else:
+                slot.fail(f"unknown op: {op!r}")
+
+        server = WireServer(handler)
+        server.start()
+        yield server
+        server.shutdown()
+
+    def test_binary_raises_when_not_granted(self, old_server):
+        host, port = old_server.address
+        with pytest.raises(TransportError) as raised:
+            ReputationClient(host, port, codec="binary")
+        assert str(raised.value).startswith(
+            f"server at {host}:{port} did not accept the binary codec"
+        )
+
+    def test_auto_still_falls_back_to_json(self, old_server):
+        with ReputationClient(*old_server.address) as client:
+            assert client.codec == "json"
+            assert client.ping() is True
+
+    def test_cli_query_and_load_fail_loudly(self, old_server, capsys):
+        from repro.cli import main
+
+        host, port = old_server.address
+        endpoint = ["--host", host, "--port", str(port), "--codec", "binary"]
+        assert main(["query", "--hello", *endpoint]) == 2
+        assert "did not accept the binary codec" in capsys.readouterr().err
+        load = ["load", *endpoint, "--queries", "20", "--conns", "1"]
+        assert main(load) == 2
+        assert "(20 transport errors)" in capsys.readouterr().err
+
+
 def _binary_socket(address):
     """A raw socket already switched to the binary framing."""
     s = socket.create_connection(address, timeout=5.0)

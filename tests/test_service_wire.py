@@ -2,7 +2,7 @@
 
 The framing layer fronts a TCP socket, so like the KRPC decoder it
 must fail *cleanly* on arbitrary bytes: a decoded message or a
-:class:`FrameError`, never an unhandled exception.
+:class:`WireError`, never an unhandled exception.
 """
 
 import struct
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.service.wire import (
     MAX_FRAME_BYTES,
-    FrameError,
+    WireError,
     decode_frame,
     encode_frame,
     recv_frame,
@@ -72,13 +72,13 @@ class TestCodecRoundtrip:
         assert consumed + consumed2 == len(buffer)
 
     def test_unserialisable_rejected(self):
-        with pytest.raises(FrameError):
+        with pytest.raises(WireError):
             encode_frame({"x": object()})
-        with pytest.raises(FrameError):
+        with pytest.raises(WireError):
             encode_frame(float("nan"))
 
     def test_oversized_payload_rejected_on_encode(self):
-        with pytest.raises(FrameError):
+        with pytest.raises(WireError):
             encode_frame("x" * 100, max_size=50)
 
 
@@ -88,7 +88,7 @@ class TestFrameFuzz:
     def test_decode_frame_never_crashes(self, blob):
         try:
             decode_frame(blob)
-        except FrameError:
+        except WireError:
             pass
 
     @settings(max_examples=200, deadline=None)
@@ -96,7 +96,7 @@ class TestFrameFuzz:
     def test_recv_frame_never_crashes(self, blob, chunk):
         try:
             recv_frame(FakeSocket(blob, chunk=chunk))
-        except FrameError:
+        except WireError:
             pass
 
     @settings(max_examples=100, deadline=None)
@@ -109,11 +109,11 @@ class TestFrameFuzz:
         if len(truncated) < 4:
             # Inside the header: either incomplete (None) or EOF error.
             assert decode_frame(truncated) is None
-            with pytest.raises(FrameError):
+            with pytest.raises(WireError):
                 recv_frame(FakeSocket(truncated))
             return
         assert decode_frame(truncated) is None  # waits for more bytes
-        with pytest.raises(FrameError) as excinfo:
+        with pytest.raises(WireError) as excinfo:
             recv_frame(FakeSocket(truncated))
         assert not excinfo.value.recoverable
 
@@ -122,7 +122,7 @@ class TestStreamingFieldsOverWire:
     """The streaming additions to the protocol — delta rows inside
     update-log records, and the epoch/seq fields on verdicts, stats
     and the hello handshake — must survive the codec and reject
-    malformed input with ValueError/FrameError only."""
+    malformed input with ValueError/WireError only."""
 
     delta_rows = st.tuples(
         st.sampled_from(["add", "extend", "delist"]),
@@ -202,23 +202,23 @@ class TestStreamingFieldsOverWire:
 class TestFrameLimits:
     def test_declared_length_over_limit_rejected(self):
         header = struct.pack(">I", MAX_FRAME_BYTES + 1)
-        with pytest.raises(FrameError) as excinfo:
+        with pytest.raises(WireError) as excinfo:
             decode_frame(header)
         assert not excinfo.value.recoverable
-        with pytest.raises(FrameError):
+        with pytest.raises(WireError):
             recv_frame(FakeSocket(header))
 
     def test_empty_payload_rejected(self):
-        with pytest.raises(FrameError):
+        with pytest.raises(WireError):
             decode_frame(struct.pack(">I", 0) + b"extra")
 
     def test_bad_json_is_recoverable(self):
         payload = b"\xff\xfe{not json"
         frame = struct.pack(">I", len(payload)) + payload
-        with pytest.raises(FrameError) as excinfo:
+        with pytest.raises(WireError) as excinfo:
             decode_frame(frame)
         assert excinfo.value.recoverable
-        with pytest.raises(FrameError) as excinfo:
+        with pytest.raises(WireError) as excinfo:
             recv_frame(FakeSocket(frame))
         assert excinfo.value.recoverable
 

@@ -1,0 +1,233 @@
+"""The one serving assembly, :class:`repro.service.server.ServingNode`:
+what ``repro serve`` and every shard worker run.
+
+Two things are held here in tests rather than prose. The *thread
+census*: a serving process is its main thread, plus
+``repro-log-follower`` when it follows a log, and nothing else — no
+parked main thread beside a daemon reactor, no watcher. And the
+*drain*: SIGTERM and Ctrl-C mean the same thing to ``repro serve`` and
+to a shard worker — every request a peer has already sent is answered,
+the follower is stopped and joined, the exit code is 0.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.cluster import ShardProcess, ShardRange
+from repro.net.family import V4
+from repro.net.ipv4 import MAX_IPV4
+from repro.service.client import ReputationClient
+from repro.service.index import ReputationIndex
+from repro.service.server import ServingNode
+from repro.service.wire import CODECS, recv_binary_frame
+from repro.stream.delta import day_advance_batches
+from repro.stream.epoch import index_as_of
+from repro.stream.log import write_update_log
+from tests.test_service_binary import _binary_socket
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: One pipelined window: enough work that a signal sent right behind
+#: it lands while requests are still unread or unanswered, small
+#: enough to sit in the socket buffers without the peer reading.
+WINDOW = 32
+BATCH = 256
+
+
+@pytest.fixture(scope="module")
+def full_index(small_full_run):
+    return ReputationIndex.from_run(small_full_run)
+
+
+@pytest.fixture(scope="module")
+def start_day(small_full_run):
+    return int(small_full_run.analysis.windows[0][0])
+
+
+@pytest.fixture(scope="module")
+def base_index(full_index, start_day):
+    return index_as_of(full_index, start_day)
+
+
+@pytest.fixture(scope="module")
+def batches(small_full_run, start_day):
+    return list(
+        day_advance_batches(
+            small_full_run.analysis.observed, start_day=start_day
+        )
+    )
+
+
+@pytest.fixture()
+def log_path(tmp_path, batches, start_day):
+    return write_update_log(
+        tmp_path / "updates.gz", batches, start_day=start_day
+    )
+
+
+@pytest.fixture(params=["static", "following"])
+def follow(request, log_path, start_day):
+    """A node's (or shard host's) follow arguments, both ways."""
+    if request.param == "static":
+        return {}
+    return {"follow": log_path, "start_day": start_day}
+
+
+def _window_in_flight(address, listed, send_signal):
+    """Send one pipelined window of packed batches, signal the server
+    right behind it, then read until EOF: the request ids answered,
+    in the order they came back."""
+    codec = CODECS[V4]
+    pairs = [(listed[i % len(listed)], None) for i in range(BATCH)]
+    with _binary_socket(address) as sock:
+        sock.sendall(
+            b"".join(
+                codec.encode_batch_request(pairs, rid)
+                for rid in range(1, WINDOW + 1)
+            )
+        )
+        send_signal()
+        answered = []
+        while True:
+            frame = recv_binary_frame(sock)
+            if frame is None:
+                return answered
+            ftype, rid, payload = frame
+            assert ftype == codec.ft_reply
+            assert len(codec.decode_batch_reply(payload)) == BATCH
+            answered.append(rid)
+
+
+@pytest.fixture(scope="module")
+def listed(small_full_run):
+    return sorted(small_full_run.analysis.blocklisted_ips)
+
+
+class TestInProcessCensus:
+    def test_serve_forever_adds_only_the_follower(
+        self, base_index, follow, batches
+    ):
+        before = set(threading.enumerate())
+        node = ServingNode(base_index, **follow)
+        assert set(threading.enumerate()) == before  # binding starts none
+        runner = threading.Thread(target=node.serve_forever)
+        runner.start()
+        try:
+            with ReputationClient(*node.address) as client:
+                assert client.hello()["streaming"] is bool(follow)
+                added = set(threading.enumerate()) - before - {runner}
+                assert sorted(t.name for t in added) == (
+                    ["repro-log-follower"] if follow else []
+                )
+        finally:
+            node.request_stop()
+            runner.join(10.0)
+        assert not runner.is_alive()
+        # The follower was joined before serve_forever returned.
+        assert set(threading.enumerate()) <= before
+
+    def test_stop_requested_before_the_loop_runs(self, base_index, follow):
+        node = ServingNode(base_index, **follow)
+        node.request_stop()
+        runner = threading.Thread(target=node.serve_forever)
+        runner.start()
+        runner.join(10.0)
+        assert not runner.is_alive()
+
+
+class TestWorkerProcess:
+    """A forked shard worker serves from its main thread."""
+
+    @pytest.fixture()
+    def shard(self, base_index, follow):
+        shard = ShardProcess(
+            base_index, 0, ShardRange(0, MAX_IPV4), **follow
+        )
+        shard.start()
+        yield shard
+        shard.stop()
+
+    def test_os_thread_census(self, shard, follow, batches):
+        # Answered over the wire, so the loop (and the follower) runs.
+        assert shard.wait_for_seq(batches[-1].seq, timeout=30.0)
+        assert shard.applied_seq() == (batches[-1].seq if follow else 0)
+        tasks = os.listdir(f"/proc/{shard.pid}/task")
+        assert len(tasks) == (2 if follow else 1)
+
+    def test_sigterm_mid_window_answers_the_window(self, shard, listed):
+        pid = shard.pid
+        answered = _window_in_flight(
+            shard.address, listed, lambda: os.kill(pid, signal.SIGTERM)
+        )
+        assert answered == list(range(1, WINDOW + 1))
+        shard.stop()
+        assert shard.exitcode == 0
+
+
+class TestServeCommand:
+    """``repro serve --follow`` as a real process: SIGTERM and Ctrl-C
+    both drain it."""
+
+    @pytest.fixture(scope="class")
+    def cli_log(self, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("run-cache")
+        out = tmp_path_factory.mktemp("stream") / "updates.gz"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("RESULTS_CACHE_DIR", str(cache))
+            assert main(["stream", "--out", str(out)]) == 0
+        return cache, out
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"]
+    )
+    def test_signal_mid_window_drains(
+        self, cli_log, listed, batches, signum
+    ):
+        cache, log = cli_log
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(SRC),
+            PYTHONUNBUFFERED="1",
+            RESULTS_CACHE_DIR=str(cache),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--follow", str(log), "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            while line and not line.startswith("serving on "):
+                line = proc.stdout.readline()
+            assert line, proc.stderr.read()
+            host, port = line.split()[2].rsplit(":", 1)
+            address = (host, int(port))
+            deadline = time.monotonic() + 30.0
+            with ReputationClient(*address) as client:
+                # The follower catches up on the whole log first.
+                while client.hello()["seq"] < batches[-1].seq:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            tasks = os.listdir(f"/proc/{proc.pid}/task")
+            assert len(tasks) == 2  # main thread + repro-log-follower
+            answered = _window_in_flight(
+                address, listed, lambda: proc.send_signal(signum)
+            )
+            out, err = proc.communicate(timeout=20.0)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert answered == list(range(1, WINDOW + 1))
+        assert proc.returncode == 0
+        assert out.endswith("shutting down\n")
+        assert out.count("epoch ") == len(batches)
+        assert err == ""

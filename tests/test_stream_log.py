@@ -387,6 +387,22 @@ class TestReader:
             "meta": {"k": 1},
         }
 
+    def test_header_first_leaves_the_backlog_to_poll(self, tmp_path):
+        """``header`` on a fresh reader used to poll the whole file and
+        throw the batches away: a follower that read its header first
+        would skip the backlog and serve stale without declaring it."""
+        path = tmp_path / "log.gz"
+        writer = UpdateLogWriter(path, start_day=4)
+        writer.append(BATCHES[0])
+        writer.append(BATCHES[1])
+        reader = UpdateLogReader(path)
+        assert reader.header["start_day"] == 4
+        assert reader.offset < path.stat().st_size
+        assert reader.poll() == BATCHES[:2]
+        assert reader.offset == path.stat().st_size
+        assert reader.header["start_day"] == 4
+        assert reader.poll() == []
+
     def test_header_on_empty_file_raises(self, tmp_path):
         path = tmp_path / "log.gz"
         path.write_bytes(b"")

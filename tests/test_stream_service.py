@@ -19,8 +19,8 @@ import pytest
 
 from repro.cli import (
     CliError,
-    _build_follow_state,
-    _report_follower_end,
+    _announce_follow_end,
+    _serving_base,
     main,
 )
 from repro.net.ipv4 import int_to_ip
@@ -396,7 +396,12 @@ class TestFollowerFailureIsDeclared:
         log_path = tmp_path / "updates.gz"
         log_path.symlink_to(real)
         epochs = EpochIndex(base_index, day=start_day)
-        follower = LogFollower(log_path, epochs, poll_interval=0.01)
+        follower = LogFollower(
+            log_path,
+            epochs,
+            poll_interval=0.01,
+            on_end=_announce_follow_end,  # what ``repro serve`` hangs there
+        )
         with ReputationServer(
             QueryEngine(epochs), connection_timeout=5.0, streaming=True
         ) as server:
@@ -432,9 +437,10 @@ class TestFollowerFailureIsDeclared:
         reason = self._declared_reason(client, good.seq, ip)
         assert "sequence gap" in reason
         assert follower.stats()["error"] == reason
+        # ``repro serve --follow`` says so once, on stderr: the tail
+        # thread's last act is the end hook.
+        follower.stop()
         assert not follower.stats()["running"]
-        # ``repro serve --follow`` says so once, on stderr.
-        _report_follower_end(follower)
         err = capsys.readouterr().err
         assert err.count("follower stopped:") == 1
         assert reason in err and f"seq {good.seq}" in err
@@ -509,7 +515,6 @@ class TestFollowerFailureIsDeclared:
         _, follower, client = following
         follower.stop()
         assert client.stats()["epoch"]["error"] is None
-        _report_follower_end(follower)
         assert capsys.readouterr().err == ""
 
     def test_a_stopped_follower_does_not_start_again(self, following):
@@ -573,12 +578,16 @@ class TestCliStream:
         self, cli_env, cli_log, start_day
     ):
         args = argparse.Namespace(
-            follow=str(cli_log), preset="small", seed=2020, workers=1
+            follow=str(cli_log), snapshot=None,
+            preset="small", seed=2020, workers=1,
         )
-        epochs, follower = _build_follow_state(args)
-        assert epochs.current.number == 0
-        assert epochs.current.day == start_day
-        assert follower.epochs is epochs
+        index, follow, day = _serving_base(args)
+        assert (follow, day) == (cli_log, start_day)
+        meta = read_update_log(cli_log)[0]["meta"]
+        sizes = index.stats()
+        assert (sizes["ips"], sizes["intervals"]) == (
+            meta["ips"], meta["intervals"]
+        )
 
     def test_follow_state_rejects_mismatched_base(
         self, cli_env, tmp_path
@@ -588,10 +597,11 @@ class TestCliStream:
             log, start_day=214, meta={"ips": 99999, "intervals": 1}
         )
         args = argparse.Namespace(
-            follow=str(log), preset="small", seed=2020, workers=1
+            follow=str(log), snapshot=None,
+            preset="small", seed=2020, workers=1,
         )
         with pytest.raises(CliError, match="wrong preset/seed"):
-            _build_follow_state(args)
+            _serving_base(args)
 
     def test_serve_follow_conflicts_with_snapshot(self, capsys):
         code = main(
