@@ -14,15 +14,9 @@ Run:  python examples/ipv6_entropy_analysis.py
 
 import random
 
-from repro.ipv6 import (
-    Prefix6,
-    Strategy,
-    SubnetPlan,
-    analyze,
-    classify_reuse_risk,
-    generate_corpus,
-    int_to_ip6,
-)
+from repro.ipv6.addr6 import Prefix6, int_to_ip6
+from repro.ipv6.entropyip import analyze, classify_reuse_risk
+from repro.ipv6.generator import Strategy, SubnetPlan, generate_corpus
 
 
 def main() -> None:

@@ -21,24 +21,4 @@ Quickest start::
     print(run.report.render())
 """
 
-from .experiments.runner import FullRun, RunConfig, cached_run, run_full
-from .internet.scenario import Scenario, ScenarioConfig, build_scenario
-from .core.report import HeadlineReport, PAPER_VALUES, build_report
-from .core.reuse import ReuseAnalysis
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "FullRun",
-    "RunConfig",
-    "cached_run",
-    "run_full",
-    "Scenario",
-    "ScenarioConfig",
-    "build_scenario",
-    "HeadlineReport",
-    "PAPER_VALUES",
-    "build_report",
-    "ReuseAnalysis",
-    "__version__",
-]

@@ -1,16 +1,1 @@
 """Statistics and text-rendering helpers shared by the experiments."""
-
-from .cdf import Ecdf, fraction_at_most, percentile
-from .figures import ascii_cdf, ascii_columns
-from .tables import render_comparison, render_series, render_table
-
-__all__ = [
-    "Ecdf",
-    "fraction_at_most",
-    "percentile",
-    "render_comparison",
-    "render_series",
-    "render_table",
-    "ascii_cdf",
-    "ascii_columns",
-]

@@ -1,5 +1,1 @@
 """Baseline techniques the paper compares against."""
-
-from .icmp_census import BlockMetrics, CensusConfig, CensusResult, run_census
-
-__all__ = ["BlockMetrics", "CensusConfig", "CensusResult", "run_census"]

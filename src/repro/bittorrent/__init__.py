@@ -1,96 +1,1 @@
 """BitTorrent DHT substrate: wire protocol, simulated peers, crawler."""
-
-from .bencode import BencodeError, bdecode, bencode
-from .nodeid import (
-    NODE_ID_BYTES,
-    common_prefix_bits,
-    generate_node_id,
-    node_id_hex,
-    xor_distance,
-)
-from .krpc import (
-    AnnouncePeerQuery,
-    ErrorMessage,
-    GetPeersQuery,
-    GetPeersResponse,
-    PeerEndpoint,
-    pack_peers,
-    unpack_peers,
-    GetNodesQuery,
-    GetNodesResponse,
-    KrpcError,
-    KrpcMessage,
-    NodeInfo,
-    PingQuery,
-    PingResponse,
-    TransactionCounter,
-    decode_message,
-    encode_message,
-    pack_nodes,
-    unpack_nodes,
-)
-from .routing import BUCKET_SIZE, RoutingTable
-from .peer import CLIENT_VERSIONS, SimulatedPeer
-from .crawllog import (
-    QUERY_GET_NODES,
-    QUERY_PING,
-    CrawlLog,
-    CrawlRecord,
-    ReceivedRecord,
-    SentRecord,
-    read_jsonl,
-    write_jsonl,
-)
-from .crawler import CrawlerConfig, CrawlerStats, DhtCrawler
-from .tokens import TOKEN_ROTATION_SECONDS, TokenManager
-from .swarm import DhtOverlay, PeerSpec, build_overlay
-
-__all__ = [
-    "BencodeError",
-    "bdecode",
-    "bencode",
-    "NODE_ID_BYTES",
-    "common_prefix_bits",
-    "generate_node_id",
-    "node_id_hex",
-    "xor_distance",
-    "AnnouncePeerQuery",
-    "ErrorMessage",
-    "GetPeersQuery",
-    "GetPeersResponse",
-    "PeerEndpoint",
-    "pack_peers",
-    "unpack_peers",
-    "GetNodesQuery",
-    "GetNodesResponse",
-    "KrpcError",
-    "KrpcMessage",
-    "NodeInfo",
-    "PingQuery",
-    "PingResponse",
-    "TransactionCounter",
-    "decode_message",
-    "encode_message",
-    "pack_nodes",
-    "unpack_nodes",
-    "BUCKET_SIZE",
-    "RoutingTable",
-    "CLIENT_VERSIONS",
-    "SimulatedPeer",
-    "QUERY_GET_NODES",
-    "QUERY_PING",
-    "CrawlLog",
-    "CrawlRecord",
-    "ReceivedRecord",
-    "SentRecord",
-    "read_jsonl",
-    "write_jsonl",
-    "CrawlerConfig",
-    "CrawlerStats",
-    "DhtCrawler",
-    "TOKEN_ROTATION_SECONDS",
-    "TokenManager",
-    "DhtOverlay",
-    "PeerSpec",
-    "build_overlay",
-]

@@ -1,28 +1,1 @@
 """Blocklist substrate: catalog, formats, feeds, listing timelines."""
-
-from .catalog import MAINTAINERS, BlocklistInfo, build_catalog, catalog_by_maintainer
-from .formats import FORMATS, FeedFormatError, parse_feed, serialize_feed
-from .timeline import Listing, ListingStore, Window, listings_from_snapshots
-from .feed import generate_listings, materialize_snapshot
-from .collector import CollectionRun, Collector, FetchResult, publishing_fetcher
-
-__all__ = [
-    "MAINTAINERS",
-    "BlocklistInfo",
-    "build_catalog",
-    "catalog_by_maintainer",
-    "FORMATS",
-    "FeedFormatError",
-    "parse_feed",
-    "serialize_feed",
-    "Listing",
-    "ListingStore",
-    "Window",
-    "listings_from_snapshots",
-    "generate_listings",
-    "materialize_snapshot",
-    "CollectionRun",
-    "Collector",
-    "FetchResult",
-    "publishing_fetcher",
-]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..internet.abuse import AbuseCategory
+from ..internet.categories import AbuseCategory
 
 __all__ = ["BlocklistInfo", "MAINTAINERS", "build_catalog"]
 

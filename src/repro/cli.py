@@ -48,11 +48,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .analysis.tables import render_table
 from .blocklists.catalog import catalog_by_maintainer
-from .core.asreport import render_as_report
-from .core.greylist import build_greylist, render_greylist
-from .experiments.runner import preset_config, run_full
 from .service import (
     ReputationClient,
     ReputationIndex,
@@ -63,8 +59,6 @@ from .service import (
 from .loadgen.mixes import mix_names
 from .service.server import DEFAULT_CONNECTION_TIMEOUT
 from .stream import UpdateLogError
-from .survey.analyze import figure9_usage, render_table1, summarize
-from .survey.generate import generate_responses
 
 __all__ = ["main"]
 
@@ -503,6 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .core.asreport import render_as_report
+    from .core.greylist import build_greylist, render_greylist
+    from .experiments.runner import preset_config, run_full
+
     try:
         run = run_full(
             preset_config(args.preset, args.seed),
@@ -536,6 +534,8 @@ def _export_bundle(run, out: Path) -> None:
     """Write the study's complete artefact bundle — the reproduction's
     counterpart of the address lists the paper publishes."""
     from .bittorrent.crawllog import write_jsonl as write_crawl
+    from .core.asreport import render_as_report
+    from .core.greylist import build_greylist, render_greylist
     from .core.windows import render_window_report
     from .internet.serialize import save_listings, save_truth
     from .ripe.connlog import write_jsonl as write_atlas
@@ -587,6 +587,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     import random
+
+    from .analysis.tables import render_table
+    from .survey.analyze import figure9_usage, render_table1, summarize
+    from .survey.generate import generate_responses
 
     responses = generate_responses(random.Random(args.seed))
     print(render_table1(summarize(responses)))
@@ -641,6 +645,7 @@ def _checked_port(port: int) -> int:
 def _cached_preset_run(preset: str, seed: int, workers: int):
     """One full run for a preset, through the persistent run cache."""
     from .experiments import cache as results_cache
+    from .experiments.runner import preset_config, run_full
 
     config = preset_config(preset, seed)
     was_cached = results_cache.has(config)
@@ -1038,6 +1043,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         verify_stream_fidelity,
         write_scenario_log,
     )
+    from .analysis.tables import render_table
 
     if args.scenarios_command == "list":
         rows = [
@@ -1209,6 +1215,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(_: argparse.Namespace) -> int:
+    from .analysis.tables import render_table
+
     grouped = catalog_by_maintainer()
     rows = sorted(
         ((name, len(lists)) for name, lists in grouped.items()),

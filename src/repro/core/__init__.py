@@ -1,69 +1,1 @@
 """The paper's primary contribution: reused-address impact analysis."""
-
-from .reuse import ReuseAnalysis
-from .overlap import OverlapCurves, compute_overlap
-from .impact import (
-    DurationStats,
-    PerListCounts,
-    UserImpactStats,
-    duration_stats,
-    per_list_counts,
-    user_impact_stats,
-)
-from .funnel import DetectionFunnel, compute_funnel
-from .greylist import (
-    BlockAction,
-    GreylistEntry,
-    build_greylist,
-    recommend_action,
-    render_greylist,
-)
-from .mitigation import (
-    POLICY_BLOCK_ALL,
-    POLICY_GREYLIST_REUSED,
-    POLICY_IGNORE_LISTS,
-    PolicyOutcome,
-    TrafficModel,
-    evaluate_policy,
-)
-from .userimpact import AddressImpact, UserDaysReport, compute_user_days
-from .asreport import AsReuseProfile, per_as_profiles, render_as_report
-from .windows import WindowStats, per_window_stats, render_window_report
-from .report import PAPER_VALUES, HeadlineReport, build_report
-
-__all__ = [
-    "ReuseAnalysis",
-    "OverlapCurves",
-    "compute_overlap",
-    "DurationStats",
-    "PerListCounts",
-    "UserImpactStats",
-    "duration_stats",
-    "per_list_counts",
-    "user_impact_stats",
-    "DetectionFunnel",
-    "compute_funnel",
-    "BlockAction",
-    "GreylistEntry",
-    "build_greylist",
-    "recommend_action",
-    "render_greylist",
-    "PAPER_VALUES",
-    "HeadlineReport",
-    "build_report",
-    "POLICY_BLOCK_ALL",
-    "POLICY_GREYLIST_REUSED",
-    "POLICY_IGNORE_LISTS",
-    "PolicyOutcome",
-    "TrafficModel",
-    "evaluate_policy",
-    "AddressImpact",
-    "UserDaysReport",
-    "compute_user_days",
-    "AsReuseProfile",
-    "per_as_profiles",
-    "render_as_report",
-    "WindowStats",
-    "per_window_stats",
-    "render_window_report",
-]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..net.ipv4 import int_to_ip, slash24_of
+from .policy import BlockAction, action_for
 from .reuse import ReuseAnalysis
 
 __all__ = [
@@ -34,17 +35,6 @@ class GreylistEntry:
     reuse_kind: str  # "nat", "dynamic" or "nat+dynamic"
     detected_users: int
     covering_prefix: str
-
-
-class BlockAction:
-    """What an operator should do with traffic from a listed address."""
-
-    BLOCK = "block"
-    GREYLIST = "greylist"
-    #: Not listed at query time — the online service's third verdict.
-    IGNORE = "ignore"
-
-    ALL = (BLOCK, GREYLIST)
 
 
 def build_greylist(analysis: ReuseAnalysis) -> List[GreylistEntry]:
@@ -82,16 +72,6 @@ def render_greylist(entries: Sequence[GreylistEntry]) -> str:
             f"{entry.detected_users} {entry.covering_prefix}"
         )
     return "\n".join(lines) + "\n"
-
-
-def action_for(reused: bool, blocklist_category: str) -> str:
-    """The Section 6 policy for one listing, given the address's reuse
-    verdict: DDoS lists warrant blocking even with collateral damage
-    (rate matters more than precision); accuracy-sensitive lists (spam
-    and the rest) should greylist reused addresses instead."""
-    if not reused or blocklist_category == "ddos":
-        return BlockAction.BLOCK
-    return BlockAction.GREYLIST
 
 
 def recommend_action(

@@ -1,63 +1,1 @@
 """Synthetic internet ground truth: topology, population, churn, abuse."""
-
-from .addressplan import RESERVED_PREFIXES, AddressCursor, iter_public_slash16s
-from .topology import RegionMix, Topology, TopologyConfig, build_topology
-from .dhcp import AssignmentTimeline, DhcpPool, LineChurnSpec
-from .groundtruth import (
-    ADDRESSING_DYNAMIC,
-    ADDRESSING_STATIC,
-    NAT_CGN,
-    NAT_HOME,
-    NAT_NONE,
-    GroundTruth,
-    LineInfo,
-    UserInfo,
-)
-from .population import PopulationConfig, build_population
-from .abuse import AbuseCategory, AbuseConfig, AbuseEvent, generate_abuse
-from .scenario import PAPER_WINDOWS, Scenario, ScenarioConfig, build_scenario
-from .serialize import (
-    load_listings,
-    load_truth,
-    save_listings,
-    save_truth,
-    truth_from_dict,
-    truth_to_dict,
-)
-
-__all__ = [
-    "RESERVED_PREFIXES",
-    "AddressCursor",
-    "iter_public_slash16s",
-    "RegionMix",
-    "Topology",
-    "TopologyConfig",
-    "build_topology",
-    "AssignmentTimeline",
-    "DhcpPool",
-    "LineChurnSpec",
-    "ADDRESSING_DYNAMIC",
-    "ADDRESSING_STATIC",
-    "NAT_CGN",
-    "NAT_HOME",
-    "NAT_NONE",
-    "GroundTruth",
-    "LineInfo",
-    "UserInfo",
-    "PopulationConfig",
-    "build_population",
-    "AbuseCategory",
-    "AbuseConfig",
-    "AbuseEvent",
-    "generate_abuse",
-    "PAPER_WINDOWS",
-    "Scenario",
-    "ScenarioConfig",
-    "build_scenario",
-    "load_listings",
-    "load_truth",
-    "save_listings",
-    "save_truth",
-    "truth_from_dict",
-    "truth_to_dict",
-]

@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..net.asdb import ASKind
 from ..sim.rng import zipf_weights
+from .categories import AbuseCategory
 from .groundtruth import ADDRESSING_DYNAMIC, GroundTruth, UserInfo
 
 __all__ = [
@@ -31,19 +32,6 @@ __all__ = [
     "event_sort_key",
     "generate_abuse",
 ]
-
-
-class AbuseCategory:
-    """Malicious-activity categories blocklists specialise in."""
-
-    SPAM = "spam"
-    BRUTEFORCE = "bruteforce"
-    DDOS = "ddos"
-    MALWARE = "malware"
-    SCAN = "scan"
-    REPUTATION = "reputation"
-
-    ALL = (SPAM, BRUTEFORCE, DDOS, MALWARE, SCAN, REPUTATION)
 
 
 @dataclass(frozen=True)

@@ -1,52 +1,2 @@
 """IPv6 extension: Entropy/IP-style structure discovery (the paper's
 stated path to extending reuse detection beyond IPv4)."""
-
-from .addr6 import (
-    MAX_IPV6,
-    NIBBLES,
-    Prefix6,
-    int_to_ip6,
-    interface_id,
-    ip6_to_int,
-    nibble,
-    nibbles,
-    subnet_of,
-)
-from .generator import Strategy, SubnetPlan, generate_corpus
-from .entropyip import (
-    REUSE_ROTATING,
-    REUSE_STABLE,
-    SEGMENT_CONSTANT,
-    SEGMENT_RANDOM,
-    SEGMENT_STRUCTURED,
-    AddressStructure,
-    Segment,
-    analyze,
-    classify_reuse_risk,
-    nibble_entropies,
-)
-
-__all__ = [
-    "MAX_IPV6",
-    "NIBBLES",
-    "Prefix6",
-    "int_to_ip6",
-    "interface_id",
-    "ip6_to_int",
-    "nibble",
-    "nibbles",
-    "subnet_of",
-    "Strategy",
-    "SubnetPlan",
-    "generate_corpus",
-    "REUSE_ROTATING",
-    "REUSE_STABLE",
-    "SEGMENT_CONSTANT",
-    "SEGMENT_RANDOM",
-    "SEGMENT_STRUCTURED",
-    "AddressStructure",
-    "Segment",
-    "analyze",
-    "classify_reuse_risk",
-    "nibble_entropies",
-]

@@ -1,55 +1,2 @@
 """Networking primitives (IPv4 + address families) shared by every
 subsystem."""
-
-from .family import V4, V6, AddressFamily, family_named, family_of_ip
-from .ipv4 import (
-    MAX_IPV4,
-    Prefix,
-    addresses_to_slash24s,
-    covering_prefix,
-    int_to_ip,
-    ip_to_int,
-    is_valid_ip_int,
-    parse_ip_or_prefix,
-    slash24_int,
-    slash24_of,
-)
-from .prefixtrie import PrefixSet, PrefixTrie
-from .asdb import ASDatabase, ASKind, ASRecord
-from .ports import (
-    BITTORRENT_COMMON_RANGE,
-    EPHEMERAL_RANGE,
-    MAX_PORT,
-    MIN_PORT,
-    PortAllocator,
-    is_valid_port,
-)
-
-__all__ = [
-    "MAX_IPV4",
-    "Prefix",
-    "addresses_to_slash24s",
-    "covering_prefix",
-    "int_to_ip",
-    "ip_to_int",
-    "is_valid_ip_int",
-    "parse_ip_or_prefix",
-    "slash24_int",
-    "slash24_of",
-    "PrefixSet",
-    "PrefixTrie",
-    "ASDatabase",
-    "ASKind",
-    "ASRecord",
-    "BITTORRENT_COMMON_RANGE",
-    "EPHEMERAL_RANGE",
-    "MAX_PORT",
-    "MIN_PORT",
-    "PortAllocator",
-    "is_valid_port",
-    "V4",
-    "V6",
-    "AddressFamily",
-    "family_named",
-    "family_of_ip",
-]

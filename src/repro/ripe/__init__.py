@@ -1,44 +1,1 @@
 """RIPE Atlas substrate: probes, connection logs, dynamic detection."""
-
-from .connlog import (
-    KIND_CONNECT,
-    KIND_DISCONNECT,
-    ConnectionEvent,
-    ConnectionLog,
-    read_jsonl,
-    write_jsonl,
-)
-from .changes import ChangeReasons, ChangeRecord, classify_changes
-from .kneedle import allocation_threshold, find_knee, find_knee_index
-from .simulate import AtlasConfig, ProbeDeployment, deploy_probes, synthesize_log
-from .pipeline import (
-    PipelineConfig,
-    PipelineResult,
-    ProbeSummary,
-    run_pipeline,
-    summarize_probes,
-)
-
-__all__ = [
-    "KIND_CONNECT",
-    "KIND_DISCONNECT",
-    "ChangeReasons",
-    "ChangeRecord",
-    "classify_changes",
-    "ConnectionEvent",
-    "ConnectionLog",
-    "read_jsonl",
-    "write_jsonl",
-    "allocation_threshold",
-    "find_knee",
-    "find_knee_index",
-    "AtlasConfig",
-    "ProbeDeployment",
-    "deploy_probes",
-    "synthesize_log",
-    "PipelineConfig",
-    "PipelineResult",
-    "ProbeSummary",
-    "run_pipeline",
-    "summarize_probes",
-]

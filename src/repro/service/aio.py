@@ -117,6 +117,13 @@ class Reactor:
         self._stop_requested = False
         self._state = "new"  # -> "running" -> "stopped"; run() writes it
         self._thread: Optional[threading.Thread] = None
+        #: What every link on this loop reads into, copied out before
+        #: the next read. Not a fresh ``recv(_RECV_CHUNK)`` each time:
+        #: malloc serves a request that large from the heap only if a
+        #: free chunk happens to be there, else by mmap + munmap and
+        #: two page faults a read — which process pays is an accident
+        #: of what it imported (EXPERIMENTS.md "A leaner heap").
+        self.recv_buffer = memoryview(bytearray(_RECV_CHUNK))
 
     # -- cross-thread entry points -------------------------------------
 
@@ -432,18 +439,19 @@ class Link:
         """One ``recv`` and the frames it completed; ``False`` when
         there was nothing to read (or nobody left to read from)."""
         assert self.sock is not None
+        buffer = self.reactor.recv_buffer
         try:
-            data = self.sock.recv(_RECV_CHUNK)
+            size = self.sock.recv_into(buffer)
         except (BlockingIOError, InterruptedError):
             return False
         except OSError as exc:
             self.close(f"recv failed: {exc}")
             return False
-        if not data:
+        if not size:
             self.on_eof()
             return False
         self.last_activity = time.monotonic()
-        self.inbuf += data
+        self.inbuf += buffer[:size]
         self.in_parse = True
         try:
             self._parse()

@@ -6,7 +6,7 @@ service's question: *given address x on day t — is it listed, on which
 lists, is the block likely unjust, and what should an operator do?*
 
 The action reuses the batch pipeline's policy
-(:func:`repro.core.greylist.action_for`, Section 6 of the
+(:func:`repro.core.policy.action_for`, Section 6 of the
 paper): an unlisted address is ``ignore``; a listed reused address is
 ``greylist`` unless some carrying list is a DDoS list (rate beats
 precision there), in which case ``block``; a listed non-reused address
@@ -56,7 +56,7 @@ from typing import (
     TypeVar,
 )
 
-from ..core.greylist import BlockAction, action_for
+from ..core.policy import BlockAction, action_for
 from ..net.family import V4, AddressFamily
 from ..stream.epoch import EpochIndex
 from .index import ReputationIndex, reuse_kind_of

@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Any,
     Dict,
@@ -42,10 +43,7 @@ from typing import (
     Tuple,
 )
 
-from ..blocklists.catalog import BlocklistInfo
-from ..blocklists.timeline import Window
-from ..core.reuse import ReuseAnalysis
-from ..internet.abuse import AbuseCategory
+from ..internet.categories import AbuseCategory
 from ..net.family import V4, AddressFamily, AnyPrefix
 from .columns import (
     LISTED,
@@ -58,6 +56,11 @@ from .columns import (
     fold,
 )
 from .snapshot import SnapshotError, read_snapshot, write_snapshot
+
+if TYPE_CHECKING:
+    from ..blocklists.catalog import BlocklistInfo
+    from ..blocklists.timeline import Window
+    from ..core.reuse import ReuseAnalysis
 
 __all__ = [
     "ReputationIndex",

@@ -20,15 +20,16 @@ import mmap
 import os
 import struct
 import sys
-import tempfile
 import zlib
 from array import array
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Tuple
 
-from ..blocklists.timeline import Window
 from ..net.family import V4, AddressFamily, family_named
 from .columns import Columns, KeyColumn, check_list_ids, is_wide
+
+if TYPE_CHECKING:
+    from ..blocklists.timeline import Window
 
 __all__ = ["Snapshot", "SnapshotError", "read_snapshot", "write_snapshot"]
 
@@ -134,6 +135,10 @@ def write_snapshot(
     Never written in place: a running server may have the old file
     mapped, and the rename leaves that mapping its inode.
     """
+    # Here, not at the top: a process that only maps a snapshot never
+    # writes one, and every module it loads is boot time and memory.
+    import tempfile
+
     _check_host()
     meta = json.dumps(
         {

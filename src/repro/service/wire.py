@@ -103,6 +103,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.policy import BlockAction
 from ..net.family import V4, V6, AddressFamily
 
 __all__ = [
@@ -451,7 +452,11 @@ _FLAG_NATED = 2
 _FLAG_DYNAMIC = 4
 _FLAG_UNJUST = 8
 
-_ACTION_TO_CODE = {"ignore": 0, "greylist": 1, "block": 2}
+_ACTION_TO_CODE = {
+    BlockAction.IGNORE: 0,
+    BlockAction.GREYLIST: 1,
+    BlockAction.BLOCK: 2,
+}
 _CODE_TO_ACTION = {v: k for k, v in _ACTION_TO_CODE.items()}
 _REUSE_TO_CODE = {"": 0, "nat": 1, "dynamic": 2, "nat+dynamic": 3}
 _CODE_TO_REUSE = {v: k for k, v in _REUSE_TO_CODE.items()}

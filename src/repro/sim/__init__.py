@@ -1,32 +1,1 @@
 """Deterministic discrete-event simulation fabric."""
-
-from .clock import DAY, HOUR, MINUTE, SECOND, SimClock
-from .events import ScheduledEvent, Scheduler
-from .rng import RngHub, weighted_index, zipf_weights
-from .udp import Datagram, Endpoint, FabricStats, UdpFabric
-from .nat import HostStack, NatBehaviour, NatGateway, NatStats, Socket
-from .realtime import LiveLoop, LiveUdpSocket
-
-__all__ = [
-    "DAY",
-    "HOUR",
-    "MINUTE",
-    "SECOND",
-    "SimClock",
-    "ScheduledEvent",
-    "Scheduler",
-    "RngHub",
-    "weighted_index",
-    "zipf_weights",
-    "Datagram",
-    "Endpoint",
-    "FabricStats",
-    "UdpFabric",
-    "HostStack",
-    "NatBehaviour",
-    "NatGateway",
-    "NatStats",
-    "Socket",
-    "LiveLoop",
-    "LiveUdpSocket",
-]

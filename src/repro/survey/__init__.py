@@ -1,18 +1,1 @@
 """Operator survey: schema, synthetic responses, tabulation."""
-
-from .model import BLOCKLIST_TYPES, NETWORK_TYPES, SurveyResponse
-from .generate import FIGURE9_USAGE, SURVEY_SIZE, generate_responses
-from .analyze import SurveySummary, figure9_usage, render_table1, summarize
-
-__all__ = [
-    "BLOCKLIST_TYPES",
-    "NETWORK_TYPES",
-    "SurveyResponse",
-    "FIGURE9_USAGE",
-    "SURVEY_SIZE",
-    "generate_responses",
-    "SurveySummary",
-    "figure9_usage",
-    "render_table1",
-    "summarize",
-]

@@ -175,6 +175,23 @@ class TestFrameWalk:
             reactor, "binary", frame, self._binary_expectation(frame)
         )
 
+    def test_links_sharing_the_loops_read_buffer_keep_their_bytes(
+        self, reactor
+    ):
+        """Every link reads into its reactor's one buffer, so a half
+        frame is copied out before another link's read lands there."""
+        frames = [PING, encode_frame({"op": "stats"})]
+        pairs = [socket.socketpair() for _ in frames]
+        links = [attached(reactor, ours) for ours, _ in pairs]
+        for cut in (slice(None, 6), slice(6, None)):
+            for (_, theirs), frame in zip(pairs, frames):
+                theirs.sendall(frame[cut])
+                settle(reactor)
+        for link, (_, theirs), frame in zip(links, pairs, frames):
+            assert link.frames == [("msg", 0, decode_frame(frame)[0])]
+            close_on_loop(reactor, link)
+            theirs.close()
+
     def test_peer_eof_closes_with_the_eof_cause(self, reactor):
         ours, theirs = socket.socketpair()
         link = attached(reactor, ours)

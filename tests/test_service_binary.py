@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.local import LocalCluster
+from repro.core.policy import BlockAction
 from repro.net.family import V4, V6
 from repro.net.ipv4 import int_to_ip
 from repro.service.client import (
@@ -327,6 +328,13 @@ class TestWireBytePins:
             "error": "SHARD_UNAVAILABLE",
             "shard": 2,
         }
+
+    def test_action_codes_cover_the_policy(self):
+        """A fourth action cannot join the policy and fail to pack."""
+        assert sorted(wire._ACTION_TO_CODE) == sorted(
+            v for k, v in vars(BlockAction).items()
+            if k.isupper() and isinstance(v, str)
+        )
 
     def test_json_frame_bytes_are_pinned(self):
         """The JSON codec is the cross-version contract: 4-byte length,
