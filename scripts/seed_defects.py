@@ -66,21 +66,17 @@ SEEDS: List[Seed] = [
     unlock("lock: UpdateLogWriter.append_deltas", "stream/log.py", "_lock",
            "            batch = DeltaBatch(self._next_seq",
            "tests/test_stream_log.py"),
-    # Resources: the leaked pipe end, and a client nobody closes.
-    Seed("leak: ShardProcess.start keeps parent_pipe open", "cluster/shard.py",
-         (("        with parent_pipe:\n", f"        {UNLOCK}\n"),),
-         ("tests/test_cluster.py::TestProcessMode",)),
-    Seed("leak: _hello_seq never closes its client", "cluster/shard.py",
-         (("            with ReputationClient(\n",
-           "            client = ReputationClient(\n"),
-          ("            ) as client:\n", f"            )\n            {UNLOCK}\n")),
+    # Resources: the leaked pipe end.
+    Seed("leak: ShardProcess.started keeps the start pipe open", "cluster/shard.py",
+         (("        with pipe:\n", f"        {UNLOCK}\n"),),
          ("tests/test_cluster.py::TestProcessMode",)),
     # Codec pairing: the frame reader loses its FT_MSG branch.
     Seed("wire: Link._parse drops the FT_MSG branch", "service/aio.py",
          (("                    if ftype == FT_MSG:\n",
            "                    if ftype == -1:\n"),),
          ("tests/test_service_binary.py", "-k", "EveryFrameType or Negotiation")),
-    # Blocking calls on the loop (TestRepoWiringMutations' two seeds).
+    # Blocking calls on the loop (TestRepoWiringMutations' two seeds,
+    # then a wait in the split cutover).
     Seed("block: time.sleep in the router's reply handler", "cluster/router.py",
          (("        sub = self._head(request_id)\n"
            "        if not isinstance(reply, dict):\n",
@@ -89,6 +85,9 @@ SEEDS: List[Seed] = [
     Seed("block: time.sleep in the router's ping timer", "cluster/router.py",
          (("    def _beat(self) -> None:\n",
            "    def _beat(self) -> None:\n        time.sleep(0.01)\n"),)),
+    Seed("block: ShardProcess.stop() in the cutover's retire phase",
+         "cluster/local.py",
+         (("        backend.terminate()\n", "        backend.stop()\n"),)),
     # Each per-module rule's own fixture.
     Seed("det: time.time() in sim/", "sim/seeded.py",
          ((None, "import time\n\ndef tick():\n    return time.time()\n"),)),
@@ -100,10 +99,8 @@ SEEDS: List[Seed] = [
                  "    except Exception:\n        pass\n"),)),
     # This round's bugs, re-seeded by reverting the fix.
     Seed("bug: split target read from a dead primary", "cluster/local.py",
-         (("                    target = max(\n"
-           "                        backend.applied_seq() for backend in reachable\n"
-           "                    )\n",
-           "                    target = old_slot[0].applied_seq()\n"),),
+         (("            self.catchup_seq = max(answered)\n",
+           "            self.catchup_seq = seqs[0] or 0\n"),),
          ("tests/test_cluster_elastic.py", "-k", "DeadPrimary")),
     Seed("bug: mid-log damage read as a torn tail", "stream/log.py",
          (("        except zlib.error as exc:\n"

@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import signal
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -823,7 +824,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             + (f", following {follow}" if follow else "")
             + (", auto-split on" if args.auto_split else "")
         )
-        splitter = None
         if args.auto_split:
 
             def announce_split(info: dict) -> None:
@@ -835,7 +835,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                     flush=True,
                 )
 
-            splitter = AutoSplitter(
+            AutoSplitter(
                 cluster,
                 interval=args.split_interval,
                 factor=args.split_factor,
@@ -843,15 +843,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 min_hits=args.split_min_hits,
                 max_shards=args.max_shards,
                 on_split=announce_split,
-            )
-            splitter.start()
-        try:
-            router.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down")
-        finally:
-            if splitter is not None:
-                splitter.stop()
+            ).start()
+        # SIGTERM and Ctrl-C both drain the router; the finally below
+        # then stops every worker, split-born ones included.
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, lambda *_: router.request_shutdown())
+        router.serve_forever()
+        print("shutting down")
     finally:
         cluster.close()
     return 0

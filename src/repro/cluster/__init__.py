@@ -23,11 +23,11 @@ port; serving both takes two):
   ``stats`` row states the cause), replica failover, and explicit
   ``SHARD_UNAVAILABLE`` degradation instead of failed batches;
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, the one-machine
-  bootstrapper behind ``repro cluster`` and the tests, including
-  :meth:`LocalCluster.split_shard`, the online shard split;
+  bootstrapper behind ``repro cluster`` and the tests, and the online
+  shard split: a phase machine on the router's loop;
 * :mod:`repro.cluster.elastic` — :class:`HotRangeDetector` /
-  :class:`AutoSplitter`, the closed loop that watches the router's
-  per-shard load and splits sustained hot ranges automatically.
+  :class:`AutoSplitter`, the closed loop — a timer on the same loop —
+  that watches per-shard load and splits sustained hot ranges.
 """
 
 from .elastic import AutoSplitter, HotRangeDetector

@@ -12,17 +12,18 @@ Two pieces, split so the policy is unit-testable without a cluster:
   windows. Quiet windows (below ``min_hits`` total) break the streak:
   skew over a handful of queries is noise, not heat.
 
-* :class:`AutoSplitter` is the controller thread: poll the router,
-  feed the detector, and on a nomination drive
-  :meth:`~repro.cluster.local.LocalCluster.split_shard` — boot the two
-  half-range backends, cut routing over, drain, retire. Every
-  decision (split, skip, failure) lands in ``events`` so tests and the
-  CLI can show exactly what the loop did and why.
+* :class:`AutoSplitter` is the controller, a timer on the router's own
+  event loop: read the router's load, feed the detector, and on a
+  nomination start
+  :meth:`~repro.cluster.local.LocalCluster.begin_split` — the cutover
+  that boots the two half-range backends, cuts routing over, drains
+  and retires, on the same loop. Every decision (split, skip,
+  failure) lands in ``events`` so tests and the CLI can show exactly
+  what the loop did and why.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -55,7 +56,6 @@ class HotRangeDetector:
         self.factor = factor
         self.sustain = sustain
         self.min_hits = min_hits
-        self._lock = threading.Lock()
         self._epoch: Optional[int] = None
         self._last: List[int] = []
         self._candidate: Optional[int] = None
@@ -63,52 +63,53 @@ class HotRangeDetector:
 
     def observe(self, snapshot: Dict[str, Any]) -> Optional[int]:
         """Feed one ``load_snapshot`` payload; maybe nominate a shard."""
-        with self._lock:
-            epoch = snapshot["partition_epoch"]
-            hits = [row["hits"] for row in snapshot["shards"]]
-            if self._epoch != epoch or len(hits) != len(self._last):
-                # Layout changed under us: counters restarted, every
-                # earlier streak is about a shard id that may not even
-                # mean the same range any more.
-                self._epoch = epoch
-                self._last = hits
-                self._candidate = None
-                self._streak = 0
-                return None
-            deltas = [
-                now - before for now, before in zip(hits, self._last)
-            ]
+        epoch = snapshot["partition_epoch"]
+        hits = [row["hits"] for row in snapshot["shards"]]
+        if self._epoch != epoch or len(hits) != len(self._last):
+            # Layout changed under us: counters restarted, every
+            # earlier streak is about a shard id that may not even
+            # mean the same range any more.
+            self._epoch = epoch
             self._last = hits
-            total = sum(deltas)
-            if total < self.min_hits or len(deltas) < 2:
-                self._candidate = None
-                self._streak = 0
-                return None
-            fair = total / len(deltas)
-            hottest = max(range(len(deltas)), key=lambda i: deltas[i])
-            if deltas[hottest] < self.factor * fair:
-                self._candidate = None
-                self._streak = 0
-                return None
-            if hottest == self._candidate:
-                self._streak += 1
-            else:
-                self._candidate = hottest
-                self._streak = 1
-            if self._streak >= self.sustain:
-                self._streak = 0
-                self._candidate = None
-                return hottest
+            self._candidate = None
+            self._streak = 0
             return None
+        deltas = [now - before for now, before in zip(hits, self._last)]
+        self._last = hits
+        total = sum(deltas)
+        if total < self.min_hits or len(deltas) < 2:
+            self._candidate = None
+            self._streak = 0
+            return None
+        fair = total / len(deltas)
+        hottest = max(range(len(deltas)), key=lambda i: deltas[i])
+        if deltas[hottest] < self.factor * fair:
+            self._candidate = None
+            self._streak = 0
+            return None
+        if hottest == self._candidate:
+            self._streak += 1
+        else:
+            self._candidate = hottest
+            self._streak = 1
+        if self._streak >= self.sustain:
+            self._streak = 0
+            self._candidate = None
+            return hottest
+        return None
 
 
 class AutoSplitter:
-    """Background controller: detector nominations become live splits.
+    """The controller: detector nominations become live splits.
 
     ``cluster`` must be a started
-    :class:`~repro.cluster.local.LocalCluster` (its ``router`` is
-    polled). ``on_split`` (if given) fires after each successful split
-    with the split-info dict ``split_shard`` returned.
+    :class:`~repro.cluster.local.LocalCluster`: :meth:`start` arms a
+    timer on its router's loop, and every ``interval`` that timer reads
+    the router's load, feeds the detector and, on a nomination, begins
+    a split on the same loop — no thread of its own, no lock. While a
+    split is in flight the load goes unread; its cutover resets the
+    detector anyway. ``on_split`` (if given) fires on the loop after
+    each successful split with the split's info dict.
     """
 
     def __init__(
@@ -135,76 +136,80 @@ class AutoSplitter:
         self._detector = HotRangeDetector(
             factor=factor, sustain=sustain, min_hits=min_hits
         )
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._started = False
+        self._stopped = False
         #: Decision log: dicts with an ``action`` key (``split`` /
-        #: ``skip`` / ``error``); appended by the controller thread,
-        #: read by tests and the CLI after (or during) a run.
+        #: ``skip`` / ``error``); appended on the router's loop, read
+        #: by tests and the CLI after (or during) a run.
         self.events: List[Dict[str, Any]] = []
 
     def start(self) -> None:
-        if self._thread is not None:
+        """Arm the first poll; any thread may call, before or while the
+        router's loop runs. A cluster with no router yet has nothing
+        to poll."""
+        if self._started:
             raise RuntimeError("auto-splitter already started")
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-auto-split", daemon=True
-        )
-        self._thread.start()
+        self._started = True
+        router = self._cluster.router
+        if router is not None:
+            reactor = router.reactor
+            reactor.call_soon(
+                lambda: reactor.call_later(self._interval, self._tick)
+            )
 
-    def stop(self, timeout: float = 10.0) -> None:
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            thread.join(timeout=timeout)
+    def stop(self) -> None:
+        """No poll after this one; a split already begun runs to its
+        end (or to the cluster's close). Any thread may call."""
+        self._stopped = True
 
     def splits(self) -> List[Dict[str, Any]]:
         """Just the successful splits from the decision log."""
         return [e for e in self.events if e["action"] == "split"]
 
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            router = self._cluster.router
-            if router is None:
-                continue
-            hot = self._detector.observe(router.load_snapshot())
-            if hot is None:
-                continue
-            if len(self._cluster.partition) >= self._max_shards:
-                self.events.append(
-                    {
-                        "action": "skip",
-                        "shard": hot,
-                        "reason": f"at max_shards={self._max_shards}",
-                        "at": time.time(),
-                    }
-                )
-                continue
-            try:
-                info = self._cluster.split_shard(hot)
-            except ValueError as exc:
-                # Unsplittable (single-/24) shard: remember why, keep
-                # watching — another shard may heat up instead.
-                self.events.append(
-                    {
-                        "action": "skip",
-                        "shard": hot,
-                        "reason": str(exc),
-                        "at": time.time(),
-                    }
-                )
-                continue
-            # A controller crash must not kill the serving plane; the
+    def _tick(self) -> None:
+        cluster = self._cluster
+        router = cluster.router
+        if self._stopped or router is None:
+            return
+        router.reactor.call_later(self._interval, self._tick)
+        if cluster.splitting:
+            return
+        hot = self._detector.observe(router.load_snapshot())
+        if hot is None:
+            return
+        if len(cluster.partition) >= self._max_shards:
+            self._record("skip", hot, f"at max_shards={self._max_shards}")
+            return
+        cluster.begin_split(
+            hot, lambda info, error: self._split_done(hot, info, error)
+        )
+
+    def _split_done(
+        self,
+        shard: int,
+        info: Optional[Dict[str, Any]],
+        error: Optional[Exception],
+    ) -> None:
+        if isinstance(error, ValueError):
+            # Unsplittable (single-/24) shard: remember why, keep
+            # watching — another shard may heat up instead.
+            self._record("skip", shard, str(error))
+        elif error is not None:
+            # A failed split leaves the plane serving as it was; the
             # event log carries the failure to the operator/test.
-            except Exception as exc:
-                self.events.append(
-                    {
-                        "action": "error",
-                        "shard": hot,
-                        "reason": f"{type(exc).__name__}: {exc}",
-                        "at": time.time(),
-                    }
-                )
-                continue
-            event = {"action": "split", "at": time.time(), **info}
-            self.events.append(event)
+            self._record("error", shard, f"{type(error).__name__}: {error}")
+        else:
+            assert info is not None
+            self.events.append({"action": "split", "at": time.time(), **info})
             if self._on_split is not None:
                 self._on_split(info)
+
+    def _record(self, action: str, shard: int, reason: str) -> None:
+        self.events.append(
+            {
+                "action": action,
+                "shard": shard,
+                "reason": reason,
+                "at": time.time(),
+            }
+        )

@@ -13,13 +13,16 @@ system that ships.
 Kill/restart hooks (:meth:`kill_primary` / :meth:`restart_primary`)
 exist because the acceptance bar requires serving *through* a shard
 outage, not just before and after one; the kill is a real SIGKILL.
+An online split (:class:`_Split`) runs on the router's event loop.
 """
 
 from __future__ import annotations
 
+import selectors
 import threading
+import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..service.index import ReputationIndex
 from ..service.server import DEFAULT_CONNECTION_TIMEOUT
@@ -29,10 +32,20 @@ from .router import (
     DEFAULT_BACKEND_TIMEOUT,
     DEFAULT_HEARTBEAT_INTERVAL,
     Router,
+    ShardSlot,
 )
-from .shard import ShardProcess
+from .shard import _DRAIN_S, ShardProcess
 
 __all__ = ["LocalCluster"]
+
+#: Seconds between the cutover's checks: catch-up hellos, drain, reaping.
+_TICK_S = 0.05
+
+#: How long the half-range workers have to boot and catch up.
+_READY_S = 30.0
+
+#: ``done(info, error)``, how a split ends: one of the two is ``None``.
+SplitDone = Callable[[Optional[Dict[str, Any]], Optional[Exception]], None]
 
 
 class LocalCluster:
@@ -89,9 +102,8 @@ class LocalCluster:
         # The unrestricted (day-rolled) base is kept beyond __init__:
         # an online split restricts fresh half-range slices from it.
         self._base = base
-        # One split at a time; the router swap itself is atomic, this
-        # lock just serialises controller decisions.
-        self._split_lock = threading.Lock()
+        #: The split in flight — loop-owned, so one at a time.
+        self._split: Optional[_Split] = None
         # backends[shard_id][0] is the primary, the rest replicas.
         # The pristine restricted bases are kept: a restarted follower
         # shard must replay the log from this state, not from whatever
@@ -148,11 +160,8 @@ class LocalCluster:
     ) -> Router:
         """Construct (but don't start) the router over ``addresses``;
         registered on ``self.router`` so :meth:`close` tears it down."""
-        with self._split_lock:
-            self.router = Router(
-                self.partition, addresses, **self._router_args
-            )
-            return self.router
+        self.router = Router(self.partition, addresses, **self._router_args)
+        return self.router
 
     def start(self) -> Tuple[str, int]:
         """Start every backend, then the router; returns its address."""
@@ -161,21 +170,24 @@ class LocalCluster:
     def close(self) -> None:
         """Shut the router and every backend down (idempotent).
 
-        Takes the split lock first, so teardown waits for any
-        in-progress :meth:`split_shard` rather than racing it."""
-        with self._split_lock:
-            router, self.router = self.router, None
+        The router's loop stops first, so a split in flight stops with
+        it; then every worker goes — the cluster's, and whatever that
+        split had forked or was retiring."""
+        router, self.router = self.router, None
         if router is not None:
             router.shutdown()
+        split, self._split = self._split, None
+        workers = split.abort() if split is not None else []
         for slot in self._backends:
-            for backend in slot:
-                try:
-                    backend.stop()
-                # Teardown must not mask the real failure; every
-                # backend still gets its stop attempt.
-                # reprolint: disable=EXC
-                except Exception:
-                    pass
+            workers.extend(slot)
+        for backend in workers:
+            try:
+                backend.stop()
+            # Teardown must not mask the real failure; every
+            # backend still gets its stop attempt.
+            # reprolint: disable=EXC
+            except Exception:
+                pass
 
     def __enter__(self) -> "LocalCluster":
         self.start()
@@ -220,134 +232,284 @@ class LocalCluster:
         self._backends[shard_id][0] = replacement
         return replacement.start()
 
-    def wait_for_seq(self, seq: int, timeout: float = 60.0) -> bool:
-        """Block until every backend has applied ``seq`` (a stopped
-        one never does: ``False`` after ``timeout``)."""
-        return all(
-            backend.wait_for_seq(seq, timeout=timeout)
-            for slot in self._backends
-            for backend in slot
-        )
-
     # -- elasticity ----------------------------------------------------
 
-    def split_shard(
-        self,
-        shard_id: int,
-        *,
-        catchup_timeout: float = 30.0,
-        drain_timeout: float = 10.0,
-    ) -> Dict[str, Any]:
-        """Split one shard's range in half, online, zero lost queries.
+    @property
+    def splitting(self) -> bool:
+        """A split is in flight (read it on the router's loop)."""
+        return self._split is not None
 
-        The sequence keeps every in-flight and future query answerable
-        at all times:
-
-        1. restrict two half-range slices from the kept base index and
-           boot their backends (old shard still serving everything);
-        2. in follow mode, wait for the new backends to replay the log
-           to at least the highest seq a reachable backend of the old
-           slot has applied (the primary may be dead and its replica
-           serving — the halves must not answer staler than it does);
-        3. :meth:`Router.apply_partition` — new traffic routes to the
-           halves; requests already in flight complete against the old
-           backends, whose index covers both halves (``restrict`` is
-           verdict-preserving in range, so those answers are correct);
-        4. drain the retired connections, then stop the old backends.
-
-        Raises :class:`ValueError` (from ``PartitionMap.split``) when
-        the shard covers a single /24 and cannot split, and
-        :class:`RuntimeError` when, in follow mode, no backend of the
-        old slot answers to give a catch-up target. Returns a summary
-        dict (the auto-splitter's event payload).
-        """
-        with self._split_lock:
-            if self.router is None:
-                raise RuntimeError("cluster not started")
-            new_partition = self.partition.split(shard_id)
-            old_slot = self._backends[shard_id]
-            halves = (
-                new_partition.range_of(shard_id),
-                new_partition.range_of(shard_id + 1),
-            )
-            new_bases: List[ReputationIndex] = []
-            new_slots: List[List[ShardProcess]] = []
-            for offset, shard_range in enumerate(halves):
-                restricted = self._base.restrict(
-                    shard_range.lo, shard_range.hi
+    def begin_split(self, shard_id: int, done: SplitDone) -> None:
+        """Split one shard's range in half, online, zero lost queries:
+        :class:`_Split` runs the cutover on the router's loop, and
+        ``done(info, None)`` or ``done(None, error)`` fires there when
+        it is over — at once with a :class:`ValueError` (from
+        ``PartitionMap.split``) for a shard that covers a single /24,
+        or a :class:`RuntimeError` while another split is in flight.
+        Loop thread only."""
+        try:
+            if self._split is not None:
+                raise RuntimeError(
+                    f"shard {self._split.shard_id} is already splitting"
                 )
-                new_bases.append(restricted)
-                new_slots.append(
-                    [
-                        self._make_backend(
-                            restricted, shard_id + offset, shard_range
-                        )
-                        for _ in range(1 + self._replicas)
-                    ]
-                )
+            self._split = _Split(self, shard_id, done)
+        # Refused before it began: the old layout stands, and the
+        # caller hears why as from any other failed split.
+        except Exception as exc:
+            done(None, exc)
+            return
+        self._split.boot()
+
+    def split_shard(self, shard_id: int) -> Dict[str, Any]:
+        """:meth:`begin_split`, waited for — the blocking entry for
+        callers off the router's loop (tests). Returns the split's info
+        dict (the auto-splitter's event payload); raises what ended it
+        (the old shard then still serves)."""
+        router = self.router
+        if router is None:
+            raise RuntimeError("cluster not started")
+        finished, outcome = threading.Event(), []
+
+        def done(info: Any, error: Optional[Exception]) -> None:
+            outcome[:] = [info, error]
+            finished.set()
+
+        router.reactor.call_soon(lambda: self.begin_split(shard_id, done))
+        # Every phase has a deadline; this one bounds only a loop that
+        # never got to the request.
+        if not finished.wait(_READY_S + 2 * _DRAIN_S + 5.0):
+            raise RuntimeError(f"split of shard {shard_id} never ended")
+        info, error = outcome
+        if error is not None:
+            raise error
+        return info
+
+
+class _Split:
+    """One online split of ``shard_id``: a phase machine on the
+    router's loop, each step a callback that never waits (DESIGN.md §7
+    "Online partition cutover"). **Boot** forks the two half-range
+    backends and watches their start pipes. **Catch up** (follow mode)
+    takes the target from ``hello``s down the router's links to the old
+    slot — the highest seq a reachable backend has applied; none
+    reachable refuses the split — then, every tick, ``hello``s the
+    halves until each has reached it. **Cut over** is
+    :meth:`Router.apply_partition`, adopting the halves' links.
+    **Drain** closes the retired links once idle (or overdue);
+    **retire** SIGTERMs the old backends and reaps them off a timer. A
+    boot or catch-up failure retires the halves instead, and the old
+    shard serves on. ``done`` fires after the retire.
+    """
+
+    def __init__(
+        self, cluster: LocalCluster, shard_id: int, done: SplitDone
+    ) -> None:
+        assert cluster.router is not None
+        self.cluster, self.router = cluster, cluster.router
+        self.reactor = cluster.router.reactor
+        self.shard_id, self.done = shard_id, done
+        self.partition = cluster.partition.split(shard_id)
+        self.halves = [self.partition.range_of(shard_id + i) for i in (0, 1)]
+        self.bases = [
+            cluster._base.restrict(half.lo, half.hi) for half in self.halves
+        ]
+        self.slots = [
+            [
+                cluster._make_backend(base, shard_id + i, half)
+                for _ in range(1 + cluster._replicas)
+            ]
+            for i, (base, half) in enumerate(zip(self.bases, self.halves))
+        ]
+        self.old = cluster._backends[shard_id]
+        self.phase = "boot"
+        #: Start pipes of the half-range workers yet to report.
+        self.pipes: Dict[ShardProcess, Any] = {}
+        #: The router's links to the halves, dialled by the catch-up.
+        self.links: List[ShardSlot] = []
+        self.retiring: List[ShardProcess] = []
+        self.catchup_seq: Optional[int] = None
+        self.drained = False
+        self.error: Optional[Exception] = None
+
+    def _new(self) -> List[ShardProcess]:
+        return [backend for slot in self.slots for backend in slot]
+
+    def boot(self) -> None:
+        self.reactor.call_later(_READY_S, self._overdue)
+        for backend in self._new():
             try:
-                for slot in new_slots:
-                    for backend in slot:
-                        backend.start()
-                if self._follow is not None:
-                    # applied_seq() reads 0 both for a dead backend and
-                    # for a live one with nothing applied yet; a
-                    # zero-wait for seq 0 tells the two apart.
-                    reachable = [
-                        backend
-                        for backend in old_slot
-                        if backend.wait_for_seq(0, timeout=0.0)
-                    ]
-                    if not reachable:
-                        raise RuntimeError(
-                            f"shard {shard_id} has no reachable backend "
-                            f"to take the catch-up seq from"
-                        )
-                    target = max(
-                        backend.applied_seq() for backend in reachable
+                pipe = self.pipes[backend] = backend.spawn()
+                self.reactor.register(
+                    pipe,
+                    selectors.EVENT_READ,
+                    lambda _mask, b=backend: self._reported(b),
+                )
+            # A fork that failed is the split's failure: it retires
+            # what did boot, and the old shard serves on.
+            except Exception as exc:
+                self.fail(exc)
+                return
+
+    def _reported(self, backend: ShardProcess) -> None:
+        pipe = self.pipes.pop(backend)
+        self.reactor.unregister(pipe)
+        try:
+            backend.started(pipe)
+        # Whatever went wrong is the split's failure, not the loop's:
+        # this runs straight off the selector.
+        except Exception as exc:
+            self.fail(exc)
+            return
+        if self.pipes:
+            return
+        self.phase = "catchup"
+        self.links = [
+            ShardSlot(
+                self.router, self.shard_id + i, [b.address for b in s], h
+            )
+            for i, (s, h) in enumerate(zip(self.slots, self.halves))
+        ]
+        if self.cluster._follow is None:
+            self.cut_over()
+        else:
+            self._ask()
+
+    def _ask(self) -> None:
+        """One ``hello`` round: to the old slot while there is no
+        target, then to the halves."""
+        if self.phase == "catchup":
+            slots = self.links
+            if self.catchup_seq is None:
+                slots = [self.router.shard_slot(self.shard_id)]
+            self.router.ask_each(
+                [(slot, link) for slot in slots for link in slot.backends],
+                {"op": "hello"},
+                self._answered,
+            )
+
+    def _answered(self, replies: List[Any]) -> None:
+        if self.phase != "catchup":
+            return
+        seqs = [
+            reply.get("seq", 0) if isinstance(reply, dict) else None
+            for reply in replies
+        ]
+        answered = [seq for seq in seqs if seq is not None]
+        if self.catchup_seq is None:
+            if not answered:
+                self.fail(
+                    RuntimeError(
+                        f"shard {self.shard_id} has no reachable backend "
+                        f"to take the catch-up seq from"
                     )
-                    for slot in new_slots:
-                        for backend in slot:
-                            if not backend.wait_for_seq(
-                                target, timeout=catchup_timeout
-                            ):
-                                raise RuntimeError(
-                                    f"half-range shard did not reach "
-                                    f"seq {target} within "
-                                    f"{catchup_timeout:g}s"
-                                )
-            except BaseException:
-                # Boot/catch-up failed: the old shard keeps serving;
-                # tear the half-built replacements down and report.
-                for slot in new_slots:
-                    for backend in slot:
-                        try:
-                            backend.stop()
-                        except (OSError, RuntimeError):
-                            pass
-                raise
-            addresses = [
-                [tuple(backend.address) for backend in slot]
-                for slot in self._backends
-            ]
-            addresses[shard_id:shard_id + 1] = [
-                [tuple(backend.address) for backend in slot]
-                for slot in new_slots
-            ]
-            self.router.apply_partition(new_partition, addresses)
-            drained = self.router.drain_retired(drain_timeout)
-            for backend in old_slot:
-                try:
-                    backend.stop()
-                except (OSError, RuntimeError):
-                    pass
-            self.partition = new_partition
-            self._backends[shard_id:shard_id + 1] = new_slots
-            self._bases[shard_id:shard_id + 1] = new_bases
-            return {
-                "shard": shard_id,
-                "new_shards": [shard_id, shard_id + 1],
-                "ranges": [str(r) for r in halves],
-                "shards": len(new_partition),
-                "drained": drained,
-            }
+                )
+                return
+            self.catchup_seq = max(answered)
+        elif len(answered) == len(seqs) and min(seqs) >= self.catchup_seq:
+            self.cut_over()
+            return
+        self.reactor.call_later(_TICK_S, self._ask)
+
+    def _overdue(self) -> None:
+        if self.phase in ("boot", "catchup"):
+            self.fail(
+                RuntimeError(
+                    f"split of shard {self.shard_id} still in {self.phase} "
+                    f"after {_READY_S:g}s (catch-up seq {self.catchup_seq})"
+                )
+            )
+
+    def cut_over(self) -> None:
+        self.phase = "drain"
+        cluster, shard_id = self.cluster, self.shard_id
+        addresses = [[b.address for b in slot] for slot in cluster._backends]
+        addresses[shard_id:shard_id + 1] = [
+            [b.address for b in slot] for slot in self.slots
+        ]
+        self.router.apply_partition(
+            self.partition,
+            addresses,
+            adopt=[link for slot in self.links for link in slot.backends],
+        )
+        cluster.partition = self.partition
+        cluster._backends[shard_id:shard_id + 1] = self.slots
+        cluster._bases[shard_id:shard_id + 1] = self.bases
+        self.drain_until = time.monotonic() + _DRAIN_S
+        self._drain()
+
+    def _drain(self) -> None:
+        overdue = time.monotonic() >= self.drain_until
+        self.drained = self.router.close_retired(force=overdue)
+        if self.drained or overdue:
+            self.retire(self.old)
+        else:
+            self.reactor.call_later(_TICK_S, self._drain)
+
+    def retire(self, backends: List[ShardProcess]) -> None:
+        self.phase = "retire"
+        self.retiring = list(backends)
+        for backend in backends:
+            self._retire(backend)
+
+    def _retire(self, backend: ShardProcess) -> None:
+        backend.terminate()
+
+        def reap() -> None:
+            if not backend.collect():
+                self.reactor.call_later(_TICK_S, reap)
+                return
+            self.retiring.remove(backend)
+            if not self.retiring:
+                self._finish()
+
+        self.reactor.call_later(_TICK_S, reap)
+
+    def _finish(self) -> None:
+        self.phase = "done"
+        self.cluster._split = None
+        if self.error is not None:
+            self.done(None, self.error)
+            return
+        self.done(
+            {
+                "shard": self.shard_id,
+                "new_shards": [self.shard_id, self.shard_id + 1],
+                "ranges": [str(half) for half in self.halves],
+                "shards": len(self.partition),
+                "drained": self.drained,
+                "catchup_seq": self.catchup_seq,
+            },
+            None,
+        )
+
+    def fail(self, error: Exception) -> None:
+        """Boot or catch-up failed: the old shard serves on; close what
+        the split opened and retire the half-built replacements."""
+        self.phase, self.error = "retire", error
+        self._close(f"split abandoned: {error}")
+        self.retire(self._new())
+
+    def abort(self) -> List[ShardProcess]:
+        """The router's loop stopped mid-split (cluster teardown): close
+        what the split opened, tell whoever waits on it, and hand back
+        every worker it forked or was retiring, to be stopped."""
+        self.phase = "done"
+        self._close("cluster closed")
+        self.done(None, RuntimeError("cluster closed during the split"))
+        return [*self._new(), *self.old]
+
+    def _close(self, cause: str) -> None:
+        for pipe in self.pipes.values():
+            try:
+                self.reactor.unregister(pipe)
+            except (KeyError, ValueError, OSError):
+                pass  # the loop is already gone
+            pipe.close()
+        self.pipes.clear()
+        for slot in self.links:
+            for link in slot.backends:
+                # What the link still carries is this split's own
+                # hellos: dropped, not failed over.
+                link.pending.clear()
+                link.waiting.clear()
+                link.close(cause)

@@ -48,7 +48,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..service.aio import PEER_EOF, Conn, Link, Slot, WireServer
+from ..service.aio import PEER_EOF, Conn, Link, Reactor, Slot, WireServer
 from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
     MAX_BATCH,
@@ -396,8 +396,8 @@ class Router:
         #: "counters wrapped"; written on the loop thread only.
         self._partition_epoch = 0
         #: Backends dropped by a partition swap that may still carry
-        #: in-flight requests; loop-thread owned, drained and closed
-        #: by :meth:`drain_retired`.
+        #: in-flight requests; loop-thread owned, closed by
+        #: :meth:`close_retired` once drained.
         self._retired: List[Backend] = []
         self._heartbeat_interval = heartbeat_interval
         # Mutated on the loop thread only (dict-subscript updates).
@@ -434,6 +434,12 @@ class Router:
     def address(self) -> Tuple[str, int]:
         return self._server.address
 
+    @property
+    def reactor(self) -> Reactor:
+        """The loop everything here runs on — and what the cluster's
+        split cutover and auto-splitter schedule their steps on."""
+        return self._reactor
+
     def _arm_timers(self) -> None:
         self._backend_sweep()  # nothing to sweep yet: arms itself
         self._reactor.call_later(self._heartbeat_interval, self._beat)
@@ -449,6 +455,12 @@ class Router:
         self._reactor.call_soon(self._arm_timers)
         self._server.serve_forever()
 
+    def request_shutdown(self) -> None:
+        """Ask :meth:`serve_forever` to drain and return, without
+        waiting: for any thread, and for a signal handler on the
+        loop's own."""
+        self._server.request_shutdown()
+
     def shutdown(self) -> None:
         """Stop serving and close every backend link."""
         self._server.shutdown()
@@ -461,12 +473,6 @@ class Router:
             backend.waiting.clear()
             backend.close("router shutdown")
         self._retired = []
-
-    def __enter__(self) -> "Router":
-        return self
-
-    def __exit__(self, *_: Any) -> None:
-        self.shutdown()
 
     # -- health --------------------------------------------------------
 
@@ -488,27 +494,54 @@ class Router:
         first where it is idle; ``done`` fires when all are answered
         or lost. A link with requests in flight is skipped: their
         replies and deadlines already judge it. The reply path and
-        ``Backend.on_close`` write ``healthy`` — a ping has only
-        itself as candidate, so it tests that backend and never fails
-        over."""
-        outstanding = [1]  # the round's own hold, released below
+        ``Backend.on_close`` write ``healthy``."""
+        self.ask_each(
+            [
+                (shard_slot, backend)
+                for shard_slot in self._slots
+                for backend in shard_slot.backends
+                if not (backend.pending or backend.waiting)
+            ],
+            {"op": "ping"},
+            lambda _results: None if done is None else done(),
+        )
 
-        def finish(_status: str = "", _value: Any = None) -> None:
+    def ask_each(
+        self,
+        targets: Sequence[Tuple[ShardSlot, Backend]],
+        request: Dict[str, Any],
+        done: Callable[[List[Any]], None],
+    ) -> None:
+        """``request`` down each target backend's own link, then
+        ``done`` with each one's result, in order, once all are
+        answered or lost (``None`` where one failed). Each sub has only
+        its backend as candidate, so it tests that backend and never
+        fails over. Loop thread only: the heartbeat's pings and the
+        split cutover's ``hello``s."""
+        results: List[Any] = [None] * len(targets)
+        outstanding = [len(targets) + 1]  # the round's own hold
+
+        def finish(position: int, status: str, value: Any) -> None:
+            if status == "result":
+                results[position] = value
             outstanding[0] -= 1
-            if outstanding[0] == 0 and done is not None:
-                done()
+            if outstanding[0] == 0:
+                done(results)
 
-        for shard_slot in self._slots:
-            for backend in shard_slot.backends:
-                if backend.pending or backend.waiting:
-                    continue
-                outstanding[0] += 1
-                ping = _Sub(
-                    "msg", shard_slot, finish, request={"op": "ping"}
-                )
-                ping.candidates = deque([backend])
-                self._submit(ping)
-        finish()
+        for position, (shard_slot, backend) in enumerate(targets):
+            sub = _Sub(
+                "msg",
+                shard_slot,
+                lambda status, value, p=position: finish(p, status, value),
+                request=request,
+            )
+            sub.candidates = deque([backend])
+            self._submit(sub)
+        finish(-1, "", None)  # releases the hold
+
+    def shard_slot(self, shard_id: int) -> ShardSlot:
+        """The live slot of ``shard_id`` (loop thread only)."""
+        return self._slots[shard_id]
 
     def health(self) -> List[List[bool]]:
         """Per-shard, per-backend health flags (tests/observability)."""
@@ -558,19 +591,19 @@ class Router:
         self,
         partition: PartitionMap,
         backends: Sequence[Sequence[Tuple[str, int]]],
-        *,
-        timeout: float = 10.0,
+        adopt: Sequence[Backend] = (),
     ) -> None:
         """Cut routing over to a new layout, atomically, online.
 
-        Thread-safe: the actual swap runs as one callback on the loop
-        thread, so no request ever observes a partition/slot mismatch.
-        Backends whose address survives into the new layout keep their
-        live pipelined connection (and health); backends that drop out
-        are *retired*, not closed — requests already in flight on them
+        Loop thread only (or before the loop runs): the swap is one
+        callback, so no request ever observes a partition/slot
+        mismatch. Backends whose address survives into the new layout
+        keep their live pipelined connection (and health), and so do
+        the already-dialled ``adopt`` links; backends that drop out are
+        *retired*, not closed — requests already in flight on them
         complete normally (during a split the old shard's index covers
         both halves, so its verdicts stay correct), and
-        :meth:`drain_retired` reaps them once quiet.
+        :meth:`close_retired` closes them once quiet.
         """
         if len(backends) != len(partition):
             raise ValueError(
@@ -582,54 +615,31 @@ class Router:
                 f"cannot swap a {partition.family.name} partition into "
                 f"a {self._family.name} routing plane"
             )
+        old = self._backends()
+        live = {backend.address: backend for backend in [*adopt, *old]}
+        new_slots = self._make_slots(partition, backends)
+        kept = set()
+        for slot in new_slots:
+            for position, backend in enumerate(slot.backends):
+                link = live.get(backend.address)
+                if link is not None:
+                    slot.backends[position] = link
+                    kept.add(id(link))
+        self._retired.extend(b for b in old if id(b) not in kept)
+        self._partition, self._slots = partition, new_slots
+        self._partition_epoch += 1
 
-        def swap() -> None:
-            old_by_address: Dict[Tuple[str, int], Backend] = {}
-            for slot in self._slots:
-                for backend in slot.backends:
-                    old_by_address[backend.address] = backend
-            new_slots = self._make_slots(partition, backends)
-            reused = set()
-            for slot in new_slots:
-                for position, backend in enumerate(slot.backends):
-                    kept = old_by_address.get(backend.address)
-                    if kept is not None:
-                        slot.backends[position] = kept
-                        reused.add(id(kept))
-            self._retired.extend(
-                backend
-                for backend in old_by_address.values()
-                if id(backend) not in reused
-            )
-            self._partition, self._slots = partition, new_slots
-            # swap() runs via run_sync as one callback on the loop
-            # thread — the only writer of this counter.
-            self._partition_epoch += 1
-
-        self._reactor.run_sync(swap, timeout)
-
-    def drain_retired(self, timeout: float = 10.0) -> bool:
-        """Wait for retired backends to fall idle, then close them.
-
-        Returns ``True`` when every retired connection drained inside
-        the timeout; on ``False`` the stragglers are torn down anyway
-        (their in-flight requests fail over through the normal path).
-        """
-        deadline = time.monotonic() + timeout
-        drained = True
-        while any(b.pending or b.waiting for b in self._retired):
-            if time.monotonic() >= deadline:
-                drained = False
-                break
-            time.sleep(0.01)
-
-        def reap() -> None:
+    def close_retired(self, force: bool = False) -> bool:
+        """Close the links a partition swap retired once none has a
+        request in flight — or at once, given ``force`` (what they
+        still carry fails over through the normal path). ``True`` when
+        they were idle. Loop thread only."""
+        idle = not any(b.pending or b.waiting for b in self._retired)
+        if idle or force:
             retired, self._retired = self._retired, []
             for backend in retired:
                 backend.close("retired by partition swap")
-
-        self._reactor.run_sync(reap, timeout)
-        return drained
+        return idle
 
     # -- downstream request handling (loop thread) ---------------------
 

@@ -19,6 +19,7 @@ thread, is :class:`~repro.service.server.ServingNode` — the assembly
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import sys
 import time
 from pathlib import Path
@@ -31,10 +32,7 @@ from .partition import ShardRange
 
 __all__ = ["ShardProcess", "filter_batch"]
 
-#: How often the parent polls a worker it is waiting on.
-_POLL_S = 0.05
-
-#: How long ``stop`` lets a worker drain before it is killed instead.
+#: How long a worker asked to stop may drain before it is killed.
 _DRAIN_S = 10.0
 
 
@@ -61,6 +59,9 @@ def _shard_process_main(
     thread, until signalled. ``ShardProcess.stop`` sends SIGTERM, which
     the node takes as "drain and return" (exit code 0);
     ``ShardProcess.kill`` sends SIGKILL, which nothing here sees."""
+    # Not the handler ``repro cluster`` forked us under (stop *its*
+    # loop): until the node has its own, SIGTERM just ends the worker.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     with pipe:
         try:
             node = ServingNode(
@@ -87,10 +88,15 @@ class ShardProcess:
     can hand a complete backend list to the router, and raises with
     the child's reason when it reports a failure instead. The worker
     has two exits: :meth:`stop` asks it to drain (SIGTERM — cluster
-    teardown, a split retiring the old shard) and :meth:`kill` is the
-    crash (SIGKILL — what the failover path exists to absorb). Its
-    progress is observed one way, over its own wire protocol. A
-    restart is a fresh host on the old one's port.
+    teardown) and :meth:`kill` is the crash (SIGKILL — what the
+    failover path exists to absorb). Its progress is observed one way,
+    over its own wire protocol. A restart is a fresh host on the old
+    one's port.
+
+    An event loop drives the same lifecycle without waiting:
+    :meth:`spawn` forks and hands back the start pipe to watch,
+    :meth:`started` reads the report once it is readable, and
+    :meth:`terminate` + :meth:`collect` stand in for :meth:`stop`.
     """
 
     def __init__(
@@ -119,6 +125,8 @@ class ShardProcess:
         )
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._address: Optional[Tuple[str, int]] = None
+        #: When :meth:`collect` stops waiting for a drain and kills.
+        self._kill_at = float("inf")
         #: How the last worker ended (``-9`` after :meth:`kill`, ``0``
         #: after a drained :meth:`stop`); ``None`` before the first end.
         self.exitcode: Optional[int] = None
@@ -137,40 +145,66 @@ class ShardProcess:
 
     def start(self, timeout: float = 30.0) -> Tuple[str, int]:
         """Fork the worker; returns its bound address."""
+        pipe = self.spawn()
+        try:
+            return self.started(pipe, None if pipe.poll(timeout) else timeout)
+        except RuntimeError:
+            # One that reported is on its way out; let it leave with
+            # its own exit code.
+            self._reap(1.0)
+            raise
+
+    def spawn(self) -> Any:
+        """Fork the worker without waiting for it; returns the read end
+        of its start pipe, which turns readable once the worker has
+        reported (or died). Hand it to :meth:`started`."""
         if self._process is not None and self._process.is_alive():
             raise RuntimeError("shard process already running")
         context = multiprocessing.get_context("fork")
         parent_pipe, child_pipe = context.Pipe(duplex=False)
-        # Single-controller lifecycle: start/stop/kill are driven by
-        # one thread (LocalCluster / the CLI), never concurrently.
-        with parent_pipe:
-            try:
-                process = context.Process(
-                    target=_shard_process_main,
-                    args=(
-                        child_pipe,
-                        self._base,
-                        self.shard_range,
-                        self._settings,
-                    ),
-                    name=f"repro-shard-{self.shard_id}",
-                    daemon=True,
-                )
-                process.start()
-            finally:
-                child_pipe.close()
-            self._process = process
-            if parent_pipe.poll(timeout):
+        # Single-controller lifecycle: one thread drives
+        # spawn/start/stop/kill (the cluster's loop, or the caller's
+        # thread before it runs), never two concurrently.
+        try:
+            process = context.Process(
+                target=_shard_process_main,
+                args=(
+                    child_pipe,
+                    self._base,
+                    self.shard_range,
+                    self._settings,
+                ),
+                name=f"repro-shard-{self.shard_id}",
+                daemon=True,
+            )
+            process.start()
+        except BaseException:
+            parent_pipe.close()
+            raise
+        finally:
+            child_pipe.close()
+        self._process = process
+        self._kill_at = float("inf")
+        return parent_pipe
+
+    def started(
+        self, pipe: Any, silent: Optional[float] = None
+    ) -> Tuple[str, int]:
+        """Read the worker's report off its start pipe, which is
+        readable — or, given ``silent``, stayed quiet that many
+        seconds — and close the pipe. Returns the bound address; raises
+        with the worker's reason when it reported a failure, died first
+        or said nothing, and leaves it to :meth:`stop` or
+        :meth:`collect`."""
+        with pipe:
+            if silent is not None:
+                status, value = "error", f"no address within {silent:g}s"
+            else:
                 try:
-                    status, value = parent_pipe.recv()
+                    status, value = pipe.recv()
                 except EOFError:
                     status, value = "error", "worker died before reporting"
-            else:
-                status, value = "error", f"no address within {timeout:g}s"
         if status != "ok":
-            # One that reported is on its way out; let it leave with
-            # its own exit code.
-            self._reap(1.0)
             raise RuntimeError(
                 f"shard {self.shard_id} failed to start: {value}"
             )
@@ -183,6 +217,30 @@ class ShardProcess:
         if self._process is not None:
             self._process.terminate()
             self._reap(_DRAIN_S)
+
+    def terminate(self) -> None:
+        """:meth:`stop` without the wait: SIGTERM, and :meth:`collect`
+        reaps the worker once it has drained."""
+        if self._process is not None:
+            self._process.terminate()
+            self._kill_at = time.monotonic() + _DRAIN_S
+
+    def collect(self) -> bool:
+        """Reap the worker if it has ended, never waiting
+        (``waitpid(WNOHANG)``); ``True`` once none is left. One still
+        running the drain allowance after :meth:`terminate` is
+        SIGKILLed, for a later call to reap."""
+        process = self._process
+        if process is None:
+            return True
+        if process.exitcode is None:
+            if time.monotonic() >= self._kill_at:
+                process.kill()
+            return False
+        self._process = None
+        self.exitcode = process.exitcode
+        process.close()
+        return True
 
     def kill(self) -> None:
         """End the worker at once (SIGKILL) — a crash, as its peers see
@@ -199,39 +257,3 @@ class ShardProcess:
             process.join()
             self.exitcode = process.exitcode
             process.close()
-
-    def _hello_seq(self) -> Optional[int]:
-        """The worker's applied seq via its own wire protocol, or
-        ``None`` when it cannot be reached — the only view the parent
-        has into a shard's streaming progress."""
-        from ..service.client import ReputationClient, TransportError
-
-        try:
-            with ReputationClient(
-                *self.address,
-                timeout=self._settings["connection_timeout"],
-                codec="json",
-            ) as client:
-                seq = client.hello().get("seq", 0)
-                return seq if isinstance(seq, int) else 0
-        except (TransportError, OSError):
-            return None
-
-    def applied_seq(self) -> int:
-        """Last log sequence the worker applied (0 when unreachable
-        or not following) — the catch-up target a freshly booted
-        half-range shard must reach before a split cuts over to it."""
-        return self._hello_seq() or 0
-
-    def wait_for_seq(self, seq: int, timeout: float = 30.0) -> bool:
-        """Poll the worker until its applied seq reaches ``seq``."""
-        if self._settings["follow"] is None:
-            return True
-        deadline = time.monotonic() + timeout
-        while True:
-            applied = self._hello_seq()
-            if applied is not None and applied >= seq:
-                return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(_POLL_S)

@@ -21,6 +21,8 @@ reachable path:
   loop-side idiom
 * file I/O (``open`` and friends, ``Path.read_text``/``write_text``)
 * ``subprocess.*``
+* waits: ``Process.join``, ``Connection.poll(timeout)``,
+  ``Event.wait``
 
 Blocking work that stays off-loop (follower threads, drain helpers)
 is not reachable from any root and is never flagged.
@@ -68,6 +70,23 @@ _BLOCKING_ATTRS = {
     "write_text",
     "write_bytes",
 }
+
+
+def _waits(call: ast.Call, attr: str) -> bool:
+    """``.wait(...)`` (an event, a condition, a child), ``.poll(t)``
+    (a pipe, given a timeout) or ``.join()`` (a process or thread).
+    ``str.join`` takes exactly one positional iterable, never a number,
+    and ``poll()`` with no timeout only peeks — neither waits."""
+    if attr == "wait":
+        return True
+    if attr == "poll":
+        return bool(call.args or call.keywords)
+    if attr == "join":
+        return not call.args or (
+            isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, (int, float))
+        )
+    return False
 
 
 def _function_index(program: Program) -> Dict[int, FunctionInfo]:
@@ -207,6 +226,9 @@ def _blocking_calls(
         if func.attr in _BLOCKING_ATTRS:
             yield sub, f".{func.attr}() is synchronous file I/O"
             continue
+        if _waits(sub, func.attr):
+            yield sub, f".{func.attr}() waits on the loop thread"
+            continue
         if func.attr in ("connect", "accept"):
             receiver = fn.module.dotted_name(func.value) or ""
             lowered = receiver.lower()
@@ -228,8 +250,8 @@ def _blocking_calls(
     scope="program",
     summary=(
         "no blocking operations (time.sleep, blocking socket ops, "
-        "file I/O, subprocess) on any path reachable from a reactor "
-        "callback"
+        "file I/O, subprocess, process/pipe/event waits) on any path "
+        "reachable from a reactor callback"
     ),
     example=(
         "class Sweeper:\n"
@@ -246,16 +268,19 @@ def check_reactor_blocking(
     """Proves the invariant the serving plane leans on — nothing
     blocks the loop: one blocking call behind a callback stalls every
     connection of the process at once, and no test times that. Its
-    catch on record is ``TestRepoWiringMutations``: a ``time.sleep``
+    catches on record are ``TestRepoWiringMutations``: a ``time.sleep``
     seeded into the router's reply handler or its ping timer is found
-    through the real wiring (``Link`` event callback → subclass hook).
+    through the real wiring (``Link`` event callback → subclass hook);
+    and ``ShardProcess.stop()`` seeded into the split cutover's retire
+    phase, whose ``Process.join`` it finds through the phase timers.
 
     Collect every callable handed to a reactor registration point
     (``call_soon``/``call_later``/``run_sync``/``register``/
     ``modify``, ``*.callback =`` assignments, ``WireServer(handler)``)
     and BFS the call graph from each. Any reached function that calls
     a known blocking operation — ``time.sleep``, blocking socket
-    connect/accept, file I/O, ``subprocess`` — is flagged with the
+    connect/accept, file I/O, ``subprocess``, a ``join()`` /
+    ``poll(timeout)`` / ``wait()`` — is flagged with the
     registration site and the call path. Sockets a module switches to
     non-blocking via ``setblocking(False)`` on the same dotted
     receiver are exempt."""

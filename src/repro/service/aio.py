@@ -155,13 +155,11 @@ class Reactor:
     def run_sync(
         self, callback: Callable[[], None], timeout: float = 10.0
     ) -> None:
-        """Run ``callback`` on the loop thread and wait for it.
-
-        The primitive behind atomic cross-thread state swaps (the
-        router's online partition cutover): loop-owned structures are
-        only ever touched between I/O callbacks. Runs inline when
-        called from the loop thread itself (waiting would deadlock) or
-        when the loop isn't running yet (single-threaded setup).
+        """Run ``callback`` on the loop thread and wait for it — how a
+        test harness touches loop-owned structures from outside, between
+        I/O callbacks. Runs inline when called from the loop thread
+        itself (waiting would deadlock) or when the loop isn't running
+        yet (single-threaded setup).
         Raises :class:`RuntimeError` when the loop doesn't get to the
         callback within ``timeout`` — the callback may still run
         later, so callers treating this as fatal should stop the loop.
@@ -268,6 +266,23 @@ class Reactor:
 #: Cause a link closes with when the peer hung up cleanly — the one
 #: close an owner may read as "recycled", not "broken".
 PEER_EOF = "connection closed"
+
+
+def _close_socket(sock: socket.socket) -> None:
+    """Close ``sock`` for the peer too. A worker forked from this
+    process holds a copy of the fd, and ``close`` only drops ours: the
+    connection (or listening port) would live on in the copy, open to
+    the peer and answered by nobody. ``shutdown`` ends it for every
+    holder; on a socket that never connected it raises, as may the
+    close — neither is a failure of the caller's."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class Link:
@@ -389,10 +404,7 @@ class Link:
             return
         self._watch(0)
         self.sock = None
-        try:
-            sock.close()
-        except OSError:
-            pass
+        _close_socket(sock)
         self.connecting = False
         self.inbuf.clear()
         self.outbuf.clear()
@@ -848,10 +860,7 @@ class WireServer:
             self.reactor.unregister(self._listener)
         except (KeyError, ValueError, OSError):
             pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        _close_socket(self._listener)
 
     def _close_everything(self) -> None:
         self._close_listener()

@@ -50,6 +50,7 @@ from repro.service.wire import (
 from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.log import UpdateLogWriter
+from tests.conftest import wait_for_seq
 from tests.test_service_binary import _binary_call, _binary_socket
 
 
@@ -348,7 +349,7 @@ class TestRouterStatsPayload:
             start_day=start_day,
         ) as cluster:
             assert cluster.router.wait_healthy(10.0)
-            assert cluster.wait_for_seq(seq, timeout=30.0)
+            assert wait_for_seq(cluster, seq, timeout=30.0)
             partition = cluster.partition.to_wire()
             with ReputationClient(*cluster.address) as client:
                 client.query(listed_ips[0])
@@ -445,10 +446,10 @@ class TestProcessMode:
             assert len(set(pids)) == 2 and None not in pids
             assert os.getpid() not in pids
 
-            assert cluster.wait_for_seq(reached, timeout=30.0)
-            assert not cluster.wait_for_seq(reached + 1, timeout=0.3)
+            assert wait_for_seq(cluster, reached, timeout=30.0)
+            assert not wait_for_seq(cluster, reached + 1, timeout=0.3)
             writer.append(replay_batches[2])
-            assert cluster.wait_for_seq(reached + 1, timeout=30.0)
+            assert wait_for_seq(cluster, reached + 1, timeout=30.0)
             with ReputationClient(*cluster.address) as client:
                 assert matches_single(client)
 
@@ -460,10 +461,10 @@ class TestProcessMode:
                 cluster.kill_primary(victim)
                 assert killed.exitcode == -signal.SIGKILL
                 assert cluster.shard_pids()[victim] == [None]
-                assert not cluster.wait_for_seq(reached + 1, timeout=0.3)
+                assert not wait_for_seq(cluster, reached + 1, timeout=0.3)
                 assert cluster.restart_primary(victim)[1] == port
                 assert cluster.shard_pids()[victim][0] not in (None, *pids)
-                assert cluster.wait_for_seq(reached + 1, timeout=30.0)
+                assert wait_for_seq(cluster, reached + 1, timeout=30.0)
                 assert cluster.router.wait_healthy(10.0)
                 assert matches_single(client)
 
@@ -1394,7 +1395,7 @@ class TestClusterFollowEndToEnd:
 
             # Every shard (including the restarted one, which replays
             # the log from its pristine restricted base) catches up.
-            assert cluster.wait_for_seq(final_seq, timeout=60.0)
+            assert wait_for_seq(cluster, final_seq, timeout=60.0)
             assert cluster.router.wait_healthy(10.0)
 
             # Field-for-field equality with the single-process

@@ -5,13 +5,16 @@ rebalances online, and not a single query fails or returns a verdict
 different from a static single-process engine's.
 """
 
+import multiprocessing
+import os
+import socket
 import threading
 import time
 
 import pytest
 
 from repro.cluster import AutoSplitter, LocalCluster, PartitionMap
-from repro.cluster.shard import ShardProcess
+from repro.cluster import shard as shard_module
 from repro.loadgen import (
     LoadHarness,
     TrafficGenerator,
@@ -19,11 +22,12 @@ from repro.loadgen import (
     population_from_analysis,
 )
 from repro.net.ipv4 import int_to_ip
-from repro.service.client import ReputationClient
+from repro.service.client import ReputationClient, TransportError
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.stream.delta import day_advance_batches
 from repro.stream.log import UpdateLogWriter
+from tests.conftest import wait_for_seq
 
 
 @pytest.fixture(scope="module")
@@ -186,17 +190,9 @@ class TestSplitBehindADeadPrimary:
         return log_path, start_day, batches[-1].seq
 
     def test_halves_catch_up_to_the_serving_replica(
-        self, followed, full_index, listed_ips, monkeypatch
+        self, followed, full_index, listed_ips
     ):
         log_path, start_day, seq = followed
-        waited = []
-        real_wait = ShardProcess.wait_for_seq
-
-        def spy(backend, target, timeout=30.0):
-            waited.append((backend, target))
-            return real_wait(backend, target, timeout=timeout)
-
-        monkeypatch.setattr(ShardProcess, "wait_for_seq", spy)
         with LocalCluster(
             full_index,
             shards=2,
@@ -205,12 +201,13 @@ class TestSplitBehindADeadPrimary:
             start_day=start_day,
         ) as cluster:
             assert cluster.router.wait_healthy(10.0)
-            assert cluster.wait_for_seq(seq, timeout=30.0)
+            assert wait_for_seq(cluster, seq)
             victim = cluster.partition.shard_of(listed_ips[0])
             old_slot = [cluster.backend(victim, r) for r in (0, 1)]
             cluster.kill_primary(victim)
-            assert old_slot[0].applied_seq() == 0  # dead: says nothing
-            assert old_slot[1].applied_seq() == seq
+            # dead: says nothing
+            assert not wait_for_seq([old_slot[0].address], 0, timeout=0.0)
+            assert wait_for_seq([old_slot[1].address], seq, timeout=0.0)
 
             seen, stop = [], threading.Event()
 
@@ -222,19 +219,13 @@ class TestSplitBehindADeadPrimary:
             watcher = threading.Thread(target=watch)
             watcher.start()
             try:
-                del waited[:]
-                cluster.split_shard(victim)
+                info = cluster.split_shard(victim)
             finally:
                 time.sleep(0.05)  # at least one hello after the cutover
                 stop.set()
                 watcher.join(10.0)
 
-        targets = {
-            target
-            for backend, target in waited
-            if backend not in old_slot
-        }
-        assert targets == {seq}  # was {0}: the dead primary's answer
+        assert info["catchup_seq"] == seq  # was 0: the dead primary's answer
         assert len(seen) >= 2
         assert seen == sorted(seen) and seen[0] == seq, seen
 
@@ -245,7 +236,7 @@ class TestSplitBehindADeadPrimary:
         with LocalCluster(
             full_index, shards=2, follow=log_path, start_day=start_day
         ) as cluster:
-            assert cluster.wait_for_seq(seq, timeout=30.0)
+            assert wait_for_seq(cluster, seq)
             cluster.kill_primary(1)
             with pytest.raises(RuntimeError, match="shard 1 has no reach"):
                 cluster.split_shard(1)
@@ -365,3 +356,89 @@ class TestAutoSplitAcceptance:
             splitter.start()
         splitter.stop()
         cluster.close()
+
+
+def _split_born_workers():
+    return {
+        child.pid
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-shard-")
+    }
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestSplitOnTheLoop:
+    """The cutover and the auto-splitter run on the router's loop: they
+    start no thread, a split's forked workers close nothing the router
+    still owns, and nothing a cluster forked outlives its close."""
+
+    def test_splitter_and_split_start_no_thread(self, full_index):
+        with LocalCluster(full_index, shards=2) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            before = set(threading.enumerate())
+            splitter = AutoSplitter(cluster, interval=0.05)
+            splitter.start()
+            assert set(threading.enumerate()) == before
+            cluster.split_shard(0)
+            splitter.stop()
+            assert set(threading.enumerate()) == before
+            assert len(cluster.partition) == 3
+
+    def test_router_shutdown_closes_for_the_peer(self, full_index, listed_ips):
+        """Each split-born worker inherits the router's sockets: the
+        listener and every connection. Closing them in the router must
+        close them for the peer all the same."""
+        with LocalCluster(full_index, shards=2) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            address = cluster.address
+            with ReputationClient(*address, timeout=10.0) as client:
+                client.query(listed_ips[0])  # connected before the split
+                cluster.split_shard(cluster.partition.shard_of(listed_ips[0]))
+                cluster.router.shutdown()
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(address, timeout=1.0).close()
+                started = time.monotonic()
+                with pytest.raises(TransportError):
+                    client.query(listed_ips[0])
+                assert time.monotonic() - started < 1.0
+
+    def test_close_mid_split_leaves_no_worker(self, full_index, monkeypatch):
+        def silent_worker(pipe, base, shard_range, settings):
+            time.sleep(3600.0)  # never reports: the split stays in boot
+
+        cluster = LocalCluster(full_index, shards=2)
+        try:
+            cluster.start()
+            forked = _split_born_workers()
+            monkeypatch.setattr(
+                shard_module, "_shard_process_main", silent_worker
+            )
+            outcome = []
+
+            def split():
+                try:
+                    cluster.split_shard(0)
+                except RuntimeError as exc:
+                    outcome.append(exc)
+
+            splitter = threading.Thread(target=split)
+            splitter.start()
+            deadline = time.monotonic() + 10.0
+            while len(_split_born_workers() - forked) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            forked |= _split_born_workers()
+            assert len(forked) == 4
+        finally:
+            cluster.close()
+        splitter.join(10.0)
+        assert not splitter.is_alive()
+        assert "closed" in str(outcome[0])
+        assert not [pid for pid in forked if _alive(pid)]

@@ -223,6 +223,33 @@ class TestFlowBlock:
         )
         assert found == []
 
+    @pytest.mark.parametrize(
+        "call, blocks",
+        [
+            ("process.join()", True),
+            ("process.join(timeout=grace)", True),
+            ("pipe.poll(timeout)", True),
+            ("event.wait(t)", True),
+            ('b"".join(parts)', False),
+            ("sep.join(parts)", False),
+        ],
+        ids=["join", "join-timeout", "poll", "wait", "bytes-join", "str-join"],
+    )
+    def test_wait_matcher(self, tmp_path, call, blocks):
+        source = f"""
+        class Retire:
+            def __init__(self, reactor):
+                reactor.call_soon(self._tick)
+
+            def _tick(self, process, pipe, event, parts, sep, grace, t):
+                timeout = grace
+                return {call}
+        """
+        found = findings(tmp_path, {"cluster/wait.py": source}, "FLOW-BLOCK")
+        assert len(found) == blocks
+        if blocks:
+            assert "waits on the loop thread" in found[0].message
+
     def test_callback_assignment_is_a_root(self, tmp_path):
         found = findings(
             tmp_path,

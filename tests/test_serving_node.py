@@ -4,7 +4,8 @@ what ``repro serve`` and every shard worker run.
 Two things are held here in tests rather than prose. The *thread
 census*: a serving process is its main thread, plus
 ``repro-log-follower`` when it follows a log, and nothing else — no
-parked main thread beside a daemon reactor, no watcher. And the
+parked main thread beside a daemon reactor, no watcher; ``repro
+cluster``, auto-splitting included, is its main thread alone. And the
 *drain*: SIGTERM and Ctrl-C mean the same thing to ``repro serve`` and
 to a shard worker — every request a peer has already sent is answered,
 the follower is stopped and joined, the exit code is 0.
@@ -15,7 +16,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from repro.service.wire import CODECS, recv_binary_frame
 from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import index_as_of
 from repro.stream.log import write_update_log
+from tests.conftest import wait_for_seq
 from tests.test_service_binary import _binary_socket
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -157,8 +158,10 @@ class TestWorkerProcess:
 
     def test_os_thread_census(self, shard, follow, batches):
         # Answered over the wire, so the loop (and the follower) runs.
-        assert shard.wait_for_seq(batches[-1].seq, timeout=30.0)
-        assert shard.applied_seq() == (batches[-1].seq if follow else 0)
+        seq = batches[-1].seq if follow else 0
+        assert wait_for_seq([shard.address], seq)
+        with ReputationClient(*shard.address) as client:
+            assert client.hello()["seq"] == seq
         tasks = os.listdir(f"/proc/{shard.pid}/task")
         assert len(tasks) == (2 if follow else 1)
 
@@ -211,12 +214,8 @@ class TestServeCommand:
             assert line, proc.stderr.read()
             host, port = line.split()[2].rsplit(":", 1)
             address = (host, int(port))
-            deadline = time.monotonic() + 30.0
-            with ReputationClient(*address) as client:
-                # The follower catches up on the whole log first.
-                while client.hello()["seq"] < batches[-1].seq:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.02)
+            # The follower catches up on the whole log first.
+            assert wait_for_seq([address], batches[-1].seq)
             tasks = os.listdir(f"/proc/{proc.pid}/task")
             assert len(tasks) == 2  # main thread + repro-log-follower
             answered = _window_in_flight(
@@ -231,3 +230,51 @@ class TestServeCommand:
         assert out.endswith("shutting down\n")
         assert out.count("epoch ") == len(batches)
         assert err == ""
+
+
+class TestClusterCommand:
+    """``repro cluster --auto-split`` as a real process: one OS thread
+    while it serves — the splitter is a timer on the router's loop —
+    and SIGTERM drains it, workers included."""
+
+    def test_one_thread_and_sigterm_stops_every_worker(self, tmp_path):
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(SRC),
+            PYTHONUNBUFFERED="1",
+            RESULTS_CACHE_DIR=str(tmp_path),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "cluster", "--auto-split",
+             "--shards", "2", "--port", "0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            line = proc.stdout.readline()
+            while line and not line.startswith("cluster serving on "):
+                if line.startswith("shard "):
+                    workers.append(int(line.split("pid=")[1].split()[0]))
+                line = proc.stdout.readline()
+            assert line, proc.stderr.read()
+            assert len(workers) == 2
+            host, port = line.split()[3].rsplit(":", 1)
+            with ReputationClient(host, int(port)) as client:
+                assert client.hello()["cluster"]["shards"] == 2
+            assert len(os.listdir(f"/proc/{proc.pid}/task")) == 1
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30.0)
+        finally:
+            proc.kill()
+            proc.wait()
+            alive = []
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    alive.append(pid)
+                except ProcessLookupError:
+                    pass
+        assert not alive, "workers outlived the router"
+        assert proc.returncode == 0, err
+        assert out.endswith("shutting down\n")

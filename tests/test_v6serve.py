@@ -32,6 +32,7 @@ from repro.v6serve import (
     rotating_prefixes,
     v6_reuse_facts,
 )
+from tests.conftest import wait_for_seq
 
 
 def _p6(text, length=64):
@@ -220,7 +221,7 @@ class TestV6ClusterEndToEnd:
             assert cluster.router.wait_healthy(10.0)
             assert cluster.partition.family is V6
             final_seq = batches[-1].seq
-            assert cluster.wait_for_seq(final_seq, timeout=60.0)
+            assert wait_for_seq(cluster, final_seq, timeout=60.0)
             with ReputationClient(
                 *cluster.address, family=V6
             ) as client:
