@@ -113,6 +113,11 @@ SEEDS: List[Seed] = [
     Seed("bug: LogFollower.start() after stop()", "stream/follower.py",
          (("            if self._stop.is_set():\n", "            if False:\n"),),
          ("tests/test_stream_service.py", "-k", "FollowerFailure")),
+    # The one verdict cache serves every codec and op: a key without
+    # its epoch would answer all of them stale after a swap.
+    Seed("bug: packed-cache key drops the epoch", "service/server.py",
+         (("            key = (epoch, ip,", "            key = (0, ip,"),),
+         ("tests/test_packed_cache.py", "-k", "AcrossEpochs")),
 ]
 
 _FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)

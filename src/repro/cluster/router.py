@@ -5,10 +5,11 @@ wire protocol — a client cannot tell a router from a single-process
 server, including the binary-codec ``hello`` negotiation — and fans
 requests out over the shard fleet:
 
-* point queries route by the partition map to the owning shard's
-  active backend (primary, else the first healthy replica);
-* batch queries are split by shard, scattered, and the per-shard
-  replies merged back into request order;
+* queries — a packed batch frame, a JSON ``batch`` op, or a JSON
+  ``query`` op, which is a batch of one — are split by shard through
+  the partition map, scattered to each owning shard's active backend
+  (primary, else the first healthy replica), and the per-shard replies
+  merged back into request order;
 * ``stats``/``hello`` scatter to every shard and merge, reporting the
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
   visible to the client;
@@ -25,17 +26,17 @@ pipelined :class:`~repro.service.aio.WireServer`, and each shard
 persistent pipelined upstream connection on the same reactor, sharing
 the inbound side's socket, buffer and framing code — no threads, no
 per-request connects. Upstream links speak the binary codec only, so
-a routed batch is pure plumbing: packed request records scatter out,
-packed reply records merge back by position, and no verdict dict is
-materialised in the router (the one exception is a day outside the
-packed layout, which travels — and is answered — JSON-shaped).
+routing is plumbing: packed request records scatter out, packed reply
+records merge back by position, and the server's own
+:func:`~repro.service.server.assemble_reply` answers in the request's
+framing. A day no record can carry travels JSON-shaped, and its
+shard's dict is carried back as it is.
 
 Failure degrades, never cascades: when every backend of a shard is
-down, a point query gets an explicit ``SHARD_UNAVAILABLE`` error
-reply and a batch reply carries per-IP ``{"error":
-"SHARD_UNAVAILABLE"}`` entries in the dead shard's positions — the
-other shards' verdicts still flow. A backend connection that dies
-with requests in flight fails those requests over to the next
+down, its positions become ``SHARD_UNAVAILABLE`` records — per-IP
+``{"error": "SHARD_UNAVAILABLE"}`` entries beside the other shards'
+verdicts, or a point query's in-band error. A backend connection that
+dies with requests in flight fails those requests over to the next
 candidate backend; an idle EOF just closes the pooled connection (the
 backend may simply have recycled it), leaving its health standing so
 the next request or beat reconnects.
@@ -51,13 +52,11 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from ..service.aio import PEER_EOF, Conn, Link, Reactor, Slot, WireServer
 from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
-    MAX_BATCH,
     PROTOCOL_VERSION,
     RequestError,
+    assemble_reply,
     negotiate_hello,
-    parse_batch,
-    parse_day,
-    parse_ip,
+    parse_request,
 )
 from ..service.wire import (
     CODECS,
@@ -79,17 +78,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 #: Connect/IO timeout the router uses towards shard backends.
 DEFAULT_BACKEND_TIMEOUT = 5.0
-
-
-class ShardUnavailable(RuntimeError):
-    """Every backend of one shard failed at the transport level."""
-
-    def __init__(self, shard_id: int, cause: str) -> None:
-        super().__init__(
-            f"{SHARD_UNAVAILABLE}: shard {shard_id} has no live "
-            f"backend ({cause})"
-        )
-        self.shard_id = shard_id
 
 
 class _Sub:
@@ -644,90 +632,37 @@ class Router:
     # -- downstream request handling (loop thread) ---------------------
 
     def _handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
-        if kind == "batch":
-            codec = slot.batch_codec
-            assert codec is not None
-            if codec is not self._codec:
-                slot.fail(
-                    f"{codec.family.name} batch frame cannot be answered "
-                    f"by this {self._family.name}-only cluster"
-                )
-                return
-            if len(data) > MAX_BATCH:
-                slot.fail(
-                    f"batch of {len(data)} exceeds the "
-                    f"{MAX_BATCH}-query limit"
-                )
-                return
-            self._route_batch(slot, data)
-            return
-        request = data
-        if not isinstance(request, dict):
-            slot.fail(
-                f"request must be a JSON object, got "
-                f"{type(request).__name__}"
-            )
-            return
-        op = request.get("op")
-        if op == "ping":
-            slot.complete({"ok": True, "result": "pong"})
-        elif op == "query":
-            self._route_query(slot, request)
-        elif op == "batch":
-            try:
-                pairs = parse_batch(request.get("queries"), self._family)
-            except RequestError as exc:
-                slot.fail(str(exc))
-                return
-            # A JSON-shaped batch on a binary connection is still
-            # answered packed where every shard answered packed.
-            slot.batch_codec = self._codec
-            self._route_batch(slot, pairs)
-        elif op == "stats":
-            self._route_stats(slot)
-        elif op == "hello":
-            self._route_hello(conn, slot, request)
-        else:
-            slot.fail(f"unknown op: {op!r}")
-
-    def _route_query(self, slot: Slot, request: Dict[str, Any]) -> None:
         try:
-            ip = parse_ip(request.get("ip"), self._family)
-            day = parse_day(request.get("day"))
+            op, pairs = parse_request(
+                slot, kind, data, self._codec, "cluster"
+            )
         except RequestError as exc:
             slot.fail(str(exc))
             return
-        self._counters["point"] += 1
-        shard_slot = self._slots[self._partition.shard_of(ip)]
-        shard_slot.hits += 1
-        forward: Dict[str, Any] = {"op": "query", "ip": ip}
-        if day is not None:
-            forward["day"] = day
-
-        def finish(status: str, value: Any) -> None:
-            if status == "result":
-                slot.complete({"ok": True, "result": value})
-            elif status == "reject":
-                # The shard rejected a request the router already
-                # validated — our bug, surfaced like any other.
-                slot.fail(f"internal error: {value}")
-            else:
-                self._counters["degraded"] += 1
-                slot.fail(
-                    str(ShardUnavailable(shard_slot.shard_id, str(value)))
-                )
-
-        self._submit(
-            _Sub("msg", shard_slot, finish, request=forward)
-        )
+        if pairs is not None:
+            self._route_batch(slot, op, pairs)
+        elif op == "ping":
+            slot.complete({"ok": True, "result": "pong"})
+        elif op == "stats":
+            self._route_stats(slot)
+        elif op == "hello":
+            self._route_hello(conn, slot, data)
+        else:
+            slot.fail(f"unknown op: {op!r}")
 
     def _route_batch(
         self,
         slot: Slot,
+        op: Optional[str],
         pairs: List[Tuple[int, Optional[int]]],
     ) -> None:
-        self._counters["batch"] += 1
-        self._counters["batch_queries"] += len(pairs)
+        """Scatter ``pairs`` by shard and gather the records back into
+        request order; a JSON ``query`` op is a batch of one."""
+        if op == "query":
+            self._counters["point"] += 1
+        else:
+            self._counters["batch"] += 1
+            self._counters["batch_queries"] += len(pairs)
         partition, slots = self._partition, self._slots
         total = len(pairs)
         by_shard: Dict[int, List[int]] = {}
@@ -736,14 +671,14 @@ class Router:
                 partition.shard_of(ip), []
             ).append(position)
 
-        # Per-position reply: raw record bytes, a verdict dict, or the
-        # shard id of a degraded position (int).
+        # Per-position record: packed bytes (degraded where its shard is
+        # down), or the dict of a day no record can carry.
         entries: List[Any] = [None] * total
         if not by_shard:
             # Empty batch: zero shard fan-outs means shard_done would
             # never fire, so answer directly (an empty result is what
             # a single-process server returns).
-            self._finish_batch(slot, pairs, entries, partition)
+            assemble_reply(slot, op, entries, self._codec)
             return
         remaining = [len(by_shard)]
 
@@ -765,10 +700,12 @@ class Router:
                 # reply: degrade this shard's positions, keep the rest.
                 self._counters["degraded"] += len(positions)
                 for position in positions:
-                    entries[position] = shard_id
+                    entries[position] = self._degraded(
+                        *pairs[position], shard_id
+                    )
             remaining[0] -= 1
             if remaining[0] == 0:
-                self._finish_batch(slot, pairs, entries, partition)
+                assemble_reply(slot, op, entries, self._codec)
 
         for shard_id, positions in by_shard.items():
             slots[shard_id].hits += len(positions)
@@ -785,59 +722,20 @@ class Router:
                 )
             )
 
-    def _finish_batch(
-        self,
-        slot: Slot,
-        pairs: List[Tuple[int, Optional[int]]],
-        entries: List[Any],
-        partition: PartitionMap,
-    ) -> None:
-        codec = self._codec
-        if slot.codec == "binary":
-            degrade = codec.pack_degraded
-            try:
-                records = []
-                for (ip, day), entry in zip(pairs, entries):
-                    if isinstance(entry, bytes):
-                        records.append(entry)
-                    elif isinstance(entry, int):
-                        records.append(
-                            degrade(ip, day, entry, SHARD_UNAVAILABLE)
-                        )
-                    else:
-                        # A shard answered in JSON shape (a day outside
-                        # the packed layout): so does this reply.
-                        break
-                else:
-                    slot.complete_records(records)
-                    return
-            except WireError:
-                pass  # a degraded day outside the packed layout
-        decode = codec.decode_record
-        result: List[Dict[str, Any]] = []
-        for (ip, day), entry in zip(pairs, entries):
-            if isinstance(entry, bytes):
-                try:
-                    entry = decode(entry).to_wire()
-                except WireError:
-                    entry = None
-            if isinstance(entry, dict):
-                result.append(entry)
-            else:
-                shard_id = (
-                    entry
-                    if isinstance(entry, int)
-                    else partition.shard_of(ip)
-                )
-                result.append(
-                    {
-                        "ip": codec.family.format(ip),
-                        "day": day,
-                        "error": SHARD_UNAVAILABLE,
-                        "shard": shard_id,
-                    }
-                )
-        slot.complete({"ok": True, "result": result})
+    def _degraded(self, ip: int, day: Optional[int], shard_id: int) -> Any:
+        """The record of a position whose shard is down — its wire dict
+        where the day is one no record can carry."""
+        try:
+            return self._codec.pack_degraded(
+                ip, day, shard_id, SHARD_UNAVAILABLE
+            )
+        except WireError:
+            return {
+                "ip": self._family.format(ip),
+                "day": day,
+                "error": SHARD_UNAVAILABLE,
+                "shard": shard_id,
+            }
 
     # -- fleet views ---------------------------------------------------
 

@@ -13,7 +13,9 @@ the binary framing in its ``hello`` handshake and switches when the
 server accepts. Against an older server the offer is ignored:
 ``auto`` simply stays on JSON, so one client build works across a
 mixed fleet, while ``binary`` was a demand and the constructor raises
-:class:`TransportError`.
+:class:`TransportError`. On a binary connection a point query is a
+packed batch frame of one pair, like any batch the packed layout can
+carry; the rest take the JSON op's shape.
 
 A :class:`TransportError` is final for its connection: whatever ends
 an exchange with the stream position unknown (a timeout, a cut, a
@@ -46,10 +48,12 @@ from .wire import (
     CODECS,
     MAX_FRAME_BYTES,
     FT_MSG,
+    RecordView,
     WireError,
     decode_msg_payload,
     encode_frame,
     encode_msg_frame,
+    point_error,
     recv_binary_frame,
     recv_frame,
     send_frame,
@@ -307,33 +311,31 @@ class ReputationClient:
             )
         return verdicts
 
-    def _packed_batch(
-        self, pairs: List[Any], rid: int
+    def _packed_frame(
+        self, queries: List[Query], rid: int
     ) -> Optional[bytes]:
-        """``pairs`` as one packed request frame, or ``None`` when a
-        value does not fit the packed layout."""
+        """``queries`` as one packed request frame, or ``None`` when they
+        take the JSON request shape, so the server's validation errors
+        stay identical across codecs. The packer checks exact ints in
+        range in its one pass; only queries it refuses are looked at
+        value by value (text addresses parse, the rest is JSON's)."""
+        encode = self._batch_codec.encode_batch_request
         try:
-            return self._batch_codec.encode_batch_request(
+            return encode(queries, rid, max_size=self._max_frame)
+        except WireError:
+            pairs = _int_pairs(queries, self._family)
+        try:
+            return None if pairs is None else encode(
                 pairs, rid, max_size=self._max_frame
             )
         except WireError:
             return None
 
     def _encode_batch(self, queries: List[Query], rid: int) -> bytes:
-        """One batch request frame. On a binary connection a clean
-        batch is a packed frame; anything the packed layout cannot
-        carry takes the JSON request shape, so the server's validation
-        errors stay identical across codecs."""
+        """One batch request frame: packed where :meth:`_packed_frame`
+        packs it on a binary connection, else the JSON ``batch`` op."""
         if self._codec == "binary":
-            # The common case — exact ints in range — is checked by the
-            # packer in its one pass; only a batch it refuses is looked
-            # at value by value (text addresses parse, the rest is the
-            # JSON path's).
-            frame = self._packed_batch(queries, rid)
-            if frame is None:
-                pairs = _int_pairs(queries, self._family)
-                if pairs is not None:
-                    frame = self._packed_batch(pairs, rid)
+            frame = self._packed_frame(queries, rid)
             if frame is not None:
                 return frame
         request = {
@@ -349,7 +351,26 @@ class ReputationClient:
     # -- operations ----------------------------------------------------
 
     def query(self, ip: IpLike, day: Optional[int] = None) -> Dict[str, Any]:
-        """Point query; returns the verdict as a plain dict."""
+        """Point query; returns the verdict as a plain dict. On a binary
+        connection a query :meth:`_packed_frame` packs is a batch of
+        one. A degraded answer raises the same :class:`ServiceError` on
+        either codec."""
+        if self._codec == "binary":
+            with self._lock:
+                sock = self._checked_sock()
+                rid = self._next_rid()
+                frame = self._packed_frame([(ip, day)], rid)
+                if frame is not None:
+                    try:
+                        sock.sendall(frame)
+                        (verdict,) = self._read_batch_reply(sock, rid, 1)
+                    except BaseException as exc:
+                        raise self._ended(exc) from None
+                    if "error" in verdict:
+                        raise ServiceError(point_error(verdict))
+                    if isinstance(verdict, RecordView):
+                        return verdict.to_wire()
+                    return dict(verdict)  # an FT_MSG reply's dict
         request: Dict[str, Any] = {"op": "query", "ip": self._wire_ip(ip)}
         if day is not None:
             request["day"] = day

@@ -16,12 +16,13 @@ is always ``block``.
 dynamic, users, asn, action)`` — the one place ``index.facts`` is
 called and the policy aggregated. Two things are built from a row:
 
+* a packed reply record (:meth:`QueryEngine.query_records`): every
+  answer the server sends, whatever the codec or op, hands the row
+  straight to the codec, and no ``Verdict`` exists in between;
 * a :class:`Verdict` (:meth:`QueryEngine.query`,
-  :meth:`QueryEngine.query_batch`): the JSON ``query`` / ``batch`` ops
-  and library callers;
-* a packed reply record (:meth:`QueryEngine.query_records`): the
-  server's binary batch path hands the row straight to the codec, and
-  no ``Verdict`` exists in between.
+  :meth:`QueryEngine.query_batch`): library callers such as the
+  adversary lab — and, on the wire, only the answer no record can
+  carry (a day outside i32), which the server builds from the row.
 
 The engine also accepts a streaming
 :class:`~repro.stream.epoch.EpochIndex`. Every call resolves the
@@ -34,7 +35,8 @@ were computed against.
 The engine holds no per-key state: a verdict is a pure function of the
 snapshot the call resolved. The one verdict cache of the serving stack
 is :class:`~repro.service.server.ReputationServer`'s packed-record
-cache, which sits in front of :meth:`QueryEngine.query_records`.
+cache, which sits in front of :meth:`QueryEngine.query_records` for
+every codec.
 Per-query-type call/latency counters feed the ``stats`` wire op and
 the capacity-planning story.
 """
@@ -250,14 +252,15 @@ class QueryEngine:
         state: State,
         pairs: Iterable[Tuple[int, Optional[int]]],
         codec: BinaryCodec,
+        kind: str = "batch",
     ) -> List[bytes]:
-        """Batch query answered as packed reply records of ``codec``,
-        one per ``(ip, day)`` pair, in order, all against ``state``
-        (a :meth:`resolve_state` snapshot the caller already holds).
-        Each row goes from :func:`evaluate` straight into
-        :meth:`~repro.service.wire.BinaryCodec.pack_record`; counted
-        as ``batch`` queries like :meth:`query_batch`."""
-        return self._answer("batch", state, pairs, codec.pack_record)
+        """Queries answered as packed reply records of ``codec``, one
+        per ``(ip, day)`` pair, in order, all against ``state`` (a
+        :meth:`resolve_state` snapshot the caller already holds). Each
+        row goes from :func:`evaluate` straight into
+        :meth:`~repro.service.wire.BinaryCodec.pack_record`; counted as
+        ``kind`` queries (``point`` for a JSON ``query`` op)."""
+        return self._answer(kind, state, pairs, codec.pack_record)
 
     def _answer(
         self,

@@ -28,17 +28,23 @@ The JSON request surface is unchanged:
     binary framing for all later frames.
 
 Binary connections may additionally send packed ``FT_BATCH_REQ``
-frames — the hot path: ``decode → probe → facts → pack``. A frame is
-answered against the one ``(index, epoch, seq)`` snapshot taken when
-its handling starts: the packed-record cache is probed under
-``(epoch, ip, resolved day)``, a hit copies pre-encoded record bytes,
-and the misses go to :meth:`~repro.service.engine.QueryEngine.
-query_records` *with that snapshot*, which packs each one straight
-from the index's columns — no verdict object is built on this path —
-and the bytes are stored under the frame's epoch. So every record of a
-reply reports the same ``(epoch, seq)`` whatever a hot swap does
-meanwhile, and nothing is ever cached under an epoch it was not
-computed against. It is the only verdict cache in the serving stack
+frames (a binary client's point query is one of a single pair).
+
+Every answer is a packed record, whatever the codec or op: ``decode →
+probe → facts → pack``. :func:`parse_request` turns a packed frame or
+a JSON ``query`` / ``batch`` op into ``(ip, day)`` pairs, answered
+against the one ``(index, epoch, seq)`` snapshot taken first: the
+packed-record cache is probed under ``(epoch, ip, resolved day)``, a
+hit copies pre-encoded record bytes, and the misses go to
+:meth:`~repro.service.engine.QueryEngine.query_records` *with that
+snapshot*, which packs each one straight from the index's columns (no
+verdict object is built), and are stored under its epoch. So every
+record of a reply reports the same ``(epoch, seq)`` whatever a hot
+swap does meanwhile, and nothing is ever cached under an epoch it was
+not computed against. :func:`assemble_reply` (the router's too) puts
+the records in the request's framing. The one answer no record can
+carry, a day outside i32, is built as a JSON-shaped verdict, uncached.
+It is the only verdict cache in the serving stack
 (the engine behind it keeps no per-key state); only the loop thread
 touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records
 (an entry is never re-ranked on a hit, and a superseded epoch's
@@ -65,9 +71,15 @@ from ..stream.delta import DeltaBatch
 from ..stream.epoch import Epoch, EpochIndex
 from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
-from .engine import QueryEngine
+from .engine import QueryEngine, Verdict, evaluate
 from .index import ReputationIndex
-from .wire import CODECS, MAX_FRAME_BYTES
+from .wire import (
+    CODECS,
+    MAX_FRAME_BYTES,
+    BinaryCodec,
+    WireError,
+    point_error,
+)
 
 __all__ = [
     "MAX_BATCH",
@@ -75,9 +87,13 @@ __all__ = [
     "ReputationServer",
     "RequestError",
     "ServingNode",
+    "assemble_reply",
     "parse_ip",
     "parse_day",
+    "parse_request",
 ]
+
+Pairs = List[Tuple[int, Optional[int]]]
 
 #: Upper bound on queries in one batch frame.
 MAX_BATCH = 10_000
@@ -92,6 +108,9 @@ DEFAULT_CONNECTION_TIMEOUT = 30.0
 
 #: Packed-verdict cache capacity (records, not bytes).
 PACKED_CACHE_SIZE = 1 << 15
+
+#: The days a packed record can carry: its ``day`` field is an i32.
+_RECORD_DAYS = range(-(1 << 31), 1 << 31)
 
 #: How often a following node polls its update log.
 _FOLLOW_POLL_S = 0.05
@@ -132,25 +151,83 @@ def parse_day(value: Any) -> Optional[int]:
     return value
 
 
-def parse_batch(
-    queries: Any, family: AddressFamily = V4
-) -> List[Tuple[int, Optional[int]]]:
-    """Validate a JSON ``batch`` request's ``queries`` array."""
-    if not isinstance(queries, list):
-        raise RequestError("batch needs a 'queries' array")
+def parse_request(
+    slot: Slot, kind: str, data: Any, codec: BinaryCodec, plane: str
+) -> Tuple[Any, Optional[Pairs]]:
+    """What one request asks, as ``(op, pairs)``: a packed batch frame
+    is ``(None, its pairs)``, a JSON ``query`` or ``batch`` op is
+    ``(op, its pairs)``, any other op ``(op, None)``. Raises the
+    request's in-band :class:`RequestError` for a batch frame of
+    another family than ``codec``'s (``plane`` names what cannot
+    answer it), an oversized batch, a request that is not a JSON
+    object, or a query value that does not parse."""
+    family = codec.family
+    if kind == "batch":
+        batch_codec = slot.batch_codec
+        assert batch_codec is not None
+        if batch_codec is not codec:
+            raise RequestError(
+                f"{batch_codec.family.name} batch frame cannot be answered "
+                f"by this {family.name}-only {plane}"
+            )
+        op, queries = None, data
+    elif not isinstance(data, dict):
+        raise RequestError(
+            f"request must be a JSON object, got {type(data).__name__}"
+        )
+    else:
+        op, queries = data.get("op"), [data]
+        if op == "batch":
+            queries = data.get("queries")
+            if not isinstance(queries, list):
+                raise RequestError("batch needs a 'queries' array")
+        elif op != "query":
+            return op, None
     if len(queries) > MAX_BATCH:
         raise RequestError(
-            f"batch of {len(queries)} exceeds the "
-            f"{MAX_BATCH}-query limit"
+            f"batch of {len(queries)} exceeds the {MAX_BATCH}-query limit"
         )
-    parsed = []
+    if op is None:
+        return op, queries
+    pairs = []
     for item in queries:
         if not isinstance(item, dict):
             raise RequestError("each batch query must be an object")
-        parsed.append(
+        pairs.append(
             (parse_ip(item.get("ip"), family), parse_day(item.get("day")))
         )
-    return parsed
+    return op, pairs
+
+
+def assemble_reply(
+    slot: Slot, op: Optional[str], records: List[Any], codec: BinaryCodec
+) -> None:
+    """Answer ``slot`` with its request's records — packed ``bytes`` of
+    ``codec``, or the JSON-shaped dict of an answer no record can carry
+    — in the request's own framing: a packed frame for a packed request
+    (``op`` ``None``), else the JSON op's result, a list of wire dicts
+    (``batch``) or one (``query``), where a degraded point answer is
+    the request's in-band error."""
+    if op is None:
+        slot.complete_records(records)
+        return
+    decode = codec.decode_record
+    try:
+        answers = [
+            decode(record).to_wire() if isinstance(record, bytes) else record
+            for record in records
+        ]
+    except WireError as exc:
+        slot.fail(f"internal error: undecodable record: {exc}")
+        return
+    if op == "batch":
+        slot.complete({"ok": True, "result": answers})
+        return
+    (answer,) = answers
+    if "error" in answer:
+        slot.fail(point_error(answer))
+    else:
+        slot.complete({"ok": True, "result": answer})
 
 
 def negotiate_hello(
@@ -247,20 +324,14 @@ class ReputationServer:
     def _handle(
         self, conn: Conn, slot: Slot, kind: str, data: Any
     ) -> None:
-        if kind == "batch":
-            codec = slot.batch_codec
-            assert codec is not None
-            if codec is not self._codec:
-                slot.fail(
-                    f"{codec.family.name} batch frame cannot be answered "
-                    f"by this {self._family.name}-only index"
-                )
-                return
-            self._handle_packed_batch(slot, data)
-            return
         try:
-            reply, new_codec = self._dispatch(data)
-        except RequestError as exc:
+            op, pairs = parse_request(slot, kind, data, self._codec, "index")
+            if pairs is not None:
+                records = self._records(pairs, op)
+                assemble_reply(slot, op, records, self._codec)
+                return
+            reply, new_codec = self._dispatch(op, data)
+        except ValueError as exc:  # a RequestError, or the engine's
             slot.fail(str(exc))
             return
         slot.complete(reply)
@@ -270,28 +341,9 @@ class ReputationServer:
             conn.codec = new_codec
 
     def _dispatch(
-        self, request: Any
+        self, op: Any, request: Dict[str, Any]
     ) -> Tuple[Dict[str, Any], Optional[str]]:
-        if not isinstance(request, dict):
-            raise RequestError(
-                f"request must be a JSON object, got "
-                f"{type(request).__name__}"
-            )
-        op = request.get("op")
         engine = self._engine
-        if op == "query":
-            verdict = engine.query(
-                parse_ip(request.get("ip"), self._family),
-                parse_day(request.get("day")),
-            )
-            return {"ok": True, "result": verdict.to_wire()}, None
-        if op == "batch":
-            parsed = parse_batch(request.get("queries"), self._family)
-            verdicts = engine.query_batch(parsed)
-            return {
-                "ok": True,
-                "result": [v.to_wire() for v in verdicts],
-            }, None
         if op == "stats":
             stats = engine.stats()
             stats["cache"] = {
@@ -316,47 +368,49 @@ class ReputationServer:
             return {"ok": True, "result": "pong"}, None
         raise RequestError(f"unknown op: {op!r}")
 
-    def _handle_packed_batch(
-        self, slot: Slot, pairs: List[Tuple[int, Optional[int]]]
-    ) -> None:
-        """The binary hot path: answer a packed batch request from the
-        packed-record cache, handing the engine only the misses — and
-        the snapshot the cache was probed under."""
-        if len(pairs) > MAX_BATCH:
-            slot.fail(
-                f"batch of {len(pairs)} exceeds the "
-                f"{MAX_BATCH}-query limit"
-            )
-            return
+    def _records(self, pairs: Pairs, op: Optional[str]) -> List[Any]:
+        """The records answering ``pairs``, in order, whatever the
+        request's codec or op: the packed-record cache is probed under
+        one snapshot's ``(epoch, ip, resolved day)``, and the engine is
+        handed only the misses — and that snapshot. A day outside the
+        packed layout (only a JSON op can ask one) has no record: its
+        JSON-shaped verdict is built here, and never cached."""
         engine = self._engine
         state = engine.resolve_state()
-        index, epoch, _seq = state
+        index, epoch, seq = state
         default_day = index.default_day()
         cache = self._packed
         cache_get = cache.get
-        records: List[Optional[bytes]] = []
+        records: List[Any] = []
         append = records.append
         miss_positions: List[int] = []
         miss_keys: List[Tuple[int, int, int]] = []
+        wide = 0
+        json_op = op is not None  # a packed frame's days are all i32
         for ip, day in pairs:
             key = (epoch, ip, default_day if day is None else day)
             record = cache_get(key)
             if record is None:
-                miss_positions.append(len(records))
-                miss_keys.append(key)
+                if json_op and key[2] not in _RECORD_DAYS:
+                    record = Verdict.from_row(
+                        self._family, ip, key[2],
+                        *evaluate(index, ip, key[2]), epoch, seq,
+                    ).to_wire()
+                    wide += 1
+                else:
+                    miss_positions.append(len(records))
+                    miss_keys.append(key)
             append(record)
-        self._packed_hits += len(pairs) - len(miss_keys)
-        self._packed_misses += len(miss_keys)
+        misses = len(miss_keys) + wide
+        self._packed_hits += len(pairs) - misses
+        self._packed_misses += misses
         if miss_keys:
-            try:
-                packed = engine.query_records(
-                    state,
-                    [(ip, day) for _epoch, ip, day in miss_keys],
-                    self._codec,
-                )
-            except ValueError as exc:
-                slot.fail(str(exc))
-                return
+            packed = engine.query_records(
+                state,
+                [(ip, day) for _epoch, ip, day in miss_keys],
+                self._codec,
+                "point" if op == "query" else "batch",
+            )
             for position, key, record in zip(
                 miss_positions, miss_keys, packed
             ):
@@ -364,7 +418,7 @@ class ReputationServer:
                 cache[key] = record
             while len(cache) > PACKED_CACHE_SIZE:
                 cache.popitem(last=False)
-        slot.complete_records(records)  # type: ignore[arg-type]
+        return records
 
 
 class ServingNode:

@@ -134,6 +134,7 @@ __all__ = [
     "encode_msg_frame",
     "pack_degraded",
     "pack_verdict",
+    "point_error",
     "recv_binary_frame",
     "recv_frame",
     "send_frame",
@@ -1031,6 +1032,12 @@ _RECORD_FIELDS: Tuple[
         "shard": lambda view, f: f[4],
     },
 )
+
+
+def point_error(entry: Mapping[str, Any]) -> str:
+    """The in-band error a point query's degraded answer (a record
+    view or its wire dict) becomes, on either codec."""
+    return f"{entry['error']}: shard {entry['shard']} has no live backend"
 
 
 #: The sending side's lookup: ``family → codec``. The frame-type pair

@@ -51,7 +51,12 @@ from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.log import UpdateLogWriter
 from tests.conftest import wait_for_seq
-from tests.test_service_binary import _binary_call, _binary_socket
+from tests.test_service_binary import (
+    _binary_call,
+    _binary_socket,
+    _ScriptedPeer,
+    _verdict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,12 +276,13 @@ class TestRouterStatic:
 
     def test_router_counters_accumulate(self, cluster, client):
         before = client.stats()["router"]
-        client.query("1.2.3.4")
+        client.call({"op": "query", "ip": "1.2.3.4"})  # a point
+        client.query("1.2.3.4")  # binary: a batch of one
         client.query_batch([("1.2.3.4", None), ("200.2.3.4", None)])
         after = client.stats()["router"]
         assert after["point"] == before["point"] + 1
-        assert after["batch"] == before["batch"] + 1
-        assert after["batch_queries"] == before["batch_queries"] + 2
+        assert after["batch"] == before["batch"] + 2
+        assert after["batch_queries"] == before["batch_queries"] + 3
 
     def test_mismatched_backend_list_rejected(self, full_index):
         with pytest.raises(ValueError, match="backend"):
@@ -312,6 +318,37 @@ class TestRouterStatic:
                 assert client.query_batch_pipelined(
                     [queries, queries[2:], queries[4:]], window=2
                 ) == [reference, reference[2:], reference[4:]]
+
+    def test_a_call_gets_the_single_servers_answer(
+        self, full_index, listed_ips, cluster
+    ):
+        """What a ``call()`` returns cannot tell a router from a single
+        server, on either codec. A JSON ``batch`` op on a binary
+        connection used to get a packed reply frame from the router,
+        which the client refused (``reply frame mismatch``) and closed
+        on."""
+        listed = [int_to_ip(ip) for ip in listed_ips[:6]]
+        requests = [
+            {"op": "batch", "queries": [{"ip": ip} for ip in listed]},
+            {"op": "batch", "queries": [
+                {"ip": "1.2.3.4", "day": 2**40}, {"ip": "200.2.3.4", "day": 7}
+            ]},
+            {"op": "batch", "queries": []},
+            {"op": "query", "ip": listed[0]},
+            {"op": "query", "ip": "1.2.3.4", "day": 2**40},
+        ]
+        with ReputationServer(QueryEngine(full_index)) as direct:
+            direct.start()
+            for codec in ("json", "binary"):
+                with ReputationClient(
+                    *direct.address, codec=codec
+                ) as single, ReputationClient(
+                    *cluster.address, codec=codec
+                ) as routed:
+                    for request in requests:
+                        assert routed.call(request) == single.call(
+                            request
+                        ), (codec, request)
 
     def test_empty_batch_returns_empty(self, cluster):
         # Regression: zero shard fan-outs must still produce a reply
@@ -371,10 +408,11 @@ class TestRouterStatsPayload:
             ("seq_min", seq),
             ("seq_max", seq),
         ]
+        # The binary query() was a batch of one.
         assert list(stats["router"].items()) == [
-            ("point", 1),
-            ("batch", 1),
-            ("batch_queries", 10),
+            ("point", 0),
+            ("batch", 2),
+            ("batch_queries", 11),
             ("degraded", 0),
             ("failovers", 0),
             ("partition_epoch", 0),
@@ -937,6 +975,43 @@ class _SilentBackend(_MisbehavingBackend):
         self._accepting.join(timeout=5.0)
 
 
+class _UndecodableRecords(_ScriptedPeer):
+    """Grants the binary codec, then answers every packed batch with
+    records that slice cleanly but carry an action code no reader
+    knows: only decoding them finds the fault."""
+
+    def answer(self, request):
+        if isinstance(request, dict):
+            return "pong"
+        codec = CODECS[V4]
+        record = bytearray(codec.pack_verdict(_verdict()))
+        record[codec._action_at] = 0xEE
+        return len(request).to_bytes(4, "big") + bytes(record) * len(request)
+
+
+def test_a_shard_record_that_does_not_decode_is_a_declared_error():
+    """A JSON op's reply is decoded from the shards' records: one that
+    does not decode answers the request with an in-band error — never
+    a hang — and the connection stays usable."""
+    peer = _UndecodableRecords()
+    router = Router(PartitionMap(1), [[tuple(peer.address)]])
+    router.start()
+    try:
+        with ReputationClient(*router.address, codec="json") as client:
+            for call in (
+                lambda: client.query_batch([(1, 5), (2, None)]),
+                lambda: client.query(1, 5),
+            ):
+                with pytest.raises(
+                    ServiceError, match="internal error: undecodable record"
+                ):
+                    call()
+            assert client.ping() is True
+    finally:
+        router.shutdown()
+        peer.close()
+
+
 @pytest.mark.filterwarnings("error::ResourceWarning")
 # A ResourceWarning raised in a finalizer is "unraisable": without
 # this it would be reported, not fail the test.
@@ -1022,8 +1097,11 @@ class TestBackendMisbehavior:
             with ReputationClient(*alone.address, timeout=10.0) as client:
                 with pytest.raises(ServiceError) as excinfo:
                     client.query(ip)
-                assert SHARD_UNAVAILABLE in str(excinfo.value)
-                assert refusal in str(excinfo.value)
+                assert str(excinfo.value) == (
+                    f"{SHARD_UNAVAILABLE}: shard 0 has no live backend"
+                )
+                (row,) = client.stats()["shards"][0]["backends"]
+                assert row["cause"] == refusal
                 (degraded,) = client.query_batch([(ip, 3)])
                 assert degraded == {
                     "ip": int_to_ip(ip),

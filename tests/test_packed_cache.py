@@ -135,6 +135,24 @@ class TestPackedCacheAcrossEpochs:
         self._check_swap(before, after, ip, delta.list_id)
         assert after == QueryEngine(epochs).query(ip, day).to_wire()
 
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_swap_between_point_queries(self, index, streamed, codec):
+        """A point query — the JSON ``query`` op, or the binary
+        ``query()``'s one-pair frame — reads and fills the same cache,
+        and is never answered from a superseded epoch's record."""
+        epochs, server = streamed
+        ip, day, delta = _extension(index)
+        with ReputationClient(*server.address, codec=codec) as client:
+            cold = client.query(ip, day)
+            assert client.query(ip, day) == cold
+            epochs.apply(DeltaBatch(1, day, (delta,)))
+            fresh = client.query(ip, day)
+            cache = client.stats()["cache"]
+        self._check_swap(cold, fresh, ip, delta.list_id)
+        assert fresh == QueryEngine(epochs).query(ip, day).to_wire()
+        assert (cache["hits"], cache["misses"]) == (1, 2)
+        assert set(server._packed) == {(0, ip, day), (1, ip, day)}
+
     def test_swap_inside_a_pipelined_window(
         self, index, streamed, monkeypatch
     ):
@@ -142,18 +160,17 @@ class TestPackedCacheAcrossEpochs:
         first is answered and before the second is looked at."""
         epochs, server = streamed
         ip, day, delta = _extension(index)
-        handle = server._handle_packed_batch
+        answer = server._records
         handled = []
 
-        def handle_then_swap(slot, pairs):
-            handle(slot, pairs)
+        def answer_then_swap(pairs, op):
+            records = answer(pairs, op)
             handled.append(pairs)
             if len(handled) == 2:  # the priming batch, then the first
                 epochs.apply(DeltaBatch(1, day, (delta,)))
+            return records
 
-        monkeypatch.setattr(
-            server, "_handle_packed_batch", handle_then_swap
-        )
+        monkeypatch.setattr(server, "_records", answer_then_swap)
         with _binary_socket(server.address) as sock:
             _ask(sock, [(ip, day)])  # prime the epoch-0 record
             first, second = _ask(sock, [(ip, day)], [(ip, day)])

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import scenario_index
-from repro.cluster import PartitionMap
+from repro.cluster import LocalCluster, PartitionMap
 from repro.net.family import V4, V6
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine, Verdict, evaluate
 from repro.service.index import ReputationIndex
+from repro.service import server as server_module
 from repro.service.server import ReputationServer
 from repro.service.wire import CODECS
 from repro.v6serve import HitlistV6Model
@@ -166,6 +167,30 @@ class TestPackRecordProperty:
         assert codec.decode_record(record) == verdict.to_wire()
 
 
+def _answers_by_every_op(address, pairs):
+    """``pairs`` answered by every op on both codecs, as wire dicts:
+    the JSON ``query`` and ``batch`` ops sent with ``call`` (``FT_MSG``
+    on the binary codec), and ``query()`` / ``query_batch()``."""
+    queries = [{"ip": V4.format(ip), "day": day} for ip, day in pairs]
+    answers = {}
+    for codec in ("json", "binary"):
+        with ReputationClient(*address, codec=codec) as client:
+            assert client.codec == codec
+            answers[codec, "query op"] = [
+                client.call({"op": "query", **query}) for query in queries
+            ]
+            answers[codec, "batch op"] = client.call(
+                {"op": "batch", "queries": queries}
+            )
+            answers[codec, "query()"] = [
+                client.query(ip, day) for ip, day in pairs
+            ]
+            answers[codec, "query_batch()"] = [
+                dict(verdict) for verdict in client.query_batch(pairs)
+            ]
+    return answers
+
+
 class TestServedFrames:
     @pytest.fixture(scope="class")
     def index(self, small_full_run):
@@ -182,10 +207,14 @@ class TestServedFrames:
     def test_a_frame_of_misses_builds_no_verdict(
         self, index, server, monkeypatch
     ):
-        """The guard that keeps the object off the hot path: it may
-        come back for JSON ops, never for a batch frame."""
+        """The guard that keeps the object off the wire: no op on
+        either codec builds one — only a day outside i32, which no
+        record can carry, builds exactly one."""
         listed = sorted(ip for ip, _spans in index.interval_items())
         pairs = [(ip, 230) for ip in listed[:30]] + [(1, None), (2, 230)]
+        reference = QueryEngine(index)
+        expected = [reference.query(ip, day).to_wire() for ip, day in pairs]
+        wide = reference.query(listed[0], 2**40).to_wire()
         built = []
         init = Verdict.__init__
 
@@ -194,18 +223,39 @@ class TestServedFrames:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(Verdict, "__init__", counting_init)
+        # Nothing stays cached: every op below answers misses.
+        monkeypatch.setattr(server_module, "PACKED_CACHE_SIZE", 0)
         with _binary_socket(server.address) as sock:
             (payload,) = _ask(sock, pairs)
-            assert built == []
-            with ReputationClient(*server.address) as client:
-                assert client.stats()["cache"]["misses"] == len(pairs)
-                client.query(listed[0], 230)
-        assert built == [1]  # the JSON point op, and only it
-        monkeypatch.undo()
+        with ReputationClient(*server.address) as client:
+            assert client.stats()["cache"]["misses"] == len(pairs)
+        answers = _answers_by_every_op(server.address, pairs)
+        assert built == []
+        with ReputationClient(*server.address, codec="binary") as client:
+            assert client.query(listed[0], 2**40) == wide
+        assert built == [1]  # the day outside i32, and only it
+        assert CODECS[V4].decode_batch_reply(payload) == expected
+        assert answers == dict.fromkeys(answers, expected)
+
+    def test_a_routed_answer_builds_no_verdict(self, index, monkeypatch):
+        """The same guard across the router: a counter in a forked
+        shard is out of reach, so the shards inherit a ``Verdict`` that
+        cannot be built (and a cache that keeps nothing) — and every
+        answer is still the one a single engine gives."""
+        listed = sorted(ip for ip, _spans in index.interval_items())
+        pairs = [(ip, 230) for ip in listed[::7]] + [(1, None), (2, 230)]
         reference = QueryEngine(index)
-        assert CODECS[V4].decode_batch_reply(payload) == [
-            reference.query(ip, day).to_wire() for ip, day in pairs
-        ]
+        expected = [reference.query(ip, day).to_wire() for ip, day in pairs]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Verdict was built")
+
+        monkeypatch.setattr(Verdict, "__init__", refuse)
+        monkeypatch.setattr(server_module, "PACKED_CACHE_SIZE", 0)
+        with LocalCluster(index, shards=3) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            answers = _answers_by_every_op(cluster.address, pairs)
+        assert answers == dict.fromkeys(answers, expected)
 
     def test_misses_and_hits_are_counted_where_they_were(
         self, index, server

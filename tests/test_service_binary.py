@@ -899,11 +899,20 @@ class TestCodecEquality:
             assert jc.query_batch(queries) == bc.query_batch(queries)
 
 
+def _outcome(call, *args):
+    """What ``call(*args)`` came to: its result, or its error text."""
+    try:
+        return call(*args)
+    except ServiceError as exc:
+        return f"error: {exc}"
+
+
 class TestRequestFrames:
-    """What the client puts on the wire for a batch. The packer checks
-    while it packs, so the client hands it the queries as they stand
-    and walks them itself (``_int_pairs``) only when it refuses them —
-    the frames, and which batches take the JSON shape, are what the
+    """What the client puts on the wire for a batch, and for a point
+    query (a batch of one, where it packs). The packer checks while it
+    packs, so the client hands it the queries as they stand and walks
+    them itself (``_int_pairs``) only when it refuses them — the
+    frames, and which batches take the JSON shape, are what the
     two-pass client sent."""
 
     @pytest.fixture(params=FAMILIES, ids=[f.name for f in FAMILIES])
@@ -946,10 +955,14 @@ class TestRequestFrames:
             with pytest.raises(WireError) as excinfo:
                 codec.encode_batch_request(refused, 1)
             assert excinfo.value.recoverable
+        normalised = [(5, None), (7, 3), (1, 4), (9, None)]
         frame = client._encode_batch(queries, 2)
-        assert frame == codec.encode_batch_request(
-            [(5, None), (7, 3), (1, 4), (9, None)], 2
-        )
+        assert frame == codec.encode_batch_request(normalised, 2)
+        # ``query()`` packs each of them as a batch of one.
+        for query, pair in zip(queries, normalised):
+            assert client._packed_frame([query], 2) == (
+                codec.encode_batch_request([pair], 2)
+            )
 
     @pytest.mark.parametrize(
         "query",
@@ -958,7 +971,7 @@ class TestRequestFrames:
         ids=["bool-day", "day-over-i32", "day-under-i32", "float-day",
              "float-ip", "bad-text-ip", "none-ip", "text-day"],
     )
-    def test_json_shape_kept(self, client, query):
+    def test_json_shape_kept(self, client, server, query):
         family = client.family
         for queries in ([query], [(2, 2), query], [query, (2, 2)]):
             frame = client._encode_batch(queries, 4)
@@ -972,6 +985,15 @@ class TestRequestFrames:
                     for ip, day in queries
                 ],
             }
+        # ``query()`` does not pack it either: it is the JSON ``query``
+        # op, answered — verdict or error text — as on a JSON client.
+        assert client._packed_frame([query], 4) is None
+        with ReputationClient(
+            *server.address, codec="json", family=family
+        ) as reference:
+            assert _outcome(client.query, *query) == _outcome(
+                reference.query, *query
+            )
 
     def test_address_outside_family_raises(self, client):
         """Neither shape can say it (the JSON one formats addresses as
@@ -1052,8 +1074,9 @@ class _ScriptedPeer:
 
 
 class _LateFirstAnswer(_ScriptedPeer):
-    """Answers every ``query`` with ``{"ip": <the ip asked>}`` — the
-    first one ``delay`` seconds late."""
+    """Answers every point query about the ip asked — ``{"ip": <the
+    ip>}`` to a JSON ``query`` op, a packed verdict to a one-pair
+    batch frame — the first one ``delay`` seconds late."""
 
     def __init__(self, delay: float) -> None:
         self.delay = delay
@@ -1062,7 +1085,12 @@ class _LateFirstAnswer(_ScriptedPeer):
     def answer(self, request):
         time.sleep(self.delay)
         self.delay = 0.0
-        return {"ip": request["ip"]}
+        if isinstance(request, dict):
+            return {"ip": request["ip"]}
+        ((ip, _day),) = request
+        return (1).to_bytes(4, "big") + CODECS[V4].pack_verdict(
+            _verdict(ip=ip)
+        )
 
 
 class _WrongCountAnswer(_ScriptedPeer):
