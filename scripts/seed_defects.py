@@ -51,18 +51,12 @@ SEEDS: List[Seed] = [
     # Locks the epoch swap and the log cursor rest on.
     unlock("lock: EpochIndex.apply", "stream/epoch.py", "_write_lock",
            "            epoch = self._current\n", "tests/test_stream_service.py"),
-    unlock("lock: LogFollower._run", "stream/follower.py", "_lock",
-           "                    self._batches += 1\n",
-           "tests/test_stream_service.py"),
     unlock("lock: LogFollower.stop", "stream/follower.py", "_lock",
            "            thread, self._thread = self._thread, None\n",
            "tests/test_stream_service.py"),
     unlock("lock: UpdateLogReader.poll", "stream/log.py", "_lock",
            "            try:\n                with open(self._path, \"rb\")",
            "tests/test_stream_log.py"),
-    unlock("lock: QueryEngine._count", "service/engine.py", "_lock",
-           "            row = self._counters.setdefault(\n",
-           "tests/test_service_engine.py"),
     unlock("lock: UpdateLogWriter.append_deltas", "stream/log.py", "_lock",
            "            batch = DeltaBatch(self._next_seq",
            "tests/test_stream_log.py"),
@@ -118,6 +112,13 @@ SEEDS: List[Seed] = [
     Seed("bug: packed-cache key drops the epoch", "service/server.py",
          (("            key = (epoch, ip,", "            key = (0, ip,"),),
          ("tests/test_packed_cache.py", "-k", "AcrossEpochs")),
+    # The server counts for the engine, and only what reached it.
+    Seed("bug: a packed-cache hit counted as an engine query",
+         "service/server.py",
+         (("            counters.add(prefix + \"queries\", len(packed))\n",
+           "            counters.add(prefix + \"queries\", len(pairs))\n"),),
+         ("tests/test_query_records.py", "-k",
+          "test_misses_and_hits_are_counted_where_they_were")),
 ]
 
 _FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)

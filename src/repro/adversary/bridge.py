@@ -101,7 +101,7 @@ def _streamed_engine(
     follower = LogFollower(log_path, epochs, poll_interval=0.01)
     with follower:
         if not follower.wait_for_seq(last_seq, timeout=timeout):
-            error = follower.stats().get("error")
+            error = epochs.error
             raise StreamFidelityError(
                 f"follower failed to reach seq {last_seq} on "
                 f"{log_path}: {error or 'timeout'}"

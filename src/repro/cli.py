@@ -770,29 +770,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         )
     if args.replicas < 0:
         raise CliError(f"--replicas must be >= 0: {args.replicas}")
-    if args.auto_split:
-        if not args.shards < args.max_shards <= MAX_SHARDS:
-            raise CliError(
-                f"--max-shards must be in {args.shards + 1}.."
-                f"{MAX_SHARDS}: {args.max_shards}"
-            )
-        if args.split_factor <= 1.0:
-            raise CliError(
-                f"--split-factor must exceed 1.0: {args.split_factor}"
-            )
-        if args.split_sustain < 1:
-            raise CliError(
-                f"--split-sustain must be >= 1: {args.split_sustain}"
-            )
-        if args.split_interval <= 0:
-            raise CliError(
-                f"--split-interval must be positive: "
-                f"{args.split_interval}"
-            )
-        if args.split_min_hits < 1:
-            raise CliError(
-                f"--split-min-hits must be >= 1: {args.split_min_hits}"
-            )
+    if args.auto_split and not args.shards < args.max_shards <= MAX_SHARDS:
+        raise CliError(
+            f"--max-shards must be in {args.shards + 1}.."
+            f"{MAX_SHARDS}: {args.max_shards}"
+        )
     index, follow, start_day = _serving_base(args)
     cluster = LocalCluster(
         index,
@@ -804,6 +786,32 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         router_port=port,
         connection_timeout=conn_timeout,
     )
+    splitter = None
+    if args.auto_split:
+
+        def announce_split(info: dict) -> None:
+            print(
+                f"auto-split: shard {info['shard']} -> shards "
+                f"{info['new_shards'][0]}+{info['new_shards'][1]} "
+                f"({info['ranges'][0]} | {info['ranges'][1]}), "
+                f"now {info['shards']} shards",
+                flush=True,
+            )
+
+        try:
+            # Built before anything forks: it refuses a bad --split-*
+            # value, and nothing is left to stop.
+            splitter = AutoSplitter(
+                cluster,
+                interval=args.split_interval,
+                factor=args.split_factor,
+                sustain=args.split_sustain,
+                min_hits=args.split_min_hits,
+                max_shards=args.max_shards,
+                on_split=announce_split,
+            )
+        except ValueError as exc:
+            raise CliError(f"--auto-split: {exc}") from None
     try:
         addresses = cluster.start_backends()
         for shard_id, shard_range in enumerate(cluster.partition.ranges):
@@ -822,28 +830,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             f"shards x {1 + args.replicas} backends, {sizes['ips']} "
             f"addresses, {sizes['intervals']} listing intervals"
             + (f", following {follow}" if follow else "")
-            + (", auto-split on" if args.auto_split else "")
+            + (", auto-split on" if splitter is not None else "")
         )
-        if args.auto_split:
-
-            def announce_split(info: dict) -> None:
-                print(
-                    f"auto-split: shard {info['shard']} -> shards "
-                    f"{info['new_shards'][0]}+{info['new_shards'][1]} "
-                    f"({info['ranges'][0]} | {info['ranges'][1]}), "
-                    f"now {info['shards']} shards",
-                    flush=True,
-                )
-
-            AutoSplitter(
-                cluster,
-                interval=args.split_interval,
-                factor=args.split_factor,
-                sustain=args.split_sustain,
-                min_hits=args.split_min_hits,
-                max_shards=args.max_shards,
-                on_split=announce_split,
-            ).start()
+        if splitter is not None:
+            splitter.start()
         # SIGTERM and Ctrl-C both drain the router; the finally below
         # then stops every worker, split-born ones included.
         for signum in (signal.SIGTERM, signal.SIGINT):

@@ -382,7 +382,7 @@ class _Split:
             if self.catchup_seq is None:
                 slots = [self.router.shard_slot(self.shard_id)]
             self.router.ask_each(
-                [(slot, link) for slot in slots for link in slot.backends],
+                [link for slot in slots for link in slot.backends],
                 {"op": "hello"},
                 self._answered,
             )

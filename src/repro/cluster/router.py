@@ -12,7 +12,8 @@ requests out over the shard fleet:
   merged back into request order;
 * ``stats``/``hello`` scatter to every shard and merge, reporting the
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
-  visible to the client;
+  visible to the client; the ``router`` block is the router's own
+  :class:`~repro.service.server.Counters`, which no partition swap resets;
 * a heartbeat timer pings every quiet backend down the same link
   its requests use, so health is what that link experienced: a dead,
   half-open, handshake-stuck or binary-refusing backend goes
@@ -53,6 +54,7 @@ from ..service.aio import PEER_EOF, Conn, Link, Reactor, Slot, WireServer
 from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
     PROTOCOL_VERSION,
+    Counters,
     RequestError,
     assemble_reply,
     negotiate_hello,
@@ -93,12 +95,12 @@ class _Sub:
     """
 
     __slots__ = ("kind", "request", "pairs", "rid", "candidates",
-                 "failed", "shard_slot", "deadline", "finish", "codec")
+                 "failed", "deadline", "finish", "codec")
 
     def __init__(
         self,
         kind: str,
-        shard_slot: "ShardSlot",
+        candidates: Sequence["Backend"],
         finish: Callable[[str, Any], None],
         *,
         request: Optional[Dict[str, Any]] = None,
@@ -110,11 +112,8 @@ class _Sub:
         self.pairs = pairs
         self.codec = codec  # batch subs: the pairs' family codec
         self.rid = 0
-        self.candidates: Deque["Backend"] = deque(
-            shard_slot.ordered_backends()
-        )
+        self.candidates: Deque["Backend"] = deque(candidates)
         self.failed = 0
-        self.shard_slot = shard_slot
         self.deadline = 0.0
         self.finish = finish
 
@@ -140,11 +139,6 @@ class _Sub:
             assert self.request is not None
             request = self.request
         return encode_msg_frame(request, self.rid, max_size=MAX_FRAME_BYTES)
-
-    def succeed(self, status: str, value: Any) -> None:
-        if self.failed:
-            self.shard_slot.failovers += 1
-        self.finish(status, value)
 
 
 class Backend(Link):
@@ -225,6 +219,12 @@ class Backend(Link):
             )
         return sub
 
+    def _succeed(self, sub: _Sub, status: str, value: Any) -> None:
+        """Answer ``sub``: a failover, if a backend failed it first."""
+        if sub.failed:
+            self._router._counters.add("failovers")
+        sub.finish(status, value)
+
     def stats_row(self) -> Dict[str, Any]:
         """This backend's entry in the router's ``stats`` payload; an
         unhealthy one says why."""
@@ -267,7 +267,8 @@ class Backend(Link):
         if not reply.get("ok"):
             sub.finish("reject", str(reply.get("error", "unknown error")))
         else:
-            sub.succeed(
+            self._succeed(
+                sub,
                 "verdicts" if sub.kind == "batch" else "result",
                 reply.get("result"),
             )
@@ -284,7 +285,7 @@ class Backend(Link):
         records = sub.codec.split_batch_reply(payload)
         self.pending.popleft()
         self.healthy, self.cause = True, ""
-        sub.succeed("records", records)
+        self._succeed(sub, "records", records)
 
     def on_close(self, cause: str) -> None:
         """The link died: fail its in-flight requests over to the next
@@ -317,9 +318,6 @@ class ShardSlot:
         self.shard_id = shard_id
         self.shard_range = shard_range
         self.backends = [Backend(router, address) for address in addresses]
-        #: Requests that succeeded only after at least one backend
-        #: failed; written on the loop thread only.
-        self.failovers = 0
         #: Queries routed to this shard (points + batch positions);
         #: written on the loop thread only — the load signal the
         #: hot-range detector reads.
@@ -388,13 +386,11 @@ class Router:
         #: :meth:`close_retired` once drained.
         self._retired: List[Backend] = []
         self._heartbeat_interval = heartbeat_interval
-        # Mutated on the loop thread only (dict-subscript updates).
-        self._counters = {
-            "point": 0,
-            "batch": 0,
-            "batch_queries": 0,
-            "degraded": 0,
-        }
+        #: The ``router`` block's counters, router-wide: a partition
+        #: swap rebuilds the slots and leaves these standing.
+        self._counters = Counters(
+            "point", "batch", "batch_queries", "degraded", "failovers"
+        )
         self._server = WireServer(
             self._handle,
             host,
@@ -485,9 +481,8 @@ class Router:
         ``Backend.on_close`` write ``healthy``."""
         self.ask_each(
             [
-                (shard_slot, backend)
-                for shard_slot in self._slots
-                for backend in shard_slot.backends
+                backend
+                for backend in self._backends()
                 if not (backend.pending or backend.waiting)
             ],
             {"op": "ping"},
@@ -496,7 +491,7 @@ class Router:
 
     def ask_each(
         self,
-        targets: Sequence[Tuple[ShardSlot, Backend]],
+        targets: Sequence[Backend],
         request: Dict[str, Any],
         done: Callable[[List[Any]], None],
     ) -> None:
@@ -516,15 +511,15 @@ class Router:
             if outstanding[0] == 0:
                 done(results)
 
-        for position, (shard_slot, backend) in enumerate(targets):
-            sub = _Sub(
-                "msg",
-                shard_slot,
-                lambda status, value, p=position: finish(p, status, value),
-                request=request,
+        for position, backend in enumerate(targets):
+            self._submit(
+                _Sub(
+                    "msg",
+                    [backend],
+                    lambda status, value, p=position: finish(p, status, value),
+                    request=request,
+                )
             )
-            sub.candidates = deque([backend])
-            self._submit(sub)
         finish(-1, "", None)  # releases the hold
 
     def shard_slot(self, shard_id: int) -> ShardSlot:
@@ -659,10 +654,10 @@ class Router:
         """Scatter ``pairs`` by shard and gather the records back into
         request order; a JSON ``query`` op is a batch of one."""
         if op == "query":
-            self._counters["point"] += 1
+            self._counters.add("point")
         else:
-            self._counters["batch"] += 1
-            self._counters["batch_queries"] += len(pairs)
+            self._counters.add("batch")
+            self._counters.add("batch_queries", len(pairs))
         partition, slots = self._partition, self._slots
         total = len(pairs)
         by_shard: Dict[int, List[int]] = {}
@@ -698,7 +693,7 @@ class Router:
             else:
                 # Unavailable shard, error reply, or a malformed batch
                 # reply: degrade this shard's positions, keep the rest.
-                self._counters["degraded"] += len(positions)
+                self._counters.add("degraded", len(positions))
                 for position in positions:
                     entries[position] = self._degraded(
                         *pairs[position], shard_id
@@ -713,7 +708,7 @@ class Router:
             self._submit(
                 _Sub(
                     "batch",
-                    slots[shard_id],
+                    slots[shard_id].ordered_backends(),
                     lambda status, value, s=shard_id, p=positions: (
                         shard_done(s, p, status, value)
                     ),
@@ -765,7 +760,7 @@ class Router:
             self._submit(
                 _Sub(
                     "msg",
-                    shard_slot,
+                    shard_slot.ordered_backends(),
                     make_finish(position),
                     request={"op": op},
                 )
@@ -844,47 +839,38 @@ class Router:
                 for payload in shard_stats
             ]
         )
-        index_totals = {"ips": 0, "intervals": 0, "nated_ips": 0,
-                        "dynamic_prefixes": 0, "ases": 0}
-        lists = 0
+        # Shards hold disjoint slices, so sizes add up — but every shard
+        # keeps the run-wide ``lists`` and ``ases`` whole.
+        index_totals = dict.fromkeys(("ips", "intervals", "nated_ips",
+                                      "dynamic_prefixes", "ases", "lists"), 0)
         for payload in shard_stats:
-            if not payload:
-                continue
-            sizes = payload.get("index", {})
-            for key in index_totals:
-                index_totals[key] += sizes.get(key, 0)
-            lists = max(lists, sizes.get("lists", 0))
-        index_totals["lists"] = lists
-        router_counters = dict(self._counters)
-        router_counters["failovers"] = sum(
-            shard_slot.failovers for shard_slot in self._slots
-        )
-        router_counters["partition_epoch"] = self._partition_epoch
+            sizes = payload.get("index", {}) if payload else {}
+            for key, total in index_totals.items():
+                value = sizes.get(key, 0)
+                index_totals[key] = (
+                    max(total, value) if key in ("ases", "lists")
+                    else total + value
+                )
+        # The rows are the load snapshot's, of the live slots — not
+        # partition.range_of: a swap while the gather was in flight
+        # must not mislabel (or over-index) them.
+        rows = self.load_snapshot()["shards"]
+        for position, (row, shard_slot) in enumerate(zip(rows, self._slots)):
+            row["backends"] = [
+                backend.stats_row() for backend in shard_slot.backends
+            ]
+            row["stats"] = (
+                shard_stats[position] if position < len(shard_stats) else None
+            )
         return {
             "cluster": summary,
-            "router": router_counters,
+            "router": {
+                **self._counters.read(""),
+                "partition_epoch": self._partition_epoch,
+            },
             "partition": self._partition.to_wire(),
             "index": index_totals,
-            "shards": [
-                {
-                    "shard": shard_slot.shard_id,
-                    # The slot's own range, not partition.range_of: a
-                    # partition swap while the gather was in flight
-                    # must not mislabel (or over-index) rows.
-                    "range": shard_slot.shard_range.to_wire(),
-                    "hits": shard_slot.hits,
-                    "backends": [
-                        backend.stats_row()
-                        for backend in shard_slot.backends
-                    ],
-                    "stats": (
-                        shard_stats[position]
-                        if position < len(shard_stats)
-                        else None
-                    ),
-                }
-                for position, shard_slot in enumerate(self._slots)
-            ],
+            "shards": rows,
         }
 
     # -- upstream (loop thread) ----------------------------------------

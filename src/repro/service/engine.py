@@ -32,19 +32,16 @@ snapshot, so a concurrent hot swap can neither tear a verdict nor mix
 two epochs inside one batch. Verdicts report the ``(epoch, seq)`` they
 were computed against.
 
-The engine holds no per-key state: a verdict is a pure function of the
-snapshot the call resolved. The one verdict cache of the serving stack
-is :class:`~repro.service.server.ReputationServer`'s packed-record
-cache, which sits in front of :meth:`QueryEngine.query_records` for
-every codec.
-Per-query-type call/latency counters feed the ``stats`` wire op and
-the capacity-planning story.
+The engine holds no state and takes no lock: a verdict is a pure
+function of the snapshot the call resolved. The one verdict cache of
+the serving stack is :class:`~repro.service.server.ReputationServer`'s
+packed-record cache, which sits in front of
+:meth:`QueryEngine.query_records` for every codec; the server also
+counts what reaches the engine.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -178,7 +175,7 @@ def evaluate(index: ReputationIndex, ip: int, day: int) -> Row:
 
 
 class QueryEngine:
-    """Thread-safe query layer over a :class:`ReputationIndex`."""
+    """Stateless query layer over a :class:`ReputationIndex`."""
 
     def __init__(
         self,
@@ -197,9 +194,6 @@ class QueryEngine:
             index.current.index.family if self._streaming else index.family
         )
         self._verdict = partial(Verdict.from_row, self._family)
-        # Guards the counter table; lookups take no lock.
-        self._lock = threading.Lock()
-        self._counters: Dict[str, Dict[str, float]] = {}
 
     @property
     def family(self) -> AddressFamily:
@@ -234,7 +228,7 @@ class QueryEngine:
         """Point query; ``day`` defaults to the index's notion of now
         (last day of the last collection window)."""
         (verdict,) = self._answer(
-            "point", self.resolve_state(), ((ip, day),), self._verdict
+            self.resolve_state(), ((ip, day),), self._verdict
         )
         return verdict
 
@@ -243,28 +237,23 @@ class QueryEngine:
     ) -> List[Verdict]:
         """Batch query: one verdict per ``(ip, day)`` pair, in order,
         all against the snapshot current when the call began."""
-        return self._answer(
-            "batch", self.resolve_state(), queries, self._verdict
-        )
+        return self._answer(self.resolve_state(), queries, self._verdict)
 
     def query_records(
         self,
         state: State,
         pairs: Iterable[Tuple[int, Optional[int]]],
         codec: BinaryCodec,
-        kind: str = "batch",
     ) -> List[bytes]:
         """Queries answered as packed reply records of ``codec``, one
         per ``(ip, day)`` pair, in order, all against ``state`` (a
         :meth:`resolve_state` snapshot the caller already holds). Each
         row goes from :func:`evaluate` straight into
-        :meth:`~repro.service.wire.BinaryCodec.pack_record`; counted as
-        ``kind`` queries (``point`` for a JSON ``query`` op)."""
-        return self._answer(kind, state, pairs, codec.pack_record)
+        :meth:`~repro.service.wire.BinaryCodec.pack_record`."""
+        return self._answer(state, pairs, codec.pack_record)
 
     def _answer(
         self,
-        kind: str,
         state: State,
         pairs: Iterable[Tuple[int, Optional[int]]],
         build: Callable[..., _Answer],
@@ -272,7 +261,6 @@ class QueryEngine:
         """The one query loop: validate each pair, evaluate it against
         ``state``, and hand ``build`` the fields ``(ip, day, *row,
         epoch, seq)``."""
-        started = time.perf_counter()
         index, epoch, seq = state
         valid_ip = self._family.valid_ip
         default_day = index.default_day()
@@ -291,47 +279,13 @@ class QueryEngine:
                     epoch, seq,
                 )
             )
-        self._count(
-            kind, time.perf_counter() - started, queries_run=len(answers)
-        )
         return answers
 
-    # -- counters ------------------------------------------------------
-
-    def _count(
-        self, kind: str, seconds: float, *, queries_run: int = 1
-    ) -> None:
-        with self._lock:
-            row = self._counters.setdefault(
-                kind, {"calls": 0, "queries": 0, "seconds": 0.0}
-            )
-            row["calls"] += 1
-            row["queries"] += queries_run
-            row["seconds"] += seconds
-
     def stats(self) -> Dict[str, Any]:
-        """Counters plus index sizes — the engine's share of the
-        ``stats`` op's payload."""
-        with self._lock:
-            counters = {
-                kind: {
-                    "calls": row["calls"],
-                    "queries": row["queries"],
-                    # Always 0, and kept only because the frozen
-                    # benchmarks/serving/run.py indexes it; it goes
-                    # when a benchmark PR drops
-                    # ``engine.lru_hit_rate`` there.
-                    "cache_hits": 0,
-                    "seconds": round(row["seconds"], 6),
-                }
-                for kind, row in self._counters.items()
-            }
+        """The ``index`` sizes and ``epoch`` state the engine resolves
+        right now — its share of the ``stats`` op's payload."""
         index, epoch, seq = self.resolve_state()
         epoch_info: Dict[str, Any] = {"epoch": epoch, "seq": seq}
         if self._streaming:
             epoch_info = {**self._source.stats(), **epoch_info}
-        return {
-            "queries": counters,
-            "index": index.stats(),
-            "epoch": epoch_info,
-        }
+        return {"index": index.stats(), "epoch": epoch_info}

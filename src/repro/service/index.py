@@ -118,7 +118,9 @@ class ReputationIndex:
             dict(categories),
             columns,
             {},
-            _counts_of(columns, len(categories)),
+            _counts_of(
+                columns, len(categories), len(set(columns.asns) - {NO_ASN})
+            ),
         )
 
     def _adopt(
@@ -283,7 +285,8 @@ class ReputationIndex:
         columns become slices of the parent's (two bisects, no copy —
         under ``fork`` every shard keeps reading the same pages),
         dynamic ranges keep those overlapping the range, and run-wide
-        products (windows, list categories) are kept whole, so
+        products (windows, list categories, the ``lists`` and ``ases``
+        sizes) are kept whole, so
         per-shard verdicts are field-for-field identical to the full
         index for every in-range address. Callers must align range
         edges so no dynamic prefix straddles two shards (the
@@ -294,7 +297,9 @@ class ReputationIndex:
         if not (fam.valid_ip(lo) and fam.valid_ip(hi)) or lo > hi:
             raise ValueError(f"bad address range: {lo!r}..{hi!r}")
         columns = self._columns.restrict(lo, hi)
-        counts = _counts_of(columns, len(self._categories))
+        counts = _counts_of(
+            columns, self._counts["lists"], self._counts["ases"]
+        )
         overlay = {
             ip: spans
             for ip, spans in self._overlay.items()
@@ -424,10 +429,11 @@ class ReputationIndex:
         )
 
 
-def _counts_of(columns: Columns, lists: int) -> Dict[str, int]:
-    """What :meth:`ReputationIndex.stats` reports for ``columns``:
-    C-speed passes over two narrow columns — in ``restrict``, the only
-    work that grows with the range."""
+def _counts_of(columns: Columns, lists: int, ases: int) -> Dict[str, int]:
+    """What :meth:`ReputationIndex.stats` reports for ``columns`` and
+    the run-wide ``lists`` and ``ases``: C-speed passes over two narrow
+    columns — in ``restrict``, the only work that grows with the
+    range."""
     flags = bytes(columns.flags)
     return {
         "ips": flags.count(LISTED) + flags.count(LISTED | NATED),
@@ -435,7 +441,7 @@ def _counts_of(columns: Columns, lists: int) -> Dict[str, int]:
         "nated_ips": flags.count(NATED) + flags.count(LISTED | NATED),
         "dynamic_prefixes": len(columns.dyn_first),
         "lists": lists,
-        "ases": len(set(columns.asns) - {NO_ASN}),
+        "ases": ases,
     }
 
 

@@ -17,9 +17,10 @@ The JSON request surface is unchanged:
     → ``{"ok": true, "result": [<verdict>, ...]}`` (at most
     :data:`MAX_BATCH` queries per frame).
 ``{"op": "stats"}``
-    → engine counters, index sizes, the live epoch/sequence state and
-    this server's packed-record ``cache`` block (entries, capacity,
-    hits, misses).
+    → the ``queries`` this server handed the engine (per kind: calls,
+    queries, seconds), index sizes, the live epoch/sequence state and
+    the packed-record ``cache`` block (entries, capacity, hits,
+    misses).
 ``{"op": "hello"}``
     → the handshake: service name, protocol version, whether the
     server follows an update log, and the current index ``epoch`` +
@@ -45,10 +46,14 @@ not computed against. :func:`assemble_reply` (the router's too) puts
 the records in the request's framing. The one answer no record can
 carry, a day outside i32, is built as a JSON-shaped verdict, uncached.
 It is the only verdict cache in the serving stack
-(the engine behind it keeps no per-key state); only the loop thread
+(the engine behind it keeps no state); only the loop thread
 touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records
 (an entry is never re-ranked on a hit, and a superseded epoch's
 entries age out the same way).
+
+The loop thread also counts, in one :class:`Counters` table: the
+cache's hits and misses and, once ``query_records`` has returned, what
+reached the engine. ``stats`` reads it beside the engine's views.
 
 Robustness contract (unchanged from the threaded server): a malformed
 frame or request gets an error reply (``{"ok": false, "error":
@@ -64,6 +69,7 @@ import signal
 from collections import OrderedDict
 from contextlib import nullcontext
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.family import V4, AddressFamily, family_of_ip
@@ -82,6 +88,7 @@ from .wire import (
 )
 
 __all__ = [
+    "Counters",
     "MAX_BATCH",
     "PROTOCOL_VERSION",
     "ReputationServer",
@@ -118,6 +125,35 @@ _FOLLOW_POLL_S = 0.05
 
 class RequestError(ValueError):
     """A structurally valid frame asking something unanswerable."""
+
+
+class Counters:
+    """One serving process's counters: dotted names in a flat table
+    that only its loop thread writes, so it takes no lock. ``names``
+    read as 0 before their first :meth:`add`."""
+
+    def __init__(self, *names: str) -> None:
+        self._values: Dict[str, float] = dict.fromkeys(names, 0)
+
+    def add(self, name: str, n: float = 1) -> None:
+        values = self._values
+        values[name] = values.get(name, 0) + n
+
+    def read(self, prefix: str) -> Dict[str, Any]:
+        """The counters under ``prefix`` (all of them for ``""``) as
+        nested dicts, in the order each name was first counted; a
+        float is rounded to the microsecond."""
+        head = prefix + "." if prefix else ""
+        tree: Dict[str, Any] = {}
+        for name, value in self._values.items():
+            if not name.startswith(head):
+                continue
+            *path, leaf = name[len(head):].split(".")
+            node = tree
+            for part in path:
+                node = node.setdefault(part, {})
+            node[leaf] = round(value, 6) if isinstance(value, float) else value
+        return tree
 
 
 def parse_ip(value: Any, family: AddressFamily = V4) -> int:
@@ -274,14 +310,12 @@ class ReputationServer:
         self._family = engine.family
         self._codec = CODECS[self._family]
         self._streaming = streaming
-        # Packed reply records keyed (epoch, ip, resolved day), with
-        # hit/miss totals counted per batch; the loop thread is the
-        # only toucher of all three.
+        # Packed reply records keyed (epoch, ip, resolved day); the
+        # loop thread is the only toucher of both tables.
         self._packed: "OrderedDict[Tuple[int, int, int], bytes]" = (
             OrderedDict()
         )
-        self._packed_hits = 0
-        self._packed_misses = 0
+        self._counters = Counters("cache.hits", "cache.misses")
         self._server = WireServer(
             self._handle,
             host,
@@ -345,12 +379,15 @@ class ReputationServer:
     ) -> Tuple[Dict[str, Any], Optional[str]]:
         engine = self._engine
         if op == "stats":
-            stats = engine.stats()
-            stats["cache"] = {
-                "entries": len(self._packed),
-                "capacity": PACKED_CACHE_SIZE,
-                "hits": self._packed_hits,
-                "misses": self._packed_misses,
+            counters = self._counters
+            stats = {
+                "queries": counters.read("queries"),
+                **engine.stats(),
+                "cache": {
+                    "entries": len(self._packed),
+                    "capacity": PACKED_CACHE_SIZE,
+                    **counters.read("cache"),
+                },
             }
             return {"ok": True, "result": stats}, None
         if op == "hello":
@@ -402,15 +439,24 @@ class ReputationServer:
                     miss_keys.append(key)
             append(record)
         misses = len(miss_keys) + wide
-        self._packed_hits += len(pairs) - misses
-        self._packed_misses += misses
+        counters = self._counters
+        counters.add("cache.hits", len(pairs) - misses)
+        counters.add("cache.misses", misses)
         if miss_keys:
+            started = perf_counter()
             packed = engine.query_records(
                 state,
                 [(ip, day) for _epoch, ip, day in miss_keys],
                 self._codec,
-                "point" if op == "query" else "batch",
             )
+            prefix = "queries.point." if op == "query" else "queries.batch."
+            counters.add(prefix + "calls")
+            counters.add(prefix + "queries", len(packed))
+            # Always 0, and kept only because the frozen
+            # benchmarks/serving/run.py indexes it; it goes when that
+            # benchmark drops ``engine.lru_hit_rate``.
+            counters.add(prefix + "cache_hits", 0)
+            counters.add(prefix + "seconds", perf_counter() - started)
             for position, key, record in zip(
                 miss_positions, miss_keys, packed
             ):

@@ -9,7 +9,8 @@ Anything that ends the tail thread — a log error (corruption,
 sequence gap), the file turning unreadable, a batch the index refuses
 — is recorded on the epoch index with its reason
 (:meth:`EpochIndex.fail <repro.stream.epoch.EpochIndex.fail>`), so it
-rides the ``stats`` wire op's ``epoch`` block; the server keeps
+rides the ``stats`` wire op's ``epoch`` block, where what was applied
+is counted too: the follower keeps no counters. The server keeps
 answering from the last good epoch, which is the only sane degradation
 for a reputation service (stale beats down) — but it must be a
 *declared* stale, never a silent one. The thread's last act is the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from .delta import DeltaBatch
 from .epoch import Epoch, EpochIndex
@@ -57,11 +58,9 @@ class LogFollower:
         self._on_end = on_end
         self._batch_filter = batch_filter
         self._stop = threading.Event()
-        # Guards the thread handle and progress counters: the tail
-        # thread writes them while serving threads read stats().
+        # Guards the thread handle between start() and stop().
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
-        self._batches = 0
 
     def start(self) -> "LogFollower":
         """Start tailing on a daemon thread. A follower is single-use:
@@ -88,8 +87,6 @@ class LogFollower:
                 if self._batch_filter is not None:
                     batch = self._batch_filter(batch)
                 epoch = self._epochs.apply(batch)
-                with self._lock:
-                    self._batches += 1
                 if self._on_batch is not None:
                     self._on_batch(epoch, len(batch.deltas))
         except Exception as exc:
@@ -122,18 +119,6 @@ class LogFollower:
             deadline.wait(step)
             waited += step
         return self._epochs.current.seq >= seq
-
-    def stats(self) -> Dict[str, Any]:
-        """Progress counters plus the epoch index's (``error`` is the
-        terminal failure's reason, ``None`` while tailing)."""
-        with self._lock:
-            batches = self._batches
-            thread = self._thread
-        return {
-            "batches": batches,
-            "running": thread is not None and thread.is_alive(),
-            **self._epochs.stats(),
-        }
 
     def __enter__(self) -> "LogFollower":
         return self.start()

@@ -51,6 +51,7 @@ from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.log import UpdateLogWriter
 from tests.conftest import wait_for_seq
+from tests.test_frozen_bench_surface import SERVING
 from tests.test_service_binary import (
     _binary_call,
     _binary_socket,
@@ -422,10 +423,7 @@ class TestRouterStatsPayload:
             "ips", "intervals", "nated_ips", "dynamic_prefixes", "ases",
             "lists",
         ]
-        for key in (
-            "ips", "intervals", "nated_ips", "dynamic_prefixes", "lists"
-        ):
-            assert stats["index"][key] == sizes[key]
+        assert stats["index"] == sizes
         assert sum(row["hits"] for row in stats["shards"]) == 11
         for shard_id, row in enumerate(stats["shards"]):
             assert list(row) == [
@@ -448,6 +446,23 @@ class TestRouterStatsPayload:
         assert degraded["cluster"]["seq_max"] == seq
         assert degraded["shards"][2]["stats"] is None
         assert degraded["shards"][0]["stats"]["epoch"]["seq"] == seq
+
+    def test_index_block_is_the_full_index(self, monkeypatch):
+        """On a corpus whose ASes span shards (the serving benchmark's
+        at divisor 400: 680 summed over three shards, 632 distinct),
+        a router's ``index`` block is the full index's ``stats()``.
+        Summing each shard's distinct ASes counted an AS once per shard
+        that holds it."""
+        monkeypatch.syspath_prepend(str(SERVING))
+        import synth
+
+        index = ReputationIndex(
+            **synth.index_kwargs(synth.generate(0, divisor=400))
+        )
+        with LocalCluster(index, shards=3) as cluster:
+            with ReputationClient(*cluster.address) as client:
+                sizes = client.stats()["index"]
+        assert sizes == index.stats()
 
 
 class TestProcessMode:
@@ -599,6 +614,27 @@ class TestFailover:
                 assert not shard0[0]["healthy"]
                 assert shard0[1]["healthy"]
                 assert stats["cluster"]["shards_up"] == 2
+
+    def test_failovers_never_step_back_across_a_split(
+        self, full_index, listed_ips
+    ):
+        """``router.failovers`` is the router's count, not a sum over
+        slots: a split rebuilds every slot, and the sum fell back with
+        them."""
+        with LocalCluster(full_index, shards=2, replicas=1) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            with ReputationClient(*cluster.address) as client:
+                cluster.kill_primary(0)
+                for ip in listed_ips:
+                    client.query(ip)
+                seen = [client.stats()["router"]["failovers"]]
+                cluster.split_shard(1)
+                seen.append(client.stats()["router"]["failovers"])
+                for ip in listed_ips:
+                    client.query(ip)
+                seen.append(client.stats()["router"]["failovers"])
+        assert seen[0] >= 1
+        assert seen == sorted(seen), seen
 
     def test_restarted_primary_rejoins(self, full_index, listed_ips):
         with LocalCluster(full_index, shards=2, replicas=1) as cluster:
@@ -1527,3 +1563,25 @@ class TestClusterCli:
         assert "conn-timeout" in capsys.readouterr().err
         assert main(["cluster", "--conn-timeout", "-1"]) == 2
         assert "conn-timeout" in capsys.readouterr().err
+
+    def test_bad_split_flag_forks_no_worker(
+        self, tmp_path, full_index, capsys, monkeypatch
+    ):
+        forked = []
+
+        def refuse(self):
+            forked.append(self)
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(ShardProcess, "spawn", refuse)
+        snapshot = full_index.save(tmp_path / "s.idx")
+        code = main(
+            [
+                "cluster", "--port", "0", "--snapshot", str(snapshot),
+                "--auto-split", "--split-factor", "0.5",
+            ]
+        )
+        err = capsys.readouterr().err.splitlines()
+        assert (code, forked) == (2, [])
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "factor" in err[0] and "0.5" in err[0]

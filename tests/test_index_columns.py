@@ -52,6 +52,8 @@ class Reference:
         self.categories = dict(categories)
         self.asn_by_ip = dict(asn_by_ip)
         self.family = family
+        #: A slice's AS count: the whole run's, as ``restrict`` keeps it.
+        self.run_ases = None
 
     def tables(self):
         return dict(
@@ -133,7 +135,9 @@ class Reference:
             p for p in self.dynamic_prefixes
             if p.first() <= hi and p.last() >= lo
         ]
-        return Reference(**tables)
+        piece = Reference(**tables)
+        piece.run_ases = self.stats()["ases"]
+        return piece
 
     def stats(self):
         """The counters of :meth:`ReputationIndex.stats`, recounted.
@@ -145,7 +149,10 @@ class Reference:
             "nated_ips": len(self.nated),
             "dynamic_prefixes": len(self.dynamic_prefixes),
             "lists": len(self.categories),
-            "ases": len(set(self.asn_by_ip.values())),
+            "ases": (
+                len(set(self.asn_by_ip.values()))
+                if self.run_ases is None else self.run_ases
+            ),
         }
 
 

@@ -292,8 +292,6 @@ class TestServedFrames:
             )
         assert str(by_records.value) == str(by_batch.value)
         assert str(by_batch.value) == f"bad address integer: {bad!r}"
-        # A refused call is not a counted one, on either path.
-        assert engine.stats()["queries"] == {}
 
 
 def test_evaluate_is_the_one_row(small_full_run):

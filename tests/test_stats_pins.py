@@ -1,0 +1,140 @@
+"""A single server's ``stats`` payload, pinned key by key.
+
+The literals below are what commit ``18db6cd`` sent back — the engine
+then still kept its own locked counter table — for a static server and
+for one following an update log, before any query and after a fixed
+sequence of them on both codecs. Every block is compared as a list of
+items, so key order is pinned along with the values; only each
+``queries.<kind>.seconds`` is a measurement, checked for type and sign
+and then masked.
+
+What the sequence exercises: a JSON ``query`` op (a ``point``), its
+repeat (a cache hit, so no engine query), a day outside i32 (a cache
+miss answered without the engine), packed batches that partly hit, and
+a binary ``query()`` (a one-pair packed batch).
+"""
+
+import pytest
+
+from repro.service.client import ReputationClient
+from repro.service.engine import QueryEngine
+from repro.service.index import ReputationIndex
+from repro.service.server import PACKED_CACHE_SIZE, ReputationServer
+from repro.stream.delta import day_advance_batches
+from repro.stream.epoch import EpochIndex, index_as_of
+from repro.stream.follower import LogFollower
+from repro.stream.log import UpdateLogWriter
+
+SIZES = [
+    ("ips", 188), ("intervals", 1683), ("nated_ips", 26),
+    ("dynamic_prefixes", 1), ("lists", 151), ("ases", 11),
+]
+
+
+@pytest.fixture(scope="module")
+def full_index(small_full_run):
+    return ReputationIndex.from_run(small_full_run)
+
+
+def _items(stats):
+    """``stats`` as nested item lists (so order is compared), with each
+    ``seconds`` checked and masked."""
+    queries = stats.get("queries")
+    for row in (queries or {}).values():
+        assert isinstance(row["seconds"], float) and row["seconds"] >= 0
+        row["seconds"] = "s"
+    return [
+        (key, [(k, list(v.items()) if isinstance(v, dict) else v)
+               for k, v in block.items()])
+        for key, block in stats.items()
+    ]
+
+
+def _ask(address, listed):
+    """The fixed query sequence; returns the ``stats`` payloads taken
+    before and after it."""
+    with ReputationClient(*address, codec="json") as json_client, \
+            ReputationClient(*address, codec="binary") as binary_client:
+        before = json_client.stats()
+        json_client.query(listed[0], 230)
+        json_client.query(listed[0], 230)
+        json_client.query(listed[1], 2**40)
+        binary_client.query_batch([(ip, 230) for ip in listed[:10]])
+        binary_client.query_batch([(ip, 230) for ip in listed[5:12]])
+        binary_client.query(listed[2], 231)
+        after = json_client.stats()
+    return before, after
+
+
+#: The ``queries`` block after the sequence, on either server.
+QUERIES = [
+    ("point", [("calls", 1), ("queries", 1), ("cache_hits", 0),
+               ("seconds", "s")]),
+    ("batch", [("calls", 3), ("queries", 12), ("cache_hits", 0),
+               ("seconds", "s")]),
+]
+
+
+def _cache(entries, hits, misses):
+    return [("entries", entries), ("capacity", PACKED_CACHE_SIZE),
+            ("hits", hits), ("misses", misses)]
+
+
+def test_static_server_payload(full_index):
+    listed = sorted(ip for ip, _spans in full_index.interval_items())
+    with ReputationServer(QueryEngine(full_index)) as server:
+        server.start()
+        before, after = _ask(server.address, listed)
+    assert _items(before) == [
+        ("queries", []),
+        ("index", SIZES),
+        ("epoch", [("epoch", 0), ("seq", 0)]),
+        ("cache", _cache(0, 0, 0)),
+    ]
+    assert _items(after) == [
+        ("queries", QUERIES),
+        ("index", SIZES),
+        ("epoch", [("epoch", 0), ("seq", 0)]),
+        ("cache", _cache(13, 7, 14)),
+    ]
+
+
+def test_following_server_payload(tmp_path, small_full_run, full_index):
+    start_day = int(small_full_run.analysis.windows[0][0])
+    batches = list(
+        day_advance_batches(
+            small_full_run.analysis.observed, start_day=start_day
+        )
+    )[:3]
+    log_path = tmp_path / "updates.gz"
+    writer = UpdateLogWriter(log_path, start_day=start_day)
+    for batch in batches:
+        writer.append(batch)
+    epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
+    listed = sorted(ip for ip, _spans in full_index.interval_items())
+    with ReputationServer(
+        QueryEngine(epochs), streaming=True
+    ) as server, LogFollower(log_path, epochs, poll_interval=0.01) as tail:
+        server.start()
+        assert tail.wait_for_seq(batches[-1].seq, timeout=10.0)
+        before, after = _ask(server.address, listed)
+    epoch = [
+        ("epoch", 3), ("seq", 3), ("day", 217), ("deltas_applied", 188),
+        ("batches_skipped", 0), ("error", None),
+    ]
+    sizes = [
+        ("ips", 21), ("intervals", 89), ("nated_ips", 26),
+        ("dynamic_prefixes", 1), ("lists", 151), ("ases", 11),
+    ]
+    assert _items(before) == [
+        ("queries", []),
+        ("index", sizes),
+        ("epoch", epoch),
+        ("cache", _cache(0, 0, 0)),
+    ]
+    assert _items(after) == [
+        ("queries", QUERIES),
+        ("index", sizes),
+        ("epoch", epoch),
+        ("cache", _cache(13, 7, 14)),
+    ]

