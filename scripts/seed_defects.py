@@ -69,7 +69,7 @@ SEEDS: List[Seed] = [
          (("                    if ftype == FT_MSG:\n",
            "                    if ftype == -1:\n"),),
          ("tests/test_service_binary.py", "-k", "EveryFrameType or Negotiation")),
-    # Blocking calls on the loop (TestRepoWiringMutations' two seeds,
+    # Blocking calls on the loop (TestRepoWiringMutations' four seeds,
     # then a wait in the split cutover).
     Seed("block: time.sleep in the router's reply handler", "cluster/router.py",
          (("        sub = self._head(request_id)\n"
@@ -79,6 +79,13 @@ SEEDS: List[Seed] = [
     Seed("block: time.sleep in the router's ping timer", "cluster/router.py",
          (("    def _beat(self) -> None:\n",
            "    def _beat(self) -> None:\n        time.sleep(0.01)\n"),)),
+    Seed("block: time.sleep in the server's records routine", "service/server.py",
+         (("        state = engine.resolve_state()\n",
+           "        time.sleep(0.01)\n        state = engine.resolve_state()\n"),)),
+    Seed("block: time.sleep in the router's batch scatter", "cluster/router.py",
+         (("        partition, slots = self._partition, self._slots\n",
+           "        time.sleep(0.01)\n"
+           "        partition, slots = self._partition, self._slots\n"),)),
     Seed("block: ShardProcess.stop() in the cutover's retire phase",
          "cluster/local.py",
          (("        backend.terminate()\n", "        backend.stop()\n"),)),

@@ -382,16 +382,16 @@ class _Split:
             if self.catchup_seq is None:
                 slots = [self.router.shard_slot(self.shard_id)]
             self.router.ask_each(
-                [link for slot in slots for link in slot.backends],
+                [[link] for slot in slots for link in slot.backends],
                 {"op": "hello"},
                 self._answered,
             )
 
-    def _answered(self, replies: List[Any]) -> None:
+    def _answered(self, replies: List[Optional[Dict[str, Any]]]) -> None:
         if self.phase != "catchup":
             return
         seqs = [
-            reply.get("seq", 0) if isinstance(reply, dict) else None
+            None if reply is None else reply.get("seq", 0)
             for reply in replies
         ]
         answered = [seq for seq in seqs if seq is not None]

@@ -2,15 +2,16 @@
 
 A :class:`Router` binds one TCP socket speaking the *existing* service
 wire protocol — a client cannot tell a router from a single-process
-server, including the binary-codec ``hello`` negotiation — and fans
-requests out over the shard fleet:
+server: both are a :class:`~repro.service.server.FrontDoor`, whose one
+dispatcher answers ``ping``, unknown ops and the ``hello`` codec
+negotiation for either — and fans requests out over the shard fleet:
 
 * queries — a packed batch frame, a JSON ``batch`` op, or a JSON
   ``query`` op, which is a batch of one — are split by shard through
   the partition map, scattered to each owning shard's active backend
   (primary, else the first healthy replica), and the per-shard replies
   merged back into request order;
-* ``stats``/``hello`` scatter to every shard and merge, reporting the
+* ``stats``/``hello`` ask every shard and merge, reporting the
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
   visible to the client; the ``router`` block is the router's own
   :class:`~repro.service.server.Counters`, which no partition swap resets;
@@ -21,14 +22,14 @@ requests out over the shard fleet:
   (retried each beat, so a restarted shard rejoins without operator
   action), and an idle link stays warm.
 
-Everything rides one event loop: the downstream listener is a
+Everything rides one event loop: the router *is* the downstream
 pipelined :class:`~repro.service.aio.WireServer`, and each shard
 :class:`Backend` *is* a :class:`~repro.service.aio.Link` — one
 persistent pipelined upstream connection on the same reactor, sharing
 the inbound side's socket, buffer and framing code — no threads, no
 per-request connects. Upstream links speak the binary codec only, so
 routing is plumbing: packed request records scatter out, packed reply
-records merge back by position, and the server's own
+records merge back by position, and the front door's
 :func:`~repro.service.server.assemble_reply` answers in the request's
 framing. A day no record can carry travels JSON-shaped, and its
 shard's dict is carried back as it is.
@@ -50,15 +51,13 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..service.aio import PEER_EOF, Conn, Link, Reactor, Slot, WireServer
+from ..service.aio import PEER_EOF, Link
 from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
-    PROTOCOL_VERSION,
+    Answer,
     Counters,
-    RequestError,
-    assemble_reply,
-    negotiate_hello,
-    parse_request,
+    FrontDoor,
+    Pairs,
 )
 from ..service.wire import (
     CODECS,
@@ -175,7 +174,7 @@ class Backend(Link):
         ``False`` when the backend could not even be tried."""
         if self.sock is None:
             self.state = "connecting"
-            self.connect(self._router._reactor, self.address)
+            self.connect(self._router.reactor, self.address)
             if self.sock is None:
                 return False
         # Swept on the loop, so the deadline also bounds a link that
@@ -335,7 +334,7 @@ class ShardSlot:
         return sum(backend.healthy for backend in self.backends)
 
 
-class Router:
+class Router(FrontDoor):
     """Scatter-gather front over a partitioned shard fleet.
 
     ``backends`` maps shard id (list position) to that shard's backend
@@ -351,6 +350,8 @@ class Router:
     clusters on two ports — a client is single-family per connection
     anyway.
     """
+
+    _plane = "cluster"
 
     def __init__(
         self,
@@ -371,7 +372,6 @@ class Router:
         self._family = partition.family
         #: The one batch codec, both downstream and upstream.
         self._codec = CODECS[self._family]
-        self.connection_timeout = connection_timeout
         self._backend_timeout = backend_timeout
         #: The routing plane: replaced together, in one callback on
         #: the loop thread — the only thread that reads both.
@@ -391,14 +391,7 @@ class Router:
         self._counters = Counters(
             "point", "batch", "batch_queries", "degraded", "failovers"
         )
-        self._server = WireServer(
-            self._handle,
-            host,
-            port,
-            connection_timeout=connection_timeout,
-            max_frame=MAX_FRAME_BYTES,
-        )
-        self._reactor = self._server.reactor
+        super().__init__(host, port, connection_timeout=connection_timeout)
 
     def _make_slots(
         self,
@@ -414,40 +407,18 @@ class Router:
 
     # -- lifecycle -----------------------------------------------------
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._server.address
-
-    @property
-    def reactor(self) -> Reactor:
-        """The loop everything here runs on — and what the cluster's
-        split cutover and auto-splitter schedule their steps on."""
-        return self._reactor
-
-    def _arm_timers(self) -> None:
-        self._backend_sweep()  # nothing to sweep yet: arms itself
-        self._reactor.call_later(self._heartbeat_interval, self._beat)
-
-    def start(self) -> Tuple[str, int]:
-        """Serve from a daemon thread."""
-        address = self._server.start()
-        self._reactor.call_soon(self._arm_timers)
-        return address
-
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI's foreground mode)."""
-        self._reactor.call_soon(self._arm_timers)
-        self._server.serve_forever()
-
-    def request_shutdown(self) -> None:
-        """Ask :meth:`serve_forever` to drain and return, without
-        waiting: for any thread, and for a signal handler on the
-        loop's own."""
-        self._server.request_shutdown()
+        """Serve on the calling thread — the CLI's, or :meth:`start`'s
+        daemon thread — with the backend deadline sweep and the
+        heartbeat armed. Every backend step, the cluster's split
+        cutover and auto-splitter included, runs on ``reactor``."""
+        self._backend_sweep()  # nothing to sweep yet: arms itself
+        self.reactor.call_later(self._heartbeat_interval, self._beat)
+        super().serve_forever()
 
     def shutdown(self) -> None:
         """Stop serving and close every backend link."""
-        self._server.shutdown()
+        super().shutdown()
         # The loop has exited; the upstream links (including any
         # retired-but-undrained ones) are ours to close directly.
         # Nobody is left to answer, so what they had in flight is
@@ -469,7 +440,7 @@ class Router:
 
     def _beat(self) -> None:
         self._ping_round()
-        self._reactor.call_later(self._heartbeat_interval, self._beat)
+        self.reactor.call_later(self._heartbeat_interval, self._beat)
 
     def _ping_round(
         self, done: Optional[Callable[[], None]] = None
@@ -481,7 +452,7 @@ class Router:
         ``Backend.on_close`` write ``healthy``."""
         self.ask_each(
             [
-                backend
+                [backend]
                 for backend in self._backends()
                 if not (backend.pending or backend.waiting)
             ],
@@ -491,31 +462,33 @@ class Router:
 
     def ask_each(
         self,
-        targets: Sequence[Backend],
+        targets: Sequence[Sequence[Backend]],
         request: Dict[str, Any],
-        done: Callable[[List[Any]], None],
+        done: Callable[[List[Optional[Dict[str, Any]]]], None],
     ) -> None:
-        """``request`` down each target backend's own link, then
-        ``done`` with each one's result, in order, once all are
-        answered or lost (``None`` where one failed). Each sub has only
-        its backend as candidate, so it tests that backend and never
-        fails over. Loop thread only: the heartbeat's pings and the
-        split cutover's ``hello``s."""
-        results: List[Any] = [None] * len(targets)
+        """``request`` once per target — its candidate backends, tried
+        in order — then ``done`` with each target's result object, in
+        order, once all are answered or lost (``None`` where every
+        candidate failed or the answer was no object). Loop thread
+        only. A single candidate tests that backend's own link and
+        never fails over: the heartbeat's pings, the split cutover's
+        ``hello``s. A shard's ordered backends fail over: the fleet's
+        ``hello`` and ``stats``."""
+        results: List[Optional[Dict[str, Any]]] = [None] * len(targets)
         outstanding = [len(targets) + 1]  # the round's own hold
 
         def finish(position: int, status: str, value: Any) -> None:
-            if status == "result":
+            if status == "result" and isinstance(value, dict):
                 results[position] = value
             outstanding[0] -= 1
             if outstanding[0] == 0:
                 done(results)
 
-        for position, backend in enumerate(targets):
+        for position, candidates in enumerate(targets):
             self._submit(
                 _Sub(
                     "msg",
-                    [backend],
+                    candidates,
                     lambda status, value, p=position: finish(p, status, value),
                     request=request,
                 )
@@ -539,7 +512,7 @@ class Router:
         deadline = time.monotonic() + timeout
         while True:
             answered = threading.Event()
-            self._reactor.call_soon(
+            self.reactor.call_soon(
                 lambda: self._ping_round(answered.set)
             )
             if not answered.wait(max(0.0, deadline - time.monotonic())):
@@ -624,32 +597,10 @@ class Router:
                 backend.close("retired by partition swap")
         return idle
 
-    # -- downstream request handling (loop thread) ---------------------
+    # -- queries: the front door's records hook (loop thread) ----------
 
-    def _handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
-        try:
-            op, pairs = parse_request(
-                slot, kind, data, self._codec, "cluster"
-            )
-        except RequestError as exc:
-            slot.fail(str(exc))
-            return
-        if pairs is not None:
-            self._route_batch(slot, op, pairs)
-        elif op == "ping":
-            slot.complete({"ok": True, "result": "pong"})
-        elif op == "stats":
-            self._route_stats(slot)
-        elif op == "hello":
-            self._route_hello(conn, slot, data)
-        else:
-            slot.fail(f"unknown op: {op!r}")
-
-    def _route_batch(
-        self,
-        slot: Slot,
-        op: Optional[str],
-        pairs: List[Tuple[int, Optional[int]]],
+    def _records(
+        self, pairs: Pairs, op: Optional[str], answer: Answer
     ) -> None:
         """Scatter ``pairs`` by shard and gather the records back into
         request order; a JSON ``query`` op is a batch of one."""
@@ -673,7 +624,7 @@ class Router:
             # Empty batch: zero shard fan-outs means shard_done would
             # never fire, so answer directly (an empty result is what
             # a single-process server returns).
-            assemble_reply(slot, op, entries, self._codec)
+            answer(entries)
             return
         remaining = [len(by_shard)]
 
@@ -700,7 +651,7 @@ class Router:
                     )
             remaining[0] -= 1
             if remaining[0] == 0:
-                assemble_reply(slot, op, entries, self._codec)
+                answer(entries)
 
         for shard_id, positions in by_shard.items():
             slots[shard_id].hits += len(positions)
@@ -732,39 +683,7 @@ class Router:
                 "shard": shard_id,
             }
 
-    # -- fleet views ---------------------------------------------------
-
-    def _gather(
-        self,
-        op: str,
-        done: Callable[[List[Optional[Dict[str, Any]]]], None],
-    ) -> None:
-        """One ``op`` per shard (with failover); ``done`` receives the
-        per-shard results in slot order, ``None`` where a shard is
-        down."""
-        slots = self._slots
-        replies: List[Optional[Dict[str, Any]]] = [None] * len(slots)
-        remaining = [len(slots)]
-
-        def make_finish(position: int) -> Callable[[str, Any], None]:
-            def finish(status: str, value: Any) -> None:
-                if status == "result" and isinstance(value, dict):
-                    replies[position] = value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    done(replies)
-
-            return finish
-
-        for position, shard_slot in enumerate(slots):
-            self._submit(
-                _Sub(
-                    "msg",
-                    shard_slot.ordered_backends(),
-                    make_finish(position),
-                    request={"op": op},
-                )
-            )
+    # -- fleet views: the hello and stats hooks ------------------------
 
     def _fleet_summary(
         self, states: List[Optional[Dict[str, Any]]]
@@ -788,45 +707,35 @@ class Router:
             "seq_max": max(seqs) if seqs else 0,
         }
 
-    def _route_hello(
-        self, conn: Conn, slot: Slot, request: Dict[str, Any]
-    ) -> None:
-        """The merged handshake. Top-level ``epoch``/``seq`` report the
+    def _hello(self, answer: Answer) -> None:
+        """The merged handshake fields. ``epoch``/``seq`` report the
         fleet *minimum* — the only freshness a cross-shard consumer may
-        assume — while the ``cluster`` block exposes the spread. Codec
-        negotiation works exactly as on a single server."""
+        assume — while the ``cluster`` block exposes the spread."""
 
         def done(hellos: List[Optional[Dict[str, Any]]]) -> None:
             summary = self._fleet_summary(hellos)
-            streaming = any(
-                h.get("streaming", False)
-                for h in hellos
-                if h is not None
-            )
-            result = {
-                "service": "repro-reputation",
-                "protocol": PROTOCOL_VERSION,
-                "streaming": streaming,
+            answer({
+                "streaming": any(
+                    h.get("streaming", False) for h in hellos if h is not None
+                ),
                 "epoch": summary["epoch_min"],
                 "seq": summary["seq_min"],
                 "cluster": summary,
-            }
-            new_codec = negotiate_hello(request, result)
-            slot.complete({"ok": True, "result": result})
-            if new_codec is not None:
-                conn.codec = new_codec
+            })
 
-        self._gather("hello", done)
+        self.ask_each(
+            [slot.ordered_backends() for slot in self._slots],
+            {"op": "hello"},
+            done,
+        )
 
-    def _route_stats(self, slot: Slot) -> None:
+    def _stats(self, answer: Answer) -> None:
         """Merged fleet stats: per-shard payloads plus cluster rollup."""
-
-        def done(shard_stats: List[Optional[Dict[str, Any]]]) -> None:
-            slot.complete(
-                {"ok": True, "result": self._build_stats(shard_stats)}
-            )
-
-        self._gather("stats", done)
+        self.ask_each(
+            [slot.ordered_backends() for slot in self._slots],
+            {"op": "stats"},
+            lambda shard_stats: answer(self._build_stats(shard_stats)),
+        )
 
     def _build_stats(
         self, shard_stats: List[Optional[Dict[str, Any]]]
@@ -896,7 +805,7 @@ class Router:
             queue = backend.pending or backend.waiting
             if queue and queue[0].deadline < now:
                 backend.close("backend timed out")
-        self._reactor.call_later(
+        self.reactor.call_later(
             max(0.05, min(1.0, self._backend_timeout / 4.0)),
             self._backend_sweep,
         )

@@ -7,7 +7,8 @@ Turns call sites and callback expressions into
                                    or inherited — plus, as call-graph
                                    edges, every subclass override of it
 * ``self.attr.m(...)``          -> method of the class ``attr`` was
-                                   constructed with in ``__init__``
+                                   constructed with, or is given as an
+                                   annotated ``__init__`` parameter
 * ``x = ClassName(...); x.m()`` -> method via local construction
 * ``name(...)``                 -> module function, imported project
                                    function, or class constructor

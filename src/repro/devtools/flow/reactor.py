@@ -5,14 +5,14 @@ The serving plane is a single-threaded event loop
 synchronous file read inside any function the loop can call stalls
 every connection at once.  This pass collects the **reactor roots** —
 callbacks handed to ``call_soon``/``call_later``/``run_sync``,
-selector ``register``/``modify`` callbacks, ``conn.callback = ...``
-assignments, and the handler a ``WireServer`` is constructed with —
-then walks the call graph from each root — through inherited methods
-and, where a base class calls a hook, into every subclass override
-(``aio.Link`` registers its own event callback and hands frames to
-``on_message``/``on_packed``/``on_close`` overrides in ``Conn`` and
-the router's ``Backend``) — and flags blocking operations on any
-reachable path:
+selector ``register``/``modify`` callbacks and ``conn.callback = ...``
+assignments — then walks the call graph from each root — through
+inherited methods and, where a base class calls a hook, into every
+subclass override (``aio.Link`` registers its own event callback and
+hands frames to ``on_message``/``on_packed``/``on_close`` overrides in
+``Conn`` and the router's ``Backend``; ``Conn`` hands each request to
+its server's ``handle``, the doors' one dispatcher, which calls each
+door's hooks) — and flags blocking operations on any reachable path:
 
 * ``time.sleep``
 * ``socket.create_connection`` and ``.connect()``/``.accept()`` on a
@@ -166,21 +166,6 @@ def _call_roots(
                 yield callback, (
                     f"{func.attr}() in {site.qualname}"
                 )
-        return
-    # WireServer(handler, ...) — the handler runs on the loop thread
-    # for every request.
-    dotted = module.resolve_call(call)
-    if dotted is not None and dotted.split(".")[-1] == "WireServer":
-        handlers: List[ast.expr] = list(call.args[:1])
-        handlers.extend(
-            kw.value for kw in call.keywords if kw.arg == "handler"
-        )
-        for expr in handlers:
-            callback = resolver.resolve_callable(site, expr)
-            if callback is not None:
-                yield callback, (
-                    f"WireServer handler in {site.qualname}"
-                )
 
 
 def _nonblocking_receivers(module: LintModule) -> Set[str]:
@@ -269,16 +254,18 @@ def check_reactor_blocking(
     blocks the loop: one blocking call behind a callback stalls every
     connection of the process at once, and no test times that. Its
     catches on record are ``TestRepoWiringMutations``: a ``time.sleep``
-    seeded into the router's reply handler or its ping timer is found
-    through the real wiring (``Link`` event callback → subclass hook);
-    and ``ShardProcess.stop()`` seeded into the split cutover's retire
+    seeded into the router's reply handler, its ping timer, the
+    server's records routine or the router's batch scatter is found
+    through the real wiring (``Link`` event callback → subclass hook,
+    and on to the doors' ``handle`` and the door's own hook); and
+    ``ShardProcess.stop()`` seeded into the split cutover's retire
     phase, whose ``Process.join`` it finds through the phase timers.
 
     Collect every callable handed to a reactor registration point
     (``call_soon``/``call_later``/``run_sync``/``register``/
-    ``modify``, ``*.callback =`` assignments, ``WireServer(handler)``)
-    and BFS the call graph from each. Any reached function that calls
-    a known blocking operation — ``time.sleep``, blocking socket
+    ``modify``, ``*.callback =`` assignments) and BFS the call graph
+    from each. Any reached function that calls a known blocking
+    operation — ``time.sleep``, blocking socket
     connect/accept, file I/O, ``subprocess``, a ``join()`` /
     ``poll(timeout)`` / ``wait()`` — is flagged with the
     registration site and the call path. Sockets a module switches to

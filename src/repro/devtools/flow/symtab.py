@@ -64,8 +64,10 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = dataclasses.field(
         default_factory=dict
     )
-    #: ``self.<attr> = <Ctor>(...)`` — attr name -> constructor's bare
-    #: class name (resolved lazily against the program's class table).
+    #: ``self.<attr> = <Ctor>(...)``, or ``self.<attr> = <param>`` in
+    #: ``__init__`` — attr name -> the constructor's or the parameter
+    #: annotation's bare class name (resolved lazily against the
+    #: program's class table).
     attr_ctors: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Bare names of the base classes, as written (resolved lazily).
     bases: List[str] = dataclasses.field(default_factory=list)
@@ -136,15 +138,20 @@ class Program:
                     module=module,
                     owner=cls,
                 )
-        # self.<attr> = Ctor(...) anywhere in the class tells the call
-        # graph what methods self.<attr>.m() can land on.
+        # self.<attr> = Ctor(...) anywhere in the class, or an annotated
+        # __init__ parameter, tells the call graph what methods
+        # self.<attr>.m() can land on.
         for method in cls.methods.values():
+            params = method.param_types() if method.name == "__init__" else {}
             for sub in ast.walk(method.node):
                 if not isinstance(sub, ast.Assign):
                     continue
-                if not isinstance(sub.value, ast.Call):
+                if isinstance(sub.value, ast.Call):
+                    callee = _bare_callee(module, sub.value)
+                elif isinstance(sub.value, ast.Name):
+                    callee = params.get(sub.value.id)
+                else:
                     continue
-                callee = _bare_callee(module, sub.value)
                 if callee is None or not callee[:1].isupper():
                     continue
                 for target in sub.targets:

@@ -27,17 +27,19 @@ Four layers:
   marks, the recoverable/fatal error split and drain-then-close. The
   outbound counterpart is the cluster router's
   :class:`~repro.cluster.router.Backend`.
-* :class:`WireServer` — accept loop, idle timeouts and graceful
-  shutdown. Requests are handed to a ``handler(conn, slot, kind,
-  data)`` callback; ``kind`` is ``"msg"`` (one decoded request
-  object) or ``"batch"`` (packed ``(ip, day)`` pairs from a
-  batch-request frame; ``slot.batch_codec`` is the
-  :class:`~repro.service.wire.BinaryCodec` — hence the address
-  family — the frame type resolved to).
+* :class:`WireServer` — accept loop, idle timeouts, graceful
+  shutdown and the context manager. Each request goes to its
+  :meth:`~WireServer.handle` method, which a subclass fills in;
+  ``kind`` is ``"msg"`` (one decoded request object) or ``"batch"``
+  (packed ``(ip, day)`` pairs from a batch-request frame;
+  ``slot.batch_codec`` is the :class:`~repro.service.wire.BinaryCodec`
+  — hence the address family — the frame type resolved to).
 
-The handler runs on the loop thread and must not block; the
-reputation server answers inline, the cluster router completes slots
-later from upstream readiness events on the same loop.
+``handle`` runs on the loop thread and must not block. Both serving
+doors subclass :class:`WireServer` through
+:class:`~repro.service.server.FrontDoor`, which writes the op protocol
+once: the reputation server answers inline, the cluster router
+completes slots later from upstream readiness events on the same loop.
 """
 
 from __future__ import annotations
@@ -89,8 +91,6 @@ _OUT_HIGH_WATER = 1 << 20
 _OUT_LOW_WATER = 1 << 16
 _SLOT_HIGH_WATER = 4096
 _SLOT_LOW_WATER = 1024
-
-Handler = Callable[["Conn", "Slot", str, Any], None]
 
 
 class Reactor:
@@ -642,17 +642,17 @@ class Conn(Link):
         self.slots.append(slot)
         return slot
 
-    def _dispatch(self, slot: Slot, kind: str, data: Any) -> None:
+    def _request(self, slot: Slot, kind: str, data: Any) -> None:
         try:
-            self.server.handler(self, slot, kind, data)
-        # Never let a handler bug kill the loop; the peer gets an
+            self.server.handle(self, slot, kind, data)
+        # Never let a server bug kill the loop; the peer gets an
         # in-band error reply instead (same contract as the threaded
         # server's worker).
         except Exception as exc:
             slot.fail(f"internal error: {exc}")
 
     def on_message(self, request_id: int, message: Any) -> None:
-        self._dispatch(self._new_slot(request_id), "msg", message)
+        self._request(self._new_slot(request_id), "msg", message)
 
     def on_packed(
         self, ftype: int, request_id: int, payload: bytes
@@ -668,7 +668,7 @@ class Conn(Link):
             slot.fail(str(exc))
             return
         slot.batch_codec = codec
-        self._dispatch(slot, "batch", pairs)
+        self._request(slot, "batch", pairs)
 
     def on_garbled(self, exc: WireError, request_id: int) -> None:
         self._new_slot(request_id).fail(str(exc))
@@ -738,25 +738,24 @@ class Conn(Link):
 
 
 class WireServer:
-    """Pipelined dual-codec TCP server on a :class:`Reactor`.
+    """Pipelined dual-codec TCP server on its own :class:`Reactor`;
+    a subclass answers requests in :meth:`handle`.
 
     Binds on construction (``SO_REUSEADDR``; ``port=0`` for an
     ephemeral port). Run with :meth:`serve_forever` (calling thread)
-    or :meth:`start` (daemon thread); :meth:`shutdown` drains
-    in-flight replies, then stops the loop and closes everything.
+    or :meth:`start` (daemon thread); :meth:`shutdown` (also via the
+    context manager) drains in-flight replies, then stops the loop and
+    closes everything.
     """
 
     def __init__(
         self,
-        handler: Handler,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
         connection_timeout: float = 30.0,
         max_frame: int = MAX_FRAME_BYTES,
-        reactor: Optional[Reactor] = None,
     ) -> None:
-        self.handler = handler
         self._connection_timeout = connection_timeout
         self.max_frame = max_frame
         #: Per-connection backpressure bounds; instance attributes so
@@ -765,7 +764,7 @@ class WireServer:
         self.out_low_water = _OUT_LOW_WATER
         self.slot_high_water = _SLOT_HIGH_WATER
         self.slot_low_water = _SLOT_LOW_WATER
-        self.reactor = reactor if reactor is not None else Reactor()
+        self.reactor = Reactor()
         self._conns: Dict[int, Conn] = {}
         self._shutting_down = False  # written by _begin_shutdown only
         self._closed = False  # written by _close_listener only
@@ -794,7 +793,18 @@ class WireServer:
         restart-on-same-port needs to read it from the dead server)."""
         return self._address
 
+    def handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
+        """Answer one request of ``conn``: complete ``slot`` now, or
+        later from the loop. Loop thread; must not block."""
+        raise NotImplementedError
+
     # -- lifecycle -----------------------------------------------------
+
+    def __enter__(self) -> "WireServer":
+        return self
+
+    def __exit__(self, *_: Any) -> None:
+        self.shutdown()
 
     def serve_forever(self) -> None:
         """Run the loop on the calling thread until :meth:`shutdown`."""

@@ -1,4 +1,5 @@
-"""Event-loop TCP server for the reputation service.
+"""The op protocol, and the event-loop TCP server for the reputation
+service.
 
 One connection carries any number of request frames
 (:mod:`repro.service.wire`), *pipelined* — a client may keep many
@@ -26,10 +27,20 @@ The JSON request surface is unchanged:
     server follows an update log, and the current index ``epoch`` +
     last-applied ``seq``; with ``"accept_codecs": ["binary"]`` the
     reply adds ``codecs``/``codec`` and the connection switches to the
-    binary framing for all later frames.
+    binary framing for every later frame — from the one right behind
+    the ``hello``, already in the same read.
+``{"op": "ping"}``
+    → ``"pong"``.
 
 Binary connections may additionally send packed ``FT_BATCH_REQ``
 frames (a binary client's point query is one of a single pair).
+
+:class:`FrontDoor` writes that protocol once, for both doors: a
+:class:`ReputationServer` and the cluster's
+:class:`~repro.cluster.router.Router` are each a
+:class:`~repro.service.aio.WireServer` subclass through it, and supply
+only its three hooks — the records answering a batch of pairs, the
+``hello`` fields, the ``stats`` payload.
 
 Every answer is a packed record, whatever the codec or op: ``decode →
 probe → facts → pack``. :func:`parse_request` turns a packed frame or
@@ -79,16 +90,11 @@ from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine, Verdict, evaluate
 from .index import ReputationIndex
-from .wire import (
-    CODECS,
-    MAX_FRAME_BYTES,
-    BinaryCodec,
-    WireError,
-    point_error,
-)
+from .wire import CODECS, BinaryCodec, WireError, point_error
 
 __all__ = [
     "Counters",
+    "FrontDoor",
     "MAX_BATCH",
     "PROTOCOL_VERSION",
     "ReputationServer",
@@ -101,6 +107,9 @@ __all__ = [
 ]
 
 Pairs = List[Tuple[int, Optional[int]]]
+
+#: How a door hands over its answer: at once, or later from the loop.
+Answer = Callable[[Any], None]
 
 #: Upper bound on queries in one batch frame.
 MAX_BATCH = 10_000
@@ -266,28 +275,86 @@ def assemble_reply(
         slot.complete({"ok": True, "result": answer})
 
 
-def negotiate_hello(
-    request: Dict[str, Any], result: Dict[str, Any]
-) -> Optional[str]:
-    """Apply codec negotiation to a ``hello`` ``result`` in place.
+class FrontDoor(WireServer):
+    """The op protocol, written once: :meth:`handle` answers every
+    request frame for either door. Queries go to the door's
+    :meth:`_records` and out through :func:`assemble_reply`; ``ping``
+    is answered ``pong``; ``hello`` switches the connection's codec at
+    once, so the next frame is parsed in it, and answers ``{service,
+    protocol, **fields}`` plus the negotiation keys, the door's
+    :meth:`_hello` supplying the fields; ``stats`` is the door's
+    :meth:`_stats` payload; any other op is unknown. A hook hands its
+    answer to the callback it is given — at once (a server) or later
+    from the loop (a router). A door sets ``_codec``, the one batch
+    codec (hence family) it answers, and ``_plane``, what a batch frame
+    of another family is told cannot answer it."""
 
-    Returns the codec the connection must switch to (or ``None``).
-    Requests without ``accept_codecs`` leave the reply untouched, so
-    pre-negotiation clients see byte-identical hello replies.
-    """
-    accepts = request.get("accept_codecs")
-    if not isinstance(accepts, list):
-        return None
-    result["codecs"] = ["binary", "json"]
-    if "binary" in accepts:
-        result["codec"] = "binary"
-        return "binary"
-    result["codec"] = "json"
-    return None
+    _codec: BinaryCodec
+    _plane: str
+
+    def handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
+        codec = self._codec
+        try:
+            op, pairs = parse_request(slot, kind, data, codec, self._plane)
+            if pairs is not None:
+                self._records(
+                    pairs,
+                    op,
+                    lambda records: assemble_reply(slot, op, records, codec),
+                )
+            elif op == "ping":
+                slot.complete({"ok": True, "result": "pong"})
+            elif op == "hello":
+                # No ``accept_codecs``, no codec keys: the reply a
+                # client older than the negotiation expects.
+                accepts = data.get("accept_codecs")
+                offer: Dict[str, Any] = {}
+                if isinstance(accepts, list):
+                    offer = {"codecs": ["binary", "json"], "codec": "json"}
+                    if "binary" in accepts:
+                        # From the next frame on; this slot keeps the
+                        # framing the hello came in.
+                        offer["codec"] = conn.codec = "binary"
+                self._hello(
+                    lambda fields: slot.complete({"ok": True, "result": {
+                        "service": "repro-reputation",
+                        "protocol": PROTOCOL_VERSION,
+                        **fields,
+                        **offer,
+                    }})
+                )
+            elif op == "stats":
+                self._stats(
+                    lambda payload: slot.complete(
+                        {"ok": True, "result": payload}
+                    )
+                )
+            else:
+                raise RequestError(f"unknown op: {op!r}")
+        except ValueError as exc:  # a RequestError, or the engine's
+            slot.fail(str(exc))
+
+    def _records(
+        self, pairs: Pairs, op: Optional[str], answer: Answer
+    ) -> None:
+        """``answer`` the records for ``pairs``, in order: packed
+        ``bytes`` of ``_codec``, or the JSON-shaped dict of an answer no
+        record can carry (``op`` is ``None`` for a packed frame)."""
+        raise NotImplementedError
+
+    def _hello(self, answer: Answer) -> None:
+        """``answer`` the door's ``hello`` fields (``streaming``,
+        ``epoch``, ``seq``, …)."""
+        raise NotImplementedError
+
+    def _stats(self, answer: Answer) -> None:
+        """``answer`` the door's ``stats`` payload."""
+        raise NotImplementedError
 
 
-class ReputationServer:
-    """The service's front door; binds on construction.
+class ReputationServer(FrontDoor):
+    """One process's index behind the op protocol; binds on
+    construction.
 
     Use ``port=0`` to bind an ephemeral port (tests);
     :attr:`address` reports the bound ``(host, port)``. Either call
@@ -296,6 +363,8 @@ class ReputationServer:
     context manager) to stop accepting and release the socket.
     """
 
+    _plane = "index"
+
     def __init__(
         self,
         engine: QueryEngine,
@@ -303,7 +372,6 @@ class ReputationServer:
         port: int = 0,
         *,
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
-        max_frame: int = MAX_FRAME_BYTES,
         streaming: bool = False,
     ) -> None:
         self._engine = engine
@@ -316,102 +384,34 @@ class ReputationServer:
             OrderedDict()
         )
         self._counters = Counters("cache.hits", "cache.misses")
-        self._server = WireServer(
-            self._handle,
-            host,
-            port,
-            connection_timeout=connection_timeout,
-            max_frame=max_frame,
-        )
+        super().__init__(host, port, connection_timeout=connection_timeout)
 
-    # -- lifecycle (delegated to the WireServer) -----------------------
+    def _hello(self, answer: Answer) -> None:
+        epoch, seq = self._engine.epoch_state()
+        answer({"streaming": self._streaming, "epoch": epoch, "seq": seq})
 
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)``."""
-        return self._server.address
+    def _stats(self, answer: Answer) -> None:
+        counters = self._counters
+        answer({
+            "queries": counters.read("queries"),
+            **self._engine.stats(),
+            "cache": {
+                "entries": len(self._packed),
+                "capacity": PACKED_CACHE_SIZE,
+                **counters.read("cache"),
+            },
+        })
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._server.serve_forever()
-
-    def start(self) -> Tuple[str, int]:
-        """Serve from a background daemon thread; returns the address."""
-        return self._server.start()
-
-    def request_shutdown(self) -> None:
-        """:meth:`shutdown`, asked for and not waited on."""
-        self._server.request_shutdown()
-
-    def shutdown(self) -> None:
-        """Stop accepting, flush queued replies, close the socket."""
-        self._server.shutdown()
-
-    def __enter__(self) -> "ReputationServer":
-        return self
-
-    def __exit__(self, *_: Any) -> None:
-        self.shutdown()
-
-    # -- request handling (loop thread) --------------------------------
-
-    def _handle(
-        self, conn: Conn, slot: Slot, kind: str, data: Any
+    def _records(
+        self, pairs: Pairs, op: Optional[str], answer: Answer
     ) -> None:
-        try:
-            op, pairs = parse_request(slot, kind, data, self._codec, "index")
-            if pairs is not None:
-                records = self._records(pairs, op)
-                assemble_reply(slot, op, records, self._codec)
-                return
-            reply, new_codec = self._dispatch(op, data)
-        except ValueError as exc:  # a RequestError, or the engine's
-            slot.fail(str(exc))
-            return
-        slot.complete(reply)
-        if new_codec is not None:
-            # After the (pre-switch-codec) reply: every later frame on
-            # this connection uses the negotiated framing.
-            conn.codec = new_codec
-
-    def _dispatch(
-        self, op: Any, request: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], Optional[str]]:
-        engine = self._engine
-        if op == "stats":
-            counters = self._counters
-            stats = {
-                "queries": counters.read("queries"),
-                **engine.stats(),
-                "cache": {
-                    "entries": len(self._packed),
-                    "capacity": PACKED_CACHE_SIZE,
-                    **counters.read("cache"),
-                },
-            }
-            return {"ok": True, "result": stats}, None
-        if op == "hello":
-            epoch, seq = engine.epoch_state()
-            result = {
-                "service": "repro-reputation",
-                "protocol": PROTOCOL_VERSION,
-                "streaming": self._streaming,
-                "epoch": epoch,
-                "seq": seq,
-            }
-            new_codec = negotiate_hello(request, result)
-            return {"ok": True, "result": result}, new_codec
-        if op == "ping":
-            return {"ok": True, "result": "pong"}, None
-        raise RequestError(f"unknown op: {op!r}")
-
-    def _records(self, pairs: Pairs, op: Optional[str]) -> List[Any]:
         """The records answering ``pairs``, in order, whatever the
-        request's codec or op: the packed-record cache is probed under
-        one snapshot's ``(epoch, ip, resolved day)``, and the engine is
-        handed only the misses — and that snapshot. A day outside the
-        packed layout (only a JSON op can ask one) has no record: its
-        JSON-shaped verdict is built here, and never cached."""
+        request's codec or op, answered at once: the packed-record
+        cache is probed under one snapshot's ``(epoch, ip, resolved
+        day)``, and the engine is handed only the misses — and that
+        snapshot. A day outside the packed layout (only a JSON op can
+        ask one) has no record: its JSON-shaped verdict is built here,
+        and never cached."""
         engine = self._engine
         state = engine.resolve_state()
         index, epoch, seq = state
@@ -464,7 +464,7 @@ class ReputationServer:
                 cache[key] = record
             while len(cache) > PACKED_CACHE_SIZE:
                 cache.popitem(last=False)
-        return records
+        answer(records)
 
 
 class ServingNode:

@@ -1268,14 +1268,14 @@ class TestUpstreamKeepalive:
                 ) as client:
                     assert client.query(ip) == single.query(ip).to_wire()
                     # The router's upstream link, seen from the shard.
-                    (upstream,) = shard._server._conns.values()
+                    (upstream,) = shard._conns.values()
                     time.sleep(4 * idle)
-                    assert list(shard._server._conns.values()) == [
+                    assert list(shard._conns.values()) == [
                         upstream
                     ]
                     assert upstream.sock is not None
                     assert client.query(ip) == single.query(ip).to_wire()
-                    assert list(shard._server._conns.values()) == [
+                    assert list(shard._conns.values()) == [
                         upstream
                     ]
                     assert client.stats()["router"]["failovers"] == 0

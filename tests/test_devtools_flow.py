@@ -516,6 +516,32 @@ class TestRepoWiringMutations:
         # Reached through the Link's event and frame callbacks.
         assert "_on_event -> _read -> _parse -> on_message" in found.message
 
+    def test_sleep_in_server_records_flagged(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            "service/server.py",
+            "        state = engine.resolve_state()\n",
+            "        time.sleep(0.01)\n        state = engine.resolve_state()\n",
+        )
+        (found,) = report.violations
+        assert found.rule == "FLOW-BLOCK"
+        assert found.path == "repro/service/server.py"
+        # Reached from the request path: the door's dispatcher.
+        assert "-> _records)" in found.message
+
+    def test_sleep_in_router_batch_scatter_flagged(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            "cluster/router.py",
+            "        partition, slots = self._partition, self._slots\n",
+            "        time.sleep(0.01)\n"
+            "        partition, slots = self._partition, self._slots\n",
+        )
+        (found,) = report.violations
+        assert found.rule == "FLOW-BLOCK"
+        assert found.path == "repro/cluster/router.py"
+        assert "handle ->" in found.message
+
     def test_sleep_in_ping_timer_flagged(self, tmp_path):
         report = self._report(
             tmp_path,

@@ -163,12 +163,11 @@ class TestPackedCacheAcrossEpochs:
         answer = server._records
         handled = []
 
-        def answer_then_swap(pairs, op):
-            records = answer(pairs, op)
+        def answer_then_swap(pairs, op, reply):
+            answer(pairs, op, reply)
             handled.append(pairs)
             if len(handled) == 2:  # the priming batch, then the first
                 epochs.apply(DeltaBatch(1, day, (delta,)))
-            return records
 
         monkeypatch.setattr(server, "_records", answer_then_swap)
         with _binary_socket(server.address) as sock:

@@ -1,4 +1,4 @@
-"""The JSON ``query`` and ``batch`` ops' replies, pinned byte for byte.
+"""Every op's replies, pinned byte for byte.
 
 ``tests/data/json_replies.json`` holds what commit ``ab6f93c`` sent back
 for each request below, on both codecs, from a single server
@@ -20,30 +20,43 @@ To regenerate (only ever against that commit)::
 
     git archive ab6f93c src tests | tar -x -C /tmp/parent
     cd /tmp/parent && PYTHONPATH=src python -m tests.test_reply_pins
+
+``tests/data/op_replies.json`` holds, the same way, what commit
+``2ed4fbd`` sent back for the rest of the op surface: ``ping``,
+``hello`` without ``accept_codecs`` and offering only ``json``, an
+unknown op, a request that is not an object, a ``batch`` without
+``queries``, one over ``MAX_BATCH``, and — on the binary codec only —
+an IPv6 packed batch at an IPv4 door, whose error names the door
+(``index`` or ``cluster``). To regenerate (only ever against that
+commit), as above with ``2ed4fbd`` and ``python -m
+tests.test_reply_pins ops``.
 """
 
 import json
 import socket
 import struct
+import sys
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import pytest
 
 from repro.cluster import LocalCluster
-from repro.net.family import V4
+from repro.net.family import V4, V6
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
-from repro.service.server import ReputationServer
+from repro.service.server import MAX_BATCH, ReputationServer
 from repro.service.wire import (
+    CODECS,
     FT_MSG,
+    encode_frame,
     encode_msg_frame,
     recv_binary_frame,
-    send_frame,
 )
 from tests.test_service_binary import _binary_socket
 
 FIXTURE = Path(__file__).with_name("data") / "json_replies.json"
+OPS_FIXTURE = Path(__file__).with_name("data") / "op_replies.json"
 
 #: A day no packed record can carry.
 WIDE_DAY = 2**40
@@ -64,18 +77,46 @@ def _exactly(sock: socket.socket, count: int) -> bytes:
     return data
 
 
-def _replies(address, request) -> Tuple[bytes, Tuple[int, bytes]]:
-    """``request`` sent on a fresh JSON connection and a fresh binary
-    one: the JSON payload, and the binary reply's ``(type, payload)``."""
-    with socket.create_connection(address, timeout=10.0) as sock:
-        send_frame(sock, request)
-        json_payload = _json_payload(sock)
+def _exchange(
+    address, json_frame: Optional[bytes], binary_frame: bytes
+) -> Tuple[Optional[bytes], Tuple[int, bytes]]:
+    """``json_frame`` sent on a fresh JSON connection (unless ``None``)
+    and ``binary_frame`` (request id 3) on a fresh binary one: the JSON
+    reply's payload, and the binary reply's ``(type, payload)``."""
+    json_payload = None
+    if json_frame is not None:
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(json_frame)
+            json_payload = _json_payload(sock)
     with _binary_socket(address) as sock:
         sock.settimeout(10.0)
-        sock.sendall(encode_msg_frame(request, 3))
+        sock.sendall(binary_frame)
         ftype, rid, payload = recv_binary_frame(sock)
         assert rid == 3
     return json_payload, (ftype, payload)
+
+
+def _replies(address, request) -> Tuple[bytes, Tuple[int, bytes]]:
+    """``request`` on both codecs (see :func:`_exchange`)."""
+    return _exchange(address, encode_frame(request), encode_msg_frame(request, 3))
+
+
+def _op_requests() -> Iterator[Tuple[str, Optional[bytes], bytes]]:
+    """The op-surface cases: name, JSON-codec frame, binary frame."""
+    requests = {
+        "ping": {"op": "ping"},
+        "hello": {"op": "hello"},
+        "hello-json-only": {"op": "hello", "accept_codecs": ["json"]},
+        "unknown-op": {"op": "frobnicate"},
+        "not-an-object": ["op", "ping"],
+        "batch-without-queries": {"op": "batch"},
+        "batch-over-limit": {
+            "op": "batch", "queries": [{"ip": 1}] * (MAX_BATCH + 1)
+        },
+    }
+    for name, request in requests.items():
+        yield name, encode_frame(request), encode_msg_frame(request, 3)
+    yield "v6-packed-batch", None, CODECS[V6].encode_batch_request([(1, 5)], 3)
 
 
 def _ops(name: str, queries: List[Dict[str, Any]]) -> Iterator[Tuple[str, Dict]]:
@@ -119,10 +160,21 @@ def _requests(index: ReputationIndex, shard_of) -> Dict[str, List]:
     }
 
 
-def record() -> List[Dict[str, Any]]:
+def _small_index() -> ReputationIndex:
     from repro.experiments.runner import RunConfig, run_full
 
-    index = ReputationIndex.from_run(run_full(RunConfig.small(2020)))
+    return ReputationIndex.from_run(run_full(RunConfig.small(2020)))
+
+
+def _recorded(json_payload, ftype, payload) -> Dict[str, Any]:
+    return {
+        "json": None if json_payload is None else json_payload.hex(),
+        "binary": {"ftype": ftype, "payload": payload.hex()},
+    }
+
+
+def record() -> List[Dict[str, Any]]:
+    index = _small_index()
     cases = []
 
     def take(shape, address, requests):
@@ -132,8 +184,7 @@ def record() -> List[Dict[str, Any]]:
                 "shape": shape,
                 "name": name,
                 "request": request,
-                "json": json_payload.hex(),
-                "binary": {"ftype": ftype, "payload": payload.hex()},
+                **_recorded(json_payload, ftype, payload),
             })
 
     with LocalCluster(index, shards=3) as cluster:
@@ -148,7 +199,36 @@ def record() -> List[Dict[str, Any]]:
     return cases
 
 
-CASES = json.loads(FIXTURE.read_text())["cases"] if FIXTURE.exists() else []
+def record_ops() -> List[Dict[str, Any]]:
+    index = _small_index()
+    cases = []
+
+    def take(shape, address):
+        for name, json_frame, binary_frame in _op_requests():
+            json_payload, (ftype, payload) = _exchange(
+                address, json_frame, binary_frame
+            )
+            cases.append({
+                "shape": shape,
+                "name": name,
+                **_recorded(json_payload, ftype, payload),
+            })
+
+    with ReputationServer(QueryEngine(index)) as direct:
+        direct.start()
+        take("direct", direct.address)
+    with LocalCluster(index, shards=3) as cluster:
+        assert cluster.router.wait_healthy(10.0)
+        take("routed", cluster.address)
+    return cases
+
+
+def _load(path: Path) -> List[Dict[str, Any]]:
+    return json.loads(path.read_text())["cases"] if path.exists() else []
+
+
+CASES = _load(FIXTURE)
+OP_CASES = _load(OPS_FIXTURE)
 
 
 def _check(address, shape):
@@ -171,6 +251,30 @@ def index(small_full_run):
     return ReputationIndex.from_run(small_full_run)
 
 
+def _check_ops(address, shape):
+    cases = {case["name"]: case for case in OP_CASES if case["shape"] == shape}
+    requests = list(_op_requests())
+    assert sorted(cases) == sorted(name for name, *_ in requests), shape
+    for name, json_frame, binary_frame in requests:
+        json_payload, (ftype, payload) = _exchange(
+            address, json_frame, binary_frame
+        )
+        got = _recorded(json_payload, ftype, payload)
+        assert got == {key: cases[name][key] for key in got}, name
+
+
+class TestOpReplyPins:
+    def test_direct(self, index):
+        with ReputationServer(QueryEngine(index)) as server:
+            server.start()
+            _check_ops(server.address, "direct")
+
+    def test_routed(self, index):
+        with LocalCluster(index, shards=3) as cluster:
+            assert cluster.router.wait_healthy(10.0)
+            _check_ops(cluster.address, "routed")
+
+
 class TestJsonReplyPins:
     def test_direct(self, index):
         with ReputationServer(QueryEngine(index)) as server:
@@ -190,10 +294,12 @@ class TestJsonReplyPins:
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
+    ops = sys.argv[1:] == ["ops"]
+    target = OPS_FIXTURE if ops else FIXTURE
+    target.parent.mkdir(exist_ok=True)
     lines = ",\n".join(
         json.dumps(case, sort_keys=True, separators=(",", ":"))
-        for case in record()
+        for case in (record_ops() if ops else record())
     )
-    FIXTURE.write_text('{"cases":[\n' + lines + "\n]}\n")
-    print(f"wrote {FIXTURE}")
+    target.write_text('{"cases":[\n' + lines + "\n]}\n")
+    print(f"wrote {target}")

@@ -33,6 +33,7 @@ from repro.cluster.local import LocalCluster
 from repro.core.policy import BlockAction
 from repro.net.family import V4, V6
 from repro.net.ipv4 import int_to_ip
+from repro.service.aio import WireServer
 from repro.service.client import (
     ReputationClient,
     ServiceError,
@@ -618,6 +619,16 @@ def index(small_full_run):
     return ReputationIndex.from_run(small_full_run)
 
 
+def _wire_server(handler, **kwargs):
+    """A bare :class:`WireServer` answering through ``handler``."""
+
+    class Bare(WireServer):
+        def handle(self, conn, slot, kind, data):
+            handler(conn, slot, kind, data)
+
+    return Bare(**kwargs)
+
+
 @pytest.fixture()
 def server(index):
     srv = ReputationServer(QueryEngine(index), connection_timeout=5.0)
@@ -677,6 +688,42 @@ class TestNegotiation:
             assert decode_msg_payload(payload)["result"] == "pong"
 
 
+class TestHelloPipelining:
+    """A packed batch sent in the same write as the ``hello`` that
+    negotiates binary: either door switches codec as it reads the
+    ``hello``, so the batch is parsed as the binary frame it is — the
+    router once switched only when its shards' hellos came back, and
+    read the batch as garbled JSON."""
+
+    @pytest.mark.parametrize("door", ["direct", "routed"])
+    def test_packed_batch_right_behind_hello(self, server, index, door):
+        from repro.cluster.partition import PartitionMap
+        from repro.cluster.router import Router
+
+        ip, spans = next(index.interval_items())
+        day = spans[0][0]
+        codec = CODECS[V4]
+        router = None
+        address = server.address
+        if door == "routed":
+            router = Router(PartitionMap(1), [[server.address]])
+            address = router.start()
+        try:
+            with socket.create_connection(address, timeout=5.0) as s:
+                s.sendall(
+                    encode_frame({"op": "hello", "accept_codecs": ["binary"]})
+                    + codec.encode_batch_request([(ip, day)], 9)
+                )
+                assert recv_frame(s)["result"]["codec"] == "binary"
+                ftype, rid, payload = recv_binary_frame(s)
+            assert (ftype, rid) == (wire.FT_BATCH_REP, 9)
+            (verdict,) = codec.decode_batch_reply(payload)
+            assert verdict == QueryEngine(index).query(ip, day).to_wire()
+        finally:
+            if router is not None:
+                router.shutdown()
+
+
 class TestBinaryDemanded:
     """``codec="binary"`` is a demand, not an offer: against a server
     that ignores ``accept_codecs`` (one older than the negotiation, in
@@ -685,8 +732,6 @@ class TestBinaryDemanded:
 
     @pytest.fixture(params=["ignored", "rejected"])
     def old_server(self, request):
-        from repro.service.aio import WireServer
-
         def handler(conn, slot, kind, data):
             op = data.get("op")
             if op == "ping":
@@ -696,10 +741,9 @@ class TestBinaryDemanded:
             else:
                 slot.fail(f"unknown op: {op!r}")
 
-        server = WireServer(handler)
-        server.start()
-        yield server
-        server.shutdown()
+        with _wire_server(handler) as server:
+            server.start()
+            yield server
 
     def test_binary_raises_when_not_granted(self, old_server):
         host, port = old_server.address
@@ -779,8 +823,6 @@ class TestUnencodableReplies:
     MAX_FRAME = 256
 
     def _ask(self, reply):
-        from repro.service.aio import WireServer
-
         def handler(conn, slot, kind, data):
             if data == {"op": "hello"}:
                 slot.complete({"ok": True})
@@ -788,15 +830,11 @@ class TestUnencodableReplies:
             else:
                 slot.complete(reply)
 
-        server = WireServer(handler, max_frame=self.MAX_FRAME)
-        address = server.start()
-        try:
-            with socket.create_connection(address, timeout=5.0) as s:
+        with _wire_server(handler, max_frame=self.MAX_FRAME) as server:
+            with socket.create_connection(server.start(), timeout=5.0) as s:
                 send_frame(s, {"op": "hello"})
                 assert recv_frame(s) == {"ok": True}
                 return _binary_call(s, b'{"op":"ask"}', 3)
-        finally:
-            server.shutdown()
 
     def test_nan_in_reply_degrades_to_error(self):
         got = self._ask({"ok": True, "result": float("nan")})
@@ -1374,64 +1412,75 @@ class TestBackpressure:
         import selectors
         import time
 
-        from repro.service.aio import WireServer
         from repro.service.wire import decode_frame, encode_frame
 
-        held = []
-
-        def handler(conn, slot, kind, data):
-            held.append(slot)  # completed later, from the test
-
-        server = WireServer(handler)
+        held = []  # loop-owned, like every other structure read below
+        server = _wire_server(
+            lambda conn, slot, kind, data: held.append(slot)
+        )
         server.slot_high_water = 8
         server.slot_low_water = 2
-        address = server.start()
-        try:
-            with socket.create_connection(address, timeout=5.0) as sock:
-                frame = encode_frame({"op": "ping"})
-                sock.sendall(frame * 40)
-                deadline = time.monotonic() + 5.0
-                conn = None
-                while time.monotonic() < deadline:
-                    conns = list(server._conns.values())
-                    if conns and conns[0].paused:
-                        conn = conns[0]
+
+        def on_loop(read):
+            """``read()``, taken on the loop thread between callbacks."""
+            out = []
+            server.reactor.run_sync(lambda: out.append(read()))
+            return out[0]
+
+        def paused():
+            """(read interest, slots parsed) once reads are paused."""
+            conns = list(server._conns.values())
+            if conns and conns[0].paused:
+                return conns[0].events & selectors.EVENT_READ, len(held)
+            return None
+
+        with server, socket.create_connection(
+            server.start(), timeout=5.0
+        ) as sock:
+            frame = encode_frame({"op": "ping"})
+            sock.sendall(frame * 40)
+            deadline = time.monotonic() + 5.0
+            state = on_loop(paused)
+            while state is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+                state = on_loop(paused)
+            assert state is not None, "server never paused reads"
+            reading, parsed = state
+            assert not reading
+
+            # While paused, a second flood must sit unread in the
+            # kernel, not in server memory.
+            assert parsed >= 8
+            sock.sendall(frame * 40)
+            time.sleep(0.3)
+            assert on_loop(lambda: len(held)) == parsed
+
+            # Draining the held slots resumes reads; the loop keeps
+            # completing what it parses until every one of the 80
+            # requests is answered.
+            completed = [0]
+
+            def complete_all():
+                for slot in held:
+                    slot.complete({"ok": True, "result": "pong"})
+                completed[0] += len(held)
+                held.clear()
+                if completed[0] < 80:
+                    server.reactor.call_later(0.005, complete_all)
+
+            server.reactor.call_soon(complete_all)
+            got = 0
+            buf = bytearray()
+            while got < 80:
+                data = sock.recv(65536)
+                assert data, "server closed mid-drain"
+                buf += data
+                while True:
+                    decoded = decode_frame(buf)
+                    if decoded is None:
                         break
-                    time.sleep(0.01)
-                assert conn is not None, "server never paused reads"
-                assert not (conn.events & selectors.EVENT_READ)
-
-                # While paused, a second flood must sit unread in the
-                # kernel, not in server memory.
-                parsed = len(held)
-                assert parsed >= 8
-                sock.sendall(frame * 40)
-                time.sleep(0.3)
-                assert len(held) == parsed
-
-                # Draining the held slots resumes reads; every one of
-                # the 80 requests must eventually be answered.
-                def complete_all():
-                    for slot in list(held):
-                        slot.complete({"ok": True, "result": "pong"})
-                    held.clear()
-
-                sock.settimeout(5.0)
-                got = 0
-                buf = bytearray()
-                while got < 80:
-                    server.reactor.call_soon(complete_all)
-                    data = sock.recv(65536)
-                    assert data, "server closed mid-drain"
-                    buf += data
-                    while True:
-                        decoded = decode_frame(buf)
-                        if decoded is None:
-                            break
-                        reply, consumed = decoded
-                        del buf[:consumed]
-                        assert reply == {"ok": True, "result": "pong"}
-                        got += 1
-                assert got == 80
-        finally:
-            server.shutdown()
+                    reply, consumed = decoded
+                    del buf[:consumed]
+                    assert reply == {"ok": True, "result": "pong"}
+                    got += 1
+            assert got == 80
