@@ -126,6 +126,14 @@ SEEDS: List[Seed] = [
            "            counters.add(prefix + \"queries\", len(pairs))\n"),),
          ("tests/test_query_records.py", "-k",
           "test_misses_and_hits_are_counted_where_they_were")),
+    # A shard's key directory is its parent's, rebased: one row off and
+    # a search starts past the key it looks for.
+    Seed("bug: key directory rebased one row off in a slice",
+         "service/columns.py",
+         (("map(sub, directory[lo:hi], repeat(start))",
+           "map(sub, directory[lo:hi], repeat(start - 1))"),),
+         ("tests/test_query_records.py", "tests/test_index_columns.py",
+          "-k", "Directory or shard_slice")),
 ]
 
 _FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import sub
 from typing import (
     AbstractSet,
     Any,
@@ -40,6 +42,7 @@ from ..net.family import AddressFamily, AnyPrefix
 from .wire import MAX_LIST_ID_BYTES
 
 __all__ = [
+    "BUCKET_SHIFT",
     "Columns",
     "Interval",
     "KeyColumn",
@@ -65,7 +68,13 @@ LISTED = 2
 #: ASN" and the distinct-AS count of a slice is one ``set()``.
 NO_ASN = 0xFFFFFFFF
 
+_U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
+
+#: A 32-bit key column's directory has one bucket per value of an
+#: address's top 12 bits (:meth:`KeyColumn.indexed`).
+BUCKET_SHIFT = 20
+_BUCKETS = 1 << (32 - BUCKET_SHIFT)
 
 #: Listing days are stored as signed 32-bit, the width the binary wire
 #: codec gives a query's day.
@@ -102,15 +111,23 @@ class KeyColumn:
     families keep two ``u64`` columns, ``high`` sorted and ``low``
     sorted within each run of equal ``high``: a search bisects
     ``high`` for the run and ``low`` inside it, all in C.
+
+    A 32-bit column may carry a bucket ``directory`` (:meth:`indexed`):
+    ``directory[b]`` rows hold an address below ``b << BUCKET_SHIFT``,
+    so a search bisects only the rows of its address's bucket.
     """
 
-    __slots__ = ("low", "high")
+    __slots__ = ("low", "high", "directory")
 
     def __init__(
-        self, low: memoryview, high: Optional[memoryview] = None
+        self,
+        low: memoryview,
+        high: Optional[memoryview] = None,
+        directory: "Optional[array[int]]" = None,
     ) -> None:
         self.low = low
         self.high = high
+        self.directory = directory
 
     @classmethod
     def build(cls, wide: bool, addresses: Iterable[int]) -> "KeyColumn":
@@ -138,11 +155,37 @@ class KeyColumn:
             top << 64 | bottom for top, bottom in zip(self.high, self.low)
         )
 
+    def indexed(self) -> "KeyColumn":
+        """This column with a bucket directory: one bisect per bucket
+        (a 32-bit column without one; any other is returned as is)."""
+        if self.high is not None or self.directory is not None:
+            return self
+        low = self.low
+        starts = array("I", bytes(4 * _BUCKETS)) + array("I", [len(low)])
+        step = _BUCKETS // 2
+        while step:  # midpoints first: each between two known starts
+            span = 2 * step
+            starts[step::span] = array("I", map(
+                bisect_left, repeat(low),
+                range(step << BUCKET_SHIFT, 1 << 32, span << BUCKET_SHIFT),
+                starts[:_BUCKETS:span], starts[span::span],
+            ))
+            step //= 2
+        return KeyColumn(low, None, starts)
+
+    def _rows_for(self, ip: int) -> Tuple[int, int]:
+        """The rows ``start:stop`` that can hold ``ip`` (32-bit)."""
+        directory = self.directory
+        if directory is None or not 0 <= ip <= _U32:
+            return 0, len(self.low)
+        bucket = ip >> BUCKET_SHIFT
+        return directory[bucket], directory[bucket + 1]
+
     def lower(self, ip: int) -> int:
         """How many rows hold an address below ``ip``."""
         high = self.high
         if high is None:
-            return bisect_left(self.low, ip)
+            return bisect_left(self.low, ip, *self._rows_for(ip))
         top = ip >> 64
         start = bisect_left(high, top)
         return bisect_left(
@@ -153,7 +196,7 @@ class KeyColumn:
         """How many rows hold an address up to and including ``ip``."""
         high = self.high
         if high is None:
-            return bisect_right(self.low, ip)
+            return bisect_right(self.low, ip, *self._rows_for(ip))
         top = ip >> 64
         start = bisect_left(high, top)
         return bisect_right(
@@ -164,16 +207,26 @@ class KeyColumn:
         """The row holding exactly ``ip``, or ``-1``."""
         low = self.low
         if self.high is None:
-            row = bisect_left(low, ip)
-            return row if row < len(low) and low[row] == ip else -1
+            start, stop = self._rows_for(ip)
+            row = bisect_left(low, ip, start, stop)
+            return row if row < stop and low[row] == ip else -1
         row = self.lower(ip)
         return row if row < len(low) and self[row] == ip else -1
 
     def slice(self, start: int, stop: int) -> "KeyColumn":
-        """Rows ``start:stop`` as views of the same buffers."""
+        """Rows ``start:stop`` as views of the same buffers, with the
+        directory, if any, rebased onto them (no bisect)."""
+        directory = self.directory
+        if directory is not None:  # d - start, clamped to 0..rows, in C
+            lo = bisect_right(directory, start)
+            hi = bisect_left(directory, stop, lo)
+            directory = array("I", bytes(4 * lo)) + array(
+                "I", map(sub, directory[lo:hi], repeat(start))
+            ) + array("I", [stop - start]) * (len(directory) - hi)
         return KeyColumn(
             self.low[start:stop],
             None if self.high is None else self.high[start:stop],
+            directory,
         )
 
 
@@ -234,11 +287,6 @@ class Columns(NamedTuple):
             return (list_ids[hits[0]],)
         hits.sort()
         return tuple([list_ids[at] for at in hits])
-
-    def in_dynamic(self, ip: int) -> bool:
-        """Inside one of the dynamic ranges."""
-        at = self.dyn_first.upper(ip) - 1
-        return at >= 0 and ip <= self.dyn_last[at]
 
     def restrict(self, lo: int, hi: int) -> "Columns":
         """The rows of addresses ``lo..hi`` and the dynamic ranges
@@ -337,7 +385,8 @@ class ColumnWriter:
             self._list_idx.extend(
                 [moved[at] for at in source.list_idx[begin:end]]
             )
-        self._keys.extend(source.keys.slice(start, stop))
+        keys = source.keys  # sliced without its directory: rows only
+        self._keys.extend(KeyColumn(keys.low, keys.high).slice(start, stop))
         self._offsets.extend(
             [offset + shift for offset in offsets[start + 1:stop + 1]]
         )

@@ -12,17 +12,18 @@ paper): an unlisted address is ``ignore``; a listed reused address is
 precision there), in which case ``block``; a listed non-reused address
 is always ``block``.
 
-:func:`evaluate` is that answer as a plain row, ``(lists, nated,
-dynamic, users, asn, action)`` — the one place ``index.facts`` is
-called and the policy aggregated. Two things are built from a row:
+Two paths answer, in two shapes:
 
-* a packed reply record (:meth:`QueryEngine.query_records`): every
-  answer the server sends, whatever the codec or op, hands the row
-  straight to the codec, and no ``Verdict`` exists in between;
+* packed reply records (:meth:`QueryEngine.query_records`), every
+  answer the server sends: the index's record loop
+  (:meth:`~repro.service.index.ReputationIndex.records`) goes from
+  key search to record bytes, with no row or ``Verdict`` in between;
 * a :class:`Verdict` (:meth:`QueryEngine.query`,
-  :meth:`QueryEngine.query_batch`): library callers such as the
-  adversary lab — and, on the wire, only the answer no record can
-  carry (a day outside i32), which the server builds from the row.
+  :meth:`QueryEngine.query_batch`) for library callers such as the
+  adversary lab, and on the wire only for a day outside i32, built
+  from :func:`evaluate`'s plain row ``(lists, nated, dynamic, users,
+  asn, action)``. This path is the reference: a record equals
+  ``pack_verdict`` of the verdict, byte for byte.
 
 The engine also accepts a streaming
 :class:`~repro.stream.epoch.EpochIndex`. Every call resolves the
@@ -44,16 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.policy import BlockAction, action_for
 from ..net.family import V4, AddressFamily
@@ -108,8 +100,8 @@ class Verdict:
     ) -> "Verdict":
         """The verdict an :func:`evaluate` row stands for — the one
         place ``listed``, ``unjust`` and ``reuse_kind`` are derived
-        for the object form (:meth:`~repro.service.wire.BinaryCodec.
-        pack_record` derives the same bits for the packed form)."""
+        for the object form (:data:`~repro.service.wire.VERDICT_BITS`
+        holds the same bits for the packed form)."""
         listed = bool(lists)
         # Positional, in field order: binding fourteen keywords costs a
         # point query 0.3 µs.
@@ -150,14 +142,14 @@ Row = Tuple[Tuple[str, ...], bool, bool, int, int, str]
 #: source (:meth:`QueryEngine.resolve_state`).
 State = Tuple[ReputationIndex, int, int]
 
-#: What a query loop builds per pair: a :class:`Verdict` or ``bytes``.
-_Answer = TypeVar("_Answer")
-
 
 def evaluate(index: ReputationIndex, ip: int, day: int) -> Row:
     """The service's answer for ``(ip, day)`` against ``index``, as a
-    plain row: the index's facts plus the Section 6 action."""
-    lists, nated, dynamic, users, asn = index.facts(ip, day)
+    plain row: each fact read through its own index accessor, plus
+    the Section 6 action."""
+    lists = index.lists_active_on(ip, day)
+    nated, dynamic = index.is_nated(ip), index.is_dynamic(ip)
+    users, asn = index.users_behind(ip), index.asn_of(ip)
     if not lists:
         return lists, nated, dynamic, users, asn, ACTION_IGNORE
     # The per-list Section 6 policy, aggregated: one carrying list
@@ -227,9 +219,7 @@ class QueryEngine:
     def query(self, ip: int, day: Optional[int] = None) -> Verdict:
         """Point query; ``day`` defaults to the index's notion of now
         (last day of the last collection window)."""
-        (verdict,) = self._answer(
-            self.resolve_state(), ((ip, day),), self._verdict
-        )
+        (verdict,) = self._verdicts(((ip, day),))
         return verdict
 
     def query_batch(
@@ -237,7 +227,7 @@ class QueryEngine:
     ) -> List[Verdict]:
         """Batch query: one verdict per ``(ip, day)`` pair, in order,
         all against the snapshot current when the call began."""
-        return self._answer(self.resolve_state(), queries, self._verdict)
+        return self._verdicts(queries)
 
     def query_records(
         self,
@@ -247,39 +237,33 @@ class QueryEngine:
     ) -> List[bytes]:
         """Queries answered as packed reply records of ``codec``, one
         per ``(ip, day)`` pair, in order, all against ``state`` (a
-        :meth:`resolve_state` snapshot the caller already holds). Each
-        row goes from :func:`evaluate` straight into
-        :meth:`~repro.service.wire.BinaryCodec.pack_record`."""
-        return self._answer(state, pairs, codec.pack_record)
-
-    def _answer(
-        self,
-        state: State,
-        pairs: Iterable[Tuple[int, Optional[int]]],
-        build: Callable[..., _Answer],
-    ) -> List[_Answer]:
-        """The one query loop: validate each pair, evaluate it against
-        ``state``, and hand ``build`` the fields ``(ip, day, *row,
-        epoch, seq)``."""
+        :meth:`resolve_state` snapshot the caller already holds), by
+        the index's record loop
+        (:meth:`~repro.service.index.ReputationIndex.records`)."""
         index, epoch, seq = state
-        valid_ip = self._family.valid_ip
+        return index.records(pairs, epoch, seq, codec)
+
+    def _verdicts(
+        self, pairs: Iterable[Tuple[int, Optional[int]]]
+    ) -> List[Verdict]:
+        """The object path: each pair validated as the record loop does,
+        its :class:`Verdict` built from :func:`evaluate`'s row."""
+        index, epoch, seq = self.resolve_state()
+        top = self._family.max_int
         default_day = index.default_day()
-        answers: List[_Answer] = []
-        append = answers.append
+        verdict = self._verdict
+        verdicts: List[Verdict] = []
         for ip, day in pairs:
-            if not valid_ip(ip):
+            if type(ip) is not int or not 0 <= ip <= top:
                 raise ValueError(f"bad address integer: {ip!r}")
-            day = default_day if day is None else int(day)
-            lists, nated, dynamic, users, asn, action = evaluate(
-                index, ip, day
+            if day is None:
+                day = default_day
+            elif type(day) is not int:
+                raise ValueError(f"bad day integer: {day!r}")
+            verdicts.append(
+                verdict(ip, day, *evaluate(index, ip, day), epoch, seq)
             )
-            append(
-                build(
-                    ip, day, lists, nated, dynamic, users, asn, action,
-                    epoch, seq,
-                )
-            )
-        return answers
+        return verdicts
 
     def stats(self) -> Dict[str, Any]:
         """The ``index`` sizes and ``epoch`` state the engine resolves

@@ -43,14 +43,15 @@ only its three hooks — the records answering a batch of pairs, the
 ``hello`` fields, the ``stats`` payload.
 
 Every answer is a packed record, whatever the codec or op: ``decode →
-probe → facts → pack``. :func:`parse_request` turns a packed frame or
+probe → record loop``. :func:`parse_request` turns a packed frame or
 a JSON ``query`` / ``batch`` op into ``(ip, day)`` pairs, answered
 against the one ``(index, epoch, seq)`` snapshot taken first: the
 packed-record cache is probed under ``(epoch, ip, resolved day)``, a
 hit copies pre-encoded record bytes, and the misses go to
 :meth:`~repro.service.engine.QueryEngine.query_records` *with that
-snapshot*, which packs each one straight from the index's columns (no
-verdict object is built), and are stored under its epoch. So every
+snapshot* — the index's one loop from key search to record bytes
+(:meth:`~repro.service.index.ReputationIndex.records`; no verdict
+object is built) — and are stored under its epoch. So every
 record of a reply reports the same ``(epoch, seq)`` whatever a hot
 swap does meanwhile, and nothing is ever cached under an epoch it was
 not computed against. :func:`assemble_reply` (the router's too) puts

@@ -48,13 +48,15 @@ validates a reply once — bounds, record kinds, action and reuse codes,
 UTF-8 — and slices it into :class:`RecordView` mappings that read the
 payload in place, so a consumer that only asks ``"error" in verdict``
 or for one field pays for that much (``RecordView.to_wire()`` is the
-plain dict). A verdict record has one packer with two front ends:
-:meth:`BinaryCodec.pack_record` takes an engine row's fields (the
-server's batch path — no verdict object in between) and
-:meth:`BinaryCodec.pack_verdict` any object carrying a verdict's
-attributes (library callers, test fakes); for a
-:class:`~repro.service.engine.Verdict` built from the same row the
-bytes are identical. The frame type is the family tag — a peer that never sends a family's request type
+plain dict). A verdict record is a head (:attr:`BinaryCodec.pack_head`)
+and one :func:`list_chunk` per list id. Two packers build it:
+:meth:`BinaryCodec.pack_verdict` from any object carrying a verdict's
+attributes (library callers, test fakes), and the index's record loop
+(:meth:`~repro.service.index.ReputationIndex.records`, the server's
+path — no verdict object in between) from its columns, taking the
+flag and action codes from :data:`VERDICT_BITS`; for a
+:class:`~repro.service.engine.Verdict` of the same query the bytes are
+identical. The frame type is the family tag — a peer that never sends a family's request type
 never sees its reply type back, and the ipv4 bytes are what they were
 before families existed:
 
@@ -90,7 +92,7 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Mapping
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import (
     Any,
     Callable,
@@ -99,7 +101,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
 )
 
@@ -119,6 +120,7 @@ __all__ = [
     "MAX_LIST_ID_BYTES",
     "REQUEST_CODECS",
     "RecordView",
+    "VERDICT_BITS",
     "WireError",
     "WireSocket",
     "decode_batch_reply",
@@ -132,6 +134,7 @@ __all__ = [
     "encode_binary_frame",
     "encode_frame",
     "encode_msg_frame",
+    "list_chunk",
     "pack_degraded",
     "pack_verdict",
     "point_error",
@@ -462,6 +465,39 @@ _CODE_TO_ACTION = {v: k for k, v in _ACTION_TO_CODE.items()}
 _REUSE_TO_CODE = {"": 0, "nat": 1, "dynamic": 2, "nat+dynamic": 3}
 _CODE_TO_REUSE = {v: k for k, v in _REUSE_TO_CODE.items()}
 
+
+def _verdict_bits(key: int) -> Tuple[int, int]:
+    nated, dynamic, listed, blocks = (key & bit for bit in (1, 2, 4, 8))
+    flags = (_FLAG_NATED if nated else 0) | (_FLAG_DYNAMIC if dynamic else 0)
+    if not listed:
+        return flags, _ACTION_TO_CODE[BlockAction.IGNORE]
+    if not flags:
+        return _FLAG_LISTED, _ACTION_TO_CODE[BlockAction.BLOCK]
+    action = BlockAction.BLOCK if blocks else BlockAction.GREYLIST
+    return flags | _FLAG_LISTED | _FLAG_UNJUST, _ACTION_TO_CODE[action]
+
+
+#: A verdict record's ``(flags, action code)`` by the key ``nated |
+#: dynamic << 1 | listed << 2 | blocks << 3`` (its low two bits are the
+#: reuse code; ``blocks``: a carrying list blocks even a reused
+#: address). The Section 6 policy as :func:`repro.service.engine.
+#: evaluate` aggregates it: listed is ``block`` unless reused and no
+#: list ``blocks`` (``greylist``); unlisted is ``ignore``.
+VERDICT_BITS = tuple(map(_verdict_bits, range(16)))
+
+
+def list_chunk(list_id: str) -> bytes:
+    """One list id as a verdict record names it: a length byte, then
+    its UTF-8 bytes."""
+    raw = list_id.encode("utf-8")
+    if len(raw) > MAX_LIST_ID_BYTES:
+        raise WireError(
+            f"verdict not binary-packable: list id of {len(raw)} bytes",
+            recoverable=True,
+        )
+    return bytes((len(raw),)) + raw
+
+
 #: Bound on a codec's table of decoded reply texts. A deployment names
 #: hundreds of lists (the paper: 151); past the bound a text is simply
 #: decoded again on every read.
@@ -511,6 +547,10 @@ class BinaryCodec:
         # cost that path one ``is None`` test per record and no call.
         self._to_field: Optional[Callable[[int], bytes]] = None
         self._from_field: Optional[Callable[[bytes], int]] = None
+        pack_head = partial(self._verdict.pack, REC_VERDICT)
+        #: A verdict record but its list ids: ``(ip, day, flags, action,
+        #: reuse, users, asn, epoch, seq, n_lists) → bytes``.
+        self.pack_head: Callable[..., bytes] = pack_head
         text = family.format
         if width == 4:
             self._field_text = lru_cache(maxsize=1 << 16)(text)
@@ -532,7 +572,11 @@ class BinaryCodec:
         def field_text(raw: bytes) -> str:
             return text(from_bytes(raw, "big"))
 
+        def pack_wide_head(ip: int, *fields: int) -> bytes:
+            return pack_head(to_field(ip), *fields)
+
         self._to_field, self._from_field = to_field, from_field
+        self.pack_head = pack_wide_head
         self._field_text = lru_cache(maxsize=1 << 16)(field_text)
 
     # -- batch request -------------------------------------------------
@@ -602,47 +646,16 @@ class BinaryCodec:
 
     # -- batch reply: packing ------------------------------------------
 
-    def pack_record(
-        self,
-        ip: int,
-        day: int,
-        lists: Tuple[str, ...],
-        nated: bool,
-        dynamic: bool,
-        users: int,
-        asn: int,
-        action: str,
-        epoch: int,
-        seq: int,
-    ) -> bytes:
-        """Pack one engine row (:func:`repro.service.engine.evaluate`,
-        with its key and the snapshot it was read from) into a
-        batch-reply record. The flag bits and the reuse code are
-        derived here, exactly as :class:`~repro.service.engine.Verdict`
-        derives ``listed`` / ``unjust`` / ``reuse_kind``, so the bytes
-        equal :meth:`pack_verdict` of the verdict built from that row."""
-        flags = (_FLAG_NATED if nated else 0) | (
-            _FLAG_DYNAMIC if dynamic else 0
-        )
-        if lists:
-            flags |= (
-                _FLAG_LISTED | _FLAG_UNJUST if flags else _FLAG_LISTED
-            )
-        # ``nated | dynamic << 1`` is _REUSE_TO_CODE, spelled in bits.
-        return self._pack_fields(
-            ip, day, flags, action, nated | dynamic << 1, users, asn,
-            epoch, seq, lists,
-        )
-
     def pack_verdict(self, verdict: Any) -> bytes:
         """Pack one :class:`~repro.service.engine.Verdict` — or any
         object with its attributes, which need not be an engine's: the
         record says what the fields say — into a batch-reply record."""
         reuse_code = _REUSE_TO_CODE.get(verdict.reuse_kind)
-        if reuse_code is None:
+        action_code = _ACTION_TO_CODE.get(verdict.action)
+        if reuse_code is None or action_code is None:
             raise WireError(
-                f"verdict not binary-packable: "
-                f"reuse_kind={verdict.reuse_kind!r}",
+                f"verdict not binary-packable: reuse_kind="
+                f"{verdict.reuse_kind!r}, action={verdict.action!r}",
                 recoverable=True,
             )
         flags = (
@@ -651,58 +664,18 @@ class BinaryCodec:
             | (_FLAG_DYNAMIC if verdict.dynamic else 0)
             | (_FLAG_UNJUST if verdict.unjust else 0)
         )
-        return self._pack_fields(
-            verdict.ip, verdict.day, flags, verdict.action, reuse_code,
-            verdict.users, verdict.asn, verdict.epoch, verdict.seq,
-            verdict.lists,
-        )
-
-    def _pack_fields(
-        self,
-        ip: int,
-        day: int,
-        flags: int,
-        action: str,
-        reuse_code: int,
-        users: int,
-        asn: int,
-        epoch: int,
-        seq: int,
-        lists: Sequence[Any],
-    ) -> bytes:
-        """The one verdict-record packer behind :meth:`pack_record`
-        and :meth:`pack_verdict`."""
-        action_code = _ACTION_TO_CODE.get(action)
-        if action_code is None:
-            raise WireError(
-                f"verdict not binary-packable: action={action!r}",
-                recoverable=True,
-            )
-        to_field = self._to_field
+        ids = verdict.lists
         try:
-            head = self._verdict.pack(
-                REC_VERDICT, ip if to_field is None else to_field(ip),
-                day, flags, action_code, reuse_code, users, asn, epoch,
-                seq, len(lists),
+            head = self.pack_head(
+                verdict.ip, verdict.day, flags, action_code, reuse_code,
+                verdict.users, verdict.asn, verdict.epoch, verdict.seq,
+                len(ids),
             )
         except struct.error as exc:
             raise WireError(
                 f"verdict not binary-packable: {exc}", recoverable=True
             ) from None
-        if not lists:
-            return head
-        parts = [head]
-        for list_id in lists:
-            raw = str(list_id).encode("utf-8")
-            if len(raw) > MAX_LIST_ID_BYTES:
-                raise WireError(
-                    f"verdict not binary-packable: list id of {len(raw)} "
-                    "bytes",
-                    recoverable=True,
-                )
-            parts.append(bytes((len(raw),)))
-            parts.append(raw)
-        return b"".join(parts)
+        return head + b"".join(map(list_chunk, map(str, ids))) if ids else head
 
     def pack_degraded(
         self, ip: int, day: Optional[int], shard: int, error: str

@@ -13,7 +13,6 @@ simply evaluated again.
 import pytest
 
 from repro.net.family import V4
-from repro.service import engine as engine_module
 from repro.service import server as server_module
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
@@ -178,21 +177,29 @@ class TestPackedCacheAcrossEpochs:
         (after,) = CODEC.decode_batch_reply(second)
         self._check_swap(before, after, ip, delta.list_id)
 
-    def _swap_before_evaluation(self, monkeypatch, epochs, batch, nth):
+    def _swap_before_evaluation(
+        self, monkeypatch, server, epochs, batch, nth
+    ):
         """Apply ``batch`` on the loop thread just before the engine
         evaluates its ``nth`` query (0-based): inside one call, after
-        the caller took its snapshot. Returns the addresses evaluated,
-        in order."""
-        evaluate = engine_module.evaluate
+        the caller took its snapshot. The record loop draws its miss
+        pairs one at a time, so the swap goes in as it draws the
+        ``nth``. Returns the addresses evaluated, in order."""
+        engine = server._engine
+        query_records = engine.query_records
         evaluated = []
 
-        def swap_then_evaluate(index, ip, day):
-            if len(evaluated) == nth:
-                epochs.apply(batch)
-            evaluated.append(ip)
-            return evaluate(index, ip, day)
+        def swapping(pairs):
+            for pair in pairs:
+                if len(evaluated) == nth:
+                    epochs.apply(batch)
+                evaluated.append(pair[0])
+                yield pair
 
-        monkeypatch.setattr(engine_module, "evaluate", swap_then_evaluate)
+        def query_records_swapping(state, pairs, codec):
+            return query_records(state, swapping(pairs), codec)
+
+        monkeypatch.setattr(engine, "query_records", query_records_swapping)
         return evaluated
 
     def test_swap_in_the_middle_of_a_batch(
@@ -205,7 +212,7 @@ class TestPackedCacheAcrossEpochs:
         ip, day, delta = _extension(index)
         other = next(a for a in listed if a != ip)
         evaluated = self._swap_before_evaluation(
-            monkeypatch, epochs, DeltaBatch(1, day, (delta,)), nth=1
+            monkeypatch, server, epochs, DeltaBatch(1, day, (delta,)), nth=1
         )
         pairs = [(other, day), (ip, day)]
         with _binary_socket(server.address) as sock:
@@ -236,7 +243,8 @@ class TestPackedCacheAcrossEpochs:
         with _binary_socket(server.address) as sock:
             _ask(sock, [(other, day)])  # prime the hit, at epoch 0
             self._swap_before_evaluation(
-                monkeypatch, epochs, DeltaBatch(1, day, (delta,)), nth=0
+                monkeypatch, server, epochs, DeltaBatch(1, day, (delta,)),
+                nth=0,
             )
             (straddling,) = _ask(sock, [(ip, day), (other, day)])
             (settled,) = _ask(sock, [(ip, day), (other, day)])
@@ -254,7 +262,7 @@ class TestPackedCacheAcrossEpochs:
         ip, day, delta = _extension(index)
         other = next(a for a in listed if a != ip)
         self._swap_before_evaluation(
-            monkeypatch, epochs, DeltaBatch(1, day, (delta,)), nth=1
+            monkeypatch, server, epochs, DeltaBatch(1, day, (delta,)), nth=1
         )
         pairs = [(other, day), (ip, day)]
         with ReputationClient(*server.address, codec="json") as client:

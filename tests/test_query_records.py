@@ -1,12 +1,22 @@
-"""The binary batch path: ``index.facts`` → packed record, no ``Verdict``.
+"""The record path: one loop from key search to packed record, no ``Verdict``.
 
-``QueryEngine.query_records`` hands each :func:`~repro.service.engine.
-evaluate` row straight to ``BinaryCodec.pack_record``. The object path
-(``query`` → ``Verdict`` → ``pack_verdict``) is the reference it must
-match byte for byte, on every kind of index the serving stack builds;
-the rest pins that the object stays off the path and that the path is
-counted like the one it replaced.
+``QueryEngine.query_records`` hands its pairs to the index's record
+loop (``ReputationIndex.records``), which searches the key column
+through its bucket directory and packs each record from the columns.
+The object path (``query`` → ``evaluate`` → ``Verdict`` →
+``pack_verdict``) is the reference it must match byte for byte, on
+every kind of index the serving stack builds; the rest pins that the
+object stays off the path, that the path is counted like the one it
+replaced, that the directory searches like a plain bisect, and the
+reply bytes of the bench corpus.
 """
+
+import dataclasses
+import hashlib
+import random
+import re
+from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +26,7 @@ from repro.adversary import scenario_index
 from repro.cluster import LocalCluster, PartitionMap
 from repro.net.family import V4, V6
 from repro.service.client import ReputationClient
+from repro.service.columns import BUCKET_SHIFT, KeyColumn
 from repro.service.engine import QueryEngine, Verdict, evaluate
 from repro.service.index import ReputationIndex
 from repro.service import server as server_module
@@ -26,6 +37,7 @@ from tests.test_packed_cache import _ask
 from tests.test_service_binary import _binary_socket
 
 FAMILIES = (V4, V6)
+SERVING = Path(__file__).resolve().parents[1] / "benchmarks" / "serving"
 
 
 def _assert_records_equal_verdicts(index, pairs):
@@ -120,27 +132,31 @@ class TestByteIdentity:
         _assert_records_equal_verdicts(index, _pairs_over(index, 40))
 
 
-_I32 = st.integers(min_value=-(1 << 31), max_value=(1 << 31) - 1)
+_I32_MAX = (1 << 31) - 1
+_I32 = st.integers(min_value=-(1 << 31), max_value=_I32_MAX)
 _U32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
 
-#: Rows as the columns can hold them: u32 users and ASN, up to 255
-#: list ids of up to 255 UTF-8 bytes, any action of the policy.
+#: One address's facts as an index can hold them: up to six list ids of
+#: up to 255 UTF-8 bytes, each with a policy category and carrying the
+#: address on the queried day or not; NAT and dynamic reuse; u32 users
+#: and an origin ASN (AS4294967295 is reserved).
 rows = st.tuples(
-    st.lists(
+    st.dictionaries(
         st.text(max_size=40).filter(lambda s: len(s.encode()) <= 255),
+        st.tuples(
+            st.sampled_from(["ddos", "spam", "reputation"]), st.booleans()
+        ),
         max_size=6,
-        unique=True,
-    ).map(lambda ids: tuple(sorted(ids))),
+    ),
     st.booleans(),
     st.booleans(),
     _U32,
-    _U32,
-    st.sampled_from(["ignore", "greylist", "block"]),
+    st.integers(min_value=0, max_value=(1 << 32) - 2),
 )
 
 
 class TestPackRecordProperty:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(FAMILIES).flatmap(
             lambda family: st.tuples(
@@ -156,15 +172,175 @@ class TestPackRecordProperty:
     def test_record_is_the_verdicts_record(
         self, keyed, day, row, epoch, seq
     ):
-        """One packer, two front ends: from fields and from the object
-        built out of the same fields, to the same bytes — which decode
-        back to the object's wire form."""
+        """The record loop against the object path over generated
+        one-address indexes, for the address and for its unlisted
+        neighbour: the same bytes, which decode back to the verdict's
+        wire form."""
         family, ip = keyed
+        lists, nated, dynamic, users, asn = row
+        off_day = day + 1 if day < _I32_MAX else day - 1
+        index = ReputationIndex(
+            windows=[(day, day)],
+            intervals={
+                ip: [
+                    (day, day, name) if on else (off_day, off_day, name)
+                    for name, (_category, on) in lists.items()
+                ]
+            },
+            nated={ip} if nated else set(),
+            users={ip: users},
+            dynamic_prefixes=[family.atom_prefix(ip)] if dynamic else [],
+            categories={
+                name: category for name, (category, _on) in lists.items()
+            },
+            asn_by_ip={ip: asn},
+            family=family,
+        )
         codec = CODECS[family]
-        record = codec.pack_record(ip, day, *row, epoch, seq)
-        verdict = Verdict.from_row(family, ip, day, *row, epoch, seq)
-        assert record == codec.pack_verdict(verdict)
-        assert codec.decode_record(record) == verdict.to_wire()
+        engine = QueryEngine(index)
+        pairs = [(ip, day), (ip ^ 1, None)]
+        for (at, when), record in zip(
+            pairs, index.records(pairs, epoch, seq, codec)
+        ):
+            verdict = dataclasses.replace(
+                engine.query(at, when), epoch=epoch, seq=seq
+            )
+            assert record == codec.pack_verdict(verdict)
+            assert codec.decode_record(record) == verdict.to_wire()
+
+
+def _assert_directory_searches(keys):
+    """``keys``' directory-assisted searches against a plain bisect of
+    the same rows: at 0 and 2**32 - 1 (and just outside), and at the
+    first and last key of every non-empty bucket, each ±1."""
+    assert keys.directory is not None and len(keys.directory) == 4097
+    plain = list(keys.low)
+    probes = {-1, 0, (1 << 32) - 1, 1 << 32}
+    buckets = {}
+    for key in plain:
+        buckets.setdefault(key >> BUCKET_SHIFT, []).append(key)
+    for bucket in buckets.values():
+        for key in (bucket[0], bucket[-1]):
+            probes.update((key - 1, key, key + 1))
+    for ip in sorted(probes):
+        lower = bisect_left(plain, ip)
+        assert keys.lower(ip) == lower, ip
+        assert keys.upper(ip) == bisect_right(plain, ip), ip
+        assert keys.find(ip) == (
+            lower if plain[lower:lower + 1] == [ip] else -1
+        ), ip
+
+
+def _tiny_index(addresses):
+    """A v4 index whose rows are ``addresses``, each listed on day 1."""
+    return ReputationIndex(
+        windows=[(0, 1)],
+        intervals={ip: [(1, 1, "alpha")] for ip in addresses},
+        nated=set(),
+        users={},
+        dynamic_prefixes=[],
+        categories={"alpha": "spam"},
+        asn_by_ip={},
+    )
+
+
+class TestKeyDirectory:
+    """The bucket directory over a 32-bit key column: built when an
+    index adopts its columns, rebased by ``restrict``, rebuilt by a
+    fold, and searched exactly like the column itself."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        """Keys over the whole space, most buckets holding a few, plus
+        the edges of every seventh bucket. (The ``small`` run's keys
+        all share one bucket.)"""
+        rng = random.Random(30)
+        edges = {
+            (bucket << BUCKET_SHIFT) + step
+            for bucket in range(0, 4097, 7) for step in (-1, 0)
+        }
+        keys = set(rng.sample(range(1 << 32), 6000)) | edges
+        return _tiny_index(sorted(keys - {-1, 1 << 32}))
+
+    def test_compiled_loaded_and_folded(self, index, tmp_path):
+        listed = sorted(ip for ip, _spans in index.interval_items())
+        folded = index.with_interval_updates(
+            {ip: [] for ip in listed[::2]}
+        )
+        assert folded._overlay == {}  # past a quarter of the rows
+        loaded = ReputationIndex.load(index.save(tmp_path / "d.idx"))
+        for built in (index, loaded, folded):
+            _assert_directory_searches(built._columns.keys)
+        _assert_records_equal_verdicts(
+            folded,
+            [(ip + step, None) for ip in listed[::3] for step in (-1, 0, 1)
+             if 0 <= ip + step < 1 << 32],
+        )
+
+    def test_every_shard_slice_is_rebased(self, index):
+        whole = index._columns.keys
+        for shard in PartitionMap(3).ranges:
+            part = index.restrict(shard.lo, shard.hi)
+            keys = part._columns.keys
+            assert keys.directory is not whole.directory
+            assert keys.directory == KeyColumn(keys.low).indexed().directory
+            _assert_directory_searches(keys)
+            _assert_records_equal_verdicts(
+                part, [(ip, 1) for ip in keys.low[::5]]
+            )
+
+    @pytest.mark.parametrize(
+        "addresses", [(), (0,), ((1 << 32) - 1,), (0x0A000001,)]
+    )
+    def test_empty_and_one_row_indexes(self, addresses):
+        tiny = _tiny_index(addresses)
+        _assert_directory_searches(tiny._columns.keys)
+        pairs = [
+            (ip, day) for ip in (0, 1, 0x0A000001, (1 << 32) - 1)
+            for day in (None, 0, 1)
+        ]
+        _assert_records_equal_verdicts(tiny, pairs)
+
+    def test_a_wide_key_column_has_none(self):
+        index = scenario_index(HitlistV6Model().build(5))
+        assert index._columns.keys.directory is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                _U32,
+                # Crowd a few buckets and their edges.
+                st.integers(min_value=0, max_value=4096).flatmap(
+                    lambda bucket: st.integers(
+                        min_value=max((bucket << BUCKET_SHIFT) - 3, 0),
+                        max_value=min(
+                            (bucket << BUCKET_SHIFT) + 3, (1 << 32) - 1
+                        ),
+                    )
+                ),
+            ),
+            unique=True,
+            max_size=200,
+        ).map(sorted),
+        st.data(),
+    )
+    def test_directory_search_is_a_plain_bisect(self, keys, data):
+        """``find`` / ``lower`` / ``upper`` through the directory — of
+        a whole column and of a slice, whose directory is rebased —
+        equal a plain bisect over the same rows."""
+        column = KeyColumn.build(False, keys).indexed()
+        start = data.draw(st.integers(min_value=0, max_value=len(keys)))
+        stop = data.draw(st.integers(min_value=start, max_value=len(keys)))
+        for searched in (column, column.slice(start, stop)):
+            _assert_directory_searches(searched)
+            plain = list(searched.low)
+            for ip in data.draw(st.lists(_U32, max_size=20)):
+                assert searched.find(ip) == (
+                    plain.index(ip) if ip in plain else -1
+                )
+                assert searched.lower(ip) == bisect_left(plain, ip)
+                assert searched.upper(ip) == bisect_right(plain, ip)
 
 
 def _answers_by_every_op(address, pairs):
@@ -293,16 +469,63 @@ class TestServedFrames:
         assert str(by_records.value) == str(by_batch.value)
         assert str(by_batch.value) == f"bad address integer: {bad!r}"
 
+    @pytest.mark.parametrize("bad", [True, 230.9, "231"])
+    def test_a_day_is_never_coerced(self, index, bad):
+        """A day is an ``int`` or ``None``, on every path: ``True`` is
+        not day 1, ``230.9`` not day 230, ``"231"`` not day 231."""
+        engine = QueryEngine(index)
+        asks = (
+            lambda: engine.query(5, bad),
+            lambda: engine.query_batch([(5, None), (5, bad)]),
+            lambda: engine.query_records(
+                engine.resolve_state(), [(5, None), (5, bad)], CODECS[V4]
+            ),
+        )
+        for ask in asks:
+            with pytest.raises(
+                ValueError, match=re.escape(f"bad day integer: {bad!r}")
+            ):
+                ask()
+
+
+def test_same_bytes(monkeypatch):
+    """EXPERIMENTS.md "Same bytes": 51,200 bench-corpus keys through
+    the server's records routine hash to the digest their reply bytes
+    have had since it was first taken, so any change to a reply byte
+    fails here."""
+    monkeypatch.syspath_prepend(str(SERVING))
+    import synth
+
+    tables = synth.generate(0)
+    server = ReputationServer(
+        QueryEngine(ReputationIndex(**synth.index_kwargs(tables)))
+    )
+    keys = synth.query_keys(tables, random.Random(0), 51_200)
+    sha = hashlib.sha256()
+
+    def digest(records):
+        for record in records:
+            sha.update(record)
+
+    try:
+        for at in range(0, len(keys), 128):
+            server._records(keys[at:at + 128], None, digest)
+    finally:
+        server.shutdown()
+    assert sha.hexdigest() == (
+        "8401e79d3807e5bc3542485e9c6b316eeb2180c8f9b3dda16ad2eaff9333de51"
+    )
+
 
 def test_evaluate_is_the_one_row(small_full_run):
-    """``Verdict`` and record are both views of :func:`evaluate`'s
-    row — the function the engine module documents as the single
-    evaluation routine."""
+    """``Verdict`` is a view of :func:`evaluate`'s row — the object
+    path the record loop is held to."""
     index = ReputationIndex.from_run(small_full_run)
     ip, spans = next(iter(index.interval_items()))
     day = spans[0][0]
     row = evaluate(index, ip, day)
-    assert row[:5] == index.facts(ip, day) and row[5] in ("greylist", "block")
+    assert row[0] == index.lists_active_on(ip, day)
+    assert row[5] in ("greylist", "block")
     assert QueryEngine(index).query(ip, day) == Verdict.from_row(
         V4, ip, day, *row
     )
