@@ -134,6 +134,16 @@ SEEDS: List[Seed] = [
            "map(sub, directory[lo:hi], repeat(start - 1))"),),
          ("tests/test_query_records.py", "tests/test_index_columns.py",
           "-k", "Directory or shard_slice")),
+    # The router partitions a batch in one bisect pass over the range
+    # starts: a range's first address is that range's, not the one's
+    # before it.
+    Seed("bug: batch partition sends a range's first address a shard low",
+         "cluster/router.py",
+         (("from bisect import bisect_right\n",
+           "from bisect import bisect_left, bisect_right\n"),
+          ("map(bisect_right, repeat(partition.splits)",
+           "map(bisect_left, repeat(partition.splits)")),
+         ("tests/test_cluster.py", "-k", "ScatterGather")),
 ]
 
 _FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)

@@ -120,6 +120,10 @@ class PartitionMap:
         # Parallel start-atom array: the bisect key for shard_of.
         host = self._family.atom_host_bits
         self._atom_starts = [r.lo >> host for r in ranges]
+        #: The first address of every shard but shard 0, ascending:
+        #: ``bisect_right(splits, ip)`` is the shard of an address
+        #: already known valid — the router's batch-wide partition.
+        self.splits = [r.lo for r in ranges[1:]]
 
     @property
     def family(self) -> AddressFamily:

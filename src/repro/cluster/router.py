@@ -10,7 +10,12 @@ negotiation for either — and fans requests out over the shard fleet:
   ``query`` op, which is a batch of one — are split by shard through
   the partition map, scattered to each owning shard's active backend
   (primary, else the first healthy replica), and the per-shard replies
-  merged back into request order;
+  merged back into request order. The split is one pass over the
+  batch: each pair's shard is a ``bisect_right`` of its (already
+  decoded, so valid) address into the partition's range starts, each
+  shard's sub-batch is its pairs in request order, and the gather
+  takes, for each position in turn, the next record of that
+  position's shard;
 * ``stats``/``hello`` ask every shard and merge, reporting the
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
   visible to the client; the ``router`` block is the router's own
@@ -27,7 +32,10 @@ pipelined :class:`~repro.service.aio.WireServer`, and each shard
 :class:`Backend` *is* a :class:`~repro.service.aio.Link` — one
 persistent pipelined upstream connection on the same reactor, sharing
 the inbound side's socket, buffer and framing code — no threads, no
-per-request connects. Upstream links speak the binary codec only, so
+per-request connects. Whatever one loop pass queues on a link leaves
+in that pass's one write (the reactor's write pass), so a pipelined
+window of batches reaches each shard as one write, and each shard
+answers it as one. Upstream links speak the binary codec only, so
 routing is plumbing: packed request records scatter out, packed reply
 records merge back by position, and the front door's
 :func:`~repro.service.server.assemble_reply` answers in the request's
@@ -48,7 +56,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from collections import deque
+from itertools import compress, repeat
+from operator import eq, itemgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..service.aio import PEER_EOF, Link
@@ -79,6 +90,9 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 
 #: Connect/IO timeout the router uses towards shard backends.
 DEFAULT_BACKEND_TIMEOUT = 5.0
+
+#: The address of an ``(ip, day)`` pair.
+_ip = itemgetter(0)
 
 
 class _Sub:
@@ -186,7 +200,7 @@ class Backend(Link):
         return True
 
     def _pump(self) -> None:
-        """Encode every waiting sub and send."""
+        """Encode every waiting sub for the write pass to send."""
         while self.waiting and self.sock is not None:
             sub = self.waiting.popleft()
             self.rid = (self.rid + 1) & 0xFFFFFFFF
@@ -200,10 +214,10 @@ class Backend(Link):
                 self._router._submit(sub, "unserialisable request")
                 continue
             self.pending.append(sub)
-        # If this write kills the link, on_close fails the pending
-        # subs over (re-entering Router._submit with their remaining
+        # If the write kills the link, on_close fails the pending subs
+        # over (re-entering Router._submit with their remaining
         # candidates) — either way every sub is handled.
-        self.flush()
+        self.mark()
 
     def _head(self, rid: int) -> _Sub:
         """The sub the next reply frame must answer. It stays queued
@@ -499,13 +513,6 @@ class Router(FrontDoor):
         """The live slot of ``shard_id`` (loop thread only)."""
         return self._slots[shard_id]
 
-    def health(self) -> List[List[bool]]:
-        """Per-shard, per-backend health flags (tests/observability)."""
-        return [
-            [backend.healthy for backend in shard_slot.backends]
-            for shard_slot in self._slots
-        ]
-
     def wait_healthy(self, timeout: float = 10.0) -> bool:
         """Block until a ping round finds every backend healthy
         (bootstrap/tests); rounds repeat 50 ms apart until then."""
@@ -610,57 +617,56 @@ class Router(FrontDoor):
             self._counters.add("batch")
             self._counters.add("batch_queries", len(pairs))
         partition, slots = self._partition, self._slots
-        total = len(pairs)
-        by_shard: Dict[int, List[int]] = {}
-        for position, (ip, _day) in enumerate(pairs):
-            by_shard.setdefault(
-                partition.shard_of(ip), []
-            ).append(position)
-
-        # Per-position record: packed bytes (degraded where its shard is
-        # down), or the dict of a day no record can carry.
-        entries: List[Any] = [None] * total
-        if not by_shard:
+        # Every pair's shard, in one pass over the decoded (so already
+        # bounded) addresses.
+        shard_ids = list(
+            map(bisect_right, repeat(partition.splits), map(_ip, pairs))
+        )
+        # Per shard, an iterator over its records: packed bytes (degraded
+        # where its shard is down), or the dict of a day no record can
+        # carry. The gather takes each position's next one from its
+        # shard's.
+        feeds: List[Any] = [None] * len(slots)
+        shards = set(shard_ids)
+        if not shards:
             # Empty batch: zero shard fan-outs means shard_done would
             # never fire, so answer directly (an empty result is what
             # a single-process server returns).
-            answer(entries)
+            answer([])
             return
-        remaining = [len(by_shard)]
+        remaining = [len(shards)]
 
         def shard_done(
-            shard_id: int, positions: List[int], status: str, value: Any
+            shard_id: int, shard_pairs: Pairs, status: str, value: Any
         ) -> None:
-            if status == "records" and len(value) == len(positions):
-                for position, record in zip(positions, value):
-                    entries[position] = record
-            elif (
-                status == "verdicts"
+            if (
+                status in ("records", "verdicts")
                 and isinstance(value, list)
-                and len(value) == len(positions)
+                and len(value) == len(shard_pairs)
             ):
-                for position, verdict in zip(positions, value):
-                    entries[position] = verdict
+                feeds[shard_id] = iter(value)
             else:
                 # Unavailable shard, error reply, or a malformed batch
                 # reply: degrade this shard's positions, keep the rest.
-                self._counters.add("degraded", len(positions))
-                for position in positions:
-                    entries[position] = self._degraded(
-                        *pairs[position], shard_id
-                    )
+                self._counters.add("degraded", len(shard_pairs))
+                feeds[shard_id] = iter([
+                    self._degraded(ip, day, shard_id)
+                    for ip, day in shard_pairs
+                ])
             remaining[0] -= 1
             if remaining[0] == 0:
-                answer(entries)
+                answer(list(map(next, map(feeds.__getitem__, shard_ids))))
 
-        for shard_id, positions in by_shard.items():
-            slots[shard_id].hits += len(positions)
-            shard_pairs = [pairs[position] for position in positions]
+        for shard_id in shards:
+            shard_pairs = pairs if len(shards) == 1 else list(
+                compress(pairs, map(eq, shard_ids, repeat(shard_id)))
+            )
+            slots[shard_id].hits += len(shard_pairs)
             self._submit(
                 _Sub(
                     "batch",
                     slots[shard_id].ordered_backends(),
-                    lambda status, value, s=shard_id, p=positions: (
+                    lambda status, value, s=shard_id, p=shard_pairs: (
                         shard_done(s, p, status, value)
                     ),
                     pairs=shard_pairs,

@@ -10,8 +10,9 @@ replies always come back in request order.
 Four layers:
 
 * :class:`Reactor` — the loop: readiness callbacks, monotonic timers,
-  and a ``call_soon`` queue fed from other threads through a
-  socketpair waker. Everything else runs *on* the loop thread.
+  a ``call_soon`` queue fed from other threads through a socketpair
+  waker, and the write pass that ends every turn of the loop.
+  Everything else runs *on* the loop thread.
 * :class:`Link` — one framed, pipelined TCP connection, either
   direction. It owns the socket, both buffers, the negotiated codec
   and the interest set, and is the only code that connects, reads,
@@ -102,6 +103,13 @@ class Reactor:
     only. Callback exceptions are swallowed so one buggy task cannot
     kill the serving plane — I/O callbacks are expected to do their
     own per-connection containment first.
+
+    Each pass of the loop runs the ready I/O callbacks, then the due
+    timers, then the ``call_soon`` queue, and ends in the *write
+    pass*: every link that queued output during the pass
+    (:meth:`Link.mark`) is flushed once. So whatever one pass queues
+    for a peer — a window of scatter subs, a window of replies — leaves
+    in one ``send``, wherever in the pass it was queued.
     """
 
     def __init__(self) -> None:
@@ -124,6 +132,8 @@ class Reactor:
         #: two page faults a read — which process pays is an accident
         #: of what it imported (EXPERIMENTS.md "A leaner heap").
         self.recv_buffer = memoryview(bytearray(_RECV_CHUNK))
+        #: Links with output queued this pass, in marking order.
+        self.marked: List["Link"] = []
 
     # -- cross-thread entry points -------------------------------------
 
@@ -216,7 +226,7 @@ class Reactor:
                     timeout = max(
                         0.0, self._timers[0][0] - time.monotonic()
                     )
-                if self._calls:
+                if self._calls or self.marked:
                     timeout = 0.0
                 for key, mask in self._selector.select(timeout):
                     key.data(mask)
@@ -227,9 +237,19 @@ class Reactor:
                         self._guarded(timer_cb)
                 while self._calls:
                     self._guarded(self._calls.popleft())
+                if self.marked:
+                    self._write_pass()
         finally:
             self._state = "stopped"
             self._stopped.set()
+
+    def _write_pass(self) -> None:
+        """Flush every marked link once. A flush may mark another
+        (a dead link's subs failing over): the walk takes it too."""
+        marked = self.marked
+        for link in marked:  # grows while it is walked
+            link.write_pass()
+        marked.clear()
 
     @staticmethod
     def _guarded(callback: Callable[[], None]) -> None:
@@ -293,15 +313,16 @@ class Link:
     turns readiness into hook calls — ``on_message`` for a JSON frame
     or a binary ``FT_MSG`` frame, ``on_packed`` for any other binary
     frame type, ``on_garbled`` for a frame that broke the protocol —
-    and drains ``outbuf`` (append, then :meth:`flush`) as the socket
-    takes it. Every way out goes through :meth:`close`, which tears
-    the socket down, resets the link to idle (a subclass may
-    :meth:`connect` again) and calls ``on_close(cause)`` exactly once.
-    Loop-thread owned throughout.
+    and drains ``outbuf`` as the socket takes it: output appended
+    there is followed by :meth:`mark`, and the reactor's write pass
+    sends it once the pass is over. Every way out goes through
+    :meth:`close`, which tears the socket down, resets the link to
+    idle (a subclass may :meth:`connect` again) and calls
+    ``on_close(cause)`` exactly once. Loop-thread owned throughout.
     """
 
     __slots__ = ("reactor", "max_frame", "sock", "codec", "inbuf",
-                 "outbuf", "events", "connecting", "in_parse",
+                 "outbuf", "events", "connecting", "marked",
                  "last_activity")
 
     def __init__(self, max_frame: int = MAX_FRAME_BYTES) -> None:
@@ -315,15 +336,15 @@ class Link:
         #: The interest set registered with the reactor (0 = none).
         self.events = 0
         self.connecting = False
-        #: True while frames are being delivered; a flush follows, so
-        #: hooks queueing output need not flush themselves.
-        self.in_parse = False
+        #: True while the link waits in its reactor's write pass.
+        self.marked = False
         self.last_activity = time.monotonic()
 
     # -- hooks ---------------------------------------------------------
 
     def on_connected(self) -> None:
-        """An outbound connect resolved; a flush follows."""
+        """An outbound connect resolved; what this queues leaves in
+        the pass's write pass."""
 
     def on_message(self, request_id: int, message: Any) -> None:
         """One decoded message (``request_id`` is 0 on JSON framing)."""
@@ -395,7 +416,7 @@ class Link:
             return
         self.connecting = False
         self.on_connected()
-        self.flush()
+        self.mark()
 
     def close(self, cause: str) -> None:
         """The single way out; a no-op on an already idle link."""
@@ -464,12 +485,8 @@ class Link:
             return False
         self.last_activity = time.monotonic()
         self.inbuf += buffer[:size]
-        self.in_parse = True
-        try:
-            self._parse()
-        finally:
-            self.in_parse = False
-        self.flush()
+        self._parse()
+        self.mark()
         return True
 
     def _parse(self) -> None:
@@ -513,10 +530,28 @@ class Link:
                 if not exc.recoverable:
                     return
 
+    def mark(self) -> None:
+        """Have this pass's write pass flush the link: how a hook
+        that queued output sends it, once however often it queued."""
+        if not self.marked:
+            self.marked = True
+            self.reactor.marked.append(self)
+
+    def write_pass(self) -> None:
+        """The write pass's flush: a failure closes this link, with
+        its cause, and no other."""
+        self.marked = False
+        try:
+            self.flush()
+        # Containment, as in _on_event.
+        except Exception as exc:
+            self.close(f"internal error: {exc}")
+
     def flush(self) -> None:
         """Write what the socket will take of ``outbuf``, then wait
-        for whatever :meth:`interest` says comes next."""
-        if self.sock is None:
+        for whatever :meth:`interest` says comes next. A link still
+        connecting waits for its connect: the flush after it follows."""
+        if self.sock is None or self.connecting:
             return
         out = self.outbuf
         if out:
@@ -696,20 +731,20 @@ class Conn(Link):
                 and not (self.closing or self.paused)
                 and self._read()
             ):
-                pass
+                self.flush()  # updates ``paused`` before the next read
         except Exception as exc:
             self.close(f"internal error: {exc}")
         self.on_eof()  # as if the peer had hung up behind them
 
     def slot_done(self) -> None:
-        """A slot completed: release every reply at the queue head."""
+        """A slot completed: release every reply at the queue head,
+        for the write pass to send."""
         slots = self.slots
         out = self.outbuf
         while slots and slots[0].done:
             out += slots[0].encoded
             slots.popleft()
-        if not self.in_parse:
-            self.flush()
+        self.mark()
 
     def interest(self) -> int:
         out = self.outbuf

@@ -488,12 +488,14 @@ class ReputationIndex:
 
     @classmethod
     def load(cls, path: "Path | str") -> "ReputationIndex":
-        """Map a snapshot; :class:`SnapshotError`, with the reason, on
-        anything that is not a readable snapshot of this version.
+        """Map a sealed in-memory copy of a snapshot;
+        :class:`SnapshotError`, with the reason, on anything that is not
+        a readable snapshot of this version.
 
-        The file is checked (header, length, CRC-32, section bounds)
-        and then only viewed: no address is visited and no content is
-        ever executed.
+        The copy is checked (header, length, CRC-32, section bounds)
+        and then only viewed: no address is visited, no content is ever
+        executed, and the file may change afterwards without reaching
+        the index.
         """
         snapshot = read_snapshot(path)
         return cls._assemble(

@@ -3,10 +3,10 @@
 :func:`write_snapshot` lays a :class:`~repro.service.columns.Columns`
 out as it sits in memory — little-endian, every section on an 8-byte
 boundary — behind a versioned header, a section table and a CRC-32.
-:func:`read_snapshot` maps such a file, checks header, length,
-checksum and section bounds, and hands back typed views of the
-mapping: no parse, no per-address work, and no byte of the file is
-ever executed. Everything that is wrong with a file is a
+:func:`read_snapshot` copies such a file into sealed memory, checks
+header, length, checksum and section bounds, and hands back typed views
+of the mapped copy: no parse, no per-address work, and no byte of the
+file is ever executed. Everything that is wrong with a file is a
 :class:`SnapshotError` that says what.
 
 DESIGN.md §9 has the layout table, the versioning rule and the reasons
@@ -15,6 +15,7 @@ DESIGN.md §9 has the layout table, the versioning rule and the reasons
 
 from __future__ import annotations
 
+import fcntl
 import json
 import mmap
 import os
@@ -198,16 +199,25 @@ def write_snapshot(
 
 
 def read_snapshot(path: "Path | str") -> Snapshot:
-    """Map the snapshot at ``path``; :class:`SnapshotError`, with the
-    reason, on anything that is not a readable snapshot of this
-    version."""
+    """Map a sealed copy of the snapshot at ``path``;
+    :class:`SnapshotError`, with the reason, on anything that is not a
+    readable snapshot of this version.
+
+    The copy, not the file, is what the views read: a file truncated
+    or rewritten in place under a mapping takes its pages with it, and
+    the next read of one is a ``SIGBUS`` that kills the reader."""
     _check_host()
     try:
         with open(path, "rb") as handle:
-            head = handle.read(_HEADER.size)
             size = os.fstat(handle.fileno()).st_size
-            family, crc = _check_header(path, head, size)
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+            sealed = _sealed_copy(handle.fileno(), size)
+        try:
+            family, crc = _check_header(
+                path, os.pread(sealed, _HEADER.size, 0), size
+            )
+            mapped = mmap.mmap(sealed, size, access=mmap.ACCESS_READ)
+        finally:
+            os.close(sealed)  # the mapping holds its own reference
     except FileNotFoundError:
         raise SnapshotError(f"snapshot not found: {path}") from None
     except (OSError, ValueError) as exc:
@@ -215,8 +225,6 @@ def read_snapshot(path: "Path | str") -> Snapshot:
     # The views handed out below keep the mapping alive; it is never
     # closed by hand, only collected with the last index that reads it.
     buffer = memoryview(mapped)
-    if len(buffer) != size:
-        raise SnapshotError(f"{path} changed size while being read")
     if _crc_of(buffer) != crc:
         raise SnapshotError(
             f"checksum mismatch in {path}: the file is corrupt"
@@ -234,6 +242,33 @@ def read_snapshot(path: "Path | str") -> Snapshot:
     columns = Columns(**fields)
     _check_shape(path, columns, counts)
     return Snapshot(family, columns, windows, categories, counts)
+
+
+def _sealed_copy(source: int, size: int) -> int:
+    """A memfd holding the first ``size`` bytes of file ``source``,
+    sealed: from here on nothing — this process, a ``cp`` over the
+    file, a restore from backup — can shrink, grow or write it. Forked
+    workers share its pages as they would the file's."""
+    sealed = os.memfd_create(
+        "repro-snapshot", os.MFD_ALLOW_SEALING | os.MFD_CLOEXEC
+    )
+    try:
+        copied = 0
+        while copied < size:
+            sent = os.sendfile(sealed, source, copied, size - copied)
+            if not sent:
+                raise OSError("the file shrank while being copied")
+            copied += sent
+        fcntl.fcntl(
+            sealed,
+            fcntl.F_ADD_SEALS,
+            fcntl.F_SEAL_SHRINK | fcntl.F_SEAL_GROW | fcntl.F_SEAL_WRITE
+            | fcntl.F_SEAL_SEAL,
+        )
+    except BaseException:
+        os.close(sealed)
+        raise
+    return sealed
 
 
 def _check_header(

@@ -243,6 +243,98 @@ class TestWrites:
             close_on_loop(reactor, link)
 
 
+class TestWritePass:
+    """Output a hook queues leaves in the write pass that ends the
+    loop's pass — once per link, wherever in the pass it was queued.
+    No timer is armed here and nothing else is sent, so a write left
+    for a later pass would wait for a wake-up that never comes."""
+
+    @staticmethod
+    def _queue(link, frame):
+        def queue():
+            link.outbuf += frame
+            link.mark()
+
+        return queue
+
+    def test_a_timers_output_leaves_in_its_pass(self, reactor):
+        ours, theirs = socket.socketpair()
+        link = attached(reactor, ours)
+        with theirs:
+            theirs.settimeout(5.0)
+            reactor.run_sync(
+                lambda: reactor.call_later(0.0, self._queue(link, PING))
+            )
+            assert theirs.recv(64) == PING
+            close_on_loop(reactor, link)
+
+    def test_a_callbacks_output_leaves_in_its_pass(self, reactor):
+        ours, theirs = socket.socketpair()
+        link = attached(reactor, ours)
+        with theirs:
+            theirs.settimeout(5.0)
+            reactor.run_sync(self._queue(link, PING))
+            assert theirs.recv(64) == PING
+            close_on_loop(reactor, link)
+
+    def test_marks_in_one_pass_make_one_send(self, reactor):
+        ours, theirs = socket.socketpair()
+        link = attached(reactor, ours)
+        sends = []
+        flush = link.flush
+
+        def counted():
+            sends.append(len(link.outbuf))
+            flush()
+
+        link.flush = counted
+
+        def three():
+            for _ in range(3):
+                self._queue(link, PING)()
+
+        with theirs:
+            theirs.settimeout(5.0)
+            reactor.run_sync(three)
+            got = b""
+            while len(got) < 3 * len(PING):
+                got += theirs.recv(64)
+            assert got == PING * 3
+            assert sends == [3 * len(PING)]
+            close_on_loop(reactor, link)
+
+    def test_a_failing_flush_closes_only_that_link(self, reactor):
+        class FailingFlush(Recorder):
+            def flush(self):
+                raise RuntimeError("flush boom")
+
+        bad_ours, bad_theirs = socket.socketpair()
+        good_ours, good_theirs = socket.socketpair()
+        bad = FailingFlush()
+        reactor.run_sync(lambda: bad.attach(reactor, bad_ours))
+        good = attached(reactor, good_ours)
+        with bad_theirs, good_theirs:
+            good_theirs.settimeout(5.0)
+
+            def both():
+                self._queue(bad, PING)()
+                self._queue(good, PING)()
+
+            reactor.run_sync(both)
+            assert bad.closed.wait(5.0)
+            assert bad.causes == ["internal error: flush boom"]
+            assert bad.sock is None
+            assert good_theirs.recv(64) == PING
+            # The loop lives on and keeps serving the other link.
+            good_theirs.sendall(PING)
+            settle(reactor)
+            assert good.frames == [("msg", 0, {"op": "ping"})]
+            reactor.run_sync(self._queue(good, PING))
+            assert good_theirs.recv(64) == PING
+            assert good.causes == []
+            close_on_loop(reactor, good)
+
+
 class TestClose:
     def test_rst_mid_frame_closes_once_with_a_cause(self, reactor):
         ours, theirs = tcp_pair()

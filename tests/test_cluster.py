@@ -11,12 +11,17 @@ explicit ``SHARD_UNAVAILABLE`` degradation during the outage window.
 import gc
 import multiprocessing
 import os
+import queue
+import random
 import signal
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.net.family import V4, V6
@@ -32,6 +37,8 @@ from repro.cluster import (
     filter_batch,
 )
 from repro.cluster import shard as shard_module
+from repro.cluster.router import Backend
+from repro.service.aio import Link
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
@@ -206,6 +213,14 @@ class TestRestrict:
 
 def _wire_verdicts(engine, ips, day=None):
     return {ip: engine.query(ip, day).to_wire() for ip in ips}
+
+
+def _health(address):
+    """Each backend's ``healthy``, shard by shard, as the router's
+    ``stats`` rows report it to an operator."""
+    with ReputationClient(*address, timeout=10.0) as client:
+        shards = client.stats()["shards"]
+    return [[row["healthy"] for row in shard["backends"]] for shard in shards]
 
 
 class TestRouterStatic:
@@ -700,16 +715,16 @@ class TestFailover:
 
                 # A beat finds the dead primary through its own link.
                 while time.monotonic() < stopped_at[0] + 2 * beat:
-                    if not router.health()[0][0]:
+                    if not _health(router.address)[0][0]:
                         break
                     time.sleep(0.01)
-                assert router.health()[0] == [False, True]
+                assert _health(router.address)[0] == [False, True]
                 assert client.query_batch(batch) == expected
                 assert client.stats()["router"]["failovers"] >= 1
 
                 cluster.restart_primary(0)
                 assert router.wait_healthy(10.0)
-                assert router.health()[0] == [True, True]
+                assert _health(router.address)[0] == [True, True]
                 assert client.query_batch(batch) == expected
 
 
@@ -819,7 +834,7 @@ class TestKillUnderLoad:
                     assert cluster.partition.shard_of(ip) == victim
                     degraded += 1
             if replicas:
-                assert router.health()[victim][1]
+                assert _health(router.address)[victim][1]
             else:
                 assert degraded > 0
 
@@ -869,6 +884,272 @@ class TestDegraded:
                     client.query(listed_ips[0])
                     == single.query(listed_ips[0]).to_wire()
                 )
+
+
+def _edge_index():
+    """A v4 index listing the first and last address of every shard
+    range of ``PartitionMap(1)`` … ``PartitionMap(4)``, and addresses
+    beside them: a pair routed to a neighbouring shard gets another
+    answer, since no other shard holds its listing."""
+    rng = random.Random(31)
+    edges = {
+        address
+        for shards in range(1, 5)
+        for shard_range in PartitionMap(shards).ranges
+        for address in (shard_range.lo, shard_range.hi)
+    }
+    listed = sorted(edges | {rng.randrange(MAX_IPV4 + 1) for _ in range(40)})
+    return ReputationIndex(
+        windows=[(0, 40)],
+        intervals={
+            ip: [(rng.randrange(0, 20), rng.randrange(20, 40),
+                  f"list-{rng.randrange(4)}")]
+            for ip in listed
+        },
+        nated=set(listed[::4]),
+        users={ip: 2 + position for position, ip in enumerate(listed[::4])},
+        dynamic_prefixes=[V4.atom_prefix(ip) for ip in listed[1::5]],
+        categories={"list-0": "spam", "list-1": "scanner"},
+        asn_by_ip={
+            ip: 64500 + position % 7 for position, ip in enumerate(listed)
+        },
+    )
+
+
+_EDGE_INDEX = _edge_index()
+_EDGE_IPS = sorted(ip for ip, _ in _EDGE_INDEX.interval_items())
+_DAYS = st.one_of(st.none(), st.integers(0, 45))
+
+
+def _dead_address():
+    """A loopback port nobody listens on."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        return listener.getsockname()[:2]
+
+
+class TestScatterGatherProperty:
+    """A routed batch is the single-process engine's answer, record for
+    record and in request order, for ``PartitionMap(n)``, n = 1…4;
+    with one shard's backend down, ``SHARD_UNAVAILABLE`` stands at
+    exactly that shard's positions and nowhere else."""
+
+    @pytest.fixture(scope="class")
+    def fleets(self):
+        dead = _dead_address()
+        servers, routers, clients = [], {}, {}
+        try:
+            for shards in range(1, 5):
+                partition = PartitionMap(shards)
+                addresses = []
+                for shard_range in partition.ranges:
+                    server = ReputationServer(QueryEngine(
+                        _EDGE_INDEX.restrict(shard_range.lo, shard_range.hi)
+                    ))
+                    server.start()
+                    servers.append(server)
+                    addresses.append(server.address)
+                for down in (None, *range(shards)):
+                    router = Router(partition, [
+                        [dead if shard == down else address]
+                        for shard, address in enumerate(addresses)
+                    ])
+                    router.start()
+                    routers[shards, down] = router
+                    clients[shards, down] = ReputationClient(
+                        *router.address, timeout=10.0
+                    )
+            yield clients
+        finally:
+            for client in clients.values():
+                client.close()
+            for router in routers.values():
+                router.shutdown()
+            for server in servers:
+                server.shutdown()
+
+    @staticmethod
+    def _check(clients, shards, down, queries):
+        single = QueryEngine(_EDGE_INDEX)
+        partition = PartitionMap(shards)
+        expected = [
+            {"ip": int_to_ip(ip), "day": day, "error": SHARD_UNAVAILABLE,
+             "shard": down}
+            if partition.shard_of(ip) == down
+            else single.query(ip, day).to_wire()
+            for ip, day in queries
+        ]
+        assert clients[shards, down].query_batch(queries) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(shards=st.integers(1, 4), data=st.data())
+    def test_random_keys_with_duplicates(self, fleets, shards, data):
+        keys = st.one_of(
+            st.sampled_from(_EDGE_IPS), st.integers(0, MAX_IPV4)
+        )
+        queries = data.draw(st.lists(st.tuples(keys, _DAYS), max_size=48))
+        queries += data.draw(st.permutations(queries))[: len(queries) // 2]
+        down = data.draw(st.sampled_from([None, *range(shards)]))
+        self._check(fleets, shards, down, queries)
+
+    @settings(max_examples=30, deadline=None)
+    @given(shards=st.integers(1, 4), data=st.data())
+    def test_all_keys_in_one_shard(self, fleets, shards, data):
+        shard_range = data.draw(st.sampled_from(PartitionMap(shards).ranges))
+        inside = [ip for ip in _EDGE_IPS if shard_range.contains(ip)]
+        keys = st.one_of(
+            st.sampled_from(inside),
+            st.integers(shard_range.lo, shard_range.hi),
+        )
+        queries = data.draw(
+            st.lists(st.tuples(keys, _DAYS), min_size=1, max_size=32)
+        )
+        down = data.draw(st.sampled_from([None, *range(shards)]))
+        self._check(fleets, shards, down, queries)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
+    def test_the_ends_of_every_shard_range(self, fleets, shards):
+        ends = [
+            (address, None)
+            for shard_range in PartitionMap(shards).ranges
+            for address in (shard_range.lo, shard_range.hi)
+        ]
+        for down in (None, *range(shards)):
+            self._check(fleets, shards, down, ends)
+            self._check(fleets, shards, down, ends[::-1])
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_the_empty_batch(self, fleets, shards):
+        for down in (None, *range(shards)):
+            self._check(fleets, shards, down, [])
+
+
+class _PongPeer(_ScriptedPeer):
+    """Grants the binary codec and answers every request ``pong``,
+    handing each one to the test as it arrives."""
+
+    def __init__(self) -> None:
+        self.requests = queue.Queue()
+        super().__init__()
+
+    def answer(self, request):
+        self.requests.put(request)
+        return "pong"
+
+
+class TestWritePass:
+    """The router writes once per link per loop pass."""
+
+    WINDOW = 16
+
+    def test_a_window_reaches_each_shard_in_one_write(
+        self, full_index, monkeypatch
+    ):
+        """A pipelined window of 16 batches over three shards: each
+        backend link takes it in at most two writes (sixteen while each
+        sub was flushed on its own), and each shard answers it so."""
+        writes = Counter()
+        flush = Link.flush
+
+        def counted(link):
+            queued = len(link.outbuf)
+            flush(link)
+            if len(link.outbuf) < queued:
+                writes[link] += 1
+
+        monkeypatch.setattr(Link, "flush", counted)
+        partition = PartitionMap(3)
+        codec = CODECS[V4]
+        rng = random.Random(16)
+        batches = [
+            [(rng.randrange(MAX_IPV4 + 1), None) for _ in range(128)]
+            for _ in range(self.WINDOW + 1)
+        ]
+        single = QueryEngine(full_index)
+        shards = [
+            ReputationServer(QueryEngine(full_index.restrict(r.lo, r.hi)))
+            for r in partition.ranges
+        ]
+        for shard in shards:
+            shard.start()
+        router = Router(partition, [[shard.address] for shard in shards])
+        router.start()
+        try:
+            with _binary_socket(router.address) as sock:
+                # Warm: every link connected and past its hello.
+                sock.sendall(codec.encode_batch_request(batches[0], 1))
+                assert recv_binary_frame(sock)[1] == 1
+                writes.clear()
+                sock.sendall(b"".join(
+                    codec.encode_batch_request(batch, rid)
+                    for rid, batch in enumerate(batches[1:], 2)
+                ))
+                for rid, batch in enumerate(batches[1:], 2):
+                    ftype, got, payload = recv_binary_frame(sock)
+                    assert (ftype, got) == (codec.ft_reply, rid)
+                    assert codec.decode_batch_reply(payload) == [
+                        single.query(ip).to_wire() for ip, _ in batch
+                    ]
+            upstream = [n for link, n in writes.items()
+                        if isinstance(link, Backend)]
+            answers = [n for link, n in writes.items()
+                       if getattr(link, "server", None) in shards]
+            downstream = [n for link, n in writes.items()
+                          if getattr(link, "server", None) is router]
+            # EXPERIMENTS.md quotes this line (pytest -s shows it).
+            print(f"writes per {self.WINDOW}-batch window: router to "
+                  f"each shard {upstream}, each shard back {answers}, "
+                  f"router to client {downstream}")
+            assert len(upstream) == len(answers) == 3
+            assert max(upstream) <= 2, upstream
+            assert max(answers) <= 2, answers
+        finally:
+            router.shutdown()
+            for shard in shards:
+                shard.shutdown()
+
+    def test_subs_from_a_timer_or_a_callback_leave_in_their_pass(self):
+        """With no timer armed and nothing else in flight, a ping from
+        a heartbeat beat (a timer) and one asked through ``run_sync``
+        each reach a quiet backend: only their own pass could write
+        them."""
+        peer = _PongPeer()
+        router = Router(
+            PartitionMap(1), [[tuple(peer.address)]], heartbeat_interval=60.0
+        )
+        reactor = router.reactor
+        # The bare loop: no deadline sweep, no idle sweep, no beat.
+        loop = threading.Thread(target=reactor.run, daemon=True)
+        loop.start()
+        try:
+            (backend,) = router.shard_slot(0).backends
+
+            def ping():
+                router.ask_each([[backend]], {"op": "ping"}, lambda _: None)
+
+            reactor.run_sync(ping)  # connect and hello: I/O carries it
+            assert peer.requests.get(timeout=5.0) == {"op": "ping"}
+            assert _wait_quiet(backend)
+            reactor.run_sync(lambda: reactor.call_later(0.0, router._beat))
+            assert peer.requests.get(timeout=5.0) == {"op": "ping"}
+            assert _wait_quiet(backend)
+            reactor.run_sync(ping)
+            assert peer.requests.get(timeout=5.0) == {"op": "ping"}
+        finally:
+            router.shutdown()
+            loop.join(timeout=5.0)
+            reactor.close()
+            peer.close()
+
+
+def _wait_quiet(backend, timeout=5.0):
+    """The backend's pong came back: nothing is in flight on it (read
+    off the loop: a bare read, which must not wake it)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if not (backend.pending or backend.waiting):
+            return True
+        time.sleep(0.005)
+    return False
 
 
 class _MisbehavingBackend:
@@ -1117,7 +1398,7 @@ class TestBackendMisbehavior:
                 assert time.monotonic() - started < 0.8  # timeout: 1.0
                 watched = time.monotonic() + 4 * beat
                 while time.monotonic() < watched:
-                    assert router.health() == [[False, True]]
+                    assert _health(router.address) == [[False, True]]
                     time.sleep(beat / 4)
                 stats = client.stats()
             assert stats["router"]["failovers"] >= 1
@@ -1208,7 +1489,7 @@ class TestBackendMisbehavior:
                 # the fake keeps accepting and answering fresh pings.
                 watched = time.monotonic() + 4 * beat
                 while time.monotonic() < watched:
-                    assert router.health() == [[False, True]]
+                    assert _health(router.address) == [[False, True]]
                     time.sleep(beat / 4)
                 started = time.monotonic()
                 assert client.query(listed_ips[0]) == (
@@ -1228,11 +1509,11 @@ class TestBackendMisbehavior:
                     time.monotonic() + timeout + timeout / 4 + 2 * beat
                 )
                 while (
-                    router.health() != [[True, True]]
+                    _health(router.address) != [[True, True]]
                     and time.monotonic() < rejoin_by
                 ):
                     time.sleep(0.01)
-                assert router.health() == [[True, True]]
+                assert _health(router.address) == [[True, True]]
         finally:
             router.shutdown()
             fake.close()
