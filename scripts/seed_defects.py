@@ -6,7 +6,8 @@ catches it: the evidence a lint rule is kept or deleted on.
     scripts/seed_defects.py -k lock          # seeds whose name has "lock"
     git archive <commit> | tar -x -C /tmp/p && scripts/seed_defects.py --tree /tmp/p
 
-``src/`` and ``tests/`` of ``--tree`` are copied to a temporary
+``src/``, ``tests/``, ``scripts/`` and ``benchmarks/serving/`` (the
+bench corpus some tests read) of ``--tree`` are copied to a temporary
 directory once. Per seed, its text substitutions are applied to the
 copy (a seed whose text is not in that tree is reported ``n/a``), the
 *copy's own* ``python -m repro.cli lint`` and the seed's tier-1 tests
@@ -133,7 +134,14 @@ SEEDS: List[Seed] = [
          (("map(sub, directory[lo:hi], repeat(start))",
            "map(sub, directory[lo:hi], repeat(start - 1))"),),
          ("tests/test_query_records.py", "tests/test_index_columns.py",
-          "-k", "Directory or shard_slice")),
+          "-k", "Directory or shard_slice or ByteIdentity")),
+    # The record loop is the one evaluation: a policy slip there must
+    # show in the adversary lab's scores.
+    Seed("bug: a DDoS list no longer blocks a reused address",
+         "service/index.py",
+         (("                key |= 12 if hard else 4\n",
+           "                key |= 4\n"),),
+         ("tests/test_adversary.py", "-k", "golden")),
     # The router partitions a batch in one bisect pass over the range
     # starts: a range's first address is that range's, not the one's
     # before it.
@@ -206,7 +214,9 @@ def main() -> int:
     print("|---|---|---|")
     with tempfile.TemporaryDirectory(prefix="seeded-") as tmp:
         copy = Path(tmp)
-        for part in ("src", "tests", "scripts"):
+        for part in ("src", "tests", "scripts", "benchmarks/serving"):
+            if not (args.tree / part).is_dir():
+                continue
             shutil.copytree(
                 args.tree / part, copy / part,
                 ignore=shutil.ignore_patterns("__pycache__"),

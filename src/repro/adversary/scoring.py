@@ -5,10 +5,10 @@ A scenario's events run through the *production* observation path —
 151-list catalog — and the resulting listings are compiled into a real
 :class:`~repro.service.index.ReputationIndex` whose reuse facts (NAT
 gateways, dynamic pools) come from the scenario ledger. Scoring then
-queries a :class:`~repro.service.engine.QueryEngine` verdict for every
-ip-day the ledger knows about and confronts the verdicts with the
-answer key, in the style of Deri & Fusco's "Evaluating IP Blacklists
-Effectiveness":
+asks a :class:`~repro.service.engine.QueryEngine` for the verdicts of
+every ip-day the ledger knows about, in one batch through the served
+record loop, and confronts the verdicts with the answer key, in the
+style of Deri & Fusco's "Evaluating IP Blacklists Effectiveness":
 
 * **detection rate** — truly-malicious ip-days some list covered;
 * **false-positive rate** — innocent-only ip-days a list covered
@@ -169,10 +169,10 @@ def score_with_engine(
     demands identical output."""
     ledger = scenario.ledger
     malicious = ledger.malicious_ip_days
-    verdicts: Dict[IpDay, Verdict] = {
-        (ip, day): engine.query(ip, day)
-        for ip, day in ledger.eval_points()
-    }
+    points = ledger.eval_points()
+    verdicts: Dict[IpDay, Verdict] = dict(
+        zip(points, engine.query_batch(points))
+    )
     benign = ledger.benign_ip_days()
 
     # -- per-blocklist detection vs false positives --------------------

@@ -77,11 +77,8 @@ def render_greylist(entries: Sequence[GreylistEntry]) -> str:
 def recommend_action(
     analysis: ReuseAnalysis, ip: int, *, blocklist_category: str
 ) -> str:
-    """:func:`action_for` with the reuse verdict looked up.
-
-    Only ``analysis.is_reused`` is consulted, so any object honouring
-    that contract works — a compiled
-    :class:`~repro.service.index.ReputationIndex` too. The online
-    service, which already holds the verdict, calls :func:`action_for`
-    itself: one policy for the batch and serving paths."""
+    """:func:`action_for` with the reuse verdict looked up in
+    ``analysis``. The online service's record loop calls
+    :func:`action_for` itself, per list category: one policy for the
+    batch and serving paths."""
     return action_for(analysis.is_reused(ip), blocklist_category)

@@ -11,10 +11,11 @@ it?". This package turns the study's batch artefact
   binary snapshot format so a server starts without re-running the
   pipeline;
 * :mod:`repro.service.engine` — :class:`QueryEngine`, the query layer:
-  one evaluation routine answering as :class:`Verdict` objects
-  (point/batch) or as packed wire records (the binary batch path),
-  with per-query-type counters (no cache: the server's packed-record
-  cache is the stack's one verdict cache);
+  the index's record loop is its one evaluation, answering as packed
+  wire records (every served answer) or as those records decoded into
+  :class:`Verdict` objects (point/batch, for library callers); it keeps
+  no state (the server's packed-record cache is the stack's one
+  verdict cache, and the server counts what reaches the engine);
 * :mod:`repro.service.wire` — the length-prefixed JSON framing both
   ends speak;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the

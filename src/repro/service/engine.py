@@ -1,4 +1,4 @@
-"""The query engine: one evaluation routine, two shapes of answer.
+"""The query engine: one evaluation, two shapes of answer.
 
 One :class:`QueryEngine` wraps one immutable
 :class:`~repro.service.index.ReputationIndex` and answers the
@@ -12,18 +12,17 @@ paper): an unlisted address is ``ignore``; a listed reused address is
 precision there), in which case ``block``; a listed non-reused address
 is always ``block``.
 
-Two paths answer, in two shapes:
-
-* packed reply records (:meth:`QueryEngine.query_records`), every
-  answer the server sends: the index's record loop
-  (:meth:`~repro.service.index.ReputationIndex.records`) goes from
-  key search to record bytes, with no row or ``Verdict`` in between;
-* a :class:`Verdict` (:meth:`QueryEngine.query`,
-  :meth:`QueryEngine.query_batch`) for library callers such as the
-  adversary lab, and on the wire only for a day outside i32, built
-  from :func:`evaluate`'s plain row ``(lists, nated, dynamic, users,
-  asn, action)``. This path is the reference: a record equals
-  ``pack_verdict`` of the verdict, byte for byte.
+The index's record loop
+(:meth:`~repro.service.index.ReputationIndex.records`) is the one
+evaluation: it goes from key search to packed record bytes. The two
+shapes are its records as they stand (:meth:`QueryEngine.
+query_records`, every answer the server sends) and the same records
+decoded into :class:`Verdict` objects (:meth:`QueryEngine.verdicts`,
+behind :meth:`QueryEngine.query` and :meth:`QueryEngine.query_batch`)
+for library callers such as the adversary lab, and on the wire only
+for a day outside i32. Such a day has no record, and no listing can
+hold it (every interval day is an i32), so its verdict is the
+address's record on the default day, unlisted, with the asked day.
 
 The engine also accepts a streaming
 :class:`~repro.stream.epoch.EpochIndex`. Every call resolves the
@@ -44,16 +43,15 @@ counts what reaches the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..core.policy import BlockAction, action_for
+from ..core.policy import BlockAction
 from ..net.family import V4, AddressFamily
 from ..stream.epoch import EpochIndex
-from .index import ReputationIndex, reuse_kind_of
-from .wire import BinaryCodec
+from .index import ReputationIndex
+from .wire import CODECS, RECORD_DAYS, BinaryCodec
 
-__all__ = ["ACTION_IGNORE", "QueryEngine", "Verdict", "evaluate"]
+__all__ = ["ACTION_IGNORE", "QueryEngine", "Verdict"]
 
 #: Action for traffic from an address not listed on the queried day.
 ACTION_IGNORE = BlockAction.IGNORE
@@ -83,34 +81,6 @@ class Verdict:
     #: so v4 verdict equality is exactly what it was pre-families.
     family: AddressFamily = field(default=V4, compare=False, repr=False)
 
-    @classmethod
-    def from_row(
-        cls,
-        family: AddressFamily,
-        ip: int,
-        day: int,
-        lists: Tuple[str, ...],
-        nated: bool,
-        dynamic: bool,
-        users: int,
-        asn: int,
-        action: str,
-        epoch: int = 0,
-        seq: int = 0,
-    ) -> "Verdict":
-        """The verdict an :func:`evaluate` row stands for — the one
-        place ``listed``, ``unjust`` and ``reuse_kind`` are derived
-        for the object form (:data:`~repro.service.wire.VERDICT_BITS`
-        holds the same bits for the packed form)."""
-        listed = bool(lists)
-        # Positional, in field order: binding fourteen keywords costs a
-        # point query 0.3 µs.
-        return cls(
-            ip, day, listed, lists, nated, dynamic,
-            listed and (nated or dynamic), reuse_kind_of(nated, dynamic),
-            users, asn, action, epoch, seq, family,
-        )
-
     def to_wire(self) -> Dict[str, Any]:
         """JSON-ready dict (canonical-text address, list as array).
 
@@ -134,36 +104,9 @@ class Verdict:
         }
 
 
-#: What :func:`evaluate` returns:
-#: ``(lists, nated, dynamic, users, asn, action)``.
-Row = Tuple[Tuple[str, ...], bool, bool, int, int, str]
-
 #: One consistent ``(index, epoch, seq)`` snapshot of an engine's
 #: source (:meth:`QueryEngine.resolve_state`).
 State = Tuple[ReputationIndex, int, int]
-
-
-def evaluate(index: ReputationIndex, ip: int, day: int) -> Row:
-    """The service's answer for ``(ip, day)`` against ``index``, as a
-    plain row: each fact read through its own index accessor, plus
-    the Section 6 action."""
-    lists = index.lists_active_on(ip, day)
-    nated, dynamic = index.is_nated(ip), index.is_dynamic(ip)
-    users, asn = index.users_behind(ip), index.asn_of(ip)
-    if not lists:
-        return lists, nated, dynamic, users, asn, ACTION_IGNORE
-    # The per-list Section 6 policy, aggregated: one carrying list
-    # that warrants a hard block makes the verdict block.
-    reused = nated or dynamic
-    action = BlockAction.GREYLIST
-    for list_id in lists:
-        if (
-            action_for(reused, index.category_of(list_id))
-            == BlockAction.BLOCK
-        ):
-            action = BlockAction.BLOCK
-            break
-    return lists, nated, dynamic, users, asn, action
 
 
 class QueryEngine:
@@ -185,7 +128,7 @@ class QueryEngine:
         self._family = (
             index.current.index.family if self._streaming else index.family
         )
-        self._verdict = partial(Verdict.from_row, self._family)
+        self._codec = CODECS[self._family]
 
     @property
     def family(self) -> AddressFamily:
@@ -219,7 +162,7 @@ class QueryEngine:
     def query(self, ip: int, day: Optional[int] = None) -> Verdict:
         """Point query; ``day`` defaults to the index's notion of now
         (last day of the last collection window)."""
-        (verdict,) = self._verdicts(((ip, day),))
+        (verdict,) = self.verdicts(self.resolve_state(), ((ip, day),))
         return verdict
 
     def query_batch(
@@ -227,7 +170,7 @@ class QueryEngine:
     ) -> List[Verdict]:
         """Batch query: one verdict per ``(ip, day)`` pair, in order,
         all against the snapshot current when the call began."""
-        return self._verdicts(queries)
+        return self.verdicts(self.resolve_state(), queries)
 
     def query_records(
         self,
@@ -243,26 +186,42 @@ class QueryEngine:
         index, epoch, seq = state
         return index.records(pairs, epoch, seq, codec)
 
-    def _verdicts(
-        self, pairs: Iterable[Tuple[int, Optional[int]]]
+    def verdicts(
+        self, state: State, pairs: Iterable[Tuple[int, Optional[int]]]
     ) -> List[Verdict]:
-        """The object path: each pair validated as the record loop does,
-        its :class:`Verdict` built from :func:`evaluate`'s row."""
-        index, epoch, seq = self.resolve_state()
-        top = self._family.max_int
-        default_day = index.default_day()
-        verdict = self._verdict
+        """Queries answered as :class:`Verdict` objects, one per ``(ip,
+        day)`` pair, in order, all against ``state``: the record loop's
+        records, decoded. A day outside i32 is asked as the default
+        day, and its verdict is that record's, unlisted, with the asked
+        day."""
+        index, epoch, seq = state
+        pairs = list(pairs)
+        # A wide day is asked as the default day (``None``).
+        asked = [
+            (ip, None)
+            if type(day) is int and day not in RECORD_DAYS
+            else (ip, day)
+            for ip, day in pairs
+        ]
+        decode = self._codec.decode_record
+        family = self._family
         verdicts: List[Verdict] = []
-        for ip, day in pairs:
-            if type(ip) is not int or not 0 <= ip <= top:
-                raise ValueError(f"bad address integer: {ip!r}")
-            if day is None:
-                day = default_day
-            elif type(day) is not int:
-                raise ValueError(f"bad day integer: {day!r}")
-            verdicts.append(
-                verdict(ip, day, *evaluate(index, ip, day), epoch, seq)
-            )
+        for (ip, day), record in zip(
+            pairs, index.records(asked, epoch, seq, self._codec)
+        ):
+            fields = decode(record).to_wire()
+            if day is None or day == fields["day"]:
+                day, lists = fields["day"], fields["lists"]
+                listed, unjust = fields["listed"], fields["unjust"]
+                action = fields["action"]
+            else:  # outside i32: the default day's record, unlisted
+                listed, lists, unjust, action = False, (), False, ACTION_IGNORE
+            verdicts.append(Verdict(
+                ip, day, listed, tuple(lists), fields["nated"],
+                fields["dynamic"], unjust, fields["reuse_kind"],
+                fields["users"], fields["asn"], action, fields["epoch"],
+                fields["seq"], family,
+            ))
         return verdicts
 
     def stats(self) -> Dict[str, Any]:

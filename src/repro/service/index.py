@@ -14,10 +14,11 @@ views into a memory-mapped snapshot; :mod:`repro.service.columns`):
   them sorted by start day, against a sorted list-id table;
 * dynamic prefixes as disjoint address ranges searched by one bisect.
 
-The index also implements ``is_reused`` with the same meaning as
-:class:`~repro.core.reuse.ReuseAnalysis`, so
-:func:`repro.core.greylist.recommend_action` accepts either object —
-the online service and the batch pipeline share one policy.
+The record loop is the index's one evaluation: it applies the batch
+pipeline's Section 6 policy (:func:`repro.core.policy.action_for`, per
+list category) from the columns, and every verdict the service gives,
+as record bytes or as a decoded :class:`~repro.service.engine.Verdict`,
+comes out of it.
 
 :meth:`ReputationIndex.save` writes the columns behind a versioned,
 checksummed header and :meth:`ReputationIndex.load` maps that file and
@@ -72,7 +73,6 @@ __all__ = [
     "ReputationIndex",
     "SnapshotError",
     "policy_category",
-    "reuse_kind_of",
 ]
 
 
@@ -80,13 +80,6 @@ __all__ = [
 #: folded into fresh columns: a successor copies its parent's overlay,
 #: so this bounds that copy to a quarter of a compile.
 _FOLD_DIVISOR = 4
-
-
-def reuse_kind_of(nated: bool, dynamic: bool) -> str:
-    """``"nat"``, ``"dynamic"``, ``"nat+dynamic"`` or ``""``."""
-    if nated:
-        return "nat+dynamic" if dynamic else "nat"
-    return "dynamic" if dynamic else ""
 
 
 class ReputationIndex:
@@ -239,9 +232,10 @@ class ReputationIndex:
         one loop, from key search to record bytes, with no fact tuple
         or verdict object in between. ``day=None`` is
         :meth:`default_day`; an address outside the family, or a day
-        that is not an ``int``, is a :class:`ValueError`. Each record
-        equals ``codec.pack_verdict`` of the verdict
-        :func:`~repro.service.engine.evaluate` gives for the pair."""
+        that is not an ``int``, is a :class:`ValueError`; a day must
+        be in :data:`~repro.service.wire.RECORD_DAYS`. The tests hold
+        each record to ``codec.pack_verdict`` of a brute-force
+        reference's verdict."""
         columns, keys = self._columns, self._columns.keys
         low, directory, find = keys.low, keys.directory, keys.find
         offsets, first, last = columns.offsets, columns.first, columns.last
@@ -315,6 +309,9 @@ class ReputationIndex:
             )
         return records
 
+    # Kept only for the frozen ``index.lookup_us`` probes in
+    # benchmarks/serving/probes.py; it goes when a benchmark PR
+    # retargets them at the record loop.
     def lists_active_on(self, ip: int, day: int) -> Tuple[str, ...]:
         """Lists carrying ``ip`` on ``day``, list-id ordered."""
         spans = self._overlay.get(ip) if self._overlay else None
@@ -423,49 +420,19 @@ class ReputationIndex:
             overlay, counts,
         )
 
-    def is_nated(self, ip: int) -> bool:
-        """Crawler-confirmed concurrent NAT sharing."""
-        columns = self._columns
-        row = columns.keys.find(ip)
-        return row >= 0 and columns.flags[row] & NATED != 0
-
+    # Kept only for the frozen ``trie.contains_us`` probe in
+    # benchmarks/serving/probes.py; it goes when a benchmark PR
+    # retargets it at the record loop.
     def is_dynamic(self, ip: int) -> bool:
         """Inside a detected dynamically-reassigned prefix."""
         firsts, lasts = self._dynamic
         at = bisect_right(firsts, ip) - 1
         return at >= 0 and ip <= lasts[at]
 
-    def is_reused(self, ip: int) -> bool:
-        """Either reuse form — same contract as
-        :meth:`ReuseAnalysis.is_reused`, so the greylist policy helper
-        accepts an index wherever it accepts an analysis."""
-        return self.is_nated(ip) or self.is_dynamic(ip)
-
-    def reuse_kind(self, ip: int) -> str:
-        """``"nat"``, ``"dynamic"``, ``"nat+dynamic"`` or ``""``."""
-        return reuse_kind_of(self.is_nated(ip), self.is_dynamic(ip))
-
-    def users_behind(self, ip: int) -> int:
-        """Detected user lower bound (0 when not NATed)."""
-        columns = self._columns
-        row = columns.keys.find(ip)
-        return columns.users[row] if row >= 0 else 0
-
-    def asn_of(self, ip: int) -> int:
-        """Origin ASN recorded for a blocklisted ``ip`` (0 otherwise)."""
-        columns = self._columns
-        row = columns.keys.find(ip)
-        if row < 0 or columns.asns[row] == NO_ASN:
-            return 0
-        return columns.asns[row]
-
-    def category_of(self, list_id: str) -> str:
-        """Policy category of a list (``reputation`` when unknown)."""
-        return self._categories.get(list_id, AbuseCategory.REPUTATION)
-
     def _blocks_reused(self, list_id: str) -> bool:
         """Whether ``list_id`` warrants blocking even a reused address."""
-        return action_for(True, self.category_of(list_id)) == BlockAction.BLOCK
+        category = self._categories.get(list_id, AbuseCategory.REPUTATION)
+        return action_for(True, category) == BlockAction.BLOCK
 
     # -- stats ---------------------------------------------------------
 

@@ -56,7 +56,7 @@ record of a reply reports the same ``(epoch, seq)`` whatever a hot
 swap does meanwhile, and nothing is ever cached under an epoch it was
 not computed against. :func:`assemble_reply` (the router's too) puts
 the records in the request's framing. The one answer no record can
-carry, a day outside i32, is built as a JSON-shaped verdict, uncached.
+carry, a day outside i32, is the engine's JSON-shaped verdict, uncached.
 It is the only verdict cache in the serving stack
 (the engine behind it keeps no state); only the loop thread
 touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records
@@ -89,9 +89,9 @@ from ..stream.delta import DeltaBatch
 from ..stream.epoch import Epoch, EpochIndex
 from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
-from .engine import QueryEngine, Verdict, evaluate
+from .engine import QueryEngine
 from .index import ReputationIndex
-from .wire import CODECS, BinaryCodec, WireError, point_error
+from .wire import CODECS, RECORD_DAYS, BinaryCodec, WireError, point_error
 
 __all__ = [
     "Counters",
@@ -125,9 +125,6 @@ DEFAULT_CONNECTION_TIMEOUT = 30.0
 
 #: Packed-verdict cache capacity (records, not bytes).
 PACKED_CACHE_SIZE = 1 << 15
-
-#: The days a packed record can carry: its ``day`` field is an i32.
-_RECORD_DAYS = range(-(1 << 31), 1 << 31)
 
 #: How often a following node polls its update log.
 _FOLLOW_POLL_S = 0.05
@@ -376,8 +373,7 @@ class ReputationServer(FrontDoor):
         streaming: bool = False,
     ) -> None:
         self._engine = engine
-        self._family = engine.family
-        self._codec = CODECS[self._family]
+        self._codec = CODECS[engine.family]
         self._streaming = streaming
         # Packed reply records keyed (epoch, ip, resolved day); the
         # loop thread is the only toucher of both tables.
@@ -411,11 +407,12 @@ class ReputationServer(FrontDoor):
         cache is probed under one snapshot's ``(epoch, ip, resolved
         day)``, and the engine is handed only the misses — and that
         snapshot. A day outside the packed layout (only a JSON op can
-        ask one) has no record: its JSON-shaped verdict is built here,
-        and never cached."""
+        ask one) has no record: its JSON-shaped verdict is the
+        engine's :meth:`~repro.service.engine.QueryEngine.verdicts`,
+        never cached."""
         engine = self._engine
         state = engine.resolve_state()
-        index, epoch, seq = state
+        index, epoch, _seq = state
         default_day = index.default_day()
         cache = self._packed
         cache_get = cache.get
@@ -429,11 +426,9 @@ class ReputationServer(FrontDoor):
             key = (epoch, ip, default_day if day is None else day)
             record = cache_get(key)
             if record is None:
-                if json_op and key[2] not in _RECORD_DAYS:
-                    record = Verdict.from_row(
-                        self._family, ip, key[2],
-                        *evaluate(index, ip, key[2]), epoch, seq,
-                    ).to_wire()
+                if json_op and key[2] not in RECORD_DAYS:
+                    (verdict,) = engine.verdicts(state, ((ip, key[2]),))
+                    record = verdict.to_wire()
                     wide += 1
                 else:
                     miss_positions.append(len(records))

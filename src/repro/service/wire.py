@@ -49,16 +49,16 @@ UTF-8 — and slices it into :class:`RecordView` mappings that read the
 payload in place, so a consumer that only asks ``"error" in verdict``
 or for one field pays for that much (``RecordView.to_wire()`` is the
 plain dict). A verdict record is a head (:attr:`BinaryCodec.pack_head`)
-and one :func:`list_chunk` per list id. Two packers build it:
-:meth:`BinaryCodec.pack_verdict` from any object carrying a verdict's
-attributes (library callers, test fakes), and the index's record loop
-(:meth:`~repro.service.index.ReputationIndex.records`, the server's
-path — no verdict object in between) from its columns, taking the
-flag and action codes from :data:`VERDICT_BITS`; for a
-:class:`~repro.service.engine.Verdict` of the same query the bytes are
-identical. The frame type is the family tag — a peer that never sends a family's request type
-never sees its reply type back, and the ipv4 bytes are what they were
-before families existed:
+and one :func:`list_chunk` per list id. The index's record loop
+(:meth:`~repro.service.index.ReputationIndex.records`) builds every
+served record from its columns, taking the flag and action codes from
+:data:`VERDICT_BITS`; :meth:`BinaryCodec.pack_verdict` packs any object
+carrying a verdict's attributes as its fields say (library callers,
+test fakes, the tests' brute-force reference). A record's ``day`` is
+an i32 (:data:`RECORD_DAYS`). The frame type is the family tag — a
+peer that never sends a family's request type never sees its reply
+type back, and the ipv4 bytes are what they were before families
+existed:
 
 ====== ====================== ======================
 family request frame type     reply frame type
@@ -118,6 +118,7 @@ __all__ = [
     "FT_MSG",
     "MAX_FRAME_BYTES",
     "MAX_LIST_ID_BYTES",
+    "RECORD_DAYS",
     "REQUEST_CODECS",
     "RecordView",
     "VERDICT_BITS",
@@ -480,10 +481,13 @@ def _verdict_bits(key: int) -> Tuple[int, int]:
 #: A verdict record's ``(flags, action code)`` by the key ``nated |
 #: dynamic << 1 | listed << 2 | blocks << 3`` (its low two bits are the
 #: reuse code; ``blocks``: a carrying list blocks even a reused
-#: address). The Section 6 policy as :func:`repro.service.engine.
-#: evaluate` aggregates it: listed is ``block`` unless reused and no
-#: list ``blocks`` (``greylist``); unlisted is ``ignore``.
+#: address). The Section 6 policy aggregated over the carrying lists,
+#: as the index's record loop applies it: listed is ``block`` unless
+#: reused and no list ``blocks`` (``greylist``); unlisted is ``ignore``.
 VERDICT_BITS = tuple(map(_verdict_bits, range(16)))
+
+#: The days a verdict record can carry: its ``day`` field is an i32.
+RECORD_DAYS = range(-(1 << 31), 1 << 31)
 
 
 def list_chunk(list_id: str) -> bytes:

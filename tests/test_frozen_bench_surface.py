@@ -2,9 +2,10 @@
 second.
 
 ``benchmarks/serving/`` may not change between benchmark PRs, so every
-name it imports from ``repro`` and every keyword it passes the four
-serving constructors is a contract ``src/`` has to keep (some of them
-shims kept for nothing else). A PR that breaks one otherwise finds out
+name it imports from ``repro``, every keyword it passes the four
+serving constructors and every method it calls on an index or an
+engine is a contract ``src/`` has to keep (some of them shims kept for
+nothing else). A PR that breaks one otherwise finds out
 in ``check.sh`` step 3 (~55 s) or as a probe reading ``-1``; this reads
 the benchmark's source instead of running it — except for what the
 driver and oracle *do* to a verdict, which no signature shows: the last
@@ -31,6 +32,23 @@ CONSTRUCTORS = {
     cls.__name__: inspect.signature(cls)
     for cls in (LocalCluster, QueryEngine, ReputationServer, ReputationClient)
 }
+
+#: Every method the benchmark calls on a ``ReputationIndex`` (or its
+#: class) or a ``QueryEngine``. ``lists_active_on`` and ``is_dynamic``
+#: are shims kept only for its probes.
+METHODS = {
+    ReputationIndex: (
+        "lists_active_on", "is_dynamic", "intervals_of", "interval_items",
+        "with_interval_updates", "restrict", "save", "default_day", "load",
+        "from_run",
+    ),
+    QueryEngine: ("query", "query_batch"),
+}
+
+#: Names of theirs the benchmark spells on other objects only: a
+#: client's ``stats()``, the corpus tables' ``windows``, a probe
+#: context's ``index``.
+ELSEWHERE = {"stats", "windows", "index"}
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +114,29 @@ def test_constructor_calls_bind_to_the_live_signatures(trees):
         ("ReputationClient", "codec"),
     } <= bound
     assert not broken
+
+
+def test_every_method_called_on_an_index_or_engine_exists(trees):
+    spelled = {
+        node.attr
+        for _name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    pinned = {name for names in METHODS.values() for name in names}
+    missing = [
+        f"{cls.__name__}.{name}"
+        for cls, names in METHODS.items()
+        for name in names
+        if not callable(getattr(cls, name, None))
+    ]
+    assert not missing
+    # The pin list is what the benchmark spells, and all of it.
+    assert pinned <= spelled
+    public = {
+        name for cls in METHODS for name in dir(cls) if not name.startswith("_")
+    }
+    assert spelled & public <= pinned | ELSEWHERE
 
 
 def test_binary_verdicts_take_what_the_benchmark_does(

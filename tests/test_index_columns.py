@@ -1,8 +1,8 @@
 """The flat-column index against a brute-force reference model.
 
-:class:`Reference` below keeps the tables the way they arrive — a dict
-of span lists, a set, a list of prefixes — and answers by scanning
-them. Every test builds both from the same tables and demands
+:class:`~tests.reference.Reference` keeps the tables the way they
+arrive — a dict of span lists, a set, a list of prefixes — and answers
+by scanning them. Every test builds both from the same tables and demands
 field-for-field equal verdicts (and equal interval tables and size
 counters) after each operation the serving stack performs: compile,
 ``save`` → ``load``, ``restrict`` at shard edges, chains of
@@ -28,132 +28,10 @@ from repro.service.snapshot import SnapshotError, write_snapshot
 from repro.service.wire import CODECS, MAX_LIST_ID_BYTES
 from repro.stream.delta import truncate_spans
 from repro.stream.epoch import index_as_of
+from tests.reference import Reference, run_model
 
 LISTS = ("alpha", "bravo-ddos", "charlie", "delta", "echo")
 CATEGORIES = {"alpha": "spam", "bravo-ddos": "ddos", "charlie": "malware"}
-
-
-class Reference:
-    """What the index must say, computed the slow obvious way."""
-
-    def __init__(
-        self, *, windows, intervals, nated, users, dynamic_prefixes,
-        categories, asn_by_ip, family=V4,
-    ):
-        self.windows = [tuple(w) for w in windows]
-        self.intervals = {
-            ip: sorted(tuple(s) for s in spans)
-            for ip, spans in intervals.items()
-            if spans
-        }
-        self.nated = set(nated)
-        self.users = dict(users)
-        self.dynamic_prefixes = list(dynamic_prefixes)
-        self.categories = dict(categories)
-        self.asn_by_ip = dict(asn_by_ip)
-        self.family = family
-        #: A slice's AS count: the whole run's, as ``restrict`` keeps it.
-        self.run_ases = None
-
-    def tables(self):
-        return dict(
-            windows=self.windows, intervals=self.intervals,
-            nated=self.nated, users=self.users,
-            dynamic_prefixes=self.dynamic_prefixes,
-            categories=self.categories, asn_by_ip=self.asn_by_ip,
-            family=self.family,
-        )
-
-    def compile(self):
-        return ReputationIndex(**self.tables())
-
-    def known_ips(self):
-        return (
-            set(self.intervals) | self.nated | set(self.users)
-            | set(self.asn_by_ip)
-        )
-
-    def is_dynamic(self, ip):
-        return any(
-            p.first() <= ip <= p.last() for p in self.dynamic_prefixes
-        )
-
-    def verdict(self, ip, day):
-        lists = tuple(
-            sorted(
-                list_id
-                for first, last, list_id in self.intervals.get(ip, ())
-                if first <= day <= last
-            )
-        )
-        nated, dynamic = ip in self.nated, self.is_dynamic(ip)
-        if not lists:
-            action = "ignore"
-        elif not (nated or dynamic) or any(
-            self.categories.get(list_id) == "ddos" for list_id in lists
-        ):
-            action = "block"
-        else:
-            action = "greylist"
-        return {
-            "ip": ip,
-            "day": day,
-            "listed": bool(lists),
-            "lists": lists,
-            "nated": nated,
-            "dynamic": dynamic,
-            "unjust": bool(lists) and (nated or dynamic),
-            "reuse_kind": "+".join(
-                kind for kind, on in (("nat", nated), ("dynamic", dynamic))
-                if on
-            ),
-            "users": self.users.get(ip, 0),
-            "asn": self.asn_by_ip.get(ip, 0),
-            "action": action,
-            "epoch": 0,
-            "seq": 0,
-        }
-
-    def updated(self, updates):
-        """The model after ``with_interval_updates(updates)``."""
-        tables = self.tables()
-        intervals = dict(self.intervals)
-        for ip, spans in updates.items():
-            intervals[ip] = list(spans)
-        tables["intervals"] = intervals
-        return Reference(**tables)
-
-    def restricted(self, lo, hi):
-        tables = self.tables()
-        for name in ("intervals", "users", "asn_by_ip"):
-            tables[name] = {
-                ip: value for ip, value in tables[name].items()
-                if lo <= ip <= hi
-            }
-        tables["nated"] = {ip for ip in self.nated if lo <= ip <= hi}
-        tables["dynamic_prefixes"] = [
-            p for p in self.dynamic_prefixes
-            if p.first() <= hi and p.last() >= lo
-        ]
-        piece = Reference(**tables)
-        piece.run_ases = self.stats()["ases"]
-        return piece
-
-    def stats(self):
-        """The counters of :meth:`ReputationIndex.stats`, recounted.
-        (Dynamic prefixes are counted as given: the tests that compare
-        this row pass no nested ones.)"""
-        return {
-            "ips": len(self.intervals),
-            "intervals": sum(len(s) for s in self.intervals.values()),
-            "nated_ips": len(self.nated),
-            "dynamic_prefixes": len(self.dynamic_prefixes),
-            "lists": len(self.categories),
-            "ases": (
-                len(set(self.asn_by_ip.values()))
-                if self.run_ases is None else self.run_ases
-            ),
-        }
 
 
 def probe_ips(model, lo=None, hi=None):
@@ -194,10 +72,7 @@ def assert_equal_everywhere(index, model, lo=None, hi=None, stats=True):
             assert index.lists_active_on(ip, day) == got["lists"]
         spans = tuple(model.intervals.get(ip, ()))
         assert index.intervals_of(ip) == spans
-        assert index.is_nated(ip) == (ip in model.nated)
         assert index.is_dynamic(ip) == model.is_dynamic(ip)
-        assert index.users_behind(ip) == model.users.get(ip, 0)
-        assert index.asn_of(ip) == model.asn_by_ip.get(ip, 0)
     assert dict(index.interval_items()) == {
         ip: tuple(spans) for ip, spans in model.intervals.items()
     }
@@ -213,29 +88,7 @@ def assert_equal_everywhere(index, model, lo=None, hi=None, stats=True):
 
 @pytest.fixture(scope="module")
 def golden(small_full_run):
-    analysis = small_full_run.analysis
-    intervals = {}
-    for listing in analysis.observed:
-        intervals.setdefault(listing.ip, []).append(
-            (listing.first_day, listing.last_day, listing.list_id)
-        )
-    model = Reference(
-        windows=analysis.windows,
-        intervals=intervals,
-        nated=analysis.nated_ips,
-        users={
-            ip: analysis.nat.users_behind(ip) for ip in analysis.nated_ips
-        },
-        dynamic_prefixes=analysis.dynamic_prefixes,
-        categories={
-            info.list_id: index_module.policy_category(info)
-            for info in small_full_run.scenario.catalog
-        },
-        asn_by_ip={
-            ip: analysis.asn_of(ip) for ip in analysis.blocklisted_ips
-        },
-    )
-    return model, ReputationIndex.from_run(small_full_run)
+    return run_model(small_full_run), ReputationIndex.from_run(small_full_run)
 
 
 class TestGoldenRun:
@@ -459,8 +312,8 @@ class TestOverlayAndFold:
         assert not dropped._overlay  # every row touched: folded
         assert dropped.stats()["ips"] == 0
         assert dropped.stats()["intervals"] == 0
-        assert dropped.is_nated(nated_listed[0])
-        assert dropped.users_behind(nated_listed[0]) >= 2
+        verdict = QueryEngine(dropped).query(nated_listed[0])
+        assert verdict.nated and verdict.users >= 2 and not verdict.listed
         assert_equal_everywhere(dropped, model.updated(updates))
 
     def test_restrict_keeps_the_overlay_in_range(self, family):

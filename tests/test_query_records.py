@@ -2,13 +2,14 @@
 
 ``QueryEngine.query_records`` hands its pairs to the index's record
 loop (``ReputationIndex.records``), which searches the key column
-through its bucket directory and packs each record from the columns.
-The object path (``query`` → ``evaluate`` → ``Verdict`` →
-``pack_verdict``) is the reference it must match byte for byte, on
-every kind of index the serving stack builds; the rest pins that the
-object stays off the path, that the path is counted like the one it
-replaced, that the directory searches like a plain bisect, and the
-reply bytes of the bench corpus.
+through its bucket directory and packs each record from the columns;
+``QueryEngine.query`` decodes the same records. The brute-force
+``tests.reference.Reference``, packed by ``pack_verdict``, is what
+both must match byte for byte, on every kind of index the serving
+stack builds; the rest pins that the object stays off the served path,
+that the path is counted like the one it replaced, that the directory
+searches like a plain bisect, that a day outside i32 is answered alike
+everywhere, and the reply bytes of the bench corpus.
 """
 
 import dataclasses
@@ -27,12 +28,13 @@ from repro.cluster import LocalCluster, PartitionMap
 from repro.net.family import V4, V6
 from repro.service.client import ReputationClient
 from repro.service.columns import BUCKET_SHIFT, KeyColumn
-from repro.service.engine import QueryEngine, Verdict, evaluate
+from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
 from repro.service import server as server_module
 from repro.service.server import ReputationServer
 from repro.service.wire import CODECS
 from repro.v6serve import HitlistV6Model
+from tests.reference import Reference, packed, run_model, scenario_model
 from tests.test_packed_cache import _ask
 from tests.test_service_binary import _binary_socket
 
@@ -40,15 +42,20 @@ FAMILIES = (V4, V6)
 SERVING = Path(__file__).resolve().parents[1] / "benchmarks" / "serving"
 
 
-def _assert_records_equal_verdicts(index, pairs):
-    """The record path's bytes against the object path's, pair by
-    pair, both on one engine."""
+def _assert_records_equal_reference(index, model, pairs):
+    """The record path's bytes, and ``query``'s verdicts packed, against
+    the reference model's, pair by pair."""
     engine = QueryEngine(index)
     codec = CODECS[index.family]
     records = engine.query_records(engine.resolve_state(), pairs, codec)
-    assert len(records) == len(pairs)
-    for (ip, day), record in zip(pairs, records):
-        assert record == codec.pack_verdict(engine.query(ip, day)), (ip, day)
+    verdicts = engine.query_batch(pairs)
+    assert len(records) == len(verdicts) == len(pairs)
+    wrong = [
+        (ip, day)
+        for (ip, day), record, verdict in zip(pairs, records, verdicts)
+        if not record == codec.pack_verdict(verdict) == packed(model, ip, day)
+    ]
+    assert not wrong, f"{len(wrong)} of {len(pairs)} pairs, first {wrong[:3]}"
 
 
 def _pairs_over(index, max_days=None):
@@ -74,62 +81,106 @@ def _pairs_over(index, max_days=None):
     return pairs
 
 
+@pytest.fixture(scope="module")
+def golden(small_full_run):
+    """The ``small`` run's reference model and compiled index."""
+    return run_model(small_full_run), ReputationIndex.from_run(small_full_run)
+
+
+def _corpus_pairs(index):
+    """Each listed address on the first day of its first listing, the
+    day after its last, and the default day; every fourth one's
+    unlisted neighbours."""
+    pairs = []
+    top = index.family.max_int
+    for at, (ip, spans) in enumerate(index.interval_items()):
+        pairs += [(ip, spans[0][0]), (ip, spans[-1][1] + 1), (ip, None)]
+        if at % 4 == 0:
+            pairs += [
+                (near, None) for near in (ip - 1, ip + 1) if 0 <= near <= top
+            ]
+    return pairs
+
+
 class TestByteIdentity:
-    """(ip, day) by (ip, day): ``query_records`` ==
-    ``pack_verdict(query(ip, day))``."""
+    """(ip, day) by (ip, day): ``query_records`` == ``pack_verdict`` of
+    ``query(ip, day)`` == ``pack_verdict`` of the reference's verdict."""
 
     @pytest.fixture(scope="class")
-    def index(self, small_full_run):
-        return ReputationIndex.from_run(small_full_run)
+    def pairs(self, golden):
+        return _pairs_over(golden[1])
 
-    @pytest.fixture(scope="class")
-    def pairs(self, index):
-        return _pairs_over(index)
-
-    def test_compiled_index(self, index, pairs):
+    def test_compiled_index(self, golden, pairs):
+        model, index = golden
         assert any(day is None for _ip, day in pairs)
-        _assert_records_equal_verdicts(index, pairs)
+        _assert_records_equal_reference(index, model, pairs)
 
-    def test_loaded_snapshot(self, index, pairs, tmp_path):
+    def test_loaded_snapshot(self, golden, pairs, tmp_path):
+        model, index = golden
         loaded = ReputationIndex.load(index.save(tmp_path / "small.idx"))
-        _assert_records_equal_verdicts(loaded, pairs)
+        _assert_records_equal_reference(loaded, model, pairs)
 
-    def test_successor_with_a_live_overlay(self, index, pairs):
+    def test_successor_with_a_live_overlay(self, golden, pairs):
+        model, index = golden
         listed = sorted(ip for ip, _spans in index.interval_items())
         dropped, relisted, fresh = listed[0], listed[1], listed[-1] + 2
         day = index.default_day()
-        successor = index.with_interval_updates(
-            {
-                dropped: [],
-                # A list id the category table has never heard of.
-                relisted: [(day - 3, day, "list-from-nowhere")],
-                fresh: [
-                    (day - 1, day, "list-from-nowhere"),
-                    *index.intervals_of(relisted)[:1],
-                ],
-            }
-        )
+        updates = {
+            dropped: [],
+            # A list id the category table has never heard of.
+            relisted: [(day - 3, day, "list-from-nowhere")],
+            fresh: [
+                (day - 1, day, "list-from-nowhere"),
+                *index.intervals_of(relisted)[:1],
+            ],
+        }
+        successor = index.with_interval_updates(updates)
         assert set(successor._overlay) == {dropped, relisted, fresh}
         assert not QueryEngine(successor).query(dropped).listed
         assert QueryEngine(successor).query(relisted).lists == (
             "list-from-nowhere",
         )
-        _assert_records_equal_verdicts(
-            successor, pairs + [(fresh, day), (fresh, None), (fresh, day - 9)]
+        _assert_records_equal_reference(
+            successor,
+            model.updated(updates),
+            pairs + [(fresh, day), (fresh, None), (fresh, day - 9)],
         )
 
-    def test_restricted_shard_slices(self, index, pairs):
+    def test_restricted_shard_slices(self, golden, pairs):
+        model, index = golden
         for shard in PartitionMap(3).ranges:
-            part = index.restrict(shard.lo, shard.hi)
-            _assert_records_equal_verdicts(
-                part,
+            _assert_records_equal_reference(
+                index.restrict(shard.lo, shard.hi),
+                model.restricted(shard.lo, shard.hi),
                 [pair for pair in pairs if shard.lo <= pair[0] <= shard.hi],
             )
 
     def test_v6_index(self):
-        index = scenario_index(HitlistV6Model().build(5))
+        scenario = HitlistV6Model().build(5)
+        index = scenario_index(scenario)
         assert index.family is V6
-        _assert_records_equal_verdicts(index, _pairs_over(index, 40))
+        _assert_records_equal_reference(
+            index, scenario_model(scenario), _pairs_over(index, 40)
+        )
+
+    def test_bench_corpus_and_its_shard_slices(self, monkeypatch):
+        """The ``small`` run's keys share one bucket of shard 0's key
+        directory; the bench corpus spreads over all of them, so a
+        slice's rebased directory is searched for real."""
+        monkeypatch.syspath_prepend(str(SERVING))
+        import synth
+
+        tables = synth.index_kwargs(synth.generate(0, divisor=400))
+        model, index = Reference(**tables), ReputationIndex(**tables)
+        pairs = _corpus_pairs(index)
+        _assert_records_equal_reference(index, model, pairs)
+        for shards in (2, 3, 4):
+            for shard in PartitionMap(shards).ranges:
+                _assert_records_equal_reference(
+                    index.restrict(shard.lo, shard.hi),
+                    model.restricted(shard.lo, shard.hi),
+                    [pair for pair in pairs if shard.lo <= pair[0] <= shard.hi],
+                )
 
 
 _I32_MAX = (1 << 31) - 1
@@ -172,14 +223,14 @@ class TestPackRecordProperty:
     def test_record_is_the_verdicts_record(
         self, keyed, day, row, epoch, seq
     ):
-        """The record loop against the object path over generated
+        """The record loop against the reference over generated
         one-address indexes, for the address and for its unlisted
-        neighbour: the same bytes, which decode back to the verdict's
-        wire form."""
+        neighbour: the same bytes, which ``query`` decodes into the
+        verdict they pack from."""
         family, ip = keyed
         lists, nated, dynamic, users, asn = row
         off_day = day + 1 if day < _I32_MAX else day - 1
-        index = ReputationIndex(
+        tables = dict(
             windows=[(day, day)],
             intervals={
                 ip: [
@@ -196,12 +247,14 @@ class TestPackRecordProperty:
             asn_by_ip={ip: asn},
             family=family,
         )
+        index, model = ReputationIndex(**tables), Reference(**tables)
         codec = CODECS[family]
         engine = QueryEngine(index)
         pairs = [(ip, day), (ip ^ 1, None)]
         for (at, when), record in zip(
             pairs, index.records(pairs, epoch, seq, codec)
         ):
+            assert record == packed(model, at, when, epoch, seq)
             verdict = dataclasses.replace(
                 engine.query(at, when), epoch=epoch, seq=seq
             )
@@ -231,9 +284,10 @@ def _assert_directory_searches(keys):
         ), ip
 
 
-def _tiny_index(addresses):
-    """A v4 index whose rows are ``addresses``, each listed on day 1."""
-    return ReputationIndex(
+def _tiny_tables(addresses):
+    """The tables of a v4 index whose rows are ``addresses``, each
+    listed on day 1."""
+    return dict(
         windows=[(0, 1)],
         intervals={ip: [(1, 1, "alpha")] for ip in addresses},
         nated=set(),
@@ -250,7 +304,7 @@ class TestKeyDirectory:
     fold, and searched exactly like the column itself."""
 
     @pytest.fixture(scope="class")
-    def index(self):
+    def tables(self):
         """Keys over the whole space, most buckets holding a few, plus
         the edges of every seventh bucket. (The ``small`` run's keys
         all share one bucket.)"""
@@ -260,24 +314,28 @@ class TestKeyDirectory:
             for bucket in range(0, 4097, 7) for step in (-1, 0)
         }
         keys = set(rng.sample(range(1 << 32), 6000)) | edges
-        return _tiny_index(sorted(keys - {-1, 1 << 32}))
+        return _tiny_tables(sorted(keys - {-1, 1 << 32}))
 
-    def test_compiled_loaded_and_folded(self, index, tmp_path):
+    @pytest.fixture(scope="class")
+    def index(self, tables):
+        return ReputationIndex(**tables)
+
+    def test_compiled_loaded_and_folded(self, tables, index, tmp_path):
         listed = sorted(ip for ip, _spans in index.interval_items())
-        folded = index.with_interval_updates(
-            {ip: [] for ip in listed[::2]}
-        )
+        dropped = {ip: [] for ip in listed[::2]}
+        folded = index.with_interval_updates(dropped)
         assert folded._overlay == {}  # past a quarter of the rows
         loaded = ReputationIndex.load(index.save(tmp_path / "d.idx"))
         for built in (index, loaded, folded):
             _assert_directory_searches(built._columns.keys)
-        _assert_records_equal_verdicts(
+        _assert_records_equal_reference(
             folded,
+            Reference(**tables).updated(dropped),
             [(ip + step, None) for ip in listed[::3] for step in (-1, 0, 1)
              if 0 <= ip + step < 1 << 32],
         )
 
-    def test_every_shard_slice_is_rebased(self, index):
+    def test_every_shard_slice_is_rebased(self, tables, index):
         whole = index._columns.keys
         for shard in PartitionMap(3).ranges:
             part = index.restrict(shard.lo, shard.hi)
@@ -285,21 +343,24 @@ class TestKeyDirectory:
             assert keys.directory is not whole.directory
             assert keys.directory == KeyColumn(keys.low).indexed().directory
             _assert_directory_searches(keys)
-            _assert_records_equal_verdicts(
-                part, [(ip, 1) for ip in keys.low[::5]]
+            _assert_records_equal_reference(
+                part,
+                Reference(**tables).restricted(shard.lo, shard.hi),
+                [(ip, 1) for ip in keys.low[::5]],
             )
 
     @pytest.mark.parametrize(
         "addresses", [(), (0,), ((1 << 32) - 1,), (0x0A000001,)]
     )
     def test_empty_and_one_row_indexes(self, addresses):
-        tiny = _tiny_index(addresses)
+        tables = _tiny_tables(addresses)
+        tiny = ReputationIndex(**tables)
         _assert_directory_searches(tiny._columns.keys)
         pairs = [
             (ip, day) for ip in (0, 1, 0x0A000001, (1 << 32) - 1)
             for day in (None, 0, 1)
         ]
-        _assert_records_equal_verdicts(tiny, pairs)
+        _assert_records_equal_reference(tiny, Reference(**tables), pairs)
 
     def test_a_wide_key_column_has_none(self):
         index = scenario_index(HitlistV6Model().build(5))
@@ -488,6 +549,46 @@ class TestServedFrames:
                 ask()
 
 
+class TestWideDays:
+    """A day outside i32 has no record. ``query`` answers it from the
+    address's record on the default day, unlisted, with the asked day;
+    the JSON ``query`` and ``batch`` ops give the same dict."""
+
+    @pytest.fixture(scope="class")
+    def server(self, golden):
+        with ReputationServer(
+            QueryEngine(golden[1]), connection_timeout=5.0
+        ) as server:
+            server.start()
+            yield server
+
+    @staticmethod
+    def _address(model, kind):
+        listed = set(model.intervals)
+        if kind == "nated":
+            return min(model.nated & listed)
+        if kind == "dynamic":
+            return min(ip for ip in listed if model.is_dynamic(ip))
+        return min(ip for ip in model.known_ips() if ip not in listed)
+
+    @pytest.mark.parametrize("day", [-(1 << 31) - 1, 1 << 31, 1 << 40])
+    @pytest.mark.parametrize("kind", ["nated", "dynamic", "unlisted"])
+    def test_engine_and_json_ops_agree(self, golden, server, kind, day):
+        model, index = golden
+        ip = self._address(model, kind)
+        verdict = QueryEngine(index).query(ip, day)
+        got = dataclasses.asdict(verdict)
+        got.pop("family")
+        assert got == model.verdict(ip, day)
+        assert verdict.nated or verdict.dynamic or kind == "unlisted"
+        query = {"ip": V4.format(ip), "day": day}
+        with ReputationClient(*server.address) as client:
+            assert client.call({"op": "query", **query}) == verdict.to_wire()
+            assert client.call({"op": "batch", "queries": [query] * 2}) == [
+                verdict.to_wire()
+            ] * 2
+
+
 def test_same_bytes(monkeypatch):
     """EXPERIMENTS.md "Same bytes": 51,200 bench-corpus keys through
     the server's records routine hash to the digest their reply bytes
@@ -515,18 +616,3 @@ def test_same_bytes(monkeypatch):
     assert sha.hexdigest() == (
         "8401e79d3807e5bc3542485e9c6b316eeb2180c8f9b3dda16ad2eaff9333de51"
     )
-
-
-def test_evaluate_is_the_one_row(small_full_run):
-    """``Verdict`` is a view of :func:`evaluate`'s row — the object
-    path the record loop is held to."""
-    index = ReputationIndex.from_run(small_full_run)
-    ip, spans = next(iter(index.interval_items()))
-    day = spans[0][0]
-    row = evaluate(index, ip, day)
-    assert row[0] == index.lists_active_on(ip, day)
-    assert row[5] in ("greylist", "block")
-    assert QueryEngine(index).query(ip, day) == Verdict.from_row(
-        V4, ip, day, *row
-    )
-    assert evaluate(index, ip, day - 10_000)[5] == "ignore"

@@ -15,7 +15,8 @@ import repro
 from repro.core.greylist import BlockAction, recommend_action
 from repro.service import snapshot
 from repro.service.engine import ACTION_IGNORE, QueryEngine
-from repro.service.index import ReputationIndex, SnapshotError
+from repro.internet.categories import AbuseCategory
+from repro.service.index import ReputationIndex, SnapshotError, policy_category
 
 
 @pytest.fixture(scope="module")
@@ -55,29 +56,19 @@ class TestIndexFaithfulness:
                 )
                 assert list(index.lists_active_on(ip, day)) == expected
 
-    def test_reuse_flags_match_analysis(self, small_full_run, index):
+    def test_reuse_flags_match_analysis(self, small_full_run, engine):
         analysis = small_full_run.analysis
         probe = set(analysis.blocklisted_ips) | set(analysis.nated_ips)
         for ip in probe:
-            assert index.is_nated(ip) == (ip in analysis.nated_ips)
-            assert index.is_dynamic(ip) == analysis._dynamic_set.contains_ip(ip)
-            assert index.is_reused(ip) == analysis.is_reused(ip)
-            assert index.users_behind(ip) == (
+            verdict = engine.query(ip)
+            assert verdict.nated == (ip in analysis.nated_ips)
+            assert verdict.dynamic == analysis._dynamic_set.contains_ip(ip)
+            assert bool(verdict.reuse_kind) == analysis.is_reused(ip)
+            assert verdict.users == (
                 analysis.nat.users_behind(ip) if ip in analysis.nated_ips else 0
             )
-        for ip in analysis.blocklisted_ips:
-            assert index.asn_of(ip) == analysis.asn_of(ip)
-
-    def test_policy_reuses_greylist_helper(self, small_full_run, index):
-        """The index satisfies recommend_action's contract directly."""
-        analysis = small_full_run.analysis
-        for ip in sorted(analysis.blocklisted_ips)[:30]:
-            for category in ("spam", "ddos"):
-                assert recommend_action(
-                    index, ip, blocklist_category=category
-                ) == recommend_action(
-                    analysis, ip, blocklist_category=category
-                )
+            if ip in analysis.blocklisted_ips:
+                assert verdict.asn == analysis.asn_of(ip)
 
     def test_default_day_is_last_window_day(self, small_full_run, index):
         assert index.default_day() == small_full_run.analysis.windows[-1][1]
@@ -88,7 +79,10 @@ class TestVerdicts:
         """The acceptance contract: engine verdicts equal the batch
         analysis for every blocklisted IP in the scenario."""
         analysis = small_full_run.analysis
-        index = engine.index
+        category_of = {
+            info.list_id: policy_category(info)
+            for info in small_full_run.scenario.catalog
+        }
         for ip in analysis.blocklisted_ips:
             for day in _sample_days(analysis):
                 verdict = engine.query(ip, day)
@@ -108,7 +102,9 @@ class TestVerdicts:
                     per_list = {
                         recommend_action(
                             analysis, ip,
-                            blocklist_category=index.category_of(list_id),
+                            blocklist_category=category_of.get(
+                                list_id, AbuseCategory.REPUTATION
+                            ),
                         )
                         for list_id in listed_lists
                     }

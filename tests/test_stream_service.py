@@ -78,15 +78,16 @@ class TestIndexAsOf:
     def test_intervals_rolled_back_products_kept(
         self, full_index, base_index, start_day
     ):
+        base_engine = QueryEngine(base_index)
+        full_engine = QueryEngine(full_index)
         for ip, spans in full_index.interval_items():
             expected = truncate_spans(spans, start_day)
             assert list(base_index.intervals_of(ip)) == expected
             # Measurement-side products survive the rollback whole —
             # they come from the pipeline, not the feed churn.
-            assert base_index.asn_of(ip) == full_index.asn_of(ip)
-            assert base_index.is_nated(ip) == full_index.is_nated(ip)
-            assert base_index.users_behind(ip) == full_index.users_behind(
-                ip
+            base, full = base_engine.query(ip), full_engine.query(ip)
+            assert (base.asn, base.nated, base.users) == (
+                full.asn, full.nated, full.users
             )
 
     def test_rollback_shrinks_interval_footprint(
