@@ -31,9 +31,9 @@ pairs the change won (a tie counts for neither), and a verdict:
                 bound, and not every change run beats every parent run;
 ``level``       none of the above.
 
-Exit status: 0 when every run was valid, correct and failed no
-operation; 1 otherwise (the table is still printed over the runs that
-did finish).
+Exit status: 1 when a run was invalid, incorrect or failed an
+operation (the table is still printed over the runs that did finish);
+else 2 when any row reads ``REGRESSION``; else 0.
 
 ``--record FILE`` also writes what was printed — per metric the two
 sides' quartiles, the delta, pairs won and verdict; the seeds, the
@@ -248,6 +248,13 @@ def record(path: Path, workload: str, entry: Dict[str, Any]) -> None:
     path.write_text(json.dumps(book, indent=1, sort_keys=True) + "\n")
 
 
+def exit_status(rows: List[Dict[str, Any]], clean: bool) -> int:
+    """1 for an invalid or incorrect run, 2 for a regression, else 0."""
+    if not clean:
+        return 1
+    return 2 if any(row["verdict"] == "REGRESSION" for row in rows) else 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -329,7 +336,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "sides": notes,
         })
         print(f"record -> {args.record}")
-    return 0 if clean else 1
+    return exit_status(rows, clean)
 
 
 if __name__ == "__main__":

@@ -115,16 +115,18 @@ SEEDS: List[Seed] = [
     Seed("bug: LogFollower.start() after stop()", "stream/follower.py",
          (("            if self._stop.is_set():\n", "            if False:\n"),),
          ("tests/test_stream_service.py", "-k", "FollowerFailure")),
-    # The one verdict cache serves every codec and op: a key without
-    # its epoch would answer all of them stale after a swap.
-    Seed("bug: packed-cache key drops the epoch", "service/server.py",
-         (("            key = (epoch, ip,", "            key = (0, ip,"),),
+    # The one verdict cache serves every codec and op: a table kept
+    # past its epoch would answer all of them stale after a swap.
+    Seed("bug: the verdict cache's table outlives its epoch",
+         "service/server.py",
+         (("        if epoch != self._epoch:\n",
+           "        if self._epoch is None:\n"),),
          ("tests/test_packed_cache.py", "-k", "AcrossEpochs")),
     # The server counts for the engine, and only what reached it.
     Seed("bug: a packed-cache hit counted as an engine query",
          "service/server.py",
-         (("            counters.add(prefix + \"queries\", len(packed))\n",
-           "            counters.add(prefix + \"queries\", len(pairs))\n"),),
+         (("                counters.add(prefix + \"queries\", len(fresh))\n",
+           "                counters.add(prefix + \"queries\", len(keys))\n"),),
          ("tests/test_query_records.py", "-k",
           "test_misses_and_hits_are_counted_where_they_were")),
     # A shard's key directory is its parent's, rebased: one row off and
@@ -142,16 +144,21 @@ SEEDS: List[Seed] = [
          (("                key |= 12 if hard else 4\n",
            "                key |= 4\n"),),
          ("tests/test_adversary.py", "-k", "golden")),
-    # The router partitions a batch in one bisect pass over the range
-    # starts: a range's first address is that range's, not the one's
-    # before it.
-    Seed("bug: batch partition sends a range's first address a shard low",
+    # The router partitions a batch in one bisect pass of its request
+    # records over the range starts: the address before a range's
+    # first is the range before's.
+    Seed("bug: range starts packed one low send a range's last address "
+         "a shard high",
          "cluster/router.py",
-         (("from bisect import bisect_right\n",
-           "from bisect import bisect_left, bisect_right\n"),
-          ("map(bisect_right, repeat(partition.splits)",
-           "map(bisect_left, repeat(partition.splits)")),
+         (("starts = [start.to_bytes(width, \"big\")",
+           "starts = [(start - 1).to_bytes(width, \"big\")"),),
          ("tests/test_cluster.py", "-k", "ScatterGather")),
+    # A shard refuses its own part of a frame with a bad has_day byte,
+    # which the router would degrade: the router refuses the frame.
+    Seed("bug: the router forwards a frame with a bad has_day byte",
+         "cluster/router.py",
+         (("            codec.check_requests(keys)\n", "            pass\n"),),
+         ("tests/test_hostile_requests.py",)),
 ]
 
 _FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)

@@ -11,9 +11,9 @@ negotiation for either — and fans requests out over the shard fleet:
   the partition map, scattered to each owning shard's active backend
   (primary, else the first healthy replica), and the per-shard replies
   merged back into request order. The split is one pass over the
-  batch: each pair's shard is a ``bisect_right`` of its (already
-  decoded, so valid) address into the partition's range starts, each
-  shard's sub-batch is its pairs in request order, and the gather
+  request records, none decoded: each one's shard is a ``bisect_right``
+  of its bytes into the range starts, each shard's sub-batch is its
+  records in request order, sent on as they came, and the gather
   takes, for each position in turn, the next record of that
   position's shard;
 * ``stats``/``hello`` ask every shard and merge, reporting the
@@ -59,7 +59,7 @@ import time
 from bisect import bisect_right
 from collections import deque
 from itertools import compress, repeat
-from operator import eq, itemgetter
+from operator import eq
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..service.aio import PEER_EOF, Link
@@ -68,7 +68,7 @@ from ..service.server import (
     Answer,
     Counters,
     FrontDoor,
-    Pairs,
+    Keys,
 )
 from ..service.wire import (
     CODECS,
@@ -91,9 +91,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 1.0
 #: Connect/IO timeout the router uses towards shard backends.
 DEFAULT_BACKEND_TIMEOUT = 5.0
 
-#: The address of an ``(ip, day)`` pair.
-_ip = itemgetter(0)
-
 
 class _Sub:
     """One upstream request in flight (or queued for failover).
@@ -107,7 +104,7 @@ class _Sub:
     ``("unavailable", cause)`` — every candidate backend failed.
     """
 
-    __slots__ = ("kind", "request", "pairs", "rid", "candidates",
+    __slots__ = ("kind", "request", "keys", "rid", "candidates",
                  "failed", "deadline", "finish", "codec")
 
     def __init__(
@@ -117,13 +114,13 @@ class _Sub:
         finish: Callable[[str, Any], None],
         *,
         request: Optional[Dict[str, Any]] = None,
-        pairs: Optional[List[Tuple[int, Optional[int]]]] = None,
+        keys: Optional[Keys] = None,
         codec: Optional[BinaryCodec] = None,
     ) -> None:
-        self.kind = kind  # "batch" (packed pairs) or "msg" (request)
+        self.kind = kind  # "batch" (request records) or "msg" (request)
         self.request = request
-        self.pairs = pairs
-        self.codec = codec  # batch subs: the pairs' family codec
+        self.keys = keys
+        self.codec = codec  # batch subs: the records' family codec
         self.rid = 0
         self.candidates: Deque["Backend"] = deque(candidates)
         self.failed = 0
@@ -133,19 +130,21 @@ class _Sub:
     def encode(self) -> bytes:
         """The request frame (upstream links speak binary only)."""
         if self.kind == "batch":
-            assert self.pairs is not None
+            assert self.keys is not None
             assert self.codec is not None
-            try:
-                return self.codec.encode_batch_request(
-                    self.pairs, self.rid, max_size=MAX_FRAME_BYTES
+            if tuple not in map(type, self.keys):
+                return self.codec.encode_request_frame(
+                    self.keys, self.rid, max_size=MAX_FRAME_BYTES
                 )
-            except WireError:
-                pass  # day outside the packed layout: JSON shape
+            decode = self.codec.decode_requests  # a wide day: JSON shape
             request: Dict[str, Any] = {
                 "op": "batch",
                 "queries": [
                     {"ip": ip, "day": day} if day is not None else {"ip": ip}
-                    for ip, day in self.pairs
+                    for ip, day in (
+                        key if type(key) is tuple else decode([key])[0]
+                        for key in self.keys
+                    )
                 ],
             }
         else:
@@ -607,21 +606,30 @@ class Router(FrontDoor):
     # -- queries: the front door's records hook (loop thread) ----------
 
     def _records(
-        self, pairs: Pairs, op: Optional[str], answer: Answer
+        self, keys: Keys, op: Optional[str], answer: Answer
     ) -> None:
-        """Scatter ``pairs`` by shard and gather the records back into
+        """Scatter ``keys`` by shard and gather the records back into
         request order; a JSON ``query`` op is a batch of one."""
+        codec = self._codec
+        if op is None:
+            # A shard would refuse its own part of a bad frame, and
+            # this door would degrade that part: refuse all of it.
+            codec.check_requests(keys)
         if op == "query":
             self._counters.add("point")
         else:
             self._counters.add("batch")
-            self._counters.add("batch_queries", len(pairs))
+            self._counters.add("batch_queries", len(keys))
         partition, slots = self._partition, self._slots
-        # Every pair's shard, in one pass over the decoded (so already
-        # bounded) addresses.
-        shard_ids = list(
-            map(bisect_right, repeat(partition.splits), map(_ip, pairs))
-        )
+        # A record opens with its address, big-endian, so byte order is
+        # address order (a wide day's pair is routed by its address).
+        width = self._family.bits // 8
+        starts = [start.to_bytes(width, "big") for start in partition.splits]
+        routed = keys if op is None else [
+            key if type(key) is bytes else key[0].to_bytes(width, "big")
+            for key in keys
+        ]
+        shard_ids = list(map(bisect_right, repeat(starts), routed))
         # Per shard, an iterator over its records: packed bytes (degraded
         # where its shard is down), or the dict of a day no record can
         # carry. The gather takes each position's next one from its
@@ -637,57 +645,55 @@ class Router(FrontDoor):
         remaining = [len(shards)]
 
         def shard_done(
-            shard_id: int, shard_pairs: Pairs, status: str, value: Any
+            shard_id: int, shard_keys: Keys, status: str, value: Any
         ) -> None:
             if (
                 status in ("records", "verdicts")
                 and isinstance(value, list)
-                and len(value) == len(shard_pairs)
+                and len(value) == len(shard_keys)
             ):
                 feeds[shard_id] = iter(value)
             else:
                 # Unavailable shard, error reply, or a malformed batch
                 # reply: degrade this shard's positions, keep the rest.
-                self._counters.add("degraded", len(shard_pairs))
+                self._counters.add("degraded", len(shard_keys))
                 feeds[shard_id] = iter([
-                    self._degraded(ip, day, shard_id)
-                    for ip, day in shard_pairs
+                    self._degraded(key, shard_id) for key in shard_keys
                 ])
             remaining[0] -= 1
             if remaining[0] == 0:
                 answer(list(map(next, map(feeds.__getitem__, shard_ids))))
 
         for shard_id in shards:
-            shard_pairs = pairs if len(shards) == 1 else list(
-                compress(pairs, map(eq, shard_ids, repeat(shard_id)))
+            shard_keys = keys if len(shards) == 1 else list(
+                compress(keys, map(eq, shard_ids, repeat(shard_id)))
             )
-            slots[shard_id].hits += len(shard_pairs)
+            slots[shard_id].hits += len(shard_keys)
             self._submit(
                 _Sub(
                     "batch",
                     slots[shard_id].ordered_backends(),
-                    lambda status, value, s=shard_id, p=shard_pairs: (
-                        shard_done(s, p, status, value)
+                    lambda status, value, s=shard_id, k=shard_keys: (
+                        shard_done(s, k, status, value)
                     ),
-                    pairs=shard_pairs,
-                    codec=self._codec,
+                    keys=shard_keys,
+                    codec=codec,
                 )
             )
 
-    def _degraded(self, ip: int, day: Optional[int], shard_id: int) -> Any:
+    def _degraded(self, key: Any, shard_id: int) -> Any:
         """The record of a position whose shard is down — its wire dict
         where the day is one no record can carry."""
-        try:
-            return self._codec.pack_degraded(
-                ip, day, shard_id, SHARD_UNAVAILABLE
-            )
-        except WireError:
+        if type(key) is tuple:
+            ip, day = key
             return {
                 "ip": self._family.format(ip),
                 "day": day,
                 "error": SHARD_UNAVAILABLE,
                 "shard": shard_id,
             }
+        ((ip, day),) = self._codec.decode_requests([key])
+        return self._codec.pack_degraded(ip, day, shard_id, SHARD_UNAVAILABLE)
 
     # -- fleet views: the hello and stats hooks ------------------------
 

@@ -32,7 +32,7 @@ Four layers:
   shutdown and the context manager. Each request goes to its
   :meth:`~WireServer.handle` method, which a subclass fills in;
   ``kind`` is ``"msg"`` (one decoded request object) or ``"batch"``
-  (packed ``(ip, day)`` pairs from a batch-request frame;
+  (the payload of a batch-request frame, not yet read;
   ``slot.batch_codec`` is the :class:`~repro.service.wire.BinaryCodec`
   — hence the address family — the frame type resolved to).
 
@@ -697,13 +697,8 @@ class Conn(Link):
         if codec is None:
             slot.fail(f"unexpected frame type {ftype}")
             return
-        try:
-            pairs = codec.decode_batch_request(payload)
-        except WireError as exc:
-            slot.fail(str(exc))
-            return
         slot.batch_codec = codec
-        self._request(slot, "batch", pairs)
+        self._request(slot, "batch", payload)
 
     def on_garbled(self, exc: WireError, request_id: int) -> None:
         self._new_slot(request_id).fail(str(exc))

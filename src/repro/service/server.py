@@ -42,26 +42,27 @@ frames (a binary client's point query is one of a single pair).
 only its three hooks — the records answering a batch of pairs, the
 ``hello`` fields, the ``stats`` payload.
 
-Every answer is a packed record, whatever the codec or op: ``decode →
-probe → record loop``. :func:`parse_request` turns a packed frame or
-a JSON ``query`` / ``batch`` op into ``(ip, day)`` pairs, answered
-against the one ``(index, epoch, seq)`` snapshot taken first: the
-packed-record cache is probed under ``(epoch, ip, resolved day)``, a
-hit copies pre-encoded record bytes, and the misses go to
+Every answer is a packed record, whatever the codec or op: ``probe →
+decode the misses → record loop``. :func:`parse_request` hands on a
+packed frame's request records as they came and packs a JSON ``query``
+/ ``batch`` op's pairs into the same records. Each is looked up as it
+stands in the packed-record cache's table for the epoch of the one
+``(index, epoch, seq)`` snapshot taken first: a hit copies pre-encoded
+record bytes, and the misses are decoded and go to
 :meth:`~repro.service.engine.QueryEngine.query_records` *with that
 snapshot* — the index's one loop from key search to record bytes
 (:meth:`~repro.service.index.ReputationIndex.records`; no verdict
-object is built) — and are stored under its epoch. So every
-record of a reply reports the same ``(epoch, seq)`` whatever a hot
-swap does meanwhile, and nothing is ever cached under an epoch it was
-not computed against. :func:`assemble_reply` (the router's too) puts
-the records in the request's framing. The one answer no record can
-carry, a day outside i32, is the engine's JSON-shaped verdict, uncached.
-It is the only verdict cache in the serving stack
-(the engine behind it keeps no state); only the loop thread
-touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records
-(an entry is never re-ranked on a hit, and a superseded epoch's
-entries age out the same way).
+object is built) — and are stored in its table. So every record of a
+reply reports the same ``(epoch, seq)`` whatever a hot swap does
+meanwhile, and nothing is ever cached under an epoch it was not
+computed against: a new epoch starts a new table. :func:`assemble_reply`
+(the router's too) puts the records in the request's framing. The one
+answer no record can carry, a day outside i32, is the engine's
+JSON-shaped verdict, uncached. It is the only verdict cache in the
+serving stack (the engine behind it keeps no state); only the loop
+thread touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE`
+records (an entry is never re-ranked on a hit). ``day=None`` and the
+explicit default day are two keys holding byte-identical records.
 
 The loop thread also counts, in one :class:`Counters` table: the
 cache's hits and misses and, once ``query_records`` has returned, what
@@ -82,7 +83,7 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..net.family import V4, AddressFamily, family_of_ip
 from ..stream.delta import DeltaBatch
@@ -91,7 +92,7 @@ from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine
 from .index import ReputationIndex
-from .wire import CODECS, RECORD_DAYS, BinaryCodec, WireError, point_error
+from .wire import CODECS, BinaryCodec, WireError, check_batch_size, point_error
 
 __all__ = [
     "Counters",
@@ -107,7 +108,8 @@ __all__ = [
     "parse_request",
 ]
 
-Pairs = List[Tuple[int, Optional[int]]]
+#: Per query its request record, or a day outside i32's ``(ip, day)``.
+Keys = List[Union[bytes, Tuple[int, int]]]
 
 #: How a door hands over its answer: at once, or later from the loop.
 Answer = Callable[[Any], None]
@@ -196,13 +198,13 @@ def parse_day(value: Any) -> Optional[int]:
 
 def parse_request(
     slot: Slot, kind: str, data: Any, codec: BinaryCodec, plane: str
-) -> Tuple[Any, Optional[Pairs]]:
-    """What one request asks, as ``(op, pairs)``: a packed batch frame
-    is ``(None, its pairs)``, a JSON ``query`` or ``batch`` op is
-    ``(op, its pairs)``, any other op ``(op, None)``. Raises the
-    request's in-band :class:`RequestError` for a batch frame of
-    another family than ``codec``'s (``plane`` names what cannot
-    answer it), an oversized batch, a request that is not a JSON
+) -> Tuple[Any, Optional[Keys]]:
+    """What one request asks, as ``(op, keys)``: a packed batch frame
+    is ``(None, its records)``, a JSON ``query`` or ``batch`` op is
+    ``(op, its pairs packed)``, any other op ``(op, None)``. Raises the
+    request's in-band error for a batch frame of another family than
+    ``codec``'s (``plane`` names what cannot answer it) or that does
+    not split, an oversized batch, a request that is not a JSON
     object, or a query value that does not parse."""
     family = codec.family
     if kind == "batch":
@@ -213,33 +215,30 @@ def parse_request(
                 f"{batch_codec.family.name} batch frame cannot be answered "
                 f"by this {family.name}-only {plane}"
             )
-        op, queries = None, data
-    elif not isinstance(data, dict):
+        return None, codec.split_batch_request(data, MAX_BATCH)
+    if not isinstance(data, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(data).__name__}"
         )
-    else:
-        op, queries = data.get("op"), [data]
-        if op == "batch":
-            queries = data.get("queries")
-            if not isinstance(queries, list):
-                raise RequestError("batch needs a 'queries' array")
-        elif op != "query":
-            return op, None
-    if len(queries) > MAX_BATCH:
-        raise RequestError(
-            f"batch of {len(queries)} exceeds the {MAX_BATCH}-query limit"
-        )
-    if op is None:
-        return op, queries
-    pairs = []
+    op, queries = data.get("op"), [data]
+    if op == "batch":
+        queries = data.get("queries")
+        if not isinstance(queries, list):
+            raise RequestError("batch needs a 'queries' array")
+    elif op != "query":
+        return op, None
+    check_batch_size(len(queries), MAX_BATCH)
+    pack = codec.pack_request
+    keys: Keys = []
     for item in queries:
         if not isinstance(item, dict):
             raise RequestError("each batch query must be an object")
-        pairs.append(
-            (parse_ip(item.get("ip"), family), parse_day(item.get("day")))
-        )
-    return op, pairs
+        ip, day = parse_ip(item.get("ip"), family), parse_day(item.get("day"))
+        try:
+            keys.append(pack(ip, day))
+        except WireError:  # a day outside i32
+            keys.append((ip, day))
+    return op, keys
 
 
 def assemble_reply(
@@ -293,10 +292,10 @@ class FrontDoor(WireServer):
     def handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
         codec = self._codec
         try:
-            op, pairs = parse_request(slot, kind, data, codec, self._plane)
-            if pairs is not None:
+            op, keys = parse_request(slot, kind, data, codec, self._plane)
+            if keys is not None:
                 self._records(
-                    pairs,
+                    keys,
                     op,
                     lambda records: assemble_reply(slot, op, records, codec),
                 )
@@ -333,9 +332,9 @@ class FrontDoor(WireServer):
             slot.fail(str(exc))
 
     def _records(
-        self, pairs: Pairs, op: Optional[str], answer: Answer
+        self, keys: Keys, op: Optional[str], answer: Answer
     ) -> None:
-        """``answer`` the records for ``pairs``, in order: packed
+        """``answer`` the records for ``keys``, in order: packed
         ``bytes`` of ``_codec``, or the JSON-shaped dict of an answer no
         record can carry (``op`` is ``None`` for a packed frame)."""
         raise NotImplementedError
@@ -375,11 +374,10 @@ class ReputationServer(FrontDoor):
         self._engine = engine
         self._codec = CODECS[engine.family]
         self._streaming = streaming
-        # Packed reply records keyed (epoch, ip, resolved day); the
-        # loop thread is the only toucher of both tables.
-        self._packed: "OrderedDict[Tuple[int, int, int], bytes]" = (
-            OrderedDict()
-        )
+        # Epoch ``_epoch``'s packed records by request record; the
+        # loop thread is the only toucher of it and the counters.
+        self._epoch: Optional[int] = None
+        self._packed: "OrderedDict[bytes, bytes]" = OrderedDict()
         self._counters = Counters("cache.hits", "cache.misses")
         super().__init__(host, port, connection_timeout=connection_timeout)
 
@@ -400,66 +398,50 @@ class ReputationServer(FrontDoor):
         })
 
     def _records(
-        self, pairs: Pairs, op: Optional[str], answer: Answer
+        self, keys: Keys, op: Optional[str], answer: Answer
     ) -> None:
-        """The records answering ``pairs``, in order, whatever the
-        request's codec or op, answered at once: the packed-record
-        cache is probed under one snapshot's ``(epoch, ip, resolved
-        day)``, and the engine is handed only the misses — and that
-        snapshot. A day outside the packed layout (only a JSON op can
-        ask one) has no record: its JSON-shaped verdict is the
-        engine's :meth:`~repro.service.engine.QueryEngine.verdicts`,
-        never cached."""
+        """The records answering ``keys``, in order, answered at once:
+        each key is looked up, undecoded, in the table of one snapshot's
+        epoch; only the misses are decoded and handed to the engine, with
+        that snapshot. A day outside i32 gets the engine's dict, uncached."""
         engine = self._engine
-        state = engine.resolve_state()
-        index, epoch, _seq = state
-        default_day = index.default_day()
-        cache = self._packed
-        cache_get = cache.get
-        records: List[Any] = []
-        append = records.append
-        miss_positions: List[int] = []
-        miss_keys: List[Tuple[int, int, int]] = []
-        wide = 0
-        json_op = op is not None  # a packed frame's days are all i32
-        for ip, day in pairs:
-            key = (epoch, ip, default_day if day is None else day)
-            record = cache_get(key)
-            if record is None:
-                if json_op and key[2] not in RECORD_DAYS:
-                    (verdict,) = engine.verdicts(state, ((ip, key[2]),))
-                    record = verdict.to_wire()
-                    wide += 1
-                else:
-                    miss_positions.append(len(records))
-                    miss_keys.append(key)
-            append(record)
-        misses = len(miss_keys) + wide
         counters = self._counters
-        counters.add("cache.hits", len(pairs) - misses)
-        counters.add("cache.misses", misses)
-        if miss_keys:
-            started = perf_counter()
-            packed = engine.query_records(
-                state,
-                [(ip, day) for _epoch, ip, day in miss_keys],
-                self._codec,
-            )
-            prefix = "queries.point." if op == "query" else "queries.batch."
-            counters.add(prefix + "calls")
-            counters.add(prefix + "queries", len(packed))
-            # Always 0, and kept only because the frozen
-            # benchmarks/serving/run.py indexes it; it goes when that
-            # benchmark drops ``engine.lru_hit_rate``.
-            counters.add(prefix + "cache_hits", 0)
-            counters.add(prefix + "seconds", perf_counter() - started)
-            for position, key, record in zip(
-                miss_positions, miss_keys, packed
-            ):
-                records[position] = record
-                cache[key] = record
-            while len(cache) > PACKED_CACHE_SIZE:
-                cache.popitem(last=False)
+        state = engine.resolve_state()
+        epoch = state[1]
+        if epoch != self._epoch:
+            # No later request can ask for a superseded epoch's record.
+            self._epoch, self._packed = epoch, OrderedDict()
+        cache = self._packed
+        records: List[Any] = list(map(cache.get, keys))
+        missed: List[int] = []
+        if None in records:
+            missed = [at for at, got in enumerate(records) if got is None]
+            wide_at = [at for at in missed if type(keys[at]) is tuple]
+            packed_at = [at for at in missed if type(keys[at]) is bytes]
+            # Stored keys were decoded, so checked: a hit needs none, and
+            # a bad has_day refuses the request before anything counts.
+            pairs = self._codec.decode_requests([keys[at] for at in packed_at])
+            if wide_at:
+                wide = engine.verdicts(state, [keys[at] for at in wide_at])
+                for at, verdict in zip(wide_at, wide):
+                    records[at] = verdict.to_wire()
+            if pairs:
+                started = perf_counter()
+                fresh = engine.query_records(state, pairs, self._codec)
+                prefix = f"queries.{'point' if op == 'query' else 'batch'}."
+                counters.add(prefix + "calls")
+                counters.add(prefix + "queries", len(fresh))
+                # Always 0, and kept only because the frozen
+                # benchmarks/serving/run.py indexes it; it goes when that
+                # benchmark drops ``engine.lru_hit_rate``.
+                counters.add(prefix + "cache_hits", 0)
+                counters.add(prefix + "seconds", perf_counter() - started)
+                for at, record in zip(packed_at, fresh):
+                    records[at] = cache[keys[at]] = record
+                while len(cache) > PACKED_CACHE_SIZE:
+                    cache.popitem(last=False)
+        counters.add("cache.hits", len(keys) - len(missed))
+        counters.add("cache.misses", len(missed))
         answer(records)
 
 

@@ -124,6 +124,7 @@ __all__ = [
     "VERDICT_BITS",
     "WireError",
     "WireSocket",
+    "check_batch_size",
     "decode_batch_reply",
     "decode_batch_request",
     "decode_binary_frame",
@@ -510,6 +511,15 @@ _MAX_TEXTS = 4096
 Pairs = List[Tuple[int, Optional[int]]]
 
 
+def check_batch_size(count: int, limit: int) -> None:
+    """Refuse a batch of ``count`` queries over ``limit``."""
+    if count > limit:
+        raise WireError(
+            f"batch of {count} exceeds the {limit}-query limit",
+            recoverable=True,
+        )
+
+
 def _truncated_record() -> WireError:
     return WireError("truncated batch reply record", recoverable=True)
 
@@ -539,6 +549,8 @@ class BinaryCodec:
         width = family.bits // 8
         addr = "I" if width == 4 else f"{width}s"
         self._request = struct.Struct(_REQUEST_TEMPLATE.format(addr=addr))
+        self._raw_request = struct.Struct(f"{self._request.size}s")
+        self._has_day_at = width
         self._verdict = struct.Struct(_VERDICT_TEMPLATE.format(addr=addr))
         self._degraded = struct.Struct(_DEGRADED_TEMPLATE.format(addr=addr))
         # Offset of a verdict record's action byte (reuse follows it):
@@ -602,7 +614,7 @@ class BinaryCodec:
         range. The one pass checks and packs, so a caller with clean
         pairs needs no pass of its own.
         """
-        parts = [_U32.pack(len(pairs))]
+        parts: List[bytes] = []
         append = parts.append
         pack = self._request.pack
         to_field = self._to_field
@@ -619,12 +631,37 @@ class BinaryCodec:
                     raise _unpackable_batch(f"day {day!r} is not an int")
         except struct.error as exc:
             raise _unpackable_batch(exc) from None
+        return self.encode_request_frame(parts, request_id, max_size=max_size)
+
+    def pack_request(self, ip: int, day: Optional[int]) -> bytes:
+        """``(ip, day)``'s request record, or a recoverable WireError."""
+        field = ip if self._to_field is None else self._to_field(ip)
+        try:
+            return self._request.pack(field, day is not None, day or 0)
+        except struct.error as exc:
+            raise _unpackable_batch(exc) from None
+
+    def encode_request_frame(
+        self,
+        records: List[bytes],
+        request_id: int,
+        *,
+        max_size: int = MAX_FRAME_BYTES,
+    ) -> bytes:
+        """Assemble request records, as they stand, into one
+        batch-request frame."""
+        payload = _U32.pack(len(records)) + b"".join(records)
         return encode_binary_frame(
-            self.ft_request, request_id, b"".join(parts), max_size=max_size
+            self.ft_request, request_id, payload, max_size=max_size
         )
 
-    def decode_batch_request(self, payload: bytes) -> Pairs:
-        """Unpack a batch-request payload into ``(ip, day)`` pairs."""
+    def split_batch_request(self, payload: bytes, limit: int) -> List[bytes]:
+        """A batch-request payload's records, raw bytes, in one pass."""
+        raw = self._raw_request.iter_unpack(self._checked(payload, limit))
+        return [record for (record,) in raw]
+
+    def _checked(self, payload: bytes, limit: Optional[int]) -> memoryview:
+        """A payload's records, once its length (and count) checks."""
         if len(payload) < 4:
             raise WireError("truncated batch request", recoverable=True)
         (count,) = _U32.unpack_from(payload)
@@ -633,20 +670,38 @@ class BinaryCodec:
                 "batch request length does not match its declared count",
                 recoverable=True,
             )
-        pairs: Pairs = []
-        append = pairs.append
+        if limit is not None:
+            check_batch_size(count, limit)
+        return memoryview(payload)[4:]
+
+    def check_requests(self, records: List[bytes]) -> None:
+        """Refuse records with a ``has_day`` byte not 0 or 1, undecoded."""
+        flags = b"".join(records)[self._has_day_at::self._request.size]
+        bad = flags.translate(None, b"\0\1")
+        if bad:
+            raise WireError(
+                f"bad has_day flag {bad[0]} in batch request",
+                recoverable=True,
+            )
+
+    def decode_requests(self, records: List[bytes]) -> Pairs:
+        """Request records, checked, as ``(ip, day)`` pairs (``day``
+        ``None`` where ``has_day`` is 0, whatever the day bytes say)."""
+        self.check_requests(records)
+        try:
+            fields = self._request.iter_unpack(b"".join(records))
+        except struct.error:  # not whole records
+            raise WireError("truncated batch request", recoverable=True)
         from_field = self._from_field
-        for field, has_day, day in self._request.iter_unpack(
-            memoryview(payload)[4:]
-        ):
-            if has_day > 1:
-                raise WireError(
-                    f"bad has_day flag {has_day} in batch request",
-                    recoverable=True,
-                )
-            ip = field if from_field is None else from_field(field)
-            append((ip, day if has_day else None))
-        return pairs
+        return [
+            (field if from_field is None else from_field(field),
+             day if has_day else None)
+            for field, has_day, day in fields
+        ]
+
+    def decode_batch_request(self, payload: bytes) -> Pairs:
+        """Unpack a batch-request payload into ``(ip, day)`` pairs."""
+        return self.decode_requests([self._checked(payload, None)])
 
     # -- batch reply: packing ------------------------------------------
 

@@ -82,6 +82,15 @@ def test_reads_the_contract_and_refuses_an_unknown_workload(
     assert "bulk-cold" in capsys.readouterr().err
 
 
+def test_exit_status_tells_a_regression_from_a_bad_run(bench_pairs):
+    rows = [{"metric": "setup_s", "verdict": "level"},
+            {"metric": "throughput_qps", "verdict": "gain"}]
+    assert bench_pairs.exit_status(rows, True) == 0
+    rows[0]["verdict"] = "REGRESSION"
+    assert bench_pairs.exit_status(rows, True) == 2
+    assert bench_pairs.exit_status(rows, False) == 1
+
+
 def _runs(contract, scale, slowdown):
     """Ten runs whose every end-to-end metric reads ``PARENT * scale``."""
     return [

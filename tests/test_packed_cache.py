@@ -2,11 +2,13 @@
 
 The engine behind the server keeps no per-key state, so every claim a
 cache has to honour is made here, over a live binary connection: a hit
-returns the bytes of the first answer, an epoch swap can never be
-answered from a superseded epoch's record (between batches, between
-two batches of one pipelined window, or in the middle of a batch —
-where every record of the frame still reports the one epoch the frame
-was probed under), the cache stays bounded, and an evicted key is
+returns the bytes of the first answer, a key is the request record as
+it came (so ``day=None`` and the default day are two keys, holding one
+record's bytes), an epoch swap can never be answered from a superseded
+epoch's record (between batches, between two batches of one pipelined
+window, or in the middle of a batch — where every record of the frame
+still reports the one epoch the frame was probed under, and is stored
+in that epoch's table), the cache stays bounded, and an evicted key is
 simply evaluated again.
 """
 
@@ -59,6 +61,15 @@ def _ask(sock, *batches):
     return payloads
 
 
+def _held(server):
+    """The server's table: its epoch, and per ``(ip, day)`` key the
+    epoch its record reports."""
+    return server._epoch, {
+        CODEC.decode_requests([key])[0]: CODEC.decode_record(record)["epoch"]
+        for key, record in server._packed.items()
+    }
+
+
 def _extension(index):
     """An ``(ip, day, delta)`` where ``ip`` is unlisted on ``day`` until
     ``delta`` (one ``extend``) is applied."""
@@ -94,14 +105,38 @@ class TestPackedCacheHits:
                 cache = client.stats()["cache"]
         finally:
             server.shutdown()
-        # ``(listed[0], None)`` resolves to the default day: one more
-        # distinct key than the 230s, all missed once, all hit once.
+        # Every pair is its own key, missed once and hit once.
         assert cache == {
             "entries": len(pairs),
             "capacity": server_module.PACKED_CACHE_SIZE,
             "hits": len(pairs),
             "misses": len(pairs),
         }
+
+    def test_a_key_is_the_request_record_as_it_came(self, index, listed):
+        """``day=None``, the explicit default day, and ``has_day=0``
+        with day bytes that are not zero are three keys; all three are
+        answered as the default day, with one record's bytes."""
+        ip, default = listed[0], index.default_day()
+        asked = [CODEC.pack_request(ip, None), CODEC.pack_request(ip, default)]
+        asked.append(asked[0][:-4] + (7).to_bytes(4, "big"))
+        server = _serve(QueryEngine(index))
+        try:
+            with _binary_socket(server.address) as sock:
+                for rid in (1, 2):
+                    sock.sendall(CODEC.encode_request_frame(asked, rid))
+                    ftype, got_rid, payload = recv_binary_frame(sock)
+                    assert (ftype, got_rid) == (CODEC.ft_reply, rid)
+                    records = CODEC.split_batch_reply(payload)
+                    assert records == [records[0]] * 3
+            assert list(server._packed) == asked
+            assert server._counters.read("cache") == {"hits": 3, "misses": 3}
+        finally:
+            server.shutdown()
+        assert CODEC.decode_record(records[0]) == (
+            QueryEngine(index).query(ip, None).to_wire()
+        )
+        assert CODEC.decode_record(records[0])["day"] == default
 
 
 class TestPackedCacheAcrossEpochs:
@@ -150,7 +185,8 @@ class TestPackedCacheAcrossEpochs:
         self._check_swap(cold, fresh, ip, delta.list_id)
         assert fresh == QueryEngine(epochs).query(ip, day).to_wire()
         assert (cache["hits"], cache["misses"]) == (1, 2)
-        assert set(server._packed) == {(0, ip, day), (1, ip, day)}
+        # The swap's first request dropped epoch 0's table whole.
+        assert _held(server) == (1, {(ip, day): 1})
 
     def test_swap_inside_a_pipelined_window(
         self, index, streamed, monkeypatch
@@ -217,7 +253,7 @@ class TestPackedCacheAcrossEpochs:
         pairs = [(other, day), (ip, day)]
         with _binary_socket(server.address) as sock:
             (straddling,) = _ask(sock, pairs)
-            assert set(server._packed) == {(0, other, day), (0, ip, day)}
+            assert _held(server) == (0, {(other, day): 0, (ip, day): 0})
             (settled,) = _ask(sock, pairs)
         first, second = CODEC.decode_batch_reply(straddling)
         assert (first["epoch"], first["seq"]) == (0, 0)
@@ -227,9 +263,7 @@ class TestPackedCacheAcrossEpochs:
         same, after = CODEC.decode_batch_reply(settled)
         self._check_swap(second, after, ip, delta.list_id)
         assert (same["epoch"], same["seq"]) == (1, 1)
-        assert set(server._packed) == {
-            (0, other, day), (0, ip, day), (1, other, day), (1, ip, day)
-        }
+        assert _held(server) == (1, {(other, day): 1, (ip, day): 1})
 
     def test_swap_between_probe_and_evaluation(
         self, index, listed, streamed, monkeypatch
@@ -247,12 +281,13 @@ class TestPackedCacheAcrossEpochs:
                 nth=0,
             )
             (straddling,) = _ask(sock, [(ip, day), (other, day)])
+            # The miss went into the table it was probed in.
+            assert _held(server) == (0, {(other, day): 0, (ip, day): 0})
             (settled,) = _ask(sock, [(ip, day), (other, day)])
         miss, hit = CODEC.decode_batch_reply(straddling)
         assert (miss["epoch"], miss["seq"]) == (hit["epoch"], hit["seq"])
         after, _ = CODEC.decode_batch_reply(settled)
         self._check_swap(miss, after, ip, delta.list_id)
-        assert (0, ip, day) in server._packed
 
     def test_swap_in_the_middle_of_a_json_batch(
         self, index, listed, streamed, monkeypatch
@@ -296,7 +331,9 @@ class TestPackedCacheBound:
                 assert len(server._packed) == capacity
                 # The oldest keys were evicted (FIFO): asked again they
                 # are misses, answered as before.
-                assert (0, *keys[0]) not in server._packed
+                assert list(server._packed) == [
+                    CODEC.pack_request(ip, day) for ip, day in keys[-capacity:]
+                ]
                 (payload,) = _ask(sock, batches[0])
             assert CODEC.decode_batch_reply(payload) == [
                 reference.query(ip, day).to_wire()

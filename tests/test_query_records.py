@@ -32,7 +32,7 @@ from repro.service.engine import QueryEngine, Verdict
 from repro.service.index import ReputationIndex
 from repro.service import server as server_module
 from repro.service.server import ReputationServer
-from repro.service.wire import CODECS
+from repro.service.wire import CODECS, decode_binary_frame
 from repro.v6serve import HitlistV6Model
 from tests.reference import Reference, packed, run_model, scenario_model
 from tests.test_packed_cache import _ask
@@ -590,10 +590,12 @@ class TestWideDays:
 
 
 def test_same_bytes(monkeypatch):
-    """EXPERIMENTS.md "Same bytes": 51,200 bench-corpus keys through
-    the server's records routine hash to the digest their reply bytes
-    have had since it was first taken, so any change to a reply byte
-    fails here."""
+    """EXPERIMENTS.md "Same bytes": 51,200 bench-corpus keys, sent as
+    the request records of 128-query frames, through the server's
+    records routine hash to the digest their reply bytes have had since
+    it was first taken, so any change to a reply byte fails here. A
+    second pass over every key the cache then holds is answered from
+    the cache alone, with the first pass's bytes."""
     monkeypatch.syspath_prepend(str(SERVING))
     import synth
 
@@ -601,18 +603,26 @@ def test_same_bytes(monkeypatch):
     server = ReputationServer(
         QueryEngine(ReputationIndex(**synth.index_kwargs(tables)))
     )
-    keys = synth.query_keys(tables, random.Random(0), 51_200)
-    sha = hashlib.sha256()
-
-    def digest(records):
-        for record in records:
-            sha.update(record)
-
+    codec = CODECS[V4]
+    pairs = synth.query_keys(tables, random.Random(0), 51_200)
+    keys = []
+    for at in range(0, len(pairs), 128):
+        frame = codec.encode_batch_request(pairs[at:at + 128], 1)
+        keys += codec.split_batch_request(decode_binary_frame(frame)[2], 128)
+    first, again = [], []
     try:
         for at in range(0, len(keys), 128):
-            server._records(keys[at:at + 128], None, digest)
+            server._records(keys[at:at + 128], None, first.extend)
+        held = list(server._packed)
+        misses = server._counters.read("cache")["misses"]
+        for at in range(0, len(held), 128):
+            server._records(held[at:at + 128], None, again.extend)
+        assert server._counters.read("cache")["misses"] == misses
     finally:
         server.shutdown()
-    assert sha.hexdigest() == (
+    assert hashlib.sha256(b"".join(first)).hexdigest() == (
         "8401e79d3807e5bc3542485e9c6b316eeb2180c8f9b3dda16ad2eaff9333de51"
     )
+    assert len(held) == min(len(set(keys)), server_module.PACKED_CACHE_SIZE)
+    answered = dict(zip(keys, first))
+    assert again == [answered[key] for key in held]
