@@ -56,7 +56,7 @@ SEEDS: List[Seed] = [
            "            thread, self._thread = self._thread, None\n",
            "tests/test_stream_service.py"),
     unlock("lock: UpdateLogReader.poll", "stream/log.py", "_lock",
-           "            try:\n                with open(self._path, \"rb\")",
+           "            blob = self._unread()\n",
            "tests/test_stream_log.py"),
     unlock("lock: UpdateLogWriter.append_deltas", "stream/log.py", "_lock",
            "            batch = DeltaBatch(self._next_seq",
@@ -125,8 +125,8 @@ SEEDS: List[Seed] = [
     # The server counts for the engine, and only what reached it.
     Seed("bug: a packed-cache hit counted as an engine query",
          "service/server.py",
-         (("                counters.add(prefix + \"queries\", len(fresh))\n",
-           "                counters.add(prefix + \"queries\", len(keys))\n"),),
+         (("counters.add(prefix + \"queries\", len(fresh))\n",
+           "counters.add(prefix + \"queries\", len(keys))\n"),),
          ("tests/test_query_records.py", "-k",
           "test_misses_and_hits_are_counted_where_they_were")),
     # A shard's key directory is its parent's, rebased: one row off and
@@ -159,6 +159,13 @@ SEEDS: List[Seed] = [
          "cluster/router.py",
          (("            codec.check_requests(keys)\n", "            pass\n"),),
          ("tests/test_hostile_requests.py",)),
+    # A day outside i32 is answered from its address's default-day
+    # record: that day's listing must not leak into the answer.
+    Seed("bug: unlisted_on keeps the default day's listing",
+         "service/wire.py",
+         (("        \"listed\": False,\n        \"lists\": [],\n", ""),),
+         ("tests/test_query_records.py::TestWideDays",
+          "tests/test_reply_pins.py")),
 ]
 
 _FINDING = re.compile(r"^\S+:\d+:\d+: ([A-Z][A-Z-]*)", re.M)

@@ -39,8 +39,9 @@ answers it as one. Upstream links speak the binary codec only, so
 routing is plumbing: packed request records scatter out, packed reply
 records merge back by position, and the front door's
 :func:`~repro.service.server.assemble_reply` answers in the request's
-framing. A day no record can carry travels JSON-shaped, and its
-shard's dict is carried back as it is.
+framing. Every key is a request record: the front door packs a JSON
+op's day outside i32 as its address's default-day record, so every
+upstream batch is a packed frame.
 
 Failure degrades, never cascades: when every backend of a shard is
 down, its positions become ``SHARD_UNAVAILABLE`` records — per-IP
@@ -97,8 +98,6 @@ class _Sub:
 
     ``finish(status, value)`` fires exactly once with one of:
     ``("records", [raw record bytes])`` — packed batch reply;
-    ``("verdicts", [verdict dicts])`` — reply to a batch that had to
-    travel JSON-shaped (a day outside the packed layout);
     ``("result", payload)`` — any ``ok`` message reply;
     ``("reject", error string)`` — the backend answered ``ok: false``;
     ``("unavailable", cause)`` — every candidate backend failed.
@@ -132,25 +131,13 @@ class _Sub:
         if self.kind == "batch":
             assert self.keys is not None
             assert self.codec is not None
-            if tuple not in map(type, self.keys):
-                return self.codec.encode_request_frame(
-                    self.keys, self.rid, max_size=MAX_FRAME_BYTES
-                )
-            decode = self.codec.decode_requests  # a wide day: JSON shape
-            request: Dict[str, Any] = {
-                "op": "batch",
-                "queries": [
-                    {"ip": ip, "day": day} if day is not None else {"ip": ip}
-                    for ip, day in (
-                        key if type(key) is tuple else decode([key])[0]
-                        for key in self.keys
-                    )
-                ],
-            }
-        else:
-            assert self.request is not None
-            request = self.request
-        return encode_msg_frame(request, self.rid, max_size=MAX_FRAME_BYTES)
+            return self.codec.encode_request_frame(
+                self.keys, self.rid, max_size=MAX_FRAME_BYTES
+            )
+        assert self.request is not None
+        return encode_msg_frame(
+            self.request, self.rid, max_size=MAX_FRAME_BYTES
+        )
 
 
 class Backend(Link):
@@ -279,11 +266,7 @@ class Backend(Link):
         if not reply.get("ok"):
             sub.finish("reject", str(reply.get("error", "unknown error")))
         else:
-            self._succeed(
-                sub,
-                "verdicts" if sub.kind == "batch" else "result",
-                reply.get("result"),
-            )
+            self._succeed(sub, "result", reply.get("result"))
 
     def on_packed(
         self, ftype: int, request_id: int, payload: bytes
@@ -622,18 +605,13 @@ class Router(FrontDoor):
             self._counters.add("batch_queries", len(keys))
         partition, slots = self._partition, self._slots
         # A record opens with its address, big-endian, so byte order is
-        # address order (a wide day's pair is routed by its address).
+        # address order.
         width = self._family.bits // 8
         starts = [start.to_bytes(width, "big") for start in partition.splits]
-        routed = keys if op is None else [
-            key if type(key) is bytes else key[0].to_bytes(width, "big")
-            for key in keys
-        ]
-        shard_ids = list(map(bisect_right, repeat(starts), routed))
-        # Per shard, an iterator over its records: packed bytes (degraded
-        # where its shard is down), or the dict of a day no record can
-        # carry. The gather takes each position's next one from its
-        # shard's.
+        shard_ids = list(map(bisect_right, repeat(starts), keys))
+        # Per shard, an iterator over its records (degraded where its
+        # shard is down). The gather takes each position's next one from
+        # its shard's.
         feeds: List[Any] = [None] * len(slots)
         shards = set(shard_ids)
         if not shards:
@@ -648,7 +626,7 @@ class Router(FrontDoor):
             shard_id: int, shard_keys: Keys, status: str, value: Any
         ) -> None:
             if (
-                status in ("records", "verdicts")
+                status == "records"
                 and isinstance(value, list)
                 and len(value) == len(shard_keys)
             ):
@@ -681,17 +659,8 @@ class Router(FrontDoor):
                 )
             )
 
-    def _degraded(self, key: Any, shard_id: int) -> Any:
-        """The record of a position whose shard is down — its wire dict
-        where the day is one no record can carry."""
-        if type(key) is tuple:
-            ip, day = key
-            return {
-                "ip": self._family.format(ip),
-                "day": day,
-                "error": SHARD_UNAVAILABLE,
-                "shard": shard_id,
-            }
+    def _degraded(self, key: bytes, shard_id: int) -> bytes:
+        """The record of a position whose shard is down."""
         ((ip, day),) = self._codec.decode_requests([key])
         return self._codec.pack_degraded(ip, day, shard_id, SHARD_UNAVAILABLE)
 

@@ -17,12 +17,11 @@ The index's record loop
 evaluation: it goes from key search to packed record bytes. The two
 shapes are its records as they stand (:meth:`QueryEngine.
 query_records`, every answer the server sends) and the same records
-decoded into :class:`Verdict` objects (:meth:`QueryEngine.verdicts`,
-behind :meth:`QueryEngine.query` and :meth:`QueryEngine.query_batch`)
-for library callers such as the adversary lab, and on the wire only
-for a day outside i32. Such a day has no record, and no listing can
-hold it (every interval day is an i32), so its verdict is the
-address's record on the default day, unlisted, with the asked day.
+decoded into :class:`Verdict` objects (:meth:`QueryEngine.query`,
+:meth:`QueryEngine.query_batch`) for library callers such as the
+adversary lab. A day outside i32 has no record: its verdict is what
+:func:`~repro.service.wire.unlisted_on` makes of the address's record
+on the default day, the answer the front door sends for it too.
 
 The engine also accepts a streaming
 :class:`~repro.stream.epoch.EpochIndex`. Every call resolves the
@@ -49,7 +48,7 @@ from ..core.policy import BlockAction
 from ..net.family import V4, AddressFamily
 from ..stream.epoch import EpochIndex
 from .index import ReputationIndex
-from .wire import CODECS, RECORD_DAYS, BinaryCodec
+from .wire import CODECS, RECORD_DAYS, BinaryCodec, unlisted_on
 
 __all__ = ["ACTION_IGNORE", "QueryEngine", "Verdict"]
 
@@ -162,15 +161,39 @@ class QueryEngine:
     def query(self, ip: int, day: Optional[int] = None) -> Verdict:
         """Point query; ``day`` defaults to the index's notion of now
         (last day of the last collection window)."""
-        (verdict,) = self.verdicts(self.resolve_state(), ((ip, day),))
+        (verdict,) = self.query_batch(((ip, day),))
         return verdict
 
     def query_batch(
         self, queries: Iterable[Tuple[int, Optional[int]]]
     ) -> List[Verdict]:
         """Batch query: one verdict per ``(ip, day)`` pair, in order,
-        all against the snapshot current when the call began."""
-        return self.verdicts(self.resolve_state(), queries)
+        all against the snapshot current when the call began — the
+        record loop's records, decoded. A day outside i32 is asked as
+        the default day, and :func:`~repro.service.wire.unlisted_on`
+        makes its answer."""
+        index, epoch, seq = self.resolve_state()
+        asked = list(queries)
+        wide: Dict[int, int] = {}
+        for at, (ip, day) in enumerate(asked):
+            if type(day) is int and day not in RECORD_DAYS:
+                wide[at] = day
+                asked[at] = (ip, None)
+        decode = self._codec.decode_record
+        family = self._family
+        verdicts: List[Verdict] = []
+        records = index.records(asked, epoch, seq, self._codec)
+        for at, ((ip, _), record) in enumerate(zip(asked, records)):
+            fields = decode(record).to_wire()
+            if at in wide:
+                fields = unlisted_on(fields, wide[at])
+            verdicts.append(Verdict(
+                ip, fields["day"], fields["listed"], tuple(fields["lists"]),
+                fields["nated"], fields["dynamic"], fields["unjust"],
+                fields["reuse_kind"], fields["users"], fields["asn"],
+                fields["action"], fields["epoch"], fields["seq"], family,
+            ))
+        return verdicts
 
     def query_records(
         self,
@@ -185,44 +208,6 @@ class QueryEngine:
         (:meth:`~repro.service.index.ReputationIndex.records`)."""
         index, epoch, seq = state
         return index.records(pairs, epoch, seq, codec)
-
-    def verdicts(
-        self, state: State, pairs: Iterable[Tuple[int, Optional[int]]]
-    ) -> List[Verdict]:
-        """Queries answered as :class:`Verdict` objects, one per ``(ip,
-        day)`` pair, in order, all against ``state``: the record loop's
-        records, decoded. A day outside i32 is asked as the default
-        day, and its verdict is that record's, unlisted, with the asked
-        day."""
-        index, epoch, seq = state
-        pairs = list(pairs)
-        # A wide day is asked as the default day (``None``).
-        asked = [
-            (ip, None)
-            if type(day) is int and day not in RECORD_DAYS
-            else (ip, day)
-            for ip, day in pairs
-        ]
-        decode = self._codec.decode_record
-        family = self._family
-        verdicts: List[Verdict] = []
-        for (ip, day), record in zip(
-            pairs, index.records(asked, epoch, seq, self._codec)
-        ):
-            fields = decode(record).to_wire()
-            if day is None or day == fields["day"]:
-                day, lists = fields["day"], fields["lists"]
-                listed, unjust = fields["listed"], fields["unjust"]
-                action = fields["action"]
-            else:  # outside i32: the default day's record, unlisted
-                listed, lists, unjust, action = False, (), False, ACTION_IGNORE
-            verdicts.append(Verdict(
-                ip, day, listed, tuple(lists), fields["nated"],
-                fields["dynamic"], unjust, fields["reuse_kind"],
-                fields["users"], fields["asn"], action, fields["epoch"],
-                fields["seq"], family,
-            ))
-        return verdicts
 
     def stats(self) -> Dict[str, Any]:
         """The ``index`` sizes and ``epoch`` state the engine resolves

@@ -56,13 +56,15 @@ object is built) — and are stored in its table. So every record of a
 reply reports the same ``(epoch, seq)`` whatever a hot swap does
 meanwhile, and nothing is ever cached under an epoch it was not
 computed against: a new epoch starts a new table. :func:`assemble_reply`
-(the router's too) puts the records in the request's framing. The one
-answer no record can carry, a day outside i32, is the engine's
-JSON-shaped verdict, uncached. It is the only verdict cache in the
-serving stack (the engine behind it keeps no state); only the loop
-thread touches it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE`
-records (an entry is never re-ranked on a hit). ``day=None`` and the
-explicit default day are two keys holding byte-identical records.
+(the router's too) puts the records in the request's framing. A JSON
+op's day outside i32, which no record can carry, is asked as its
+address's default-day record, and :func:`assemble_reply` answers it
+with :func:`~repro.service.wire.unlisted_on`, so no door ever sees
+such a day. The cache is the only verdict cache in the serving stack
+(the engine behind it keeps no state); only the loop thread touches
+it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records (an entry
+is never re-ranked on a hit). ``day=None`` and the explicit default
+day are two keys holding byte-identical records.
 
 The loop thread also counts, in one :class:`Counters` table: the
 cache's hits and misses and, once ``query_records`` has returned, what
@@ -83,7 +85,7 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.family import V4, AddressFamily, family_of_ip
 from ..stream.delta import DeltaBatch
@@ -92,7 +94,9 @@ from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine
 from .index import ReputationIndex
-from .wire import CODECS, BinaryCodec, WireError, check_batch_size, point_error
+from .wire import (
+    CODECS, BinaryCodec, WireError, check_batch_size, point_error, unlisted_on,
+)
 
 __all__ = [
     "Counters",
@@ -108,8 +112,11 @@ __all__ = [
     "parse_request",
 ]
 
-#: Per query its request record, or a day outside i32's ``(ip, day)``.
-Keys = List[Union[bytes, Tuple[int, int]]]
+#: Per query its request record.
+Keys = List[bytes]
+
+#: Per position of a JSON op's day outside i32, the day asked.
+Wide = Dict[int, int]
 
 #: How a door hands over its answer: at once, or later from the loop.
 Answer = Callable[[Any], None]
@@ -198,10 +205,12 @@ def parse_day(value: Any) -> Optional[int]:
 
 def parse_request(
     slot: Slot, kind: str, data: Any, codec: BinaryCodec, plane: str
-) -> Tuple[Any, Optional[Keys]]:
-    """What one request asks, as ``(op, keys)``: a packed batch frame
-    is ``(None, its records)``, a JSON ``query`` or ``batch`` op is
-    ``(op, its pairs packed)``, any other op ``(op, None)``. Raises the
+) -> Tuple[Any, Optional[Keys], Wide]:
+    """What one request asks, as ``(op, keys, wide)``: a packed batch
+    frame is ``(None, its records, {})``, a JSON ``query`` or ``batch``
+    op is ``(op, its pairs packed, wide)``, any other op ``(op, None,
+    {})``. A day outside i32 is packed as its address's default-day
+    record, and ``wide`` maps its position to the day asked. Raises the
     request's in-band error for a batch frame of another family than
     ``codec``'s (``plane`` names what cannot answer it) or that does
     not split, an oversized batch, a request that is not a JSON
@@ -215,7 +224,7 @@ def parse_request(
                 f"{batch_codec.family.name} batch frame cannot be answered "
                 f"by this {family.name}-only {plane}"
             )
-        return None, codec.split_batch_request(data, MAX_BATCH)
+        return None, codec.split_batch_request(data, MAX_BATCH), {}
     if not isinstance(data, dict):
         raise RequestError(
             f"request must be a JSON object, got {type(data).__name__}"
@@ -226,10 +235,11 @@ def parse_request(
         if not isinstance(queries, list):
             raise RequestError("batch needs a 'queries' array")
     elif op != "query":
-        return op, None
+        return op, None, {}
     check_batch_size(len(queries), MAX_BATCH)
     pack = codec.pack_request
     keys: Keys = []
+    wide: Wide = {}
     for item in queries:
         if not isinstance(item, dict):
             raise RequestError("each batch query must be an object")
@@ -237,31 +247,37 @@ def parse_request(
         try:
             keys.append(pack(ip, day))
         except WireError:  # a day outside i32
-            keys.append((ip, day))
-    return op, keys
+            wide[len(keys)] = day
+            keys.append(pack(ip, None))
+    return op, keys, wide
 
 
 def assemble_reply(
-    slot: Slot, op: Optional[str], records: List[Any], codec: BinaryCodec
+    slot: Slot,
+    op: Optional[str],
+    records: List[bytes],
+    codec: BinaryCodec,
+    wide: Wide,
 ) -> None:
-    """Answer ``slot`` with its request's records — packed ``bytes`` of
-    ``codec``, or the JSON-shaped dict of an answer no record can carry
-    — in the request's own framing: a packed frame for a packed request
-    (``op`` ``None``), else the JSON op's result, a list of wire dicts
-    (``batch``) or one (``query``), where a degraded point answer is
-    the request's in-band error."""
+    """Answer ``slot`` with its request's records, packed ``bytes`` of
+    ``codec``, in the request's own framing: a packed frame for a
+    packed request (``op`` ``None``), else the JSON op's result, a list
+    of wire dicts (``batch``) or one (``query``), where a degraded
+    point answer is the request's in-band error. The answer at each
+    position in ``wide`` is replaced by what
+    :func:`~repro.service.wire.unlisted_on` makes of it and the day
+    asked there."""
     if op is None:
         slot.complete_records(records)
         return
     decode = codec.decode_record
     try:
-        answers = [
-            decode(record).to_wire() if isinstance(record, bytes) else record
-            for record in records
-        ]
+        answers = [decode(record).to_wire() for record in records]
     except WireError as exc:
         slot.fail(f"internal error: undecodable record: {exc}")
         return
+    for at, day in wide.items():
+        answers[at] = unlisted_on(answers[at], day)
     if op == "batch":
         slot.complete({"ok": True, "result": answers})
         return
@@ -292,12 +308,16 @@ class FrontDoor(WireServer):
     def handle(self, conn: Conn, slot: Slot, kind: str, data: Any) -> None:
         codec = self._codec
         try:
-            op, keys = parse_request(slot, kind, data, codec, self._plane)
+            op, keys, wide = parse_request(
+                slot, kind, data, codec, self._plane
+            )
             if keys is not None:
                 self._records(
                     keys,
                     op,
-                    lambda records: assemble_reply(slot, op, records, codec),
+                    lambda records: assemble_reply(
+                        slot, op, records, codec, wide
+                    ),
                 )
             elif op == "ping":
                 slot.complete({"ok": True, "result": "pong"})
@@ -334,9 +354,9 @@ class FrontDoor(WireServer):
     def _records(
         self, keys: Keys, op: Optional[str], answer: Answer
     ) -> None:
-        """``answer`` the records for ``keys``, in order: packed
-        ``bytes`` of ``_codec``, or the JSON-shaped dict of an answer no
-        record can carry (``op`` is ``None`` for a packed frame)."""
+        """``answer`` the records for ``keys``, in order, packed
+        ``bytes`` of ``_codec`` (``op`` is ``None`` for a packed
+        frame)."""
         raise NotImplementedError
 
     def _hello(self, answer: Answer) -> None:
@@ -403,7 +423,7 @@ class ReputationServer(FrontDoor):
         """The records answering ``keys``, in order, answered at once:
         each key is looked up, undecoded, in the table of one snapshot's
         epoch; only the misses are decoded and handed to the engine, with
-        that snapshot. A day outside i32 gets the engine's dict, uncached."""
+        that snapshot."""
         engine = self._engine
         counters = self._counters
         state = engine.resolve_state()
@@ -416,30 +436,23 @@ class ReputationServer(FrontDoor):
         missed: List[int] = []
         if None in records:
             missed = [at for at, got in enumerate(records) if got is None]
-            wide_at = [at for at in missed if type(keys[at]) is tuple]
-            packed_at = [at for at in missed if type(keys[at]) is bytes]
             # Stored keys were decoded, so checked: a hit needs none, and
             # a bad has_day refuses the request before anything counts.
-            pairs = self._codec.decode_requests([keys[at] for at in packed_at])
-            if wide_at:
-                wide = engine.verdicts(state, [keys[at] for at in wide_at])
-                for at, verdict in zip(wide_at, wide):
-                    records[at] = verdict.to_wire()
-            if pairs:
-                started = perf_counter()
-                fresh = engine.query_records(state, pairs, self._codec)
-                prefix = f"queries.{'point' if op == 'query' else 'batch'}."
-                counters.add(prefix + "calls")
-                counters.add(prefix + "queries", len(fresh))
-                # Always 0, and kept only because the frozen
-                # benchmarks/serving/run.py indexes it; it goes when that
-                # benchmark drops ``engine.lru_hit_rate``.
-                counters.add(prefix + "cache_hits", 0)
-                counters.add(prefix + "seconds", perf_counter() - started)
-                for at, record in zip(packed_at, fresh):
-                    records[at] = cache[keys[at]] = record
-                while len(cache) > PACKED_CACHE_SIZE:
-                    cache.popitem(last=False)
+            pairs = self._codec.decode_requests([keys[at] for at in missed])
+            started = perf_counter()
+            fresh = engine.query_records(state, pairs, self._codec)
+            prefix = f"queries.{'point' if op == 'query' else 'batch'}."
+            counters.add(prefix + "calls")
+            counters.add(prefix + "queries", len(fresh))
+            # Always 0, and kept only because the frozen
+            # benchmarks/serving/run.py indexes it; it goes when that
+            # benchmark drops ``engine.lru_hit_rate``.
+            counters.add(prefix + "cache_hits", 0)
+            counters.add(prefix + "seconds", perf_counter() - started)
+            for at, record in zip(missed, fresh):
+                records[at] = cache[keys[at]] = record
+            while len(cache) > PACKED_CACHE_SIZE:
+                cache.popitem(last=False)
         counters.add("cache.hits", len(keys) - len(missed))
         counters.add("cache.misses", len(missed))
         answer(records)

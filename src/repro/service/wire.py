@@ -130,20 +130,18 @@ __all__ = [
     "decode_binary_frame",
     "decode_frame",
     "decode_msg_payload",
-    "decode_record",
     "encode_batch_reply_frame",
     "encode_batch_request",
     "encode_binary_frame",
     "encode_frame",
     "encode_msg_frame",
     "list_chunk",
-    "pack_degraded",
     "pack_verdict",
     "point_error",
     "recv_binary_frame",
     "recv_frame",
     "send_frame",
-    "split_batch_reply",
+    "unlisted_on",
 ]
 
 #: Hard ceiling on one frame's payload (1 MiB — a 10K-query batch
@@ -1072,6 +1070,24 @@ def point_error(entry: Mapping[str, Any]) -> str:
     return f"{entry['error']}: shard {entry['shard']} has no live backend"
 
 
+def unlisted_on(answer: Dict[str, Any], day: int) -> Dict[str, Any]:
+    """The wire dict answering a day outside :data:`RECORD_DAYS`, which
+    no request record can carry, made from ``answer``, the address's
+    wire dict on the default day. No listing holds such a day (every
+    interval day is an i32), so a verdict becomes unlisted on ``day``;
+    a degraded answer only reports ``day``."""
+    if "error" in answer:
+        return {**answer, "day": day}
+    return {
+        **answer,
+        "day": day,
+        "listed": False,
+        "lists": [],
+        "unjust": False,
+        "action": BlockAction.IGNORE,
+    }
+
+
 #: The sending side's lookup: ``family → codec``. The frame-type pair
 #: doubles as the family tag on the wire.
 CODECS: Dict[AddressFamily, BinaryCodec] = {
@@ -1091,10 +1107,7 @@ _V4_CODEC = CODECS[V4]
 encode_batch_request = _V4_CODEC.encode_batch_request
 decode_batch_request = _V4_CODEC.decode_batch_request
 pack_verdict = _V4_CODEC.pack_verdict
-pack_degraded = _V4_CODEC.pack_degraded
 encode_batch_reply_frame = _V4_CODEC.encode_batch_reply_frame
-split_batch_reply = _V4_CODEC.split_batch_reply
-decode_record = _V4_CODEC.decode_record
 decode_batch_reply = _V4_CODEC.decode_batch_reply
 
 # Kept only for the frozen ``wire.v6_req_roundtrip_us_per_q`` probe in

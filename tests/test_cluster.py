@@ -304,13 +304,13 @@ class TestRouterStatic:
         with pytest.raises(ValueError, match="backend"):
             Router(PartitionMap(3), [[("127.0.0.1", 1)]])
 
-    def test_unpackable_day_travels_json_shaped_across_shards(
+    def test_unpackable_day_travels_packed_across_shards(
         self, full_index, listed_ips, cluster
     ):
-        # A day outside i32 fits no packed record, so that shard's
-        # sub-batch travels — and is answered — JSON-shaped, next to
-        # shards answering packed: the one JSON-shaped path the router
-        # keeps. Whatever the mix, the reply is the single server's.
+        # A day outside i32 fits no packed record, so the front door
+        # sends its address's default-day record, packed like every
+        # other, and answers the day asked from that shard's record.
+        # Whatever the mix, the reply is the single server's.
         queries = [
             ("1.2.3.4", 2**40), ("1.2.3.4", None),
             ("200.2.3.4", 2**40), ("200.2.3.4", 7),

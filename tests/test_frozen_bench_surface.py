@@ -21,11 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import LocalCluster
+from repro.net.family import V4
 from repro.service import wire
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
+from repro.service.wire import CODECS
 
 SERVING = Path(__file__).resolve().parents[1] / "benchmarks" / "serving"
 CONSTRUCTORS = {
@@ -173,7 +175,7 @@ def test_binary_verdicts_take_what_the_benchmark_does(
     assert oracle.matches(ip, day, verdicts[0])
     assert not oracle.matches(ip, day, other)
     (degraded,) = wire.decode_batch_reply(
-        (1).to_bytes(4, "big") + wire.pack_degraded(ip, day, 2, "down")
+        (1).to_bytes(4, "big") + CODECS[V4].pack_degraded(ip, day, 2, "down")
     )
     ledger.account(oracle, keys[:1], [degraded])
     assert ledger.degraded == 1 and degraded.get("seq", 0) == 0

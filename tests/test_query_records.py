@@ -445,8 +445,8 @@ class TestServedFrames:
         self, index, server, monkeypatch
     ):
         """The guard that keeps the object off the wire: no op on
-        either codec builds one — only a day outside i32, which no
-        record can carry, builds exactly one."""
+        either codec builds one, not even for a day outside i32, which
+        no record can carry."""
         listed = sorted(ip for ip, _spans in index.interval_items())
         pairs = [(ip, 230) for ip in listed[:30]] + [(1, None), (2, 230)]
         reference = QueryEngine(index)
@@ -470,7 +470,7 @@ class TestServedFrames:
         assert built == []
         with ReputationClient(*server.address, codec="binary") as client:
             assert client.query(listed[0], 2**40) == wide
-        assert built == [1]  # the day outside i32, and only it
+        assert built == []
         assert CODECS[V4].decode_batch_reply(payload) == expected
         assert answers == dict.fromkeys(answers, expected)
 
@@ -478,9 +478,11 @@ class TestServedFrames:
         """The same guard across the router: a counter in a forked
         shard is out of reach, so the shards inherit a ``Verdict`` that
         cannot be built (and a cache that keeps nothing) — and every
-        answer is still the one a single engine gives."""
+        answer is still the one a single engine gives. A day outside
+        i32 reaches its shard packed, as its default-day record."""
         listed = sorted(ip for ip, _spans in index.interval_items())
         pairs = [(ip, 230) for ip in listed[::7]] + [(1, None), (2, 230)]
+        pairs.append((listed[0], 2**40))
         reference = QueryEngine(index)
         expected = [reference.query(ip, day).to_wire() for ip, day in pairs]
 
@@ -550,9 +552,11 @@ class TestServedFrames:
 
 
 class TestWideDays:
-    """A day outside i32 has no record. ``query`` answers it from the
-    address's record on the default day, unlisted, with the asked day;
-    the JSON ``query`` and ``batch`` ops give the same dict."""
+    """A day outside i32 has no record. ``query`` and the JSON
+    ``query`` and ``batch`` ops all ask the address's record on the
+    default day and answer it unlisted, with the asked day, through the
+    one ``wire.unlisted_on``; all give the same dict, also for an
+    address listed on the default day."""
 
     @pytest.fixture(scope="class")
     def server(self, golden):
@@ -569,10 +573,18 @@ class TestWideDays:
             return min(model.nated & listed)
         if kind == "dynamic":
             return min(ip for ip in listed if model.is_dynamic(ip))
+        if kind == "listed-today":
+            today = model.windows[-1][1]
+            return min(
+                ip for ip in model.nated & listed
+                if model.verdict(ip, today)["listed"]
+            )
         return min(ip for ip in model.known_ips() if ip not in listed)
 
     @pytest.mark.parametrize("day", [-(1 << 31) - 1, 1 << 31, 1 << 40])
-    @pytest.mark.parametrize("kind", ["nated", "dynamic", "unlisted"])
+    @pytest.mark.parametrize(
+        "kind", ["nated", "dynamic", "unlisted", "listed-today"]
+    )
     def test_engine_and_json_ops_agree(self, golden, server, kind, day):
         model, index = golden
         ip = self._address(model, kind)

@@ -10,8 +10,9 @@ and then masked.
 
 What the sequence exercises: a JSON ``query`` op (a ``point``), its
 repeat (a cache hit, so no engine query), a day outside i32 (a cache
-miss answered without the engine), packed batches that partly hit, and
-a binary ``query()`` (a one-pair packed batch).
+miss on its address's default-day record, which the engine answers),
+packed batches that partly hit, and a binary ``query()`` (a one-pair
+packed batch).
 """
 
 import pytest
@@ -68,7 +69,7 @@ def _ask(address, listed):
 
 #: The ``queries`` block after the sequence, on either server.
 QUERIES = [
-    ("point", [("calls", 1), ("queries", 1), ("cache_hits", 0),
+    ("point", [("calls", 2), ("queries", 2), ("cache_hits", 0),
                ("seconds", "s")]),
     ("batch", [("calls", 3), ("queries", 12), ("cache_hits", 0),
                ("seconds", "s")]),
@@ -95,7 +96,7 @@ def test_static_server_payload(full_index):
         ("queries", QUERIES),
         ("index", SIZES),
         ("epoch", [("epoch", 0), ("seq", 0)]),
-        ("cache", _cache(13, 7, 14)),
+        ("cache", _cache(14, 7, 14)),
     ]
 
 
@@ -136,5 +137,5 @@ def test_following_server_payload(tmp_path, small_full_run, full_index):
         ("queries", QUERIES),
         ("index", sizes),
         ("epoch", epoch),
-        ("cache", _cache(13, 7, 14)),
+        ("cache", _cache(14, 7, 14)),
     ]
