@@ -70,6 +70,12 @@ SEEDS: List[Seed] = [
          (("                    if ftype == FT_MSG:\n",
            "                    if ftype == -1:\n"),),
          ("tests/test_service_binary.py", "-k", "EveryFrameType or Negotiation")),
+    # The binary framing's one parser, behind the loop and the client
+    # alike: a first byte that is not the magic must break the stream.
+    Seed("wire: decode_binary_frame loses its magic check", "service/wire.py",
+         (("_BIN_HEADER.unpack_from(buffer)\n    if magic != BINARY_MAGIC:\n",
+           "_BIN_HEADER.unpack_from(buffer)\n    if False:\n"),),
+         ("tests/test_service_binary.py", "-k", "BadMagic or bad_magic")),
     # Blocking calls on the loop (TestRepoWiringMutations' four seeds,
     # then a wait in the split cutover).
     Seed("block: time.sleep in the router's reply handler", "cluster/router.py",

@@ -876,9 +876,12 @@ class WireServer:
                 self.reactor.wait_stopped(5.0)
         else:
             # Loop not running (never started, or already exited):
-            # a queued graceful pass would never fire.
+            # a queued graceful pass would never fire, and a loop that
+            # never runs never releases the reactor.
             self.reactor.stop()
             self._close_everything()
+            if thread is None:
+                self.reactor.close()
         if thread is not None:
             thread.join(timeout=5.0)
 

@@ -48,15 +48,13 @@ from .wire import (
     CODECS,
     MAX_FRAME_BYTES,
     FT_MSG,
+    FrameReader,
     RecordView,
     WireError,
     decode_msg_payload,
     encode_frame,
     encode_msg_frame,
     point_error,
-    recv_binary_frame,
-    recv_frame,
-    send_frame,
 )
 
 __all__ = ["ReputationClient", "ServiceError", "TransportError"]
@@ -145,6 +143,7 @@ class ReputationClient:
             raise TransportError(
                 f"cannot connect to {host}:{port}: {exc}"
             ) from None
+        self._frames = FrameReader(self._sock, max_frame)
         try:
             # Small request/reply frames must not sit in Nagle's buffer.
             self._sock.setsockopt(
@@ -215,52 +214,61 @@ class ReputationClient:
         self._rid = (self._rid + 1) & 0xFFFFFFFF
         return self._rid
 
-    @staticmethod
-    def _check_reply(reply: Any) -> Any:
+    def _msg_frame(self, request: Dict[str, Any], rid: int) -> bytes:
+        """``request``, a JSON op, framed for the negotiated codec: an
+        ``FT_MSG`` frame tagged ``rid``, or a JSON frame (no id)."""
+        if self._codec == "binary":
+            return encode_msg_frame(request, rid, max_size=self._max_frame)
+        return encode_frame(request, max_size=self._max_frame)
+
+    def _reply(self, rid: int) -> Any:
+        """Read the reply to request ``rid``, the one place the client
+        reads a frame: a JSON or ``FT_MSG`` reply's ``result`` (its
+        in-band error raised as :class:`ServiceError`), or a packed
+        batch reply's payload as it came."""
+        binary = self._codec == "binary"
+        reply = self._frames.read(binary)
         if reply is None:
             raise TransportError("server closed the connection")
+        if binary:
+            ftype, got_rid, payload = reply
+            if got_rid != rid:
+                raise TransportError(
+                    f"reply for request {got_rid}, expected {rid}"
+                )
+            if ftype == self._batch_codec.ft_reply:
+                return payload
+            if ftype != FT_MSG:
+                raise TransportError(f"unexpected reply frame type {ftype}")
+            reply = decode_msg_payload(payload, max_size=self._max_frame)
         if not isinstance(reply, dict):
             raise TransportError(f"malformed reply: {reply!r}")
         if not reply.get("ok"):
             raise ServiceError(str(reply.get("error", "unknown error")))
         return reply.get("result")
 
-    def _read_msg_reply(self, sock: socket.socket, rid: int) -> Any:
-        got = recv_binary_frame(sock, max_size=self._max_frame)
-        if got is None:
-            return None
-        ftype, got_rid, payload = got
-        if ftype != FT_MSG or got_rid != rid:
-            raise WireError(
-                f"reply frame mismatch: type {ftype}, request id "
-                f"{got_rid} (expected {rid})"
-            )
-        return decode_msg_payload(payload, max_size=self._max_frame)
-
     def _rpc(self, request: Dict[str, Any]) -> Any:
         with self._lock:
             sock = self._checked_sock()
             try:
-                if self._codec == "binary":
-                    rid = self._next_rid()
-                    sock.sendall(
-                        encode_msg_frame(
-                            request, rid, max_size=self._max_frame
-                        )
+                # A JSON frame carries no id: take one only for the wire.
+                rid = self._next_rid() if self._codec == "binary" else 0
+                sock.sendall(self._msg_frame(request, rid))
+                result = self._reply(rid)
+                if isinstance(result, bytes):
+                    raise TransportError(
+                        f"batch reply frame type "
+                        f"{self._batch_codec.ft_reply} to a JSON op"
                     )
-                    reply = self._read_msg_reply(sock, rid)
-                else:
-                    send_frame(sock, request, max_size=self._max_frame)
-                    reply = recv_frame(sock, max_size=self._max_frame)
-                return self._check_reply(reply)
+                return result
             except BaseException as exc:
                 raise self._ended(exc) from None
 
     def call(self, request: Dict[str, Any]) -> Any:
         """Send one already-shaped request object, return its result.
 
-        The typed helpers below cover normal use; the cluster router
-        uses this passthrough to forward validated requests verbatim.
+        The typed helpers below cover normal use; this sends an op they
+        do not wrap, or a request shaped by hand, as it is given.
         """
         return self._rpc(request)
 
@@ -274,34 +282,14 @@ class ReputationClient:
 
     # -- batch plumbing ------------------------------------------------
 
-    def _read_batch_reply(
-        self, sock: socket.socket, rid: int, size: int
-    ) -> List[Mapping[str, Any]]:
+    def _batch_reply(self, rid: int, size: int) -> List[Mapping[str, Any]]:
         """The verdicts answering request ``rid``, a batch of ``size``.
         A reply of any other length cannot be paired with its queries —
         the caller's ``zip`` would drop or shift verdicts — so it is a
         transport failure, like a reply to another request."""
-        if self._codec == "binary":
-            got = recv_binary_frame(sock, max_size=self._max_frame)
-            if got is None:
-                raise TransportError("server closed the connection")
-            ftype, got_rid, payload = got
-            if got_rid != rid:
-                raise TransportError(
-                    f"reply for request {got_rid}, expected {rid}"
-                )
-            if ftype == self._batch_codec.ft_reply:
-                verdicts = self._batch_codec.decode_batch_reply(payload)
-            elif ftype == FT_MSG:
-                verdicts = self._check_reply(
-                    decode_msg_payload(payload, max_size=self._max_frame)
-                )
-            else:
-                raise TransportError(f"unexpected reply frame type {ftype}")
-        else:
-            verdicts = self._check_reply(
-                recv_frame(sock, max_size=self._max_frame)
-            )
+        verdicts = self._reply(rid)
+        if isinstance(verdicts, bytes):
+            verdicts = self._batch_codec.decode_batch_reply(verdicts)
         if not isinstance(verdicts, list):
             raise TransportError(f"malformed batch reply: {verdicts!r}")
         if len(verdicts) != size:
@@ -344,9 +332,7 @@ class ReputationClient:
                 {"ip": self._wire_ip(ip), "day": day} for ip, day in queries
             ],
         }
-        if self._codec == "binary":
-            return encode_msg_frame(request, rid, max_size=self._max_frame)
-        return encode_frame(request, max_size=self._max_frame)
+        return self._msg_frame(request, rid)
 
     # -- operations ----------------------------------------------------
 
@@ -363,7 +349,7 @@ class ReputationClient:
                 if frame is not None:
                     try:
                         sock.sendall(frame)
-                        (verdict,) = self._read_batch_reply(sock, rid, 1)
+                        (verdict,) = self._batch_reply(rid, 1)
                     except BaseException as exc:
                         raise self._ended(exc) from None
                     if "error" in verdict:
@@ -436,8 +422,8 @@ class ReputationClient:
                         sock.sendall(out)
                     index, rid = pending.popleft()
                     try:
-                        results[index] = self._read_batch_reply(
-                            sock, rid, len(batch_list[index])
+                        results[index] = self._batch_reply(
+                            rid, len(batch_list[index])
                         )
                     except TransportError:
                         raise

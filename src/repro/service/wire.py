@@ -80,11 +80,15 @@ Errors are split by whether the byte stream is still usable:
   inside a declared payload) is *not* — there is no way to find the
   next frame boundary, so the connection must be dropped;
 * a connection torn inside a frame *header* is recoverable: no frame
-  was ever promised, so a pipelined reader treats it as end-of-stream
+  was ever promised, so a blocking reader treats it as end-of-stream
   rather than a protocol crime (a half-written header from a dying
   peer must not kill the reader).
 
-:class:`WireError.recoverable` carries that distinction.
+:class:`WireError.recoverable` carries that distinction. Only
+:func:`decode_frame` and :func:`decode_binary_frame` parse frames: the
+event loop's links run them over their input buffers, and a blocking
+peer reads through one :class:`FrameReader` per socket, which does
+the same and adds what EOF means.
 """
 
 from __future__ import annotations
@@ -116,6 +120,7 @@ __all__ = [
     "FT_BATCH_REQ",
     "FT_BATCH_REQ6",
     "FT_MSG",
+    "FrameReader",
     "MAX_FRAME_BYTES",
     "MAX_LIST_ID_BYTES",
     "RECORD_DAYS",
@@ -138,9 +143,6 @@ __all__ = [
     "list_chunk",
     "pack_verdict",
     "point_error",
-    "recv_binary_frame",
-    "recv_frame",
-    "send_frame",
     "unlisted_on",
 ]
 
@@ -157,12 +159,13 @@ MAX_LIST_ID_BYTES = 255
 
 _HEADER = struct.Struct(">I")
 
+#: Most bytes one :class:`FrameReader` ``recv`` asks for: small
+#: enough that malloc serves it from the heap, never by ``mmap``.
+_READ_CHUNK = 1 << 16
+
 
 class WireSocket(Protocol):
-    """The slice of the socket API the codec needs — real sockets and
-    test doubles both satisfy it structurally."""
-
-    def sendall(self, data: bytes) -> None: ...
+    """What :class:`FrameReader` needs of a socket."""
 
     def recv(self, bufsize: int) -> bytes: ...
 
@@ -259,65 +262,6 @@ def _check_length(length: int, max_size: int) -> None:
         )
 
 
-def send_frame(
-    sock: WireSocket, obj: Any, *, max_size: int = MAX_FRAME_BYTES
-) -> None:
-    """Encode ``obj`` and write the full frame to ``sock``."""
-    sock.sendall(encode_frame(obj, max_size=max_size))
-
-
-def _recv_exact(sock: WireSocket, count: int) -> bytes:
-    """Read exactly ``count`` bytes; short result means EOF hit.
-
-    Partial reads are accumulated until the count is met, and
-    ``EINTR`` is retried explicitly: PEP 475 covers the common case,
-    but a signal handler that raises on an exotic platform (or a test
-    double that surfaces ``InterruptedError``) must not be confused
-    with EOF mid-frame.
-    """
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining > 0:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 16))
-        except InterruptedError:
-            continue
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(
-    sock: WireSocket, *, max_size: int = MAX_FRAME_BYTES
-) -> Optional[Any]:
-    """Read one frame from ``sock``.
-
-    Returns the decoded message, or ``None`` on a clean EOF at a frame
-    boundary (the peer hung up between requests). Raises
-    :class:`WireError` when the connection dies mid-frame or the frame
-    violates the limits; a cut inside the 4-byte header is the
-    *recoverable* variant (end-of-stream, not a framing crime).
-    """
-    header = _recv_exact(sock, _HEADER.size)
-    if not header:
-        return None
-    if len(header) < _HEADER.size:
-        raise WireError(
-            "connection closed inside a frame header", recoverable=True
-        )
-    (length,) = _HEADER.unpack(header)
-    _check_length(length, max_size)
-    payload = _recv_exact(sock, length)
-    if len(payload) < length:
-        raise WireError(
-            f"connection closed {length - len(payload)} bytes short of "
-            "a full frame"
-        )
-    return _decode_payload(payload, max_size)
-
-
 # --------------------------------------------------------------------------
 # Binary codec (protocol version 2, negotiated via ``hello``)
 # --------------------------------------------------------------------------
@@ -407,34 +351,60 @@ def decode_binary_frame(
     return ftype, request_id, bytes(buffer[BIN_HEADER_SIZE:end]), end
 
 
-def recv_binary_frame(
-    sock: WireSocket, *, max_size: int = MAX_FRAME_BYTES
-) -> Optional[Tuple[int, int, bytes]]:
-    """Read one binary frame from a blocking socket.
+class FrameReader:
+    """Reads the frames of one blocking socket, parsed as the event
+    loop's :class:`~repro.service.aio.Link` parses its input buffer.
 
-    Returns ``(frame_type, request_id, payload)``, ``None`` on clean
-    EOF at a frame boundary, and raises :class:`WireError` otherwise —
-    recoverable when the connection died inside the header, fatal when
-    the framing itself is wrong.
+    Every frame a ``recv`` brought is read out of the buffer, so a
+    pipelined window's replies cost one or two ``recv`` calls. A
+    second reader on the socket would miss what this one buffered.
     """
-    header = _recv_exact(sock, BIN_HEADER_SIZE)
-    if not header:
-        return None
-    if len(header) < BIN_HEADER_SIZE:
-        raise WireError(
-            "connection closed inside a frame header", recoverable=True
-        )
-    magic, ftype, request_id, length = _BIN_HEADER.unpack(header)
-    if magic != BINARY_MAGIC:
-        raise WireError(f"bad frame magic 0x{magic:02x}")
-    _check_length(length, max_size)
-    payload = _recv_exact(sock, length)
-    if len(payload) < length:
-        raise WireError(
-            f"connection closed {length - len(payload)} bytes short of "
-            "a full frame"
-        )
-    return ftype, request_id, payload
+
+    __slots__ = ("_sock", "_max_size", "_buffer")
+
+    def __init__(
+        self, sock: WireSocket, max_size: int = MAX_FRAME_BYTES
+    ) -> None:
+        self._sock = sock
+        self._max_size = max_size
+        self._buffer = bytearray()
+
+    def read(self, binary: bool = False) -> Any:
+        """The next frame: a JSON frame's message or, with ``binary``,
+        a binary frame's ``(frame_type, request_id, payload)``; ``None``
+        at a clean EOF between frames. Raises :class:`WireError` as the
+        decoder does (skipping an undecodable payload), and at EOF
+        inside a frame: recoverable inside its header, fatal inside its
+        payload. ``InterruptedError`` is retried, never read as EOF."""
+        buffer = self._buffer
+        if binary:
+            decode, header = decode_binary_frame, BIN_HEADER_SIZE
+        else:
+            decode, header = decode_frame, _HEADER.size
+        while True:
+            try:
+                frame = decode(buffer, max_size=self._max_size)
+            except WireError as exc:
+                if exc.consumed is not None:
+                    del buffer[: exc.consumed]
+                raise
+            if frame is not None:
+                del buffer[: frame[-1]]
+                return frame[:3] if binary else frame[0]
+            try:
+                chunk = self._sock.recv(_READ_CHUNK)
+            except InterruptedError:
+                continue
+            if not chunk:
+                break
+            buffer += chunk
+        if not buffer:
+            return None
+        if len(buffer) < header:
+            raise WireError(
+                "connection closed inside a frame header", recoverable=True
+            )
+        raise WireError("connection closed inside a frame payload")
 
 
 # -- packed batch codec (one instance per address family) -------------------

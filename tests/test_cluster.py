@@ -49,10 +49,9 @@ from repro.service.wire import (
     REQUEST_CODECS,
     WireError,
     decode_msg_payload,
+    FrameReader,
+    encode_frame,
     encode_msg_frame,
-    recv_binary_frame,
-    recv_frame,
-    send_frame,
 )
 from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
@@ -773,7 +772,7 @@ class TestKillUnderLoad:
             killer = threading.Thread(target=kill_mid_stream)
             sent_at = {}
             answered = []  # (request id, latency, verdicts)
-            with _binary_socket(cluster.address) as sock:
+            with _binary_socket(cluster.address) as (sock, frames):
                 sock.settimeout(self.BACKEND_TIMEOUT + 10.0)
                 killer.start()
                 next_rid = 1
@@ -788,7 +787,7 @@ class TestKillUnderLoad:
                         next_rid += 1
                     if window:
                         sock.sendall(window)
-                    ftype, rid, payload = recv_binary_frame(sock)
+                    ftype, rid, payload = frames.read(binary=True)
                     assert ftype == codec.ft_reply
                     answered.append(
                         (
@@ -801,7 +800,9 @@ class TestKillUnderLoad:
                 assert not killer.is_alive() and killed_at
                 # Nothing answered twice: the next frame on the wire is
                 # the reply to the next request, not a late duplicate.
-                pong = _binary_call(sock, b'{"op": "ping"}', self.TOTAL + 1)
+                pong = _binary_call(
+                    sock, frames, b'{"op": "ping"}', self.TOTAL + 1
+                )
                 assert pong["result"] == "pong"
 
             # A crash, not a shutdown.
@@ -1074,17 +1075,17 @@ class TestWritePass:
         router = Router(partition, [[shard.address] for shard in shards])
         router.start()
         try:
-            with _binary_socket(router.address) as sock:
+            with _binary_socket(router.address) as (sock, frames):
                 # Warm: every link connected and past its hello.
                 sock.sendall(codec.encode_batch_request(batches[0], 1))
-                assert recv_binary_frame(sock)[1] == 1
+                assert frames.read(binary=True)[1] == 1
                 writes.clear()
                 sock.sendall(b"".join(
                     codec.encode_batch_request(batch, rid)
                     for rid, batch in enumerate(batches[1:], 2)
                 ))
                 for rid, batch in enumerate(batches[1:], 2):
-                    ftype, got, payload = recv_binary_frame(sock)
+                    ftype, got, payload = frames.read(binary=True)
                     assert (ftype, got) == (codec.ft_reply, rid)
                     assert codec.decode_batch_reply(payload) == [
                         single.query(ip).to_wire() for ip, _ in batch
@@ -1152,6 +1153,10 @@ def _wait_quiet(backend, timeout=5.0):
     return False
 
 
+#: The ok reply to a ``ping``.
+_PONG = {"ok": True, "result": "pong"}
+
+
 class _MisbehavingBackend:
     """A fake shard backend that answers pings on a fresh connection
     — so probes over throwaway connections would keep it looking
@@ -1187,37 +1192,35 @@ class _MisbehavingBackend:
             ).start()
 
     def _serve(self, conn: socket.socket) -> None:
+        frames = FrameReader(conn)
         with conn:
             try:
                 while True:
-                    request = recv_frame(conn)
+                    request = frames.read()
                     is_ping = (
                         isinstance(request, dict)
                         and request.get("op") == "ping"
                     )
                     if is_ping:
-                        send_frame(conn, {"ok": True, "result": "pong"})
+                        conn.sendall(encode_frame(_PONG))
                     elif self.mode == "json-only":
-                        send_frame(
-                            conn,
-                            {"ok": True, "result": {"protocol": 1}},
+                        conn.sendall(
+                            encode_frame({"ok": True, "result": {"protocol": 1}})
                         )
                     elif self.mode in ("garbled", "wrong-family"):
-                        send_frame(
-                            conn,
-                            {"ok": True, "result": {"codec": "binary"}},
-                        )
+                        granted = {"ok": True, "result": {"codec": "binary"}}
+                        conn.sendall(encode_frame(granted))
                         if self.mode == "garbled":
-                            self._serve_garbled(conn)
+                            self._serve_garbled(conn, frames)
                         else:
-                            self._serve_wrong_family(conn)
+                            self._serve_wrong_family(conn, frames)
                         return
             except (WireError, OSError):
                 return
 
     @staticmethod
-    def _serve_garbled(conn: socket.socket) -> None:
-        got = recv_binary_frame(conn)
+    def _serve_garbled(conn: socket.socket, frames: FrameReader) -> None:
+        got = frames.read(binary=True)
         if got is not None:
             _ftype, rid, _payload = got
             conn.sendall(
@@ -1226,9 +1229,11 @@ class _MisbehavingBackend:
             conn.recv(1)  # hold the socket until the router hangs up
 
     @staticmethod
-    def _serve_wrong_family(conn: socket.socket) -> None:
+    def _serve_wrong_family(
+        conn: socket.socket, frames: FrameReader
+    ) -> None:
         while True:
-            got = recv_binary_frame(conn)
+            got = frames.read(binary=True)
             if got is None:
                 return
             ftype, rid, payload = got
@@ -1267,17 +1272,18 @@ class _SilentBackend(_MisbehavingBackend):
         super().__init__("silent")
 
     def _serve(self, conn: socket.socket) -> None:
+        frames = FrameReader(conn)
         with conn:
             try:
                 while True:
-                    request = recv_frame(conn)
+                    request = frames.read()
                     if request is None:
                         return
                     if (
                         isinstance(request, dict)
                         and request.get("op") == "ping"
                     ):
-                        send_frame(conn, {"ok": True, "result": "pong"})
+                        conn.sendall(encode_frame(_PONG))
             except (WireError, OSError):
                 return
 
@@ -1658,9 +1664,9 @@ class TestDownstreamFamilyGuard:
         single = QueryEngine(index)
         with LocalCluster(index, shards=2) as cluster:
             assert cluster.router.wait_healthy(10.0)
-            with _binary_socket(cluster.address) as s:
+            with _binary_socket(cluster.address) as (s, frames):
                 s.sendall(other.encode_batch_request([(1, None), (2, 5)], 7))
-                ftype, rid, payload = recv_binary_frame(s)
+                ftype, rid, payload = frames.read(binary=True)
                 assert (ftype, rid) == (FT_MSG, 7)
                 assert decode_msg_payload(payload) == {
                     "ok": False,
@@ -1670,7 +1676,7 @@ class TestDownstreamFamilyGuard:
                     ),
                 }
                 s.sendall(served.encode_batch_request(queries, 8))
-                ftype, rid, payload = recv_binary_frame(s)
+                ftype, rid, payload = frames.read(binary=True)
                 assert (ftype, rid) == (served.ft_reply, 8)
                 assert served.decode_batch_reply(payload) == [
                     single.query(ip, day).to_wire() for ip, day in queries

@@ -29,7 +29,6 @@ from repro.service.wire import (
     decode_binary_frame,
     decode_msg_payload,
     encode_binary_frame,
-    recv_binary_frame,
 )
 from tests.test_service_binary import _binary_socket
 
@@ -59,10 +58,10 @@ def _answer(address, payload):
     """``payload`` as one packed request frame, on a fresh binary
     connection (a reply that never came leaves none out of step): the
     reply's type and payload bytes."""
-    with _binary_socket(address) as sock:
+    with _binary_socket(address) as (sock, frames):
         sock.settimeout(2.0)
         sock.sendall(encode_binary_frame(CODEC.ft_request, 5, payload))
-        ftype, rid, reply = recv_binary_frame(sock)
+        ftype, rid, reply = frames.read(binary=True)
     assert rid == 5
     return ftype, reply
 

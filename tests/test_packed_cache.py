@@ -20,7 +20,7 @@ from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
-from repro.service.wire import CODECS, recv_binary_frame
+from repro.service.wire import CODECS
 from repro.stream.delta import DeltaBatch, ListingDelta
 from repro.stream.epoch import EpochIndex
 from tests.test_service_binary import _binary_socket
@@ -44,9 +44,11 @@ def _serve(engine):
     return server
 
 
-def _ask(sock, *batches):
-    """Send every batch in ONE write (a pipelined window), then read
-    the raw reply payloads back in order."""
+def _ask(peer, *batches):
+    """Send every batch in ONE write (a pipelined window) on ``peer``,
+    a socket and its reader, then read the raw reply payloads back in
+    order."""
+    sock, frames = peer
     sock.sendall(
         b"".join(
             CODEC.encode_batch_request(pairs, rid)
@@ -55,7 +57,7 @@ def _ask(sock, *batches):
     )
     payloads = []
     for rid in range(1, len(batches) + 1):
-        ftype, got_rid, payload = recv_binary_frame(sock)
+        ftype, got_rid, payload = frames.read(binary=True)
         assert (ftype, got_rid) == (CODEC.ft_reply, rid)
         payloads.append(payload)
     return payloads
@@ -93,9 +95,9 @@ class TestPackedCacheHits:
         ]
         server = _serve(QueryEngine(index))
         try:
-            with _binary_socket(server.address) as sock:
-                (first,) = _ask(sock, pairs)
-                (again,) = _ask(sock, pairs)
+            with _binary_socket(server.address) as peer:
+                (first,) = _ask(peer, pairs)
+                (again,) = _ask(peer, pairs)
             assert again == first
             reference = QueryEngine(index)
             assert CODEC.decode_batch_reply(first) == [
@@ -122,10 +124,10 @@ class TestPackedCacheHits:
         asked.append(asked[0][:-4] + (7).to_bytes(4, "big"))
         server = _serve(QueryEngine(index))
         try:
-            with _binary_socket(server.address) as sock:
+            with _binary_socket(server.address) as (sock, frames):
                 for rid in (1, 2):
                     sock.sendall(CODEC.encode_request_frame(asked, rid))
-                    ftype, got_rid, payload = recv_binary_frame(sock)
+                    ftype, got_rid, payload = frames.read(binary=True)
                     assert (ftype, got_rid) == (CODEC.ft_reply, rid)
                     records = CODEC.split_batch_reply(payload)
                     assert records == [records[0]] * 3
@@ -158,12 +160,12 @@ class TestPackedCacheAcrossEpochs:
     def test_swap_between_batches(self, index, streamed):
         epochs, server = streamed
         ip, day, delta = _extension(index)
-        with _binary_socket(server.address) as sock:
-            (cold,) = _ask(sock, [(ip, day)])
-            (cached,) = _ask(sock, [(ip, day)])
+        with _binary_socket(server.address) as peer:
+            (cold,) = _ask(peer, [(ip, day)])
+            (cached,) = _ask(peer, [(ip, day)])
             assert cached == cold
             epochs.apply(DeltaBatch(1, day, (delta,)))
-            (fresh,) = _ask(sock, [(ip, day)])
+            (fresh,) = _ask(peer, [(ip, day)])
         (before,) = CODEC.decode_batch_reply(cached)
         (after,) = CODEC.decode_batch_reply(fresh)
         self._check_swap(before, after, ip, delta.list_id)
@@ -205,9 +207,9 @@ class TestPackedCacheAcrossEpochs:
                 epochs.apply(DeltaBatch(1, day, (delta,)))
 
         monkeypatch.setattr(server, "_records", answer_then_swap)
-        with _binary_socket(server.address) as sock:
-            _ask(sock, [(ip, day)])  # prime the epoch-0 record
-            first, second = _ask(sock, [(ip, day)], [(ip, day)])
+        with _binary_socket(server.address) as peer:
+            _ask(peer, [(ip, day)])  # prime the epoch-0 record
+            first, second = _ask(peer, [(ip, day)], [(ip, day)])
         assert len(handled) == 3
         (before,) = CODEC.decode_batch_reply(first)
         (after,) = CODEC.decode_batch_reply(second)
@@ -251,10 +253,10 @@ class TestPackedCacheAcrossEpochs:
             monkeypatch, server, epochs, DeltaBatch(1, day, (delta,)), nth=1
         )
         pairs = [(other, day), (ip, day)]
-        with _binary_socket(server.address) as sock:
-            (straddling,) = _ask(sock, pairs)
+        with _binary_socket(server.address) as peer:
+            (straddling,) = _ask(peer, pairs)
             assert _held(server) == (0, {(other, day): 0, (ip, day): 0})
-            (settled,) = _ask(sock, pairs)
+            (settled,) = _ask(peer, pairs)
         first, second = CODEC.decode_batch_reply(straddling)
         assert (first["epoch"], first["seq"]) == (0, 0)
         # ``ip`` was evaluated after the swap, against the frame's own
@@ -274,16 +276,16 @@ class TestPackedCacheAcrossEpochs:
         epochs, server = streamed
         ip, day, delta = _extension(index)
         other = next(a for a in listed if a != ip)
-        with _binary_socket(server.address) as sock:
-            _ask(sock, [(other, day)])  # prime the hit, at epoch 0
+        with _binary_socket(server.address) as peer:
+            _ask(peer, [(other, day)])  # prime the hit, at epoch 0
             self._swap_before_evaluation(
                 monkeypatch, server, epochs, DeltaBatch(1, day, (delta,)),
                 nth=0,
             )
-            (straddling,) = _ask(sock, [(ip, day), (other, day)])
+            (straddling,) = _ask(peer, [(ip, day), (other, day)])
             # The miss went into the table it was probed in.
             assert _held(server) == (0, {(other, day): 0, (ip, day): 0})
-            (settled,) = _ask(sock, [(ip, day), (other, day)])
+            (settled,) = _ask(peer, [(ip, day), (other, day)])
         miss, hit = CODEC.decode_batch_reply(straddling)
         assert (miss["epoch"], miss["seq"]) == (hit["epoch"], hit["seq"])
         after, _ = CODEC.decode_batch_reply(settled)
@@ -320,9 +322,9 @@ class TestPackedCacheBound:
         reference = QueryEngine(index)
         server = _serve(QueryEngine(index))
         try:
-            with _binary_socket(server.address) as sock:
+            with _binary_socket(server.address) as peer:
                 for pairs in batches:
-                    (payload,) = _ask(sock, pairs)
+                    (payload,) = _ask(peer, pairs)
                     assert len(server._packed) <= capacity
                     assert CODEC.decode_batch_reply(payload) == [
                         reference.query(ip, day).to_wire()
@@ -334,7 +336,7 @@ class TestPackedCacheBound:
                 assert list(server._packed) == [
                     CODEC.pack_request(ip, day) for ip, day in keys[-capacity:]
                 ]
-                (payload,) = _ask(sock, batches[0])
+                (payload,) = _ask(peer, batches[0])
             assert CODEC.decode_batch_reply(payload) == [
                 reference.query(ip, day).to_wire()
                 for ip, day in batches[0]

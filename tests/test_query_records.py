@@ -462,8 +462,8 @@ class TestServedFrames:
         monkeypatch.setattr(Verdict, "__init__", counting_init)
         # Nothing stays cached: every op below answers misses.
         monkeypatch.setattr(server_module, "PACKED_CACHE_SIZE", 0)
-        with _binary_socket(server.address) as sock:
-            (payload,) = _ask(sock, pairs)
+        with _binary_socket(server.address) as peer:
+            (payload,) = _ask(peer, pairs)
         with ReputationClient(*server.address) as client:
             assert client.stats()["cache"]["misses"] == len(pairs)
         answers = _answers_by_every_op(server.address, pairs)
@@ -507,10 +507,10 @@ class TestServedFrames:
         misses = [(ip, 231) for ip in listed[:11]]
         with ReputationClient(*server.address) as client, _binary_socket(
             server.address
-        ) as sock:
-            _ask(sock, hits)  # prime
+        ) as peer:
+            _ask(peer, hits)  # prime
             before = client.stats()
-            _ask(sock, misses[:5] + hits + misses[5:])
+            _ask(peer, misses[:5] + hits + misses[5:])
             after = client.stats()
         batch_before = before["queries"]["batch"]
         batch_after = after["queries"]["batch"]

@@ -51,7 +51,6 @@ from repro.service.wire import (
     FT_MSG,
     encode_frame,
     encode_msg_frame,
-    recv_binary_frame,
 )
 from tests.test_service_binary import _binary_socket
 
@@ -88,10 +87,10 @@ def _exchange(
         with socket.create_connection(address, timeout=10.0) as sock:
             sock.sendall(json_frame)
             json_payload = _json_payload(sock)
-    with _binary_socket(address) as sock:
+    with _binary_socket(address) as (sock, frames):
         sock.settimeout(10.0)
         sock.sendall(binary_frame)
-        ftype, rid, payload = recv_binary_frame(sock)
+        ftype, rid, payload = frames.read(binary=True)
         assert rid == 3
     return json_payload, (ftype, payload)
 

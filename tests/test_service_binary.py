@@ -24,6 +24,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,7 @@ from repro.service.wire import (
     FT_MSG,
     MAX_FRAME_BYTES,
     REQUEST_CODECS,
+    FrameReader,
     WireError,
     decode_binary_frame,
     decode_frame,
@@ -57,9 +59,6 @@ from repro.service.wire import (
     encode_binary_frame,
     encode_frame,
     encode_msg_frame,
-    recv_binary_frame,
-    recv_frame,
-    send_frame,
 )
 from tests import reply_view_fixtures
 from tests.test_service_wire import FakeSocket, json_values
@@ -515,7 +514,7 @@ class TestBinaryFrameFuzz:
            st.integers(min_value=1, max_value=7))
     def test_recv_binary_frame_never_crashes(self, blob, chunk):
         try:
-            recv_binary_frame(FakeSocket(blob, chunk=chunk))
+            FrameReader(FakeSocket(blob, chunk=chunk)).read(binary=True)
         except WireError:
             pass
 
@@ -555,20 +554,20 @@ class TestBinaryFrameFuzz:
         frame = encode_msg_frame({"op": "ping"}, 1)
         for cut in range(1, BIN_HEADER_SIZE):
             with pytest.raises(WireError) as excinfo:
-                recv_binary_frame(FakeSocket(frame[:cut]))
+                FrameReader(FakeSocket(frame[:cut])).read(binary=True)
             assert excinfo.value.recoverable
 
     def test_torn_payload_is_fatal(self):
         frame = encode_msg_frame({"op": "ping"}, 1)
         with pytest.raises(WireError) as excinfo:
-            recv_binary_frame(FakeSocket(frame[: len(frame) - 2]))
+            FrameReader(FakeSocket(frame[: len(frame) - 2])).read(binary=True)
         assert not excinfo.value.recoverable
 
     def test_bad_magic_is_fatal(self):
         frame = bytearray(encode_msg_frame({"op": "ping"}, 1))
         frame[0] ^= 0xFF
         with pytest.raises(WireError) as excinfo:
-            recv_binary_frame(FakeSocket(bytes(frame)))
+            FrameReader(FakeSocket(bytes(frame))).read(binary=True)
         assert not excinfo.value.recoverable
 
     def test_eintr_mid_frame_is_retried(self):
@@ -586,14 +585,14 @@ class TestBinaryFrameFuzz:
                 return super().recv(size)
 
         frame = encode_msg_frame({"op": "ping"}, 9)
-        got = recv_binary_frame(InterruptingSocket(frame))
+        got = FrameReader(InterruptingSocket(frame)).read(binary=True)
         assert got is not None
         assert decode_msg_payload(got[2]) == {"op": "ping"}
 
     def test_declared_length_over_limit_rejected(self):
         header = struct.pack(">BBII", 0xB1, FT_MSG, 0, MAX_FRAME_BYTES + 1)
         with pytest.raises(WireError) as excinfo:
-            recv_binary_frame(FakeSocket(header))
+            FrameReader(FakeSocket(header)).read(binary=True)
         assert not excinfo.value.recoverable
 
     @settings(max_examples=150, deadline=None)
@@ -642,8 +641,8 @@ class TestNegotiation:
         """A pre-negotiation client's hello must come back without any
         codec keys — the reply an old server would have sent."""
         with socket.create_connection(server.address, timeout=5.0) as s:
-            send_frame(s, {"op": "hello"})
-            reply = recv_frame(s)
+            s.sendall(encode_frame({"op": "hello"}))
+            reply = FrameReader(s).read()
         assert reply["ok"] is True
         assert "codec" not in reply["result"]
         assert "codecs" not in reply["result"]
@@ -669,21 +668,25 @@ class TestNegotiation:
         """``accept_codecs`` listing only json: reply carries the codec
         keys but the connection stays on the JSON framing."""
         with socket.create_connection(server.address, timeout=5.0) as s:
-            send_frame(s, {"op": "hello", "accept_codecs": ["json"]})
-            reply = recv_frame(s)
+            frames = FrameReader(s)
+            s.sendall(encode_frame({"op": "hello", "accept_codecs": ["json"]}))
+            reply = frames.read()
             assert reply["result"]["codec"] == "json"
-            send_frame(s, {"op": "ping"})
-            assert recv_frame(s)["result"] == "pong"
+            s.sendall(encode_frame({"op": "ping"}))
+            assert frames.read()["result"] == "pong"
 
     def test_frames_after_switch_are_binary(self, server):
         """The hello reply itself is still JSON-framed; the very next
         frame speaks binary."""
         with socket.create_connection(server.address, timeout=5.0) as s:
-            send_frame(s, {"op": "hello", "accept_codecs": ["binary"]})
-            reply = recv_frame(s)
+            frames = FrameReader(s)
+            s.sendall(
+                encode_frame({"op": "hello", "accept_codecs": ["binary"]})
+            )
+            reply = frames.read()
             assert reply["result"]["codec"] == "binary"
             s.sendall(encode_msg_frame({"op": "ping"}, 5))
-            ftype, rid, payload = recv_binary_frame(s)
+            ftype, rid, payload = frames.read(binary=True)
             assert (ftype, rid) == (FT_MSG, 5)
             assert decode_msg_payload(payload)["result"] == "pong"
 
@@ -710,12 +713,13 @@ class TestHelloPipelining:
             address = router.start()
         try:
             with socket.create_connection(address, timeout=5.0) as s:
+                frames = FrameReader(s)
                 s.sendall(
                     encode_frame({"op": "hello", "accept_codecs": ["binary"]})
                     + codec.encode_batch_request([(ip, day)], 9)
                 )
-                assert recv_frame(s)["result"]["codec"] == "binary"
-                ftype, rid, payload = recv_binary_frame(s)
+                assert frames.read()["result"]["codec"] == "binary"
+                ftype, rid, payload = frames.read(binary=True)
             assert (ftype, rid) == (wire.FT_BATCH_REP, 9)
             (verdict,) = codec.decode_batch_reply(payload)
             assert verdict == QueryEngine(index).query(ip, day).to_wire()
@@ -770,18 +774,21 @@ class TestBinaryDemanded:
         assert "(20 transport errors)" in capsys.readouterr().err
 
 
+@contextmanager
 def _binary_socket(address):
-    """A raw socket already switched to the binary framing."""
-    s = socket.create_connection(address, timeout=5.0)
-    send_frame(s, {"op": "hello", "accept_codecs": ["binary"]})
-    assert recv_frame(s)["result"]["codec"] == "binary"
-    return s
+    """A raw socket already switched to the binary framing, and the one
+    :class:`FrameReader` that reads it."""
+    with socket.create_connection(address, timeout=5.0) as s:
+        frames = FrameReader(s)
+        s.sendall(encode_frame({"op": "hello", "accept_codecs": ["binary"]}))
+        assert frames.read()["result"]["codec"] == "binary"
+        yield s, frames
 
 
-def _binary_call(s, payload, rid):
+def _binary_call(s, frames, payload, rid):
     """Send ``payload`` as an FT_MSG frame, return the decoded reply."""
     s.sendall(encode_binary_frame(FT_MSG, rid, payload))
-    ftype, got_rid, reply = recv_binary_frame(s)
+    ftype, got_rid, reply = frames.read(binary=True)
     assert (ftype, got_rid) == (FT_MSG, rid)
     return decode_msg_payload(reply)
 
@@ -792,12 +799,13 @@ class TestUndecodableMsgPayloads:
 
     def test_deep_nesting_on_json_framing(self, server):
         with socket.create_connection(server.address, timeout=5.0) as s:
+            frames = FrameReader(s)
             s.sendall(struct.pack(">I", len(DEEP_PAYLOAD)) + DEEP_PAYLOAD)
-            reply = recv_frame(s)
+            reply = frames.read()
             assert reply["ok"] is False
             assert "undecodable frame payload" in reply["error"]
-            send_frame(s, {"op": "ping"})
-            assert recv_frame(s)["result"] == "pong"
+            s.sendall(encode_frame({"op": "ping"}))
+            assert frames.read()["result"] == "pong"
 
     @pytest.mark.parametrize(
         "payload",
@@ -808,11 +816,12 @@ class TestUndecodableMsgPayloads:
         """Nesting past the parser's stack, and — cross-version — a
         peer still speaking the tagged encoding: both get told so and
         keep their connection."""
-        with _binary_socket(server.address) as s:
-            reply = _binary_call(s, payload, 3)
+        with _binary_socket(server.address) as (s, frames):
+            reply = _binary_call(s, frames, payload, 3)
             assert reply["ok"] is False
             assert "undecodable frame payload" in reply["error"]
-            assert _binary_call(s, b'{"op":"ping"}', 4)["result"] == "pong"
+            ping = _binary_call(s, frames, b'{"op":"ping"}', 4)
+            assert ping["result"] == "pong"
 
 
 class TestUnencodableReplies:
@@ -832,9 +841,10 @@ class TestUnencodableReplies:
 
         with _wire_server(handler, max_frame=self.MAX_FRAME) as server:
             with socket.create_connection(server.start(), timeout=5.0) as s:
-                send_frame(s, {"op": "hello"})
-                assert recv_frame(s) == {"ok": True}
-                return _binary_call(s, b'{"op":"ask"}', 3)
+                frames = FrameReader(s)
+                s.sendall(encode_frame({"op": "hello"}))
+                assert frames.read() == {"ok": True}
+                return _binary_call(s, frames, b'{"op":"ask"}', 3)
 
     def test_nan_in_reply_degrades_to_error(self):
         got = self._ask({"ok": True, "result": float("nan")})
@@ -1063,15 +1073,15 @@ class _ScriptedPeer:
             conn, _ = self._sock.accept()
         except OSError:
             return
-        binary, codec = False, CODECS[V4]
+        binary, codec, frames = False, CODECS[V4], FrameReader(conn)
         with conn:
             try:
                 while True:
                     rid = 0
+                    got = frames.read(binary)
+                    if got is None:
+                        return
                     if binary:
-                        got = recv_binary_frame(conn)
-                        if got is None:
-                            return
                         ftype, rid, payload = got
                         request = (
                             decode_msg_payload(payload)
@@ -1079,9 +1089,7 @@ class _ScriptedPeer:
                             else codec.decode_batch_request(payload)
                         )
                     else:
-                        request = recv_frame(conn)
-                        if request is None:
-                            return
+                        request = got
                     hello = (
                         isinstance(request, dict) and request["op"] == "hello"
                     )
@@ -1101,10 +1109,14 @@ class _ScriptedPeer:
                             if binary
                             else encode_frame(reply)
                         )
-                    conn.sendall(frame)
+                    self.send(conn, frame)
                     binary = binary or hello
             except (WireError, OSError):
                 return
+
+    def send(self, conn, frame: bytes) -> None:
+        """Put one reply frame on the wire; a subclass may garble it."""
+        conn.sendall(frame)
 
     def close(self) -> None:
         self._sock.close()
@@ -1272,6 +1284,93 @@ class _OneFrameTypePeer(_ScriptedPeer):
         return self.ftype, _frame_payload(self.ftype)
 
 
+class _BadMagicPeer(_OneFrameTypePeer):
+    """Answers as ``_OneFrameTypePeer(FT_MSG)`` does, but every binary
+    frame it sends has its magic byte flipped."""
+
+    def __init__(self) -> None:
+        super().__init__(FT_MSG)
+
+    def send(self, conn, frame: bytes) -> None:
+        if frame[0] == wire.BINARY_MAGIC:  # not the JSON-framed hello
+            frame = bytes([frame[0] ^ 0xFF]) + frame[1:]
+        conn.sendall(frame)
+
+
+class TestBadMagic:
+    """A binary frame whose first byte is not the magic breaks the
+    framing at either end: the stream has no known next boundary."""
+
+    def test_at_the_server(self, server):
+        """Told why in band, then hung up on."""
+        frame = bytearray(encode_msg_frame({"op": "ping"}, 5))
+        frame[0] ^= 0xFF
+        with _binary_socket(server.address) as (s, frames):
+            s.sendall(bytes(frame))
+            ftype, rid, reply = frames.read(binary=True)
+            assert (ftype, rid) == (FT_MSG, 0)
+            assert decode_msg_payload(reply) == {
+                "ok": False, "error": f"bad frame magic 0x{frame[0]:02x}"
+            }
+            assert frames.read(binary=True) is None
+
+    @pytest.mark.parametrize("reader", ["point", "batch"])
+    def test_at_the_client(self, reader):
+        """A :class:`TransportError`, and the client is closed."""
+        peer = _BadMagicPeer()
+        try:
+            client = ReputationClient(*peer.address, timeout=5.0)
+            assert client.codec == "binary"
+            with pytest.raises(TransportError, match="bad frame magic"):
+                if reader == "point":
+                    client.ping()
+                else:
+                    client.query_batch([(1, 5)])
+            with pytest.raises(TransportError, match="client is closed"):
+                client.ping()
+        finally:
+            peer.close()
+
+
+class _CountingSocket:
+    """A client's socket, with its ``recv`` calls counted."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self.recvs = 0
+
+    def recv(self, size: int) -> bytes:
+        self.recvs += 1
+        return self._sock.recv(size)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_pipelined_window_is_read_in_few_recvs(server, index, monkeypatch):
+    """Sixteen batch replies that arrive together are read out of one
+    buffer: fewer ``recv`` calls than two per frame (header, then
+    payload), which is what a reader that never reads past its frame
+    makes."""
+    made = []
+    connect = socket.create_connection
+
+    def counted(*args, **kwargs):
+        made.append(_CountingSocket(connect(*args, **kwargs)))
+        return made[-1]
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    ips = sorted(ip for ip, _ in index.interval_items())[:8]
+    batches = [[(ip, day) for ip in ips] for day in range(220, 236)]
+    with ReputationClient(*server.address) as client:
+        assert client.codec == "binary"
+        (sock,) = made
+        sock.recvs = 0
+        replies = client.query_batch_pipelined(batches, window=16)
+    assert [len(reply) for reply in replies] == [len(ips)] * 16
+    assert sock.recvs < 32
+
+
 @pytest.mark.parametrize("name", FRAME_TYPES)
 class TestEveryFrameTypeAtEveryReader:
     """Each ``FT_*`` type, well formed, sent to each end that reads
@@ -1284,9 +1383,9 @@ class TestEveryFrameTypeAtEveryReader:
 
     def test_at_the_server(self, server, name):
         ftype = getattr(wire, name)
-        with _binary_socket(server.address) as s:
+        with _binary_socket(server.address) as (s, frames):
             s.sendall(encode_binary_frame(ftype, 7, _frame_payload(ftype)))
-            got_type, rid, reply = recv_binary_frame(s)
+            got_type, rid, reply = frames.read(binary=True)
             assert rid == 7
             if ftype == FT_MSG:
                 assert got_type == FT_MSG
@@ -1307,7 +1406,8 @@ class TestEveryFrameTypeAtEveryReader:
                     f"unexpected frame type {ftype}" in refusal["error"]
                     or "ipv4-only index" in refusal["error"]
                 )
-            assert _binary_call(s, b'{"op":"ping"}', 8)["result"] == "pong"
+            ping = _binary_call(s, frames, b'{"op":"ping"}', 8)
+            assert ping["result"] == "pong"
 
     def test_at_the_client(self, name):
         ftype = getattr(wire, name)

@@ -1,9 +1,12 @@
 """Server/client tests: TCP end-to-end fidelity, hostile peers,
 concurrency, graceful shutdown, and the CLI front end."""
 
+import gc
+import os
 import socket
 import struct
 import threading
+import warnings
 
 import pytest
 
@@ -13,7 +16,7 @@ from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
-from repro.service.wire import recv_frame, send_frame
+from repro.service.wire import FrameReader, encode_frame
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +97,7 @@ class TestEndToEnd:
 class TestHostilePeers:
     def test_bad_request_shapes_get_error_replies(self, server):
         with _raw_connection(server) as sock:
+            frames = FrameReader(sock)
             for request in (
                 "not an object",
                 {"op": "frobnicate"},
@@ -105,27 +109,28 @@ class TestHostilePeers:
                 {"op": "batch", "queries": "nope"},
                 {"op": "batch", "queries": [17]},
             ):
-                send_frame(sock, request)
-                reply = recv_frame(sock)
+                sock.sendall(encode_frame(request))
+                reply = frames.read()
                 assert reply["ok"] is False
                 assert reply["error"]
             # The connection is still healthy afterwards.
-            send_frame(sock, {"op": "ping"})
-            assert recv_frame(sock)["result"] == "pong"
+            sock.sendall(encode_frame({"op": "ping"}))
+            assert frames.read()["result"] == "pong"
 
     def test_unparseable_json_keeps_connection(self, server):
         with _raw_connection(server) as sock:
+            frames = FrameReader(sock)
             payload = b"{broken json"
             sock.sendall(struct.pack(">I", len(payload)) + payload)
-            reply = recv_frame(sock)
+            reply = frames.read()
             assert reply["ok"] is False
-            send_frame(sock, {"op": "ping"})
-            assert recv_frame(sock)["result"] == "pong"
+            sock.sendall(encode_frame({"op": "ping"}))
+            assert frames.read()["result"] == "pong"
 
     def test_oversized_declared_length_closes_connection(self, server):
         with _raw_connection(server) as sock:
             sock.sendall(struct.pack(">I", 1 << 30))
-            reply = recv_frame(sock)
+            reply = FrameReader(sock).read()
             assert reply["ok"] is False
             # Server must then close: next read sees EOF.
             assert sock.recv(1) == b""
@@ -193,8 +198,8 @@ class TestConcurrency:
                     socket.create_connection(server.address, timeout=30.0)
                 )
             for sock, request in zip(socks, requests):
-                send_frame(sock, request)
-            replies = [recv_frame(sock) for sock in socks]
+                sock.sendall(encode_frame(request))
+            replies = [FrameReader(sock).read() for sock in socks]
         finally:
             for sock in socks:
                 sock.close()
@@ -213,6 +218,22 @@ class TestConcurrency:
         srv.shutdown()
         with pytest.raises(ServiceError):
             ReputationClient(host, port, timeout=0.5)
+
+    def test_unstarted_server_releases_every_fd(self, index):
+        """A server shut down before its loop ever ran releases its
+        listener and its reactor's epoll fd and waker pair then, not
+        at some later collection, where a test that turns
+        ``ResourceWarning`` into an error would fail on them."""
+        gc.collect()
+        before = set(os.listdir("/proc/self/fd"))
+        srv = ReputationServer(QueryEngine(index))
+        srv.shutdown()
+        assert set(os.listdir("/proc/self/fd")) == before
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del srv
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 class TestCliQuery:

@@ -13,30 +13,32 @@ from hypothesis import strategies as st
 
 from repro.service.wire import (
     MAX_FRAME_BYTES,
+    FrameReader,
     WireError,
     decode_frame,
     encode_frame,
-    recv_frame,
-    send_frame,
 )
 
 
 class FakeSocket:
-    """recv/sendall over an in-memory byte buffer, dribbling
-    ``chunk`` bytes per recv to exercise the partial-read loop."""
+    """recv over an in-memory byte buffer, dribbling ``chunk`` bytes
+    per recv to exercise the partial-read loop."""
 
     def __init__(self, data: bytes = b"", chunk: int = 3) -> None:
         self._data = data
         self._chunk = chunk
-        self.sent = b""
+        self.recvs = 0
 
     def recv(self, size: int) -> bytes:
+        self.recvs += 1
         take = min(size, self._chunk, len(self._data))
         out, self._data = self._data[:take], self._data[take:]
         return out
 
-    def sendall(self, data: bytes) -> None:
-        self.sent += data
+
+def read_frame(sock):
+    """One JSON frame off ``sock`` through a fresh :class:`FrameReader`."""
+    return FrameReader(sock).read()
 
 
 json_values = st.recursive(
@@ -95,7 +97,7 @@ class TestFrameFuzz:
     @given(st.binary(max_size=200), st.integers(min_value=1, max_value=7))
     def test_recv_frame_never_crashes(self, blob, chunk):
         try:
-            recv_frame(FakeSocket(blob, chunk=chunk))
+            read_frame(FakeSocket(blob, chunk=chunk))
         except WireError:
             pass
 
@@ -110,11 +112,11 @@ class TestFrameFuzz:
             # Inside the header: either incomplete (None) or EOF error.
             assert decode_frame(truncated) is None
             with pytest.raises(WireError):
-                recv_frame(FakeSocket(truncated))
+                read_frame(FakeSocket(truncated))
             return
         assert decode_frame(truncated) is None  # waits for more bytes
         with pytest.raises(WireError) as excinfo:
-            recv_frame(FakeSocket(truncated))
+            read_frame(FakeSocket(truncated))
         assert not excinfo.value.recoverable
 
 
@@ -206,7 +208,7 @@ class TestFrameLimits:
             decode_frame(header)
         assert not excinfo.value.recoverable
         with pytest.raises(WireError):
-            recv_frame(FakeSocket(header))
+            read_frame(FakeSocket(header))
 
     def test_empty_payload_rejected(self):
         with pytest.raises(WireError):
@@ -219,13 +221,34 @@ class TestFrameLimits:
             decode_frame(frame)
         assert excinfo.value.recoverable
         with pytest.raises(WireError) as excinfo:
-            recv_frame(FakeSocket(frame))
+            read_frame(FakeSocket(frame))
         assert excinfo.value.recoverable
 
     def test_clean_eof_returns_none(self):
-        assert recv_frame(FakeSocket(b"")) is None
+        assert read_frame(FakeSocket(b"")) is None
 
-    def test_send_frame_writes_decodable_bytes(self):
-        sock = FakeSocket()
-        send_frame(sock, {"op": "ping"})
-        assert decode_frame(sock.sent) == ({"op": "ping"}, len(sock.sent))
+
+class TestFrameReader:
+    def test_frames_of_one_recv_are_all_read_in_order(self):
+        first, second = {"op": "ping"}, ["two", 2]
+        sock = FakeSocket(
+            encode_frame(first) + encode_frame(second), chunk=1 << 16
+        )
+        frames = FrameReader(sock)
+        assert frames.read() == first
+        assert frames.read() == second
+        assert sock.recvs == 1
+        assert frames.read() is None
+
+    def test_bad_json_is_skipped_and_the_next_frame_read(self):
+        payload = b"\xff\xfe{not json"
+        sock = FakeSocket(
+            struct.pack(">I", len(payload)) + payload
+            + encode_frame({"op": "ping"}),
+            chunk=1 << 16,
+        )
+        frames = FrameReader(sock)
+        with pytest.raises(WireError) as excinfo:
+            frames.read()
+        assert excinfo.value.recoverable
+        assert frames.read() == {"op": "ping"}

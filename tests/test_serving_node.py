@@ -27,7 +27,7 @@ from repro.net.ipv4 import MAX_IPV4
 from repro.service.client import ReputationClient
 from repro.service.index import ReputationIndex
 from repro.service.server import ServingNode
-from repro.service.wire import CODECS, recv_binary_frame
+from repro.service.wire import CODECS
 from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import index_as_of
 from repro.stream.log import write_update_log
@@ -88,7 +88,7 @@ def _window_in_flight(address, listed, send_signal):
     in the order they came back."""
     codec = CODECS[V4]
     pairs = [(listed[i % len(listed)], None) for i in range(BATCH)]
-    with _binary_socket(address) as sock:
+    with _binary_socket(address) as (sock, frames):
         sock.sendall(
             b"".join(
                 codec.encode_batch_request(pairs, rid)
@@ -98,7 +98,7 @@ def _window_in_flight(address, listed, send_signal):
         send_signal()
         answered = []
         while True:
-            frame = recv_binary_frame(sock)
+            frame = frames.read(binary=True)
             if frame is None:
                 return answered
             ftype, rid, payload = frame
