@@ -32,6 +32,8 @@ from typing import List, NamedTuple, Optional, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 
 UNLOCK = "if True:"  # what a removed ``with <lock>:`` line becomes
+#: The live-replay fault: epoch swaps under four querying clients.
+SWAPS = "tests/test_faults.py::test_fault[log-swaps-under-load]"
 
 
 class Seed(NamedTuple):
@@ -41,20 +43,21 @@ class Seed(NamedTuple):
     tests: Tuple[str, ...] = ()  # pytest arguments, run from the copy
 
 
-def unlock(name: str, relpath: str, lock: str, body: str, tests: str) -> Seed:
+def unlock(name: str, relpath: str, lock: str, body: str, *tests: str) -> Seed:
     """Take the ``with <lock>:`` line off the block starting ``body``."""
     indent = " " * (len(body) - len(body.lstrip()) - 4)
     old = f"{indent}with self.{lock}:\n{body}"
-    return Seed(name, relpath, ((old, f"{indent}{UNLOCK}\n{body}"),), (tests,))
+    return Seed(name, relpath, ((old, f"{indent}{UNLOCK}\n{body}"),), tests)
 
 
 SEEDS: List[Seed] = [
     # Locks the epoch swap and the log cursor rest on.
     unlock("lock: EpochIndex.apply", "stream/epoch.py", "_write_lock",
-           "            epoch = self._current\n", "tests/test_stream_service.py"),
+           "            epoch = self._current\n", "tests/test_stream_service.py",
+           SWAPS),
     unlock("lock: LogFollower.stop", "stream/follower.py", "_lock",
            "            thread, self._thread = self._thread, None\n",
-           "tests/test_stream_service.py"),
+           "tests/test_stream_service.py", SWAPS),
     unlock("lock: UpdateLogReader.poll", "stream/log.py", "_lock",
            "            blob = self._unread()\n",
            "tests/test_stream_log.py"),
@@ -109,18 +112,26 @@ SEEDS: List[Seed] = [
     Seed("bug: split target read from a dead primary", "cluster/local.py",
          (("            self.catchup_seq = max(answered)\n",
            "            self.catchup_seq = seqs[0] or 0\n"),),
-         ("tests/test_cluster_elastic.py", "-k", "DeadPrimary")),
+         ("tests/test_faults.py", "-k", "split-dead-primary")),
     Seed("bug: mid-log damage read as a torn tail", "stream/log.py",
          (("        except zlib.error as exc:\n"
            "            raise UpdateLogError(\n"
            "                f\"corrupt record at byte {base + pos}: {exc}\"\n"
            "            ) from None\n",
            "        except zlib.error:\n            break\n"),),
-         ("tests/test_stream_log.py", "tests/test_stream_service.py",
-          "-k", "Corruption or Fuzz or FollowerFailure")),
+         ("tests/test_stream_log.py", "tests/test_faults.py",
+          "-k", "Corruption or Fuzz or log-damage-mid-file")),
     Seed("bug: LogFollower.start() after stop()", "stream/follower.py",
          (("            if self._stop.is_set():\n", "            if False:\n"),),
-         ("tests/test_stream_service.py", "-k", "FollowerFailure")),
+         ("tests/test_stream_service.py", "-k",
+          "a_stopped_follower_does_not_start_again")),
+    # A snapshot served from a mapping of its own file: truncated in
+    # place under a loaded index, the next query dies of SIGBUS.
+    Seed("bug: a served snapshot maps its file, not a sealed copy",
+         "service/snapshot.py",
+         (("sealed = _sealed_copy(handle.fileno(), size)\n",
+           "sealed = os.dup(handle.fileno())\n"),),
+         ("tests/test_faults.py", "-k", "snapshot-truncated")),
     # The one verdict cache serves every codec and op: a table kept
     # past its epoch would answer all of them stale after a swap.
     Seed("bug: the verdict cache's table outlives its epoch",

@@ -1,0 +1,842 @@
+"""Seeded fault reproducers, and the one check they are held to
+(DESIGN.md §6, "Faults").
+
+Each :class:`Fault` in :data:`FAULTS` is a reproducer with no asserts:
+``run(tmp_path, world)`` breaks one thing in a serving plane and
+returns a :class:`Record` of what its clients saw; :class:`Expect`
+holds the fault's own facts as data. :func:`check` alone judges:
+
+1. every verdict equals ``tests/reference.py``'s model, ``epoch`` and
+   ``seq`` aside; behind a log follower, the model as of the day of
+   the ``seq`` the verdict names;
+2. every request id on a connection is answered exactly once, in
+   order, within the fault's bound;
+3. ``seq`` and ``epoch`` (and a router's ``seq_min``) never step back
+   on a connection;
+4. every other answer is declared — ``SHARD_UNAVAILABLE`` on a dead
+   shard's addresses only, or an in-band error carrying the fault's
+   cause — and so is every stale state. A hang, a timeout or a
+   process that did not exit cleanly fails.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+
+import repro
+from repro.cli import _announce_follow_end
+from repro.cluster import SHARD_UNAVAILABLE, LocalCluster, PartitionMap, Router
+from repro.loadgen import TrafficGenerator, get_mix, population_from_analysis
+from repro.net.family import V4, V6
+from repro.service.client import ReputationClient, ServiceError, TransportError
+from repro.service.engine import QueryEngine
+from repro.service.index import ReputationIndex
+from repro.service.server import ReputationServer
+from repro.service.wire import (
+    CODECS, FT_MSG, REQUEST_CODECS, FrameReader, WireError, decode_msg_payload,
+    encode_binary_frame, encode_frame, encode_msg_frame,
+)
+from repro.stream.delta import DeltaBatch, ListingDelta, day_advance_batches
+from repro.stream.epoch import EpochIndex, index_as_of
+from repro.stream.follower import LogFollower
+from repro.stream.log import UpdateLogWriter
+from tests.conftest import wait_for_seq
+from tests.reference import run_model
+from tests.test_service_binary import _verdict
+from tests.test_stream_log import _member, _record_doc
+
+#: ``(rid, asked, answer, seconds)``: ``asked`` is the client call,
+#: ``(method, *args)``; ``answer`` its result as plain data, the
+#: exception it raised, or ``None`` when none came.
+Call = Tuple[int, tuple, Any, float]
+
+
+@dataclass
+class Record:
+    """What a fault's clients saw; nothing in it is judged here."""
+
+    conns: Dict[str, List[Call]] = field(default_factory=dict)
+    #: Declared causes read back: ``epoch.error``, a refusal, stderr.
+    causes: List[str] = field(default_factory=list)
+    #: Exit codes of the processes the fault did not kill on purpose.
+    exits: Dict[str, Optional[int]] = field(default_factory=dict)
+    #: Shards the fault left with no backend: id -> its (lo, hi).
+    dead: Dict[int, Tuple[int, int]] = field(default_factory=dict)
+    #: What the run saw of the fault itself: that it landed, and how.
+    facts: Dict[str, Any] = field(default_factory=dict)
+    _lock: Any = field(default_factory=threading.Lock, repr=False)
+
+    def conn(self, name: str) -> List[Call]:
+        """A new connection's call list."""
+        with self._lock:
+            return self.conns.setdefault(f"{name}-{len(self.conns)}", [])
+
+
+@dataclass(frozen=True)
+class Expect:
+    #: Text every declared cause must carry (``None``: none may be).
+    cause: Optional[str] = None
+    #: A shard is left with no backend: its addresses, and only its,
+    #: must be answered ``SHARD_UNAVAILABLE``.
+    degraded: bool = False
+    #: Seconds no answer may take (the router's backend timeout).
+    bound: Optional[float] = None
+    #: Verdicts come from log followers: each is judged as of its seq.
+    follow: bool = False
+    #: :attr:`Record.facts`, exactly.
+    facts: Mapping[str, Any] = field(default_factory=dict)
+
+
+class Fault(NamedTuple):
+    name: str
+    run: Callable[[Path, "World"], Record]
+    expect: Expect
+
+
+class World:
+    """The session's run as the faults use it, and its model."""
+
+    def __init__(self, run) -> None:
+        self.run = run
+        self.index = ReputationIndex.from_run(run)
+        self.listed = sorted(run.analysis.blocklisted_ips)
+        self.days = [day for window in run.analysis.windows for day in window]
+        self.start_day = self.days[0]
+        self.base = index_as_of(self.index, self.start_day)
+        self.batches = list(day_advance_batches(
+            run.analysis.observed, start_day=self.start_day
+        ))
+        self.day_of_seq = {0: self.start_day}
+        self.day_of_seq.update((batch.seq, batch.day) for batch in self.batches)
+        self.reference = run_model(run)
+        self._as_of: Dict[int, Any] = {}
+
+    def owed(self, ip: int, day: Optional[int], seq: Optional[int] = None):
+        """The wire verdict owed for ``(ip, day)``, ``epoch``/``seq``
+        aside: by the reference, or by it as of ``seq``'s day."""
+        model = self.reference
+        if seq is not None:
+            assert seq in self.day_of_seq, f"no batch has seq {seq}"
+            if seq not in self._as_of:
+                self._as_of[seq] = model.as_of(self.day_of_seq[seq])
+            model = self._as_of[seq]
+        if day is None:
+            day = model.windows[-1][1] if model.windows else 0
+        verdict = model.verdict(ip, day)
+        del verdict["epoch"], verdict["seq"]
+        return {**verdict, "ip": model.family.format(ip),
+                "lists": list(verdict["lists"])}
+
+
+def check(record: Record, expect: Expect, model: World) -> None:
+    """Assert clauses 1-4 (module docstring) on ``record``, then
+    ``expect``'s facts. Exits come first: a death is why answers are
+    missing."""
+    for name, code in record.exits.items():
+        died = " (signal death)" if (code or 0) < 0 else ""
+        assert code == 0, f"{name} exited {code}{died}"
+    degraded = 0
+    for name, calls in record.conns.items():
+        rids = [call[0] for call in calls]
+        first = rids[0] if rids else 0
+        assert rids == list(range(first, first + len(rids))), (
+            f"{name}: request ids {rids} are not each answered once, in order"
+        )
+        marks: Dict[str, int] = {}
+        for rid, asked, answer, seconds in calls:
+            at = f"{name} request {rid} ({asked[0]})"
+            assert answer is not None, f"{at}: never answered"
+            assert seconds < (expect.bound or math.inf), (
+                f"{at}: answered in {seconds:.3f} s, bound {expect.bound}"
+            )
+            for ip, day, got in _answers(asked, answer, at):
+                if isinstance(got, BaseException) or "error" in got:
+                    degraded += _declared(ip, day, got, record, expect, at)
+                    continue
+                for mark in ("epoch", "seq", "seq_min"):
+                    if mark in got:
+                        assert got[mark] >= marks.get(mark, 0), (
+                            f"{at}: {mark} stepped back "
+                            f"{marks[mark]} -> {got[mark]}"
+                        )
+                        marks[mark] = got[mark]
+                if ip is not None:
+                    got = dict(got)
+                    del got["epoch"]
+                    seq = got.pop("seq")
+                    want = model.owed(ip, day, seq if expect.follow else None)
+                    assert got == want, f"{at}: {got} is not the model's {want}"
+    assert (degraded > 0) == expect.degraded, f"{degraded} degraded answers"
+    assert bool(record.causes) == (expect.cause is not None), (
+        f"declared {record.causes}; the fault's cause: {expect.cause!r}"
+    )
+    for cause in record.causes:
+        assert expect.cause in cause, f"{cause!r} lacks {expect.cause!r}"
+    assert record.facts == dict(expect.facts)
+
+
+def _answers(asked: tuple, answer: Any, at: str):
+    """``(ip, day, verdict)`` for each verdict (or the exception) in
+    ``answer``; a ``hello``'s marks come with ``ip`` None."""
+    method, *args = asked
+    if isinstance(answer, BaseException) or method == "query":
+        ip = args[0] if method == "query" else None
+        return [(ip, args[1] if len(args) > 1 else None, answer)]
+    if method == "query_batch":
+        assert len(answer) == len(args[0]), f"{at}: {len(answer)} verdicts"
+        return [(ip, day, got) for (ip, day), got in zip(args[0], answer)]
+    if method == "hello":
+        return [(None, None, {**answer.get("cluster", {}), **answer})]
+    assert answer in (True, "pong"), f"{at}: {answer!r}"
+    return []
+
+
+def _declared(ip, day, got, record: Record, expect: Expect, at: str) -> int:
+    """1 for a degraded answer on a dead shard, 0 for an in-band error
+    carrying the fault's cause; anything else fails."""
+    if isinstance(got, BaseException):
+        assert isinstance(got, ServiceError) and not isinstance(
+            got, TransportError
+        ), f"{at}: {got!r}"
+        dead = re.match(rf"{SHARD_UNAVAILABLE}: shard (\d+) ", str(got))
+        if not (dead and ip is not None):
+            assert expect.cause and expect.cause in str(got), (
+                f"{at}: undeclared error {got}"
+            )
+            return 0
+        got = {"ip": V4.format(ip), "day": day, "error": SHARD_UNAVAILABLE,
+               "shard": int(dead[1])}
+    shard = got.get("shard")
+    assert expect.degraded and shard in record.dead, (
+        f"{at}: undeclared degraded answer {dict(got)}"
+    )
+    lo, hi = record.dead[shard]
+    declared = {"ip": V4.format(ip), "day": day, "error": SHARD_UNAVAILABLE,
+                "shard": shard}
+    assert lo <= ip <= hi and dict(got) == declared, (
+        f"{at}: {dict(got)} is not shard {shard}'s to declare"
+    )
+    return 1
+
+
+# -- what the faults drive ---------------------------------------------
+
+
+def _plain(answer: Any) -> Any:
+    """A batch's record views as dicts, kept past the reply."""
+    return [dict(v) for v in answer] if isinstance(answer, list) else answer
+
+
+class Conn:
+    """A client whose every call is kept in a record's call list."""
+
+    def __init__(self, client: ReputationClient, calls: List[Call]):
+        self.client, self.calls = client, calls
+
+    def ask(self, method: str, *args: Any) -> Any:
+        """Call ``method``; keep and return its answer (or exception)."""
+        started = time.monotonic()
+        try:
+            answer = _plain(getattr(self.client, method)(*args))
+        except Exception as exc:  # the answer, for check() to judge
+            answer = exc
+        seconds = time.monotonic() - started
+        self.calls.append((len(self.calls) + 1, (method, *args), answer, seconds))
+        return answer
+
+
+def _threads(*targets: Callable[[], Any]) -> None:
+    """Run ``targets`` side by side and wait for all of them: one that
+    raised, or never ended, is an error of the run."""
+    raised: List[BaseException] = []
+
+    def guarded(target: Callable[[], Any]) -> None:
+        try:
+            target()
+        except BaseException as exc:  # re-raised below, on the caller
+            raised.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,)) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    if raised:
+        raise raised[0]
+    if any(thread.is_alive() for thread in threads):
+        raise RuntimeError("a fault's client or producer never finished")
+
+
+class _MisbehavingBackend:
+    """A fake shard backend that answers pings on a fresh connection
+    — so probes over throwaway connections would keep it looking
+    healthy — but mistreats the router's link: ``silent`` reads every
+    request and never answers (which swallows the router's
+    binary-codec hello), ``json-only`` answers that hello the way a
+    pre-negotiation server does, without granting the codec,
+    ``garbled`` grants it and then answers the first request with a
+    non-object ``FT_MSG`` payload, ``wrong-family`` grants it and
+    answers every packed batch with a reply frame typed as the *other*
+    address family. A connection's thread ends at its peer's EOF, and
+    :meth:`close` frees the port and ends the accept thread."""
+
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self._sock.getsockname()[:2]
+        self._accepting = threading.Thread(target=self._accept_loop, daemon=True)
+        self._accepting.start()
+
+    def _accept_loop(self) -> None:
+        with contextlib.suppress(OSError):
+            while True:
+                conn, _ = self._sock.accept()
+                threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        frames = FrameReader(conn)
+        with conn, contextlib.suppress(WireError, OSError):
+            while (request := frames.read()) is not None:
+                if isinstance(request, dict) and request.get("op") == "ping":
+                    conn.sendall(encode_frame({"ok": True, "result": "pong"}))
+                elif self.mode == "json-only":
+                    conn.sendall(encode_frame({"ok": True, "result": {"protocol": 1}}))
+                elif self.mode != "silent":
+                    granted = {"ok": True, "result": {"codec": "binary"}}
+                    conn.sendall(encode_frame(granted))
+                    if self.mode == "garbled":
+                        return self._serve_garbled(conn, frames)
+                    return self._serve_wrong_family(conn, frames)
+
+    @staticmethod
+    def _serve_garbled(conn: socket.socket, frames: FrameReader) -> None:
+        got = frames.read(binary=True)
+        if got is not None:
+            conn.sendall(encode_msg_frame(["not", "a", "reply", "object"], got[1]))
+            conn.recv(1)  # hold the socket until the router hangs up
+
+    @staticmethod
+    def _serve_wrong_family(conn: socket.socket, frames: FrameReader) -> None:
+        while (got := frames.read(binary=True)) is not None:
+            ftype, rid, payload = got
+            asked = REQUEST_CODECS.get(ftype)
+            if asked is None:
+                return  # an FT_MSG request: hang up, nothing to garble
+            other = CODECS[V4 if asked.family is V6 else V6]
+            # Records that *would* decode under the asker's layout, in
+            # a frame typed as the other family's reply: only the frame
+            # type check stands between them and the client.
+            record = asked.pack_verdict(_verdict(asked.family))
+            count = len(asked.decode_batch_request(payload))
+            frame = asked.encode_batch_reply_frame([record] * count, rid)
+            conn.sendall(frame[:1] + bytes([other.ft_reply]) + frame[2:])
+
+    def close(self) -> None:
+        # close() alone would leave accept() blocked, and the port
+        # listening, until one more peer came.
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._sock.close()
+        self._accepting.join(timeout=5.0)
+
+
+_ENV = {**os.environ, "PYTHONUNBUFFERED": "1",
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+
+
+@contextlib.contextmanager
+def _cluster(tmp_path: Path, world: World, record: Record, *args: str):
+    """``repro cluster --port 0 --snapshot … ARGS`` in its own session:
+    yields its address and a reader of its output, then stops it as an
+    operator does (SIGTERM) and records how it exited."""
+    snapshot, out = tmp_path / "index.idx", tmp_path / "cluster.out"
+    world.index.save(snapshot)
+    with open(out, "wb") as sink:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster", "--port", "0",
+             "--snapshot", str(snapshot), *args],
+            stdout=sink, stderr=subprocess.STDOUT, env=_ENV, start_new_session=True,
+        )
+
+    def output() -> str:
+        return out.read_text(errors="replace")
+
+    try:
+        deadline = time.monotonic() + 120.0
+        while not (serving := re.search(r"serving on ([\d.]+):(\d+)", output())):
+            if proc.poll() is not None or time.monotonic() > deadline:
+                raise RuntimeError(f"repro cluster never served:\n{output()}")
+            time.sleep(0.05)
+        yield (serving[1], int(serving[2])), output
+    finally:
+        proc.send_signal(signal.SIGTERM)
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=30.0)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)  # whatever did not stop
+        record.exits["repro cluster"] = proc.wait()
+
+
+def _backends(cluster: LocalCluster, but=None):
+    """Every backend of ``cluster``'s layout now except ``but``, by name
+    (read their ``exitcode`` once the cluster is closed)."""
+    return {
+        f"shard {shard}/{replica}": cluster.backend(shard, replica)
+        for shard, slot in enumerate(cluster.shard_pids())
+        for replica in range(len(slot))
+        if cluster.backend(shard, replica) is not but
+    }
+
+
+def _append(path: Path, data: bytes) -> None:
+    with open(path, "ab") as handle:
+        handle.write(data)
+
+
+# -- the faults --------------------------------------------------------
+
+
+def _cluster_kill_primary(codec: str, victim: int):
+    """``repro cluster`` with one replica a shard, asked before and
+    after a primary is SIGKILLed (by the pid its banner printed): the
+    replica answers."""
+
+    def run(tmp_path: Path, world: World) -> Record:
+        record, rng = Record(), random.Random(7)
+        keys = world.listed + [rng.randrange(1 << 32) for _ in range(100)]
+        with _cluster(
+            tmp_path, world, record, "--shards", "3", "--replicas", "1"
+        ) as (address, output), ReputationClient(*address, codec=codec) as client:
+            conn = Conn(client, record.conn(codec))
+            record.facts["shards"] = conn.ask("hello")["cluster"]["shards"]
+            conn.ask("query_batch", [(ip, None) for ip in keys])
+            pid = re.search(rf"^shard {victim} primary pid=(\d+)", output(), re.M)
+            os.kill(int(pid[1]), signal.SIGKILL)
+            time.sleep(0.2)
+            conn.ask("query_batch", [(ip, None) for ip in keys])
+            for ip in world.listed:
+                conn.ask("query", ip)
+            record.facts["codec"] = client.codec
+        return record
+
+    return run
+
+
+def _auto_split_under_load(tmp_path: Path, world: World) -> Record:
+    """``repro cluster --auto-split`` under 20,000 hot-range queries at
+    2,000 q/s over four connections: it splits online, and every query
+    is answered."""
+    record, mix = Record(), get_mix("hot-range")
+    ips, days = population_from_analysis(mix, world.run.analysis)
+    events = TrafficGenerator(mix, ips, days, seed=0).schedule(20_000, 2_000.0)
+    with _cluster(
+        tmp_path, world, record, "--shards", "3", "--auto-split",
+        "--split-interval", "0.3", "--split-factor", "1.8",
+        "--split-sustain", "2", "--split-min-hits", "50", "--max-shards", "8",
+    ) as (address, output):
+        start = time.monotonic()
+        record.facts["auto-split on"] = "auto-split on" in output()
+
+        def drive(share) -> None:
+            with ReputationClient(*address, codec="binary") as client:
+                conn = Conn(client, record.conn("load"))
+                for event in share:
+                    time.sleep(max(0.0, start + event.at - time.monotonic()))
+                    if event.kind == "batch":
+                        conn.ask("query_batch", event.pairs)
+                    else:
+                        conn.ask("query", *event.pairs[0])
+
+        _threads(*(lambda n=n: drive(events[n::4]) for n in range(4)))
+        record.facts["queries asked"] = sum(
+            len(asked[1]) if asked[0] == "query_batch" else 1
+            for calls in record.conns.values() for _, asked, _, _ in calls
+        )
+        record.facts["split announced"] = "auto-split:" in output()
+        with ReputationClient(*address, codec="binary") as client:
+            hello = Conn(client, record.conn("after")).ask("hello")
+        record.facts["shards > 3"] = hello["cluster"]["shards"] > 3
+    return record
+
+
+_BACKEND_TIMEOUT = 2.0
+
+
+def _kill_under_load(replicas: int, total: int = 300, window: int = 8):
+    """A primary SIGKILLed while a raw pipelined window of batches (of
+    every listed address) is in flight."""
+
+    def run(tmp_path: Path, world: World) -> Record:
+        record, codec = Record(), CODECS[V4]
+        pairs = [(ip, None) for ip in world.listed]
+        calls, sent_at, killed_at = record.conn("raw"), {}, []
+        with LocalCluster(
+            world.index, shards=2, replicas=replicas,
+            backend_timeout=_BACKEND_TIMEOUT, heartbeat_interval=0.2,
+        ) as cluster:
+            router = cluster.router
+            router.wait_healthy(10.0)
+            victim = cluster.partition.shard_of(world.listed[0])
+            primary = cluster.backend(victim)
+            spared = _backends(cluster, but=primary)
+
+            def kill_mid_stream() -> None:
+                deadline = time.monotonic() + 10.0
+                while (
+                    router.load_snapshot()["shards"][victim]["hits"] < 2000
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                cluster.kill_primary(victim)
+                killed_at.append(time.monotonic())
+
+            killer = threading.Thread(target=kill_mid_stream)
+            with socket.create_connection(cluster.address, timeout=12.0) as sock:
+                frames, started = FrameReader(sock), time.monotonic()
+                sock.sendall(encode_frame({"op": "hello", "accept_codecs": ["binary"]}))
+                hello = frames.read()["result"]
+                calls.append((0, ("hello",), hello, time.monotonic() - started))
+                killer.start()
+                while len(calls) <= total:
+                    out = bytearray()
+                    while len(sent_at) < total and len(sent_at) - len(calls) < window:
+                        rid = len(sent_at) + 1
+                        out += codec.encode_batch_request(pairs, rid)
+                        sent_at[rid] = time.monotonic()
+                    sock.sendall(out)
+                    ftype, rid, payload = frames.read(binary=True)
+                    answer = TransportError(f"reply frame type {ftype}")
+                    if ftype == codec.ft_reply:
+                        answer = _plain(codec.decode_batch_reply(payload))
+                    calls.append((rid, ("query_batch", pairs), answer,
+                                  time.monotonic() - sent_at.get(rid, started)))
+                killer.join(timeout=15.0)
+                # Nothing answered twice: the next frame on the wire is
+                # the reply to the next request, not a late duplicate.
+                started = time.monotonic()
+                sock.sendall(encode_binary_frame(FT_MSG, total + 1, b'{"op": "ping"}'))
+                _, rid, payload = frames.read(binary=True)
+                pong = decode_msg_payload(payload)["result"]
+                calls.append((rid, ("ping",), pong, time.monotonic() - started))
+            record.facts.update({
+                "killed": primary.exitcode,
+                "kill landed mid-stream": bool(killed_at)
+                and sent_at[1] < killed_at[0] < sent_at[total],
+                "victim slot emptied": cluster.shard_pids()[victim][0] is None,
+            })
+            if replicas:
+                with ReputationClient(*router.address) as client:
+                    rows = client.stats()["shards"][victim]["backends"]
+                record.facts["replica healthy"] = rows[1]["healthy"]
+            else:
+                shard_range = cluster.partition.range_of(victim)
+                record.dead[victim] = (shard_range.lo, shard_range.hi)
+        record.exits.update((name, b.exitcode) for name, b in spared.items())
+        return record
+
+    return run
+
+
+def _backend_garbled(tmp_path: Path, world: World) -> Record:
+    """A backend's reply that breaks decoding *after* its sub left the
+    pending queue still fails that sub over to the replica — losing it
+    would stall the downstream slot for ever."""
+    record, fake = Record(), _MisbehavingBackend("garbled")
+    with ReputationServer(QueryEngine(world.index)) as real:
+        real.start()
+        router = Router(
+            PartitionMap(1), [[tuple(fake.address), real.address]],
+            backend_timeout=1.0, heartbeat_interval=30.0,
+        )
+        router.start()
+        try:
+            with ReputationClient(*router.address, codec="binary") as client:
+                Conn(client, record.conn("client")).ask("query", world.listed[0])
+                failovers = client.stats()["router"]["failovers"]
+            record.facts["failed over"] = failovers >= 1
+        finally:
+            router.shutdown()
+            fake.close()
+    return record
+
+
+def _log_swaps_under_load(tmp_path: Path, world: World) -> Record:
+    """A producer appends the whole stream while four clients ask: each
+    answer is the state of the epoch it names, never a torn one; after
+    catch-up, every listed address on every window day is."""
+    record, log_path = Record(), tmp_path / "updates.gz"
+    writer = UpdateLogWriter(log_path, start_day=world.start_day)
+    epochs = EpochIndex(world.base, day=world.start_day)
+    final, ips, days = world.batches[-1].seq, world.listed, world.days
+    with ReputationServer(
+        QueryEngine(epochs), connection_timeout=10.0, streaming=True
+    ) as server, LogFollower(log_path, epochs, poll_interval=0.002) as follower:
+        address = server.start()
+
+        def ask(seed: int) -> None:
+            with ReputationClient(*address) as client:
+                conn = Conn(client, record.conn("client"))
+                for i in range(250):
+                    ip = ips[(seed + 3 * i) % len(ips)]
+                    conn.ask("query", ip, days[(seed + i) % len(days)])
+
+        _threads(*(lambda n=n: ask(n) for n in range(4)),
+                 lambda: [writer.append(batch) for batch in world.batches])
+        record.facts["caught up"] = follower.wait_for_seq(final, timeout=30.0)
+        with ReputationClient(*address) as client:
+            conn = Conn(client, record.conn("after"))
+            for day in days:
+                conn.ask("query_batch", [(ip, day) for ip in ips])
+            record.facts["at the last seq"] = conn.ask("hello")["seq"] == final
+    record.causes += [epochs.error] if epochs.error is not None else []
+    return record
+
+
+def _follow_fault(damage, asks=lambda good: ()):
+    """A server following a one-batch log through a symlink (so the
+    fault can swap what the path names in one rename), until
+    ``damage(log, tmp_path, world)`` breaks the log; it returns text
+    the declared reason must also name, or ``None``. The stale server
+    is then asked ``asks(good)``, a point query and a ``hello``."""
+
+    def run(tmp_path: Path, world: World) -> Record:
+        record, good, stderr = Record(), world.batches[0], io.StringIO()
+        real, log_path = tmp_path / "updates.real.gz", tmp_path / "updates.gz"
+        UpdateLogWriter(real, start_day=world.start_day).append(good)
+        log_path.symlink_to(real)
+        epochs = EpochIndex(world.base, day=world.start_day)
+        follower = LogFollower(
+            log_path, epochs, poll_interval=0.01,
+            on_end=_announce_follow_end,  # what ``repro serve`` hangs there
+        )
+        with ReputationServer(
+            QueryEngine(epochs), connection_timeout=5.0, streaming=True
+        ) as server, contextlib.redirect_stderr(stderr):
+            with follower, ReputationClient(*server.start(), codec="binary") as client:
+                record.facts["caught up"] = follower.wait_for_seq(good.seq, 10.0)
+                record.facts["clean before"] = client.stats()["epoch"]["error"] is None
+                place = damage(log_path, tmp_path, world)
+                deadline = time.monotonic() + 1.0
+                while (reason := client.stats()["epoch"]["error"]) is None:
+                    if time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
+                record.causes += [reason] if reason is not None else []
+                conn = Conn(client, record.conn("client"))
+                for ask in [*asks(good), ("query", good.deltas[0].ip)]:
+                    conn.ask(*ask)
+                record.facts.update({
+                    "names its place": place is None or place in (reason or ""),
+                    "follower holds it": epochs.error == reason,
+                    "tail ended": not follower._thread.is_alive(),
+                    "serving seq": conn.ask("hello")["seq"],
+                })
+            record.facts["stopped"] = follower._thread is None
+        announced = stderr.getvalue()
+        record.causes += announced.splitlines()
+        record.facts["announced once"] = announced.count("follower stopped:") == 1
+        record.facts["announces the seq"] = f"(seq {good.seq})" in announced
+        return record
+
+    return run
+
+
+def _seq_gap(log_path, tmp_path, world):
+    good = world.batches[0]
+    _append(log_path, _member(_record_doc(DeltaBatch(good.seq + 2, good.day + 2, ()))))
+
+
+def _unreadable(log_path, tmp_path, world):
+    """Not an ``UpdateLogError``: ``open()`` itself fails (here
+    EISDIR; EACCES and EIO take the same path)."""
+    (tmp_path / "blocker").mkdir()
+    (tmp_path / "swap").symlink_to(tmp_path / "blocker")
+    os.replace(tmp_path / "swap", log_path)
+
+
+def _list_id_too_long(log_path, tmp_path, world):
+    """A list id too long for a verdict record is refused where it
+    enters, not folded in to fail every binary frame that touches its
+    address, the innocent neighbours in the frame included."""
+    good = world.batches[0]
+    day, ip = good.day + 1, good.deltas[0].ip
+    poison = ListingDelta(day, ip, "x" * 300, "add", day, good.day + 9)
+    _append(log_path, _member(_record_doc(DeltaBatch(good.seq + 1, day, (poison,)))))
+
+
+def _neighbours(good):
+    ip, day = good.deltas[0].ip, good.day + 1
+    return [("query_batch", [(ip - 1, day), (ip, day)]), ("query", ip, day)]
+
+
+def _damage_mid_file(log_path, tmp_path, world):
+    """A flipped byte inside a complete member is not a torn tail:
+    taken for one, the follower would wait on it for ever with
+    ``error`` None while valid batches sit behind the damage."""
+    damaged = bytearray(_member(_record_doc(world.batches[1])))
+    damaged[len(damaged) // 2] ^= 0xFF
+    at = log_path.stat().st_size
+    _append(log_path, bytes(damaged) + _member(_record_doc(world.batches[2])))
+    return f"corrupt record at byte {at}:"
+
+
+def _split_fault(replicas: int, victim: int = 1):
+    """Follow mode over a three-batch log, shard 1's primary SIGKILLed,
+    then shard 1 split while a client keeps asking ``hello``."""
+
+    def run(tmp_path: Path, world: World) -> Record:
+        record, log_path = Record(), tmp_path / "updates.gz"
+        writer = UpdateLogWriter(log_path, start_day=world.start_day)
+        for batch in world.batches[:3]:
+            writer.append(batch)
+        seq, calls, stop = world.batches[2].seq, record.conn("watcher"), []
+        with LocalCluster(
+            world.index, shards=2, replicas=replicas, follow=log_path,
+            start_day=world.start_day,
+        ) as cluster:
+            record.facts["caught up"] = wait_for_seq(cluster, seq)
+            old = [cluster.backend(victim, r) for r in range(1 + replicas)]
+            cluster.kill_primary(victim)
+            # The dead primary says nothing; its replica is at ``seq``.
+            record.facts["dead primary silent"] = not wait_for_seq(
+                [old[0].address], 0, timeout=0.0
+            )
+            if replicas:
+                record.facts["replica at seq"] = wait_for_seq(
+                    [old[1].address], seq, timeout=0.0
+                )
+
+            def watch() -> None:
+                with ReputationClient(*cluster.address) as client:
+                    conn = Conn(client, calls)
+                    while not stop:
+                        conn.ask("hello")
+
+            def split() -> None:
+                try:
+                    info = cluster.split_shard(victim)
+                    record.facts["catch-up is the replica's seq"] = (
+                        info["catchup_seq"] == seq
+                    )
+                except RuntimeError as exc:  # refused: the layout must stand
+                    record.causes.append(str(exc))
+                    pids = cluster.shard_pids()
+                    record.facts["layout kept"] = (
+                        len(cluster.partition) == len(pids) == 2
+                        and pids[1 - victim][0] is not None
+                    )
+                time.sleep(0.05)  # at least one hello after the cutover
+                stop.append(True)
+
+            _threads(watch, split)
+            record.facts["hellos from the serving seq"] = (
+                len(calls) >= 2 and calls[0][2]["seq"] == seq
+            )
+            kept = _backends(cluster, but=old[0])
+        record.exits.update((name, b.exitcode) for name, b in kept.items())
+        return record
+
+    return run
+
+
+#: Loads a snapshot, truncates its file to a tenth in place (what
+#: ``cp new.idx served.idx`` does first), then answers the addresses on
+#: stdin, one ``[seconds, verdict]`` line each.
+_TRUNCATE_UNDER_READER = """
+import json, os, sys, time
+from repro.service.engine import QueryEngine
+from repro.service.index import ReputationIndex
+path = sys.argv[1]
+index = ReputationIndex.load(path)
+os.truncate(path, os.path.getsize(path) // 10)
+engine = QueryEngine(index)
+for ip in json.load(sys.stdin):
+    started = time.monotonic()
+    verdict = engine.query(ip).to_wire()
+    print(json.dumps([time.monotonic() - started, verdict]), flush=True)
+"""
+
+
+def _snapshot_truncated(tmp_path: Path, world: World) -> Record:
+    """A mapping of the file itself loses the truncated pages, and the
+    next query that reads one dies of ``SIGBUS``; the index reads its
+    sealed copy, and answers every query."""
+    record, path, rng = Record(), tmp_path / "served.idx", random.Random(7)
+    world.index.save(path)
+    size = path.stat().st_size
+    keys = [rng.choice(world.listed) if n % 2 else rng.randrange(1 << 32)
+            for n in range(2000)]
+    result = subprocess.run(
+        [sys.executable, "-c", _TRUNCATE_UNDER_READER, str(path)],
+        input=json.dumps(keys), env=_ENV, capture_output=True, text=True,
+        timeout=120,
+    )
+    lines, calls = result.stdout.splitlines(), record.conn("reader")
+    for rid, ip in enumerate(keys, 1):
+        answered = rid <= len(lines)
+        seconds, verdict = json.loads(lines[rid - 1]) if answered else (0, None)
+        calls.append((rid, ("query", ip), verdict, seconds))
+    record.exits["reader"] = result.returncode
+    record.facts["truncated to a tenth"] = path.stat().st_size == size // 10
+    return record
+
+
+_KILLED = {"killed": -signal.SIGKILL, "kill landed mid-stream": True,
+           "victim slot emptied": True}
+_LOG = {"caught up": True, "clean before": True, "names its place": True,
+        "follower holds it": True, "tail ended": True, "serving seq": 1,
+        "stopped": True, "announced once": True, "announces the seq": True}
+_SPLIT = {"caught up": True, "dead primary silent": True,
+          "hellos from the serving seq": True}
+
+
+def _log(cause: str) -> Expect:
+    return Expect(cause=cause, follow=True, facts=_LOG)
+
+
+FAULTS: List[Fault] = [
+    Fault("cluster-kill-primary-json", _cluster_kill_primary("json", 0),
+          Expect(facts={"shards": 3, "codec": "json"})),
+    Fault("cluster-kill-primary-binary", _cluster_kill_primary("binary", 1),
+          Expect(facts={"shards": 3, "codec": "binary"})),
+    Fault("auto-split-under-load", _auto_split_under_load,
+          Expect(facts={"auto-split on": True, "queries asked": 20_000,
+                        "split announced": True, "shards > 3": True})),
+    Fault("kill-under-load-r1", _kill_under_load(1), Expect(
+        bound=_BACKEND_TIMEOUT, facts={**_KILLED, "replica healthy": True})),
+    Fault("kill-under-load-r0", _kill_under_load(0),
+          Expect(bound=_BACKEND_TIMEOUT, degraded=True, facts=_KILLED)),
+    Fault("backend-garbled", _backend_garbled,
+          Expect(bound=1.0, facts={"failed over": True})),
+    Fault("log-swaps-under-load", _log_swaps_under_load, Expect(
+        follow=True, facts={"caught up": True, "at the last seq": True})),
+    Fault("log-seq-gap", _follow_fault(_seq_gap), _log("sequence gap")),
+    Fault("log-unreadable", _follow_fault(_unreadable), _log("IsADirectoryError")),
+    Fault("log-list-id-too-long", _follow_fault(_list_id_too_long, _neighbours),
+          _log("ValueError: bad listing intervals: list id of 300 bytes "
+               "exceeds the 255-byte limit")),
+    Fault("log-damage-mid-file", _follow_fault(_damage_mid_file),
+          _log("UpdateLogError: corrupt record at byte ")),
+    Fault("split-dead-primary", _split_fault(1), Expect(follow=True, facts={
+        **_SPLIT, "replica at seq": True, "catch-up is the replica's seq": True})),
+    Fault("split-no-reach", _split_fault(0), Expect(
+        cause="shard 1 has no reach", follow=True,
+        facts={**_SPLIT, "layout kept": True})),
+    Fault("snapshot-truncated", _snapshot_truncated,
+          Expect(facts={"truncated to a tenth": True})),
+]

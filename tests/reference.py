@@ -98,6 +98,20 @@ class Reference:
             "seq": 0,
         }
 
+    def as_of(self, day):
+        """The model a follower holds on stream day ``day``: listings
+        that began by then, each cut off there (what
+        ``index_as_of`` and the log's batches up to that day make)."""
+        tables = self.tables()
+        tables["intervals"] = {
+            ip: [
+                (first, min(last, day), list_id)
+                for first, last, list_id in spans if first <= day
+            ]
+            for ip, spans in self.intervals.items()
+        }
+        return Reference(**tables)
+
     def updated(self, updates):
         """The model after ``with_interval_updates(updates)``."""
         tables = self.tables()

@@ -40,55 +40,16 @@ from repro.cluster import shard as shard_module
 from repro.cluster.router import Backend
 from repro.service.aio import Link
 from repro.service.client import ReputationClient, ServiceError
-from repro.service.engine import QueryEngine, Verdict
+from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
-from repro.service.wire import (
-    CODECS,
-    FT_MSG,
-    REQUEST_CODECS,
-    WireError,
-    decode_msg_payload,
-    FrameReader,
-    encode_frame,
-    encode_msg_frame,
-)
-from repro.stream.delta import day_advance_batches
+from repro.service.wire import CODECS, FT_MSG, decode_msg_payload
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.log import UpdateLogWriter
 from tests.conftest import wait_for_seq
+from tests.faults import _MisbehavingBackend
 from tests.test_frozen_bench_surface import SERVING
-from tests.test_service_binary import (
-    _binary_call,
-    _binary_socket,
-    _ScriptedPeer,
-    _verdict,
-)
-
-
-@pytest.fixture(scope="module")
-def full_index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
-
-
-@pytest.fixture(scope="module")
-def observed(small_full_run):
-    return small_full_run.analysis.observed
-
-
-@pytest.fixture(scope="module")
-def start_day(small_full_run):
-    return int(small_full_run.analysis.windows[0][0])
-
-
-@pytest.fixture(scope="module")
-def replay_batches(observed, start_day):
-    return list(day_advance_batches(observed, start_day=start_day))
-
-
-@pytest.fixture(scope="module")
-def listed_ips(small_full_run):
-    return sorted(small_full_run.analysis.blocklisted_ips)
+from tests.test_service_binary import _binary_socket, _ScriptedPeer, _verdict
 
 
 class TestPartition:
@@ -208,10 +169,6 @@ class TestRestrict:
             full_index.restrict(10, 5)
         with pytest.raises(ValueError):
             full_index.restrict(-1, 10)
-
-
-def _wire_verdicts(engine, ips, day=None):
-    return {ip: engine.query(ip, day).to_wire() for ip in ips}
 
 
 def _health(address):
@@ -670,8 +627,8 @@ class TestFailover:
         self, full_index, listed_ips
     ):
         # The primary is SIGKILLed while a client-side pipelined
-        # stream is in flight (``TestKillUnderLoad`` below checks the
-        # same crash request id by request id).
+        # stream is in flight (the ``kill-under-load-*`` faults in
+        # tests/faults.py check the same crash request id by request id).
         beat = 0.2
         with LocalCluster(
             full_index,
@@ -725,119 +682,6 @@ class TestFailover:
                 assert router.wait_healthy(10.0)
                 assert _health(router.address)[0] == [True, True]
                 assert client.query_batch(batch) == expected
-
-
-class TestKillUnderLoad:
-    """``kill_primary`` is a SIGKILL, here landing while a raw
-    pipelined window is in flight: every request id is answered
-    exactly once — a verdict through the replica, or a *declared*
-    ``SHARD_UNAVAILABLE`` when there is none — and no answer takes
-    longer than ``backend_timeout``."""
-
-    BACKEND_TIMEOUT = 2.0
-    TOTAL = 300
-    WINDOW = 8
-
-    @pytest.mark.parametrize("replicas", [1, 0])
-    def test_every_request_id_answered_exactly_once(
-        self, full_index, listed_ips, replicas
-    ):
-        codec = CODECS[V4]
-        single = QueryEngine(full_index)
-        pairs = [(ip, None) for ip in listed_ips]
-        expected = [single.query(ip).to_wire() for ip in listed_ips]
-        with LocalCluster(
-            full_index,
-            shards=2,
-            replicas=replicas,
-            backend_timeout=self.BACKEND_TIMEOUT,
-            heartbeat_interval=0.2,
-        ) as cluster:
-            router = cluster.router
-            assert router.wait_healthy(10.0)
-            victim = cluster.partition.shard_of(listed_ips[0])
-            primary = cluster.backend(victim)
-            killed_at = []
-
-            def kill_mid_stream():
-                deadline = time.monotonic() + 10.0
-                while (
-                    router.load_snapshot()["shards"][victim]["hits"] < 2000
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.001)
-                cluster.kill_primary(victim)
-                killed_at.append(time.monotonic())
-
-            killer = threading.Thread(target=kill_mid_stream)
-            sent_at = {}
-            answered = []  # (request id, latency, verdicts)
-            with _binary_socket(cluster.address) as (sock, frames):
-                sock.settimeout(self.BACKEND_TIMEOUT + 10.0)
-                killer.start()
-                next_rid = 1
-                while len(answered) < self.TOTAL:
-                    window = bytearray()
-                    while (
-                        next_rid <= self.TOTAL
-                        and next_rid - len(answered) <= self.WINDOW
-                    ):
-                        window += codec.encode_batch_request(pairs, next_rid)
-                        sent_at[next_rid] = time.monotonic()
-                        next_rid += 1
-                    if window:
-                        sock.sendall(window)
-                    ftype, rid, payload = frames.read(binary=True)
-                    assert ftype == codec.ft_reply
-                    answered.append(
-                        (
-                            rid,
-                            time.monotonic() - sent_at[rid],
-                            codec.decode_batch_reply(payload),
-                        )
-                    )
-                killer.join(timeout=15.0)
-                assert not killer.is_alive() and killed_at
-                # Nothing answered twice: the next frame on the wire is
-                # the reply to the next request, not a late duplicate.
-                pong = _binary_call(
-                    sock, frames, b'{"op": "ping"}', self.TOTAL + 1
-                )
-                assert pong["result"] == "pong"
-
-            # A crash, not a shutdown.
-            assert primary.exitcode == -signal.SIGKILL
-            assert cluster.shard_pids()[victim][0] is None
-            # It landed inside the stream.
-            assert sent_at[self.TOTAL] > killed_at[0] > sent_at[1]
-
-            # Exactly once, in order, none hanging.
-            assert [rid for rid, _, _ in answered] == list(
-                range(1, self.TOTAL + 1)
-            )
-            assert max(t for _, t, _ in answered) < self.BACKEND_TIMEOUT
-
-            degraded = 0
-            for _, _, verdicts in answered:
-                assert len(verdicts) == len(pairs)
-                for ip, want, got in zip(listed_ips, expected, verdicts):
-                    if got == want:
-                        continue
-                    # The only other answer is the declared one, and
-                    # only where nothing is left to ask.
-                    assert replicas == 0
-                    assert got == {
-                        "ip": int_to_ip(ip),
-                        "day": None,
-                        "error": SHARD_UNAVAILABLE,
-                        "shard": victim,
-                    }
-                    assert cluster.partition.shard_of(ip) == victim
-                    degraded += 1
-            if replicas:
-                assert _health(router.address)[victim][1]
-            else:
-                assert degraded > 0
 
 
 class TestDegraded:
@@ -1153,151 +997,6 @@ def _wait_quiet(backend, timeout=5.0):
     return False
 
 
-#: The ok reply to a ``ping``.
-_PONG = {"ok": True, "result": "pong"}
-
-
-class _MisbehavingBackend:
-    """A fake shard backend that answers pings on a fresh connection
-    — so probes over throwaway connections would keep it looking
-    healthy — but mistreats the router's link: ``silent`` reads every
-    request and never answers (which swallows the router's
-    binary-codec hello), ``json-only`` answers that hello the way a
-    pre-negotiation server does, without granting the codec,
-    ``garbled`` grants it and then answers the first request with a
-    non-object ``FT_MSG`` payload, ``wrong-family`` grants it and
-    answers every packed batch with a reply frame typed as the *other*
-    address family."""
-
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(8)
-        self.address = self._sock.getsockname()[:2]
-        self._accepting = threading.Thread(
-            target=self._accept_loop, daemon=True
-        )
-        self._accepting.start()
-
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            ).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        frames = FrameReader(conn)
-        with conn:
-            try:
-                while True:
-                    request = frames.read()
-                    is_ping = (
-                        isinstance(request, dict)
-                        and request.get("op") == "ping"
-                    )
-                    if is_ping:
-                        conn.sendall(encode_frame(_PONG))
-                    elif self.mode == "json-only":
-                        conn.sendall(
-                            encode_frame({"ok": True, "result": {"protocol": 1}})
-                        )
-                    elif self.mode in ("garbled", "wrong-family"):
-                        granted = {"ok": True, "result": {"codec": "binary"}}
-                        conn.sendall(encode_frame(granted))
-                        if self.mode == "garbled":
-                            self._serve_garbled(conn, frames)
-                        else:
-                            self._serve_wrong_family(conn, frames)
-                        return
-            except (WireError, OSError):
-                return
-
-    @staticmethod
-    def _serve_garbled(conn: socket.socket, frames: FrameReader) -> None:
-        got = frames.read(binary=True)
-        if got is not None:
-            _ftype, rid, _payload = got
-            conn.sendall(
-                encode_msg_frame(["not", "a", "reply", "object"], rid)
-            )
-            conn.recv(1)  # hold the socket until the router hangs up
-
-    @staticmethod
-    def _serve_wrong_family(
-        conn: socket.socket, frames: FrameReader
-    ) -> None:
-        while True:
-            got = frames.read(binary=True)
-            if got is None:
-                return
-            ftype, rid, payload = got
-            asked = REQUEST_CODECS.get(ftype)
-            if asked is None:
-                return  # an FT_MSG request: hang up, nothing to garble
-            other = CODECS[V4 if asked.family is V6 else V6]
-            # Records that *would* decode under the asker's layout, in
-            # a frame typed as the other family's reply: only the frame
-            # type check stands between them and the client.
-            record = asked.pack_verdict(
-                Verdict(
-                    ip=1, day=0, listed=True, lists=("bogus",),
-                    nated=False, dynamic=False, unjust=False,
-                    reuse_kind="", users=0, asn=0, action="block",
-                )
-            )
-            count = len(asked.decode_batch_request(payload))
-            frame = asked.encode_batch_reply_frame([record] * count, rid)
-            conn.sendall(frame[:1] + bytes([other.ft_reply]) + frame[2:])
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class _SilentBackend(_MisbehavingBackend):
-    """The ``silent`` fake for a test that makes the router reconnect
-    every beat: its connection threads end at peer EOF (the base class
-    spins on a hung-up connection, one core per abandoned link, for
-    the rest of the session), and ``close`` really frees the port."""
-
-    def __init__(self) -> None:
-        super().__init__("silent")
-
-    def _serve(self, conn: socket.socket) -> None:
-        frames = FrameReader(conn)
-        with conn:
-            try:
-                while True:
-                    request = frames.read()
-                    if request is None:
-                        return
-                    if (
-                        isinstance(request, dict)
-                        and request.get("op") == "ping"
-                    ):
-                        conn.sendall(encode_frame(_PONG))
-            except (WireError, OSError):
-                return
-
-    def close(self) -> None:
-        # close() alone leaves the accept loop blocked — and the port
-        # listening — until one more connection arrives.
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        super().close()
-        self._accepting.join(timeout=5.0)
-
-
 class _UndecodableRecords(_ScriptedPeer):
     """Grants the binary codec, then answers every packed batch with
     records that slice cleanly but carry an action code no reader
@@ -1355,26 +1054,6 @@ class TestBackendMisbehavior:
         )
         router.start()
         return router
-
-    def test_garbled_reply_fails_over_without_hanging(
-        self, full_index, listed_ips, real_backend
-    ):
-        # Regression: a reply that breaks decoding *after* its sub was
-        # popped from the pending queue must still fail that sub over
-        # — losing it would stall the downstream slot forever.
-        fake = _MisbehavingBackend("garbled")
-        router = self._router(fake, real_backend)
-        try:
-            single = QueryEngine(full_index)
-            ip = listed_ips[0]
-            with ReputationClient(
-                *router.address, timeout=10.0
-            ) as client:
-                assert client.query(ip) == single.query(ip).to_wire()
-                assert client.stats()["router"]["failovers"] >= 1
-        finally:
-            router.shutdown()
-            fake.close()
 
     def test_backend_refusing_binary_is_declared_unhealthy(
         self, full_index, listed_ips, real_backend
@@ -1470,7 +1149,7 @@ class TestBackendMisbehavior:
         # before failing over; judged by what the real link
         # experienced, only the first request may.
         beat, timeout = 0.2, 1.0
-        fake = _SilentBackend()
+        fake = _MisbehavingBackend("silent")
         router = Router(
             PartitionMap(1),
             [[tuple(fake.address), real_backend.address]],
@@ -1713,7 +1392,6 @@ class TestClusterFollowEndToEnd:
         tmp_path,
         small_full_run,
         full_index,
-        observed,
         start_day,
         replay_batches,
         listed_ips,

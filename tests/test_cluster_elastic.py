@@ -24,25 +24,6 @@ from repro.loadgen import (
 from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient, TransportError
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
-from repro.stream.delta import day_advance_batches
-from repro.stream.log import UpdateLogWriter
-from tests.conftest import wait_for_seq
-
-
-@pytest.fixture(scope="module")
-def full_index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
-
-
-@pytest.fixture(scope="module")
-def analysis(small_full_run):
-    return small_full_run.analysis
-
-
-@pytest.fixture(scope="module")
-def listed_ips(small_full_run):
-    return sorted(small_full_run.analysis.blocklisted_ips)
 
 
 class TestManualSplit:
@@ -168,82 +149,6 @@ class TestManualSplit:
                 cluster.router.apply_partition(
                     PartitionMap(3), [[("127.0.0.1", 1)]]
                 )
-
-
-class TestSplitBehindADeadPrimary:
-    """Follow mode, primary SIGKILLed, its replica serving: the split's
-    catch-up target comes from the backend that answers, so the halves
-    are never cut over staler than what clients were already seeing."""
-
-    @pytest.fixture()
-    def followed(self, tmp_path, small_full_run):
-        start_day = int(small_full_run.analysis.windows[0][0])
-        log_path = tmp_path / "updates.gz"
-        writer = UpdateLogWriter(log_path, start_day=start_day)
-        batches = list(
-            day_advance_batches(
-                small_full_run.analysis.observed, start_day=start_day
-            )
-        )[:3]
-        for batch in batches:
-            writer.append(batch)
-        return log_path, start_day, batches[-1].seq
-
-    def test_halves_catch_up_to_the_serving_replica(
-        self, followed, full_index, listed_ips
-    ):
-        log_path, start_day, seq = followed
-        with LocalCluster(
-            full_index,
-            shards=2,
-            replicas=1,
-            follow=log_path,
-            start_day=start_day,
-        ) as cluster:
-            assert cluster.router.wait_healthy(10.0)
-            assert wait_for_seq(cluster, seq)
-            victim = cluster.partition.shard_of(listed_ips[0])
-            old_slot = [cluster.backend(victim, r) for r in (0, 1)]
-            cluster.kill_primary(victim)
-            # dead: says nothing
-            assert not wait_for_seq([old_slot[0].address], 0, timeout=0.0)
-            assert wait_for_seq([old_slot[1].address], seq, timeout=0.0)
-
-            seen, stop = [], threading.Event()
-
-            def watch():
-                with ReputationClient(*cluster.address) as client:
-                    while not stop.is_set():
-                        seen.append(client.hello()["cluster"]["seq_min"])
-
-            watcher = threading.Thread(target=watch)
-            watcher.start()
-            try:
-                info = cluster.split_shard(victim)
-            finally:
-                time.sleep(0.05)  # at least one hello after the cutover
-                stop.set()
-                watcher.join(10.0)
-
-        assert info["catchup_seq"] == seq  # was 0: the dead primary's answer
-        assert len(seen) >= 2
-        assert seen == sorted(seen) and seen[0] == seq, seen
-
-    def test_no_backend_answering_refuses_the_split(
-        self, followed, full_index
-    ):
-        log_path, start_day, seq = followed
-        with LocalCluster(
-            full_index, shards=2, follow=log_path, start_day=start_day
-        ) as cluster:
-            assert wait_for_seq(cluster, seq)
-            cluster.kill_primary(1)
-            with pytest.raises(RuntimeError, match="shard 1 has no reach"):
-                cluster.split_shard(1)
-            # Refused, not half-done: same partition, shard 0 serving.
-            assert len(cluster.partition) == 2
-            assert cluster.shard_pids()[0][0] is not None
-            assert len(cluster.shard_pids()) == 2
 
 
 class TestAutoSplitAcceptance:

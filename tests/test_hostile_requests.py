@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.cluster import LocalCluster
 from repro.net.family import V4
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
 from repro.service.server import MAX_BATCH, ReputationServer
 from repro.service.wire import (
     CODECS,
@@ -36,11 +35,6 @@ CODEC = CODECS[V4]
 
 #: A request record: address (4 bytes), ``has_day`` (1), day (4).
 RECORD = 9
-
-
-@pytest.fixture(scope="module")
-def index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 @pytest.fixture(scope="module")

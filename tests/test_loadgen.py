@@ -31,18 +31,7 @@ from repro.loadgen import (
 )
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
-
-
-@pytest.fixture(scope="module")
-def analysis(small_full_run):
-    return small_full_run.analysis
-
-
-@pytest.fixture(scope="module")
-def full_index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 class TestStats:

@@ -18,7 +18,6 @@ from repro.net.family import V4
 from repro.service import server as server_module
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import CODECS
 from repro.stream.delta import DeltaBatch, ListingDelta
@@ -26,11 +25,6 @@ from repro.stream.epoch import EpochIndex
 from tests.test_service_binary import _binary_socket
 
 CODEC = CODECS[V4]
-
-
-@pytest.fixture(scope="module")
-def index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 @pytest.fixture(scope="module")

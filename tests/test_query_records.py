@@ -429,10 +429,6 @@ def _answers_by_every_op(address, pairs):
 
 
 class TestServedFrames:
-    @pytest.fixture(scope="class")
-    def index(self, small_full_run):
-        return ReputationIndex.from_run(small_full_run)
-
     @pytest.fixture()
     def server(self, index):
         with ReputationServer(

@@ -39,7 +39,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-import pytest
 
 from repro.cluster import LocalCluster
 from repro.net.family import V4, V6
@@ -243,11 +242,6 @@ def _check(address, shape):
             pinned = {"ftype": FT_MSG, "payload": case["json"]}
         got = {"ftype": ftype, "payload": payload.hex()}
         assert got == pinned, case["name"]
-
-
-@pytest.fixture(scope="module")
-def index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 def _check_ops(address, shape):

@@ -42,7 +42,6 @@ from repro.service.client import (
     _int_pairs,
 )
 from repro.service.engine import QueryEngine, Verdict
-from repro.service.index import ReputationIndex
 from repro.service import wire
 from repro.service.server import ReputationServer
 from repro.service.wire import (
@@ -611,11 +610,6 @@ class TestBinaryFrameFuzz:
                 decode(blob)
             except WireError:
                 pass
-
-
-@pytest.fixture(scope="module")
-def index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 def _wire_server(handler, **kwargs):
@@ -1438,28 +1432,24 @@ class TestEveryFrameTypeAtEveryReader:
 
 
 class TestMixedFleets:
-    @pytest.fixture(scope="class")
-    def fleet_index(self, small_full_run):
-        return ReputationIndex.from_run(small_full_run)
-
     def test_router_serves_both_client_codecs_identically(
-        self, fleet_index
+        self, full_index
     ):
         """Binary and JSON downstream over the (always binary)
         upstream: both yield the same verdicts as a direct single
         server."""
         ips = sorted(
-            ip for ip, _ in fleet_index.interval_items()
+            ip for ip, _ in full_index.interval_items()
         )[:40] or [0x01020304]
         queries = [(ip, None) for ip in ips]
-        with ReputationServer(QueryEngine(fleet_index)) as direct:
+        with ReputationServer(QueryEngine(full_index)) as direct:
             direct.start()
             with ReputationClient(
                 *direct.address, codec="json"
             ) as reference_client:
                 reference = reference_client.query_batch(queries)
         with LocalCluster(
-            fleet_index,
+            full_index,
             shards=3,
             heartbeat_interval=0.2,
         ) as cluster:
@@ -1475,17 +1465,17 @@ class TestMixedFleets:
                     )
 
     def test_dead_shard_degrades_identically_on_both_codecs(
-        self, fleet_index
+        self, full_index
     ):
         """Shard-down degradation has the same wire shape whichever
         codec the client speaks."""
         ips = sorted(
-            ip for ip, _ in fleet_index.interval_items()
+            ip for ip, _ in full_index.interval_items()
         )[:20] or [0x01020304]
         queries = [(ip, None) for ip in ips]
         shapes = {}
         with LocalCluster(
-            fleet_index, shards=3, heartbeat_interval=0.2
+            full_index, shards=3, heartbeat_interval=0.2
         ) as cluster:
             assert cluster.router.wait_healthy(timeout=10.0)
             cluster.kill_primary(1)

@@ -4,24 +4,15 @@ read-optimised view of the batch :class:`ReuseAnalysis`."""
 import gzip
 import os
 import struct
-import subprocess
-import sys
 import zlib
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.greylist import BlockAction, recommend_action
 from repro.service import snapshot
 from repro.service.engine import ACTION_IGNORE, QueryEngine
 from repro.internet.categories import AbuseCategory
 from repro.service.index import ReputationIndex, SnapshotError, policy_category
-
-
-@pytest.fixture(scope="module")
-def index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 @pytest.fixture()
@@ -308,42 +299,6 @@ class TestSnapshots:
         assert loaded.intervals_of(ip) == before
         assert ReputationIndex.load(path).intervals_of(ip) == ()
         assert not list(tmp_path.glob("tmp-index-*"))
-
-    #: Loads a snapshot, truncates its file to a tenth in place (what
-    #: ``cp new.idx served.idx`` does first), then asks 2,000 queries.
-    TRUNCATE_UNDER_READER = """
-import os, random, sys
-from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
-path = sys.argv[1]
-index = ReputationIndex.load(path)
-listed = sorted(ip for ip, _spans in index.interval_items())
-os.truncate(path, os.path.getsize(path) // 10)
-engine = QueryEngine(index)
-rng = random.Random(7)
-keys = [rng.choice(listed) if n % 2 else rng.randrange(1 << 32)
-        for n in range(2000)]
-print(sum(engine.query(ip).ip == ip for ip in keys))
-"""
-
-    def test_a_file_truncated_under_a_loaded_index_is_never_read(
-        self, index, tmp_path
-    ):
-        """A mapping of the file itself loses the truncated pages, and
-        the next query that reads one dies of ``SIGBUS`` (signal 7).
-        The index reads its sealed copy, and answers every query."""
-        path = tmp_path / "served.idx"
-        index.save(path)
-        size = path.stat().st_size
-        src = str(Path(repro.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", self.TRUNCATE_UNDER_READER, str(path)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, (result.returncode, result.stderr)
-        assert result.stdout.split() == ["2000"]
-        assert path.stat().st_size == size // 10
 
     def test_the_sealed_copy_cannot_change(self, index, tmp_path):
         path = tmp_path / "sealed.idx"

@@ -14,14 +14,8 @@ from repro.cli import main
 from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import FrameReader, encode_frame
-
-
-@pytest.fixture(scope="module")
-def index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 @pytest.fixture()

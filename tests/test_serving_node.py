@@ -25,11 +25,8 @@ from repro.cluster import ShardProcess, ShardRange
 from repro.net.family import V4
 from repro.net.ipv4 import MAX_IPV4
 from repro.service.client import ReputationClient
-from repro.service.index import ReputationIndex
 from repro.service.server import ServingNode
 from repro.service.wire import CODECS
-from repro.stream.delta import day_advance_batches
-from repro.stream.epoch import index_as_of
 from repro.stream.log import write_update_log
 from tests.conftest import wait_for_seq
 from tests.test_service_binary import _binary_socket
@@ -43,34 +40,10 @@ WINDOW = 32
 BATCH = 256
 
 
-@pytest.fixture(scope="module")
-def full_index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
-
-
-@pytest.fixture(scope="module")
-def start_day(small_full_run):
-    return int(small_full_run.analysis.windows[0][0])
-
-
-@pytest.fixture(scope="module")
-def base_index(full_index, start_day):
-    return index_as_of(full_index, start_day)
-
-
-@pytest.fixture(scope="module")
-def batches(small_full_run, start_day):
-    return list(
-        day_advance_batches(
-            small_full_run.analysis.observed, start_day=start_day
-        )
-    )
-
-
 @pytest.fixture()
-def log_path(tmp_path, batches, start_day):
+def log_path(tmp_path, replay_batches, start_day):
     return write_update_log(
-        tmp_path / "updates.gz", batches, start_day=start_day
+        tmp_path / "updates.gz", replay_batches, start_day=start_day
     )
 
 
@@ -107,14 +80,9 @@ def _window_in_flight(address, listed, send_signal):
             answered.append(rid)
 
 
-@pytest.fixture(scope="module")
-def listed(small_full_run):
-    return sorted(small_full_run.analysis.blocklisted_ips)
-
-
 class TestInProcessCensus:
     def test_serve_forever_adds_only_the_follower(
-        self, base_index, follow, batches
+        self, base_index, follow, replay_batches
     ):
         before = set(threading.enumerate())
         node = ServingNode(base_index, **follow)
@@ -156,19 +124,19 @@ class TestWorkerProcess:
         yield shard
         shard.stop()
 
-    def test_os_thread_census(self, shard, follow, batches):
+    def test_os_thread_census(self, shard, follow, replay_batches):
         # Answered over the wire, so the loop (and the follower) runs.
-        seq = batches[-1].seq if follow else 0
+        seq = replay_batches[-1].seq if follow else 0
         assert wait_for_seq([shard.address], seq)
         with ReputationClient(*shard.address) as client:
             assert client.hello()["seq"] == seq
         tasks = os.listdir(f"/proc/{shard.pid}/task")
         assert len(tasks) == (2 if follow else 1)
 
-    def test_sigterm_mid_window_answers_the_window(self, shard, listed):
+    def test_sigterm_mid_window_answers_the_window(self, shard, listed_ips):
         pid = shard.pid
         answered = _window_in_flight(
-            shard.address, listed, lambda: os.kill(pid, signal.SIGTERM)
+            shard.address, listed_ips, lambda: os.kill(pid, signal.SIGTERM)
         )
         assert answered == list(range(1, WINDOW + 1))
         shard.stop()
@@ -192,7 +160,7 @@ class TestServeCommand:
         "signum", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"]
     )
     def test_signal_mid_window_drains(
-        self, cli_log, listed, batches, signum
+        self, cli_log, listed_ips, replay_batches, signum
     ):
         cache, log = cli_log
         env = dict(
@@ -215,11 +183,11 @@ class TestServeCommand:
             host, port = line.split()[2].rsplit(":", 1)
             address = (host, int(port))
             # The follower catches up on the whole log first.
-            assert wait_for_seq([address], batches[-1].seq)
+            assert wait_for_seq([address], replay_batches[-1].seq)
             tasks = os.listdir(f"/proc/{proc.pid}/task")
             assert len(tasks) == 2  # main thread + repro-log-follower
             answered = _window_in_flight(
-                address, listed, lambda: proc.send_signal(signum)
+                address, listed_ips, lambda: proc.send_signal(signum)
             )
             out, err = proc.communicate(timeout=20.0)
         finally:
@@ -228,7 +196,7 @@ class TestServeCommand:
         assert answered == list(range(1, WINDOW + 1))
         assert proc.returncode == 0
         assert out.endswith("shutting down\n")
-        assert out.count("epoch ") == len(batches)
+        assert out.count("epoch ") == len(replay_batches)
         assert err == ""
 
 

@@ -15,13 +15,10 @@ packed batches that partly hit, and a binary ``query()`` (a one-pair
 packed batch).
 """
 
-import pytest
 
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
 from repro.service.server import PACKED_CACHE_SIZE, ReputationServer
-from repro.stream.delta import day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter
@@ -30,11 +27,6 @@ SIZES = [
     ("ips", 188), ("intervals", 1683), ("nated_ips", 26),
     ("dynamic_prefixes", 1), ("lists", 151), ("ases", 11),
 ]
-
-
-@pytest.fixture(scope="module")
-def full_index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
 
 
 def _items(stats):
@@ -100,13 +92,10 @@ def test_static_server_payload(full_index):
     ]
 
 
-def test_following_server_payload(tmp_path, small_full_run, full_index):
-    start_day = int(small_full_run.analysis.windows[0][0])
-    batches = list(
-        day_advance_batches(
-            small_full_run.analysis.observed, start_day=start_day
-        )
-    )[:3]
+def test_following_server_payload(
+    tmp_path, full_index, start_day, replay_batches
+):
+    batches = replay_batches[:3]
     log_path = tmp_path / "updates.gz"
     writer = UpdateLogWriter(log_path, start_day=start_day)
     for batch in batches:

@@ -1,19 +1,11 @@
-"""Streaming service tests: epoch swaps, the wire handshake, and the
-ISSUE's acceptance scenario end to end.
-
-The acceptance test is the subsystem's reason to exist: start a server
-on the window-start index state, replay the run's whole update log
-through a live follower while concurrent clients hammer it, and
-require (a) zero failed queries, (b) every verdict internally
-consistent with the single epoch it reports (no torn reads), and
-(c) after catch-up, verdicts field-for-field equal to the batch
-engine's answers.
+"""Streaming service tests: epoch swaps, the wire handshake, the
+follower's lifecycle and the streaming CLI. The acceptance scenario —
+the whole update log replayed by a live follower while clients ask,
+every answer the state of the epoch it names — is the
+``log-swaps-under-load`` fault in ``tests/faults.py``.
 """
 
 import argparse
-import os
-import threading
-import time
 
 import pytest
 
@@ -23,47 +15,17 @@ from repro.cli import (
     _serving_base,
     main,
 )
-from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
-from repro.service.index import ReputationIndex
 from repro.service.server import PROTOCOL_VERSION, ReputationServer
 from repro.stream.delta import (
     DeltaBatch,
     ListingDelta,
-    day_advance_batches,
     truncate_spans,
 )
-from repro.stream.epoch import EpochIndex, index_as_of
+from repro.stream.epoch import EpochIndex
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter, read_update_log
-
-from .test_stream_log import _member, _record_doc
-
-
-@pytest.fixture(scope="module")
-def full_index(small_full_run):
-    return ReputationIndex.from_run(small_full_run)
-
-
-@pytest.fixture(scope="module")
-def observed(small_full_run):
-    return small_full_run.analysis.observed
-
-
-@pytest.fixture(scope="module")
-def start_day(small_full_run):
-    return int(small_full_run.analysis.windows[0][0])
-
-
-@pytest.fixture(scope="module")
-def base_index(full_index, start_day):
-    return index_as_of(full_index, start_day)
-
-
-@pytest.fixture(scope="module")
-def replay_batches(observed, start_day):
-    return list(day_advance_batches(observed, start_day=start_day))
 
 
 def _sample_span(index):
@@ -255,144 +217,19 @@ class TestHelloHandshake:
             server.shutdown()
 
 
-class TestFollowEndToEnd:
-    """The acceptance scenario, with the log produced live."""
-
-    def _expected_lists(self, observed, ip, query_day, stream_day):
-        """Active lists for (ip, query_day) in the state a collector
-        holds on stream_day — what a verdict stamped with that stream
-        position must report, whatever epoch the swap is on."""
-        return sorted(
-            {
-                l.list_id
-                for l in observed.listings_of_ip(ip)
-                if l.first_day <= stream_day
-                and l.first_day <= query_day <= min(l.last_day, stream_day)
-            }
-        )
-
-    def test_live_replay_fidelity_and_no_torn_reads(
-        self,
-        tmp_path,
-        small_full_run,
-        full_index,
-        base_index,
-        observed,
-        start_day,
-        replay_batches,
-    ):
-        analysis = small_full_run.analysis
-        ips = sorted(analysis.blocklisted_ips)
-        days = [d for w in analysis.windows for d in w]
-        day_of_seq = {0: start_day}
-        day_of_seq.update(
-            (batch.seq, batch.day) for batch in replay_batches
-        )
-        final_seq = replay_batches[-1].seq
-
-        log_path = tmp_path / "updates.gz"
-        writer = UpdateLogWriter(log_path, start_day=start_day)
-        epochs = EpochIndex(base_index, day=start_day)
-        server = ReputationServer(
-            QueryEngine(epochs), connection_timeout=10.0, streaming=True
-        )
-        host, port = server.start()
-        follower = LogFollower(log_path, epochs, poll_interval=0.002)
-        failures = []
-        produced = threading.Event()
-
-        def produce():
-            # A live producer: the follower tails a growing file, so
-            # swaps genuinely interleave with the queries below.
-            for batch in replay_batches:
-                writer.append(batch)
-            produced.set()
-
-        def consume(worker_seed):
-            try:
-                last_epoch = -1
-                with ReputationClient(host, port) as client:
-                    for i in range(250):
-                        ip = ips[(worker_seed + 3 * i) % len(ips)]
-                        query_day = days[(worker_seed + i) % len(days)]
-                        verdict = client.query(ip, query_day)
-                        if verdict["epoch"] < last_epoch:
-                            failures.append(
-                                ("epoch went backwards", verdict)
-                            )
-                        last_epoch = verdict["epoch"]
-                        expected = self._expected_lists(
-                            observed, ip, query_day,
-                            day_of_seq[verdict["seq"]],
-                        )
-                        if verdict["lists"] != expected:
-                            failures.append(("torn lists", verdict))
-                        if verdict["listed"] != bool(expected):
-                            failures.append(("torn listed", verdict))
-                        if verdict["unjust"] != (
-                            bool(expected)
-                            and (verdict["nated"] or verdict["dynamic"])
-                        ):
-                            failures.append(("torn unjust", verdict))
-            except Exception as exc:  # pragma: no cover — must not happen
-                failures.append(("query failed", repr(exc)))
-
-        try:
-            follower.start()
-            workers = [
-                threading.Thread(target=consume, args=(seed,))
-                for seed in range(4)
-            ]
-            producer = threading.Thread(target=produce)
-            for thread in workers + [producer]:
-                thread.start()
-            for thread in workers + [producer]:
-                thread.join(timeout=60.0)
-            assert produced.is_set()
-            assert not failures, failures[:5]
-            assert follower.wait_for_seq(final_seq, timeout=30.0), (
-                epochs.stats()
-            )
-
-            # After full replay: field-for-field equality with the
-            # batch engine, for every blocklisted IP on every window
-            # boundary day.
-            batch_engine = QueryEngine(full_index)
-            with ReputationClient(host, port) as client:
-                for day in days:
-                    streamed = client.query_batch(
-                        [(ip, day) for ip in ips]
-                    )
-                    for ip, got in zip(ips, streamed):
-                        want = batch_engine.query(ip, day).to_wire()
-                        got = dict(got)
-                        assert got.pop("epoch") == final_seq
-                        assert got.pop("seq") == final_seq
-                        want.pop("epoch"), want.pop("seq")
-                        assert got == want, (int_to_ip(ip), day)
-        finally:
-            follower.stop()
-            server.shutdown()
-        assert epochs.error is None
-
-
 class TestFollowerFailureIsDeclared:
-    """A dead follower must be a *declared* stale state: whatever ends
-    the tail thread reaches the ``stats`` op's ``epoch`` block within
-    a second — for a forked shard that block is the parent's only
-    view — while the server keeps answering from the last good
-    epoch."""
+    """A follower's lifecycle around its failures: a clean stop
+    declares nothing, and a stopped follower stays stopped. The
+    failures themselves — each a declared stale state — are the
+    ``log-*`` faults in ``tests/faults.py``."""
 
     @pytest.fixture()
     def following(self, tmp_path, base_index, start_day, replay_batches):
-        """A live server following a one-batch log through a symlink
-        (so a test can swap what the path names in one rename)."""
-        real = tmp_path / "updates.real.gz"
-        UpdateLogWriter(real, start_day=start_day).append(
+        """A live server following a one-batch log."""
+        log_path = tmp_path / "updates.gz"
+        UpdateLogWriter(log_path, start_day=start_day).append(
             replay_batches[0]
         )
-        log_path = tmp_path / "updates.gz"
-        log_path.symlink_to(real)
         epochs = EpochIndex(base_index, day=start_day)
         follower = LogFollower(
             log_path,
@@ -409,108 +246,10 @@ class TestFollowerFailureIsDeclared:
                     replay_batches[0].seq, timeout=10.0
                 )
                 assert client.stats()["epoch"]["error"] is None
-                yield log_path, follower, client
-
-    def _declared_reason(self, client, good_seq, ip):
-        deadline = time.monotonic() + 1.0
-        reason = client.stats()["epoch"]["error"]
-        while reason is None and time.monotonic() < deadline:
-            time.sleep(0.01)
-            reason = client.stats()["epoch"]["error"]
-        assert reason is not None, "follower death not declared in 1 s"
-        # Stale beats down: the last good epoch still answers.
-        assert client.query(ip)["seq"] == good_seq
-        assert client.hello()["seq"] == good_seq
-        return reason
-
-    def test_seq_gap_reaches_the_stats_op(
-        self, following, replay_batches, capsys
-    ):
-        log_path, follower, client = following
-        good = replay_batches[0]
-        gap = DeltaBatch(good.seq + 2, good.day + 2, ())
-        with open(log_path, "ab") as handle:
-            handle.write(_member(_record_doc(gap)))
-        ip = good.deltas[0].ip
-        reason = self._declared_reason(client, good.seq, ip)
-        assert "sequence gap" in reason
-        assert follower._epochs.error == reason
-        # ``repro serve --follow`` says so once, on stderr: the tail
-        # thread's last act is the end hook.
-        follower.stop()
-        assert follower._thread is None
-        err = capsys.readouterr().err
-        assert err.count("follower stopped:") == 1
-        assert reason in err and f"seq {good.seq}" in err
-
-    def test_unreadable_log_reaches_the_stats_op(
-        self, following, replay_batches, tmp_path
-    ):
-        """Not an ``UpdateLogError``: ``open()`` itself fails (here
-        EISDIR; EACCES and EIO take the same path)."""
-        log_path, follower, client = following
-        good = replay_batches[0]
-        (tmp_path / "blocker").mkdir()
-        swap = tmp_path / "swap"
-        swap.symlink_to(tmp_path / "blocker")
-        os.replace(swap, log_path)
-        ip = good.deltas[0].ip
-        reason = self._declared_reason(client, good.seq, ip)
-        assert "IsADirectoryError" in reason
-        assert not follower._thread.is_alive()
-
-    def test_list_id_the_codec_cannot_carry_reaches_the_stats_op(
-        self, following, replay_batches
-    ):
-        """A delta naming a list id too long for a verdict record is
-        refused where it enters — a declared stale state — not folded
-        in to fail every binary frame that touches its address, the
-        innocent neighbours in the frame included."""
-        log_path, follower, client = following
-        good = replay_batches[0]
-        ip = good.deltas[0].ip
-        poison = ListingDelta(
-            good.day + 1, ip, "x" * 300, "add", good.day + 1, good.day + 9
-        )
-        bad = DeltaBatch(good.seq + 1, good.day + 1, (poison,))
-        with open(log_path, "ab") as handle:
-            handle.write(_member(_record_doc(bad)))
-        reason = self._declared_reason(client, good.seq, ip)
-        assert reason == (
-            "ValueError: bad listing intervals: list id of 300 bytes "
-            "exceeds the 255-byte limit"
-        )
-        assert client.codec == "binary"
-        pairs = [(ip - 1, good.day + 1), (ip, good.day + 1)]
-        neighbour, poisoned = client.query_batch(pairs)
-        assert neighbour["ip"] == int_to_ip(ip - 1)
-        assert poisoned == client.query(ip, good.day + 1)
-        assert poisoned["seq"] == good.seq
-
-    def test_damage_with_batches_behind_it_reaches_the_stats_op(
-        self, following, replay_batches
-    ):
-        """A flipped byte inside a complete member is not a torn tail:
-        taken for one, the follower would wait on it for ever with
-        ``error`` None while valid batches sit behind the damage."""
-        log_path, follower, client = following
-        good = replay_batches[0]
-        damaged = bytearray(_member(_record_doc(replay_batches[1])))
-        damaged[len(damaged) // 2] ^= 0xFF
-        at = log_path.stat().st_size
-        with open(log_path, "ab") as handle:
-            handle.write(
-                bytes(damaged) + _member(_record_doc(replay_batches[2]))
-            )
-        reason = self._declared_reason(client, good.seq, good.deltas[0].ip)
-        assert reason.startswith(
-            f"UpdateLogError: corrupt record at byte {at}:"
-        )
-        assert follower._epochs.error == reason
-        assert not follower._thread.is_alive()
+                yield follower, client
 
     def test_clean_stop_declares_nothing(self, following, capsys):
-        _, follower, client = following
+        follower, client = following
         follower.stop()
         assert client.stats()["epoch"]["error"] is None
         assert capsys.readouterr().err == ""
@@ -519,7 +258,7 @@ class TestFollowerFailureIsDeclared:
         """Single-use, like a shard host: ``start()`` after ``stop()``
         used to spawn a thread that saw the stop flag and left at once
         — not following, and no ``error``."""
-        _, follower, _ = following
+        follower, _ = following
         follower.stop()
         with pytest.raises(RuntimeError, match="was stopped"):
             follower.start()
@@ -545,7 +284,7 @@ class TestCliStream:
         return out
 
     def test_stream_writes_replayable_log(
-        self, cli_log, observed, start_day, replay_batches
+        self, cli_log, start_day, replay_batches
     ):
         header, batches = read_update_log(cli_log)
         assert header["start_day"] == start_day
