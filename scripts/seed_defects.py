@@ -86,7 +86,7 @@ SEEDS: List[Seed] = [
            "        if not isinstance(reply, dict):\n",
            "        sub = self._head(request_id)\n        time.sleep(0.01)\n"
            "        if not isinstance(reply, dict):\n"),)),
-    Seed("block: time.sleep in the router's ping timer", "cluster/router.py",
+    Seed("block: time.sleep in the router's probe timer", "cluster/router.py",
          (("    def _beat(self) -> None:\n",
            "    def _beat(self) -> None:\n        time.sleep(0.01)\n"),)),
     Seed("block: time.sleep in the server's records routine", "service/server.py",
@@ -109,10 +109,11 @@ SEEDS: List[Seed] = [
          ((None, "def run(step):\n    try:\n        step()\n"
                  "    except Exception:\n        pass\n"),)),
     # This round's bugs, re-seeded by reverting the fix.
-    Seed("bug: split target read from a dead primary", "cluster/local.py",
-         (("            self.catchup_seq = max(answered)\n",
-           "            self.catchup_seq = seqs[0] or 0\n"),),
-         ("tests/test_faults.py", "-k", "split-dead-primary")),
+    # One admission rule for every backend: one below its slot's mark
+    # (a restarted primary, a lagging replica) must not answer.
+    Seed("bug: a backend below its slot's mark is admitted", "cluster/router.py",
+         (("backend.seq >= self.mark\n", "backend.seq >= 0\n"),),
+         ("tests/test_faults.py", "-k", "restart-under-follow or replica-lagging")),
     Seed("bug: mid-log damage read as a torn tail", "stream/log.py",
          (("        except zlib.error as exc:\n"
            "            raise UpdateLogError(\n"

@@ -19,7 +19,8 @@ port; serving both takes two):
   front speaking the unchanged wire protocol downstream and the
   binary codec only upstream: point routing, batched fan-out with
   in-order merge, merged ``stats``/``hello`` with min/max epoch,
-  health pings down each backend's own link (an unhealthy backend's
+  ``hello`` probes down each backend's own link, one admission rule
+  (a backend below the seq its shard has served does not answer; its
   ``stats`` row states the cause), replica failover, and explicit
   ``SHARD_UNAVAILABLE`` degradation instead of failed batches;
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, the one-machine

@@ -13,7 +13,9 @@ system that ships.
 Kill/restart hooks (:meth:`kill_primary` / :meth:`restart_primary`)
 exist because the acceptance bar requires serving *through* a shard
 outage, not just before and after one; the kill is a real SIGKILL.
-An online split (:class:`_Split`) runs on the router's event loop.
+An online split (:class:`_Split`) runs on the router's event loop. What
+its halves, a restarted primary or a lagging replica may answer is the
+router's one admission rule: none of them waits for a seq of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .shard import _DRAIN_S, ShardProcess
 
 __all__ = ["LocalCluster"]
 
-#: Seconds between the cutover's checks: catch-up hellos, drain, reaping.
+#: Seconds between the cutover's checks: catch-up probes, drain, reaping.
 _TICK_S = 0.05
 
 #: How long the half-range workers have to boot and catch up.
@@ -220,7 +222,9 @@ class LocalCluster:
     def restart_primary(self, shard_id: int) -> Tuple[str, int]:
         """Bring a killed primary back on its original port: a fresh
         backend over the pristine restricted base, so a follower
-        replays the log from the start."""
+        replays the log from the start. The router admits it again
+        once it reports its slot's mark; until then its ``stats`` row
+        reads ``catching up to seq N``."""
         old = self._backends[shard_id][0]
         old.stop()
         replacement = self._make_backend(
@@ -289,12 +293,10 @@ class _Split:
     """One online split of ``shard_id``: a phase machine on the
     router's loop, each step a callback that never waits (DESIGN.md §7
     "Online partition cutover"). **Boot** forks the two half-range
-    backends and watches their start pipes. **Catch up** (follow mode)
-    takes the target from ``hello``s down the router's links to the old
-    slot — the highest seq a reachable backend has applied; none
-    reachable refuses the split — then, every tick, ``hello``s the
-    halves until each has reached it. **Cut over** is
-    :meth:`Router.apply_partition`, adopting the halves' links.
+    backends and watches their start pipes. **Catch up** probes the
+    halves every tick until the old slot's mark admits each of them.
+    **Cut over** is :meth:`Router.apply_partition`, adopting the
+    halves' links, whose slots start at that mark.
     **Drain** closes the retired links once idle (or overdue);
     **retire** SIGTERMs the old backends and reaps them off a timer. A
     boot or catch-up failure retires the halves instead, and the old
@@ -327,7 +329,6 @@ class _Split:
         #: The router's links to the halves, dialled by the catch-up.
         self.links: List[ShardSlot] = []
         self.retiring: List[ShardProcess] = []
-        self.catchup_seq: Optional[int] = None
         self.drained = False
         self.error: Optional[Exception] = None
 
@@ -369,55 +370,31 @@ class _Split:
             )
             for i, (s, h) in enumerate(zip(self.slots, self.halves))
         ]
-        if self.cluster._follow is None:
-            self.cut_over()
-        else:
-            self._ask()
+        self._catch_up()
 
-    def _ask(self) -> None:
-        """One ``hello`` round: to the old slot while there is no
-        target, then to the halves."""
-        if self.phase == "catchup":
-            slots = self.links
-            if self.catchup_seq is None:
-                slots = [self.router.shard_slot(self.shard_id)]
-            self.router.ask_each(
-                [[link] for slot in slots for link in slot.backends],
-                {"op": "hello"},
-                self._answered,
-            )
-
-    def _answered(self, replies: List[Optional[Dict[str, Any]]]) -> None:
+    def _catch_up(self) -> None:
+        """Cut over once the old slot's mark admits every half-range
+        backend; else probe them and look again a tick later."""
         if self.phase != "catchup":
             return
-        seqs = [
-            None if reply is None else reply.get("seq", 0)
-            for reply in replies
-        ]
-        answered = [seq for seq in seqs if seq is not None]
-        if self.catchup_seq is None:
-            if not answered:
-                self.fail(
-                    RuntimeError(
-                        f"shard {self.shard_id} has no reachable backend "
-                        f"to take the catch-up seq from"
-                    )
-                )
-                return
-            self.catchup_seq = max(answered)
-        elif len(answered) == len(seqs) and min(seqs) >= self.catchup_seq:
+        mark = self.router.shard_slot(self.shard_id).mark
+        for slot in self.links:
+            slot.mark = mark
+        if all(all(map(slot.admits, slot.backends)) for slot in self.links):
             self.cut_over()
             return
-        self.reactor.call_later(_TICK_S, self._ask)
+        self.router.probe(
+            [link for slot in self.links for link in slot.backends],
+            lambda: self.reactor.call_later(_TICK_S, self._catch_up),
+        )
 
     def _overdue(self) -> None:
         if self.phase in ("boot", "catchup"):
-            self.fail(
-                RuntimeError(
-                    f"split of shard {self.shard_id} still in {self.phase} "
-                    f"after {_READY_S:g}s (catch-up seq {self.catchup_seq})"
-                )
-            )
+            mark = self.router.shard_slot(self.shard_id).mark
+            self.fail(RuntimeError(
+                f"split of shard {self.shard_id} still in {self.phase} "
+                f"after {_READY_S:g}s (catching up to seq {mark})"
+            ))
 
     def cut_over(self) -> None:
         self.phase = "drain"
@@ -477,7 +454,6 @@ class _Split:
                 "ranges": [str(half) for half in self.halves],
                 "shards": len(self.partition),
                 "drained": self.drained,
-                "catchup_seq": self.catchup_seq,
             },
             None,
         )
@@ -509,7 +485,7 @@ class _Split:
         for slot in self.links:
             for link in slot.backends:
                 # What the link still carries is this split's own
-                # hellos: dropped, not failed over.
+                # probes: dropped, not failed over.
                 link.pending.clear()
                 link.waiting.clear()
                 link.close(cause)

@@ -8,8 +8,8 @@ negotiation for either — and fans requests out over the shard fleet:
 
 * queries — a packed batch frame, a JSON ``batch`` op, or a JSON
   ``query`` op, which is a batch of one — are split by shard through
-  the partition map, scattered to each owning shard's active backend
-  (primary, else the first healthy replica), and the per-shard replies
+  the partition map, scattered to each owning shard's first admitted
+  backend (below), and the per-shard replies
   merged back into request order. The split is one pass over the
   request records, none decoded: each one's shard is a ``bisect_right``
   of its bytes into the range starts, each shard's sub-batch is its
@@ -20,12 +20,14 @@ negotiation for either — and fans requests out over the shard fleet:
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
   visible to the client; the ``router`` block is the router's own
   :class:`~repro.service.server.Counters`, which no partition swap resets;
-* a heartbeat timer pings every quiet backend down the same link
-  its requests use, so health is what that link experienced: a dead,
-  half-open, handshake-stuck or binary-refusing backend goes
-  unhealthy — its ``stats`` row states the cause — and stays so
-  (retried each beat, so a restarted shard rejoins without operator
-  action), and an idle link stays warm.
+* one admission rule (DESIGN.md §7 "Links") says who answers for a
+  shard: a backend whose link is healthy and whose last reported seq
+  is at or above its slot's *mark*, the highest seq the slot has
+  served; a served reply from below the mark fails over;
+* a heartbeat timer sends every quiet backend a ``hello`` down the
+  link its requests use, so its health and seq are what that link
+  experienced (its ``stats`` row says why it is not admitted), a
+  restarted shard rejoins by itself, and an idle link stays warm.
 
 Everything rides one event loop: the router *is* the downstream
 pipelined :class:`~repro.service.aio.WireServer`, and each shard
@@ -43,8 +45,8 @@ framing. Every key is a request record: the front door packs a JSON
 op's day outside i32 as its address's default-day record, so every
 upstream batch is a packed frame.
 
-Failure degrades, never cascades: when every backend of a shard is
-down, its positions become ``SHARD_UNAVAILABLE`` records — per-IP
+Failure degrades, never cascades: when no backend of a shard is
+admitted, its positions become ``SHARD_UNAVAILABLE`` records — per-IP
 ``{"error": "SHARD_UNAVAILABLE"}`` entries beside the other shards'
 verdicts, or a point query's in-band error. A backend connection that
 dies with requests in flight fails those requests over to the next
@@ -94,7 +96,9 @@ DEFAULT_BACKEND_TIMEOUT = 5.0
 
 
 class _Sub:
-    """One upstream request in flight (or queued for failover).
+    """One upstream request in flight (or queued for failover) to a
+    ``target``: a served :class:`ShardSlot`'s ordered backends, judged
+    by its admission rule, or a probed :class:`Backend`'s own link.
 
     ``finish(status, value)`` fires exactly once with one of:
     ``("records", [raw record bytes])`` — packed batch reply;
@@ -104,12 +108,12 @@ class _Sub:
     """
 
     __slots__ = ("kind", "request", "keys", "rid", "candidates",
-                 "failed", "deadline", "finish", "codec")
+                 "failed", "deadline", "finish", "codec", "slot")
 
     def __init__(
         self,
         kind: str,
-        candidates: Sequence["Backend"],
+        target: "ShardSlot | Backend",
         finish: Callable[[str, Any], None],
         *,
         request: Optional[Dict[str, Any]] = None,
@@ -121,7 +125,13 @@ class _Sub:
         self.keys = keys
         self.codec = codec  # batch subs: the records' family codec
         self.rid = 0
-        self.candidates: Deque["Backend"] = deque(candidates)
+        self.slot = target if isinstance(target, ShardSlot) else None
+        # Admitted backends first (primary before replicas), the rest as
+        # the last resort: a restarted shard answers before the next beat.
+        self.candidates: Deque["Backend"] = deque(
+            sorted(target.backends, key=lambda b: not target.admits(b))
+            if self.slot else [target]
+        )
         self.failed = 0
         self.deadline = 0.0
         self.finish = finish
@@ -152,9 +162,9 @@ class Backend(Link):
     and says so. Until ``"ready"`` submitted subs queue in
     ``waiting``; ``pending`` holds the subs on the wire, in reply
     order. Any close drops back to ``"idle"`` and fails both queues
-    over to the subs' next candidates. Loop-thread owned, ``healthy``
-    and ``cause`` included: they are written only from what this link
-    experienced."""
+    over to the subs' next candidates. Loop-thread owned, ``healthy``,
+    ``cause`` and ``seq`` included: they are written only from what
+    this link experienced."""
 
     def __init__(self, router: "Router", address: Tuple[str, int]) -> None:
         super().__init__()
@@ -164,6 +174,8 @@ class Backend(Link):
         #: Why the link last went unhealthy (its ``close`` cause);
         #: empty while ``healthy``.
         self.cause = ""
+        #: The seq the backend's last reply reported.
+        self.seq = 0
         self.state = "idle"
         self.pending: Deque[_Sub] = deque()
         self.waiting: Deque[_Sub] = deque()
@@ -218,22 +230,24 @@ class Backend(Link):
             )
         return sub
 
-    def _succeed(self, sub: _Sub, status: str, value: Any) -> None:
-        """Answer ``sub``: a failover, if a backend failed it first."""
+    def _succeed(
+        self, sub: _Sub, status: str, value: Any, seq: Optional[int]
+    ) -> None:
+        """Answer ``sub`` with a reply reporting ``seq`` (or none): if
+        served, by its slot's admission rule, raising the mark or
+        failing the sub over."""
+        self.seq = self.seq if seq is None else seq
+        slot = sub.slot
+        if slot is not None:
+            if not slot.admits(self):
+                sub.failed += 1
+                self._router._submit(sub, f"catching up to seq {slot.mark}")
+                return
+            if seq is not None:
+                slot.mark = seq
         if sub.failed:
             self._router._counters.add("failovers")
         sub.finish(status, value)
-
-    def stats_row(self) -> Dict[str, Any]:
-        """This backend's entry in the router's ``stats`` payload; an
-        unhealthy one says why."""
-        row: Dict[str, Any] = {
-            "address": list(self.address),
-            "healthy": self.healthy,
-        }
-        if not self.healthy:
-            row["cause"] = self.cause
-        return row
 
     # -- Link hooks ----------------------------------------------------
 
@@ -266,7 +280,8 @@ class Backend(Link):
         if not reply.get("ok"):
             sub.finish("reject", str(reply.get("error", "unknown error")))
         else:
-            self._succeed(sub, "result", reply.get("result"))
+            result = reply.get("result")
+            self._succeed(sub, "result", result, _seq_of(result))
 
     def on_packed(
         self, ftype: int, request_id: int, payload: bytes
@@ -280,7 +295,7 @@ class Backend(Link):
         records = sub.codec.split_batch_reply(payload)
         self.pending.popleft()
         self.healthy, self.cause = True, ""
-        self._succeed(sub, "records", records)
+        self._succeed(sub, "records", records, sub.codec.reply_seq(records))
 
     def on_close(self, cause: str) -> None:
         """The link died: fail its in-flight requests over to the next
@@ -298,8 +313,17 @@ class Backend(Link):
             self._router._submit(sub, cause)
 
 
+def _seq_of(result: Any) -> Optional[int]:
+    """The seq of a shard's ``hello`` or ``stats`` result, if any."""
+    if not isinstance(result, dict):
+        return None
+    state = result.get("epoch")
+    seq = (state if isinstance(state, dict) else result).get("seq")
+    return seq if type(seq) is int else None
+
+
 class ShardSlot:
-    """One shard id's backend set: a primary plus optional replicas."""
+    """One shard id's backend set, a primary plus optional replicas."""
 
     def __init__(
         self,
@@ -317,17 +341,22 @@ class ShardSlot:
         #: written on the loop thread only — the load signal the
         #: hot-range detector reads.
         self.hits = 0
+        #: The highest seq this slot has served a client: no backend
+        #: below it answers for the slot. Loop-thread owned.
+        self.mark = 0
 
-    def ordered_backends(self) -> List[Backend]:
-        """Healthy backends first (primary before replicas), then
-        unhealthy ones as a last resort so a just-restarted shard
-        answers before the next beat."""
-        return [b for b in self.backends if b.healthy] + [
-            b for b in self.backends if not b.healthy
-        ]
+    def admits(self, backend: Backend) -> bool:
+        """The one admission rule: ``backend``'s link is healthy and it
+        last reported a seq at or above the mark."""
+        return backend.healthy and backend.seq >= self.mark
 
-    def healthy_count(self) -> int:
-        return sum(backend.healthy for backend in self.backends)
+    def stats_row(self, backend: Backend) -> Dict[str, Any]:
+        """``backend``'s ``stats`` row: ``healthy`` when admitted, else
+        the ``cause``, its link's or ``catching up to seq N`` (the mark)."""
+        row = {"address": list(backend.address), "healthy": self.admits(backend)}
+        if not row["healthy"]:
+            row["cause"] = backend.cause or f"catching up to seq {self.mark}"
+        return row
 
 
 class Router(FrontDoor):
@@ -360,11 +389,6 @@ class Router(FrontDoor):
         backend_timeout: float = DEFAULT_BACKEND_TIMEOUT,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
     ) -> None:
-        if len(backends) != len(partition):
-            raise ValueError(
-                f"{len(partition)} shards need {len(partition)} backend "
-                f"lists, got {len(backends)}"
-            )
         self._family = partition.family
         #: The one batch codec, both downstream and upstream.
         self._codec = CODECS[self._family]
@@ -394,6 +418,11 @@ class Router(FrontDoor):
         partition: PartitionMap,
         backends: Sequence[Sequence[Tuple[str, int]]],
     ) -> List[ShardSlot]:
+        if len(backends) != len(partition):
+            raise ValueError(
+                f"{len(partition)} shards need {len(partition)} backend "
+                f"lists, got {len(backends)}"
+            )
         return [
             ShardSlot(
                 self, shard_id, list(addresses), partition.range_of(shard_id)
@@ -428,48 +457,37 @@ class Router(FrontDoor):
     # -- health --------------------------------------------------------
 
     def _backends(self) -> List[Backend]:
-        return [
-            backend
-            for shard_slot in self._slots
-            for backend in shard_slot.backends
-        ]
+        return [backend for slot in self._slots for backend in slot.backends]
 
     def _beat(self) -> None:
-        self._ping_round()
+        self.probe(self._backends())
         self.reactor.call_later(self._heartbeat_interval, self._beat)
 
-    def _ping_round(
-        self, done: Optional[Callable[[], None]] = None
+    def probe(
+        self, backends: Sequence[Backend], done: Callable[[], Any] = lambda: None
     ) -> None:
-        """One ``ping`` down every quiet backend's own link, connecting
+        """One ``hello`` down each quiet backend's own link, connecting
         first where it is idle; ``done`` fires when all are answered
         or lost. A link with requests in flight is skipped: their
-        replies and deadlines already judge it. The reply path and
-        ``Backend.on_close`` write ``healthy``."""
+        replies and deadlines already judge it. The reply records the
+        backend's health and ``seq``, and raises no mark."""
         self.ask_each(
-            [
-                [backend]
-                for backend in self._backends()
-                if not (backend.pending or backend.waiting)
-            ],
-            {"op": "ping"},
-            lambda _results: None if done is None else done(),
+            [b for b in backends if not (b.pending or b.waiting)],
+            {"op": "hello"},
+            lambda _results: done(),
         )
 
     def ask_each(
         self,
-        targets: Sequence[Sequence[Backend]],
+        targets: Sequence["ShardSlot | Backend"],
         request: Dict[str, Any],
         done: Callable[[List[Optional[Dict[str, Any]]]], None],
     ) -> None:
-        """``request`` once per target — its candidate backends, tried
-        in order — then ``done`` with each target's result object, in
-        order, once all are answered or lost (``None`` where every
-        candidate failed or the answer was no object). Loop thread
-        only. A single candidate tests that backend's own link and
-        never fails over: the heartbeat's pings, the split cutover's
-        ``hello``s. A shard's ordered backends fail over: the fleet's
-        ``hello`` and ``stats``."""
+        """``request`` once per target — a slot, served, or a backend,
+        probed (:class:`_Sub`) — then ``done`` with each target's result
+        object, in order, once all are answered or lost (``None`` where
+        every candidate failed or the answer was no object). Loop
+        thread only."""
         results: List[Optional[Dict[str, Any]]] = [None] * len(targets)
         outstanding = [len(targets) + 1]  # the round's own hold
 
@@ -480,11 +498,11 @@ class Router(FrontDoor):
             if outstanding[0] == 0:
                 done(results)
 
-        for position, candidates in enumerate(targets):
+        for position, target in enumerate(targets):
             self._submit(
                 _Sub(
                     "msg",
-                    candidates,
+                    target,
                     lambda status, value, p=position: finish(p, status, value),
                     request=request,
                 )
@@ -496,17 +514,17 @@ class Router(FrontDoor):
         return self._slots[shard_id]
 
     def wait_healthy(self, timeout: float = 10.0) -> bool:
-        """Block until a ping round finds every backend healthy
+        """Block until a probe round finds every backend admitted
         (bootstrap/tests); rounds repeat 50 ms apart until then."""
         deadline = time.monotonic() + timeout
         while True:
             answered = threading.Event()
             self.reactor.call_soon(
-                lambda: self._ping_round(answered.set)
+                lambda: self.probe(self._backends(), answered.set)
             )
             if not answered.wait(max(0.0, deadline - time.monotonic())):
                 return False
-            if all(backend.healthy for backend in self._backends()):
+            if all(all(map(s.admits, s.backends)) for s in self._slots):
                 return True
             time.sleep(0.05)
 
@@ -542,7 +560,9 @@ class Router(FrontDoor):
 
         Loop thread only (or before the loop runs): the swap is one
         callback, so no request ever observes a partition/slot
-        mismatch. Backends whose address survives into the new layout
+        mismatch. A new slot starts at the highest mark of the old slots
+        its range overlaps, so a split's halves keep their old slot's.
+        Backends whose address survives into the new layout
         keep their live pipelined connection (and health), and so do
         the already-dialled ``adopt`` links; backends that drop out are
         *retired*, not closed — requests already in flight on them
@@ -550,11 +570,6 @@ class Router(FrontDoor):
         both halves, so its verdicts stay correct), and
         :meth:`close_retired` closes them once quiet.
         """
-        if len(backends) != len(partition):
-            raise ValueError(
-                f"{len(partition)} shards need {len(partition)} backend "
-                f"lists, got {len(backends)}"
-            )
         if partition.family is not self._family:
             raise ValueError(
                 f"cannot swap a {partition.family.name} partition into "
@@ -565,6 +580,9 @@ class Router(FrontDoor):
         new_slots = self._make_slots(partition, backends)
         kept = set()
         for slot in new_slots:
+            lo, hi = slot.shard_range.lo, slot.shard_range.hi
+            slot.mark = max(o.mark for o in self._slots
+                            if o.shard_range.lo <= hi and lo <= o.shard_range.hi)
             for position, backend in enumerate(slot.backends):
                 link = live.get(backend.address)
                 if link is not None:
@@ -650,7 +668,7 @@ class Router(FrontDoor):
             self._submit(
                 _Sub(
                     "batch",
-                    slots[shard_id].ordered_backends(),
+                    slots[shard_id],
                     lambda status, value, s=shard_id, k=shard_keys: (
                         shard_done(s, k, status, value)
                     ),
@@ -679,7 +697,7 @@ class Router(FrontDoor):
             "shards": len(slots),
             "backends": sum(len(s.backends) for s in slots),
             "healthy_backends": sum(
-                s.healthy_count() for s in slots
+                sum(map(s.admits, s.backends)) for s in slots
             ),
             "shards_up": sum(1 for h in states if h is not None),
             "epoch_min": min(epochs) if epochs else 0,
@@ -704,16 +722,12 @@ class Router(FrontDoor):
                 "cluster": summary,
             })
 
-        self.ask_each(
-            [slot.ordered_backends() for slot in self._slots],
-            {"op": "hello"},
-            done,
-        )
+        self.ask_each(self._slots, {"op": "hello"}, done)
 
     def _stats(self, answer: Answer) -> None:
         """Merged fleet stats: per-shard payloads plus cluster rollup."""
         self.ask_each(
-            [slot.ordered_backends() for slot in self._slots],
+            self._slots,
             {"op": "stats"},
             lambda shard_stats: answer(self._build_stats(shard_stats)),
         )
@@ -747,7 +761,7 @@ class Router(FrontDoor):
         rows = self.load_snapshot()["shards"]
         for position, (row, shard_slot) in enumerate(zip(rows, self._slots)):
             row["backends"] = [
-                backend.stats_row() for backend in shard_slot.backends
+                shard_slot.stats_row(backend) for backend in shard_slot.backends
             ]
             row["stats"] = (
                 shard_stats[position] if position < len(shard_stats) else None

@@ -284,6 +284,7 @@ _BIN_HEADER = struct.Struct(">BBII")  # magic, ftype, request_id, length
 BIN_HEADER_SIZE = _BIN_HEADER.size
 
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 
 
 def encode_binary_frame(
@@ -785,6 +786,14 @@ class BinaryCodec:
                 recoverable=True,
             )
         return records
+
+    def reply_seq(self, records: List[bytes]) -> Optional[int]:
+        """The ``seq`` of split reply ``records``' first verdict record,
+        read in place (only ``n_lists`` follows it); ``None`` if none."""
+        first, size = records[0] if records else b"", self._verdict.size
+        if len(first) >= size and first[0] == REC_VERDICT:
+            return _U64.unpack_from(first, size - 9)[0]
+        return None
 
     def decode_record(self, record: bytes) -> "RecordView":
         """The view of one packed record (a :meth:`split_batch_reply`

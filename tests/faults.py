@@ -12,7 +12,8 @@ holds the fault's own facts as data. :func:`check` alone judges:
 2. every request id on a connection is answered exactly once, in
    order, within the fault's bound;
 3. ``seq`` and ``epoch`` (and a router's ``seq_min``) never step back
-   on a connection;
+   on a connection — through a router, on each shard of a connection,
+   since every shard reports its own;
 4. every other answer is declared — ``SHARD_UNAVAILABLE`` on a dead
    shard's addresses only, or an in-band error carrying the fault's
    cause — and so is every stale state. A hang, a timeout or a
@@ -79,6 +80,8 @@ class Record:
     dead: Dict[int, Tuple[int, int]] = field(default_factory=dict)
     #: What the run saw of the fault itself: that it landed, and how.
     facts: Dict[str, Any] = field(default_factory=dict)
+    #: A router's layout: clause 3 holds per shard of its connections.
+    partition: Optional[PartitionMap] = None
     _lock: Any = field(default_factory=threading.Lock, repr=False)
 
     def conn(self, name: str) -> List[Call]:
@@ -157,7 +160,7 @@ def check(record: Record, expect: Expect, model: World) -> None:
         assert rids == list(range(first, first + len(rids))), (
             f"{name}: request ids {rids} are not each answered once, in order"
         )
-        marks: Dict[str, int] = {}
+        marks: Dict[Tuple[str, Optional[int]], int] = {}
         for rid, asked, answer, seconds in calls:
             at = f"{name} request {rid} ({asked[0]})"
             assert answer is not None, f"{at}: never answered"
@@ -168,13 +171,18 @@ def check(record: Record, expect: Expect, model: World) -> None:
                 if isinstance(got, BaseException) or "error" in got:
                     degraded += _declared(ip, day, got, record, expect, at)
                     continue
+                shard = None
+                if ip is not None and record.partition is not None:
+                    shard = record.partition.shard_of(ip)
                 for mark in ("epoch", "seq", "seq_min"):
                     if mark in got:
-                        assert got[mark] >= marks.get(mark, 0), (
+                        key = (mark, shard)
+                        on = "" if shard is None else f" on shard {shard}"
+                        assert got[mark] >= marks.get(key, 0), (
                             f"{at}: {mark} stepped back "
-                            f"{marks[mark]} -> {got[mark]}"
+                            f"{marks[key]} -> {got[mark]}{on}"
                         )
-                        marks[mark] = got[mark]
+                        marks[key] = got[mark]
                 if ip is not None:
                     got = dict(got)
                     del got["epoch"]
@@ -696,8 +704,11 @@ def _damage_mid_file(log_path, tmp_path, world):
 
 
 def _split_fault(replicas: int, victim: int = 1):
-    """Follow mode over a three-batch log, shard 1's primary SIGKILLed,
-    then shard 1 split while a client keeps asking ``hello``."""
+    """Follow mode over a three-batch log; a client's ``hello`` sets
+    both slots' marks at its seq, shard 1's primary is SIGKILLed, then
+    shard 1 split while the client keeps asking ``hello``: the halves
+    cut over once they reach the mark, which needs no live old
+    backend."""
 
     def run(tmp_path: Path, world: World) -> Record:
         record, log_path = Record(), tmp_path / "updates.gz"
@@ -708,8 +719,10 @@ def _split_fault(replicas: int, victim: int = 1):
         with LocalCluster(
             world.index, shards=2, replicas=replicas, follow=log_path,
             start_day=world.start_day,
-        ) as cluster:
+        ) as cluster, ReputationClient(*cluster.address) as client:
             record.facts["caught up"] = wait_for_seq(cluster, seq)
+            conn = Conn(client, calls)
+            conn.ask("hello")
             old = [cluster.backend(victim, r) for r in range(1 + replicas)]
             cluster.kill_primary(victim)
             # The dead primary says nothing; its replica is at ``seq``.
@@ -722,24 +735,19 @@ def _split_fault(replicas: int, victim: int = 1):
                 )
 
             def watch() -> None:
-                with ReputationClient(*cluster.address) as client:
-                    conn = Conn(client, calls)
-                    while not stop:
-                        conn.ask("hello")
+                while not stop:
+                    conn.ask("hello")
 
             def split() -> None:
+                router, marks = cluster.router, []
                 try:
-                    info = cluster.split_shard(victim)
-                    record.facts["catch-up is the replica's seq"] = (
-                        info["catchup_seq"] == seq
-                    )
-                except RuntimeError as exc:  # refused: the layout must stand
+                    cluster.split_shard(victim)
+                    router.reactor.run_sync(lambda: marks.extend(
+                        router.shard_slot(victim + i).mark for i in (0, 1)
+                    ))
+                except RuntimeError as exc:  # the old shard serves on
                     record.causes.append(str(exc))
-                    pids = cluster.shard_pids()
-                    record.facts["layout kept"] = (
-                        len(cluster.partition) == len(pids) == 2
-                        and pids[1 - victim][0] is not None
-                    )
+                record.facts["halves at the mark"] = marks == [seq, seq]
                 time.sleep(0.05)  # at least one hello after the cutover
                 stop.append(True)
 
@@ -752,6 +760,138 @@ def _split_fault(replicas: int, victim: int = 1):
         return record
 
     return run
+
+
+def _rows_until(
+    client: ReputationClient, shard: int, at: int, done: Callable[[Dict], bool]
+) -> List[Dict[str, Any]]:
+    """``stats`` rows of backend ``at`` of ``shard``, read every 10 ms
+    until ``done(row)`` (or 20 s): every one read."""
+    rows, deadline = [], time.monotonic() + 20.0
+    while time.monotonic() < deadline:
+        rows.append(client.stats()["shards"][shard]["backends"][at])
+        if done(rows[-1]):
+            break
+        time.sleep(0.01)
+    return rows
+
+
+def _restart_under_follow(replicas: int):
+    """Follow mode over the whole log, caught up and served at its last
+    seq; the primary of ``world.listed[0]``'s shard is SIGKILLed and
+    restarted — over its pristine base, so it replays the log — while a
+    client keeps asking that address and one on the other shard. Once
+    the primary's row is healthy again, the client asks a while more,
+    and then every listed address on every window day is asked."""
+
+    def run(tmp_path: Path, world: World) -> Record:
+        record, log_path = Record(), tmp_path / "updates.gz"
+        writer = UpdateLogWriter(log_path, start_day=world.start_day)
+        for batch in world.batches:
+            writer.append(batch)
+        final, calls, stop = world.batches[-1].seq, record.conn("client"), []
+        with LocalCluster(
+            world.index, shards=2, replicas=replicas, follow=log_path,
+            start_day=world.start_day, heartbeat_interval=0.05,
+        ) as cluster:
+            record.partition = partition = cluster.partition
+            record.facts["caught up"] = wait_for_seq(cluster, final)
+            ip = world.listed[0]
+            victim = partition.shard_of(ip)
+            other = partition.range_of(1 - victim).lo
+            killed, rows = cluster.backend(victim), []
+
+            def ask() -> None:
+                with ReputationClient(*cluster.address) as client:
+                    conn = Conn(client, calls)
+                    while not stop:
+                        conn.ask("query_batch", [(ip, None), (other, None)])
+
+            def chaos() -> None:
+                while not calls:  # the client is served: the marks are set
+                    time.sleep(0.01)
+                cluster.kill_primary(victim)
+                cluster.restart_primary(victim)
+                with ReputationClient(*cluster.address) as client:
+                    rows.extend(_rows_until(client, victim, 0, lambda row: (
+                        row.get("cause", "").startswith("catching up")
+                    )))
+                    rows.extend(_rows_until(client, victim, 0, lambda row: (
+                        row["healthy"]
+                    )))
+                time.sleep(0.2)
+                stop.append(True)
+
+            _threads(ask, chaos)
+            with ReputationClient(*cluster.address) as client:
+                after = Conn(client, record.conn("after"))
+                answers = [
+                    after.ask("query_batch", [(o, day) for o in world.listed])
+                    for day in world.days
+                ]
+            record.facts.update({
+                "after at the last seq": all(
+                    isinstance(got, list) and {v.get("seq") for v in got} == {final}
+                    for got in answers
+                ),
+                "killed": killed.exitcode,
+                "read catching up": f"catching up to seq {final}" in [
+                    row.get("cause") for row in rows
+                ],
+                "primary admitted again": rows[-1]["healthy"],
+            })
+            if not replicas:
+                shard_range = partition.range_of(victim)
+                record.dead[victim] = (shard_range.lo, shard_range.hi)
+            kept = _backends(cluster, but=killed)
+        record.exits.update((name, b.exitcode) for name, b in kept.items())
+        return record
+
+    return run
+
+
+def _replica_lagging(tmp_path: Path, world: World) -> Record:
+    """A router over a primary and a replica left behind it, in one
+    process: the primary's seq is served, then the primary shut down.
+    The replica below that mark answers nothing until it is brought up
+    to it."""
+    record, ips = Record(), [(ip, None) for ip in world.listed[:8]]
+    record.partition, record.dead[0] = PartitionMap(1), (0, (1 << 32) - 1)
+    primary, replica = (EpochIndex(world.base, day=world.start_day) for _ in range(2))
+    for batch in world.batches[:6]:
+        primary.apply(batch)
+    for batch in world.batches[:2]:
+        replica.apply(batch)
+    mark = world.batches[5].seq
+    with ReputationServer(QueryEngine(primary), streaming=True) as ahead, \
+            ReputationServer(QueryEngine(replica), streaming=True) as behind:
+        router = Router(
+            PartitionMap(1), [[ahead.start(), behind.start()]],
+            backend_timeout=1.0, heartbeat_interval=0.05,
+        )
+        router.start()
+        try:
+            with ReputationClient(*router.address) as client:
+                conn = Conn(client, record.conn("client"))
+                conn.ask("query_batch", ips)
+                ahead.shutdown()
+                conn.ask("query_batch", ips)
+                conn.ask("query", ips[0][0])
+                rows = _rows_until(client, 0, 1, lambda row: "cause" in row)
+                record.facts["read catching up"] = (
+                    rows[-1].get("cause") == f"catching up to seq {mark}"
+                )
+                for batch in world.batches[2:6]:
+                    replica.apply(batch)
+                rows = _rows_until(client, 0, 1, lambda row: row["healthy"])
+                record.facts["replica admitted"] = rows[-1]["healthy"]
+                served = conn.ask("query_batch", ips)
+                record.facts["served at the mark"] = isinstance(served, list) and all(
+                    verdict.get("seq") == mark for verdict in served
+                )
+        finally:
+            router.shutdown()
+    return record
 
 
 #: Loads a snapshot, truncates its file to a tenth in place (what
@@ -802,7 +942,10 @@ _LOG = {"caught up": True, "clean before": True, "names its place": True,
         "follower holds it": True, "tail ended": True, "serving seq": 1,
         "stopped": True, "announced once": True, "announces the seq": True}
 _SPLIT = {"caught up": True, "dead primary silent": True,
-          "hellos from the serving seq": True}
+          "hellos from the serving seq": True, "halves at the mark": True}
+_RESTART = {"caught up": True, "killed": -signal.SIGKILL,
+            "read catching up": True, "primary admitted again": True,
+            "after at the last seq": True}
 
 
 def _log(cause: str) -> Expect:
@@ -832,11 +975,17 @@ FAULTS: List[Fault] = [
                "exceeds the 255-byte limit")),
     Fault("log-damage-mid-file", _follow_fault(_damage_mid_file),
           _log("UpdateLogError: corrupt record at byte ")),
-    Fault("split-dead-primary", _split_fault(1), Expect(follow=True, facts={
-        **_SPLIT, "replica at seq": True, "catch-up is the replica's seq": True})),
-    Fault("split-no-reach", _split_fault(0), Expect(
-        cause="shard 1 has no reach", follow=True,
-        facts={**_SPLIT, "layout kept": True})),
+    Fault("split-dead-primary", _split_fault(1), Expect(
+        follow=True, facts={**_SPLIT, "replica at seq": True})),
+    Fault("split-no-reach", _split_fault(0), Expect(follow=True, facts=_SPLIT)),
+    Fault("restart-under-follow-r1", _restart_under_follow(1),
+          Expect(follow=True, facts=_RESTART)),
+    Fault("restart-under-follow-r0", _restart_under_follow(0),
+          Expect(degraded=True, follow=True, facts=_RESTART)),
+    Fault("replica-lagging", _replica_lagging, Expect(
+        degraded=True, follow=True, facts={
+            "read catching up": True, "replica admitted": True,
+            "served at the mark": True})),
     Fault("snapshot-truncated", _snapshot_truncated,
           Expect(facts={"truncated to a tenth": True})),
 ]

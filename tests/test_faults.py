@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from repro.cluster import SHARD_UNAVAILABLE
+from repro.cluster import SHARD_UNAVAILABLE, PartitionMap
+from repro.cluster.partition import ShardRange
 from repro.service.client import ServiceError
 from repro.service.wire import FrameReader, encode_frame
 from tests.faults import FAULTS, Expect, Record, _MisbehavingBackend, check
@@ -67,6 +68,10 @@ DOCTORED = {
     "duplicated-rid": (lambda r, c, ip: c.append(c[-1]), Expect(), "answered once"),
     "seq-stepped-back": (lambda r, c, ip: c[0][2][1].update(seq=1), Expect(),
                          "seq stepped back 1 -> 0"),
+    "seq-back-in-one-shard": (
+        lambda r, c, ip: (c[0][2][1].update(seq=1),
+                          setattr(r, "partition", PartitionMap(2))),
+        Expect(), "seq stepped back 1 -> 0 on shard 0"),
     "off-the-model": (lambda r, c, ip: c[0][2][0].update(lists=["bogus"]),
                       Expect(), "is not the model's"),
     "undeclared-degraded": (lambda r, c, ip: _degrade(r, c, ip), Expect(),
@@ -94,6 +99,25 @@ def test_the_check_catches(world, doctor, expect, says):
     doctor(record, calls, ip)
     with pytest.raises(AssertionError, match=says):
         check(record, expect, world)
+
+
+def test_shards_on_one_connection_keep_their_own_seq(world):
+    """Through a router a connection sees each shard's own seq: a
+    shard behind another is no step back, unless one shard it is."""
+    ips = [world.listed[0], world.listed[-1]]
+    split = ips[1] & ~0xFF
+    record = Record(partition=PartitionMap.from_ranges(
+        [ShardRange(0, split - 1), ShardRange(split, (1 << 32) - 1)]
+    ))
+    record.conn("client").extend(
+        (rid, ("query", ip), {**world.owed(ip, None), "epoch": seq, "seq": seq},
+         0.01)
+        for rid, (ip, seq) in enumerate(zip(ips, (1, 0)), 1)
+    )
+    check(record, Expect(), world)
+    record.partition = None
+    with pytest.raises(AssertionError, match="stepped back 1 -> 0"):
+        check(record, Expect(), world)
 
 
 def test_declared_answers_pass(world):

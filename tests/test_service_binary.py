@@ -1047,7 +1047,8 @@ class TestRequestFrames:
 
 class _ScriptedPeer:
     """A one-connection server that speaks both framings and grants
-    the binary codec when offered. :meth:`answer` scripts the rest: it
+    the binary codec when offered. :meth:`answer` scripts the rest (a
+    ``hello`` after the negotiation included): it
     gets the request — a JSON object, or the ``(ip, day)`` pairs of a
     packed v4 batch frame — and returns the ``result`` of an ok reply,
     ``bytes`` to send as a packed batch-reply payload, or an ``(ftype,
@@ -1084,7 +1085,7 @@ class _ScriptedPeer:
                         )
                     else:
                         request = got
-                    hello = (
+                    hello = not binary and (
                         isinstance(request, dict) and request["op"] == "hello"
                     )
                     result = (
