@@ -31,12 +31,21 @@ pairs the change won (a tie counts for neither), and a verdict:
                 bound, and not every change run beats every parent run;
 ``level``       none of the above.
 
+Under that table, the rows a run prints whose names ``BENCHMARK.json``
+lists as ``per_layer`` (``point_p99_ms``, ``batch_p99_ms``,
+``staleness_p50_ms``, ``server.packed_hit_rate``, …) are judged by the
+same rule, with the widest end-to-end bound standing in for the bound
+they do not have. A row that only some runs printed is named with the
+count of runs it is missing from, and not judged. These rows are
+reported, never gated.
+
 Exit status: 1 when a run was invalid, incorrect or failed an
 operation (the table is still printed over the runs that did finish);
-else 2 when any row reads ``REGRESSION``; else 0.
+else 2 when any end-to-end row reads ``REGRESSION``; else 0.
 
-``--record FILE`` also writes what was printed — per metric the two
-sides' quartiles, the delta, pairs won and verdict; the seeds, the
+``--record FILE`` also writes what was printed — per metric, gated or
+per-layer, the two sides' quartiles, the delta, pairs won and verdict,
+and the per-layer rows some runs lacked; the seeds, the
 parent commit, operations failed and each side's median host slowdown
 — into FILE under the workload's name, so a PR commits one
 ``BENCH_<pr>.json`` and its prose points at it.
@@ -98,11 +107,31 @@ def export_change(target: Path) -> None:
             shutil.copy2(source, copy)
 
 
+def layer_values(lines: List[str], names: List[str]) -> Dict[str, float]:
+    """The printed ``name value unit`` rows among ``lines`` whose name
+    is one of ``names``, by name."""
+    wanted, values = set(names), {}
+    for line in lines:
+        fields = line.split()
+        if len(fields) >= 2 and fields[0] in wanted:
+            try:
+                values[fields[0]] = float(fields[1])
+            except ValueError:
+                continue
+    return values
+
+
 def run_once(
-    tree: Path, command: List[str], workload: str, seed: int, seconds: float
+    tree: Path,
+    command: List[str],
+    workload: str,
+    seed: int,
+    seconds: float,
+    layers: List[str],
 ) -> Optional[Dict[str, Any]]:
     """One benchmark run in ``tree``: its result object (the last line
-    it prints), or ``None`` when the run was invalid."""
+    it prints), with the printed rows named in ``layers`` under
+    ``layers``, or ``None`` when the run was invalid."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}"],
@@ -119,13 +148,11 @@ def run_once(
     if not isinstance(result, dict):
         return None
     # The result object carries the contract's metrics only; how slow
-    # the host ran is a row of the table printed above it.
+    # the host ran, and every per-layer number, is a row of the table
+    # printed above it.
     result["seed"] = seed
-    result["host_slowdown"] = next(
-        (float(line.split()[1]) for line in lines
-         if line.startswith("host.slowdown ")),
-        None,
-    )
+    result["layers"] = layer_values(lines, layers)
+    result["host_slowdown"] = result["layers"].get("host.slowdown")
     return result
 
 
@@ -163,30 +190,59 @@ def judge(
     return won, relative, verdict
 
 
+def _row(
+    name: str, better: str, bound: float, series: Dict[str, List[float]]
+) -> Dict[str, Any]:
+    """One judged row: each side's ``[q1, median, q3]``, the relative
+    change of the median, the pairs the change won, the verdict, and
+    the runs' values in pair order."""
+    won, relative, verdict = judge(
+        series["parent"], series["change"], better == "higher", bound
+    )
+    return {
+        "metric": name, "better": better, "bound": bound,
+        **{side: list(quartiles(series[side])) for side in SIDES},
+        "delta": relative, "won": won, "verdict": verdict,
+        "runs": series,
+    }
+
+
 def summarise(
     contract: Dict[str, Any], runs: Dict[str, List[Dict[str, Any]]]
 ) -> List[Dict[str, Any]]:
-    """One row per end-to-end metric over the whole pairs: each side's
-    ``[q1, median, q3]``, the relative change of the median, the pairs
-    the change won, the verdict, and the runs' values in pair order."""
-    rows = []
-    for row in contract["end_to_end"]:
-        name = row["name"]
-        series = {
-            side: [float(run["metrics"][name]["value"]) for run in runs[side]]
+    """One row per end-to-end metric over the whole pairs."""
+    return [
+        _row(row["name"], row["better"], float(row["bound"]), {
+            side: [float(run["metrics"][row["name"]]["value"])
+                   for run in runs[side]]
             for side in SIDES
-        }
-        won, relative, verdict = judge(
-            series["parent"], series["change"],
-            row["better"] == "higher", float(row["bound"]),
-        )
-        rows.append({
-            "metric": name, "better": row["better"], "bound": row["bound"],
-            **{side: list(quartiles(series[side])) for side in SIDES},
-            "delta": relative, "won": won, "verdict": verdict,
-            "runs": series,
         })
-    return rows
+        for row in contract["end_to_end"]
+    ]
+
+
+def summarise_layers(
+    contract: Dict[str, Any], runs: Dict[str, List[Dict[str, Any]]]
+) -> Tuple[List[Dict[str, Any]], Dict[str, int]]:
+    """One row per ``per_layer`` metric every run printed, judged with
+    the widest end-to-end bound; and, by name, how many runs lack a
+    row that others printed."""
+    bound = max(float(row["bound"]) for row in contract["end_to_end"])
+    every = [run for side in SIDES for run in runs[side]]
+    rows, missing = [], {}
+    for row in contract["per_layer"]:
+        name = row["name"]
+        lacking = sum(name not in run["layers"] for run in every)
+        if lacking == len(every):
+            continue
+        if lacking:
+            missing[name] = lacking
+            continue
+        rows.append(_row(name, row["better"], bound, {
+            side: [run["layers"][name] for run in runs[side]]
+            for side in SIDES
+        }))
+    return rows, missing
 
 
 def side_notes(
@@ -209,26 +265,37 @@ def side_notes(
     return notes
 
 
-def report(
-    rows: List[Dict[str, Any]],
-    notes: Dict[str, Dict[str, float]],
-    pairs: int,
-) -> None:
-    print(
-        f"{'metric':16s} {'better':6s} {'bound':>5s}  "
-        f"{'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}  "
-        f"{'delta':>7s}  {'won':>5s}  verdict"
-    )
+def _print_rows(rows: List[Dict[str, Any]], pairs: int) -> None:
     for row in rows:
         cells = [
             f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
             for q1, median, q3 in (row[side] for side in SIDES)
         ]
         print(
-            f"{row['metric']:16s} {row['better']:6s} {row['bound']:>5.0%}  "
+            f"{row['metric']:22s} {row['better']:6s} {row['bound']:>5.0%}  "
             f"{cells[0]:>34s}  {cells[1]:>34s}  {row['delta']:>+7.1%}  "
             f"{row['won']:>2d}/{pairs:<2d}  {row['verdict']}"
         )
+
+
+def report(
+    rows: List[Dict[str, Any]],
+    notes: Dict[str, Dict[str, float]],
+    pairs: int,
+    layers: Tuple[List[Dict[str, Any]], Dict[str, int]] = ([], {}),
+) -> None:
+    print(
+        f"{'metric':22s} {'better':6s} {'bound':>5s}  "
+        f"{'parent median [q1, q3]':>34s}  {'change median [q1, q3]':>34s}  "
+        f"{'delta':>7s}  {'won':>5s}  verdict"
+    )
+    _print_rows(rows, pairs)
+    layer_rows, missing = layers
+    if layer_rows or missing:
+        print("per-layer rows (reported, not gated):")
+        _print_rows(layer_rows, pairs)
+        for name, lacking in missing.items():
+            print(f"{name:22s} missing from {lacking} of {2 * pairs} runs")
     if pairs < MIN_PAIRS:
         print(f"{pairs} pairs: a claim needs at least {MIN_PAIRS}")
     for side, note in notes.items():
@@ -278,6 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--pairs must be at least 1")
     command = list(contract["command"])
     seconds = float(contract["run_seconds"])
+    layer_names = [row["name"] for row in contract["per_layer"]]
     runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
     clean = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
@@ -298,7 +366,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             pair: Dict[str, Dict[str, Any]] = {}
             for side in order:
                 result = run_once(
-                    trees[side], command, args.workload, seed, seconds
+                    trees[side], command, args.workload, seed, seconds,
+                    layer_names,
                 )
                 if result is None:
                     print(f"seed {seed} {side}: INVALID RUN")
@@ -324,7 +393,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("(no complete pair)")
         return 1
     rows, notes = summarise(contract, runs), side_notes(runs)
-    report(rows, notes, pairs)
+    layers = summarise_layers(contract, runs)
+    report(rows, notes, pairs, layers)
     if args.record:
         record(args.record, args.workload, {
             "parent_commit": commit,
@@ -333,6 +403,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "pairs": pairs,
             "clean": clean,
             "metrics": rows,
+            "layers": layers[0],
+            "layers_missing": layers[1],
             "sides": notes,
         })
         print(f"record -> {args.record}")

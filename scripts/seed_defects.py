@@ -137,9 +137,23 @@ SEEDS: List[Seed] = [
     # past its epoch would answer all of them stale after a swap.
     Seed("bug: the verdict cache's table outlives its epoch",
          "service/server.py",
-         (("        if epoch != self._epoch:\n",
+         (("        if state[1] != self._epoch:\n",
            "        if self._epoch is None:\n"),),
          ("tests/test_packed_cache.py", "-k", "AcrossEpochs")),
+    # A table carried into the next epoch: only the records of the
+    # addresses its batch did not rewrite may cross, each restamped.
+    Seed("bug: the carry keeps a changed address's record",
+         "service/wire.py",
+         (("map(int.to_bytes, changed, repeat(width)",
+           "map(int.to_bytes, (), repeat(width)"),),
+         ("tests/test_packed_cache.py", "tests/test_faults.py", "-k",
+          "AcrossEpochs or Carry or log-swaps-under-load")),
+    Seed("bug: a carried record keeps its old stamp", "service/wire.py",
+         (("            _STAMP.pack(epoch, seq).join,\n",
+           "            b\"\".join,\n"),
+          ("slice(at + _STAMP.size, None)", "slice(at, None)")),
+         ("tests/test_packed_cache.py", "tests/test_faults.py", "-k",
+          "AcrossEpochs or Carry or log-swaps-under-load")),
     # The server counts for the engine, and only what reached it.
     Seed("bug: a packed-cache hit counted as an engine query",
          "service/server.py",

@@ -685,25 +685,32 @@ class Router(FrontDoor):
     # -- fleet views: the hello and stats hooks ------------------------
 
     def _fleet_summary(
-        self, states: List[Optional[Dict[str, Any]]]
+        self,
+        states: List[Optional[Dict[str, Any]]],
+        slots: List[ShardSlot],
     ) -> Dict[str, Any]:
         """The ``cluster`` block from one ``{"epoch", "seq", ...}``
-        dict per shard (``None`` = down): a shard's ``hello`` result,
-        or the ``epoch`` block of its ``stats`` payload."""
-        slots = self._slots
-        epochs = [h["epoch"] for h in states if h is not None]
-        seqs = [h["seq"] for h in states if h is not None]
+        dict per slot of ``slots`` (``None`` = down): a shard's
+        ``hello`` result, or the ``epoch`` block of its ``stats``
+        payload. The minima count a down shard at its slot's mark, which
+        the router never serves it below — a follower's epoch number is
+        its seq — so they do not step back when it rejoins behind the
+        others."""
+        up = [h for h in states if h is not None]
+        marks = [s.mark for h, s in zip(states, slots) if h is None]
+        epochs = [h["epoch"] for h in up]
+        seqs = [h["seq"] for h in up]
         return {
             "shards": len(slots),
             "backends": sum(len(s.backends) for s in slots),
             "healthy_backends": sum(
                 sum(map(s.admits, s.backends)) for s in slots
             ),
-            "shards_up": sum(1 for h in states if h is not None),
-            "epoch_min": min(epochs) if epochs else 0,
-            "epoch_max": max(epochs) if epochs else 0,
-            "seq_min": min(seqs) if seqs else 0,
-            "seq_max": max(seqs) if seqs else 0,
+            "shards_up": len(up),
+            "epoch_min": min(epochs + marks, default=0),
+            "epoch_max": max(epochs, default=0),
+            "seq_min": min(seqs + marks, default=0),
+            "seq_max": max(seqs, default=0),
         }
 
     def _hello(self, answer: Answer) -> None:
@@ -711,8 +718,10 @@ class Router(FrontDoor):
         fleet *minimum* — the only freshness a cross-shard consumer may
         assume — while the ``cluster`` block exposes the spread."""
 
+        slots = self._slots
+
         def done(hellos: List[Optional[Dict[str, Any]]]) -> None:
-            summary = self._fleet_summary(hellos)
+            summary = self._fleet_summary(hellos, slots)
             answer({
                 "streaming": any(
                     h.get("streaming", False) for h in hellos if h is not None
@@ -722,18 +731,21 @@ class Router(FrontDoor):
                 "cluster": summary,
             })
 
-        self.ask_each(self._slots, {"op": "hello"}, done)
+        self.ask_each(slots, {"op": "hello"}, done)
 
     def _stats(self, answer: Answer) -> None:
         """Merged fleet stats: per-shard payloads plus cluster rollup."""
+        slots = self._slots
         self.ask_each(
-            self._slots,
+            slots,
             {"op": "stats"},
-            lambda shard_stats: answer(self._build_stats(shard_stats)),
+            lambda shard_stats: answer(self._build_stats(shard_stats, slots)),
         )
 
     def _build_stats(
-        self, shard_stats: List[Optional[Dict[str, Any]]]
+        self,
+        shard_stats: List[Optional[Dict[str, Any]]],
+        slots: List[ShardSlot],
     ) -> Dict[str, Any]:
         # Each shard's stats payload carries its (epoch, seq) in the
         # "epoch" block — no second gather for the fleet summary.
@@ -741,7 +753,8 @@ class Router(FrontDoor):
             [
                 payload.get("epoch") if payload else None
                 for payload in shard_stats
-            ]
+            ],
+            slots,
         )
         # Shards hold disjoint slices, so sizes add up — but every shard
         # keeps the run-wide ``lists`` and ``ases`` whole.

@@ -29,7 +29,9 @@ current epoch *once* (:meth:`QueryEngine.resolve_state`) and evaluates
 all of its queries against that immutable ``(index, epoch, seq)``
 snapshot, so a concurrent hot swap can neither tear a verdict nor mix
 two epochs inside one batch. Verdicts report the ``(epoch, seq)`` they
-were computed against.
+were computed against. The snapshot also names the addresses the
+resolved epoch's batch rewrote, which the server's cache reads to carry
+the rest of its records into that epoch.
 
 The engine holds no state and takes no lock: a verdict is a pure
 function of the snapshot the call resolved. The one verdict cache of
@@ -42,7 +44,7 @@ counts what reaches the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.policy import BlockAction
 from ..net.family import V4, AddressFamily
@@ -103,9 +105,10 @@ class Verdict:
         }
 
 
-#: One consistent ``(index, epoch, seq)`` snapshot of an engine's
-#: source (:meth:`QueryEngine.resolve_state`).
-State = Tuple[ReputationIndex, int, int]
+#: One consistent ``(index, epoch, seq, changed)`` snapshot of an
+#: engine's source (:meth:`QueryEngine.resolve_state`): ``changed`` is
+#: that epoch's own :attr:`~repro.stream.epoch.Epoch.changed`.
+State = Tuple[ReputationIndex, int, int, FrozenSet[int]]
 
 
 class QueryEngine:
@@ -141,19 +144,20 @@ class QueryEngine:
         return self.resolve_state()[0]
 
     def resolve_state(self) -> State:
-        """One consistent ``(index, epoch, seq)`` snapshot — a single
-        atomic reference read, never a lock. A server keying a cache
-        by epoch takes it here and hands it back to
-        :meth:`query_records`, so probe and evaluation agree."""
+        """One consistent ``(index, epoch, seq, changed)`` snapshot — a
+        single atomic reference read, never a lock; every field is the
+        one epoch's. A server keying a cache by epoch takes it here and
+        hands it back to :meth:`query_records`, so probe and evaluation
+        agree."""
         if self._streaming:
             epoch = self._source.current
-            return epoch.index, epoch.number, epoch.seq
-        return self._source, 0, 0
+            return epoch.index, epoch.number, epoch.seq, epoch.changed
+        return self._source, 0, 0, frozenset()
 
     def epoch_state(self) -> Tuple[int, int]:
         """Current ``(epoch, last applied seq)`` — ``(0, 0)`` for a
         static index. The wire handshake reports this pair."""
-        _, epoch, seq = self.resolve_state()
+        _, epoch, seq, _ = self.resolve_state()
         return epoch, seq
 
     # -- query paths ---------------------------------------------------
@@ -172,7 +176,7 @@ class QueryEngine:
         record loop's records, decoded. A day outside i32 is asked as
         the default day, and :func:`~repro.service.wire.unlisted_on`
         makes its answer."""
-        index, epoch, seq = self.resolve_state()
+        index, epoch, seq, _ = self.resolve_state()
         asked = list(queries)
         wide: Dict[int, int] = {}
         for at, (ip, day) in enumerate(asked):
@@ -206,13 +210,13 @@ class QueryEngine:
         :meth:`resolve_state` snapshot the caller already holds), by
         the index's record loop
         (:meth:`~repro.service.index.ReputationIndex.records`)."""
-        index, epoch, seq = state
+        index, epoch, seq, _ = state
         return index.records(pairs, epoch, seq, codec)
 
     def stats(self) -> Dict[str, Any]:
         """The ``index`` sizes and ``epoch`` state the engine resolves
         right now — its share of the ``stats`` op's payload."""
-        index, epoch, seq = self.resolve_state()
+        index, epoch, seq, _ = self.resolve_state()
         epoch_info: Dict[str, Any] = {"epoch": epoch, "seq": seq}
         if self._streaming:
             epoch_info = {**self._source.stats(), **epoch_info}

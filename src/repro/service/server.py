@@ -47,24 +47,33 @@ decode the misses → record loop``. :func:`parse_request` hands on a
 packed frame's request records as they came and packs a JSON ``query``
 / ``batch`` op's pairs into the same records. Each is looked up as it
 stands in the packed-record cache's table for the epoch of the one
-``(index, epoch, seq)`` snapshot taken first: a hit copies pre-encoded
-record bytes, and the misses are decoded and go to
+``(index, epoch, seq, changed)`` snapshot taken first: a hit copies
+pre-encoded record bytes, and the misses are decoded and go to
 :meth:`~repro.service.engine.QueryEngine.query_records` *with that
 snapshot* — the index's one loop from key search to record bytes
 (:meth:`~repro.service.index.ReputationIndex.records`; no verdict
 object is built) — and are stored in its table. So every record of a
 reply reports the same ``(epoch, seq)`` whatever a hot swap does
-meanwhile, and nothing is ever cached under an epoch it was not
-computed against: a new epoch starts a new table. :func:`assemble_reply`
+meanwhile, and nothing is ever cached under an epoch it is not that
+epoch's answer for: a new epoch starts a new table. When the new epoch
+is the very next one, the old table is *carried* into it: the records
+of addresses its batch did not rewrite
+(:attr:`~repro.stream.epoch.Epoch.changed`, which the engine's snapshot
+names) differ only in their ``(epoch, seq)`` stamp, so
+:meth:`~repro.service.wire.BinaryCodec.carry` restamps them in builtins
+alone, :data:`CARRY_SLICE` records at the head of each request, until
+the old table is through; after any other epoch change (a skipped
+epoch) the table starts empty. :func:`assemble_reply`
 (the router's too) puts the records in the request's framing. A JSON
 op's day outside i32, which no record can carry, is asked as its
 address's default-day record, and :func:`assemble_reply` answers it
 with :func:`~repro.service.wire.unlisted_on`, so no door ever sees
 such a day. The cache is the only verdict cache in the serving stack
 (the engine behind it keeps no state); only the loop thread touches
-it; it is bounded FIFO at :data:`PACKED_CACHE_SIZE` records (an entry
-is never re-ranked on a hit). ``day=None`` and the explicit default
-day are two keys holding byte-identical records.
+it; it is a plain ``dict`` bounded at :data:`PACKED_CACHE_SIZE`
+records: past that, one rebuild keeps its newest three quarters (an
+entry is never re-ranked on a hit). ``day=None`` and the explicit
+default day are two keys holding byte-identical records.
 
 The loop thread also counts, in one :class:`Counters` table: the
 cache's hits and misses and, once ``query_records`` has returned, what
@@ -81,18 +90,18 @@ queued replies drain, the listener stops accepting.
 from __future__ import annotations
 
 import signal
-from collections import OrderedDict
 from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..net.family import V4, AddressFamily, family_of_ip
 from ..stream.delta import DeltaBatch
 from ..stream.epoch import Epoch, EpochIndex
 from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
-from .engine import QueryEngine
+from .engine import QueryEngine, State
 from .index import ReputationIndex
 from .wire import (
     CODECS, BinaryCodec, WireError, check_batch_size, point_error, unlisted_on,
@@ -134,6 +143,11 @@ DEFAULT_CONNECTION_TIMEOUT = 30.0
 
 #: Packed-verdict cache capacity (records, not bytes).
 PACKED_CACHE_SIZE = 1 << 15
+
+#: Records a request carries from the previous epoch's table before it
+#: is answered: a full table crosses in 32 requests, none of which pays
+#: much more than a millisecond for it.
+CARRY_SLICE = 1 << 10
 
 #: How often a following node polls its update log.
 _FOLLOW_POLL_S = 0.05
@@ -394,10 +408,12 @@ class ReputationServer(FrontDoor):
         self._engine = engine
         self._codec = CODECS[engine.family]
         self._streaming = streaming
-        # Epoch ``_epoch``'s packed records by request record; the
-        # loop thread is the only toucher of it and the counters.
+        # Epoch ``_epoch``'s packed records by request record, and what
+        # is still to carry into it from the epoch before; the loop
+        # thread is the only toucher of them and the counters.
         self._epoch: Optional[int] = None
-        self._packed: "OrderedDict[bytes, bytes]" = OrderedDict()
+        self._packed: Dict[bytes, bytes] = {}
+        self._carrying: Optional[Iterator[Tuple[bytes, bytes]]] = None
         self._counters = Counters("cache.hits", "cache.misses")
         super().__init__(host, port, connection_timeout=connection_timeout)
 
@@ -417,21 +433,35 @@ class ReputationServer(FrontDoor):
             },
         })
 
+    def _turn(self, state: State) -> None:
+        """Start the table of ``state``'s epoch, which no later request
+        can ask a superseded epoch's record of: carried from the old
+        table when it is the very next epoch, else empty."""
+        _, epoch, seq, changed = state
+        old, self._packed, self._carrying = self._packed, {}, None
+        if self._epoch is not None and epoch == self._epoch + 1:
+            self._carrying = self._codec.carry(old, changed, epoch, seq)
+        self._epoch = epoch
+
     def _records(
         self, keys: Keys, op: Optional[str], answer: Answer
     ) -> None:
         """The records answering ``keys``, in order, answered at once:
         each key is looked up, undecoded, in the table of one snapshot's
-        epoch; only the misses are decoded and handed to the engine, with
-        that snapshot."""
+        epoch, once the next slice of the old table is carried into it;
+        only the misses are decoded and handed to the engine, with that
+        snapshot."""
         engine = self._engine
         counters = self._counters
         state = engine.resolve_state()
-        epoch = state[1]
-        if epoch != self._epoch:
-            # No later request can ask for a superseded epoch's record.
-            self._epoch, self._packed = epoch, OrderedDict()
+        if state[1] != self._epoch:
+            self._turn(state)
         cache = self._packed
+        if self._carrying is not None:
+            carried = list(islice(self._carrying, CARRY_SLICE))
+            cache.update(carried)
+            if len(carried) < CARRY_SLICE:
+                self._carrying = None
         records: List[Any] = list(map(cache.get, keys))
         missed: List[int] = []
         if None in records:
@@ -451,8 +481,10 @@ class ReputationServer(FrontDoor):
             counters.add(prefix + "seconds", perf_counter() - started)
             for at, record in zip(missed, fresh):
                 records[at] = cache[keys[at]] = record
-            while len(cache) > PACKED_CACHE_SIZE:
-                cache.popitem(last=False)
+        if len(cache) > PACKED_CACHE_SIZE:
+            # One rebuild keeps the newest three quarters.
+            drop = len(cache) - PACKED_CACHE_SIZE * 3 // 4
+            self._packed = dict(islice(cache.items(), drop, None))
         counters.add("cache.hits", len(keys) - len(missed))
         counters.add("cache.misses", len(missed))
         answer(records)

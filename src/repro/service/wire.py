@@ -97,7 +97,10 @@ import json
 import struct
 from collections.abc import Mapping
 from functools import lru_cache, partial
+from itertools import compress, repeat
+from operator import itemgetter, not_
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -285,6 +288,8 @@ BIN_HEADER_SIZE = _BIN_HEADER.size
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+#: A verdict record's ``epoch u32, seq u64``, just ahead of ``n_lists``.
+_STAMP = struct.Struct(">IQ")
 
 
 def encode_binary_frame(
@@ -794,6 +799,35 @@ class BinaryCodec:
         if len(first) >= size and first[0] == REC_VERDICT:
             return _U64.unpack_from(first, size - 9)[0]
         return None
+
+    def carry(
+        self,
+        table: Dict[bytes, bytes],
+        changed: AbstractSet[int],
+        epoch: int,
+        seq: int,
+    ) -> Iterator[Tuple[bytes, bytes]]:
+        """``table``'s ``(request record, verdict record)`` items whose
+        address is not in ``changed``, each record's ``epoch`` and
+        ``seq`` overwritten in place of the old ones: what such an
+        address answers in the epoch after the table's. Lazy, in table
+        order, and builtins all the way down — no bytecode runs per
+        record — so a caller can take it a slice at a time; ``table``
+        must not change meanwhile."""
+        width, at = self._has_day_at, self._verdict.size - 1 - _STAMP.size
+        moved = frozenset(
+            map(int.to_bytes, changed, repeat(width), repeat("big"))
+        ).__contains__
+        kept = map(not_, map(moved, map(itemgetter(slice(width)), table)))
+        records = table.values()
+        restamped = map(
+            _STAMP.pack(epoch, seq).join,
+            zip(
+                map(itemgetter(slice(at)), records),
+                map(itemgetter(slice(at + _STAMP.size, None)), records),
+            ),
+        )
+        return compress(zip(table, restamped), kept)
 
     def decode_record(self, record: bytes) -> "RecordView":
         """The view of one packed record (a :meth:`split_batch_reply`

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from .delta import DeltaBatch, ListingDelta, apply_to_spans, truncate_spans
 
@@ -48,6 +48,10 @@ class Epoch:
     seq: int
     #: Collection day the state corresponds to.
     day: int
+    #: The addresses the batch that published this epoch rewrote (none
+    #: for the base): every other address answers as in the epoch
+    #: before, but for the ``(epoch, seq)`` stamp.
+    changed: FrozenSet[int] = frozenset()
 
 
 class EpochIndex:
@@ -112,17 +116,11 @@ class EpochIndex:
                 epoch.number + 1,
                 batch.seq,
                 batch.day,
+                frozenset(updates),
             )
             self._deltas_applied += len(batch.deltas)
             self._current = successor  # the swap: one atomic store
             return successor
-
-    def apply_all(self, batches: Iterable[DeltaBatch]) -> Epoch:
-        """Apply a whole batch stream; returns the final epoch."""
-        epoch = self._current
-        for batch in batches:
-            epoch = self.apply(batch)
-        return epoch
 
     @staticmethod
     def _updated_intervals(

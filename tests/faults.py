@@ -894,6 +894,56 @@ def _replica_lagging(tmp_path: Path, world: World) -> Record:
     return record
 
 
+def _rejoin_under_follow(tmp_path: Path, world: World) -> Record:
+    """A router over two streaming shards, asked ``hello`` throughout:
+    both at one seq, then shard 1 stops there while shard 0 runs on,
+    and shard 1 comes back on its old port behind shard 0, to catch up.
+    The fleet minimum never steps back: a shard that is down counts at
+    its slot's mark."""
+    record = Record()
+    epochs = [EpochIndex(world.base, day=world.start_day) for _ in range(2)]
+    for batch in world.batches[:3]:
+        for shard in epochs:
+            shard.apply(batch)
+    servers = [ReputationServer(QueryEngine(e), streaming=True) for e in epochs]
+    port = servers[1].start()[1]
+    router = Router(
+        PartitionMap(2), [[servers[0].start()], [("127.0.0.1", port)]],
+        backend_timeout=1.0, heartbeat_interval=0.05,
+    )
+    router.start()
+    try:
+        with ReputationClient(*router.address) as client, \
+                ReputationClient(*router.address) as watcher:
+            conn = Conn(client, record.conn("client"))
+            record.facts["both up"] = conn.ask("hello")["cluster"]["shards_up"] == 2
+            servers[1].shutdown()
+            _rows_until(watcher, 1, 0, lambda row: not row["healthy"])
+            for batch in world.batches[3:10]:
+                epochs[0].apply(batch)
+            record.facts["shard 1 down"] = conn.ask("hello")["cluster"]["shards_up"] == 1
+            for batch in world.batches[3:5]:
+                epochs[1].apply(batch)
+            servers[1] = ReputationServer(
+                QueryEngine(epochs[1]), port=port, streaming=True
+            )
+            servers[1].start()
+            rows = _rows_until(watcher, 1, 0, lambda row: row["healthy"])
+            record.facts["rejoined behind"] = rows[-1]["healthy"] and (
+                conn.ask("hello")["cluster"]["seq_max"] == world.batches[9].seq
+            )
+            for batch in world.batches[5:10]:
+                epochs[1].apply(batch)
+            record.facts["caught up"] = (
+                conn.ask("hello")["seq"] == world.batches[9].seq
+            )
+    finally:
+        router.shutdown()
+        for server in servers:
+            server.shutdown()
+    return record
+
+
 #: Loads a snapshot, truncates its file to a tenth in place (what
 #: ``cp new.idx served.idx`` does first), then answers the addresses on
 #: stdin, one ``[seconds, verdict]`` line each.
@@ -986,6 +1036,9 @@ FAULTS: List[Fault] = [
         degraded=True, follow=True, facts={
             "read catching up": True, "replica admitted": True,
             "served at the mark": True})),
+    Fault("rejoin-under-follow", _rejoin_under_follow, Expect(
+        follow=True, facts={"both up": True, "shard 1 down": True,
+                            "rejoined behind": True, "caught up": True})),
     Fault("snapshot-truncated", _snapshot_truncated,
           Expect(facts={"truncated to a tenth": True})),
 ]

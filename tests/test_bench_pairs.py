@@ -143,3 +143,55 @@ def test_record_holds_what_the_table_prints(bench_pairs, tmp_path, capsys):
     assert written["bulk-cold"] == {"pairs": 2}
     assert written["bulk-hot"]["pairs"] == 10
     assert written["bulk-hot"]["metrics"] == json.loads(json.dumps(rows))
+
+
+#: The tail of a run's output: its metric table, then its result line.
+_PRINTED = """-- churn-follow seed=3 seconds=15 trace=0 samples={'windows': 5}
+throughput_qps                                 514291 1/s
+host.slowdown                                 1.98314 x
+point_p99_ms                                  18.9684 ms
+server.packed_hit_rate                       0.870369 share
+staleness_p50_ms                              118.459 ms
+boot.load_s                                0.00752596 s
+calibration ok=True ledger=Ledger(sent=1, ok=1)
+{"correct": true}""".splitlines()
+
+
+def test_per_layer_rows_are_parsed_by_the_contracts_names(bench_pairs):
+    contract = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    names = [row["name"] for row in contract["per_layer"]]
+    assert bench_pairs.layer_values(_PRINTED, names) == {
+        "host.slowdown": 1.98314,
+        "point_p99_ms": 18.9684,
+        "server.packed_hit_rate": 0.870369,
+        "staleness_p50_ms": 118.459,
+    }
+
+
+def test_per_layer_rows_are_judged_and_a_missing_one_is_named(
+    bench_pairs, capsys
+):
+    contract = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    runs = {"parent": _runs(contract, 1.0, 1.0), "change": _runs(contract, 1.0, 1.0)}
+    for side, scale in (("parent", 1.0), ("change", 0.5)):
+        for run, value in zip(runs[side], PARENT):
+            run["layers"] = {"point_p99_ms": value * scale,
+                             "staleness_p50_ms": value}
+    del runs["change"][4]["layers"]["staleness_p50_ms"]
+    rows, missing = bench_pairs.summarise_layers(contract, runs)
+    assert [row["metric"] for row in rows] == ["point_p99_ms"]
+    assert (rows[0]["won"], rows[0]["verdict"]) == (10, "gain")
+    assert rows[0]["bound"] == max(r["bound"] for r in contract["end_to_end"])
+    assert missing == {"staleness_p50_ms": 1}
+    end_to_end = bench_pairs.summarise(contract, runs)
+    bench_pairs.report(end_to_end, bench_pairs.side_notes(runs), 10,
+                       (rows, missing))
+    table = capsys.readouterr().out.splitlines()
+    gated = table.index("per-layer rows (reported, not gated):")
+    assert table[gated - 1].startswith(contract["end_to_end"][-1]["name"])
+    assert table[gated + 1].startswith("point_p99_ms") and "gain" in table[gated + 1]
+    assert table[gated + 2].split() == [
+        "staleness_p50_ms", "missing", "from", "1", "of", "20", "runs"]
+    # Only the gated rows decide the exit status.
+    rows[0]["verdict"] = "REGRESSION"
+    assert bench_pairs.exit_status(end_to_end, True) == 0

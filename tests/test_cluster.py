@@ -349,7 +349,8 @@ class TestRouterStatsPayload:
             writer.append(batch)
         seq = applied[-1].seq
         epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
-        epochs.apply_all(applied)
+        for batch in applied:
+            epochs.apply(batch)
         sizes = epochs.current.index.stats()
         with LocalCluster(
             full_index,
@@ -410,10 +411,12 @@ class TestRouterStatsPayload:
             assert row["stats"]["epoch"]["seq"] == seq
 
         # A dead shard: counted down, its row kept with no payload, the
-        # summary taken over the shards that answered.
+        # maxima taken over the shards that answered and the minima
+        # counting it at its slot's mark.
         assert degraded["cluster"]["shards_up"] == 2
         assert degraded["cluster"]["healthy_backends"] == 2
         assert degraded["cluster"]["epoch_min"] == seq
+        assert degraded["cluster"]["seq_min"] == seq
         assert degraded["cluster"]["seq_max"] == seq
         assert degraded["shards"][2]["stats"] is None
         assert degraded["shards"][0]["stats"]["epoch"]["seq"] == seq
@@ -449,7 +452,8 @@ class TestProcessMode:
         writer.append(replay_batches[1])
         reached = replay_batches[1].seq
         epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
-        epochs.apply_all(replay_batches[:3])
+        for batch in replay_batches[:3]:
+            epochs.apply(batch)
         single = QueryEngine(epochs)
         day = replay_batches[2].day
 

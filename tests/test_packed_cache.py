@@ -8,8 +8,11 @@ record's bytes), an epoch swap can never be answered from a superseded
 epoch's record (between batches, between two batches of one pipelined
 window, or in the middle of a batch — where every record of the frame
 still reports the one epoch the frame was probed under, and is stored
-in that epoch's table), the cache stays bounded, and an evicted key is
-simply evaluated again.
+in that epoch's table), a swap to the very next epoch carries every
+record of an address its batch did not rewrite, restamped and byte for
+byte what the reference owes, while any other swap starts an empty
+table, the cache stays bounded, and an evicted key is simply evaluated
+again.
 """
 
 import pytest
@@ -22,6 +25,7 @@ from repro.service.server import ReputationServer
 from repro.service.wire import CODECS
 from repro.stream.delta import DeltaBatch, ListingDelta
 from repro.stream.epoch import EpochIndex
+from tests.reference import packed
 from tests.test_service_binary import _binary_socket
 
 CODEC = CODECS[V4]
@@ -181,7 +185,8 @@ class TestPackedCacheAcrossEpochs:
         self._check_swap(cold, fresh, ip, delta.list_id)
         assert fresh == QueryEngine(epochs).query(ip, day).to_wire()
         assert (cache["hits"], cache["misses"]) == (1, 2)
-        # The swap's first request dropped epoch 0's table whole.
+        # The swap's first request carried epoch 0's table into epoch
+        # 1's but for the record of the address the batch rewrote.
         assert _held(server) == (1, {(ip, day): 1})
 
     def test_swap_inside_a_pipelined_window(
@@ -239,7 +244,9 @@ class TestPackedCacheAcrossEpochs:
     ):
         """One frame, one snapshot: a swap landing between two of a
         frame's misses moves neither record, nor its cache entry, to
-        the new epoch; the next frame answers both from it."""
+        the new epoch; the next frame answers both from it — the
+        untouched address's record carried over, restamped, and only
+        the changed one evaluated again."""
         epochs, server = streamed
         ip, day, delta = _extension(index)
         other = next(a for a in listed if a != ip)
@@ -254,8 +261,8 @@ class TestPackedCacheAcrossEpochs:
         first, second = CODEC.decode_batch_reply(straddling)
         assert (first["epoch"], first["seq"]) == (0, 0)
         # ``ip`` was evaluated after the swap, against the frame's own
-        # snapshot all the same.
-        assert evaluated == [other, ip, other, ip]
+        # snapshot all the same; ``other`` never reached the engine again.
+        assert evaluated == [other, ip, ip]
         same, after = CODEC.decode_batch_reply(settled)
         self._check_swap(second, after, ip, delta.list_id)
         assert (same["epoch"], same["seq"]) == (1, 1)
@@ -303,6 +310,99 @@ class TestPackedCacheAcrossEpochs:
         self._check_swap(second, after, ip, delta.list_id)
 
 
+class TestPackedCacheCarry:
+    """A swap to the very next epoch carries the table, a slice a
+    request: each record of an address the batch did not rewrite is
+    restamped, never evaluated again."""
+
+    @pytest.fixture()
+    def following(self, world):
+        epochs = EpochIndex(world.base, day=world.start_day)
+        server = _serve(QueryEngine(epochs))
+        with _binary_socket(server.address) as (sock, frames):
+            rids = iter(range(1, 1 << 20))
+
+            def ask(keys):
+                """The records answering request records ``keys``."""
+                rid = next(rids)
+                sock.sendall(CODEC.encode_request_frame(keys, rid))
+                ftype, got, payload = frames.read(binary=True)
+                assert (ftype, got) == (CODEC.ft_reply, rid)
+                return CODEC.split_batch_reply(payload)
+
+            yield epochs, server, ask
+        server.shutdown()
+
+    @staticmethod
+    def _owed(world, keys, seq):
+        """The reference's records for ``keys`` at ``seq``, whose epoch
+        number it is too."""
+        model = world.reference.as_of(world.day_of_seq[seq])
+        return [
+            packed(model, ip, day, seq, seq)
+            for ip, day in CODEC.decode_requests(keys)
+        ]
+
+    def test_thirty_swaps_are_byte_identical_and_carry_what_held(
+        self, world, following
+    ):
+        epochs, server, ask = following
+        days = (None, world.days[len(world.days) // 2], world.days[-1])
+        keys = [
+            CODEC.pack_request(ip, day) for ip in world.listed for day in days
+        ]
+        # One request carries the whole table.
+        assert len(keys) <= server_module.CARRY_SLICE
+        assert ask(keys) == self._owed(world, keys, 0)
+        misses, rewritten = len(keys), []
+        for batch in world.batches[:30]:
+            held = list(server._packed)
+            epoch = epochs.apply(batch)
+            assert epoch.changed == {delta.ip for delta in batch.deltas}
+            rewritten.append(sum(
+                ip in epoch.changed for ip, _ in CODEC.decode_requests(held)
+            ))
+            assert ask(held) == self._owed(world, held, batch.seq)
+            # Only the rewritten addresses' keys reached the engine.
+            misses += rewritten[-1]
+            assert server._counters.read("cache")["misses"] == misses
+            assert sorted(server._packed) == sorted(held)
+        assert 0 < sum(rewritten) < 30 * len(keys) / 2
+
+    def test_two_swaps_between_requests_start_an_empty_table(
+        self, world, following
+    ):
+        epochs, server, ask = following
+        keys = [CODEC.pack_request(ip, None) for ip in world.listed]
+        ask(keys)
+        for batch in world.batches[:2]:
+            epochs.apply(batch)
+        (ip, day), seq = CODEC.decode_requests(keys[:1])[0], 2
+        assert ask(keys[:1]) == self._owed(world, keys[:1], seq)
+        assert _held(server) == (seq, {(ip, day): seq})
+        assert server._counters.read("cache")["misses"] == len(keys) + 1
+
+    def test_the_table_crosses_a_slice_a_request(
+        self, world, following, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "CARRY_SLICE", 8)
+        epochs, server, ask = following
+        # Addresses no batch touches: the index has no fact for them.
+        held = [CODEC.pack_request(ip, None) for ip in range(1, 41)]
+        ask(held)
+        batch = world.batches[0]
+        epochs.apply(batch)
+        asked = [CODEC.pack_request(100 + n, None) for n in range(6)]
+        for n, key in enumerate(asked, 1):
+            ask([key])
+            assert len(server._packed) == min(8 * n, len(held)) + n
+        assert _held(server)[1] == dict.fromkeys(
+            CODEC.decode_requests(held + asked), batch.seq
+        )
+        assert ask(held) == self._owed(world, held, batch.seq)
+        assert server._counters.read("cache")["misses"] == len(held + asked)
+
+
 class TestPackedCacheBound:
     def test_stays_bounded_and_evicted_keys_are_still_right(
         self, index, listed, monkeypatch
@@ -324,11 +424,12 @@ class TestPackedCacheBound:
                         reference.query(ip, day).to_wire()
                         for ip, day in pairs
                     ]
-                assert len(server._packed) == capacity
-                # The oldest keys were evicted (FIFO): asked again they
-                # are misses, answered as before.
+                # Past the capacity one rebuild keeps the newest three
+                # quarters: the oldest keys were evicted (FIFO), and
+                # asked again they are misses, answered as before.
+                kept = capacity * 3 // 4
                 assert list(server._packed) == [
-                    CODEC.pack_request(ip, day) for ip, day in keys[-capacity:]
+                    CODEC.pack_request(ip, day) for ip, day in keys[-kept:]
                 ]
                 (payload,) = _ask(peer, batches[0])
             assert CODEC.decode_batch_reply(payload) == [
@@ -340,7 +441,7 @@ class TestPackedCacheBound:
         finally:
             server.shutdown()
         assert cache == {
-            "entries": capacity,
+            "entries": kept,
             "capacity": capacity,
             "hits": 0,
             "misses": len(keys) + batch,

@@ -65,7 +65,8 @@ class TestIndexAsOf:
         self, full_index, base_index, replay_batches
     ):
         epochs = EpochIndex(base_index)
-        epochs.apply_all(replay_batches)
+        for batch in replay_batches:
+            epochs.apply(batch)
         final = epochs.index
         for ip, spans in full_index.interval_items():
             assert list(final.intervals_of(ip)) == sorted(spans)

@@ -203,7 +203,8 @@ class TestV6ClusterEndToEnd:
         # reach).
         batches = scenario_batches(score)
         epochs = EpochIndex(index_as_of(score.index, 0), day=0)
-        epochs.apply_all(batches)
+        for batch in batches:
+            epochs.apply(batch)
         static = QueryEngine(epochs)
         eval_points = scenario.ledger.eval_points()
         sample = eval_points[:: max(1, len(eval_points) // 120)]
