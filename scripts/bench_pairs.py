@@ -176,14 +176,21 @@ def judge(
     gain = sign * (c_med - p_med)
     relative = (c_med - p_med) / p_med if p_med else 0.0
     spread = p_q3 - p_q1
+    # Over a parent whose own spread exceeds the bound, a median past
+    # it either way is noise unless every run of one side beats every
+    # run of the other.
+    noisy = bool(p_med) and spread / abs(p_med) > bound
     every_run_better = (
         min(change) > max(parent) if higher else max(change) < min(parent)
     )
-    if p_med and -gain / abs(p_med) > bound:
+    every_run_worse = (
+        max(change) < min(parent) if higher else min(change) > max(parent)
+    )
+    if p_med and -gain / abs(p_med) > bound and (every_run_worse or not noisy):
         verdict = "REGRESSION"
     elif won >= 0.9 * len(parent) and gain > spread:
         verdict = "gain" if len(parent) >= MIN_PAIRS else "ahead"
-    elif p_med and spread / abs(p_med) > bound and not every_run_better:
+    elif noisy and not every_run_better:
         verdict = "unresolved"
     else:
         verdict = "level"

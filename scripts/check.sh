@@ -11,7 +11,10 @@
 #
 # Steps:
 #   1. tier-1 pytest suite, with every fault in tests/faults.py (the
-#      `repro cluster` ones: a primary SIGKILLed per codec, auto-split)
+#      `repro cluster` ones: a primary SIGKILLed per codec, auto-split),
+#      every adversary scenario end to end through the CLI, and the
+#      IPv6 served path (hitlist-v6 snapshot queried over the CLI, the
+#      v6-hitlist load mix)
 #   2. reprolint (repro lint): the three per-module rules plus the
 #      whole-program FLOW-BLOCK pass; fails on any unwaived finding
 #      and on any stale or unknown waiver, and the full sweep must
@@ -24,25 +27,20 @@
 #      survey/trie/routing, failover tail) — they assert counts and
 #      bounds between timings taken in the same test, never an
 #      absolute time or rate
-#   4. adversary-lab smoke (scripts/scenarios_smoke.sh): every
-#      scenario end to end through the CLI, fidelity check included
-#   5. IPv6 serving smoke (scripts/v6_smoke.sh): hitlist-v6 scenario
-#      compiled to a snapshot, served by `repro serve` and queried
-#      over the CLI, plus the v6-hitlist load mix
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== [1/5] tier-1 tests =="
+echo "== [1/3] tier-1 tests =="
 python -m pytest -x -q
 
-echo "== [2/5] reprolint =="
+echo "== [2/3] reprolint =="
 # The budget keeps the flow pass honest: whole-program analysis over
 # src/repro must stay interactive (< 10 s) or nobody runs it locally.
 timeout 10 python -m repro.cli lint
 
-echo "== [3/5] serving-benchmark smoke + uncovered benches =="
+echo "== [3/3] serving-benchmark smoke + uncovered benches =="
 if [ "${REPRO_CHECK_SKIP_PERF:-0}" = "1" ]; then
     echo "skipped (REPRO_CHECK_SKIP_PERF=1)"
 else
@@ -55,11 +53,5 @@ else
         benchmarks/bench_v6.py \
         -q
 fi
-
-echo "== [4/5] adversary scenarios smoke =="
-bash scripts/scenarios_smoke.sh
-
-echo "== [5/5] IPv6 serving smoke =="
-bash scripts/v6_smoke.sh
 
 echo "check.sh: all gates passed"

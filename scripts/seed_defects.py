@@ -114,6 +114,20 @@ SEEDS: List[Seed] = [
     Seed("bug: a backend below its slot's mark is admitted", "cluster/router.py",
          (("backend.seq >= self.mark\n", "backend.seq >= 0\n"),),
          ("tests/test_faults.py", "-k", "restart-under-follow or replica-lagging")),
+    # No request is stranded: a control reply is judged where it enters,
+    # and what a gather raises fails its own request, not the link.
+    Seed("bug: a control reply enters unchecked", "cluster/router.py",
+         (("        seq = _seq_of(sub.request, result)[1] if ok else 0\n",
+           "        seq = 0\n"),),
+         ("tests/test_faults.py", "-k", "malformed")),
+    Seed("bug: a raising gather is charged to the backend", "cluster/router.py",
+         (("            finish(*args)\n        except Exception as exc:\n",
+           "            finish(*args)\n        except ZeroDivisionError as exc:\n"),),
+         ("tests/test_faults.py", "-k", "gather-callback-raises")),
+    Seed("bug: a failed hello keeps its codec", "service/server.py",
+         (("conn.codec = slot.codec  #", "#"),), ("tests/test_faults.py", "-k", "gather-callback")),
+    Seed("bug: a batch's ok message reply enters unchecked", "cluster/router.py",
+         (("if ok and sub.request is None:", "if False:"),), ("tests/test_faults.py", "-k", "as-message")),
     Seed("bug: mid-log damage read as a torn tail", "stream/log.py",
          (("        except zlib.error as exc:\n"
            "            raise UpdateLogError(\n"

@@ -70,6 +70,7 @@ from ..service.server import (
     DEFAULT_CONNECTION_TIMEOUT,
     Answer,
     Counters,
+    Fail,
     FrontDoor,
     Keys,
 )
@@ -100,21 +101,25 @@ class _Sub:
     ``target``: a served :class:`ShardSlot`'s ordered backends, judged
     by its admission rule, or a probed :class:`Backend`'s own link.
 
-    ``finish(status, value)`` fires exactly once with one of:
+    ``finish(status, value)`` fires exactly once, in
+    :meth:`Router._complete`, with one of:
     ``("records", [raw record bytes])`` — packed batch reply;
-    ``("result", payload)`` — any ``ok`` message reply;
+    ``("result", payload)`` — an ``ok`` message reply, judged by
+    :func:`_seq_of` where it entered;
     ``("reject", error string)`` — the backend answered ``ok: false``;
     ``("unavailable", cause)`` — every candidate backend failed.
+    ``fail`` fails the request the sub serves (``None`` for a probe).
     """
 
     __slots__ = ("kind", "request", "keys", "rid", "candidates",
-                 "failed", "deadline", "finish", "codec", "slot")
+                 "failed", "deadline", "finish", "fail", "codec", "slot")
 
     def __init__(
         self,
         kind: str,
         target: "ShardSlot | Backend",
         finish: Callable[[str, Any], None],
+        fail: Optional[Fail],
         *,
         request: Optional[Dict[str, Any]] = None,
         keys: Optional[Keys] = None,
@@ -135,6 +140,7 @@ class _Sub:
         self.failed = 0
         self.deadline = 0.0
         self.finish = finish
+        self.fail = fail
 
     def encode(self) -> bytes:
         """The request frame (upstream links speak binary only)."""
@@ -247,7 +253,7 @@ class Backend(Link):
                 slot.mark = seq
         if sub.failed:
             self._router._counters.add("failovers")
-        sub.finish(status, value)
+        self._router._complete(sub.fail, sub.finish, status, value)
 
     # -- Link hooks ----------------------------------------------------
 
@@ -275,13 +281,19 @@ class Backend(Link):
         sub = self._head(request_id)
         if not isinstance(reply, dict):
             raise WireError(f"malformed reply: {reply!r}")
+        ok, result = reply.get("ok"), reply.get("result")
+        # Judged while the sub is still pending: a reply that does not
+        # hold what its op promises is garbled, and the sub fails over.
+        if ok and sub.request is None:
+            raise WireError("message reply to a batch request")
+        seq = _seq_of(sub.request, result)[1] if ok else 0
         self.pending.popleft()
         self.healthy, self.cause = True, ""
-        if not reply.get("ok"):
-            sub.finish("reject", str(reply.get("error", "unknown error")))
+        if not ok:
+            error = str(reply.get("error", "unknown error"))
+            self._router._complete(sub.fail, sub.finish, "reject", error)
         else:
-            result = reply.get("result")
-            self._succeed(sub, "result", result, _seq_of(result))
+            self._succeed(sub, "result", result, seq)
 
     def on_packed(
         self, ftype: int, request_id: int, payload: bytes
@@ -313,13 +325,26 @@ class Backend(Link):
             self._router._submit(sub, cause)
 
 
-def _seq_of(result: Any) -> Optional[int]:
-    """The seq of a shard's ``hello`` or ``stats`` result, if any."""
-    if not isinstance(result, dict):
-        return None
-    state = result.get("epoch")
-    seq = (state if isinstance(state, dict) else result).get("seq")
-    return seq if type(seq) is int else None
+#: The ``index`` sizes a ``stats`` gather adds up.
+_SIZES = ("ips", "intervals", "nated_ips", "dynamic_prefixes", "ases", "lists")
+
+
+def _seq_of(request: Dict[str, Any], result: Any) -> Tuple[int, int]:
+    """The ``(epoch, seq)`` of a shard's ``result`` to ``request``, a
+    ``hello`` or a ``stats`` (every message the router sends is one):
+    the ``hello``'s own, or the ``stats``' ``epoch`` block's, beside
+    ``index`` sizes that must be ints too. Else :class:`WireError`."""
+    state, sizes = result, {}
+    if request["op"] == "stats" and isinstance(result, dict):
+        state, sizes = result.get("epoch"), result.get("index")
+    if not isinstance(sizes, dict) or any(
+        type(sizes.get(key, 0)) is not int for key in _SIZES
+    ):
+        raise WireError("stats reply without int index sizes")
+    marks = (state.get("epoch"), state.get("seq")) if isinstance(state, dict) else ()
+    if {type(mark) for mark in marks} != {int}:
+        raise WireError(f"{request['op']} reply without an int epoch and seq")
+    return marks
 
 
 class ShardSlot:
@@ -482,17 +507,19 @@ class Router(FrontDoor):
         targets: Sequence["ShardSlot | Backend"],
         request: Dict[str, Any],
         done: Callable[[List[Optional[Dict[str, Any]]]], None],
+        fail: Optional[Fail] = None,
     ) -> None:
-        """``request`` once per target — a slot, served, or a backend,
-        probed (:class:`_Sub`) — then ``done`` with each target's result
-        object, in order, once all are answered or lost (``None`` where
-        every candidate failed or the answer was no object). Loop
+        """``request``, a ``hello`` or a ``stats``, once per target — a
+        slot, served, or a backend, probed (:class:`_Sub`) — then
+        ``done`` with each target's result, in order, once all are
+        answered or lost (``None`` where it was refused or every
+        candidate failed); what ``done`` raises goes to ``fail``. Loop
         thread only."""
         results: List[Optional[Dict[str, Any]]] = [None] * len(targets)
         outstanding = [len(targets) + 1]  # the round's own hold
 
         def finish(position: int, status: str, value: Any) -> None:
-            if status == "result" and isinstance(value, dict):
+            if status == "result":
                 results[position] = value
             outstanding[0] -= 1
             if outstanding[0] == 0:
@@ -504,10 +531,11 @@ class Router(FrontDoor):
                     "msg",
                     target,
                     lambda status, value, p=position: finish(p, status, value),
+                    fail,
                     request=request,
                 )
             )
-        finish(-1, "", None)  # releases the hold
+        self._complete(fail, finish, -1, "", None)  # releases the hold
 
     def shard_slot(self, shard_id: int) -> ShardSlot:
         """The live slot of ``shard_id`` (loop thread only)."""
@@ -607,7 +635,7 @@ class Router(FrontDoor):
     # -- queries: the front door's records hook (loop thread) ----------
 
     def _records(
-        self, keys: Keys, op: Optional[str], answer: Answer
+        self, keys: Keys, op: Optional[str], answer: Answer, fail: Fail
     ) -> None:
         """Scatter ``keys`` by shard and gather the records back into
         request order; a JSON ``query`` op is a batch of one."""
@@ -672,6 +700,7 @@ class Router(FrontDoor):
                     lambda status, value, s=shard_id, k=shard_keys: (
                         shard_done(s, k, status, value)
                     ),
+                    fail,
                     keys=shard_keys,
                     codec=codec,
                 )
@@ -686,20 +715,20 @@ class Router(FrontDoor):
 
     def _fleet_summary(
         self,
-        states: List[Optional[Dict[str, Any]]],
+        request: Dict[str, Any],
+        results: List[Optional[Dict[str, Any]]],
         slots: List[ShardSlot],
     ) -> Dict[str, Any]:
-        """The ``cluster`` block from one ``{"epoch", "seq", ...}``
-        dict per slot of ``slots`` (``None`` = down): a shard's
-        ``hello`` result, or the ``epoch`` block of its ``stats``
-        payload. The minima count a down shard at its slot's mark, which
-        the router never serves it below — a follower's epoch number is
-        its seq — so they do not step back when it rejoins behind the
-        others."""
-        up = [h for h in states if h is not None]
-        marks = [s.mark for h, s in zip(states, slots) if h is None]
-        epochs = [h["epoch"] for h in up]
-        seqs = [h["seq"] for h in up]
+        """The ``cluster`` block from each slot of ``slots``' result to
+        ``request`` (``None`` = down), read by :func:`_seq_of`, which
+        judged it where it entered. The minima count a down shard at its
+        slot's mark, which the router never serves it below — a
+        follower's epoch number is its seq — so they do not step back
+        when it rejoins behind the others."""
+        up = [_seq_of(request, h) for h in results if h is not None]
+        marks = [s.mark for h, s in zip(results, slots) if h is None]
+        epochs = [epoch for epoch, _ in up]
+        seqs = [seq for _, seq in up]
         return {
             "shards": len(slots),
             "backends": sum(len(s.backends) for s in slots),
@@ -713,15 +742,15 @@ class Router(FrontDoor):
             "seq_max": max(seqs, default=0),
         }
 
-    def _hello(self, answer: Answer) -> None:
+    def _hello(self, answer: Answer, fail: Fail) -> None:
         """The merged handshake fields. ``epoch``/``seq`` report the
         fleet *minimum* — the only freshness a cross-shard consumer may
         assume — while the ``cluster`` block exposes the spread."""
 
-        slots = self._slots
+        slots, request = self._slots, {"op": "hello"}
 
         def done(hellos: List[Optional[Dict[str, Any]]]) -> None:
-            summary = self._fleet_summary(hellos, slots)
+            summary = self._fleet_summary(request, hellos, slots)
             answer({
                 "streaming": any(
                     h.get("streaming", False) for h in hellos if h is not None
@@ -731,15 +760,16 @@ class Router(FrontDoor):
                 "cluster": summary,
             })
 
-        self.ask_each(slots, {"op": "hello"}, done)
+        self.ask_each(slots, request, done, fail)
 
-    def _stats(self, answer: Answer) -> None:
+    def _stats(self, answer: Answer, fail: Fail) -> None:
         """Merged fleet stats: per-shard payloads plus cluster rollup."""
         slots = self._slots
         self.ask_each(
             slots,
             {"op": "stats"},
             lambda shard_stats: answer(self._build_stats(shard_stats, slots)),
+            fail,
         )
 
     def _build_stats(
@@ -749,24 +779,15 @@ class Router(FrontDoor):
     ) -> Dict[str, Any]:
         # Each shard's stats payload carries its (epoch, seq) in the
         # "epoch" block — no second gather for the fleet summary.
-        summary = self._fleet_summary(
-            [
-                payload.get("epoch") if payload else None
-                for payload in shard_stats
-            ],
-            slots,
-        )
+        summary = self._fleet_summary({"op": "stats"}, shard_stats, slots)
         # Shards hold disjoint slices, so sizes add up — but every shard
         # keeps the run-wide ``lists`` and ``ases`` whole.
-        index_totals = dict.fromkeys(("ips", "intervals", "nated_ips",
-                                      "dynamic_prefixes", "ases", "lists"), 0)
-        for payload in shard_stats:
-            sizes = payload.get("index", {}) if payload else {}
+        index_totals = dict.fromkeys(_SIZES, 0)
+        for sizes in (payload["index"] for payload in shard_stats if payload):
             for key, total in index_totals.items():
                 value = sizes.get(key, 0)
                 index_totals[key] = (
-                    max(total, value) if key in ("ases", "lists")
-                    else total + value
+                    max(total, value) if key in ("ases", "lists") else total + value
                 )
         # The rows are the load snapshot's, of the live slots — not
         # partition.range_of: a swap while the gather was in flight
@@ -800,7 +821,21 @@ class Router(FrontDoor):
                 return
             sub.failed += 1
             cause = f"cannot reach {backend.address[0]}:{backend.address[1]}"
-        sub.finish("unavailable", cause)
+        self._complete(sub.fail, sub.finish, "unavailable", cause)
+
+    def _complete(
+        self, fail: Optional[Fail], finish: Callable[..., None], *args: Any
+    ) -> None:
+        """``finish(*args)``: a sub's, or a gather's own hold, the one
+        place either completes. What that raises is the gather's fault,
+        not the backend's whose reply surfaced it: the loop counts it,
+        and ``fail`` fails the request the gather serves."""
+        try:
+            finish(*args)
+        except Exception as exc:
+            cause = self.reactor.caught(exc)
+            if fail is not None:
+                fail(cause)
 
     def _backend_sweep(self) -> None:
         now = time.monotonic()

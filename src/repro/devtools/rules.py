@@ -284,11 +284,12 @@ def _broad_handler(node: ast.ExceptHandler) -> bool:
 def check_silent_except(module: LintModule) -> Iterator[Violation]:
     """Keeps "every failure degrades to a *declared* state" checkable:
     an ``except Exception``/bare ``except`` whose body is only
-    ``pass``/``continue`` is a failure nobody will ever see. Two
-    sites are waived, each saying why the swallow is safe (the
-    reactor's callback guard in ``aio.py``, teardown in
-    ``cluster/local.py``); the rule is the "zero silent ``except`` on
-    serving paths" half of the observability work (ROADMAP item 3)."""
+    ``pass``/``continue`` is a failure nobody will ever see. One site
+    is waived, saying why the swallow is safe (teardown in
+    ``cluster/local.py``); the reactor's callback guard and the
+    router's completion guard count what they catch. The rule is the
+    "zero silent ``except`` on serving paths" half of the
+    observability work (ROADMAP item 3)."""
     if not module.in_dirs(*SERVING_DIRS):
         return
     for node in ast.walk(module.tree):

@@ -100,9 +100,10 @@ class Reactor:
     One thread calls :meth:`run`; any thread may call
     :meth:`call_soon` or :meth:`stop` (a socketpair write wakes the
     blocked ``select``). Timers (:meth:`call_later`) are loop-thread
-    only. Callback exceptions are swallowed so one buggy task cannot
-    kill the serving plane — I/O callbacks are expected to do their
-    own per-connection containment first.
+    only. A timer's or ``call_soon`` callback's exception is counted
+    (:meth:`caught`, ``stats``'s ``loop`` block), not raised, so one
+    buggy task cannot kill the serving plane — I/O callbacks are
+    expected to do their own per-connection containment first.
 
     Each pass of the loop runs the ready I/O callbacks, then the due
     timers, then the ``call_soon`` queue, and ends in the *write
@@ -134,6 +135,9 @@ class Reactor:
         self.recv_buffer = memoryview(bytearray(_RECV_CHUNK))
         #: Links with output queued this pass, in marking order.
         self.marked: List["Link"] = []
+        #: What the loop's guards caught: how many, and the last cause.
+        self.callback_errors = 0
+        self.callback_error: Optional[str] = None
 
     # -- cross-thread entry points -------------------------------------
 
@@ -251,15 +255,20 @@ class Reactor:
             link.write_pass()
         marked.clear()
 
-    @staticmethod
-    def _guarded(callback: Callable[[], None]) -> None:
+    def _guarded(self, callback: Callable[[], None]) -> None:
         try:
             callback()
         # A failing scheduled task must not take the loop (and every
         # other connection) down with it.
-        # reprolint: disable=EXC
-        except Exception:
-            pass
+        except Exception as exc:
+            self.caught(exc)
+
+    def caught(self, exc: Exception) -> str:
+        """Count ``exc``, which a guard on this loop caught instead of
+        raising; returns its cause, as ``callback_error`` now reads."""
+        self.callback_errors += 1
+        self.callback_error = f"internal error: {exc}"
+        return self.callback_error
 
     def _drain_waker(self, _mask: int) -> None:
         try:

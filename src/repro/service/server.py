@@ -130,6 +130,9 @@ Wide = Dict[int, int]
 #: How a door hands over its answer: at once, or later from the loop.
 Answer = Callable[[Any], None]
 
+#: How a door that answers later fails the request instead, in band.
+Fail = Callable[[str], None]
+
 #: Upper bound on queries in one batch frame.
 MAX_BATCH = 10_000
 
@@ -310,11 +313,13 @@ class FrontDoor(WireServer):
     once, so the next frame is parsed in it, and answers ``{service,
     protocol, **fields}`` plus the negotiation keys, the door's
     :meth:`_hello` supplying the fields; ``stats`` is the door's
-    :meth:`_stats` payload; any other op is unknown. A hook hands its
-    answer to the callback it is given — at once (a server) or later
-    from the loop (a router). A door sets ``_codec``, the one batch
-    codec (hence family) it answers, and ``_plane``, what a batch frame
-    of another family is told cannot answer it."""
+    :meth:`_stats` payload plus the reactor's ``loop`` block (what its
+    guards caught); any other op is unknown. A hook hands its answer to
+    the callback it is given — at once (a server) or later from the
+    loop (a router, which hands a failing gather's cause to ``fail``).
+    A door sets ``_codec``, the one batch codec (hence family) it
+    answers, and ``_plane``, what a batch frame of another family is
+    told cannot answer it."""
 
     _codec: BinaryCodec
     _plane: str
@@ -332,6 +337,7 @@ class FrontDoor(WireServer):
                     lambda records: assemble_reply(
                         slot, op, records, codec, wide
                     ),
+                    slot.fail,
                 )
             elif op == "ping":
                 slot.complete({"ok": True, "result": "pong"})
@@ -346,19 +352,29 @@ class FrontDoor(WireServer):
                         # From the next frame on; this slot keeps the
                         # framing the hello came in.
                         offer["codec"] = conn.codec = "binary"
+
+                def refused(cause: str) -> None:
+                    conn.codec = slot.codec  # a failed hello grants nothing
+                    slot.fail(cause)
+
                 self._hello(
                     lambda fields: slot.complete({"ok": True, "result": {
                         "service": "repro-reputation",
                         "protocol": PROTOCOL_VERSION,
                         **fields,
                         **offer,
-                    }})
+                    }}),
+                    refused,
                 )
             elif op == "stats":
+                loop = self.reactor
                 self._stats(
-                    lambda payload: slot.complete(
-                        {"ok": True, "result": payload}
-                    )
+                    lambda payload: slot.complete({"ok": True, "result": {
+                        **payload,
+                        "loop": {"callback_errors": loop.callback_errors,
+                                 "callback_error": loop.callback_error},
+                    }}),
+                    slot.fail,
                 )
             else:
                 raise RequestError(f"unknown op: {op!r}")
@@ -366,19 +382,19 @@ class FrontDoor(WireServer):
             slot.fail(str(exc))
 
     def _records(
-        self, keys: Keys, op: Optional[str], answer: Answer
+        self, keys: Keys, op: Optional[str], answer: Answer, fail: Fail
     ) -> None:
         """``answer`` the records for ``keys``, in order, packed
         ``bytes`` of ``_codec`` (``op`` is ``None`` for a packed
         frame)."""
         raise NotImplementedError
 
-    def _hello(self, answer: Answer) -> None:
+    def _hello(self, answer: Answer, fail: Fail) -> None:
         """``answer`` the door's ``hello`` fields (``streaming``,
         ``epoch``, ``seq``, …)."""
         raise NotImplementedError
 
-    def _stats(self, answer: Answer) -> None:
+    def _stats(self, answer: Answer, fail: Fail) -> None:
         """``answer`` the door's ``stats`` payload."""
         raise NotImplementedError
 
@@ -417,11 +433,11 @@ class ReputationServer(FrontDoor):
         self._counters = Counters("cache.hits", "cache.misses")
         super().__init__(host, port, connection_timeout=connection_timeout)
 
-    def _hello(self, answer: Answer) -> None:
+    def _hello(self, answer: Answer, fail: Fail) -> None:
         epoch, seq = self._engine.epoch_state()
         answer({"streaming": self._streaming, "epoch": epoch, "seq": seq})
 
-    def _stats(self, answer: Answer) -> None:
+    def _stats(self, answer: Answer, fail: Fail) -> None:
         counters = self._counters
         answer({
             "queries": counters.read("queries"),
@@ -444,7 +460,7 @@ class ReputationServer(FrontDoor):
         self._epoch = epoch
 
     def _records(
-        self, keys: Keys, op: Optional[str], answer: Answer
+        self, keys: Keys, op: Optional[str], answer: Answer, fail: Fail
     ) -> None:
         """The records answering ``keys``, in order, answered at once:
         each key is looked up, undecoded, in the table of one snapshot's

@@ -43,22 +43,21 @@ import repro
 from repro.cli import _announce_follow_end
 from repro.cluster import SHARD_UNAVAILABLE, LocalCluster, PartitionMap, Router
 from repro.loadgen import TrafficGenerator, get_mix, population_from_analysis
-from repro.net.family import V4, V6
+from repro.net.family import V4
 from repro.service.client import ReputationClient, ServiceError, TransportError
 from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import (
-    CODECS, FT_MSG, REQUEST_CODECS, FrameReader, WireError, decode_msg_payload,
-    encode_binary_frame, encode_frame, encode_msg_frame,
+    CODECS, FT_MSG, FrameReader, decode_msg_payload, encode_binary_frame, encode_frame,
 )
 from repro.stream.delta import DeltaBatch, ListingDelta, day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter
 from tests.conftest import wait_for_seq
+from tests.fake_peer import FakePeer, garbled, polite
 from tests.reference import run_model
-from tests.test_service_binary import _verdict
 from tests.test_stream_log import _member, _record_doc
 
 #: ``(rid, asked, answer, seconds)``: ``asked`` is the client call,
@@ -208,7 +207,7 @@ def _answers(asked: tuple, answer: Any, at: str):
     if method == "query_batch":
         assert len(answer) == len(args[0]), f"{at}: {len(answer)} verdicts"
         return [(ip, day, got) for (ip, day), got in zip(args[0], answer)]
-    if method == "hello":
+    if method in ("hello", "stats"):
         return [(None, None, {**answer.get("cluster", {}), **answer})]
     assert answer in (True, "pong"), f"{at}: {answer!r}"
     return []
@@ -288,79 +287,6 @@ def _threads(*targets: Callable[[], Any]) -> None:
         raise raised[0]
     if any(thread.is_alive() for thread in threads):
         raise RuntimeError("a fault's client or producer never finished")
-
-
-class _MisbehavingBackend:
-    """A fake shard backend that answers pings on a fresh connection
-    — so probes over throwaway connections would keep it looking
-    healthy — but mistreats the router's link: ``silent`` reads every
-    request and never answers (which swallows the router's
-    binary-codec hello), ``json-only`` answers that hello the way a
-    pre-negotiation server does, without granting the codec,
-    ``garbled`` grants it and then answers the first request with a
-    non-object ``FT_MSG`` payload, ``wrong-family`` grants it and
-    answers every packed batch with a reply frame typed as the *other*
-    address family. A connection's thread ends at its peer's EOF, and
-    :meth:`close` frees the port and ends the accept thread."""
-
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.address = self._sock.getsockname()[:2]
-        self._accepting = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accepting.start()
-
-    def _accept_loop(self) -> None:
-        with contextlib.suppress(OSError):
-            while True:
-                conn, _ = self._sock.accept()
-                threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        frames = FrameReader(conn)
-        with conn, contextlib.suppress(WireError, OSError):
-            while (request := frames.read()) is not None:
-                if isinstance(request, dict) and request.get("op") == "ping":
-                    conn.sendall(encode_frame({"ok": True, "result": "pong"}))
-                elif self.mode == "json-only":
-                    conn.sendall(encode_frame({"ok": True, "result": {"protocol": 1}}))
-                elif self.mode != "silent":
-                    granted = {"ok": True, "result": {"codec": "binary"}}
-                    conn.sendall(encode_frame(granted))
-                    if self.mode == "garbled":
-                        return self._serve_garbled(conn, frames)
-                    return self._serve_wrong_family(conn, frames)
-
-    @staticmethod
-    def _serve_garbled(conn: socket.socket, frames: FrameReader) -> None:
-        got = frames.read(binary=True)
-        if got is not None:
-            conn.sendall(encode_msg_frame(["not", "a", "reply", "object"], got[1]))
-            conn.recv(1)  # hold the socket until the router hangs up
-
-    @staticmethod
-    def _serve_wrong_family(conn: socket.socket, frames: FrameReader) -> None:
-        while (got := frames.read(binary=True)) is not None:
-            ftype, rid, payload = got
-            asked = REQUEST_CODECS.get(ftype)
-            if asked is None:
-                return  # an FT_MSG request: hang up, nothing to garble
-            other = CODECS[V4 if asked.family is V6 else V6]
-            # Records that *would* decode under the asker's layout, in
-            # a frame typed as the other family's reply: only the frame
-            # type check stands between them and the client.
-            record = asked.pack_verdict(_verdict(asked.family))
-            count = len(asked.decode_batch_request(payload))
-            frame = asked.encode_batch_reply_frame([record] * count, rid)
-            conn.sendall(frame[:1] + bytes([other.ft_reply]) + frame[2:])
-
-    def close(self) -> None:
-        # close() alone would leave accept() blocked, and the port
-        # listening, until one more peer came.
-        with contextlib.suppress(OSError):
-            self._sock.shutdown(socket.SHUT_RDWR)
-        self._sock.close()
-        self._accepting.join(timeout=5.0)
 
 
 _ENV = {**os.environ, "PYTHONUNBUFFERED": "1",
@@ -560,26 +486,91 @@ def _kill_under_load(replicas: int, total: int = 300, window: int = 8):
     return run
 
 
-def _backend_garbled(tmp_path: Path, world: World) -> Record:
-    """A backend's reply that breaks decoding *after* its sub left the
-    pending queue still fails that sub over to the replica — losing it
-    would stall the downstream slot for ever."""
-    record, fake = Record(), _MisbehavingBackend("garbled")
+_FAKE_TIMEOUT = 1.0  # the routers' backend timeout below, so each answer's bound
+
+
+@contextlib.contextmanager
+def _router(world: World, script: Optional[Callable[[Any], Any]] = None):
+    """A one-shard router with no heartbeat to speak of over a real
+    server, behind a fake primary answering by ``script`` if given."""
+    fake = FakePeer(script) if script else None
     with ReputationServer(QueryEngine(world.index)) as real:
         real.start()
+        backends = [tuple(fake.address), real.address] if fake else [real.address]
         router = Router(
-            PartitionMap(1), [[tuple(fake.address), real.address]],
-            backend_timeout=1.0, heartbeat_interval=30.0,
+            PartitionMap(1), [backends],
+            backend_timeout=_FAKE_TIMEOUT, heartbeat_interval=30.0,
         )
         router.start()
         try:
-            with ReputationClient(*router.address, codec="binary") as client:
-                Conn(client, record.conn("client")).ask("query", world.listed[0])
-                failovers = client.stats()["router"]["failovers"]
-            record.facts["failed over"] = failovers >= 1
+            yield router
         finally:
             router.shutdown()
-            fake.close()
+            if fake:
+                fake.close()
+
+
+def _fake_primary(script: Callable[[Any], Any], codec: str = "json", op: str = ""):
+    """A fake primary answers by ``script``, short of what the protocol
+    promises: asked on a ``codec`` connection, ``op`` (if any) and a
+    query are answered from the replica — a sub lost instead would
+    stall its downstream slot for ever — and the primary's ``stats``
+    row says why it is down."""
+
+    def run(tmp_path: Path, world: World) -> Record:
+        record = Record()
+        with _router(world, script) as router:
+            with ReputationClient(*router.address, codec=codec, timeout=3.0) as client:
+                conn = Conn(client, record.conn("client"))
+                if op:
+                    conn.ask(op)
+                conn.ask("query", world.listed[0])
+            with ReputationClient(*router.address, timeout=3.0) as watcher:
+                stats = watcher.stats()
+        row = stats["shards"][0]["backends"][0]
+        record.causes.append(row.get("cause", ""))
+        record.facts["primary down"] = not row["healthy"]
+        record.facts["failed over"] = stats["router"]["failovers"] >= 1
+        return record
+
+    return run
+
+
+def _short(op: str, result: Dict[str, Any]) -> Callable[[Any], Any]:
+    """A script answering every ``op`` with ``result``, else politely."""
+
+    def script(request: Any) -> Any:
+        asked = isinstance(request, dict) and request.get("op") == op
+        return result if asked else polite(request)
+
+    return script
+
+
+def _boom(*_: Any) -> Any:
+    raise RuntimeError("boom")
+
+
+def _gather_raises(tmp_path: Path, world: World) -> Record:
+    """A router's ``hello`` gather raises (``_fleet_summary`` patched):
+    each such request alone is answered in band — the codec
+    negotiation's too, which then grants nothing — the loop counts
+    them, the backend stays healthy, and the connection answers its
+    next query."""
+    record = Record()
+    with _router(world) as router:
+        router._fleet_summary = _boom
+        with ReputationClient(*router.address, timeout=3.0) as client:
+            conn = Conn(client, record.conn("client"))
+            conn.ask("hello")
+            del router._fleet_summary
+            conn.ask("query", world.listed[0])
+        record.facts["codec"] = client.codec
+        with ReputationClient(*router.address, timeout=3.0) as watcher:
+            stats = watcher.stats()
+    loop = stats.get("loop", {})
+    record.causes.append(loop.get("callback_error") or "nothing counted")
+    record.facts["backend healthy"] = stats["shards"][0]["backends"][0]["healthy"]
+    record.facts["counted"] = loop.get("callback_errors")
     return record
 
 
@@ -998,6 +989,11 @@ _RESTART = {"caught up": True, "killed": -signal.SIGKILL,
             "after at the last seq": True}
 
 
+def _garbled(cause: str) -> Expect:
+    return Expect(cause=f"garbled frame: {cause}", bound=_FAKE_TIMEOUT,
+                  facts={"failed over": True, "primary down": True})
+
+
 def _log(cause: str) -> Expect:
     return Expect(cause=cause, follow=True, facts=_LOG)
 
@@ -1014,8 +1010,19 @@ FAULTS: List[Fault] = [
         bound=_BACKEND_TIMEOUT, facts={**_KILLED, "replica healthy": True})),
     Fault("kill-under-load-r0", _kill_under_load(0),
           Expect(bound=_BACKEND_TIMEOUT, degraded=True, facts=_KILLED)),
-    Fault("backend-garbled", _backend_garbled,
-          Expect(bound=1.0, facts={"failed over": True})),
+    Fault("backend-garbled", _fake_primary(garbled(b'["not", "an", "object"]'), "binary"),
+          _garbled("malformed reply")),
+    Fault("backend-batch-as-message", _fake_primary(garbled(b'{"ok": true}'), "binary"),
+          _garbled("message reply to a batch request")),
+    Fault("backend-hello-malformed", _fake_primary(_short("hello", {"codec": "binary"}),
+                                                   op="hello"),
+          _garbled("hello reply without an int epoch and seq")),
+    Fault("backend-stats-malformed", _fake_primary(
+        _short("stats", {"index": {}, "epoch": {"epoch": 0}}), op="stats"),
+          _garbled("stats reply without an int epoch and seq")),
+    Fault("gather-callback-raises", _gather_raises, Expect(
+        cause="internal error: boom", bound=_FAKE_TIMEOUT,
+        facts={"backend healthy": True, "counted": 2, "codec": "json"})),
     Fault("log-swaps-under-load", _log_swaps_under_load, Expect(
         follow=True, facts={"caught up": True, "at the last seq": True})),
     Fault("log-seq-gap", _follow_fault(_seq_gap), _log("sequence gap")),

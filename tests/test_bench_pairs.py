@@ -73,6 +73,17 @@ class TestJudge:
             "unresolved"
         )
 
+    def test_a_worse_median_over_a_noisy_parent_is_unresolved(
+        self, bench_pairs
+    ):
+        """Only a change whose every run is worse than every run of a
+        parent that noisy reads ``REGRESSION``."""
+        noisy = [60.0, 140.0] * 5
+        worse = [value * 1.4 for value in noisy]  # median +40 %, overlapping
+        assert bench_pairs.judge(noisy, worse, False, 0.25)[2] == "unresolved"
+        apart = [value + 100.0 for value in noisy]  # every run above 140
+        assert bench_pairs.judge(noisy, apart, False, 0.25)[2] == "REGRESSION"
+
 
 def test_reads_the_contract_and_refuses_an_unknown_workload(
     bench_pairs, capsys

@@ -14,7 +14,8 @@ from repro.cluster import SHARD_UNAVAILABLE, PartitionMap
 from repro.cluster.partition import ShardRange
 from repro.service.client import ServiceError
 from repro.service.wire import FrameReader, encode_frame
-from tests.faults import FAULTS, Expect, Record, _MisbehavingBackend, check
+from tests.fake_peer import FakePeer, silent
+from tests.faults import FAULTS, Expect, Record, check
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=[fault.name for fault in FAULTS])
@@ -27,7 +28,7 @@ def test_a_fake_backend_leaves_no_thread_behind():
     core on it), and ``close`` ends the accept thread (it used to stay
     blocked, the port listening, until one more peer came)."""
     before = set(threading.enumerate())
-    fake = _MisbehavingBackend("silent")
+    fake = FakePeer(silent)
     with socket.create_connection(fake.address, timeout=5.0) as peer:
         peer.sendall(encode_frame({"op": "ping"}))
         assert FrameReader(peer).read()["result"] == "pong"

@@ -12,6 +12,7 @@ import socket
 
 import pytest
 
+from repro.adversary import scenario_index
 from repro.cli import main
 from repro.cluster import HotRangeDetector, LocalCluster
 from repro.loadgen import (
@@ -29,9 +30,9 @@ from repro.loadgen import (
     summarize,
     window_day_workload,
 )
-from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
 from repro.service.server import ReputationServer
+from repro.v6serve import HitlistV6Model
 
 
 class TestStats:
@@ -477,26 +478,33 @@ class TestLoadCli:
         assert code == 2
         assert "no queries succeeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mix", ["steady", "v6-hitlist"])
     def test_live_run_writes_report(
-        self, full_index, tmp_path, capsys
+        self, full_index, tmp_path, capsys, mix
     ):
+        """A mix end to end against a live server of its family's
+        index: the small run's, or the hitlist-v6 scenario's."""
+        index = full_index
+        if mix == "v6-hitlist":
+            index = scenario_index(HitlistV6Model().build(2020))
         out = tmp_path / "report.json"
-        with ReputationServer(QueryEngine(full_index)) as server:
+        with ReputationServer(QueryEngine(index)) as server:
             server.start()
             host, port = server.address
             code = main(
                 [
                     "load", "--host", host, "--port", str(port),
-                    "--mix", "steady", "--queries", "300",
+                    "--mix", mix, "--queries", "300",
                     "--target-qps", "6000", "--conns", "2",
                     "--out", str(out),
                 ]
             )
         assert code == 0
         shown = capsys.readouterr().out
-        assert "mix=steady" in shown and "failed=0" in shown
+        assert f"mix={mix}" in shown and "failed=0" in shown
         decoded = json.loads(out.read_text())
-        assert decoded["sent"] == 300
+        assert decoded["mix"] == mix
+        assert decoded["sent"] == decoded["ok"] == 300
         assert decoded["failed"] == 0
 
     def test_binary_degraded_rows_are_counted(

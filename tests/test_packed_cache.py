@@ -199,8 +199,8 @@ class TestPackedCacheAcrossEpochs:
         answer = server._records
         handled = []
 
-        def answer_then_swap(pairs, op, reply):
-            answer(pairs, op, reply)
+        def answer_then_swap(pairs, op, reply, fail):
+            answer(pairs, op, reply, fail)
             handled.append(pairs)
             if len(handled) == 2:  # the priming batch, then the first
                 epochs.apply(DeltaBatch(1, day, (delta,)))

@@ -620,11 +620,11 @@ def test_same_bytes(monkeypatch):
     first, again = [], []
     try:
         for at in range(0, len(keys), 128):
-            server._records(keys[at:at + 128], None, first.extend)
+            server._records(keys[at:at + 128], None, first.extend, pytest.fail)
         held = list(server._packed)
         misses = server._counters.read("cache")["misses"]
         for at in range(0, len(held), 128):
-            server._records(held[at:at + 128], None, again.extend)
+            server._records(held[at:at + 128], None, again.extend, pytest.fail)
         assert server._counters.read("cache")["misses"] == misses
     finally:
         server.shutdown()

@@ -22,7 +22,6 @@ import json
 import random
 import socket
 import struct
-import threading
 import time
 from contextlib import contextmanager
 
@@ -41,7 +40,7 @@ from repro.service.client import (
     TransportError,
     _int_pairs,
 )
-from repro.service.engine import QueryEngine, Verdict
+from repro.service.engine import QueryEngine
 from repro.service import wire
 from repro.service.server import ReputationServer
 from repro.service.wire import (
@@ -60,6 +59,7 @@ from repro.service.wire import (
     encode_msg_frame,
 )
 from tests import reply_view_fixtures
+from tests.fake_peer import FakePeer, polite, verdict as _verdict
 from tests.test_service_wire import FakeSocket, json_values
 
 FAMILIES = (V4, V6)
@@ -81,27 +81,6 @@ family_pairs = st.sampled_from(FAMILIES).flatmap(
         ),
     )
 )
-
-
-def _verdict(family=V4, **overrides):
-    base = dict(
-        ip=0x01020304 if family is V4 else (0x20010DB8 << 96) | 0x1234,
-        day=17,
-        listed=True,
-        lists=("dnsbl-alpha", "dnsbl-beta"),
-        nated=True,
-        dynamic=False,
-        unjust=True,
-        reuse_kind="nat",
-        users=37,
-        asn=64500,
-        action="greylist",
-        epoch=3,
-        seq=41,
-        family=family,
-    )
-    base.update(overrides)
-    return Verdict(**base)
 
 
 class TestBinaryCodecRoundtrip:
@@ -1045,80 +1024,7 @@ class TestRequestFrames:
                 client._encode_batch([(2, 2), (bad, None)], 4)
 
 
-class _ScriptedPeer:
-    """A one-connection server that speaks both framings and grants
-    the binary codec when offered. :meth:`answer` scripts the rest (a
-    ``hello`` after the negotiation included): it
-    gets the request — a JSON object, or the ``(ip, day)`` pairs of a
-    packed v4 batch frame — and returns the ``result`` of an ok reply,
-    ``bytes`` to send as a packed batch-reply payload, or an ``(ftype,
-    payload)`` pair to send as a binary frame of any type."""
-
-    def __init__(self) -> None:
-        self._sock = socket.create_server(("127.0.0.1", 0))
-        self.address = self._sock.getsockname()[:2]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def answer(self, request):
-        raise NotImplementedError
-
-    def _serve(self) -> None:
-        try:
-            conn, _ = self._sock.accept()
-        except OSError:
-            return
-        binary, codec, frames = False, CODECS[V4], FrameReader(conn)
-        with conn:
-            try:
-                while True:
-                    rid = 0
-                    got = frames.read(binary)
-                    if got is None:
-                        return
-                    if binary:
-                        ftype, rid, payload = got
-                        request = (
-                            decode_msg_payload(payload)
-                            if ftype == FT_MSG
-                            else codec.decode_batch_request(payload)
-                        )
-                    else:
-                        request = got
-                    hello = not binary and (
-                        isinstance(request, dict) and request["op"] == "hello"
-                    )
-                    result = (
-                        {"codec": "binary"} if hello else self.answer(request)
-                    )
-                    if isinstance(result, bytes):
-                        result = (codec.ft_reply, result)
-                    if isinstance(result, tuple):
-                        frame = encode_binary_frame(
-                            result[0], rid, result[1]
-                        )
-                    else:
-                        reply = {"ok": True, "result": result}
-                        frame = (
-                            encode_msg_frame(reply, rid)
-                            if binary
-                            else encode_frame(reply)
-                        )
-                    self.send(conn, frame)
-                    binary = binary or hello
-            except (WireError, OSError):
-                return
-
-    def send(self, conn, frame: bytes) -> None:
-        """Put one reply frame on the wire; a subclass may garble it."""
-        conn.sendall(frame)
-
-    def close(self) -> None:
-        self._sock.close()
-        self._thread.join(timeout=5.0)
-
-
-class _LateFirstAnswer(_ScriptedPeer):
+class _LateFirstAnswer(FakePeer):
     """Answers every point query about the ip asked — ``{"ip": <the
     ip>}`` to a JSON ``query`` op, a packed verdict to a one-pair
     batch frame — the first one ``delay`` seconds late."""
@@ -1128,6 +1034,8 @@ class _LateFirstAnswer(_ScriptedPeer):
         super().__init__()
 
     def answer(self, request):
+        if (control := polite(request)) is not None:
+            return control
         time.sleep(self.delay)
         self.delay = 0.0
         if isinstance(request, dict):
@@ -1138,22 +1046,20 @@ class _LateFirstAnswer(_ScriptedPeer):
         )
 
 
-class _WrongCountAnswer(_ScriptedPeer):
+def _wrong_count(off_by: int):
     """Answers a batch of ``n`` with ``n + off_by`` verdicts: packed
     records to a packed request, wire dicts to a JSON-shaped one."""
 
-    def __init__(self, off_by: int) -> None:
-        self.off_by = off_by
-        super().__init__()
+    def answer(request):
+        if isinstance(request, list):
+            count = len(request) + off_by
+            record = CODECS[V4].pack_verdict(_verdict())
+            return count.to_bytes(4, "big") + record * count
+        if request["op"] == "batch":
+            return [_verdict().to_wire()] * (len(request["queries"]) + off_by)
+        return polite(request)
 
-    def answer(self, request):
-        if isinstance(request, dict):
-            count = len(request["queries"]) + self.off_by
-            return [_verdict().to_wire()] * count
-        count = len(request) + self.off_by
-        return count.to_bytes(4, "big") + (
-            CODECS[V4].pack_verdict(_verdict()) * count
-        )
+    return answer
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
@@ -1217,7 +1123,7 @@ class TestClosedAfterFailure:
         caller's ``zip(keys, verdicts)`` would drop or shift a verdict
         without a word. The day outside i32 sends the request, and so
         the reply, in the JSON shape on the binary codec too."""
-        peer = _WrongCountAnswer(off_by)
+        peer = FakePeer(_wrong_count(off_by))
         try:
             client = ReputationClient(*peer.address, timeout=5.0, codec=codec)
             assert client.codec == codec
@@ -1264,7 +1170,7 @@ def _frame_payload(ftype):
     return b'{"op":"ping"}'
 
 
-class _OneFrameTypePeer(_ScriptedPeer):
+class _OneFrameTypePeer(FakePeer):
     """Answers every request after ``hello`` with one well-formed
     frame of a fixed type, whatever was asked."""
 
@@ -1273,6 +1179,8 @@ class _OneFrameTypePeer(_ScriptedPeer):
         super().__init__()
 
     def answer(self, request):
+        if isinstance(request, dict) and "accept_codecs" in request:
+            return polite(request)
         if self.ftype == FT_MSG:
             batch = not (isinstance(request, dict) and request["op"] == "ping")
             return [_verdict().to_wire()] if batch else "pong"

@@ -77,6 +77,17 @@ class TestEndToEnd:
         assert stats["index"]["ips"] > 0
         assert "queries" in stats and "cache" in stats
 
+    def test_a_raising_callback_is_counted_in_stats(self, server, client):
+        """The loop serves on past a raising ``call_soon`` and timer,
+        and ``stats`` counts them and names the last one's cause."""
+        reactor = server.reactor
+        reactor.call_soon(lambda: 1 / 0)
+        reactor.run_sync(lambda: reactor.call_later(0.0, lambda: {}["timer"]))
+        assert client.ping() is True  # the timer runs before its reply leaves
+        assert client.stats()["loop"] == {
+            "callback_errors": 2, "callback_error": "internal error: 'timer'"
+        }
+
     def test_point_query_accepts_dotted_quad_and_int(
         self, small_full_run, client
     ):

@@ -3,8 +3,8 @@ scenario, and the acceptance bar — a multi-shard v6 cluster following
 a live log answers verdicts identical to the static path, with
 aliased prefixes excluded from reputation."""
 
+import json
 import random
-import threading
 
 import pytest
 
@@ -16,13 +16,16 @@ from repro.adversary import (
     verify_stream_fidelity,
     write_scenario_log,
 )
+from repro.cli import main
 from repro.cluster import LocalCluster
-from repro.ipv6.addr6 import Prefix6, int_to_ip6, ip6_to_int, subnet_of
+from repro.ipv6.addr6 import Prefix6, int_to_ip6, ip6_to_int
 from repro.ipv6.entropyip import REUSE_ROTATING, REUSE_STABLE
 from repro.ipv6.generator import Strategy, SubnetPlan, generate_corpus
 from repro.net.family import V4, V6
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine
+from repro.service.index import ReputationIndex
+from repro.service.server import ReputationServer
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.v6serve import (
     HitlistV6Model,
@@ -164,14 +167,36 @@ class TestHitlistModel:
         assert metrics["rotating_pools"] == HitlistV6Model.PRIVACY_SUBNETS
 
     def test_scenario_is_ipv6_and_json_declares_it(self):
-        import json
-
         scenario = HitlistV6Model().build(5)
         assert scenario.family == "ipv6"
         assert json.loads(scenario.to_json())["family"] == "ipv6"
         # v4 scenarios keep their pre-family document shape.
         v4_doc = json.loads(get_adversary("fast-flux").build(5).to_json())
         assert "family" not in v4_doc
+
+    def test_a_served_snapshot_answers_the_cli(self, tmp_path, capsys):
+        """The scenario's index saved, loaded back and served: a binary
+        ``repro query --json`` answers a dynamic-pool address and a
+        listed ip-day as the engine did before the round trip, and a v4
+        literal is refused, naming the family."""
+        scenario = HitlistV6Model().build(2020)
+        index, path = scenario_index(scenario), tmp_path / "hitlist-v6.idx"
+        engine = QueryEngine(index)
+        listed, day = next((ip, day) for ip, day in sorted(
+            scenario.ledger.malicious_ip_days) if engine.query(ip, day).listed)
+        rotating = scenario.ledger.dynamic_prefixes[0].network | 1
+        index.save(path)
+        with ReputationServer(QueryEngine(ReputationIndex.load(path))) as server:
+            port = str(server.start()[1])
+            ips = [rotating, listed]
+            assert main(["query", "--port", port, "--day", str(day), "--codec",
+                         "binary", "--json", *map(V6.format, ips)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert main(["query", "--port", port, "192.0.2.1"]) == 2
+            assert "ipv4" in capsys.readouterr().err
+        verdicts = [json.loads(line) for line in lines]
+        assert verdicts == [engine.query(ip, day).to_wire() for ip in ips]
+        assert verdicts[0]["reuse_kind"] == "dynamic" and verdicts[1]["listed"]
 
     def test_scenario_index_serves_128_bit_verdicts(self):
         scenario = HitlistV6Model().build(5)
