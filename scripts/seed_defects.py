@@ -183,6 +183,14 @@ SEEDS: List[Seed] = [
            "map(sub, directory[lo:hi], repeat(start - 1))"),),
          ("tests/test_query_records.py", "tests/test_index_columns.py",
           "-k", "Directory or shard_slice or ByteIdentity")),
+    # Every successor is a fold: the offsets of a run of rows copied
+    # past a changed row move by what that change added or dropped.
+    Seed("bug: a fold copies a run of offsets without its shift",
+         "service/columns.py",
+         (("_rebased(offsets[start + 1:stop + 1].cast(\"B\"), shift)",
+           "_rebased(offsets[start + 1:stop + 1].cast(\"B\"), 0)"),),
+         ("tests/test_index_columns.py", "tests/test_query_records.py",
+          "-k", "update_chain or ByteIdentity")),
     # The record loop is the one evaluation: a policy slip there must
     # show in the adversary lab's scores.
     Seed("bug: a DDoS list no longer blocks a reused address",

@@ -20,6 +20,7 @@ columns plus a delta (:func:`fold`); DESIGN.md §9 has the widths.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import repeat
@@ -254,11 +255,6 @@ class Columns(NamedTuple):
     #: Sorted, so index order is list-id order.
     list_ids: Tuple[str, ...]
 
-    def span_count(self, ip: int) -> int:
-        """Listing intervals the columns hold for ``ip``."""
-        row = self.keys.find(ip)
-        return 0 if row < 0 else self.offsets[row + 1] - self.offsets[row]
-
     def spans(self, row: int) -> Tuple[Interval, ...]:
         """Row ``row``'s intervals, start-day sorted."""
         start, stop = self.offsets[row], self.offsets[row + 1]
@@ -321,7 +317,6 @@ class ColumnWriter:
         list_ids: Iterable[str],
         source: Optional[Columns] = None,
     ) -> None:
-        self._wide = wide
         self._list_ids = tuple(sorted(list_ids))
         try:
             check_list_ids(self._list_ids)
@@ -337,7 +332,8 @@ class ColumnWriter:
         self._moved: Optional[List[int]] = None
         if source is not None and source.list_ids != self._list_ids:
             self._moved = [self._position[name] for name in source.list_ids]
-        self._keys: List[int] = []
+        self._low = array("Q" if wide else "I")
+        self._high = array("Q") if wide else None
         self._offsets = array("I", [0])
         self._flags = array("B")
         self._users = array("I")
@@ -361,15 +357,20 @@ class ColumnWriter:
             self._first.append(first)
             self._last.append(last)
             self._list_idx.append(position[list_id])
-        self._keys.append(ip)
+        if self._high is None:
+            self._low.append(ip)
+        else:
+            self._low.append(ip & _U64)
+            self._high.append(ip >> 64)
         self._offsets.append(len(self._first))
         self._flags.append(flags | LISTED if spans else flags & ~LISTED)
         self._users.append(users)
         self._asns.append(asn)
 
     def copy_rows(self, start: int, stop: int) -> None:
-        """Append rows ``start:stop`` of the source unchanged — bulk
-        copies, except for the rebased offsets."""
+        """Append rows ``start:stop`` of the source unchanged: bulk
+        copies, no Python object per row (but for a list index that
+        moved)."""
         source = self._source
         if source is None or start >= stop:
             return
@@ -385,10 +386,12 @@ class ColumnWriter:
             self._list_idx.extend(
                 [moved[at] for at in source.list_idx[begin:end]]
             )
-        keys = source.keys  # sliced without its directory: rows only
-        self._keys.extend(KeyColumn(keys.low, keys.high).slice(start, stop))
-        self._offsets.extend(
-            [offset + shift for offset in offsets[start + 1:stop + 1]]
+        keys = source.keys
+        self._low.frombytes(keys.low[start:stop].cast("B"))
+        if self._high is not None:
+            self._high.frombytes(keys.high[start:stop].cast("B"))
+        self._offsets.frombytes(
+            _rebased(offsets[start + 1:stop + 1].cast("B"), shift)
         )
         self._flags.frombytes(source.flags[start:stop])
         self._users.frombytes(source.users[start:stop].cast("B"))
@@ -396,8 +399,12 @@ class ColumnWriter:
 
     def finish(self, dyn_first: KeyColumn, dyn_last: KeyColumn) -> Columns:
         """The rows written so far, beside the given dynamic ranges."""
+        high = self._high
         return Columns(
-            keys=KeyColumn.build(self._wide, self._keys),
+            keys=KeyColumn(
+                memoryview(self._low),
+                None if high is None else memoryview(high),
+            ),
             offsets=memoryview(self._offsets),
             flags=memoryview(self._flags),
             users=memoryview(self._users),
@@ -409,6 +416,19 @@ class ColumnWriter:
             dyn_last=dyn_last,
             list_ids=self._list_ids,
         )
+
+
+def _rebased(raw: memoryview, shift: int) -> bytes:
+    """The ``u32`` offsets in ``raw``, each plus ``shift``: the run is
+    read as one integer whose limbs are the offsets, and ``shift``
+    repeated in every limb is added (or, negated, subtracted) in C.
+    Every rebased offset fits a ``u32``, so no limb carries or
+    borrows into the next."""
+    order = sys.byteorder
+    run = int.from_bytes(raw, order)
+    limbs = abs(shift).to_bytes(4, order) * (len(raw) // 4)
+    step = int.from_bytes(limbs, order)
+    return (run + step if shift > 0 else run - step).to_bytes(len(raw), order)
 
 
 def compile_columns(
@@ -476,26 +496,27 @@ def _dynamic_ranges(
 
 
 def fold(
-    columns: Columns, overlay: Mapping[int, Tuple[Interval, ...]]
+    columns: Columns, updates: Mapping[int, Tuple[Interval, ...]]
 ) -> Columns:
-    """``columns`` with ``overlay`` (address → its new sorted
+    """``columns`` with ``updates`` (address → its new sorted
     intervals, empty = dropped) merged in, as fresh tight columns.
 
-    Runs of untouched rows between two overlay addresses are copied in
-    bulk, so the cost is a few ``memcpy`` plus work per overlay entry.
+    Runs of untouched rows between two updated addresses are copied in
+    bulk (:meth:`ColumnWriter.copy_rows`), so the cost is a few
+    ``memcpy`` of the corpus plus work per update.
     """
     list_ids = set(columns.list_ids)
     list_ids.update(
-        list_id for spans in overlay.values() for _, _, list_id in spans
+        list_id for spans in updates.values() for _, _, list_id in spans
     )
     keys = columns.keys
     writer = ColumnWriter(keys.high is not None, list_ids, columns)
     rows = len(keys)
     copied = 0
-    for ip in sorted(overlay):
+    for ip in sorted(updates):
         row = keys.lower(ip)
         writer.copy_rows(copied, row)
-        spans = overlay[ip]
+        spans = updates[ip]
         if row < rows and keys[row] == ip:
             # Dropped listings leave the row: its reuse facts stand.
             writer.add_row(

@@ -76,12 +76,6 @@ __all__ = [
 ]
 
 
-#: An overlay holding more addresses than ``rows / _FOLD_DIVISOR`` is
-#: folded into fresh columns: a successor copies its parent's overlay,
-#: so this bounds that copy to a quarter of a compile.
-_FOLD_DIVISOR = 4
-
-
 class ReputationIndex:
     """Immutable, query-optimised view of one run's reuse analysis.
 
@@ -112,7 +106,6 @@ class ReputationIndex:
             tuple((int(start), int(end)) for start, end in windows),
             dict(categories),
             columns,
-            {},
             _counts_of(
                 columns, len(categories), len(set(columns.asns) - {NO_ASN})
             ),
@@ -124,7 +117,6 @@ class ReputationIndex:
         windows: Tuple[Window, ...],
         categories: Dict[str, str],
         columns: Columns,
-        overlay: Dict[int, Tuple[Interval, ...]],
         counts: Dict[str, int],
     ) -> None:
         self._family = family
@@ -135,10 +127,6 @@ class ReputationIndex:
         if keys is not columns.keys:
             columns = columns._replace(keys=keys)
         self._columns = columns
-        #: Addresses whose intervals differ from the columns': the
-        #: copy-on-write delta of :meth:`with_interval_updates`. An
-        #: empty tuple marks a dropped address.
-        self._overlay = overlay
         #: What :meth:`stats` reports, kept current by every
         #: constructor so the op never walks a table.
         self._counts = counts
@@ -156,11 +144,10 @@ class ReputationIndex:
         windows: Tuple[Window, ...],
         categories: Dict[str, str],
         columns: Columns,
-        overlay: Dict[int, Tuple[Interval, ...]],
         counts: Dict[str, int],
     ) -> "ReputationIndex":
         index = cls.__new__(cls)
-        index._adopt(family, windows, categories, columns, overlay, counts)
+        index._adopt(family, windows, categories, columns, counts)
         return index
 
     # -- construction --------------------------------------------------
@@ -242,7 +229,6 @@ class ReputationIndex:
         list_idx, row_flags = columns.list_idx, columns.flags
         row_users, row_asns = columns.users, columns.asns
         dyn_first, dyn_last = self._dynamic
-        overlay = self._overlay
         chunks, blocks = self._chunks, self._blocks
         pack_head = codec.pack_head
         top = self._family.max_int
@@ -264,13 +250,7 @@ class ReputationIndex:
                 row = bisect_left(low, ip, directory[bucket], stop)
                 if row == stop or low[row] != ip:
                     row = -1
-            spans = overlay.get(ip) if overlay else None
-            if spans is not None:
-                names = _active_in(spans, day)
-                n_lists = len(names)
-                tail = b"".join([list_chunk(name) for name in names])
-                hard = any(map(self._blocks_reused, names))
-            elif row >= 0:
+            if row >= 0:
                 hits = [
                     list_idx[at]
                     for at in range(offsets[row], offsets[row + 1])
@@ -314,18 +294,12 @@ class ReputationIndex:
     # retargets them at the record loop.
     def lists_active_on(self, ip: int, day: int) -> Tuple[str, ...]:
         """Lists carrying ``ip`` on ``day``, list-id ordered."""
-        spans = self._overlay.get(ip) if self._overlay else None
-        if spans is not None:
-            return _active_in(spans, day)
         columns = self._columns
         row = columns.keys.find(ip)
         return columns.active(row, day) if row >= 0 else ()
 
     def intervals_of(self, ip: int) -> Tuple[Interval, ...]:
         """The raw listing intervals of one address, start-day sorted."""
-        spans = self._overlay.get(ip)
-        if spans is not None:
-            return spans
         columns = self._columns
         row = columns.keys.find(ip)
         return columns.spans(row) if row >= 0 else ()
@@ -333,13 +307,10 @@ class ReputationIndex:
     def interval_items(self) -> Iterator[Tuple[int, Tuple[Interval, ...]]]:
         """Iterate ``(ip, intervals)`` over every listed address
         (streaming/compare paths)."""
-        columns, overlay = self._columns, self._overlay
+        columns = self._columns
         for row, (ip, flags) in enumerate(zip(columns.keys, columns.flags)):
-            if flags & LISTED and ip not in overlay:
+            if flags & LISTED:
                 yield ip, columns.spans(row)
-        for ip, spans in overlay.items():
-            if spans:
-                yield ip, spans
 
     def restrict(self, lo: int, hi: int) -> "ReputationIndex":
         """Project the index onto the address range ``lo..hi``.
@@ -360,40 +331,27 @@ class ReputationIndex:
         fam = self._family
         if not (fam.valid_ip(lo) and fam.valid_ip(hi)) or lo > hi:
             raise ValueError(f"bad address range: {lo!r}..{hi!r}")
-        columns = self._columns.restrict(lo, hi)
-        counts = _counts_of(
-            columns, self._counts["lists"], self._counts["ases"]
-        )
-        overlay = {
-            ip: spans
-            for ip, spans in self._overlay.items()
-            if lo <= ip <= hi
-        }
-        for ip, spans in overlay.items():
-            _recount(counts, columns.span_count(ip), len(spans))
-        return self._assemble(
-            fam, self._windows, self._categories, columns, overlay, counts
-        )
+        return self._successor(self._columns.restrict(lo, hi))
 
-    # -- copy-on-write successors --------------------------------------
+    # -- successors ----------------------------------------------------
 
     def with_interval_updates(
         self, updates: Mapping[int, Sequence[Interval]]
     ) -> "ReputationIndex":
-        """A successor index with per-IP interval lists replaced.
+        """A successor index with per-IP interval lists replaced (an
+        empty sequence drops the address's listings; its reuse facts
+        stay).
 
-        This is the streaming layer's hot path. The successor shares
-        every column with its parent and carries the changed addresses
-        in a small overlay, consulted before the columns — an empty
-        sequence drops the address — so the cost follows the size of
-        the delta, not of the corpus, and nothing a reader of the
-        parent can hold is ever written. Once the overlay outgrows
-        ``1 / _FOLD_DIVISOR`` of the rows it is folded into fresh
-        columns. Rollups are inherited: they count the
-        measurement-side reuse exposure, which listing churn does not
-        move.
+        This is the streaming layer's hot path. Each update is checked
+        (:func:`~repro.service.columns.checked_spans`) and the parent's
+        columns are folded with them into fresh tight ones
+        (:func:`~repro.service.columns.fold`): runs of untouched rows
+        are bulk copies, so a fold costs a few ``memcpy`` of the
+        corpus plus work per changed address, and nothing a reader of
+        the parent can hold is ever written. The ``lists`` and
+        ``ases`` sizes are inherited: they are run-wide, and listing
+        churn does not move them.
         """
-        columns = self._columns
         fam = self._family
         if updates and not (
             fam.valid_ip(min(updates)) and fam.valid_ip(max(updates))
@@ -402,22 +360,16 @@ class ReputationIndex:
                 f"address outside {fam.name}: "
                 f"{min(updates)!r}..{max(updates)!r}"
             )
-        overlay = dict(self._overlay)
-        counts = dict(self._counts)
-        for ip, spans in updates.items():
-            ordered = checked_spans(spans)
-            known = overlay.get(ip)
-            before = (
-                columns.span_count(ip) if known is None else len(known)
-            )
-            overlay[ip] = ordered
-            _recount(counts, before, len(ordered))
-        if len(overlay) * _FOLD_DIVISOR > len(columns.keys):
-            columns = fold(columns, overlay)
-            overlay = {}
+        checked = {ip: checked_spans(spans) for ip, spans in updates.items()}
+        return self._successor(fold(self._columns, checked))
+
+    def _successor(self, columns: Columns) -> "ReputationIndex":
+        """An index over ``columns`` with this one's run-wide facts."""
+        counts = _counts_of(
+            columns, self._counts["lists"], self._counts["ases"]
+        )
         return self._assemble(
-            self._family, self._windows, self._categories, columns,
-            overlay, counts,
+            self._family, self._windows, self._categories, columns, counts
         )
 
     # Kept only for the frozen ``trie.contains_us`` probe in
@@ -445,9 +397,9 @@ class ReputationIndex:
     def save(self, path: "Path | str") -> Path:
         """Write a binary snapshot (atomic: temp file + rename)."""
         columns = self._columns
-        if self._overlay or not columns.is_tight():
-            # A successor or a shard slice: write its own tight tables.
-            columns = fold(columns, self._overlay)
+        if not columns.is_tight():
+            # A shard slice: write its own tight tables.
+            columns = fold(columns, {})
         return write_snapshot(
             path, self._family, columns, self._windows,
             self._categories, self._counts,
@@ -467,7 +419,7 @@ class ReputationIndex:
         snapshot = read_snapshot(path)
         return cls._assemble(
             snapshot.family, snapshot.windows, snapshot.categories,
-            snapshot.columns, {}, snapshot.counts,
+            snapshot.columns, snapshot.counts,
         )
 
 
@@ -485,22 +437,6 @@ def _counts_of(columns: Columns, lists: int, ases: int) -> Dict[str, int]:
         "lists": lists,
         "ases": ases,
     }
-
-
-def _recount(counts: Dict[str, int], before: int, after: int) -> None:
-    """Move ``counts`` for one address going from ``before`` listing
-    intervals to ``after``."""
-    counts["intervals"] += after - before
-    counts["ips"] += bool(after) - bool(before)
-
-
-def _active_in(spans: Sequence[Interval], day: int) -> Tuple[str, ...]:
-    """Lists among ``spans`` carrying their address on ``day``."""
-    return tuple(
-        sorted(
-            [list_id for first, last, list_id in spans if first <= day <= last]
-        )
-    )
 
 
 def policy_category(info: BlocklistInfo) -> str:

@@ -4,9 +4,10 @@ An :class:`EpochIndex` wraps a :class:`~repro.service.index.
 ReputationIndex` and turns it into a continuously-updating structure
 without ever making readers wait:
 
-* each applied batch produces a *successor* index via copy-on-write
-  (only the touched addresses' interval lists are rebuilt; everything
-  else is shared);
+* each applied batch produces a *successor* index: the parent's
+  columns folded with the touched addresses' new interval lists into
+  fresh ones (runs of untouched rows are bulk copies), so nothing the
+  parent holds is ever written;
 * the successor is published as a new immutable :class:`Epoch` by a
   single reference assignment — atomic under the interpreter, so a
   reader that grabs :attr:`current` sees either the old epoch or the

@@ -119,7 +119,9 @@ class Reference:
         for ip, spans in updates.items():
             intervals[ip] = list(spans)
         tables["intervals"] = intervals
-        return Reference(**tables)
+        successor = Reference(**tables)
+        successor.run_ases = self.run_ases
+        return successor
 
     def restricted(self, lo, hi):
         tables = self.tables()

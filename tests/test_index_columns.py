@@ -6,7 +6,7 @@ by scanning them. Every test builds both from the same tables and demands
 field-for-field equal verdicts (and equal interval tables and size
 counters) after each operation the serving stack performs: compile,
 ``save`` → ``load``, ``restrict`` at shard edges, chains of
-``with_interval_updates`` on both sides of an overlay fold, and
+``with_interval_updates`` (each link a fold into fresh columns), and
 ``index_as_of``.
 """
 
@@ -250,7 +250,7 @@ class TestGeneratedTables:
         )
 
 
-# -- the overlay and its fold, pinned ----------------------------------
+# -- successors: every update is a fold, pinned -----------------------
 
 
 def _plain_model(family=V4, rows=40):
@@ -277,8 +277,6 @@ class TestOverlayAndFold:
         ip = sorted(model.intervals)[5]
         updates = {ip: [(1, 2, "delta")], ip + 1: [(3, 4, "brand-new")]}
         successor = index.with_interval_updates(updates)
-        assert successor._columns is index._columns
-        assert set(successor._overlay) == set(updates)
         assert_equal_everywhere(successor, model.updated(updates))
         assert_equal_everywhere(index, model)
 
@@ -287,18 +285,13 @@ class TestOverlayAndFold:
         index = model.compile()
         chain, chain_model = index, model
         listed = sorted(model.intervals)
-        folded_at = None
         for step, ip in enumerate(listed[:14]):
             updates = {ip: [(step, step + 1, "never-seen-before")]}
             if step % 3 == 0:
                 updates[ip] = ()
             chain = chain.with_interval_updates(updates)
             chain_model = chain_model.updated(updates)
-            if not chain._overlay and folded_at is None:
-                folded_at = step
             assert_equal_everywhere(chain, chain_model)
-        # 40 rows: the 11th distinct address tips 4 * overlay > rows.
-        assert folded_at == 10
         assert chain._columns is not index._columns
         assert "never-seen-before" in chain._columns.list_ids
         assert "never-seen-before" not in index._columns.list_ids
@@ -309,25 +302,31 @@ class TestOverlayAndFold:
         nated_listed = sorted(model.nated & set(model.intervals))
         updates = {ip: () for ip in sorted(model.intervals)}
         dropped = model.compile().with_interval_updates(updates)
-        assert not dropped._overlay  # every row touched: folded
         assert dropped.stats()["ips"] == 0
         assert dropped.stats()["intervals"] == 0
         verdict = QueryEngine(dropped).query(nated_listed[0])
         assert verdict.nated and verdict.users >= 2 and not verdict.listed
         assert_equal_everywhere(dropped, model.updated(updates))
 
-    def test_restrict_keeps_the_overlay_in_range(self, family):
+    def test_successor_of_a_restricted_slice(self, family):
+        """A shard follower's path: a slice's columns, which are not
+        tight, folded with in-range updates."""
         model = _plain_model(family)
         listed = sorted(model.intervals)
-        updates = {listed[2]: (), listed[30]: [(5, 6, "echo")]}
-        successor = model.compile().with_interval_updates(updates)
-        assert successor._overlay
-        lo, hi = listed[0], listed[10]
-        piece = successor.restrict(lo, hi)
-        assert set(piece._overlay) == {listed[2]}
+        lo, hi = listed[3], listed[12]
+        piece = model.compile().restrict(lo, hi)
+        assert not piece._columns.is_tight()
+        updates = {
+            listed[3]: (),
+            listed[7]: [(5, 6, "echo")],
+            listed[9] + 1: [(1, 3, "never-seen-before"), (2, 8, "alpha")],
+        }
+        successor = piece.with_interval_updates(updates)
+        assert successor._columns.is_tight()
         assert_equal_everywhere(
-            piece, model.updated(updates).restricted(lo, hi), lo, hi
+            successor, model.restricted(lo, hi).updated(updates), lo, hi
         )
+        assert_equal_everywhere(piece, model.restricted(lo, hi), lo, hi)
 
     def test_bad_updates_are_refused_before_they_can_poison_a_fold(
         self, family
