@@ -11,7 +11,8 @@ bench corpus some tests read) of ``--tree`` are copied to a temporary
 directory once. Per seed, its text substitutions are applied to the
 copy (a seed whose text is not in that tree is reported ``n/a``), the
 *copy's own* ``python -m repro.cli lint`` and the seed's tier-1 tests
-are run, and the seeded file is put back. One markdown table row comes
+are run (hypothesis with the ``seeded`` profile: a failure is reported,
+not shrunk), and the seeded file is put back. One markdown table row comes
 out: the rule codes that fired, and how many of the named tests
 failed. EXPERIMENTS.md ("Seeded defects")
 holds the table of the commit that last changed the rule set.
@@ -90,8 +91,10 @@ SEEDS: List[Seed] = [
          (("    def _beat(self) -> None:\n",
            "    def _beat(self) -> None:\n        time.sleep(0.01)\n"),)),
     Seed("block: time.sleep in the server's records routine", "service/server.py",
-         (("        state = engine.resolve_state()\n",
-           "        time.sleep(0.01)\n        state = engine.resolve_state()\n"),)),
+         (("        epoch = self._epochs.current\n"
+           "        if epoch.number != self._epoch:\n",
+           "        time.sleep(0.01)\n        epoch = self._epochs.current\n"
+           "        if epoch.number != self._epoch:\n"),)),
     Seed("block: time.sleep in the router's batch scatter", "cluster/router.py",
          (("        partition, slots = self._partition, self._slots\n",
            "        time.sleep(0.01)\n"
@@ -136,6 +139,15 @@ SEEDS: List[Seed] = [
            "        except zlib.error:\n            break\n"),),
          ("tests/test_stream_log.py", "tests/test_faults.py",
           "-k", "Corruption or Fuzz or log-damage-mid-file")),
+    # An append that fails part-way takes its bytes back: a retry behind
+    # a partial member would corrupt the log for every reader.
+    Seed("bug: a failed append leaves its partial member", "stream/log.py",
+         (("            os.truncate(self._path, size)\n", "            pass\n"),),
+         ("tests/test_faults.py", "-k", "log-append-fails")),
+    # Epoch 0 is on the day it is given, day 0 included.
+    Seed("bug: epoch 0 of a day-0 log reports the default day", "stream/epoch.py",
+         (("        if day is None:\n", "        if not day:\n"),),
+         ("tests/test_stream_service.py", "tests/test_serving_node.py", "-k", "day_0")),
     Seed("bug: LogFollower.start() after stop()", "stream/follower.py",
          (("            if self._stop.is_set():\n", "            if False:\n"),),
          ("tests/test_stream_service.py", "-k",
@@ -151,7 +163,7 @@ SEEDS: List[Seed] = [
     # past its epoch would answer all of them stale after a swap.
     Seed("bug: the verdict cache's table outlives its epoch",
          "service/server.py",
-         (("        if state[1] != self._epoch:\n",
+         (("        if epoch.number != self._epoch:\n",
            "        if self._epoch is None:\n"),),
          ("tests/test_packed_cache.py", "-k", "AcrossEpochs")),
     # A table carried into the next epoch: only the records of the
@@ -237,6 +249,15 @@ def apply(seed: Seed, target: Path) -> bool:
     return True
 
 
+def _profile(copy: Path) -> List[str]:
+    """Run hypothesis with the ``seeded`` profile (no shrinking) where
+    the tree's ``tests/conftest.py`` registers it; a tree from before it
+    runs hypothesis as it is."""
+    conftest = copy / "tests" / "conftest.py"
+    registered = conftest.exists() and '"seeded"' in conftest.read_text()
+    return ["--hypothesis-profile=seeded"] if registered else []
+
+
 def run_seed(seed: Seed, copy: Path) -> str:
     """Seed ``copy``, see what catches it, and put ``copy`` back."""
     target = copy / "src" / "repro" / seed.relpath
@@ -255,7 +276,7 @@ def run_seed(seed: Seed, copy: Path) -> str:
         if seed.tests:
             result = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 "-o", "addopts=", *seed.tests],
+                 "-o", "addopts=", *_profile(copy), *seed.tests],
                 cwd=copy, env=env, capture_output=True, text=True,
             )
             tail = result.stdout.strip().splitlines()[-1:] or [""]

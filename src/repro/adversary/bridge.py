@@ -149,5 +149,5 @@ def verify_stream_fidelity(
     return {
         "batches": last_seq,
         "verdicts_compared": len(score.verdicts),
-        "epoch": engine.epoch_state()[0],
+        "epoch": engine.epochs.current.number,
     }

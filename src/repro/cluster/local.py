@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..service.index import ReputationIndex
 from ..service.server import DEFAULT_CONNECTION_TIMEOUT
-from ..stream.epoch import index_as_of
 from .partition import PartitionMap, ShardRange
 from .router import (
     DEFAULT_BACKEND_TIMEOUT,
@@ -53,13 +52,14 @@ SplitDone = Callable[[Optional[Dict[str, Any]], Optional[Exception]], None]
 class LocalCluster:
     """N shards × (1 + R) backends plus a router, on localhost.
 
-    ``full_index`` is the unrestricted compiled index; each backend
-    gets ``full_index.restrict(...)`` of its shard's range (rolled
-    back to the log's start day first when ``follow`` is given, so a
-    following shard replays exactly what a single-process
-    ``serve --follow`` would). Replicas are independent backends over
-    the same slice — in streaming mode each follows the shared log on
-    its own, so a failover target is as fresh as its own tail.
+    ``full_index`` is the unrestricted compiled index, served as it
+    stands: each backend gets ``full_index.restrict(...)`` of its
+    shard's range. One that will ``follow`` an update log is already
+    rolled back to the log's ``start_day``, as ``serve --follow``'s
+    is, so a following shard replays exactly what a single-process
+    ``serve --follow`` would. Replicas are independent backends over the same
+    slice — in streaming mode each follows the shared log on its own,
+    so a failover target is as fresh as its own tail.
 
     The partition inherits ``full_index.family``, so handing a
     compiled IPv6 index here boots a v6 cluster with no other knobs.
@@ -98,23 +98,17 @@ class LocalCluster:
         self._host = host
         self._replicas = replicas
         self._connection_timeout = connection_timeout
-        base = full_index
-        if follow is not None and start_day is not None:
-            base = index_as_of(full_index, start_day)
-        # The unrestricted (day-rolled) base is kept beyond __init__:
-        # an online split restricts fresh half-range slices from it.
-        self._base = base
+        # Kept beyond __init__: a restarted primary and an online
+        # split restrict fresh slices from it, so a follower replays
+        # the log from its start, not from whatever epoch a dead worker
+        # had reached.
+        self._base = full_index
         #: The split in flight — loop-owned, so one at a time.
         self._split: Optional[_Split] = None
         # backends[shard_id][0] is the primary, the rest replicas.
-        # The pristine restricted bases are kept: a restarted follower
-        # shard must replay the log from this state, not from whatever
-        # epoch the dead worker had reached.
-        self._bases: List[ReputationIndex] = []
         self._backends: List[List[ShardProcess]] = []
         for shard_id, shard_range in enumerate(self.partition.ranges):
-            restricted = base.restrict(shard_range.lo, shard_range.hi)
-            self._bases.append(restricted)
+            restricted = full_index.restrict(shard_range.lo, shard_range.hi)
             self._backends.append(
                 [
                     self._make_backend(restricted, shard_id, shard_range)
@@ -221,16 +215,17 @@ class LocalCluster:
 
     def restart_primary(self, shard_id: int) -> Tuple[str, int]:
         """Bring a killed primary back on its original port: a fresh
-        backend over the pristine restricted base, so a follower
+        backend over its range of the pristine base, so a follower
         replays the log from the start. The router admits it again
         once it reports its slot's mark; until then its ``stats`` row
         reads ``catching up to seq N``."""
         old = self._backends[shard_id][0]
         old.stop()
+        shard_range = self.partition.range_of(shard_id)
         replacement = self._make_backend(
-            self._bases[shard_id],
+            self._base.restrict(shard_range.lo, shard_range.hi),
             shard_id,
-            self.partition.range_of(shard_id),
+            shard_range,
             port=old.address[1],
         )
         self._backends[shard_id][0] = replacement
@@ -312,15 +307,13 @@ class _Split:
         self.shard_id, self.done = shard_id, done
         self.partition = cluster.partition.split(shard_id)
         self.halves = [self.partition.range_of(shard_id + i) for i in (0, 1)]
-        self.bases = [
-            cluster._base.restrict(half.lo, half.hi) for half in self.halves
-        ]
+        bases = [cluster._base.restrict(half.lo, half.hi) for half in self.halves]
         self.slots = [
             [
                 cluster._make_backend(base, shard_id + i, half)
                 for _ in range(1 + cluster._replicas)
             ]
-            for i, (base, half) in enumerate(zip(self.bases, self.halves))
+            for i, (base, half) in enumerate(zip(bases, self.halves))
         ]
         self.old = cluster._backends[shard_id]
         self.phase = "boot"
@@ -410,7 +403,6 @@ class _Split:
         )
         cluster.partition = self.partition
         cluster._backends[shard_id:shard_id + 1] = self.slots
-        cluster._bases[shard_id:shard_id + 1] = self.bases
         self.drain_until = time.monotonic() + _DRAIN_S
         self._drain()
 

@@ -1,9 +1,9 @@
 """The query engine: one evaluation, two shapes of answer.
 
-One :class:`QueryEngine` wraps one immutable
-:class:`~repro.service.index.ReputationIndex` and answers the
-service's question: *given address x on day t — is it listed, on which
-lists, is the block likely unjust, and what should an operator do?*
+One :class:`QueryEngine` answers, over a compiled
+:class:`~repro.service.index.ReputationIndex`, the service's question:
+*given address x on day t — is it listed, on which lists, is the block
+likely unjust, and what should an operator do?*
 
 The action reuses the batch pipeline's policy
 (:func:`repro.core.policy.action_for`, Section 6 of the
@@ -14,43 +14,37 @@ is always ``block``.
 
 The index's record loop
 (:meth:`~repro.service.index.ReputationIndex.records`) is the one
-evaluation: it goes from key search to packed record bytes. The two
-shapes are its records as they stand (:meth:`QueryEngine.
-query_records`, every answer the server sends) and the same records
-decoded into :class:`Verdict` objects (:meth:`QueryEngine.query`,
-:meth:`QueryEngine.query_batch`) for library callers such as the
-adversary lab. A day outside i32 has no record: its verdict is what
+evaluation: it goes from key search to packed record bytes. The server
+sends those records as they stand; :meth:`QueryEngine.query` and
+:meth:`QueryEngine.query_batch` decode them into :class:`Verdict`
+objects for library callers such as the adversary lab. A day outside
+i32 has no record: its verdict is what
 :func:`~repro.service.wire.unlisted_on` makes of the address's record
 on the default day, the answer the front door sends for it too.
 
-The engine also accepts a streaming
-:class:`~repro.stream.epoch.EpochIndex`. Every call resolves the
-current epoch *once* (:meth:`QueryEngine.resolve_state`) and evaluates
-all of its queries against that immutable ``(index, epoch, seq)``
-snapshot, so a concurrent hot swap can neither tear a verdict nor mix
-two epochs inside one batch. Verdicts report the ``(epoch, seq)`` they
-were computed against. The snapshot also names the addresses the
-resolved epoch's batch rewrote, which the server's cache reads to carry
-the rest of its records into that epoch.
-
-The engine holds no state and takes no lock: a verdict is a pure
-function of the snapshot the call resolved. The one verdict cache of
-the serving stack is :class:`~repro.service.server.ReputationServer`'s
-packed-record cache, which sits in front of
-:meth:`QueryEngine.query_records` for every codec; the server also
-counts what reaches the engine.
+An engine answers from one :class:`~repro.stream.epoch.EpochIndex`,
+:attr:`QueryEngine.epochs`: the one a log follower feeds, or, handed a
+plain index, an epoch that no log feeds (epoch 0, seq 0 for good).
+Every call reads :attr:`~repro.stream.epoch.EpochIndex.current` *once*
+and evaluates all of its queries against that immutable
+:class:`~repro.stream.epoch.Epoch`, so a concurrent hot swap can
+neither tear a verdict nor mix two epochs inside one batch; verdicts
+report the ``(epoch, seq)`` they were computed against. The server
+reads the same epoch source (:class:`~repro.service.server.
+ReputationServer`), and keeps the serving stack's one verdict cache;
+the engine holds no state and takes no lock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.policy import BlockAction
 from ..net.family import V4, AddressFamily
 from ..stream.epoch import EpochIndex
 from .index import ReputationIndex
-from .wire import CODECS, RECORD_DAYS, BinaryCodec, unlisted_on
+from .wire import CODECS, RECORD_DAYS, unlisted_on
 
 __all__ = ["ACTION_IGNORE", "QueryEngine", "Verdict"]
 
@@ -105,14 +99,8 @@ class Verdict:
         }
 
 
-#: One consistent ``(index, epoch, seq, changed)`` snapshot of an
-#: engine's source (:meth:`QueryEngine.resolve_state`): ``changed`` is
-#: that epoch's own :attr:`~repro.stream.epoch.Epoch.changed`.
-State = Tuple[ReputationIndex, int, int, FrozenSet[int]]
-
-
 class QueryEngine:
-    """Stateless query layer over a :class:`ReputationIndex`."""
+    """Stateless query layer over one epoch source."""
 
     def __init__(
         self,
@@ -123,13 +111,13 @@ class QueryEngine:
         # it goes when a benchmark PR drops the argument there.
         cache_size: int = 0,
     ) -> None:
-        self._source = index
-        self._streaming = isinstance(index, EpochIndex)
+        #: What every call reads its epoch from.
+        self.epochs = (
+            index if isinstance(index, EpochIndex) else EpochIndex(index)
+        )
         # The family never changes across epochs (one run, one family),
         # so it is cached here instead of chased per lookup.
-        self._family = (
-            index.current.index.family if self._streaming else index.family
-        )
+        self._family = self.epochs.index.family
         self._codec = CODECS[self._family]
 
     @property
@@ -139,26 +127,9 @@ class QueryEngine:
 
     @property
     def index(self) -> ReputationIndex:
-        """The index queries resolve against *right now* (the current
-        epoch's for a streaming source)."""
-        return self.resolve_state()[0]
-
-    def resolve_state(self) -> State:
-        """One consistent ``(index, epoch, seq, changed)`` snapshot — a
-        single atomic reference read, never a lock; every field is the
-        one epoch's. A server keying a cache by epoch takes it here and
-        hands it back to :meth:`query_records`, so probe and evaluation
-        agree."""
-        if self._streaming:
-            epoch = self._source.current
-            return epoch.index, epoch.number, epoch.seq, epoch.changed
-        return self._source, 0, 0, frozenset()
-
-    def epoch_state(self) -> Tuple[int, int]:
-        """Current ``(epoch, last applied seq)`` — ``(0, 0)`` for a
-        static index. The wire handshake reports this pair."""
-        _, epoch, seq, _ = self.resolve_state()
-        return epoch, seq
+        """The index queries resolve against *right now*: the current
+        epoch's."""
+        return self.epochs.index
 
     # -- query paths ---------------------------------------------------
 
@@ -172,11 +143,11 @@ class QueryEngine:
         self, queries: Iterable[Tuple[int, Optional[int]]]
     ) -> List[Verdict]:
         """Batch query: one verdict per ``(ip, day)`` pair, in order,
-        all against the snapshot current when the call began — the
+        all against the epoch current when the call began — the
         record loop's records, decoded. A day outside i32 is asked as
         the default day, and :func:`~repro.service.wire.unlisted_on`
         makes its answer."""
-        index, epoch, seq, _ = self.resolve_state()
+        epoch = self.epochs.current
         asked = list(queries)
         wide: Dict[int, int] = {}
         for at, (ip, day) in enumerate(asked):
@@ -186,7 +157,9 @@ class QueryEngine:
         decode = self._codec.decode_record
         family = self._family
         verdicts: List[Verdict] = []
-        records = index.records(asked, epoch, seq, self._codec)
+        records = epoch.index.records(
+            asked, epoch.number, epoch.seq, self._codec
+        )
         for at, ((ip, _), record) in enumerate(zip(asked, records)):
             fields = decode(record).to_wire()
             if at in wide:
@@ -198,26 +171,3 @@ class QueryEngine:
                 fields["action"], fields["epoch"], fields["seq"], family,
             ))
         return verdicts
-
-    def query_records(
-        self,
-        state: State,
-        pairs: Iterable[Tuple[int, Optional[int]]],
-        codec: BinaryCodec,
-    ) -> List[bytes]:
-        """Queries answered as packed reply records of ``codec``, one
-        per ``(ip, day)`` pair, in order, all against ``state`` (a
-        :meth:`resolve_state` snapshot the caller already holds), by
-        the index's record loop
-        (:meth:`~repro.service.index.ReputationIndex.records`)."""
-        index, epoch, seq, _ = state
-        return index.records(pairs, epoch, seq, codec)
-
-    def stats(self) -> Dict[str, Any]:
-        """The ``index`` sizes and ``epoch`` state the engine resolves
-        right now — its share of the ``stats`` op's payload."""
-        index, epoch, seq, _ = self.resolve_state()
-        epoch_info: Dict[str, Any] = {"epoch": epoch, "seq": seq}
-        if self._streaming:
-            epoch_info = {**self._source.stats(), **epoch_info}
-        return {"index": index.stats(), "epoch": epoch_info}

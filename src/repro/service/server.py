@@ -45,21 +45,23 @@ only its three hooks — the records answering a batch of pairs, the
 Every answer is a packed record, whatever the codec or op: ``probe →
 decode the misses → record loop``. :func:`parse_request` hands on a
 packed frame's request records as they came and packs a JSON ``query``
-/ ``batch`` op's pairs into the same records. Each is looked up as it
-stands in the packed-record cache's table for the epoch of the one
-``(index, epoch, seq, changed)`` snapshot taken first: a hit copies
-pre-encoded record bytes, and the misses are decoded and go to
-:meth:`~repro.service.engine.QueryEngine.query_records` *with that
-snapshot* — the index's one loop from key search to record bytes
+/ ``batch`` op's pairs into the same records. A server answers from
+one :class:`~repro.stream.epoch.EpochIndex` (its engine's
+:attr:`~repro.service.engine.QueryEngine.epochs`; a static server's is
+fed by no log) and reads its current :class:`~repro.stream.epoch.Epoch`
+once per request. Each record is looked up as it stands in the
+packed-record cache's table for that epoch: a hit copies pre-encoded
+record bytes, and the misses are decoded and go to that epoch's
+index's one loop from key search to record bytes
 (:meth:`~repro.service.index.ReputationIndex.records`; no verdict
-object is built) — and are stored in its table. So every record of a
+object is built), and are stored in its table. So every record of a
 reply reports the same ``(epoch, seq)`` whatever a hot swap does
 meanwhile, and nothing is ever cached under an epoch it is not that
 epoch's answer for: a new epoch starts a new table. When the new epoch
 is the very next one, the old table is *carried* into it: the records
 of addresses its batch did not rewrite
-(:attr:`~repro.stream.epoch.Epoch.changed`, which the engine's snapshot
-names) differ only in their ``(epoch, seq)`` stamp, so
+(:attr:`~repro.stream.epoch.Epoch.changed`) differ only in their
+``(epoch, seq)`` stamp, so
 :meth:`~repro.service.wire.BinaryCodec.carry` restamps them in builtins
 alone, :data:`CARRY_SLICE` records at the head of each request, until
 the old table is through; after any other epoch change (a skipped
@@ -69,15 +71,15 @@ op's day outside i32, which no record can carry, is asked as its
 address's default-day record, and :func:`assemble_reply` answers it
 with :func:`~repro.service.wire.unlisted_on`, so no door ever sees
 such a day. The cache is the only verdict cache in the serving stack
-(the engine behind it keeps no state); only the loop thread touches
+(the engine keeps no state); only the loop thread touches
 it; it is a plain ``dict`` bounded at :data:`PACKED_CACHE_SIZE`
 records: past that, one rebuild keeps its newest three quarters (an
 entry is never re-ranked on a hit). ``day=None`` and the explicit
 default day are two keys holding byte-identical records.
 
 The loop thread also counts, in one :class:`Counters` table: the
-cache's hits and misses and, once ``query_records`` has returned, what
-reached the engine. ``stats`` reads it beside the engine's views.
+cache's hits and misses and, once the record loop has returned, what
+reached the index. ``stats`` reads it beside the epoch's views.
 
 Robustness contract (unchanged from the threaded server): a malformed
 frame or request gets an error reply (``{"ok": false, "error":
@@ -101,7 +103,7 @@ from ..stream.delta import DeltaBatch
 from ..stream.epoch import Epoch, EpochIndex
 from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
-from .engine import QueryEngine, State
+from .engine import QueryEngine
 from .index import ReputationIndex
 from .wire import (
     CODECS, BinaryCodec, WireError, check_batch_size, point_error, unlisted_on,
@@ -421,9 +423,9 @@ class ReputationServer(FrontDoor):
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
         streaming: bool = False,
     ) -> None:
-        self._engine = engine
+        self._epochs = engine.epochs
         self._codec = CODECS[engine.family]
-        self._streaming = streaming
+        self._follows = streaming
         # Epoch ``_epoch``'s packed records by request record, and what
         # is still to carry into it from the epoch before; the loop
         # thread is the only toucher of them and the counters.
@@ -434,14 +436,20 @@ class ReputationServer(FrontDoor):
         super().__init__(host, port, connection_timeout=connection_timeout)
 
     def _hello(self, answer: Answer, fail: Fail) -> None:
-        epoch, seq = self._engine.epoch_state()
-        answer({"streaming": self._streaming, "epoch": epoch, "seq": seq})
+        epoch = self._epochs.current
+        answer({"streaming": self._follows, "epoch": epoch.number,
+                "seq": epoch.seq})
 
     def _stats(self, answer: Answer, fail: Fail) -> None:
-        counters = self._counters
+        epochs, counters = self._epochs, self._counters
+        epoch = epochs.current
         answer({
             "queries": counters.read("queries"),
-            **self._engine.stats(),
+            "index": epoch.index.stats(),
+            # A static server's epoch never moves: it reports only the
+            # stamp its records carry.
+            "epoch": epochs.stats() if self._follows else {
+                "epoch": epoch.number, "seq": epoch.seq},
             "cache": {
                 "entries": len(self._packed),
                 "capacity": PACKED_CACHE_SIZE,
@@ -449,29 +457,29 @@ class ReputationServer(FrontDoor):
             },
         })
 
-    def _turn(self, state: State) -> None:
-        """Start the table of ``state``'s epoch, which no later request
-        can ask a superseded epoch's record of: carried from the old
-        table when it is the very next epoch, else empty."""
-        _, epoch, seq, changed = state
+    def _turn(self, epoch: Epoch) -> None:
+        """Start the table of ``epoch``, which no later request can ask
+        a superseded epoch's record of: carried from the old table when
+        it is the very next epoch, else empty."""
         old, self._packed, self._carrying = self._packed, {}, None
-        if self._epoch is not None and epoch == self._epoch + 1:
-            self._carrying = self._codec.carry(old, changed, epoch, seq)
-        self._epoch = epoch
+        if self._epoch is not None and epoch.number == self._epoch + 1:
+            self._carrying = self._codec.carry(
+                old, epoch.changed, epoch.number, epoch.seq
+            )
+        self._epoch = epoch.number
 
     def _records(
         self, keys: Keys, op: Optional[str], answer: Answer, fail: Fail
     ) -> None:
         """The records answering ``keys``, in order, answered at once:
-        each key is looked up, undecoded, in the table of one snapshot's
-        epoch, once the next slice of the old table is carried into it;
-        only the misses are decoded and handed to the engine, with that
-        snapshot."""
-        engine = self._engine
+        each key is looked up, undecoded, in the table of the epoch
+        current when the request came, once the next slice of the old
+        table is carried into it; only the misses are decoded and
+        handed to that epoch's index."""
         counters = self._counters
-        state = engine.resolve_state()
-        if state[1] != self._epoch:
-            self._turn(state)
+        epoch = self._epochs.current
+        if epoch.number != self._epoch:
+            self._turn(epoch)
         cache = self._packed
         if self._carrying is not None:
             carried = list(islice(self._carrying, CARRY_SLICE))
@@ -486,7 +494,9 @@ class ReputationServer(FrontDoor):
             # a bad has_day refuses the request before anything counts.
             pairs = self._codec.decode_requests([keys[at] for at in missed])
             started = perf_counter()
-            fresh = engine.query_records(state, pairs, self._codec)
+            fresh = epoch.index.records(
+                pairs, epoch.number, epoch.seq, self._codec
+            )
             prefix = f"queries.{'point' if op == 'query' else 'batch'}."
             counters.add(prefix + "calls")
             counters.add(prefix + "queries", len(fresh))
@@ -508,11 +518,14 @@ class ReputationServer(FrontDoor):
 
 class ServingNode:
     """What one serving process runs — ``repro serve`` and every shard
-    worker alike: index [+ log] → engine → server [+ follower].
+    worker alike: index → epochs [+ log] → engine → server [+ follower].
 
-    ``base`` is served as it stands: a shard's is already restricted
-    to its range, and one that will ``follow`` an update log is already
-    rolled back to the log's ``start_day``. Following happens on the
+    ``base`` is served as it stands, as epoch 0 of an
+    :class:`~repro.stream.epoch.EpochIndex` on ``start_day`` (``None``:
+    the index's default day), which only the ``follow`` log advances:
+    a shard's is already restricted to its range, and one that will
+    ``follow`` an update log is already rolled back to the log's
+    ``start_day``. Following happens on the
     ``repro-log-follower`` thread, and so do its three hooks:
     ``batch_filter`` rewrites a batch before it is applied (a shard
     keeps its range's deltas), ``on_batch(epoch, n_deltas)`` announces
@@ -536,20 +549,19 @@ class ServingNode:
         ] = None,
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
     ) -> None:
-        source: Any = base
+        epochs = EpochIndex(base, day=start_day)
         self._following: Any = nullcontext()  # or a follower's start…stop
         if follow is not None:
-            source = EpochIndex(base, day=start_day or 0)
             self._following = LogFollower(
                 follow,
-                source,
+                epochs,
                 poll_interval=_FOLLOW_POLL_S,
                 on_batch=on_batch,
                 on_end=on_follow_end,
                 batch_filter=batch_filter,
             )
         self._server = ReputationServer(
-            QueryEngine(source),
+            QueryEngine(epochs),
             host,
             port,
             connection_timeout=connection_timeout,

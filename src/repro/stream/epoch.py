@@ -31,7 +31,7 @@ from .delta import DeltaBatch, ListingDelta, apply_to_spans, truncate_spans
 
 if TYPE_CHECKING:
     # Annotation-only: the service package imports this module at load
-    # time (engine accepts an EpochIndex), so importing it back here
+    # time (an engine answers from an EpochIndex), so importing it back here
     # would make the package import order cyclic.
     from ..service.index import ReputationIndex
 
@@ -64,14 +64,21 @@ class EpochIndex:
     sequence order; replays of already-applied sequences are ignored
     (the update-log reader can safely restart from scratch).
 
-    Whatever feeds the index (a :class:`~repro.stream.follower.
-    LogFollower`) calls :meth:`fail` when it dies: readers keep
+    Epoch 0 is ``base`` on ``day`` (``None``: the base's default day).
+    One that nothing feeds is a static index, which every serving
+    process answers from too. Whatever feeds the index (a
+    :class:`~repro.stream.follower.LogFollower`) calls :meth:`fail`
+    when it dies: readers keep
     answering from the last good epoch, and :meth:`stats` — hence the
     ``stats`` wire op — says that the state is stale and why.
     """
 
-    def __init__(self, base: ReputationIndex, *, day: int = 0) -> None:
-        self._current = Epoch(base, 0, 0, day or base.default_day())
+    def __init__(
+        self, base: ReputationIndex, *, day: Optional[int] = None
+    ) -> None:
+        if day is None:
+            day = base.default_day()
+        self._current = Epoch(base, 0, 0, day)
         self._write_lock = threading.Lock()
         self._deltas_applied = 0
         self._batches_skipped = 0

@@ -251,6 +251,17 @@ class UpdateLogWriter:
             if self._fsync:
                 os.fsync(handle.fileno())
 
+    def _append(self, batch: DeltaBatch) -> None:
+        # A failed write (ENOSPC, EIO) is taken back whole: a retry must
+        # not land behind a partial member, which every reader fails on.
+        size = self._path.stat().st_size
+        try:
+            self._write(_encode_record(batch))
+        except BaseException:
+            os.truncate(self._path, size)
+            raise
+        self._next_seq += 1
+
     def append(self, batch: DeltaBatch) -> None:
         """Append one batch; its ``seq`` must be the next in line."""
         with self._lock:
@@ -259,8 +270,7 @@ class UpdateLogWriter:
                     f"batch seq {batch.seq} does not follow "
                     f"{self._next_seq - 1}"
                 )
-            self._write(_encode_record(batch))
-            self._next_seq += 1
+            self._append(batch)
 
     def append_deltas(
         self, day: int, deltas: Iterable[ListingDelta]
@@ -268,8 +278,7 @@ class UpdateLogWriter:
         """Wrap loose deltas into the next-sequence batch and append."""
         with self._lock:
             batch = DeltaBatch(self._next_seq, day, tuple(deltas))
-            self._write(_encode_record(batch))
-            self._next_seq += 1
+            self._append(batch)
         return batch
 
 

@@ -9,6 +9,7 @@ read-only).
 import time
 
 import pytest
+from hypothesis import Phase, settings
 
 from repro.cluster import LocalCluster
 from repro.experiments.runner import FullRun, RunConfig, run_full
@@ -16,6 +17,13 @@ from repro.service.client import ReputationClient, TransportError
 
 # The fault check's asserts report their operands, as a test's do.
 pytest.register_assert_rewrite("tests.faults")
+
+# What ``scripts/seed_defects.py`` runs its tests with: a seeded
+# defect's failure is reported as it is found, never shrunk (shrinking
+# took the fold-shift seed to 630 s). Tier-1 runs keep the default.
+settings.register_profile(
+    "seeded", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target)
+)
 
 
 @pytest.fixture(scope="session")

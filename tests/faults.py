@@ -23,6 +23,7 @@ holds the fault's own facts as data. :func:`check` alone judges:
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -606,6 +607,45 @@ def _log_swaps_under_load(tmp_path: Path, world: World) -> Record:
     return record
 
 
+def _log_append_fails(tmp_path: Path, world: World) -> Record:
+    """A producer's append writes half its member, waits while the
+    follower polls that torn tail, and fails with ENOSPC; the producer
+    retries it and appends one more. The follower reaches the last
+    seq, and answers every listed address at it."""
+    record, log_path = Record(), tmp_path / "updates.gz"
+    first, retried, last = world.batches[:3]
+    writer = UpdateLogWriter(log_path, start_day=world.start_day)
+    epochs = EpochIndex(world.base, day=world.start_day)
+    write = writer._write
+
+    def disk_full(blob: bytes) -> None:
+        write(blob[:len(blob) // 2])
+        time.sleep(0.05)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with ReputationServer(
+        QueryEngine(epochs), connection_timeout=5.0, streaming=True
+    ) as server, LogFollower(log_path, epochs, poll_interval=0.005) as follower:
+        writer.append(first)
+        record.facts["caught up"] = follower.wait_for_seq(first.seq, 10.0)
+        writer._write = disk_full
+        try:
+            writer.append(retried)
+        except OSError as exc:
+            record.facts["append failed"] = exc.errno == errno.ENOSPC
+        del writer._write
+        record.facts["seq kept"] = writer.next_seq == retried.seq
+        writer.append(retried)
+        writer.append(last)
+        record.facts["at the last seq"] = follower.wait_for_seq(last.seq, 10.0)
+        with ReputationClient(*server.start()) as client:
+            conn = Conn(client, record.conn("client"))
+            conn.ask("query_batch", [(ip, last.day) for ip in world.listed])
+            conn.ask("hello")
+    record.causes += [epochs.error] if epochs.error is not None else []
+    return record
+
+
 def _follow_fault(damage, asks=lambda good: ()):
     """A server following a one-batch log through a symlink (so the
     fault can swap what the path names in one rename), until
@@ -708,7 +748,7 @@ def _split_fault(replicas: int, victim: int = 1):
             writer.append(batch)
         seq, calls, stop = world.batches[2].seq, record.conn("watcher"), []
         with LocalCluster(
-            world.index, shards=2, replicas=replicas, follow=log_path,
+            world.base, shards=2, replicas=replicas, follow=log_path,
             start_day=world.start_day,
         ) as cluster, ReputationClient(*cluster.address) as client:
             record.facts["caught up"] = wait_for_seq(cluster, seq)
@@ -782,7 +822,7 @@ def _restart_under_follow(replicas: int):
             writer.append(batch)
         final, calls, stop = world.batches[-1].seq, record.conn("client"), []
         with LocalCluster(
-            world.index, shards=2, replicas=replicas, follow=log_path,
+            world.base, shards=2, replicas=replicas, follow=log_path,
             start_day=world.start_day, heartbeat_interval=0.05,
         ) as cluster:
             record.partition = partition = cluster.partition
@@ -1025,6 +1065,9 @@ FAULTS: List[Fault] = [
         facts={"backend healthy": True, "counted": 2, "codec": "json"})),
     Fault("log-swaps-under-load", _log_swaps_under_load, Expect(
         follow=True, facts={"caught up": True, "at the last seq": True})),
+    Fault("log-append-fails", _log_append_fails, Expect(follow=True, facts={
+        "caught up": True, "append failed": True, "seq kept": True,
+        "at the last seq": True})),
     Fault("log-seq-gap", _follow_fault(_seq_gap), _log("sequence gap")),
     Fault("log-unreadable", _follow_fault(_unreadable), _log("IsADirectoryError")),
     Fault("log-list-id-too-long", _follow_fault(_list_id_too_long, _neighbours),

@@ -44,7 +44,7 @@ from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import CODECS, FT_MSG, decode_msg_payload
-from repro.stream.epoch import EpochIndex, index_as_of
+from repro.stream.epoch import EpochIndex
 from repro.stream.log import UpdateLogWriter
 from tests.conftest import wait_for_seq
 from tests.test_frozen_bench_surface import SERVING
@@ -340,7 +340,7 @@ class TestRouterStatsPayload:
     the ``stats`` one to learn each shard's ``(epoch, seq)``."""
 
     def test_payload_is_pinned(
-        self, tmp_path, full_index, start_day, replay_batches, listed_ips
+        self, tmp_path, base_index, start_day, replay_batches, listed_ips
     ):
         log_path = tmp_path / "updates.gz"
         writer = UpdateLogWriter(log_path, start_day=start_day)
@@ -348,12 +348,12 @@ class TestRouterStatsPayload:
         for batch in applied:
             writer.append(batch)
         seq = applied[-1].seq
-        epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
+        epochs = EpochIndex(base_index, day=start_day)
         for batch in applied:
             epochs.apply(batch)
         sizes = epochs.current.index.stats()
         with LocalCluster(
-            full_index,
+            base_index,
             shards=3,
             follow=log_path,
             start_day=start_day,
@@ -445,14 +445,14 @@ class TestProcessMode:
     worker per backend, watched only through its own wire protocol."""
 
     def test_follow_wait_kill_restart(
-        self, tmp_path, full_index, start_day, replay_batches, listed_ips
+        self, tmp_path, base_index, start_day, replay_batches, listed_ips
     ):
         log_path = tmp_path / "updates.gz"
         writer = UpdateLogWriter(log_path, start_day=start_day)
         writer.append(replay_batches[0])
         writer.append(replay_batches[1])
         reached = replay_batches[1].seq
-        epochs = EpochIndex(index_as_of(full_index, start_day), day=start_day)
+        epochs = EpochIndex(base_index, day=start_day)
         for batch in replay_batches[:3]:
             epochs.apply(batch)
         single = QueryEngine(epochs)
@@ -465,7 +465,7 @@ class TestProcessMode:
             ]
 
         with LocalCluster(
-            full_index,
+            base_index,
             shards=2,
             follow=log_path,
             start_day=start_day,

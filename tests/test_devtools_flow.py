@@ -520,8 +520,11 @@ class TestRepoWiringMutations:
         report = self._report(
             tmp_path,
             "service/server.py",
-            "        state = engine.resolve_state()\n",
-            "        time.sleep(0.01)\n        state = engine.resolve_state()\n",
+            "        epoch = self._epochs.current\n"
+            "        if epoch.number != self._epoch:\n",
+            "        time.sleep(0.01)\n"
+            "        epoch = self._epochs.current\n"
+            "        if epoch.number != self._epoch:\n",
         )
         (found,) = report.violations
         assert found.rule == "FLOW-BLOCK"

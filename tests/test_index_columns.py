@@ -271,7 +271,7 @@ def _plain_model(family=V4, rows=40):
 
 @BOTH
 class TestOverlayAndFold:
-    def test_small_delta_stays_in_the_overlay(self, family):
+    def test_small_delta_folds_and_leaves_the_parent(self, family):
         model = _plain_model(family)
         index = model.compile()
         ip = sorted(model.intervals)[5]
@@ -280,7 +280,7 @@ class TestOverlayAndFold:
         assert_equal_everywhere(successor, model.updated(updates))
         assert_equal_everywhere(index, model)
 
-    def test_overlay_past_a_quarter_of_the_rows_is_folded(self, family):
+    def test_a_chain_of_folds_leaves_each_parent(self, family):
         model = _plain_model(family)
         index = model.compile()
         chain, chain_model = index, model

@@ -217,13 +217,13 @@ class TestPackedCacheAcrossEpochs:
     def _swap_before_evaluation(
         self, monkeypatch, server, epochs, batch, nth
     ):
-        """Apply ``batch`` on the loop thread just before the engine
-        evaluates its ``nth`` query (0-based): inside one call, after
-        the caller took its snapshot. The record loop draws its miss
+        """Apply ``batch`` on the loop thread just before the served
+        index evaluates its ``nth`` query (0-based): inside one call,
+        after the server read its epoch. The record loop draws its miss
         pairs one at a time, so the swap goes in as it draws the
         ``nth``. Returns the addresses evaluated, in order."""
-        engine = server._engine
-        query_records = engine.query_records
+        served = type(epochs.index)  # every epoch's index, the swap's too
+        records = served.records
         evaluated = []
 
         def swapping(pairs):
@@ -233,16 +233,16 @@ class TestPackedCacheAcrossEpochs:
                 evaluated.append(pair[0])
                 yield pair
 
-        def query_records_swapping(state, pairs, codec):
-            return query_records(state, swapping(pairs), codec)
+        def records_swapping(index, pairs, epoch, seq, codec):
+            return records(index, swapping(pairs), epoch, seq, codec)
 
-        monkeypatch.setattr(engine, "query_records", query_records_swapping)
+        monkeypatch.setattr(served, "records", records_swapping)
         return evaluated
 
     def test_swap_in_the_middle_of_a_batch(
         self, index, listed, streamed, monkeypatch
     ):
-        """One frame, one snapshot: a swap landing between two of a
+        """One frame, one epoch: a swap landing between two of a
         frame's misses moves neither record, nor its cache entry, to
         the new epoch; the next frame answers both from it — the
         untouched address's record carried over, restamped, and only
@@ -261,7 +261,7 @@ class TestPackedCacheAcrossEpochs:
         first, second = CODEC.decode_batch_reply(straddling)
         assert (first["epoch"], first["seq"]) == (0, 0)
         # ``ip`` was evaluated after the swap, against the frame's own
-        # snapshot all the same; ``other`` never reached the engine again.
+        # epoch all the same; ``other`` never reached the index again.
         assert evaluated == [other, ip, ip]
         same, after = CODEC.decode_batch_reply(settled)
         self._check_swap(second, after, ip, delta.list_id)
@@ -295,7 +295,7 @@ class TestPackedCacheAcrossEpochs:
     def test_swap_in_the_middle_of_a_json_batch(
         self, index, listed, streamed, monkeypatch
     ):
-        """The JSON ``batch`` op is one snapshot too."""
+        """The JSON ``batch`` op is one epoch too."""
         epochs, server = streamed
         ip, day, delta = _extension(index)
         other = next(a for a in listed if a != ip)

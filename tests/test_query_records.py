@@ -1,8 +1,8 @@
 """The record path: one loop from key search to packed record, no ``Verdict``.
 
-``QueryEngine.query_records`` hands its pairs to the index's record
-loop (``ReputationIndex.records``), which searches the key column
-through its bucket directory and packs each record from the columns;
+The server hands its cache misses to the index's record loop
+(``ReputationIndex.records``), which searches the key column through
+its bucket directory and packs each record from the columns;
 ``QueryEngine.query`` decodes the same records. The brute-force
 ``tests.reference.Reference``, packed by ``pack_verdict``, is what
 both must match byte for byte, on every kind of index the serving
@@ -47,7 +47,7 @@ def _assert_records_equal_reference(index, model, pairs):
     the reference model's, pair by pair."""
     engine = QueryEngine(index)
     codec = CODECS[index.family]
-    records = engine.query_records(engine.resolve_state(), pairs, codec)
+    records = index.records(pairs, 0, 0, codec)
     verdicts = engine.query_batch(pairs)
     assert len(records) == len(verdicts) == len(pairs)
     wrong = [
@@ -103,7 +103,7 @@ def _corpus_pairs(index):
 
 
 class TestByteIdentity:
-    """(ip, day) by (ip, day): ``query_records`` == ``pack_verdict`` of
+    """(ip, day) by (ip, day): ``records`` == ``pack_verdict`` of
     ``query(ip, day)`` == ``pack_verdict`` of the reference's verdict."""
 
     @pytest.fixture(scope="class")
@@ -120,7 +120,7 @@ class TestByteIdentity:
         loaded = ReputationIndex.load(index.save(tmp_path / "small.idx"))
         _assert_records_equal_reference(loaded, model, pairs)
 
-    def test_successor_with_a_live_overlay(self, golden, pairs):
+    def test_successor_with_an_unseen_list(self, golden, pairs):
         model, index = golden
         listed = sorted(ip for ip, _spans in index.interval_items())
         dropped, relisted, fresh = listed[0], listed[1], listed[-1] + 2
@@ -520,9 +520,7 @@ class TestServedFrames:
         with pytest.raises(ValueError) as by_batch:
             engine.query_batch([(5, None), (bad, 3)])
         with pytest.raises(ValueError) as by_records:
-            engine.query_records(
-                engine.resolve_state(), [(5, None), (bad, 3)], CODECS[V4]
-            )
+            index.records([(5, None), (bad, 3)], 0, 0, CODECS[V4])
         assert str(by_records.value) == str(by_batch.value)
         assert str(by_batch.value) == f"bad address integer: {bad!r}"
 
@@ -534,9 +532,7 @@ class TestServedFrames:
         asks = (
             lambda: engine.query(5, bad),
             lambda: engine.query_batch([(5, None), (5, bad)]),
-            lambda: engine.query_records(
-                engine.resolve_state(), [(5, None), (5, bad)], CODECS[V4]
-            ),
+            lambda: index.records([(5, None), (5, bad)], 0, 0, CODECS[V4]),
         )
         for ask in asks:
             with pytest.raises(

@@ -112,6 +112,22 @@ class TestInProcessCensus:
         assert not runner.is_alive()
 
 
+class TestEpochDay:
+    def test_a_log_from_day_0_reports_day_0(self, base_index, tmp_path):
+        """Epoch 0 of a log that starts on day 0 is on day 0, not on
+        the index's default day."""
+        log = write_update_log(tmp_path / "day0.gz", [], start_day=0)
+        node = ServingNode(base_index, follow=log, start_day=0)
+        runner = threading.Thread(target=node.serve_forever)
+        runner.start()
+        try:
+            with ReputationClient(*node.address) as client:
+                assert client.stats()["epoch"]["day"] == 0
+        finally:
+            node.request_stop()
+            runner.join(10.0)
+
+
 class TestWorkerProcess:
     """A forked shard worker serves from its main thread."""
 

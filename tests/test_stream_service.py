@@ -6,6 +6,7 @@ every answer the state of the epoch it names — is the
 """
 
 import argparse
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.cli import (
     _serving_base,
     main,
 )
+from repro.cluster import LocalCluster
 from repro.service.client import ReputationClient
 from repro.service.engine import QueryEngine
 from repro.service.server import PROTOCOL_VERSION, ReputationServer
@@ -23,7 +25,7 @@ from repro.stream.delta import (
     ListingDelta,
     truncate_spans,
 )
-from repro.stream.epoch import EpochIndex
+from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter, read_update_log
 
@@ -111,9 +113,7 @@ class TestEpochIndex:
         with pytest.raises(ValueError):
             epochs.apply(DeltaBatch(3, 1, (self._delta(ip, span),)))
 
-    def test_untouched_addresses_share_interval_storage(
-        self, base_index
-    ):
+    def test_untouched_addresses_keep_their_intervals(self, base_index):
         epochs = EpochIndex(base_index)
         ip, span = _sample_span(base_index)
         other = next(
@@ -122,6 +122,13 @@ class TestEpochIndex:
         epochs.apply(DeltaBatch(1, 1, (self._delta(ip, span),)))
         assert epochs.index.intervals_of(other) == (
             base_index.intervals_of(other)
+        )
+
+    def test_day_0_is_day_0(self, base_index):
+        assert base_index.default_day() != 0
+        assert EpochIndex(base_index, day=0).stats()["day"] == 0
+        assert EpochIndex(base_index).stats()["day"] == (
+            base_index.default_day()
         )
 
     def test_stats_counters(self, base_index, start_day):
@@ -143,8 +150,9 @@ class TestEngineEpochs:
         ip, _ = _sample_span(full_index)
         verdict = engine.query(ip)
         assert (verdict.epoch, verdict.seq) == (0, 0)
-        assert engine.epoch_state() == (0, 0)
-        assert engine.stats()["epoch"] == {"epoch": 0, "seq": 0}
+        current = engine.epochs.current
+        assert (current.number, current.seq) == (0, 0)
+        assert current.day == full_index.default_day()
 
     def test_hot_swap_invalidates_cache_by_epoch(self, base_index):
         epochs = EpochIndex(base_index)
@@ -163,12 +171,15 @@ class TestEngineEpochs:
         assert fresh.epoch == 1 and fresh.seq == 1
         assert fresh.listed and span[2] in fresh.lists
 
-    def test_streaming_stats_carry_epoch_block(self, base_index):
+    def test_streaming_stats_carry_epoch_block(self, base_index, full_index):
         epochs = EpochIndex(base_index)
-        engine = QueryEngine(epochs)
-        stats = engine.stats()
-        assert stats["epoch"]["epoch"] == 0
-        assert "deltas_applied" in stats["epoch"]
+        blocks = []
+        for engine, streaming in ((QueryEngine(epochs), True),
+                                  (QueryEngine(full_index), False)):
+            with ReputationServer(engine, streaming=streaming) as server:
+                with ReputationClient(*server.start()) as client:
+                    blocks.append(client.stats()["epoch"])
+        assert blocks == [epochs.stats(), {"epoch": 0, "seq": 0}]
 
 
 class TestHelloHandshake:
@@ -321,6 +332,29 @@ class TestCliStream:
         assert (sizes["ips"], sizes["intervals"]) == (
             meta["ips"], meta["intervals"]
         )
+
+    def test_cluster_follow_rolls_the_run_back_once(
+        self, cli_env, cli_log, start_day, monkeypatch
+    ):
+        """``repro cluster --follow``'s boot: ``_serving_base`` rolls
+        the run back to the log's start day, and the cluster serves
+        that index as it stands."""
+        real, days = index_as_of, []
+
+        def counted(index, day):
+            days.append(day)
+            return real(index, day)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "index_as_of", None) is real:
+                monkeypatch.setattr(module, "index_as_of", counted)
+        args = argparse.Namespace(
+            follow=str(cli_log), snapshot=None,
+            preset="small", seed=2020, workers=1,
+        )
+        index, follow, day = _serving_base(args)
+        LocalCluster(index, shards=2, follow=follow, start_day=day).close()
+        assert days == [start_day]
 
     def test_follow_state_rejects_mismatched_base(
         self, cli_env, tmp_path
