@@ -210,6 +210,17 @@ SEEDS: List[Seed] = [
          (("                key |= 12 if hard else 4\n",
            "                key |= 4\n"),),
          ("tests/test_adversary.py", "-k", "golden")),
+    # Every peer that will not finish ends in a declared state: a
+    # trickled frame is no progress, and an accept short of a descriptor
+    # unwatches the listener until the loop's next sweep.
+    Seed("bug: every read refreshes a link's clock", "service/aio.py",
+         (("        if not held or len(self.inbuf) < held + size:\n",
+           "        if True:\n"),),
+         ("tests/test_faults.py", "-k", "peer-trickles-frame")),
+    Seed("bug: an accept at the fd limit leaves the listener watched",
+         "service/aio.py",
+         (("                    self.reactor.unregister(self._listener)\n", ""),),
+         ("tests/test_faults.py", "-k", "fd-limit-reached")),
     # The router partitions a batch in one bisect pass of its request
     # records over the range starts: the address before a range's
     # first is the range before's.

@@ -203,6 +203,13 @@ class Backend(Link):
             self._pump()
         return True
 
+    def expire(self, now: float) -> None:
+        # Waiting subs cover a link stuck in its connect or hello: one
+        # that never becomes ready times out like one that never replies.
+        queue = self.pending or self.waiting
+        if queue and queue[0].deadline < now:
+            self.close("backend timed out")
+
     def _pump(self) -> None:
         """Encode every waiting sub for the write pass to send."""
         while self.waiting and self.sock is not None:
@@ -437,6 +444,7 @@ class Router(FrontDoor):
             "point", "batch", "batch_queries", "degraded", "failovers"
         )
         super().__init__(host, port, connection_timeout=connection_timeout)
+        self._tightest = min(connection_timeout, backend_timeout)
 
     def _make_slots(
         self,
@@ -459,10 +467,9 @@ class Router(FrontDoor):
 
     def serve_forever(self) -> None:
         """Serve on the calling thread — the CLI's, or :meth:`start`'s
-        daemon thread — with the backend deadline sweep and the
-        heartbeat armed. Every backend step, the cluster's split
-        cutover and auto-splitter included, runs on ``reactor``."""
-        self._backend_sweep()  # nothing to sweep yet: arms itself
+        daemon thread — with the heartbeat armed. Every backend step,
+        the cluster's split cutover and auto-splitter included, runs on
+        ``reactor``."""
         self.reactor.call_later(self._heartbeat_interval, self._beat)
         super().serve_forever()
 
@@ -483,6 +490,10 @@ class Router(FrontDoor):
 
     def _backends(self) -> List[Backend]:
         return [backend for slot in self._slots for backend in slot.backends]
+
+    def _links(self) -> List[Link]:
+        # Retired backends may still hold requests: their deadlines hold.
+        return [*super()._links(), *self._backends(), *self._retired]
 
     def _beat(self) -> None:
         self.probe(self._backends())
@@ -836,19 +847,3 @@ class Router(FrontDoor):
             cause = self.reactor.caught(exc)
             if fail is not None:
                 fail(cause)
-
-    def _backend_sweep(self) -> None:
-        now = time.monotonic()
-        # Retired backends left the slot table but may still hold
-        # in-flight requests; their deadlines are enforced the same.
-        for backend in self._backends() + self._retired:
-            # Waiting subs cover links stuck in the connect or hello
-            # phase — a backend that never becomes ready times out
-            # exactly like one that never replies.
-            queue = backend.pending or backend.waiting
-            if queue and queue[0].deadline < now:
-                backend.close("backend timed out")
-        self.reactor.call_later(
-            max(0.05, min(1.0, self._backend_timeout / 4.0)),
-            self._backend_sweep,
-        )

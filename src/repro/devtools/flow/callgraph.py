@@ -10,6 +10,9 @@ Turns call sites and callback expressions into
                                    constructed with, or is given as an
                                    annotated ``__init__`` parameter
 * ``x = ClassName(...); x.m()`` -> method via local construction
+* ``for x in self.f(): x.m()``  -> method of the element class of
+                                   ``f``'s return annotation
+                                   (``List[ClassName]``)
 * ``name(...)``                 -> module function, imported project
                                    function, or class constructor
                                    (= its ``__init__``)
@@ -39,8 +42,8 @@ class Resolver:
     # -- local type inference -------------------------------------------
 
     def local_types(self, fn: FunctionInfo) -> Dict[str, ClassInfo]:
-        """Variable -> class for ``x = ClassName(...)`` assignments
-        and annotated parameters inside ``fn``."""
+        """Variable -> class for ``x = ClassName(...)`` assignments,
+        loops over ``self.f()`` and annotated parameters inside ``fn``."""
         cached = self._local_types.get(id(fn.node))
         if cached is not None:
             return cached
@@ -50,6 +53,11 @@ class Resolver:
             if cls is not None:
                 types[param] = cls
         for node in ast.walk(fn.node):
+            if isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+                element = self._element_class(fn, node.iter)
+                if element is not None:
+                    types.setdefault(node.target.id, element)
+                continue
             if not isinstance(node, ast.Assign):
                 continue
             if not isinstance(node.value, ast.Call):
@@ -62,6 +70,27 @@ class Resolver:
                     types.setdefault(target.id, target_cls)
         self._local_types[id(fn.node)] = types
         return types
+
+    def _element_class(
+        self, fn: FunctionInfo, expr: ast.expr
+    ) -> Optional[ClassInfo]:
+        """``Cls`` for ``self.f()`` annotated to return ``List[Cls]``
+        (any one-parameter generic)."""
+        func = getattr(expr, "func", None)
+        if not (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "self"
+            and fn.owner is not None
+        ):
+            return None
+        method = self.program.find_method(fn.owner, func.attr)
+        returns = getattr(method.node, "returns", None) if method else None
+        if isinstance(returns, ast.Subscript) and isinstance(
+            returns.slice, ast.Name
+        ):
+            return self.program.unique_class(returns.slice.id)
+        return None
 
     def _class_of_call(
         self, fn: FunctionInfo, call: ast.Call

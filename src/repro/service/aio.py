@@ -28,8 +28,9 @@ Four layers:
   marks, the recoverable/fatal error split and drain-then-close. The
   outbound counterpart is the cluster router's
   :class:`~repro.cluster.router.Backend`.
-* :class:`WireServer` — accept loop, idle timeouts, graceful
-  shutdown and the context manager. Each request goes to its
+* :class:`WireServer` — accept loop, the one deadline sweep over
+  every link on the loop (:meth:`Link.expire`), graceful shutdown and
+  the context manager. Each request goes to its
   :meth:`~WireServer.handle` method, which a subclass fills in;
   ``kind`` is ``"msg"`` (one decoded request object) or ``"batch"``
   (the payload of a batch-request frame, not yet read;
@@ -347,6 +348,7 @@ class Link:
         self.connecting = False
         #: True while the link waits in its reactor's write pass.
         self.marked = False
+        #: Set by a read that starts or ends a frame, and by a send.
         self.last_activity = time.monotonic()
 
     # -- hooks ---------------------------------------------------------
@@ -377,6 +379,9 @@ class Link:
     def on_close(self, cause: str) -> None:
         """The link closed; socket and buffers are already gone."""
 
+    def expire(self, now: float) -> None:
+        """Close if past the owner's deadline (the loop's sweep asks)."""
+
     def interest(self) -> int:
         """The events to wait for once a flush has written what the
         socket would take (or close: nothing left to wait for)."""
@@ -403,10 +408,11 @@ class Link:
         unreachable (SYN-dropping) one cannot stall the others — the
         owner's deadline bounds a connect that never resolves."""
         self.reactor = reactor
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.connecting = True
         self.codec = "json"
         try:
+            # At the fd limit this fails too, as a connect with a cause.
+            self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self.sock.setblocking(False)
             self.sock.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
@@ -429,12 +435,12 @@ class Link:
 
     def close(self, cause: str) -> None:
         """The single way out; a no-op on an already idle link."""
-        sock = self.sock
-        if sock is None:
+        if self.sock is None and not self.connecting:
             return
         self._watch(0)
-        self.sock = None
-        _close_socket(sock)
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            _close_socket(sock)
         self.connecting = False
         self.inbuf.clear()
         self.outbuf.clear()
@@ -492,9 +498,12 @@ class Link:
         if not size:
             self.on_eof()
             return False
-        self.last_activity = time.monotonic()
+        held = len(self.inbuf)
         self.inbuf += buffer[:size]
         self._parse()
+        # A read that only extends an unfinished frame is no progress.
+        if not held or len(self.inbuf) < held + size:
+            self.last_activity = time.monotonic()
         self.mark()
         return True
 
@@ -725,6 +734,17 @@ class Conn(Link):
         self.slots.clear()
         self.server.forget(self)
 
+    def expire(self, now: float) -> None:
+        """Quiet past the timeout with nothing in flight: an unfinished
+        frame is a ``slow frame``, answered in band (unless paused: the
+        server stopped reading it); else an ``idle timeout``."""
+        if self.slots or now - self.last_activity <= self.server._connection_timeout:
+            return
+        if self.inbuf and not (self.paused or self.closing):
+            self.on_garbled(WireError("slow frame"), 0)
+        else:
+            self.close("idle timeout")
+
     def finish(self) -> None:
         """The server is shutting down: take the requests this peer
         has already sent — read until the socket has no more, or
@@ -796,6 +816,9 @@ class WireServer:
         max_frame: int = MAX_FRAME_BYTES,
     ) -> None:
         self._connection_timeout = connection_timeout
+        #: The tightest timeout a link on this loop keeps, which sets
+        #: the sweep's cadence; a subclass with links of its own lowers it.
+        self._tightest = connection_timeout
         self.max_frame = max_frame
         #: Per-connection backpressure bounds; instance attributes so
         #: tests can tighten them.
@@ -807,6 +830,8 @@ class WireServer:
         self._conns: Dict[int, Conn] = {}
         self._shutting_down = False  # written by _begin_shutdown only
         self._closed = False  # written by _close_listener only
+        self._accepting = True  # False while the fd limit unwatched it
+        self.accept_errors = 0  # accepts short of an fd or memory
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._listener = socket.socket(
@@ -847,7 +872,7 @@ class WireServer:
 
     def serve_forever(self) -> None:
         """Run the loop on the calling thread until :meth:`shutdown`."""
-        self.reactor.call_soon(self._idle_sweep)
+        self.reactor.call_soon(self._sweep)
         try:
             self.reactor.run()
         finally:
@@ -927,7 +952,13 @@ class WireServer:
                 sock, address = self._listener.accept()
             except (BlockingIOError, InterruptedError):
                 return
-            except OSError:
+            except OSError as exc:
+                if exc.errno in (errno.EMFILE, errno.ENFILE,
+                                 errno.ENOBUFS, errno.ENOMEM):
+                    # Unwatched till the next sweep, or the loop spins.
+                    self.accept_errors += 1
+                    self._accepting = False
+                    self.reactor.unregister(self._listener)
                 return  # listener closed, or a transient accept error
             if self._shutting_down:
                 sock.close()
@@ -941,16 +972,20 @@ class WireServer:
         if self._shutting_down and not self._conns:
             self.reactor.stop()
 
-    # -- idle timeout --------------------------------------------------
+    # -- the deadline sweep --------------------------------------------
 
-    def _idle_sweep(self) -> None:
-        if self._shutting_down or not self.reactor.is_running():
-            return
-        deadline = time.monotonic() - self._connection_timeout
-        for conn in list(self._conns.values()):
-            if conn.slots:
-                continue  # in-flight work is not idleness
-            if conn.last_activity < deadline:
-                conn.close("idle timeout")
-        interval = max(0.05, min(1.0, self._connection_timeout / 4.0))
-        self.reactor.call_later(interval, self._idle_sweep)
+    def _links(self) -> List[Link]:
+        """Every link the sweep judges (a subclass adds its own)."""
+        return list(self._conns.values())
+
+    def _sweep(self) -> None:
+        """The loop's one deadline timer, through a drain too: links
+        end themselves if overdue, and the listener is watched again."""
+        now = time.monotonic()
+        for link in self._links():
+            link.expire(now)
+        if not (self._accepting or self._shutting_down):
+            self._accepting = True
+            self.reactor.register(self._listener, _READ, self._on_accept)
+        interval = max(0.05, min(1.0, self._tightest / 4.0))
+        self.reactor.call_later(interval, self._sweep)

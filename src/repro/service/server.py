@@ -81,12 +81,32 @@ The loop thread also counts, in one :class:`Counters` table: the
 cache's hits and misses and, once the record loop has returned, what
 reached the index. ``stats`` reads it beside the epoch's views.
 
-Robustness contract (unchanged from the threaded server): a malformed
-frame or request gets an error reply (``{"ok": false, "error":
-...}``), never a crash; only a broken frame *boundary* (oversized
-length, bad magic) or an idle timeout closes the connection, because
-there is no way to resynchronise the stream. Shutdown is graceful —
-queued replies drain, the listener stops accepting.
+Robustness contract: a malformed frame or request gets an error reply
+(``{"ok": false, "error": ...}``), never a crash; a broken frame
+*boundary* (oversized length, bad magic) is answered so and then
+closes the connection, because there is no way to resynchronise the
+stream. Every peer that will not finish ends in a declared state,
+judged by the loop's one sweep (``WireServer._sweep``), which visits
+every link the loop owns at a quarter of the tightest timeout on it,
+through a drain too. It has four outcomes:
+
+* ``idle timeout`` — a connection quiet for ``connection_timeout``
+  with no request in flight is closed. Progress is a read that starts
+  or finishes a frame, or a send that moves bytes; a read that only
+  extends an unfinished frame is not.
+* ``slow frame`` — such a connection that holds an unfinished frame,
+  and is still being read (not paused for backpressure), is answered
+  ``slow frame`` in band and closed once the reply drained.
+* ``backend timed out`` — a router's upstream link whose oldest
+  request is past the backend timeout is closed, and what it carried
+  fails over.
+* accept paused — an accept that finds no descriptor or memory left
+  unwatches the listener, so the loop does not spin on its backlog,
+  and counts in ``stats``' ``loop`` block as ``accept_errors``; the
+  next sweep watches it again.
+
+Shutdown is graceful — queued replies drain, the listener stops
+accepting.
 """
 
 from __future__ import annotations
@@ -315,8 +335,9 @@ class FrontDoor(WireServer):
     once, so the next frame is parsed in it, and answers ``{service,
     protocol, **fields}`` plus the negotiation keys, the door's
     :meth:`_hello` supplying the fields; ``stats`` is the door's
-    :meth:`_stats` payload plus the reactor's ``loop`` block (what its
-    guards caught); any other op is unknown. A hook hands its answer to
+    :meth:`_stats` payload plus the ``loop`` block (what the reactor's
+    guards caught, and the accepts the fd limit failed); any other op
+    is unknown. A hook hands its answer to
     the callback it is given — at once (a server) or later from the
     loop (a router, which hands a failing gather's cause to ``fail``).
     A door sets ``_codec``, the one batch codec (hence family) it
@@ -374,7 +395,8 @@ class FrontDoor(WireServer):
                     lambda payload: slot.complete({"ok": True, "result": {
                         **payload,
                         "loop": {"callback_errors": loop.callback_errors,
-                                 "callback_error": loop.callback_error},
+                                 "callback_error": loop.callback_error,
+                                 "accept_errors": self.accept_errors},
                     }}),
                     slot.fail,
                 )

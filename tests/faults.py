@@ -30,6 +30,8 @@ import math
 import os
 import random
 import re
+import resource
+import select
 import signal
 import socket
 import subprocess
@@ -50,7 +52,8 @@ from repro.service.engine import QueryEngine
 from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import (
-    CODECS, FT_MSG, FrameReader, decode_msg_payload, encode_binary_frame, encode_frame,
+    CODECS, FT_MSG, FrameReader, decode_frame, decode_msg_payload, encode_binary_frame,
+    encode_frame,
 )
 from repro.stream.delta import DeltaBatch, ListingDelta, day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
@@ -295,17 +298,21 @@ _ENV = {**os.environ, "PYTHONUNBUFFERED": "1",
 
 
 @contextlib.contextmanager
-def _cluster(tmp_path: Path, world: World, record: Record, *args: str):
-    """``repro cluster --port 0 --snapshot … ARGS`` in its own session:
-    yields its address and a reader of its output, then stops it as an
-    operator does (SIGTERM) and records how it exited."""
-    snapshot, out = tmp_path / "index.idx", tmp_path / "cluster.out"
+def _launch(tmp_path: Path, world: World, record: Record, command: str, *args: str,
+            preexec_fn: Optional[Callable[[], None]] = None):
+    """``repro COMMAND --port 0 --snapshot … ARGS`` (``serve`` or
+    ``cluster``) in its own session, ``preexec_fn`` run in the child
+    before it starts: yields its address, a reader of its output and
+    its pid, then stops it as an operator does (SIGTERM) and records
+    how it exited."""
+    snapshot, out = tmp_path / "index.idx", tmp_path / f"{command}.out"
     world.index.save(snapshot)
     with open(out, "wb") as sink:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "cluster", "--port", "0",
+            [sys.executable, "-m", "repro", command, "--port", "0",
              "--snapshot", str(snapshot), *args],
             stdout=sink, stderr=subprocess.STDOUT, env=_ENV, start_new_session=True,
+            preexec_fn=preexec_fn,
         )
 
     def output() -> str:
@@ -315,16 +322,16 @@ def _cluster(tmp_path: Path, world: World, record: Record, *args: str):
         deadline = time.monotonic() + 120.0
         while not (serving := re.search(r"serving on ([\d.]+):(\d+)", output())):
             if proc.poll() is not None or time.monotonic() > deadline:
-                raise RuntimeError(f"repro cluster never served:\n{output()}")
+                raise RuntimeError(f"repro {command} never served:\n{output()}")
             time.sleep(0.05)
-        yield (serving[1], int(serving[2])), output
+        yield (serving[1], int(serving[2])), output, proc.pid
     finally:
         proc.send_signal(signal.SIGTERM)
         with contextlib.suppress(subprocess.TimeoutExpired):
             proc.wait(timeout=30.0)
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)  # whatever did not stop
-        record.exits["repro cluster"] = proc.wait()
+        record.exits[f"repro {command}"] = proc.wait()
 
 
 def _backends(cluster: LocalCluster, but=None):
@@ -354,9 +361,9 @@ def _cluster_kill_primary(codec: str, victim: int):
     def run(tmp_path: Path, world: World) -> Record:
         record, rng = Record(), random.Random(7)
         keys = world.listed + [rng.randrange(1 << 32) for _ in range(100)]
-        with _cluster(
-            tmp_path, world, record, "--shards", "3", "--replicas", "1"
-        ) as (address, output), ReputationClient(*address, codec=codec) as client:
+        with _launch(
+            tmp_path, world, record, "cluster", "--shards", "3", "--replicas", "1"
+        ) as (address, output, _), ReputationClient(*address, codec=codec) as client:
             conn = Conn(client, record.conn(codec))
             record.facts["shards"] = conn.ask("hello")["cluster"]["shards"]
             conn.ask("query_batch", [(ip, None) for ip in keys])
@@ -379,11 +386,11 @@ def _auto_split_under_load(tmp_path: Path, world: World) -> Record:
     record, mix = Record(), get_mix("hot-range")
     ips, days = population_from_analysis(mix, world.run.analysis)
     events = TrafficGenerator(mix, ips, days, seed=0).schedule(20_000, 2_000.0)
-    with _cluster(
-        tmp_path, world, record, "--shards", "3", "--auto-split",
+    with _launch(
+        tmp_path, world, record, "cluster", "--shards", "3", "--auto-split",
         "--split-interval", "0.3", "--split-factor", "1.8",
         "--split-sustain", "2", "--split-min-hits", "50", "--max-shards", "8",
-    ) as (address, output):
+    ) as (address, output, _):
         start = time.monotonic()
         record.facts["auto-split on"] = "auto-split on" in output()
 
@@ -975,6 +982,109 @@ def _rejoin_under_follow(tmp_path: Path, world: World) -> Record:
     return record
 
 
+_PEER_TIMEOUT = 0.5  # the server's connection_timeout for slow peers
+
+
+def _peer_trickles_frame(tmp_path: Path, world: World) -> Record:
+    """Beside a polite client, one raw peer trickles a ``ping`` frame, a
+    byte per quarter timeout, for up to three timeouts, while another
+    asks a batch and reads the reply a byte per ``recv``: the trickler
+    is answered ``slow frame`` in band and hung up on, the reader gets
+    its whole reply and is then let go, within six timeouts, and the
+    polite client is answered throughout."""
+    record, timeout, ips = Record(), _PEER_TIMEOUT, world.listed
+    batch = [(ip, None) for ip in ips]
+    with ReputationServer(
+        QueryEngine(world.index), connection_timeout=timeout
+    ) as server:
+        address = server.start()
+
+        def trickle() -> None:
+            calls, frame = record.conn("trickler"), encode_frame({"op": "ping"})
+            with socket.create_connection(address, timeout=5.0) as sock, \
+                    ReputationClient(*address) as client:
+                steady, answered = Conn(client, record.conn("polite")), []
+                started = time.monotonic()
+                for at in range(len(frame)):
+                    if answered or time.monotonic() > started + 3 * timeout:
+                        break
+                    sock.sendall(frame[at:at + 1])
+                    steady.ask("query", ips[at % len(ips)])
+                    answered = select.select([sock], [], [], timeout / 4)[0]
+                reply = FrameReader(sock).read() if answered else {}
+                if "error" in reply:
+                    record.causes.append(reply["error"])
+                    record.facts["trickler hung up on"] = sock.recv(1) == b""
+                    reply = {"result": ServiceError(reply["error"])}
+                calls.append((1, ("ping",), reply.get("result"), time.monotonic() - started))
+                steady.ask("query_batch", batch)
+
+        def read_slowly() -> None:
+            calls, got = record.conn("slow reader"), bytearray()
+            with socket.create_connection(address, timeout=5.0) as sock:
+                started = time.monotonic()
+                sock.sendall(encode_frame({"op": "batch", "queries": [
+                    {"ip": ip} for ip, _ in batch
+                ]}))
+                while byte := sock.recv(1):
+                    got += byte
+                    if len(got) % 1024 == 0:
+                        time.sleep(timeout / 50)
+            record.facts["slow reader let go"] = (
+                time.monotonic() - started < 6 * timeout
+            )
+            reply, _ = decode_frame(got) or ({}, 0)
+            calls.append((1, ("query_batch", batch), reply.get("result"),
+                          time.monotonic() - started))
+
+        _threads(trickle, read_slowly)
+    return record
+
+
+#: The soft descriptor limit the fd-limit fault's server sets itself:
+#: a few dozen connections past its own descriptors.
+_FD_LIMIT = 48
+
+
+def _lower_fd_limit() -> None:
+    """In the server child only, before it starts."""
+    resource.setrlimit(resource.RLIMIT_NOFILE,
+                       (_FD_LIMIT, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+
+
+def _cpu_seconds(pid: int) -> float:
+    """User + system CPU ``pid`` has used, from ``/proc/<pid>/stat``."""
+    fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _fd_limit_reached(tmp_path: Path, world: World) -> Record:
+    """``repro serve`` at a soft limit of 48 descriptors, flooded with 60
+    connections it cannot all take: a client connected before the flood
+    is answered and reads the failed accepts in ``stats``, the loop idles
+    over the backlog instead of spinning on it, and once the flood is
+    gone a new client is answered."""
+    record, pairs = Record(), [(ip, None) for ip in world.listed]
+    with _launch(tmp_path, world, record, "serve", preexec_fn=_lower_fd_limit) as (
+        address, _, pid
+    ), ReputationClient(*address) as before:
+        conn = Conn(before, record.conn("before"))
+        conn.ask("query_batch", pairs)
+        with contextlib.ExitStack() as flood:
+            for _ in range(60):
+                flood.enter_context(socket.create_connection(address, timeout=5.0))
+            time.sleep(0.2)
+            used = _cpu_seconds(pid)
+            time.sleep(1.0)
+            record.facts["loop idle at the limit"] = _cpu_seconds(pid) - used < 0.25
+            conn.ask("query_batch", pairs)
+            loop = before.stats()["loop"]
+            record.facts["accept errors declared"] = loop.get("accept_errors", 0) > 0
+        with ReputationClient(*address, timeout=10.0) as after:
+            Conn(after, record.conn("after")).ask("query_batch", pairs)
+    return record
+
+
 #: Loads a snapshot, truncates its file to a tenth in place (what
 #: ``cp new.idx served.idx`` does first), then answers the addresses on
 #: stdin, one ``[seconds, verdict]`` line each.
@@ -1091,4 +1201,8 @@ FAULTS: List[Fault] = [
                             "rejoined behind": True, "caught up": True})),
     Fault("snapshot-truncated", _snapshot_truncated,
           Expect(facts={"truncated to a tenth": True})),
+    Fault("peer-trickles-frame", _peer_trickles_frame, Expect(cause="slow frame", facts={
+        "trickler hung up on": True, "slow reader let go": True})),
+    Fault("fd-limit-reached", _fd_limit_reached, Expect(facts={
+        "loop idle at the limit": True, "accept errors declared": True})),
 ]

@@ -9,7 +9,9 @@ Every socket the move of ownership into `Link` could leak fails the
 test through the ResourceWarning filters.
 """
 
+import errno
 import gc
+import os
 import selectors
 import socket
 import struct
@@ -412,17 +414,26 @@ class TestConnect:
             close_on_loop(reactor, link)
         assert link.causes == ["test done"]
 
-    def test_refused_connect_closes_with_a_cause(self, reactor):
+    def test_refused_connect_closes_with_a_cause(self, reactor, monkeypatch):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             address = listener.getsockname()
-        # Nobody listens there any more.
-        link = Recorder()
-        self._connect_on_loop(reactor, link, address)
-        assert link.closed.wait(5.0)
-        assert len(link.causes) == 1
-        assert link.causes[0].startswith("connect failed")
-        assert link.sock is None and not link.connecting
-        assert not link.connected.is_set()
+
+        def at_the_fd_limit(*_args):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        # Nobody listens there any more; or the process is out of
+        # descriptors, so not even the socket can be made.
+        for factory in (socket.socket, at_the_fd_limit):
+            link = Recorder()
+            monkeypatch.setattr(socket, "socket", factory)
+            self._connect_on_loop(reactor, link, address)
+            monkeypatch.undo()
+            assert link.closed.wait(5.0)
+            assert len(link.causes) == 1
+            assert link.causes[0].startswith("connect failed")
+            assert link.sock is None and not link.connecting
+            assert not link.connected.is_set()
+        assert link.causes == ["connect failed: Too many open files"]
 
     def test_black_holed_connect_ends_at_the_owners_deadline(
         self, reactor

@@ -371,7 +371,9 @@ class TestRouterStatsPayload:
         assert list(stats) == [
             "cluster", "router", "partition", "index", "shards", "loop"
         ]
-        assert stats["loop"] == {"callback_errors": 0, "callback_error": None}
+        assert stats["loop"] == {
+            "callback_errors": 0, "callback_error": None, "accept_errors": 0
+        }
         assert list(stats["cluster"].items()) == [
             ("shards", 3),
             ("backends", 3),
@@ -1170,6 +1172,32 @@ class TestBackendMisbehavior:
             if replacement is not None:
                 replacement.shutdown()
             gc.collect()  # a leaked link socket must fail *this* test
+
+
+    def test_a_backend_deadline_fires_through_a_drain(
+        self, full_index, listed_ips, real_backend
+    ):
+        # The loop's one sweep runs on while the router drains: a query
+        # stuck on a silent primary when shutdown begins fails over to
+        # the replica at its deadline, inside the drain's 1 s grace,
+        # instead of being cut off unanswered.
+        fake = FakePeer(silent)
+        router = Router(
+            PartitionMap(1), [[tuple(fake.address), real_backend.address]],
+            backend_timeout=0.4, heartbeat_interval=30.0,
+        )
+        router.start()
+        drain = threading.Timer(0.2, router.request_shutdown)
+        try:
+            with ReputationClient(*router.address, codec="json") as client:
+                drain.start()
+                assert client.query(listed_ips[0]) == (
+                    QueryEngine(full_index).query(listed_ips[0]).to_wire()
+                )
+        finally:
+            drain.join()
+            router.shutdown()
+            fake.close()
 
 
 class TestUpstreamKeepalive:

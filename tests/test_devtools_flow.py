@@ -545,6 +545,20 @@ class TestRepoWiringMutations:
         assert found.path == "repro/cluster/router.py"
         assert "handle ->" in found.message
 
+    def test_sleep_in_backend_deadline_flagged(self, tmp_path):
+        report = self._report(
+            tmp_path,
+            "cluster/router.py",
+            "        queue = self.pending or self.waiting\n",
+            "        time.sleep(0.01)\n"
+            "        queue = self.pending or self.waiting\n",
+        )
+        (found,) = report.violations
+        assert found.rule == "FLOW-BLOCK"
+        assert found.path == "repro/cluster/router.py"
+        # The loop's one sweep, through each link's expire hook.
+        assert "path _sweep -> expire" in found.message
+
     def test_sleep_in_ping_timer_flagged(self, tmp_path):
         report = self._report(
             tmp_path,

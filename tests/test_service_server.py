@@ -85,7 +85,8 @@ class TestEndToEnd:
         reactor.run_sync(lambda: reactor.call_later(0.0, lambda: {}["timer"]))
         assert client.ping() is True  # the timer runs before its reply leaves
         assert client.stats()["loop"] == {
-            "callback_errors": 2, "callback_error": "internal error: 'timer'"
+            "callback_errors": 2, "callback_error": "internal error: 'timer'",
+            "accept_errors": 0,
         }
 
     def test_point_query_accepts_dotted_quad_and_int(
@@ -143,14 +144,6 @@ class TestHostilePeers:
     def test_oversized_batch_rejected(self, server, client):
         with pytest.raises(ServiceError):
             client.query_batch([("1.2.3.4", 1)] * 10_001)
-
-    def test_midframe_disconnect_harmless(self, server):
-        with _raw_connection(server) as sock:
-            sock.sendall(struct.pack(">I", 100) + b"only half")
-        # Server keeps serving other clients.
-        host, port = server.address
-        with ReputationClient(host, port) as c:
-            assert c.ping()
 
 
 class TestConcurrency:

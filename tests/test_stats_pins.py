@@ -73,8 +73,10 @@ def _cache(entries, hits, misses):
             ("hits", hits), ("misses", misses)]
 
 
-#: The ``loop`` block, which every door adds last: nothing caught.
-LOOP = ("loop", [("callback_errors", 0), ("callback_error", None)])
+#: The ``loop`` block, which every door adds last: nothing caught,
+#: no accept short of a descriptor.
+LOOP = ("loop", [("callback_errors", 0), ("callback_error", None),
+                 ("accept_errors", 0)])
 
 
 def test_static_server_payload(full_index):
