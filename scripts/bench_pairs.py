@@ -319,7 +319,9 @@ def record(path: Path, workload: str, entry: Dict[str, Any]) -> None:
     keeping what other workloads' rounds wrote there."""
     book = json.loads(path.read_text()) if path.exists() else {}
     book.setdefault("workloads", {})[workload] = entry
-    path.write_text(json.dumps(book, indent=1, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(book, separators=(",", ":"), sort_keys=True) + "\n"
+    )
 
 
 def exit_status(rows: List[Dict[str, Any]], clean: bool) -> int:

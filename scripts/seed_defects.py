@@ -217,6 +217,12 @@ SEEDS: List[Seed] = [
          (("        if not held or len(self.inbuf) < held + size:\n",
            "        if True:\n"),),
          ("tests/test_faults.py", "-k", "peer-trickles-frame")),
+    Seed("bug: a send that moves bytes leaves a link's clock alone",
+         "service/aio.py",
+         (("                del out[:sent]\n"
+           "                self.last_activity = time.monotonic()\n",
+           "                del out[:sent]\n"),),
+         ("tests/test_faults.py", "-k", "peer-trickles-frame")),
     Seed("bug: an accept at the fd limit leaves the listener watched",
          "service/aio.py",
          (("                    self.reactor.unregister(self._listener)\n", ""),),

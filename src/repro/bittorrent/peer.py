@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional, Tuple
 
-from ..sim.nat import NatBehaviour, NatGateway, Socket
+from ..sim.nat import Socket
 from ..sim.udp import Datagram, Endpoint
 from .krpc import (
     AnnouncePeerQuery,
@@ -184,26 +184,3 @@ class SimulatedPeer:
         # Responses/errors arriving at a peer are ignored: simulated
         # peers never originate queries (overlay construction wires the
         # tables directly; see swarm.py).
-
-
-def make_nat_socket_factory(
-    gateway: NatGateway,
-    *,
-    reachable: bool,
-    rng: random.Random,
-) -> SocketFactory:
-    """Socket factory for a peer behind ``gateway``.
-
-    ``reachable`` peers get a full-cone (or forwarded) mapping that the
-    crawler can ping; unreachable ones get address-restricted mappings
-    and are invisible to it — the source of the paper's undercount.
-    """
-
-    def factory() -> Socket:
-        if reachable:
-            return gateway.open_socket(behaviour=NatBehaviour.FULL_CONE)
-        return gateway.open_socket(
-            behaviour=NatBehaviour.ADDRESS_RESTRICTED
-        )
-
-    return factory

@@ -145,21 +145,6 @@ class GroundTruth:
             if self.users[k].runs_bittorrent
         ]
 
-    def detectable_nated_ips(self) -> Dict[int, int]:
-        """IPs a perfect BitTorrent crawler could prove NATed: ≥2
-        *reachable* BitTorrent users behind one address. The crawler's
-        findings are bounded above by this set."""
-        out: Dict[int, int] = {}
-        for line in self.nat_lines():
-            if line.static_ip is None:
-                continue
-            reachable_bt = [
-                u for u in self.bt_users_behind(line) if u.reachable
-            ]
-            if len(reachable_bt) >= 2:
-                out[line.static_ip] = len(reachable_bt)
-        return out
-
     # -- dynamic ground truth ----------------------------------------------
 
     def dynamic_slash24s(self) -> Set[Prefix]:

@@ -9,7 +9,7 @@ over a RouteViews-derived table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .ipv4 import Prefix
 from .prefixtrie import PrefixTrie
@@ -119,15 +119,6 @@ class ASDatabase:
         """Resolve ``ip`` to the full :class:`ASRecord`."""
         asn = self.asn_of(ip)
         return None if asn is None else self._records.get(asn)
-
-    def group_by_asn(self, ips: Iterable[int]) -> Dict[int, int]:
-        """Count addresses per origin AS; unroutable addresses are
-        grouped under ASN 0."""
-        counts: Dict[int, int] = {}
-        for ip in ips:
-            asn = self.asn_of(ip) or 0
-            counts[asn] = counts.get(asn, 0) + 1
-        return counts
 
     def records(self) -> List[ASRecord]:
         """All records sorted by ASN."""

@@ -132,7 +132,7 @@ class Reactor:
         #: malloc serves a request that large from the heap only if a
         #: free chunk happens to be there, else by mmap + munmap and
         #: two page faults a read — which process pays is an accident
-        #: of what it imported (EXPERIMENTS.md "A leaner heap").
+        #: of what it imported (DESIGN.md §7 "Links").
         self.recv_buffer = memoryview(bytearray(_RECV_CHUNK))
         #: Links with output queued this pass, in marking order.
         self.marked: List["Link"] = []

@@ -988,16 +988,22 @@ _PEER_TIMEOUT = 0.5  # the server's connection_timeout for slow peers
 def _peer_trickles_frame(tmp_path: Path, world: World) -> Record:
     """Beside a polite client, one raw peer trickles a ``ping`` frame, a
     byte per quarter timeout, for up to three timeouts, while another
-    asks a batch and reads the reply a byte per ``recv``: the trickler
-    is answered ``slow frame`` in band and hung up on, the reader gets
-    its whole reply and is then let go, within six timeouts, and the
-    polite client is answered throughout."""
+    asks a batch and reads the reply a KB per tenth of a timeout, over
+    socket buffers too small to take the reply whole: the trickler is
+    answered ``slow frame`` in band and hung up on, the reader gets its
+    whole reply, whose last byte leaves timeouts after it was computed,
+    and is then let go, within six timeouts, and the polite client is
+    answered throughout."""
     record, timeout, ips = Record(), _PEER_TIMEOUT, world.listed
     batch = [(ip, None) for ip in ips]
     with ReputationServer(
         QueryEngine(world.index), connection_timeout=timeout
     ) as server:
         address = server.start()
+        # Accepted sockets inherit the listener's send buffer: with the
+        # reader's receive buffer, a few KB, so the reply leaves in
+        # partial sends as the reader drains it.
+        server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
 
         def trickle() -> None:
             calls, frame = record.conn("trickler"), encode_frame({"op": "ping"})
@@ -1021,15 +1027,17 @@ def _peer_trickles_frame(tmp_path: Path, world: World) -> Record:
 
         def read_slowly() -> None:
             calls, got = record.conn("slow reader"), bytearray()
-            with socket.create_connection(address, timeout=5.0) as sock:
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(5.0)
+                sock.connect(address)
                 started = time.monotonic()
                 sock.sendall(encode_frame({"op": "batch", "queries": [
                     {"ip": ip} for ip, _ in batch
                 ]}))
-                while byte := sock.recv(1):
-                    got += byte
-                    if len(got) % 1024 == 0:
-                        time.sleep(timeout / 50)
+                while chunk := sock.recv(1024):
+                    got += chunk
+                    time.sleep(timeout / 10)
             record.facts["slow reader let go"] = (
                 time.monotonic() - started < 6 * timeout
             )

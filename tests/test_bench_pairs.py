@@ -150,7 +150,9 @@ def test_record_holds_what_the_table_prints(bench_pairs, tmp_path, capsys):
     bench_pairs.record(book, "bulk-hot", {"metrics": rows, "sides": notes})
     bench_pairs.record(book, "bulk-cold", {"pairs": 2})
     bench_pairs.record(book, "bulk-hot", {"metrics": rows, "pairs": 10})
-    written = json.loads(book.read_text())["workloads"]
+    text = book.read_text()
+    assert text.count("\n") == 1 and ", " not in text  # compact, unindented
+    written = json.loads(text)["workloads"]
     assert written["bulk-cold"] == {"pairs": 2}
     assert written["bulk-hot"]["pairs"] == 10
     assert written["bulk-hot"]["metrics"] == json.loads(json.dumps(rows))

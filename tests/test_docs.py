@@ -7,7 +7,9 @@ back. This does, the way ``TestParserSurface`` pins the CLI and
 every ``repro <subcommand>`` and ``--flag`` README.md, DESIGN.md and
 EXPERIMENTS.md quote resolves against the live parser, every repo path
 they quote exists, every ``DESIGN.md §N`` cited from ``src/`` or from
-them is a live heading, and CHANGES.md keeps to its entry format.
+them is a live heading, every quoted section name (``DESIGN.md §7
+"Links"``) starts a heading or a bold lead of its doc, the three keep
+within a byte bound, and CHANGES.md keeps to its entry format.
 """
 
 import os
@@ -26,9 +28,12 @@ DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 MAX_COLUMNS = 100
 MAX_ENTRY_LINES = 15
 
+#: README.md + DESIGN.md + EXPERIMENTS.md, in bytes: a fact that gains
+#: a second home, or a retelling of a past run, has to push another out.
+MAX_DOC_BYTES = 102_562
+
 #: Quoted file names that are not in the tree on purpose.
 NOT_IN_TREE = {
-    "sha.py",  # EXPERIMENTS.md's recipe: the reader saves it
     "report.json",  # what ``repro load --out`` writes
     "greylist.txt",  # what ``repro run --export-dir`` writes
     "hardwire.py",  # DESIGN.md §8's counter-example of a suffix match
@@ -49,6 +54,13 @@ _PATH = re.compile(
     r"(?![\w<*])"
 )
 _SECTION = re.compile(r"DESIGN(?:\.md)? §(\d+)")
+#: ``DESIGN.md §7 "Links"``, ``EXPERIMENTS.md, "Same bytes"``: a doc, an
+#: optional section, and a quoted name that may wrap a line.
+_QUOTED = re.compile(
+    r'\b(README|DESIGN|EXPERIMENTS)(?:\.md)?`?(?: §(\d+))?,?\s+\(?"([^"]{1,80})"'
+)
+_LEAD = re.compile(r"^#+ (?:\d+\. )?(.+)$|\*\*([^*]+)\*\*", re.M)
+_FENCED = re.compile(r"^```.*?^```", re.M | re.S)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +81,11 @@ def flags_of():
         }
         for path, described in _surface(_build_parser()).items()
     }
+
+
+def test_the_docs_keep_within_their_bytes():
+    total = sum((ROOT / name).stat().st_size for name in DOCS)
+    assert total <= MAX_DOC_BYTES
 
 
 class TestChangesFormat:
@@ -179,3 +196,32 @@ class TestQuotedPaths:
             for name, number in cited
             if number not in headings
         }
+
+    def test_every_quoted_section_name_leads_a_heading_or_a_bold_run(
+        self, docs
+    ):
+        sources = dict(docs)
+        for tree in ("src", "tests", "scripts"):
+            for path in sorted((ROOT / tree).rglob("*")):
+                if path.suffix in (".py", ".sh"):
+                    sources[str(path.relative_to(ROOT))] = path.read_text("utf-8")
+        seen, dangling = 0, set()
+        for source, text in sources.items():
+            for doc, section, quoted in _QUOTED.findall(text):
+                seen += 1
+                name = " ".join(re.sub(r"#:?", " ", quoted).split())
+                body = docs[f"{doc}.md"]
+                if section:
+                    part = re.search(
+                        rf"^## {section}\. .*?(?=^## |\Z)", body, re.M | re.S
+                    )
+                    body = part.group() if part else ""
+                leads = (
+                    " ".join((heading or bold).split())
+                    for heading, bold in _LEAD.findall(_FENCED.sub("", body))
+                )
+                if not any(lead.startswith(name) for lead in leads):
+                    where = f" §{section}" if section else ""
+                    dangling.add(f'{source}: {doc}.md{where} "{name}"')
+        assert seen > 10  # the walk found the references
+        assert not dangling

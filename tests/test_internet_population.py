@@ -106,10 +106,6 @@ class TestPopulation:
             if line.nat != NAT_NONE and len(line.user_keys) >= 2:
                 assert line.static_ip in nated
 
-    def test_detectable_subset_of_true(self):
-        truth, _, _ = small_truth()
-        assert set(truth.detectable_nated_ips()) <= set(truth.true_nated_ips())
-
     def test_dynamic_lines_have_pool_timelines(self):
         truth, _, _ = small_truth()
         for line in truth.lines.values():

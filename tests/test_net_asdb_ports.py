@@ -65,13 +65,6 @@ class TestASDatabase:
         with pytest.raises(KeyError):
             db.announce(65000, P("3.0.0.0/24"))
 
-    def test_group_by_asn(self):
-        db = self._db()
-        counts = db.group_by_asn(
-            [ip_to_int("1.0.0.1"), ip_to_int("1.0.0.2"), ip_to_int("9.9.9.9")]
-        )
-        assert counts == {64500: 2, 0: 1}
-
     def test_iteration_sorted(self):
         db = self._db()
         assert [r.asn for r in db] == [64500, 64501]

@@ -300,37 +300,3 @@ class TestChurnAndAblations:
         # The naive rules must flag at least one churned public host.
         assert len(by_ports - {nat_ip}) > 0
         assert len(by_ids - {nat_ip}) > 0
-
-
-class TestNatSocketFactoryHelper:
-    def test_reachable_factory_full_cone(self, world):
-        sched, fabric, hub = world
-        rng = hub.stream("t2")
-        from repro.bittorrent.peer import make_nat_socket_factory
-        from repro.sim.nat import NatGateway
-
-        gw = NatGateway(fabric, ip_to_int("20.0.9.1"), rng)
-        factory = make_nat_socket_factory(gw, reachable=True, rng=rng)
-        sock = factory()
-        got = []
-        sock.on_receive(got.append)
-        stranger = HostStack(fabric, ip_to_int("10.8.8.8"), rng).open_socket()
-        stranger.send(sock.endpoint, b"ping")
-        sched.run()
-        assert len(got) == 1
-
-    def test_unreachable_factory_restricted(self, world):
-        sched, fabric, hub = world
-        rng = hub.stream("t3")
-        from repro.bittorrent.peer import make_nat_socket_factory
-        from repro.sim.nat import NatGateway
-
-        gw = NatGateway(fabric, ip_to_int("20.0.9.2"), rng)
-        factory = make_nat_socket_factory(gw, reachable=False, rng=rng)
-        sock = factory()
-        got = []
-        sock.on_receive(got.append)
-        stranger = HostStack(fabric, ip_to_int("10.8.8.9"), rng).open_socket()
-        stranger.send(sock.endpoint, b"ping")
-        sched.run()
-        assert got == []

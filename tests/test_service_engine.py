@@ -176,7 +176,7 @@ class TestSnapshots:
         with pytest.raises(SnapshotError):
             ReputationIndex.load(path)
 
-    # The fixed header (DESIGN.md, "Snapshot format"): magic, version,
+    # The fixed header (DESIGN.md §9, "Snapshot file"): magic, version,
     # key bytes, family tag, sections, file bytes, CRC-32, padding.
     HEADER = struct.Struct("<8sHH8sIQI4x")
     CRC_AT = 32

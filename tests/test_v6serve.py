@@ -324,7 +324,7 @@ class TestV4NonRegression:
     @staticmethod
     def _snapshot_header(path):
         """``(key bytes, family tag, sections)`` of a snapshot's fixed
-        header (DESIGN.md, "Snapshot format")."""
+        header (DESIGN.md §9, "Snapshot file")."""
         import struct
 
         _magic, _version, key_bytes, tag, sections, _size, _crc = (
