@@ -148,6 +148,13 @@ SEEDS: List[Seed] = [
     Seed("bug: epoch 0 of a day-0 log reports the default day", "stream/epoch.py",
          (("        if day is None:\n", "        if not day:\n"),),
          ("tests/test_stream_service.py", "tests/test_serving_node.py", "-k", "day_0")),
+    # A batch folds every delta of an address, not only its last: the
+    # replay property runs on the served fold, so it sees this.
+    Seed("bug: EpochIndex._updated_intervals keeps only an address's last "
+         "delta of a batch", "stream/epoch.py",
+         (("by_ip.setdefault(delta.ip, []).append(delta)",
+           "by_ip[delta.ip] = [delta]"),),
+         ("tests/test_stream_delta.py", "-k", "Replay")),
     Seed("bug: LogFollower.start() after stop()", "stream/follower.py",
          (("            if self._stop.is_set():\n", "            if False:\n"),),
          ("tests/test_stream_service.py", "-k",

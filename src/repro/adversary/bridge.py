@@ -9,15 +9,17 @@ a *live* index that tails an update log
   same artefact ``repro serve --follow`` or a cluster tails, so an
   adversary scenario can drive a live SLO run
   (``repro load --churn-source``);
-* :func:`verify_stream_fidelity` is the acceptance check: start a
-  :class:`~repro.stream.follower.LogFollower` from the day-0 rollback
-  of the scenario index, let it catch up on the log, score the
-  scenario through the followed :class:`~repro.stream.epoch.
-  EpochIndex`, and demand field-for-field verdict equality (and equal
-  score documents) against the static path. If the streaming plane
-  and the offline index ever disagree about a single verdict field,
-  the adversary lab's numbers would not describe production — so a
-  mismatch raises.
+* :func:`verify_stream_fidelity` is the acceptance check: read the
+  finished log with an :class:`~repro.stream.log.UpdateLogReader`,
+  apply every batch to an :class:`~repro.stream.epoch.EpochIndex` on
+  the day-0 rollback of the scenario index (what a follower does, on
+  the calling thread), score the scenario through it, and demand
+  field-for-field verdict equality (and equal score documents)
+  against the static path. If the streaming plane and the offline
+  index ever disagree about a single verdict field, the adversary
+  lab's numbers would not describe production — so a mismatch, an
+  unreadable log, a batch the index refuses or a log that stops
+  short raises.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from typing import Any, Dict, List
 from ..service.engine import QueryEngine
 from ..stream.delta import DeltaBatch, day_advance_batches
 from ..stream.epoch import EpochIndex, index_as_of
-from ..stream.follower import LogFollower
-from ..stream.log import UpdateLogWriter
+from ..stream.log import UpdateLogError, UpdateLogReader, UpdateLogWriter
 from .models import AbuseScenario
 from .scoring import ScenarioScore, score_with_engine, verdict_fields
 
@@ -87,43 +88,44 @@ def write_scenario_log(score: ScenarioScore, path: "Path | str") -> Path:
 
 
 def _streamed_engine(
-    score: ScenarioScore,
-    log_path: "Path | str",
-    last_seq: int,
-    timeout: float,
+    score: ScenarioScore, log_path: "Path | str", last_seq: int
 ) -> QueryEngine:
-    """An engine over the epoch state a live follower reached after
-    catching up on the whole scenario log."""
+    """An engine over the epoch state the whole scenario log folds to."""
     base = index_as_of(score.index, LOG_START_DAY)
     epochs = EpochIndex(base, day=LOG_START_DAY)
-    if last_seq == 0:
-        return QueryEngine(epochs)
-    follower = LogFollower(log_path, epochs, poll_interval=0.01)
-    with follower:
-        if not follower.wait_for_seq(last_seq, timeout=timeout):
-            error = epochs.error
-            raise StreamFidelityError(
-                f"follower failed to reach seq {last_seq} on "
-                f"{log_path}: {error or 'timeout'}"
-            )
+    try:
+        batches = UpdateLogReader(log_path).poll()
+    except UpdateLogError as exc:
+        raise StreamFidelityError(
+            f"unreadable log {log_path}: {exc}"
+        ) from None
+    try:
+        for batch in batches:
+            epochs.apply(batch)
+    except ValueError as exc:
+        raise StreamFidelityError(
+            f"batch refused from {log_path}: {exc}"
+        ) from None
+    reached = epochs.current.seq
+    if reached < last_seq:
+        raise StreamFidelityError(
+            f"log {log_path} ends at seq {reached}, short of {last_seq}"
+        )
     return QueryEngine(epochs)
 
 
 def verify_stream_fidelity(
     score: ScenarioScore,
     log_path: "Path | str",
-    *,
-    timeout: float = 60.0,
 ) -> Dict[str, Any]:
-    """Score through a live follower and compare to the static path.
+    """Score through the log's epochs and compare to the static path.
 
     Returns a small summary (batches applied, verdicts compared) on
     success; raises :class:`StreamFidelityError` naming the first
-    divergent verdict otherwise. ``timeout`` bounds how long the
-    follower may take to catch up on the log."""
+    divergent verdict, or why the log could not be folded, otherwise."""
     batches = scenario_batches(score)
     last_seq = batches[-1].seq if batches else 0
-    engine = _streamed_engine(score, log_path, last_seq, timeout)
+    engine = _streamed_engine(score, log_path, last_seq)
     streamed_verdicts, streamed_result = score_with_engine(
         score.scenario, engine
     )

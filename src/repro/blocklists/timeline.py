@@ -121,16 +121,6 @@ class ListingStore:
             l for l in self._listings if l.observed_days(windows) > 0
         )
 
-    def ips_listed_in(
-        self, list_id: str, windows: Sequence[Window]
-    ) -> Set[int]:
-        """Addresses visible on ``list_id`` during the windows."""
-        return {
-            l.ip
-            for l in self._by_list.get(list_id, ())
-            if l.observed_days(windows) > 0
-        }
-
     def snapshot(self, list_id: str, day: int) -> Set[int]:
         """Addresses on ``list_id`` on ``day`` (a daily snapshot)."""
         return {
@@ -148,19 +138,6 @@ class ListingStore:
             (l for l in self._by_ip.get(ip, ()) if l.active_on(day)),
             key=lambda l: (l.list_id, l.first_day),
         )
-
-    def diff_against(self, other: "ListingStore") -> List:
-        """Per-IP interval changes that turn this store into ``other``.
-
-        Returns :class:`~repro.stream.delta.ListingDelta` records (the
-        streaming layer's unit of churn), ordered by address then list.
-        ``apply_deltas(self, self.diff_against(other))`` reproduces
-        ``other`` exactly — pinned by a property test against
-        :meth:`listings_active_on` on random day pairs.
-        """
-        from ..stream.delta import diff_stores  # circular at module load
-
-        return diff_stores(self, other)
 
     def listing_count_per_list(
         self, windows: Sequence[Window], ips: Optional[Set[int]] = None

@@ -429,8 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--skip-fidelity",
         action="store_true",
         help=(
-            "skip the live-follower fidelity check (it replays every "
-            "churn log through a real LogFollower; scoring output is "
+            "skip the stream fidelity check (it folds every churn "
+            "log into the served epoch index; scoring output is "
             "unchanged)"
         ),
     )

@@ -92,7 +92,3 @@ class AddressCursor:
         blocks = [Prefix(aligned + i * 256, 24) for i in range(count)]
         self._next = aligned + count * 256
         return blocks
-
-    def remaining_in_current(self) -> int:
-        """Addresses left in the currently-open prefix (diagnostics)."""
-        return max(0, self._prefixes[self._index].last() - self._next + 1)

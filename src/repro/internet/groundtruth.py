@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set
 
 from ..net.asdb import ASDatabase
-from ..net.ipv4 import Prefix, slash24_of
+from ..net.ipv4 import Prefix
 from .dhcp import DhcpPool
 
 __all__ = [
@@ -166,11 +166,6 @@ class GroundTruth:
             ):
                 blocks.update(pool.slash24s())
         return blocks
-
-    def is_dynamic_ip(self, ip: int) -> bool:
-        """True when ``ip`` belongs to any dynamic pool."""
-        block = slash24_of(ip)
-        return block in self.dynamic_slash24s()
 
     # -- population summaries ----------------------------------------------
 

@@ -81,11 +81,6 @@ class AddressStructure:
                 return segment
         raise IndexError(f"no segment covers nibble {nibble_index}")
 
-    def iid_kinds(self) -> List[str]:
-        """Kinds of the segments covering the interface id
-        (nibbles 16–31)."""
-        return [s.kind for s in self.segments if s.end >= 16]
-
     def sample(self, rng) -> int:
         """Generate one candidate address from the discovered model —
         Entropy/IP's target-generation use-case (scanning hitlists).

@@ -84,10 +84,6 @@ class AddressFamily:
             and 0 <= value <= self.max_int
         )
 
-    def atom_of(self, ip: int) -> int:
-        """The atom index (``ip`` shifted down to block granularity)."""
-        return ip >> self.atom_host_bits
-
     def atom_prefix(self, ip: int) -> AnyPrefix:
         """The covering atom as a prefix (/24 for v4, /64 for v6)."""
         return self.make_prefix(ip & ~self.atom_mask, self.atom_bits)

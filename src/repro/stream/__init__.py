@@ -6,9 +6,9 @@ package lets the online service ingest that churn continuously instead
 of serving a frozen batch artefact:
 
 * :mod:`repro.stream.delta` — :class:`ListingDelta` /
-  :class:`DeltaBatch` records, the store diff, and the day-advance
-  generator that replays a scenario's simulated churn as an ordered
-  event stream;
+  :class:`DeltaBatch` records, the day-advance generator that replays
+  a scenario's simulated churn as an ordered event stream, and the
+  span fold that applies it;
 * :mod:`repro.stream.log` — the append-only gzip-member update log
   with sequence numbers, checksums and crash-safe truncated-tail
   recovery;
@@ -22,14 +22,7 @@ of serving a frozen batch artefact:
 ``repro serve --follow`` replays one into a running server.
 """
 
-from .delta import (
-    DeltaBatch,
-    ListingDelta,
-    apply_deltas,
-    day_advance_batches,
-    diff_stores,
-    store_as_of,
-)
+from .delta import DeltaBatch, ListingDelta, day_advance_batches
 from .epoch import Epoch, EpochIndex, index_as_of
 from .follower import LogFollower
 from .log import (
@@ -49,11 +42,8 @@ __all__ = [
     "UpdateLogError",
     "UpdateLogReader",
     "UpdateLogWriter",
-    "apply_deltas",
     "day_advance_batches",
-    "diff_stores",
     "index_as_of",
     "read_update_log",
-    "store_as_of",
     "write_update_log",
 ]

@@ -6,17 +6,15 @@ one such change for one ``(ip, list)`` interval, and a
 :class:`DeltaBatch` groups the deltas one collection tick produced
 under a sequence number.
 
-Two producers exist:
-
-* :func:`diff_stores` — the general diff between two
-  :class:`~repro.blocklists.timeline.ListingStore` states (what a
-  collector emits after comparing today's snapshot set against
-  yesterday's reconstruction);
-* :func:`day_advance_batches` — the simulated-churn replay: walks the
-  scenario's listing intervals one day at a time and emits exactly the
-  add/extend/delist events a live collector would have observed.
-  Applying the whole stream on top of the day-``start_day`` state
-  reconstructs the full store (a pinned property test).
+:func:`day_advance_batches` produces them from a scenario's listing
+store: it walks the listing intervals one day at a time and emits
+exactly the add/extend/delist events a live collector would have
+observed. They are consumed in span form, one address's
+``(first, last, list_id)`` intervals at a time: :func:`truncate_spans`
+rolls an index back to a start day (``index_as_of``) and
+:func:`apply_to_spans` folds a batch on top (``EpochIndex.apply``).
+Replaying the whole stream on the day-``start_day`` rollback
+reconstructs the full store (a pinned property test on that path).
 
 An interval is identified by ``(ip, list_id, first_day)``; within one
 store, a list's intervals for one address never share a start day
@@ -26,18 +24,20 @@ store, a list's intervals for one address never share a start day
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from ..blocklists.timeline import Listing, ListingStore
+if TYPE_CHECKING:
+    # Annotation-only: a serving process folds spans, never a store, so
+    # it does not load the measurement side's listing types.
+    from ..blocklists.timeline import Listing, ListingStore
 
 __all__ = [
     "DeltaBatch",
     "ListingDelta",
     "OPS",
-    "apply_deltas",
     "day_advance_batches",
-    "diff_stores",
-    "store_as_of",
     "truncate_spans",
 ]
 
@@ -160,76 +160,6 @@ def apply_to_spans(
     )
 
 
-def apply_deltas(
-    store: ListingStore, deltas: Iterable[ListingDelta]
-) -> ListingStore:
-    """Apply deltas to a whole store, returning the successor store."""
-    by_ip: Dict[int, List[ListingDelta]] = {}
-    for delta in deltas:
-        by_ip.setdefault(delta.ip, []).append(delta)
-    result = ListingStore()
-    for ip in store.all_ips() | set(by_ip):
-        spans = [
-            (l.first_day, l.last_day, l.list_id)
-            for l in store.listings_of_ip(ip)
-        ]
-        for first, last, list_id in apply_to_spans(spans, by_ip.get(ip, ())):
-            result.add(Listing(list_id, ip, first, last))
-    return result
-
-
-# -- diffing two stores ------------------------------------------------
-
-
-def diff_stores(
-    old: ListingStore, new: ListingStore, *, day: Optional[int] = None
-) -> List[ListingDelta]:
-    """Deltas that transform ``old`` into ``new``, per-IP ordered.
-
-    ``day`` stamps the observation day on every delta (defaults to the
-    latest last day across both stores — "the comparison happened
-    now"). ``apply_deltas(old, diff_stores(old, new)) == new`` is the
-    pinned contract.
-    """
-    if day is None:
-        day = max(
-            (l.last_day for store in (old, new) for l in store), default=0
-        )
-    deltas: List[ListingDelta] = []
-    for ip in old.all_ips() | new.all_ips():
-        old_spans = {
-            (l.list_id, l.first_day): l.last_day
-            for l in old.listings_of_ip(ip)
-        }
-        new_spans = {
-            (l.list_id, l.first_day): l.last_day
-            for l in new.listings_of_ip(ip)
-        }
-        for (list_id, first), last in new_spans.items():
-            old_last = old_spans.get((list_id, first))
-            if old_last is None:
-                deltas.append(
-                    ListingDelta(day, ip, list_id, OP_ADD, first, last)
-                )
-            elif last > old_last:
-                deltas.append(
-                    ListingDelta(day, ip, list_id, OP_EXTEND, first, last)
-                )
-            elif last < old_last:
-                deltas.append(
-                    ListingDelta(day, ip, list_id, OP_DELIST, first, last)
-                )
-        for (list_id, first) in old_spans:
-            if (list_id, first) not in new_spans:
-                deltas.append(
-                    ListingDelta(
-                        day, ip, list_id, OP_DELIST, first, first - 1
-                    )
-                )
-    deltas.sort(key=_sort_key)
-    return deltas
-
-
 # -- day-advance replay ------------------------------------------------
 
 
@@ -244,22 +174,6 @@ def truncate_spans(spans: Iterable[Span], day: int) -> List[Span]:
     )
 
 
-def store_as_of(store: ListingStore, day: int) -> ListingStore:
-    """The listing store as a live collector would know it on ``day``."""
-    result = ListingStore()
-    for listing in store:
-        if listing.first_day <= day:
-            result.add(
-                Listing(
-                    listing.list_id,
-                    listing.ip,
-                    listing.first_day,
-                    min(listing.last_day, day),
-                )
-            )
-    return result
-
-
 def day_advance_batches(
     store: ListingStore,
     *,
@@ -271,7 +185,7 @@ def day_advance_batches(
 
     Yields one :class:`DeltaBatch` per day in
     ``start_day+1 .. end_day`` that saw any change, relative to the
-    day-``start_day`` state (:func:`store_as_of`): a listing opening
+    day-``start_day`` state (:func:`truncate_spans`): a listing opening
     that day is an ``add``, one still present is an ``extend`` to the
     new day, one absent after being present yesterday is a ``delist``
     confirming its final day. ``end_day`` defaults to the last day any

@@ -203,8 +203,17 @@ class TestStreamFidelity:
         raw = log.read_bytes()
         truncated = tmp_path / "truncated.log"
         truncated.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(StreamFidelityError):
-            verify_stream_fidelity(score, truncated, timeout=1.0)
+        with pytest.raises(StreamFidelityError, match="short of"):
+            verify_stream_fidelity(score, truncated)
+
+    def test_damaged_log_fails_fidelity(self, tmp_path):
+        score = score_cached("slow-drip")
+        log = write_scenario_log(score, tmp_path / "full.log")
+        raw = bytearray(log.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        log.write_bytes(bytes(raw))
+        with pytest.raises(StreamFidelityError, match="unreadable log"):
+            verify_stream_fidelity(score, log)
 
 
 class TestScenariosCli:

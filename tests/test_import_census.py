@@ -21,12 +21,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 #: What ``ServingNode`` needs: the serving stack, the address families,
-#: the listing types ``stream.delta`` folds, and the two leaves that
-#: carry the Section 6 policy and the category names across the seam.
+#: and the two leaves that carry the Section 6 policy and the category
+#: names across the seam.
 NODE_MODULES = {
     "repro",
-    "repro.blocklists",
-    "repro.blocklists.timeline",
     "repro.core",
     "repro.core.policy",
     "repro.internet",

@@ -1,12 +1,13 @@
-"""Delta-layer tests: wire rows, diff/apply as inverses, and the
-day-advance replay reconstructing the store it was derived from.
+"""Delta-layer tests: wire rows, the span fold, and the day-advance
+replay reconstructing the store it was derived from.
 
-The diff/apply pair is the streaming system's foundation: if
-``apply_deltas(old, diff_stores(old, new)) != new`` anywhere, every
-layer above (log, epochs, server) silently serves wrong verdicts — so
-the properties here are exercised over randomised store pairs, and
-``ListingStore.diff_against`` is cross-checked against
-``listings_active_on`` on random day pairs as the ISSUE pins it.
+The replay is proved on the path a server answers from: a
+:class:`ReputationIndex` compiled from a random store, rolled back by
+``index_as_of`` and fed each batch through ``EpochIndex.apply``. If an
+address's served intervals ever differ from what a live collector knew
+that day, every layer above (log, server, cluster) serves wrong
+verdicts — so the oracle is written here from the store's listings,
+not from the span helpers the served path itself calls.
 """
 
 import pytest
@@ -14,19 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocklists.timeline import Listing, ListingStore
+from repro.service.index import ReputationIndex
 from repro.stream.delta import (
     OP_ADD,
     OP_DELIST,
     OP_EXTEND,
     DeltaBatch,
     ListingDelta,
-    apply_deltas,
     apply_to_spans,
     day_advance_batches,
-    diff_stores,
-    store_as_of,
     truncate_spans,
 )
+from repro.stream.epoch import EpochIndex, index_as_of
 
 # -- randomised stores -------------------------------------------------
 #
@@ -60,10 +60,32 @@ def _build_store(rows):
 stores = _rows.map(_build_store)
 
 
-def _canon(store):
+def _known_on(store, ip, day):
+    """The oracle: ``ip``'s listings a live collector knows on ``day``
+    — every one already started, ongoing ones cut at ``day``."""
     return sorted(
-        (l.ip, l.list_id, l.first_day, l.last_day) for l in store
+        (l.first_day, min(l.last_day, day), l.list_id)
+        for l in store.listings_of_ip(ip)
+        if l.first_day <= day
     )
+
+
+def _served_replay(store, start_day):
+    """Yield ``(day, index)`` as a server folds the store's churn: the
+    compiled store rolled back to ``start_day``, then each batch."""
+    intervals = {}
+    for l in store:
+        intervals.setdefault(l.ip, []).append(
+            (l.first_day, l.last_day, l.list_id)
+        )
+    full = ReputationIndex(
+        windows=[(0, 40)], intervals=intervals, nated=set(), users={},
+        dynamic_prefixes=[], categories={}, asn_by_ip={},
+    )
+    epochs = EpochIndex(index_as_of(full, start_day), day=start_day)
+    yield start_day, epochs.index
+    for batch in day_advance_batches(store, start_day=start_day):
+        yield batch.day, epochs.apply(batch).index
 
 
 class TestListingDelta:
@@ -140,97 +162,22 @@ class TestApplyToSpans:
         assert once == twice == [(2, 4, "alpha")]
 
 
-class TestDiffApplyInverse:
-    @settings(max_examples=120, deadline=None)
-    @given(stores, stores)
-    def test_apply_of_diff_reaches_target(self, old, new):
-        deltas = diff_stores(old, new)
-        assert _canon(apply_deltas(old, deltas)) == _canon(new)
-
-    @settings(max_examples=60, deadline=None)
-    @given(stores)
-    def test_self_diff_is_empty(self, store):
-        assert diff_stores(store, store) == []
-
-    @settings(max_examples=60, deadline=None)
-    @given(stores, stores)
-    def test_deltas_are_ip_ordered_and_stamped(self, old, new):
-        deltas = diff_stores(old, new, day=42)
-        keys = [(d.ip, d.list_id, d.first_day) for d in deltas]
-        assert keys == sorted(keys)
-        assert all(d.day == 42 for d in deltas)
-
-    def test_shrink_becomes_delist_removal_becomes_retraction(self):
-        old = _build_store([(1, "alpha", 5, 9), (2, "beta", 3, 0)])
-        new = _build_store([(1, "alpha", 5, 2)])
-        deltas = diff_stores(old, new)
-        ops = {(d.ip, d.op, d.removes) for d in deltas}
-        assert ops == {(1, OP_DELIST, False), (2, OP_DELIST, True)}
-
-
-class TestDiffAgainst:
-    """The satellite contract: ``ListingStore.diff_against`` agrees
-    with ``listings_active_on`` on random day pairs."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        stores,
-        stores,
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=30),
-                st.integers(min_value=0, max_value=40),
-            ),
-            min_size=1,
-            max_size=10,
-        ),
-    )
-    def test_active_sets_match_after_apply(self, a, b, probes):
-        patched = apply_deltas(a, a.diff_against(b))
-        for ip, day in probes:
-            assert patched.listings_active_on(ip, day) == (
-                b.listings_active_on(ip, day)
-            )
-
-    def test_returns_listing_deltas(self):
-        a = _build_store([(1, "alpha", 5, 2)])
-        b = _build_store([(1, "alpha", 5, 4), (2, "beta", 1, 1)])
-        deltas = a.diff_against(b)
-        assert all(isinstance(d, ListingDelta) for d in deltas)
-        assert {d.op for d in deltas} == {OP_ADD, OP_EXTEND}
-
-
 class TestAsOfViews:
-    @settings(max_examples=80, deadline=None)
-    @given(stores, st.integers(min_value=-2, max_value=40))
-    def test_store_as_of_matches_span_truncation(self, store, day):
-        view = store_as_of(store, day)
-        for ip in store.all_ips() | view.all_ips():
-            spans = [
-                (l.first_day, l.last_day, l.list_id)
-                for l in store.listings_of_ip(ip)
-            ]
-            expected = truncate_spans(spans, day)
-            got = sorted(
-                (l.first_day, l.last_day, l.list_id)
-                for l in view.listings_of_ip(ip)
-            )
-            assert got == expected
-
     def test_future_intervals_invisible(self):
-        store = _build_store([(1, "alpha", 10, 5), (1, "beta", 3, 2)])
-        view = store_as_of(store, 7)
-        assert [l.list_id for l in view.listings_of_ip(1)] == ["beta"]
+        spans = [(10, 15, "alpha"), (3, 9, "beta")]
+        assert truncate_spans(spans, 7) == [(3, 7, "beta")]
 
 
 class TestDayAdvanceReplay:
     @settings(max_examples=100, deadline=None)
     @given(stores, st.integers(min_value=0, max_value=30))
     def test_full_replay_reconstructs_store(self, store, start_day):
-        state = store_as_of(store, start_day)
-        for batch in day_advance_batches(store, start_day=start_day):
-            state = apply_deltas(state, batch.deltas)
-        assert _canon(state) == _canon(store)
+        *_, (_, index) = _served_replay(store, start_day)
+        for ip in store.all_ips():
+            assert list(index.intervals_of(ip)) == sorted(
+                (l.first_day, l.last_day, l.list_id)
+                for l in store.listings_of_ip(ip)
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(stores, st.integers(min_value=0, max_value=30))
@@ -249,13 +196,14 @@ class TestDayAdvanceReplay:
     @settings(max_examples=50, deadline=None)
     @given(stores, st.integers(min_value=0, max_value=30))
     def test_prefix_replay_matches_as_of_view(self, store, start_day):
-        """Stopping the replay mid-stream leaves exactly the state a
-        live collector would hold on the last applied day — the
-        invariant the serving path's per-epoch verdicts rely on."""
-        state = store_as_of(store, start_day)
-        for batch in day_advance_batches(store, start_day=start_day):
-            state = apply_deltas(state, batch.deltas)
-            assert _canon(state) == _canon(store_as_of(store, batch.day))
+        """Every epoch, the rollback's included, serves exactly what a
+        live collector would hold on its day — the invariant the
+        serving path's per-epoch verdicts rely on."""
+        for day, index in _served_replay(store, start_day):
+            for ip in store.all_ips():
+                assert list(index.intervals_of(ip)) == _known_on(
+                    store, ip, day
+                )
 
     def test_replay_after_horizon_is_empty(self):
         store = _build_store([(1, "alpha", 2, 3)])
