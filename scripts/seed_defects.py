@@ -234,6 +234,16 @@ SEEDS: List[Seed] = [
          "service/aio.py",
          (("                    self.reactor.unregister(self._listener)\n", ""),),
          ("tests/test_faults.py", "-k", "fd-limit-reached")),
+    # Why a peer was dropped is counted, and a reply is not news: only
+    # a flip of a backend's health is an event.
+    Seed("bug: a closed connection goes uncounted", "service/aio.py",
+         (("        self.server.closes[cause.partition(\":\")[0]] += 1\n", ""),),
+         ("tests/test_faults.py", "-k", "peers-dropped-counted")),
+    Seed("bug: every batch reply records a backend event", "cluster/router.py",
+         (("        if not self.healthy:\n            self._flip(True, \"\")\n"
+           "        self._succeed(",
+           "        self._flip(True, \"\")\n        self._succeed("),),
+         ("tests/test_cluster.py", "-k", "no_backend_event")),
     # The router partitions a batch in one bisect pass of its request
     # records over the range starts: the address before a range's
     # first is the range before's.

@@ -705,23 +705,26 @@ def _serving_base(args: argparse.Namespace):
     return base, log_path, start_day
 
 
-def _announce_epoch(epoch, n_deltas) -> None:
-    print(
-        f"epoch {epoch.number} <- seq {epoch.seq} day {epoch.day} "
-        f"(+{n_deltas} deltas)"
-    )
-
-
-def _announce_follow_end(epoch, reason) -> None:
-    """``serve --follow``'s one line when the tail thread dies: the
-    server keeps answering, so say that it went stale and why (the
-    same reason the ``stats`` op's ``epoch`` block carries)."""
-    if reason is not None:
-        print(
-            f"follower stopped: {reason} — still serving epoch "
-            f"{epoch.number} (seq {epoch.seq})",
-            file=sys.stderr,
-        )
+def _echo(event) -> None:
+    """``serve`` and ``cluster``'s one line per recorded event, the
+    ``stats`` op's ``events`` as they happen: a follower's end to
+    stderr (the server keeps answering, stale, and says why), the rest
+    to stdout."""
+    _at, kind, fields = event
+    if kind == "epoch":
+        line = (f"epoch {fields['number']} <- seq {fields['seq']} "
+                f"day {fields['day']} (+{fields['deltas']} deltas)")
+    elif kind == "follow-end":
+        print(f"follower stopped: {fields['reason']} — still serving epoch "
+              f"{fields['number']} (seq {fields['seq']})", file=sys.stderr)
+        return
+    elif kind == "split" and "new_shards" in fields:
+        (left, right), (low, high) = fields["new_shards"], fields["ranges"]
+        line = (f"auto-split: shard {fields['shard']} -> shards {left}+{right} "
+                f"({low} | {high}), now {fields['shards']} shards")
+    else:
+        line = " ".join([kind, *(f"{k}={v}" for k, v in fields.items())])
+    print(line, flush=True)
 
 
 def _checked_conn_timeout(value: float) -> float:
@@ -740,8 +743,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port,
         follow=follow,
         start_day=start_day,
-        on_batch=_announce_epoch,
-        on_follow_end=_announce_follow_end,
+        echo=_echo,
         connection_timeout=conn_timeout,
     )
     host, bound_port = node.address
@@ -785,19 +787,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         host=args.host,
         router_port=port,
         connection_timeout=conn_timeout,
+        echo=_echo,
     )
     splitter = None
     if args.auto_split:
-
-        def announce_split(info: dict) -> None:
-            print(
-                f"auto-split: shard {info['shard']} -> shards "
-                f"{info['new_shards'][0]}+{info['new_shards'][1]} "
-                f"({info['ranges'][0]} | {info['ranges'][1]}), "
-                f"now {info['shards']} shards",
-                flush=True,
-            )
-
         try:
             # Built before anything forks: it refuses a bad --split-*
             # value, and nothing is left to stop.
@@ -808,7 +801,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 sustain=args.split_sustain,
                 min_hits=args.split_min_hits,
                 max_shards=args.max_shards,
-                on_split=announce_split,
             )
         except ValueError as exc:
             raise CliError(f"--auto-split: {exc}") from None

@@ -17,15 +17,14 @@ Two pieces, split so the policy is unit-testable without a cluster:
   nomination start
   :meth:`~repro.cluster.local.LocalCluster.begin_split` — the cutover
   that boots the two half-range backends, cuts routing over, drains
-  and retires, on the same loop. Every decision (split, skip,
-  failure) lands in ``events`` so tests and the CLI can show exactly
-  what the loop did and why.
+  and retires, on the same loop. Every decision is a ``split`` event
+  in the router's record: each phase of a split, and a skip with its
+  reason.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .partition import MAX_SHARDS
 
@@ -108,8 +107,9 @@ class AutoSplitter:
     the router's load, feeds the detector and, on a nomination, begins
     a split on the same loop — no thread of its own, no lock. While a
     split is in flight the load goes unread; its cutover resets the
-    detector anyway. ``on_split`` (if given) fires on the loop after
-    each successful split with the split's info dict.
+    detector anyway. A nomination at ``max_shards`` is a ``split``
+    event of phase ``skip``; the split's own are
+    :meth:`~repro.cluster.local.LocalCluster.begin_split`'s.
     """
 
     def __init__(
@@ -121,7 +121,6 @@ class AutoSplitter:
         sustain: int = 3,
         min_hits: int = 100,
         max_shards: int = MAX_SHARDS,
-        on_split: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"poll interval must be positive: {interval}")
@@ -132,16 +131,11 @@ class AutoSplitter:
         self._cluster = cluster
         self._interval = interval
         self._max_shards = max_shards
-        self._on_split = on_split
         self._detector = HotRangeDetector(
             factor=factor, sustain=sustain, min_hits=min_hits
         )
         self._started = False
         self._stopped = False
-        #: Decision log: dicts with an ``action`` key (``split`` /
-        #: ``skip`` / ``error``); appended on the router's loop, read
-        #: by tests and the CLI after (or during) a run.
-        self.events: List[Dict[str, Any]] = []
 
     def start(self) -> None:
         """Arm the first poll; any thread may call, before or while the
@@ -162,10 +156,6 @@ class AutoSplitter:
         end (or to the cluster's close). Any thread may call."""
         self._stopped = True
 
-    def splits(self) -> List[Dict[str, Any]]:
-        """Just the successful splits from the decision log."""
-        return [e for e in self.events if e["action"] == "split"]
-
     def _tick(self) -> None:
         cluster = self._cluster
         router = cluster.router
@@ -178,38 +168,10 @@ class AutoSplitter:
         if hot is None:
             return
         if len(cluster.partition) >= self._max_shards:
-            self._record("skip", hot, f"at max_shards={self._max_shards}")
+            router.events.add(
+                "split", shard=hot, phase="skip",
+                reason=f"at max_shards={self._max_shards}",
+            )
             return
-        cluster.begin_split(
-            hot, lambda info, error: self._split_done(hot, info, error)
-        )
-
-    def _split_done(
-        self,
-        shard: int,
-        info: Optional[Dict[str, Any]],
-        error: Optional[Exception],
-    ) -> None:
-        if isinstance(error, ValueError):
-            # Unsplittable (single-/24) shard: remember why, keep
-            # watching — another shard may heat up instead.
-            self._record("skip", shard, str(error))
-        elif error is not None:
-            # A failed split leaves the plane serving as it was; the
-            # event log carries the failure to the operator/test.
-            self._record("error", shard, f"{type(error).__name__}: {error}")
-        else:
-            assert info is not None
-            self.events.append({"action": "split", "at": time.time(), **info})
-            if self._on_split is not None:
-                self._on_split(info)
-
-    def _record(self, action: str, shard: int, reason: str) -> None:
-        self.events.append(
-            {
-                "action": action,
-                "shard": shard,
-                "reason": reason,
-                "at": time.time(),
-            }
-        )
+        # How it ends is in the router's split events; nothing waits on it.
+        cluster.begin_split(hot, lambda info, error: None)

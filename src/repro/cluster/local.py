@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..service.index import ReputationIndex
 from ..service.server import DEFAULT_CONNECTION_TIMEOUT
+from ..stream.epoch import Event
 from .partition import PartitionMap, ShardRange
 from .router import (
     DEFAULT_BACKEND_TIMEOUT,
@@ -63,7 +64,8 @@ class LocalCluster:
 
     The partition inherits ``full_index.family``, so handing a
     compiled IPv6 index here boots a v6 cluster with no other knobs.
-    A cluster serves that one family; for both, run two.
+    A cluster serves that one family; for both, run two. ``echo`` is
+    handed each event of the router's record as it is added.
 
     ``mode`` selects nothing: it is accepted (as ``"process"`` only)
     because the frozen ``benchmarks/serving/sut.py`` still passes it,
@@ -84,6 +86,7 @@ class LocalCluster:
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
         backend_timeout: float = DEFAULT_BACKEND_TIMEOUT,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
+        echo: Optional[Callable[[Event], None]] = None,
     ) -> None:
         if mode != "process":
             raise ValueError(
@@ -98,6 +101,7 @@ class LocalCluster:
         self._host = host
         self._replicas = replicas
         self._connection_timeout = connection_timeout
+        self._echo = echo
         # Kept beyond __init__: a restarted primary and an online
         # split restrict fresh slices from it, so a follower replays
         # the log from its start, not from whatever epoch a dead worker
@@ -157,6 +161,7 @@ class LocalCluster:
         """Construct (but don't start) the router over ``addresses``;
         registered on ``self.router`` so :meth:`close` tears it down."""
         self.router = Router(self.partition, addresses, **self._router_args)
+        self.router.events.echo = self._echo
         return self.router
 
     def start(self) -> Tuple[str, int]:
@@ -244,8 +249,10 @@ class LocalCluster:
         ``done(info, None)`` or ``done(None, error)`` fires there when
         it is over — at once with a :class:`ValueError` (from
         ``PartitionMap.split``) for a shard that covers a single /24,
-        or a :class:`RuntimeError` while another split is in flight.
+        or a :class:`RuntimeError` while another split is in flight,
+        each also a ``split`` event of phase ``skip`` with its reason.
         Loop thread only."""
+        assert self.router is not None
         try:
             if self._split is not None:
                 raise RuntimeError(
@@ -255,6 +262,9 @@ class LocalCluster:
         # Refused before it began: the old layout stands, and the
         # caller hears why as from any other failed split.
         except Exception as exc:
+            self.router.events.add(
+                "split", shard=shard_id, phase="skip", reason=str(exc)
+            )
             done(None, exc)
             return
         self._split.boot()
@@ -295,7 +305,9 @@ class _Split:
     **Drain** closes the retired links once idle (or overdue);
     **retire** SIGTERMs the old backends and reaps them off a timer. A
     boot or catch-up failure retires the halves instead, and the old
-    shard serves on. ``done`` fires after the retire.
+    shard serves on. ``done`` fires after the retire. Each phase it
+    enters is a ``split`` event in the router's record; ``done``
+    carries the split's info dict, or its ``error``.
     """
 
     def __init__(
@@ -316,7 +328,7 @@ class _Split:
             for i, (base, half) in enumerate(zip(bases, self.halves))
         ]
         self.old = cluster._backends[shard_id]
-        self.phase = "boot"
+        self._enter("boot")
         #: Start pipes of the half-range workers yet to report.
         self.pipes: Dict[ShardProcess, Any] = {}
         #: The router's links to the halves, dialled by the catch-up.
@@ -324,6 +336,12 @@ class _Split:
         self.retiring: List[ShardProcess] = []
         self.drained = False
         self.error: Optional[Exception] = None
+
+    def _enter(self, phase: str, **fields: Any) -> None:
+        self.phase = phase
+        self.router.events.add(
+            "split", **{"shard": self.shard_id, "phase": phase, **fields}
+        )
 
     def _new(self) -> List[ShardProcess]:
         return [backend for slot in self.slots for backend in slot]
@@ -356,7 +374,7 @@ class _Split:
             return
         if self.pipes:
             return
-        self.phase = "catchup"
+        self._enter("catchup")
         self.links = [
             ShardSlot(
                 self.router, self.shard_id + i, [b.address for b in s], h
@@ -390,7 +408,7 @@ class _Split:
             ))
 
     def cut_over(self) -> None:
-        self.phase = "drain"
+        self._enter("drain")
         cluster, shard_id = self.cluster, self.shard_id
         addresses = [[b.address for b in slot] for slot in cluster._backends]
         addresses[shard_id:shard_id + 1] = [
@@ -415,7 +433,8 @@ class _Split:
             self.reactor.call_later(_TICK_S, self._drain)
 
     def retire(self, backends: List[ShardProcess]) -> None:
-        self.phase = "retire"
+        if self.phase != "retire":
+            self._enter("retire")
         self.retiring = list(backends)
         for backend in backends:
             self._retire(backend)
@@ -434,26 +453,26 @@ class _Split:
         self.reactor.call_later(_TICK_S, reap)
 
     def _finish(self) -> None:
-        self.phase = "done"
         self.cluster._split = None
         if self.error is not None:
+            self._enter("done", error=str(self.error))
             self.done(None, self.error)
             return
-        self.done(
-            {
-                "shard": self.shard_id,
-                "new_shards": [self.shard_id, self.shard_id + 1],
-                "ranges": [str(half) for half in self.halves],
-                "shards": len(self.partition),
-                "drained": self.drained,
-            },
-            None,
-        )
+        info = {
+            "shard": self.shard_id,
+            "new_shards": [self.shard_id, self.shard_id + 1],
+            "ranges": [str(half) for half in self.halves],
+            "shards": len(self.partition),
+            "drained": self.drained,
+        }
+        self._enter("done", **info)
+        self.done(info, None)
 
     def fail(self, error: Exception) -> None:
         """Boot or catch-up failed: the old shard serves on; close what
         the split opened and retire the half-built replacements."""
-        self.phase, self.error = "retire", error
+        self.error = error
+        self._enter("retire", error=str(error))
         self._close(f"split abandoned: {error}")
         self.retire(self._new())
 
@@ -461,7 +480,7 @@ class _Split:
         """The router's loop stopped mid-split (cluster teardown): close
         what the split opened, tell whoever waits on it, and hand back
         every worker it forked or was retiring, to be stopped."""
-        self.phase = "done"
+        self._enter("done", error="cluster closed")
         self._close("cluster closed")
         self.done(None, RuntimeError("cluster closed during the split"))
         return [*self._new(), *self.old]

@@ -19,7 +19,9 @@ negotiation for either — and fans requests out over the shard fleet:
 * ``stats``/``hello`` ask every shard and merge, reporting the
   fleet's ``min``/``max`` epoch and seq so cross-shard staleness is
   visible to the client; the ``router`` block is the router's own
-  :class:`~repro.service.server.Counters`, which no partition swap resets;
+  :class:`~repro.service.server.Counters`, which no partition swap
+  resets, and its ``events`` its own record: backends' flips of
+  health and a split's phases;
 * one admission rule (DESIGN.md §7 "Links") says who answers for a
   shard: a backend whose link is healthy and whose last reported seq
   is at or above its slot's *mark*, the highest seq the slot has
@@ -170,7 +172,9 @@ class Backend(Link):
     order. Any close drops back to ``"idle"`` and fails both queues
     over to the subs' next candidates. Loop-thread owned, ``healthy``,
     ``cause`` and ``seq`` included: they are written only from what
-    this link experienced."""
+    this link experienced. Each flip of ``healthy`` is a ``backend``
+    event in the router's record — a flip, not a reply: every reply
+    says the link is up, so only one that finds it down records."""
 
     def __init__(self, router: "Router", address: Tuple[str, int]) -> None:
         super().__init__()
@@ -295,7 +299,8 @@ class Backend(Link):
             raise WireError("message reply to a batch request")
         seq = _seq_of(sub.request, result)[1] if ok else 0
         self.pending.popleft()
-        self.healthy, self.cause = True, ""
+        if not self.healthy:
+            self._flip(True, "")
         if not ok:
             error = str(reply.get("error", "unknown error"))
             self._router._complete(sub.fail, sub.finish, "reject", error)
@@ -313,8 +318,16 @@ class Backend(Link):
             raise WireError(f"unexpected frame type {ftype}")
         records = sub.codec.split_batch_reply(payload)
         self.pending.popleft()
-        self.healthy, self.cause = True, ""
+        if not self.healthy:
+            self._flip(True, "")
         self._succeed(sub, "records", records, sub.codec.reply_seq(records))
+
+    def _flip(self, healthy: bool, cause: str) -> None:
+        self.healthy, self.cause = healthy, cause
+        host, port = self.address
+        self._router.events.add(
+            "backend", address=f"{host}:{port}", healthy=healthy, cause=cause
+        )
 
     def on_close(self, cause: str) -> None:
         """The link died: fail its in-flight requests over to the next
@@ -326,7 +339,9 @@ class Backend(Link):
         self.waiting.clear()
         self.state = "idle"
         if subs or cause != PEER_EOF:
-            self.healthy, self.cause = False, cause
+            if self.healthy:
+                self._flip(False, cause)
+            self.cause = cause
         for sub in subs:
             sub.failed += 1
             self._router._submit(sub, cause)
@@ -479,7 +494,8 @@ class Router(FrontDoor):
         # The loop has exited; the upstream links (including any
         # retired-but-undrained ones) are ours to close directly.
         # Nobody is left to answer, so what they had in flight is
-        # dropped, not failed over.
+        # dropped, not failed over, and nobody to hear of it.
+        self.events.echo = None
         for backend in self._backends() + self._retired:
             backend.pending.clear()
             backend.waiting.clear()

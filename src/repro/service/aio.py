@@ -30,7 +30,10 @@ Four layers:
   :class:`~repro.cluster.router.Backend`.
 * :class:`WireServer` — accept loop, the one deadline sweep over
   every link on the loop (:meth:`Link.expire`), graceful shutdown and
-  the context manager. Each request goes to its
+  the context manager. It counts each connection's close by its cause
+  (``closes``) and records an accept paused at the fd limit, and its
+  resumption, as events (``events``, the process's
+  :class:`~repro.stream.epoch.Events`). Each request goes to its
   :meth:`~WireServer.handle` method, which a subclass fills in;
   ``kind`` is ``"msg"`` (one decoded request object) or ``"batch"``
   (the payload of a batch-request frame, not yet read;
@@ -54,9 +57,10 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..stream.epoch import Events
 from .wire import (
     FT_MSG,
     MAX_FRAME_BYTES,
@@ -670,7 +674,10 @@ class Conn(Link):
     request order. A protocol violation that keeps the stream in sync
     is answered in-band, one that loses it is answered and then the
     connection closes once the reply drained — as it does after a
-    peer EOF or a server shutdown (``closing``).
+    peer EOF, a ``slow frame`` or a server shutdown: ``closing`` holds
+    the cause it closes with. Every close is counted in its server's
+    ``closes`` by the cause's text before any ``:``, so each key is a
+    fixed phrase, whatever a peer sends.
     """
 
     __slots__ = ("server", "fd", "address", "slots", "closing",
@@ -684,8 +691,9 @@ class Conn(Link):
         self.fd = sock.fileno()
         self.address = address
         self.slots: Deque[Slot] = deque()
-        #: No further requests are read; close once replies drained.
-        self.closing = False
+        #: The cause to close with once replies drained (``None``
+        #: while requests are still read).
+        self.closing: Optional[str] = None
         #: True while reads are suspended for backpressure.
         self.paused = False
         self.attach(server.reactor, sock)
@@ -722,16 +730,20 @@ class Conn(Link):
         self._new_slot(request_id).fail(str(exc))
         if not exc.recoverable:
             # Framing broke: close once the error reply drained.
-            self.closing = True
+            self.closing = f"garbled frame: {exc}"
 
     def on_eof(self) -> None:
-        # No further requests; flush what is queued, then close
-        # (immediately if nothing is pending).
-        self.closing = True
+        self._end(PEER_EOF)
+
+    def _end(self, cause: str) -> None:
+        """Read no further requests; flush what is queued, then close
+        with ``cause`` (at once if nothing is pending)."""
+        self.closing = self.closing or cause
         self.flush()
 
     def on_close(self, cause: str) -> None:
         self.slots.clear()
+        self.server.closes[cause.partition(":")[0]] += 1
         self.server.forget(self)
 
     def expire(self, now: float) -> None:
@@ -741,7 +753,8 @@ class Conn(Link):
         if self.slots or now - self.last_activity <= self.server._connection_timeout:
             return
         if self.inbuf and not (self.paused or self.closing):
-            self.on_garbled(WireError("slow frame"), 0)
+            self._new_slot(0).fail("slow frame")
+            self._end("slow frame")
         else:
             self.close("idle timeout")
 
@@ -758,7 +771,8 @@ class Conn(Link):
                 self.flush()  # updates ``paused`` before the next read
         except Exception as exc:
             self.close(f"internal error: {exc}")
-        self.on_eof()  # as if the peer had hung up behind them
+        # As if the peer had hung up behind them.
+        self._end("server shutdown")
 
     def slot_done(self) -> None:
         """A slot completed: release every reply at the queue head,
@@ -777,7 +791,7 @@ class Conn(Link):
             if out:
                 return _WRITE
             if not self.slots:
-                self.close("drained")
+                self.close(self.closing)
             return 0  # await async completions
         # Backpressure: stop reading a peer that pipelines faster than
         # it drains replies, so outbuf and the slot queue stay bounded;
@@ -832,6 +846,10 @@ class WireServer:
         self._closed = False  # written by _close_listener only
         self._accepting = True  # False while the fd limit unwatched it
         self.accept_errors = 0  # accepts short of an fd or memory
+        #: Closed connections by cause (``Conn``), for ``stats``.
+        self.closes: Counter = Counter()
+        #: This loop's record; a door may hand it another to add to.
+        self.events = Events()
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._listener = socket.socket(
@@ -959,6 +977,9 @@ class WireServer:
                     self.accept_errors += 1
                     self._accepting = False
                     self.reactor.unregister(self._listener)
+                    self.events.add(
+                        "accept-paused", cause=os.strerror(exc.errno)
+                    )
                 return  # listener closed, or a transient accept error
             if self._shutting_down:
                 sock.close()
@@ -987,5 +1008,6 @@ class WireServer:
         if not (self._accepting or self._shutting_down):
             self._accepting = True
             self.reactor.register(self._listener, _READ, self._on_accept)
+            self.events.add("accept-resumed")
         interval = max(0.05, min(1.0, self._tightest / 4.0))
         self.reactor.call_later(interval, self._sweep)

@@ -79,7 +79,10 @@ default day are two keys holding byte-identical records.
 
 The loop thread also counts, in one :class:`Counters` table: the
 cache's hits and misses and, once the record loop has returned, what
-reached the index. ``stats`` reads it beside the epoch's views.
+reached the index. ``stats`` reads it beside the epoch's views, and
+ends in the ``loop`` block and the ``events`` the door's
+:class:`~repro.stream.epoch.Events` record kept, newest first (a
+server's is its epoch index's, so a follower's swaps are in it).
 
 Robustness contract: a malformed frame or request gets an error reply
 (``{"ok": false, "error": ...}``), never a crash; a broken frame
@@ -103,7 +106,10 @@ through a drain too. It has four outcomes:
 * accept paused — an accept that finds no descriptor or memory left
   unwatches the listener, so the loop does not spin on its backlog,
   and counts in ``stats``' ``loop`` block as ``accept_errors``; the
-  next sweep watches it again.
+  next sweep watches it again. Both are events.
+
+Every connection's close is counted in the ``loop`` block's
+``closes``, by its cause's fixed phrase.
 
 Shutdown is graceful — queued replies drain, the listener stops
 accepting.
@@ -120,7 +126,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..net.family import V4, AddressFamily, family_of_ip
 from ..stream.delta import DeltaBatch
-from ..stream.epoch import Epoch, EpochIndex
+from ..stream.epoch import Epoch, EpochIndex, Event
 from ..stream.follower import LogFollower
 from .aio import Conn, Slot, WireServer
 from .engine import QueryEngine
@@ -336,10 +342,11 @@ class FrontDoor(WireServer):
     protocol, **fields}`` plus the negotiation keys, the door's
     :meth:`_hello` supplying the fields; ``stats`` is the door's
     :meth:`_stats` payload plus the ``loop`` block (what the reactor's
-    guards caught, and the accepts the fd limit failed); any other op
-    is unknown. A hook hands its answer to
-    the callback it is given — at once (a server) or later from the
-    loop (a router, which hands a failing gather's cause to ``fail``).
+    guards caught, the accepts the fd limit failed, the closes by
+    cause) and the door's ``events``; any other op is unknown. A hook
+    hands its answer to the callback it is given — at once (a server)
+    or later from the loop (a router, which hands a failing gather's
+    cause to ``fail``).
     A door sets ``_codec``, the one batch codec (hence family) it
     answers, and ``_plane``, what a batch frame of another family is
     told cannot answer it."""
@@ -396,7 +403,9 @@ class FrontDoor(WireServer):
                         **payload,
                         "loop": {"callback_errors": loop.callback_errors,
                                  "callback_error": loop.callback_error,
-                                 "accept_errors": self.accept_errors},
+                                 "accept_errors": self.accept_errors,
+                                 "closes": dict(self.closes)},
+                        "events": self.events.recent(),
                     }}),
                     slot.fail,
                 )
@@ -456,6 +465,7 @@ class ReputationServer(FrontDoor):
         self._carrying: Optional[Iterator[Tuple[bytes, bytes]]] = None
         self._counters = Counters("cache.hits", "cache.misses")
         super().__init__(host, port, connection_timeout=connection_timeout)
+        self.events = self._epochs.events
 
     def _hello(self, answer: Answer, fail: Fail) -> None:
         epoch = self._epochs.current
@@ -548,12 +558,12 @@ class ServingNode:
     a shard's is already restricted to its range, and one that will
     ``follow`` an update log is already rolled back to the log's
     ``start_day``. Following happens on the
-    ``repro-log-follower`` thread, and so do its three hooks:
-    ``batch_filter`` rewrites a batch before it is applied (a shard
-    keeps its range's deltas), ``on_batch(epoch, n_deltas)`` announces
-    a swap, ``on_follow_end(epoch, reason)`` the end of following
-    (``reason`` is ``None`` after a clean stop). Binds on construction;
-    runs one way, :meth:`serve_forever` on the calling thread.
+    ``repro-log-follower`` thread, and so does ``batch_filter``, which
+    rewrites a batch before it is applied (a shard keeps its range's
+    deltas). ``echo`` is handed each event of the node's record as it
+    is added (:class:`~repro.stream.epoch.Events`). Binds on
+    construction; runs one way, :meth:`serve_forever` on the calling
+    thread.
     """
 
     def __init__(
@@ -565,21 +575,17 @@ class ServingNode:
         follow: "Path | str | None" = None,
         start_day: Optional[int] = None,
         batch_filter: Optional[Callable[[DeltaBatch], DeltaBatch]] = None,
-        on_batch: Optional[Callable[[Epoch, int], None]] = None,
-        on_follow_end: Optional[
-            Callable[[Epoch, Optional[str]], None]
-        ] = None,
+        echo: Optional[Callable[[Event], None]] = None,
         connection_timeout: float = DEFAULT_CONNECTION_TIMEOUT,
     ) -> None:
         epochs = EpochIndex(base, day=start_day)
+        epochs.events.echo = echo
         self._following: Any = nullcontext()  # or a follower's start…stop
         if follow is not None:
             self._following = LogFollower(
                 follow,
                 epochs,
                 poll_interval=_FOLLOW_POLL_S,
-                on_batch=on_batch,
-                on_end=on_follow_end,
                 batch_filter=batch_filter,
             )
         self._server = ReputationServer(

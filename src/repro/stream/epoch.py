@@ -14,6 +14,10 @@ without ever making readers wait:
   new one in full, never a torn mix;
 * writers serialise on a lock; readers take no lock at all.
 
+Each publication, and a feeder's end, is an event in the index's
+:class:`Events` record, the one record of declared state changes a
+serving process keeps (its doors add theirs), read by the ``stats`` op.
+
 :func:`index_as_of` builds the streaming starting point: the full
 run's measurement products (NAT verdicts, dynamic prefixes, AS data —
 the slow pipeline's output) with the listing intervals rolled back to
@@ -24,8 +28,12 @@ that day forward then converges to the batch index.
 from __future__ import annotations
 
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet, List, Optional, Tuple,
+)
 
 from .delta import DeltaBatch, ListingDelta, apply_to_spans, truncate_spans
 
@@ -35,7 +43,41 @@ if TYPE_CHECKING:
     # would make the package import order cyclic.
     from ..service.index import ReputationIndex
 
-__all__ = ["Epoch", "EpochIndex", "index_as_of"]
+__all__ = ["Epoch", "EpochIndex", "Events", "index_as_of"]
+
+#: ``(seconds, kind, fields)``: one declared state change, at Unix time.
+Event = Tuple[float, str, Dict[str, Any]]
+
+#: How many events a record keeps: the newest, the older dropped.
+EVENTS_KEPT = 64
+
+
+class Events:
+    """One serving process's record of its declared state changes: a
+    deque of the newest :data:`EVENTS_KEPT` events. Any thread may
+    :meth:`add` (a follower adds ``epoch`` and ``follow-end``, the loop
+    the rest), and :meth:`recent` copies the deque in one C call, which
+    an append cannot tear. ``echo``, if set, is handed each event on
+    the thread that adds it: how the CLI prints them, for the library
+    never does."""
+
+    def __init__(self) -> None:
+        self._kept: Deque[Event] = deque(maxlen=EVENTS_KEPT)
+        self.echo: Optional[Callable[[Event], None]] = None
+
+    def add(self, kind: str, **fields: Any) -> None:
+        event = (time.time(), kind, fields)
+        self._kept.append(event)
+        if self.echo is not None:
+            self.echo(event)
+
+    def recent(self) -> List[Dict[str, Any]]:
+        """The kept events, newest first, as wire dicts: ``at`` (Unix
+        seconds), ``kind``, then its fields."""
+        return [
+            {"at": round(at, 3), "kind": kind, **fields}
+            for at, kind, fields in reversed(self._kept.copy())
+        ]
 
 
 @dataclass(frozen=True)
@@ -71,6 +113,9 @@ class EpochIndex:
     when it dies: readers keep
     answering from the last good epoch, and :meth:`stats` — hence the
     ``stats`` wire op — says that the state is stale and why.
+    ``events`` records each published epoch (``epoch``: its number,
+    seq, day and deltas) and the end (``follow-end``: the reason, and
+    the number and seq still served).
     """
 
     def __init__(
@@ -83,6 +128,7 @@ class EpochIndex:
         self._deltas_applied = 0
         self._batches_skipped = 0
         self._error: Optional[str] = None
+        self.events = Events()
 
     @property
     def current(self) -> Epoch:
@@ -102,6 +148,10 @@ class EpochIndex:
     def fail(self, reason: str) -> None:
         """Declare the index stale: its feeder ended with ``reason``."""
         self._error = reason
+        epoch = self._current
+        self.events.add(
+            "follow-end", reason=reason, number=epoch.number, seq=epoch.seq
+        )
 
     def apply(self, batch: DeltaBatch) -> Epoch:
         """Apply one delta batch and publish the successor epoch.
@@ -128,6 +178,10 @@ class EpochIndex:
             )
             self._deltas_applied += len(batch.deltas)
             self._current = successor  # the swap: one atomic store
+            self.events.add(
+                "epoch", number=successor.number, seq=batch.seq,
+                day=batch.day, deltas=len(batch.deltas),
+            )
             return successor
 
     @staticmethod

@@ -10,12 +10,11 @@ sequence gap), the file turning unreadable, a batch the index refuses
 — is recorded on the epoch index with its reason
 (:meth:`EpochIndex.fail <repro.stream.epoch.EpochIndex.fail>`), so it
 rides the ``stats`` wire op's ``epoch`` block, where what was applied
-is counted too: the follower keeps no counters. The server keeps
-answering from the last good epoch, which is the only sane degradation
-for a reputation service (stale beats down) — but it must be a
-*declared* stale, never a silent one. The thread's last act is the
-``on_end(epoch, reason)`` hook (``None`` after a clean ``stop``): the
-one place the end of following is announced from.
+is counted too: the follower keeps no counters, and the index's
+events record each swap and that end. The server keeps answering from
+the last good epoch, which is the only sane degradation for a
+reputation service (stale beats down) — but it must be a *declared*
+stale, never a silent one.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .delta import DeltaBatch
-from .epoch import Epoch, EpochIndex
+from .epoch import EpochIndex
 from .log import UpdateLogReader
 
 __all__ = ["LogFollower"]
@@ -47,15 +46,11 @@ class LogFollower:
         epochs: EpochIndex,
         *,
         poll_interval: float = 0.1,
-        on_batch: Optional[Callable[[Epoch, int], None]] = None,
-        on_end: Optional[Callable[[Epoch, Optional[str]], None]] = None,
         batch_filter: Optional[Callable[[DeltaBatch], DeltaBatch]] = None,
     ) -> None:
         self._reader = UpdateLogReader(path)
         self._epochs = epochs
         self._poll_interval = poll_interval
-        self._on_batch = on_batch
-        self._on_end = on_end
         self._batch_filter = batch_filter
         self._stop = threading.Event()
         # Guards the thread handle between start() and stop().
@@ -86,17 +81,13 @@ class LogFollower:
             ):
                 if self._batch_filter is not None:
                     batch = self._batch_filter(batch)
-                epoch = self._epochs.apply(batch)
-                if self._on_batch is not None:
-                    self._on_batch(epoch, len(batch.deltas))
+                self._epochs.apply(batch)
         except Exception as exc:
             # A log error, an OSError from open() (EACCES, EISDIR,
             # EIO), a batch the index refuses: the thread is over
             # either way, and a dead follower nobody can see is a
             # silently stale answer.
             self._epochs.fail(f"{type(exc).__name__}: {exc}")
-        if self._on_end is not None:
-            self._on_end(self._epochs.current, self._epochs.error)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Stop tailing and join the thread (idempotent)."""
@@ -105,20 +96,6 @@ class LogFollower:
             thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout=timeout)
-
-    def wait_for_seq(self, seq: int, timeout: float = 30.0) -> bool:
-        """Block until the applied sequence reaches ``seq`` (tests and
-        the replay CLI use this to detect catch-up)."""
-        deadline = threading.Event()
-        waited = 0.0
-        step = min(self._poll_interval, 0.05)
-        while waited < timeout:
-            failed = self._epochs.error is not None
-            if self._epochs.current.seq >= seq or failed:
-                return self._epochs.current.seq >= seq
-            deadline.wait(step)
-            waited += step
-        return self._epochs.current.seq >= seq
 
     def __enter__(self) -> "LogFollower":
         return self.start()

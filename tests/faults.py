@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import io
 import json
 import math
 import os
@@ -43,7 +42,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import repro
-from repro.cli import _announce_follow_end
 from repro.cluster import SHARD_UNAVAILABLE, LocalCluster, PartitionMap, Router
 from repro.loadgen import TrafficGenerator, get_mix, population_from_analysis
 from repro.net.family import V4
@@ -53,7 +51,7 @@ from repro.service.index import ReputationIndex
 from repro.service.server import ReputationServer
 from repro.service.wire import (
     CODECS, FT_MSG, FrameReader, decode_frame, decode_msg_payload, encode_binary_frame,
-    encode_frame,
+    encode_frame, encode_msg_frame,
 )
 from repro.stream.delta import DeltaBatch, ListingDelta, day_advance_batches
 from repro.stream.epoch import EpochIndex, index_as_of
@@ -75,7 +73,7 @@ class Record:
     """What a fault's clients saw; nothing in it is judged here."""
 
     conns: Dict[str, List[Call]] = field(default_factory=dict)
-    #: Declared causes read back: ``epoch.error``, a refusal, stderr.
+    #: Declared causes read back: ``epoch.error``, an event, a refusal.
     causes: List[str] = field(default_factory=list)
     #: Exit codes of the processes the fault did not kill on purpose.
     exits: Dict[str, Optional[int]] = field(default_factory=dict)
@@ -409,9 +407,13 @@ def _auto_split_under_load(tmp_path: Path, world: World) -> Record:
             len(asked[1]) if asked[0] == "query_batch" else 1
             for calls in record.conns.values() for _, asked, _, _ in calls
         )
-        record.facts["split announced"] = "auto-split:" in output()
         with ReputationClient(*address, codec="binary") as client:
             hello = Conn(client, record.conn("after")).ask("hello")
+            events = client.stats()["events"]
+        record.facts["split done"] = any(
+            e["kind"] == "split" and e["phase"] == "done" and "new_shards" in e
+            for e in events
+        )
         record.facts["shards > 3"] = hello["cluster"]["shards"] > 3
     return record
 
@@ -522,8 +524,8 @@ def _fake_primary(script: Callable[[Any], Any], codec: str = "json", op: str = "
     """A fake primary answers by ``script``, short of what the protocol
     promises: asked on a ``codec`` connection, ``op`` (if any) and a
     query are answered from the replica — a sub lost instead would
-    stall its downstream slot for ever — and the primary's ``stats``
-    row says why it is down."""
+    stall its downstream slot for ever — and the router's one
+    ``backend`` event is the primary going down, with why."""
 
     def run(tmp_path: Path, world: World) -> Record:
         record = Record()
@@ -535,9 +537,12 @@ def _fake_primary(script: Callable[[Any], Any], codec: str = "json", op: str = "
                 conn.ask("query", world.listed[0])
             with ReputationClient(*router.address, timeout=3.0) as watcher:
                 stats = watcher.stats()
-        row = stats["shards"][0]["backends"][0]
-        record.causes.append(row.get("cause", ""))
-        record.facts["primary down"] = not row["healthy"]
+        primary = ":".join(map(str, stats["shards"][0]["backends"][0]["address"]))
+        flips = [e for e in stats["events"] if e["kind"] == "backend"]
+        record.causes += [flip["cause"] for flip in flips]
+        record.facts["primary down"] = [
+            (flip["address"], flip["healthy"]) for flip in flips
+        ] == [(primary, False)]
         record.facts["failed over"] = stats["router"]["failovers"] >= 1
         return record
 
@@ -592,7 +597,7 @@ def _log_swaps_under_load(tmp_path: Path, world: World) -> Record:
     final, ips, days = world.batches[-1].seq, world.listed, world.days
     with ReputationServer(
         QueryEngine(epochs), connection_timeout=10.0, streaming=True
-    ) as server, LogFollower(log_path, epochs, poll_interval=0.002) as follower:
+    ) as server, LogFollower(log_path, epochs, poll_interval=0.002):
         address = server.start()
 
         def ask(seed: int) -> None:
@@ -604,7 +609,7 @@ def _log_swaps_under_load(tmp_path: Path, world: World) -> Record:
 
         _threads(*(lambda n=n: ask(n) for n in range(4)),
                  lambda: [writer.append(batch) for batch in world.batches])
-        record.facts["caught up"] = follower.wait_for_seq(final, timeout=30.0)
+        record.facts["caught up"] = wait_for_seq([address], final)
         with ReputationClient(*address) as client:
             conn = Conn(client, record.conn("after"))
             for day in days:
@@ -632,9 +637,10 @@ def _log_append_fails(tmp_path: Path, world: World) -> Record:
 
     with ReputationServer(
         QueryEngine(epochs), connection_timeout=5.0, streaming=True
-    ) as server, LogFollower(log_path, epochs, poll_interval=0.005) as follower:
+    ) as server, LogFollower(log_path, epochs, poll_interval=0.005):
+        address = server.start()
         writer.append(first)
-        record.facts["caught up"] = follower.wait_for_seq(first.seq, 10.0)
+        record.facts["caught up"] = wait_for_seq([address], first.seq, 10.0)
         writer._write = disk_full
         try:
             writer.append(retried)
@@ -644,8 +650,8 @@ def _log_append_fails(tmp_path: Path, world: World) -> Record:
         record.facts["seq kept"] = writer.next_seq == retried.seq
         writer.append(retried)
         writer.append(last)
-        record.facts["at the last seq"] = follower.wait_for_seq(last.seq, 10.0)
-        with ReputationClient(*server.start()) as client:
+        record.facts["at the last seq"] = wait_for_seq([address], last.seq, 10.0)
+        with ReputationClient(*address) as client:
             conn = Conn(client, record.conn("client"))
             conn.ask("query_batch", [(ip, last.day) for ip in world.listed])
             conn.ask("hello")
@@ -658,23 +664,22 @@ def _follow_fault(damage, asks=lambda good: ()):
     fault can swap what the path names in one rename), until
     ``damage(log, tmp_path, world)`` breaks the log; it returns text
     the declared reason must also name, or ``None``. The stale server
-    is then asked ``asks(good)``, a point query and a ``hello``."""
+    is then asked ``asks(good)``, a point query and a ``hello``, and
+    its events hold one ``follow-end`` at the seq it serves."""
 
     def run(tmp_path: Path, world: World) -> Record:
-        record, good, stderr = Record(), world.batches[0], io.StringIO()
+        record, good = Record(), world.batches[0]
         real, log_path = tmp_path / "updates.real.gz", tmp_path / "updates.gz"
         UpdateLogWriter(real, start_day=world.start_day).append(good)
         log_path.symlink_to(real)
         epochs = EpochIndex(world.base, day=world.start_day)
-        follower = LogFollower(
-            log_path, epochs, poll_interval=0.01,
-            on_end=_announce_follow_end,  # what ``repro serve`` hangs there
-        )
+        follower = LogFollower(log_path, epochs, poll_interval=0.01)
         with ReputationServer(
             QueryEngine(epochs), connection_timeout=5.0, streaming=True
-        ) as server, contextlib.redirect_stderr(stderr):
-            with follower, ReputationClient(*server.start(), codec="binary") as client:
-                record.facts["caught up"] = follower.wait_for_seq(good.seq, 10.0)
+        ) as server:
+            address = server.start()
+            with follower, ReputationClient(*address, codec="binary") as client:
+                record.facts["caught up"] = wait_for_seq([address], good.seq, 10.0)
                 record.facts["clean before"] = client.stats()["epoch"]["error"] is None
                 place = damage(log_path, tmp_path, world)
                 deadline = time.monotonic() + 1.0
@@ -686,17 +691,16 @@ def _follow_fault(damage, asks=lambda good: ()):
                 conn = Conn(client, record.conn("client"))
                 for ask in [*asks(good), ("query", good.deltas[0].ip)]:
                     conn.ask(*ask)
+                ends = [e for e in client.stats()["events"] if e["kind"] == "follow-end"]
+                record.causes += [end["reason"] for end in ends]
                 record.facts.update({
                     "names its place": place is None or place in (reason or ""),
                     "follower holds it": epochs.error == reason,
-                    "tail ended": not follower._thread.is_alive(),
                     "serving seq": conn.ask("hello")["seq"],
+                    "one follow-end at the seq": [
+                        (end["reason"], end["seq"]) for end in ends
+                    ] == [(reason, good.seq)],
                 })
-            record.facts["stopped"] = follower._thread is None
-        announced = stderr.getvalue()
-        record.causes += announced.splitlines()
-        record.facts["announced once"] = announced.count("follower stopped:") == 1
-        record.facts["announces the seq"] = f"(seq {good.seq})" in announced
         return record
 
     return run
@@ -1049,6 +1053,41 @@ def _peer_trickles_frame(tmp_path: Path, world: World) -> Record:
     return record
 
 
+def _peers_dropped_counted(tmp_path: Path, world: World) -> Record:
+    """Three raw peers a server drops, each for its own cause: one sends
+    two bytes of a length prefix and stops, one sends nothing, and one
+    negotiates the binary codec and sends a frame whose magic byte is
+    flipped. Each is told its cause in band, if it sent anything, before
+    it is hung up on, and the ``loop`` block counts each close under its
+    own cause."""
+    record = Record()
+    bad = bytearray(encode_msg_frame({"op": "ping"}, 1))
+    bad[0] ^= 0xFF
+    hello = encode_frame({"op": "hello", "accept_codecs": ["binary"]})
+    sends = {"trickler": encode_frame({"op": "ping"})[:2], "silent": b"",
+             "bad magic": hello + bad}
+    with ReputationServer(
+        QueryEngine(world.index), connection_timeout=_PEER_TIMEOUT
+    ) as server:
+        address = server.start()
+
+        def peer(name: str) -> None:
+            with socket.create_connection(address, timeout=5.0) as sock:
+                frames, told, binary = FrameReader(sock), [], name == "bad magic"
+                sock.sendall(sends[name])
+                if binary:
+                    frames.read()  # the hello's reply, still JSON-framed
+                while (reply := frames.read(binary=binary)) is not None:
+                    told.append(decode_msg_payload(reply[2]) if binary else reply)
+                record.facts[f"{name} told"] = [r["error"] for r in told]
+
+        _threads(*(lambda name=name: peer(name) for name in sends))
+        with ReputationClient(*address) as client:
+            Conn(client, record.conn("polite")).ask("query", world.listed[0])
+            record.facts["closes"] = client.stats()["loop"].get("closes")
+    return record
+
+
 #: The soft descriptor limit the fd-limit fault's server sets itself:
 #: a few dozen connections past its own descriptors.
 _FD_LIMIT = 48
@@ -1138,8 +1177,7 @@ def _snapshot_truncated(tmp_path: Path, world: World) -> Record:
 _KILLED = {"killed": -signal.SIGKILL, "kill landed mid-stream": True,
            "victim slot emptied": True}
 _LOG = {"caught up": True, "clean before": True, "names its place": True,
-        "follower holds it": True, "tail ended": True, "serving seq": 1,
-        "stopped": True, "announced once": True, "announces the seq": True}
+        "follower holds it": True, "serving seq": 1, "one follow-end at the seq": True}
 _SPLIT = {"caught up": True, "dead primary silent": True,
           "hellos from the serving seq": True, "halves at the mark": True}
 _RESTART = {"caught up": True, "killed": -signal.SIGKILL,
@@ -1163,7 +1201,7 @@ FAULTS: List[Fault] = [
           Expect(facts={"shards": 3, "codec": "binary"})),
     Fault("auto-split-under-load", _auto_split_under_load,
           Expect(facts={"auto-split on": True, "queries asked": 20_000,
-                        "split announced": True, "shards > 3": True})),
+                        "split done": True, "shards > 3": True})),
     Fault("kill-under-load-r1", _kill_under_load(1), Expect(
         bound=_BACKEND_TIMEOUT, facts={**_KILLED, "replica healthy": True})),
     Fault("kill-under-load-r0", _kill_under_load(0),
@@ -1213,4 +1251,8 @@ FAULTS: List[Fault] = [
         "trickler hung up on": True, "slow reader let go": True})),
     Fault("fd-limit-reached", _fd_limit_reached, Expect(facts={
         "loop idle at the limit": True, "accept errors declared": True})),
+    Fault("peers-dropped-counted", _peers_dropped_counted, Expect(facts={
+        "trickler told": ["slow frame"], "silent told": [],
+        "bad magic told": ["bad frame magic 0x4e"],
+        "closes": {"slow frame": 1, "idle timeout": 1, "garbled frame": 1}})),
 ]

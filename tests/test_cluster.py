@@ -256,6 +256,21 @@ class TestRouterStatic:
         assert after["batch"] == before["batch"] + 2
         assert after["batch_queries"] == before["batch_queries"] + 3
 
+    def test_a_thousand_replies_record_no_backend_event(
+        self, listed_ips, client
+    ):
+        """Every reply says its link is up; only a flip of a backend's
+        health is an event, so a healthy fleet's replies add none."""
+
+        def flips():
+            events = client.stats()["events"]
+            return [e for e in events if e["kind"] == "backend"]
+
+        before = flips()
+        for n in range(1000):
+            client.query(listed_ips[n % len(listed_ips)])
+        assert flips() == before == []
+
     def test_mismatched_backend_list_rejected(self, full_index):
         with pytest.raises(ValueError, match="backend"):
             Router(PartitionMap(3), [[("127.0.0.1", 1)]])
@@ -369,11 +384,14 @@ class TestRouterStatsPayload:
                 degraded = client.stats()
 
         assert list(stats) == [
-            "cluster", "router", "partition", "index", "shards", "loop"
+            "cluster", "router", "partition", "index", "shards", "loop",
+            "events",
         ]
         assert stats["loop"] == {
-            "callback_errors": 0, "callback_error": None, "accept_errors": 0
+            "callback_errors": 0, "callback_error": None, "accept_errors": 0,
+            "closes": {},
         }
+        assert stats["events"] == []  # no backend's health has flipped
         assert list(stats["cluster"].items()) == [
             ("shards", 3),
             ("backends", 3),
@@ -423,6 +441,13 @@ class TestRouterStatsPayload:
         assert degraded["cluster"]["seq_max"] == seq
         assert degraded["shards"][2]["stats"] is None
         assert degraded["shards"][0]["stats"]["epoch"]["seq"] == seq
+        # The one flip is the dead primary's, with the cause its link
+        # went down with (the row's is the link's latest).
+        (down,) = degraded["events"]
+        row = degraded["shards"][2]["backends"][0]
+        assert (down["kind"], down["healthy"]) == ("backend", False)
+        assert down["cause"] and "cause" in row
+        assert down["address"] == ":".join(map(str, row["address"]))
 
     def test_index_block_is_the_full_index(self, monkeypatch):
         """On a corpus whose ASes span shards (the serving benchmark's

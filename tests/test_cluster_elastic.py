@@ -151,6 +151,12 @@ class TestManualSplit:
                 )
 
 
+def _split_events(cluster):
+    """The ``split`` events of the router's record, newest first."""
+    with ReputationClient(*cluster.address) as client:
+        return [e for e in client.stats()["events"] if e["kind"] == "split"]
+
+
 class TestAutoSplitAcceptance:
     """The ISSUE's elasticity bar: a seeded hot-range mix against a
     live cluster must trigger an online split, with zero failed
@@ -188,8 +194,9 @@ class TestAutoSplitAcceptance:
             finally:
                 splitter.stop()
 
-            splits = splitter.splits()
-            assert splits, splitter.events
+            events = _split_events(cluster)
+            splits = [e for e in events if e["phase"] == "done"]
+            assert splits, events
             assert len(cluster.partition) >= 4
             assert (
                 cluster.router.load_snapshot()["partition_epoch"]
@@ -211,7 +218,7 @@ class TestAutoSplitAcceptance:
             # The split landed where the heat was: the hot /24 sits
             # inside one of the shards produced by the first split.
             hot_block_ip = ips[0]
-            first = splits[0]
+            first = splits[-1]  # newest first
             assert first["shard"] in range(len(cluster.partition))
             owner = cluster.partition.shard_of(hot_block_ip)
             owner_range = cluster.partition.range_of(owner)
@@ -242,12 +249,10 @@ class TestAutoSplitAcceptance:
                 splitter.stop()
             assert report.failed == 0
             assert len(cluster.partition) == 2
-            assert not splitter.splits()
-            skips = [
-                e for e in splitter.events if e["action"] == "skip"
-            ]
-            for event in skips:
-                assert "max_shards" in event["reason"]
+            events = _split_events(cluster)
+            assert {e["phase"] for e in events} <= {"skip"}
+            for event in events:
+                assert event["reason"] == "at max_shards=2"
 
     def test_splitter_knob_validation(self, full_index):
         cluster = LocalCluster(full_index, shards=2)

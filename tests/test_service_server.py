@@ -15,7 +15,10 @@ from repro.net.ipv4 import int_to_ip
 from repro.service.client import ReputationClient, ServiceError
 from repro.service.engine import QueryEngine
 from repro.service.server import ReputationServer
-from repro.service.wire import FrameReader, encode_frame
+from repro.service.wire import (
+    MAX_FRAME_BYTES, FrameReader, decode_msg_payload, encode_frame,
+    encode_msg_frame,
+)
 
 
 @pytest.fixture()
@@ -86,7 +89,7 @@ class TestEndToEnd:
         assert client.ping() is True  # the timer runs before its reply leaves
         assert client.stats()["loop"] == {
             "callback_errors": 2, "callback_error": "internal error: 'timer'",
-            "accept_errors": 0,
+            "accept_errors": 0, "closes": {},
         }
 
     def test_point_query_accepts_dotted_quad_and_int(
@@ -133,13 +136,28 @@ class TestHostilePeers:
             sock.sendall(encode_frame({"op": "ping"}))
             assert frames.read()["result"] == "pong"
 
-    def test_oversized_declared_length_closes_connection(self, server):
-        with _raw_connection(server) as sock:
-            sock.sendall(struct.pack(">I", 1 << 30))
-            reply = FrameReader(sock).read()
-            assert reply["ok"] is False
-            # Server must then close: next read sees EOF.
-            assert sock.recv(1) == b""
+    def test_hostile_peers_cannot_add_a_close_cause(self, server, client):
+        """300 peers each break the framing their own way, a bad magic
+        byte or an oversize declared length, and each is told so in band
+        and then hung up on: every close counts under one fixed phrase."""
+        for n in range(300):
+            with _raw_connection(server) as sock:
+                frames = FrameReader(sock)
+                if n % 2:
+                    sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + n))
+                    assert "exceeds" in frames.read()["error"]
+                    assert frames.read() is None
+                    continue
+                sock.sendall(encode_frame(
+                    {"op": "hello", "accept_codecs": ["binary"]}
+                ))
+                frames.read()
+                frame = encode_msg_frame({"op": "ping"}, 1)
+                sock.sendall(bytes([n // 2]) + frame[1:])
+                _, _, reply = frames.read(binary=True)
+                assert "bad frame magic" in decode_msg_payload(reply)["error"]
+                assert frames.read(binary=True) is None
+        assert client.stats()["loop"]["closes"] == {"garbled frame": 300}
 
     def test_oversized_batch_rejected(self, server, client):
         with pytest.raises(ServiceError):

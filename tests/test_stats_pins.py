@@ -3,10 +3,11 @@
 The literals below are what commit ``18db6cd`` sent back — the engine
 then still kept its own locked counter table — for a static server and
 for one following an update log, before any query and after a fixed
-sequence of them on both codecs. Every block is compared as a list of
+sequence of them on both codecs, then grown by the ``loop`` block's
+``closes`` and the ``events`` list. Every block is compared as a list of
 items, so key order is pinned along with the values; only each
-``queries.<kind>.seconds`` is a measurement, checked for type and sign
-and then masked.
+``queries.<kind>.seconds`` and each event's ``at`` are measurements,
+checked for type and sign and then masked.
 
 What the sequence exercises: a JSON ``query`` op (a ``point``), its
 repeat (a cache hit, so no engine query), a day outside i32 (a cache
@@ -22,6 +23,7 @@ from repro.service.server import PACKED_CACHE_SIZE, ReputationServer
 from repro.stream.epoch import EpochIndex, index_as_of
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter
+from tests.conftest import wait_for_seq
 
 SIZES = [
     ("ips", 188), ("intervals", 1683), ("nated_ips", 26),
@@ -31,14 +33,18 @@ SIZES = [
 
 def _items(stats):
     """``stats`` as nested item lists (so order is compared), with each
-    ``seconds`` checked and masked."""
+    ``seconds`` and ``at`` checked and masked."""
     queries = stats.get("queries")
     for row in (queries or {}).values():
         assert isinstance(row["seconds"], float) and row["seconds"] >= 0
         row["seconds"] = "s"
+    for event in stats.get("events", []):
+        assert isinstance(event["at"], float) and event["at"] > 0
+        event["at"] = "t"
     return [
         (key, [(k, list(v.items()) if isinstance(v, dict) else v)
-               for k, v in block.items()])
+               for k, v in block.items()]
+         if isinstance(block, dict) else [list(e.items()) for e in block])
         for key, block in stats.items()
     ]
 
@@ -73,10 +79,16 @@ def _cache(entries, hits, misses):
             ("hits", hits), ("misses", misses)]
 
 
-#: The ``loop`` block, which every door adds last: nothing caught,
-#: no accept short of a descriptor.
-LOOP = ("loop", [("callback_errors", 0), ("callback_error", None),
-                 ("accept_errors", 0)])
+def _loop(closes=()):
+    """The ``loop`` block, which every door adds before its events:
+    nothing caught, no accept short of a descriptor, ``closes``."""
+    return ("loop", [("callback_errors", 0), ("callback_error", None),
+                     ("accept_errors", 0), ("closes", list(closes))])
+
+
+#: A static server: no connection closed yet, and no event.
+LOOP = _loop()
+NO_EVENTS = ("events", [])
 
 
 def test_static_server_payload(full_index):
@@ -90,6 +102,7 @@ def test_static_server_payload(full_index):
         ("epoch", [("epoch", 0), ("seq", 0)]),
         ("cache", _cache(0, 0, 0)),
         LOOP,
+        NO_EVENTS,
     ]
     assert _items(after) == [
         ("queries", QUERIES),
@@ -97,6 +110,7 @@ def test_static_server_payload(full_index):
         ("epoch", [("epoch", 0), ("seq", 0)]),
         ("cache", _cache(14, 7, 14)),
         LOOP,
+        NO_EVENTS,
     ]
 
 
@@ -112,9 +126,9 @@ def test_following_server_payload(
     listed = sorted(ip for ip, _spans in full_index.interval_items())
     with ReputationServer(
         QueryEngine(epochs), streaming=True
-    ) as server, LogFollower(log_path, epochs, poll_interval=0.01) as tail:
+    ) as server, LogFollower(log_path, epochs, poll_interval=0.01):
         server.start()
-        assert tail.wait_for_seq(batches[-1].seq, timeout=10.0)
+        assert wait_for_seq([server.address], batches[-1].seq, timeout=10.0)
         before, after = _ask(server.address, listed)
     epoch = [
         ("epoch", 3), ("seq", 3), ("day", 217), ("deltas_applied", 188),
@@ -124,17 +138,29 @@ def test_following_server_payload(
         ("ips", 21), ("intervals", 89), ("nated_ips", 26),
         ("dynamic_prefixes", 1), ("lists", 151), ("ases", 11),
     ]
+    # Each of the wait's probes was a connection, closed by its client.
+    probes = before["loop"]["closes"].get("connection closed", 0)
+    assert probes >= 1
+    loop = _loop([("connection closed", probes)])
+    events = ("events", [
+        [("at", "t"), ("kind", "epoch"), ("number", batch.seq),
+         ("seq", batch.seq), ("day", batch.day),
+         ("deltas", len(batch.deltas))]
+        for batch in reversed(batches)
+    ])
     assert _items(before) == [
         ("queries", []),
         ("index", sizes),
         ("epoch", epoch),
         ("cache", _cache(0, 0, 0)),
-        LOOP,
+        loop,
+        events,
     ]
     assert _items(after) == [
         ("queries", QUERIES),
         ("index", sizes),
         ("epoch", epoch),
         ("cache", _cache(14, 7, 14)),
-        LOOP,
+        loop,
+        events,
     ]

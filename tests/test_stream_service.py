@@ -7,12 +7,12 @@ every answer the state of the epoch it names — is the
 
 import argparse
 import sys
+import threading
 
 import pytest
 
 from repro.cli import (
     CliError,
-    _announce_follow_end,
     _serving_base,
     main,
 )
@@ -25,9 +25,10 @@ from repro.stream.delta import (
     ListingDelta,
     truncate_spans,
 )
-from repro.stream.epoch import EpochIndex, index_as_of
+from repro.stream.epoch import EVENTS_KEPT, EpochIndex, Events, index_as_of
 from repro.stream.follower import LogFollower
 from repro.stream.log import UpdateLogWriter, read_update_log
+from tests.conftest import wait_for_seq
 
 
 def _sample_span(index):
@@ -130,6 +131,31 @@ class TestEpochIndex:
         assert EpochIndex(base_index).stats()["day"] == (
             base_index.default_day()
         )
+
+    def test_events_read_while_appended(self):
+        """Followers add events while the loop reads them: the read is
+        one copy of the deque, which no append can tear, and the record
+        never holds more than its bound."""
+        events, stop = Events(), threading.Event()
+
+        def add():
+            while not stop.is_set():
+                events.add("epoch", number=0)
+
+        adders = [threading.Thread(target=add) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for adder in adders:
+                adder.start()
+            for _ in range(2000):
+                assert len(events.recent()) <= EVENTS_KEPT
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for adder in adders:
+                adder.join(5.0)
+        assert not any(adder.is_alive() for adder in adders)
 
     def test_stats_counters(self, base_index, start_day):
         epochs = EpochIndex(base_index, day=start_day)
@@ -238,28 +264,22 @@ class TestFollowerFailureIsDeclared:
             replay_batches[0]
         )
         epochs = EpochIndex(base_index, day=start_day)
-        follower = LogFollower(
-            log_path,
-            epochs,
-            poll_interval=0.01,
-            on_end=_announce_follow_end,  # what ``repro serve`` hangs there
-        )
+        follower = LogFollower(log_path, epochs, poll_interval=0.01)
         with ReputationServer(
             QueryEngine(epochs), connection_timeout=5.0, streaming=True
         ) as server:
-            host, port = server.start()
-            with follower, ReputationClient(host, port) as client:
-                assert follower.wait_for_seq(
-                    replay_batches[0].seq, timeout=10.0
-                )
+            address = server.start()
+            with follower, ReputationClient(*address) as client:
+                assert wait_for_seq([address], replay_batches[0].seq, 10.0)
                 assert client.stats()["epoch"]["error"] is None
                 yield follower, client
 
-    def test_clean_stop_declares_nothing(self, following, capsys):
+    def test_clean_stop_declares_nothing(self, following):
         follower, client = following
         follower.stop()
-        assert client.stats()["epoch"]["error"] is None
-        assert capsys.readouterr().err == ""
+        stats = client.stats()
+        assert stats["epoch"]["error"] is None
+        assert [e["kind"] for e in stats["events"]] == ["epoch"]
 
     def test_a_stopped_follower_does_not_start_again(self, following):
         """Single-use, like a shard host: ``start()`` after ``stop()``
@@ -269,7 +289,6 @@ class TestFollowerFailureIsDeclared:
         follower.stop()
         with pytest.raises(RuntimeError, match="was stopped"):
             follower.start()
-        assert follower._thread is None
         follower.stop()  # still idempotent
 
 
